@@ -16,7 +16,7 @@
 
 use paccport_compilers::{CostNode, CostTree, KernelPlan};
 use paccport_ir::expr::{BinOp, CmpOp, Expr, UnOp};
-use paccport_ir::{Kernel, Program, VarId};
+use paccport_ir::{Kernel, ParallelLoop};
 use paccport_ptx::{Category, CATEGORIES};
 use std::collections::BTreeMap;
 
@@ -73,10 +73,12 @@ pub struct CostHints {
 
 impl CostHints {
     pub fn branch_weight(&self, kernel: &str, idx: usize) -> f64 {
+        // A scan rather than a keyed lookup: the key would need an
+        // owned `String`, and hint tables hold a handful of entries.
         self.branch_weights
-            .get(&(kernel.to_string(), idx))
-            .copied()
-            .unwrap_or(0.5)
+            .iter()
+            .find(|((k, i), _)| k == kernel && *i == idx)
+            .map_or(0.5, |(_, w)| *w)
     }
 
     pub fn trip_fallback(&self, kernel: &str) -> f64 {
@@ -94,40 +96,32 @@ impl CostHints {
     }
 }
 
-/// Public wrapper over [`try_eval`] for other modules (the runner's
-/// timing-only host evaluation).
-pub fn try_eval_pub(e: &Expr, params: &[V], vars: &BTreeMap<VarId, f64>) -> Option<f64> {
-    try_eval(e, params, vars)
-}
-
 /// Best-effort scalar evaluation of a bound expression: `None` when it
-/// touches memory or an unbound variable.
-fn try_eval(e: &Expr, params: &[V], vars: &BTreeMap<VarId, f64>) -> Option<f64> {
-    try_eval_mode(e, params, vars, false)
+/// touches memory or an unbound variable. `env` holds one slot per
+/// program variable (`program.var_names.len()`), `None` when unbound.
+pub(crate) fn try_eval(e: &Expr, params: &[V], env: &[Option<f64>]) -> Option<f64> {
+    try_eval_mode(e, params, env, false)
 }
 
 /// Lenient evaluation: unbound variables and work-group builtins read
 /// as 0 (a lower-corner estimate — correct for strided reduction
 /// loops whose start is `lo + tid`), but memory loads still fail.
-fn try_eval_lenient(e: &Expr, params: &[V], vars: &BTreeMap<VarId, f64>) -> Option<f64> {
-    try_eval_mode(e, params, vars, true)
+fn try_eval_lenient(e: &Expr, params: &[V], env: &[Option<f64>]) -> Option<f64> {
+    try_eval_mode(e, params, env, true)
 }
 
-fn try_eval_mode(
-    e: &Expr,
-    params: &[V],
-    vars: &BTreeMap<VarId, f64>,
-    lenient: bool,
-) -> Option<f64> {
+fn try_eval_mode(e: &Expr, params: &[V], vars: &[Option<f64>], lenient: bool) -> Option<f64> {
     match e {
         Expr::FConst(v) => Some(*v),
         Expr::IConst(v) => Some(*v as f64),
         Expr::BConst(v) => Some(*v as i64 as f64),
         Expr::Param(id) => Some(params[id.0 as usize].as_f()),
-        Expr::Var(id) => vars
-            .get(id)
-            .copied()
-            .or(if lenient { Some(0.0) } else { None }),
+        Expr::Var(id) => {
+            vars.get(id.0 as usize)
+                .copied()
+                .flatten()
+                .or(if lenient { Some(0.0) } else { None })
+        }
         Expr::Special(_) => {
             if lenient {
                 Some(0.0)
@@ -211,7 +205,7 @@ struct TreeEval<'a> {
 }
 
 impl TreeEval<'_> {
-    fn eval(&mut self, t: &CostTree, vars: &mut BTreeMap<VarId, f64>) -> DynCost {
+    fn eval(&mut self, t: &CostTree, env: &mut [Option<f64>]) -> DynCost {
         let mut out = DynCost::from_counts(&t.flat, t.flat_ldst);
         for kid in &t.kids {
             match kid {
@@ -223,10 +217,10 @@ impl TreeEval<'_> {
                     overhead,
                     body,
                 } => {
-                    let lo_v = try_eval(lo, self.params, vars)
-                        .or_else(|| try_eval_lenient(lo, self.params, vars));
-                    let hi_v = try_eval(hi, self.params, vars)
-                        .or_else(|| try_eval_lenient(hi, self.params, vars));
+                    let lo_v = try_eval(lo, self.params, env)
+                        .or_else(|| try_eval_lenient(lo, self.params, env));
+                    let hi_v = try_eval(hi, self.params, env)
+                        .or_else(|| try_eval_lenient(hi, self.params, env));
                     let trips = match (lo_v, hi_v) {
                         (Some(l), Some(h)) => ((h - l) / *step as f64).ceil().max(0.0),
                         _ => self.hints.trip_fallback(self.kernel),
@@ -236,16 +230,10 @@ impl TreeEval<'_> {
                         (Some(l), Some(h)) => (l + h) / 2.0,
                         _ => self.hints.trip_fallback(self.kernel) / 2.0,
                     };
-                    let saved = vars.insert(*var, mid);
-                    let body_cost = self.eval(body, vars);
-                    match saved {
-                        Some(v) => {
-                            vars.insert(*var, v);
-                        }
-                        None => {
-                            vars.remove(var);
-                        }
-                    }
+                    let slot = var.0 as usize;
+                    let saved = env[slot].replace(mid);
+                    let body_cost = self.eval(body, env);
+                    env[slot] = saved;
                     let mut per_iter = body_cost;
                     per_iter.add_scaled(&DynCost::from_counts(overhead, 0), 1.0);
                     out.add_scaled(&per_iter, trips);
@@ -253,8 +241,8 @@ impl TreeEval<'_> {
                 CostNode::Branch { then, els } => {
                     let w = self.hints.branch_weight(self.kernel, self.branch_idx);
                     self.branch_idx += 1;
-                    let t_cost = self.eval(then, vars);
-                    let e_cost = self.eval(els, vars);
+                    let t_cost = self.eval(then, env);
+                    let e_cost = self.eval(els, env);
                     out.add_scaled(&t_cost, w);
                     out.add_scaled(&e_cost, 1.0 - w);
                 }
@@ -264,63 +252,197 @@ impl TreeEval<'_> {
     }
 }
 
+/// Most sample points one launch averages over.
+const MAX_SAMPLES: usize = 9;
+
 /// Average per-parallel-iteration dynamic cost of a kernel launch.
 ///
-/// `host_vars` binds host loop variables currently in scope;
-/// `dist_rank` says how many parallel loops are distributed (their
-/// variables are sampled when the cost depends on them).
+/// `env` binds the host variables currently in scope, one slot per
+/// program variable; the distributed loop variables are bound in it
+/// while sampling and restored before returning. `dist_rank` says how
+/// many parallel loops are distributed (their variables are sampled
+/// when the cost depends on them).
 pub fn kernel_dyn_cost(
-    _program: &Program,
     kernel: &Kernel,
     plan: &KernelPlan,
     dist_rank: usize,
     params: &[V],
-    host_vars: &BTreeMap<VarId, f64>,
+    env: &mut [Option<f64>],
     hints: &CostHints,
 ) -> DynCost {
-    // Sample points for distributed parallel variables whose value the
-    // cost may depend on (triangular serialized loops).
-    let mut samples: Vec<BTreeMap<VarId, f64>> = vec![host_vars.clone()];
-    for lp in kernel.loops.iter().take(dist_rank) {
-        let mut next = Vec::new();
-        for s in &samples {
-            let lo = try_eval(&lp.lo, params, s).unwrap_or(0.0);
-            let hi = try_eval(&lp.hi, params, s).unwrap_or(lo + 1.0);
-            let mut points = vec![lo, (lo + hi) / 2.0, (hi - 1.0).max(lo)];
-            points.dedup_by(|a, b| a == b);
-            for pt in points {
-                let mut m = s.clone();
-                m.insert(lp.var, pt);
-                next.push(m);
-            }
-        }
-        // Cap combinatorial growth.
-        next.truncate(9);
-        samples = next;
-    }
+    let mut s = Sampler {
+        loops: &kernel.loops[..dist_rank.min(kernel.loops.len())],
+        plan,
+        params,
+        hints,
+        costs: [DynCost::default(); MAX_SAMPLES],
+        n: 0,
+    };
+    s.sample(0, env);
     let mut acc = DynCost::default();
-    let n = samples.len().max(1) as f64;
-    for mut s in samples {
-        let mut ev = TreeEval {
-            kernel: &plan.kernel,
-            params,
-            hints,
-            branch_idx: 0,
-        };
-        let c = ev.eval(&plan.cost, &mut s);
-        acc.add_scaled(&c, 1.0 / n);
+    let n = s.n.max(1) as f64;
+    for c in &s.costs[..s.n] {
+        acc.add_scaled(c, 1.0 / n);
     }
     acc
+}
+
+/// Depth-first walk over the sample points of the distributed loops:
+/// each loop variable takes `{lo, mid, hi-1}` (consecutive duplicates
+/// dropped) under the bindings of the loops outside it, and the cost
+/// tree is evaluated once per full binding, in lexicographic order,
+/// for the first [`MAX_SAMPLES`] of them.
+struct Sampler<'a> {
+    loops: &'a [ParallelLoop],
+    plan: &'a KernelPlan,
+    params: &'a [V],
+    hints: &'a CostHints,
+    costs: [DynCost; MAX_SAMPLES],
+    n: usize,
+}
+
+impl Sampler<'_> {
+    fn sample(&mut self, level: usize, env: &mut [Option<f64>]) {
+        let Some(lp) = self.loops.get(level) else {
+            let mut ev = TreeEval {
+                kernel: &self.plan.kernel,
+                params: self.params,
+                hints: self.hints,
+                branch_idx: 0,
+            };
+            self.costs[self.n] = ev.eval(&self.plan.cost, env);
+            self.n += 1;
+            return;
+        };
+        let lo = try_eval(&lp.lo, self.params, env).unwrap_or(0.0);
+        let hi = try_eval(&lp.hi, self.params, env).unwrap_or(lo + 1.0);
+        let slot = lp.var.0 as usize;
+        let mut last = None;
+        for pt in [lo, (lo + hi) / 2.0, (hi - 1.0).max(lo)] {
+            if last == Some(pt) {
+                continue;
+            }
+            last = Some(pt);
+            if self.n == MAX_SAMPLES {
+                return;
+            }
+            let saved = env[slot].replace(pt);
+            self.sample(level + 1, env);
+            env[slot] = saved;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paccport_compilers::{compile, CompileOptions, CompilerId};
+    use paccport_compilers::common::dist_rank_of;
+    use paccport_compilers::{compile, CompileOptions, CompilerId, Flag};
     use paccport_ir::{
-        assign, for_, ld, let_, st, HostStmt, Intent, Kernel, ParallelLoop, ProgramBuilder, Scalar,
-        E,
+        assign, for_, ld, let_, st, HostStmt, Intent, Kernel, ParallelLoop, Program,
+        ProgramBuilder, Scalar, VarId, E,
     };
+    use paccport_kernels::{backprop, bfs, gaussian, lud, VariantCfg};
+    use std::collections::BTreeMap;
+
+    fn unbound(p: &Program) -> Vec<Option<f64>> {
+        vec![None; p.var_names.len()]
+    }
+
+    /// The map-based sampler `kernel_dyn_cost` replaced, kept as its
+    /// oracle: every sample point is a cloned environment, built level
+    /// by level and cut to nine after each level. Also returns how many
+    /// points it averaged over.
+    fn reference_dyn_cost(
+        kernel: &Kernel,
+        plan: &KernelPlan,
+        dist_rank: usize,
+        params: &[V],
+        host_vars: &BTreeMap<VarId, f64>,
+        hints: &CostHints,
+        n_vars: usize,
+    ) -> (DynCost, usize) {
+        let dense = |m: &BTreeMap<VarId, f64>| {
+            let mut env = vec![None; n_vars];
+            for (v, x) in m {
+                env[v.0 as usize] = Some(*x);
+            }
+            env
+        };
+        let mut samples: Vec<BTreeMap<VarId, f64>> = vec![host_vars.clone()];
+        for lp in kernel.loops.iter().take(dist_rank) {
+            let mut next = Vec::new();
+            for s in &samples {
+                let lo = try_eval(&lp.lo, params, &dense(s)).unwrap_or(0.0);
+                let hi = try_eval(&lp.hi, params, &dense(s)).unwrap_or(lo + 1.0);
+                let mut points = vec![lo, (lo + hi) / 2.0, (hi - 1.0).max(lo)];
+                points.dedup_by(|a, b| a == b);
+                for pt in points {
+                    let mut m = s.clone();
+                    m.insert(lp.var, pt);
+                    next.push(m);
+                }
+            }
+            next.truncate(9);
+            samples = next;
+        }
+        let mut acc = DynCost::default();
+        let n = samples.len().max(1) as f64;
+        for s in &samples {
+            let mut ev = TreeEval {
+                kernel: &plan.kernel,
+                params,
+                hints,
+                branch_idx: 0,
+            };
+            acc.add_scaled(&ev.eval(&plan.cost, &mut dense(s)), 1.0 / n);
+        }
+        (acc, samples.len())
+    }
+
+    fn bits(c: &DynCost) -> Vec<u64> {
+        c.cats
+            .iter()
+            .chain([&c.ldst])
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Runs both samplers on one kernel and requires bit-identical
+    /// costs and an environment restored to its bindings on entry.
+    /// Returns the reference's sample count.
+    fn assert_matches_reference(
+        p: &Program,
+        kernel: &Kernel,
+        plan: &KernelPlan,
+        dist_rank: usize,
+        params: &[V],
+        host_vars: &BTreeMap<VarId, f64>,
+        hints: &CostHints,
+    ) -> usize {
+        let n_vars = p.var_names.len();
+        let (want, n) =
+            reference_dyn_cost(kernel, plan, dist_rank, params, host_vars, hints, n_vars);
+        let mut env = unbound(p);
+        for (v, x) in host_vars {
+            env[v.0 as usize] = Some(*x);
+        }
+        let before = env.clone();
+        let got = kernel_dyn_cost(kernel, plan, dist_rank, params, &mut env, hints);
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{}/{} rank {dist_rank} host {host_vars:?}: {got:?} vs {want:?}",
+            p.name,
+            kernel.name
+        );
+        assert_eq!(
+            env, before,
+            "{}/{}: bindings not restored",
+            p.name, kernel.name
+        );
+        n
+    }
 
     /// Build `out[i] = sum_{k<n} x[k]` and check the dynamic cost
     /// scales linearly with n.
@@ -356,12 +478,11 @@ mod tests {
 
         let cost_at = |nv: i64| {
             kernel_dyn_cost(
-                &c.program,
                 kernel,
                 plan,
                 1,
                 &[V::I(nv)],
-                &BTreeMap::new(),
+                &mut unbound(&c.program),
                 &CostHints::default(),
             )
         };
@@ -397,15 +518,7 @@ mod tests {
         let plan = c.plan("guarded").unwrap();
         let kernel = c.program.kernel("guarded").unwrap();
         let cost_with = |h: CostHints| {
-            kernel_dyn_cost(
-                &c.program,
-                kernel,
-                plan,
-                1,
-                &[V::I(64)],
-                &BTreeMap::new(),
-                &h,
-            )
+            kernel_dyn_cost(kernel, plan, 1, &[V::I(64)], &mut unbound(&c.program), &h)
         };
         let dflt = cost_with(CostHints::default());
         let rare = cost_with(CostHints::default().with_branch("guarded", 0, 0.01));
@@ -439,16 +552,228 @@ mod tests {
         let kernel = c.program.kernel("edges").unwrap();
         let cost_with = |t: f64| {
             kernel_dyn_cost(
-                &c.program,
                 kernel,
                 plan,
                 1,
                 &[V::I(64)],
-                &BTreeMap::new(),
+                &mut unbound(&c.program),
                 &CostHints::default().with_trips("edges", t),
             )
             .issue_slots()
         };
         assert!(cost_with(100.0) > cost_with(2.0) * 3.0);
+    }
+
+    /// Every program of the LUD, GE, BFS, BP and Hydro variant ladders,
+    /// with the OpenCL versions.
+    fn ladder_programs() -> Vec<Program> {
+        let dist = VariantCfg::thread_dist(256, 16);
+        let indep = VariantCfg::independent();
+        let mut reorg = indep;
+        reorg.reorganized = true;
+        let mut red = indep;
+        red.reduction = true;
+        let mut out = Vec::new();
+        for base in [VariantCfg::baseline(), dist, reorg, red] {
+            let mut unroll = base;
+            unroll.unroll = Some(8);
+            let mut tile = base;
+            tile.tile = Some(32);
+            for vc in [base, unroll, tile] {
+                out.push(lud::program(&vc));
+                out.push(gaussian::program(&vc));
+                out.push(bfs::program(&vc));
+                out.push(backprop::program(&vc));
+            }
+        }
+        out.push(lud::program(&indep));
+        out.push(gaussian::program(&indep));
+        out.push(bfs::program(&indep));
+        out.push(backprop::program(&indep));
+        out.push(gaussian::opencl_program(false));
+        out.push(gaussian::opencl_program(true));
+        out.push(bfs::opencl_program());
+        out.push(backprop::opencl_program(16));
+        for hv in [
+            paccport_hydro::HydroVariant::Baseline,
+            paccport_hydro::HydroVariant::Optimized,
+            paccport_hydro::HydroVariant::OpenCl,
+        ] {
+            out.push(paccport_hydro::program(hv));
+        }
+        out
+    }
+
+    fn host_loop_vars(p: &Program) -> Vec<VarId> {
+        let mut vars = Vec::new();
+        for s in &p.body {
+            s.walk(&mut |s| {
+                if let HostStmt::HostLoop { var, .. } = s {
+                    vars.push(*var);
+                }
+            });
+        }
+        vars
+    }
+
+    #[test]
+    fn in_place_sampler_matches_the_map_based_reference_on_every_ladder_kernel() {
+        let bfs_hints = CostHints::default()
+            .with_branch("bfs_kernel1", 0, 0.05)
+            .with_branch("bfs_kernel2", 0, 0.05)
+            .with_trips("bfs_kernel1", 4.0);
+        let compilers = [
+            CompilerId::Caps,
+            CompilerId::Pgi,
+            CompilerId::OpenClHand,
+            CompilerId::OpenArc,
+        ];
+        let mut checked = [0usize; 4];
+        for p in ladder_programs() {
+            let host_vars = host_loop_vars(&p);
+            for (ci, &id) in compilers.iter().enumerate() {
+                for opts in [
+                    CompileOptions::gpu(),
+                    CompileOptions::mic(),
+                    CompileOptions::gpu().with_flag(Flag::Munroll),
+                ] {
+                    // Not every personality accepts every program or
+                    // target (PGI has no MIC back end, Hydro defeats
+                    // PGI); the rest must agree bit for bit.
+                    let Ok(c) = compile(id, &p, &opts) else {
+                        continue;
+                    };
+                    for k in c.program.kernels() {
+                        let Some(plan) = c.plan(&k.name) else {
+                            continue;
+                        };
+                        checked[ci] += 1;
+                        for (size, at) in [(64.0, 0.0), (1000.0, 3.0), (4096.0, 2047.0)] {
+                            let params: Vec<V> = c
+                                .program
+                                .params
+                                .iter()
+                                .map(|d| match d.ty {
+                                    Scalar::F32 | Scalar::F64 => V::F(size),
+                                    _ => V::I(size as i64),
+                                })
+                                .collect();
+                            let bound: BTreeMap<VarId, f64> =
+                                host_vars.iter().map(|v| (*v, at)).collect();
+                            for host in [BTreeMap::new(), bound] {
+                                for hints in [CostHints::default(), bfs_hints.clone()] {
+                                    for rank in [dist_rank_of(&plan.dist, k.rank()), 3] {
+                                        assert_matches_reference(
+                                            &c.program, k, plan, rank, &params, &host, &hints,
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked.iter().all(|n| *n > 0), "{compilers:?}: {checked:?}");
+    }
+
+    /// `out[i][j][k] += sum_{m in k..n} x[m]` over the triangular nest
+    /// `i in 0..n, j in i+1..n, k in j..n`: cost depends on every
+    /// distributed variable, a rank-3 sweep has more than nine
+    /// candidate points, and the empty `j` range at `i = n-1` collapses
+    /// to one point.
+    #[test]
+    fn rank3_triangular_nest_hits_the_sample_cap() {
+        let mut b = ProgramBuilder::new("tri3");
+        let n = b.iparam("n");
+        let x = b.array("x", Scalar::F32, n, Intent::In);
+        let out = b.array("out", Scalar::F32, n, Intent::InOut);
+        let (i, j, k, m, s) = (b.var("i"), b.var("j"), b.var("k"), b.var("m"), b.var("s"));
+        let loops = vec![
+            ParallelLoop::new(i, Expr::iconst(0), Expr::param(n)),
+            ParallelLoop::new(j, (E::from(i) + 1i64).0, Expr::param(n)),
+            ParallelLoop::new(k, Expr::var(j), Expr::param(n)),
+        ];
+        let kern = Kernel::simple(
+            "tri3",
+            loops,
+            paccport_ir::Block::new(vec![
+                let_(s, Scalar::F32, 0.0),
+                for_(
+                    m,
+                    E::from(k),
+                    E::from(n),
+                    vec![assign(s, E::from(s) + ld(x, m))],
+                ),
+                st(out, k, E::from(s)),
+            ]),
+        );
+        let p = b.finish(vec![HostStmt::Launch(kern)]);
+        let c = compile(CompilerId::Caps, &p, &CompileOptions::gpu()).unwrap();
+        let plan = c.plan("tri3").unwrap();
+        let kernel = c.program.kernel("tri3").unwrap();
+        let none = BTreeMap::new();
+        let hints = CostHints::default();
+        let sampled = |rank: usize, nv: i64| {
+            assert_matches_reference(&c.program, kernel, plan, rank, &[V::I(nv)], &none, &hints)
+        };
+        assert_eq!(sampled(3, 64), 9, "the rank-3 candidates are cut to nine");
+        // i takes {0, 32, 63}; j's range 64..64 at i = 63 is empty and
+        // collapses to one point: 3 + 3 + 1.
+        assert_eq!(sampled(2, 64), 7);
+        assert_eq!(sampled(1, 64), 3);
+        assert_eq!(sampled(0, 64), 1);
+        // Degenerate sizes: half-integer mid points, inverted ranges.
+        for nv in [1, 2, 3] {
+            sampled(3, nv);
+        }
+    }
+
+    /// A distributed loop whose bounds read memory (BFS-style edge
+    /// ranges) falls back to `{0, 0.5}`, and a serialized one to the
+    /// kernel's trip hint; both must agree with the reference.
+    #[test]
+    fn data_dependent_bounds_match_the_reference() {
+        let mut b = ProgramBuilder::new("p");
+        let n = b.iparam("n");
+        let nodes = b.array("nodes", Scalar::I32, n, Intent::In);
+        let out = b.array("out", Scalar::F32, n, Intent::Out);
+        let (i, j, e) = (b.var("i"), b.var("j"), b.var("e"));
+        let loops = vec![
+            ParallelLoop::new(i, Expr::iconst(0), Expr::param(n)),
+            ParallelLoop::new(j, ld(nodes, i).0, (ld(nodes, i) + 2i64).0),
+        ];
+        let k = Kernel::simple(
+            "edges2",
+            loops,
+            paccport_ir::Block::new(vec![for_(
+                e,
+                ld(nodes, j),
+                ld(nodes, j) + 4i64,
+                vec![st(out, i, 1.0)],
+            )]),
+        );
+        let p = b.finish(vec![HostStmt::Launch(k)]);
+        for id in [CompilerId::Caps, CompilerId::Pgi] {
+            let c = compile(id, &p, &CompileOptions::gpu()).unwrap();
+            let plan = c.plan("edges2").unwrap();
+            let kernel = c.program.kernel("edges2").unwrap();
+            for hints in [
+                CostHints::default(),
+                CostHints::default().with_trips("edges2", 37.0),
+            ] {
+                for rank in 0..=2 {
+                    assert_matches_reference(
+                        &c.program,
+                        kernel,
+                        plan,
+                        rank,
+                        &[V::I(64)],
+                        &BTreeMap::new(),
+                        &hints,
+                    );
+                }
+            }
+        }
     }
 }

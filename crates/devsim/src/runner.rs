@@ -12,11 +12,13 @@ use crate::tier::ExecTier;
 use crate::timing::{kernel_launch_time, transfer_time};
 use paccport_compilers::common::dist_rank_of;
 use paccport_compilers::lower::used_arrays;
-use paccport_compilers::{CompiledProgram, Correctness, DistSpec, ExecStrategy, TransferPolicy};
+use paccport_compilers::{
+    CompiledProgram, Correctness, DistSpec, ExecStrategy, KernelPlan, TransferPolicy,
+};
 use paccport_ir::stmt::Stmt;
 use paccport_ir::types::MemSpace;
-use paccport_ir::{ArrayId, Dir, HostStmt, Intent, Kernel, KernelBody, Scalar, VarId};
-use std::collections::{BTreeMap, BTreeSet};
+use paccport_ir::{ArrayId, Dir, HostStmt, Intent, Kernel, KernelBody, Scalar};
+use std::collections::BTreeSet;
 
 /// How faithfully to run the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,11 +191,26 @@ fn run_inner(c: &CompiledProgram, cfg: &RunConfig) -> Result<RunResult, String> 
     let spec = spec_for(c.options.target, c.options.host_compiler);
     let host_spec = host_cpu(c.options.host_compiler);
     let mut r = Runner::new(c, cfg, spec, host_spec)?;
-    let body = c.program.body.clone();
-    for s in &body {
+    for s in &c.program.body {
         r.host_stmt(s)?;
     }
     r.finish()
+}
+
+/// What one kernel launch needs beyond its own loop extents, built at
+/// the kernel's first launch in a run and reused by every later one.
+struct Launched<'a> {
+    plan: &'a KernelPlan,
+    /// Global arrays the kernel reads or writes, ascending, each
+    /// flagged when read.
+    touched: Vec<(ArrayId, bool)>,
+    /// Global arrays the kernel writes, ascending.
+    writes: Vec<ArrayId>,
+    stat: KernelStat,
+    /// Bytecode, compiled at the first functional launch on the
+    /// bytecode tier: a kernel relaunched every while-loop iteration is
+    /// lowered exactly once per run.
+    code: Option<crate::bytecode::KernelCode>,
 }
 
 struct Runner<'a> {
@@ -207,20 +224,27 @@ struct Runner<'a> {
     host: Vec<Buffer>,
     dev: Vec<Buffer>,
     vars: Vec<Option<V>>,
-    host_vars_f: BTreeMap<VarId, f64>,
+    /// Host variables as the timing model sees them, one slot per
+    /// program variable; [`kernel_dyn_cost`] samples in it in place.
+    env: Vec<Option<f64>>,
     resident: Vec<bool>,
     host_valid: Vec<bool>,
     ledger: TransferLedger,
     kernel_time: f64,
     transfer_time_s: f64,
     host_time: f64,
-    stats: BTreeMap<String, KernelStat>,
-    launch_order: Vec<String>,
+    /// Every kernel launched so far, in first-launch order (the order
+    /// [`RunResult::kernel_stats`] reports them in).
+    kernels: Vec<Launched<'a>>,
+    /// Scratch for one launch's loop extents.
+    extents: Vec<u64>,
     any_known_wrong: bool,
     while_iterations: u64,
     transfers_in_while: u64,
     in_while: bool,
-    written_in_iter: BTreeSet<ArrayId>,
+    /// Arrays written on the device during the current while-loop
+    /// iteration, by array index.
+    written_in_iter: Vec<bool>,
     races: Vec<Race>,
     /// Dedup key for `races` across launches of the same kernel.
     race_seen: BTreeSet<(String, String, crate::race::RaceKind, Option<usize>)>,
@@ -234,10 +258,6 @@ struct Runner<'a> {
     /// programmer omits `#pragma acc data` (the motivation for the
     /// paper's future-work Step 5).
     region_cover: Vec<u32>,
-    /// Compile-once bytecode cache by kernel name (bytecode tier
-    /// only): a kernel relaunched every while-loop iteration is
-    /// lowered exactly once per run.
-    bc: BTreeMap<String, crate::bytecode::KernelCode>,
 }
 
 impl<'a> Runner<'a> {
@@ -334,26 +354,25 @@ impl<'a> Runner<'a> {
             host,
             dev,
             vars: empty_vars,
-            host_vars_f: BTreeMap::new(),
+            env: vec![None; p.var_names.len()],
             resident: vec![false; p.arrays.len()],
             host_valid: vec![true; p.arrays.len()],
             ledger: TransferLedger::default(),
             kernel_time: 0.0,
             transfer_time_s: 0.0,
             host_time: 0.0,
-            stats: BTreeMap::new(),
-            launch_order: Vec::new(),
+            kernels: Vec::new(),
+            extents: Vec::new(),
             any_known_wrong: false,
             while_iterations: 0,
             transfers_in_while: 0,
             in_while: false,
-            written_in_iter: BTreeSet::new(),
+            written_in_iter: vec![false; p.arrays.len()],
             races: Vec::new(),
             race_seen: BTreeSet::new(),
             race_accesses: 0,
             device_active,
             region_cover: vec![0; p.arrays.len()],
-            bc: BTreeMap::new(),
         })
     }
 
@@ -456,12 +475,12 @@ impl<'a> Runner<'a> {
                 let hi = self.eval_host(hi).as_i();
                 for i in lo..hi {
                     self.vars[var.0 as usize] = Some(V::I(i));
-                    self.host_vars_f.insert(*var, i as f64);
+                    self.env[var.0 as usize] = Some(i as f64);
                     for s in body {
                         self.host_stmt(s)?;
                     }
                 }
-                self.host_vars_f.remove(var);
+                self.env[var.0 as usize] = None;
                 Ok(())
             }
             HostStmt::WhileFlag {
@@ -473,7 +492,7 @@ impl<'a> Runner<'a> {
                 self.in_while = true;
                 let mut iters: u64 = 0;
                 loop {
-                    self.written_in_iter.clear();
+                    self.written_in_iter.fill(false);
                     for s in body {
                         self.host_stmt(s)?;
                     }
@@ -481,17 +500,14 @@ impl<'a> Runner<'a> {
                     // modified on the device (Table VII's third
                     // per-iteration transfer).
                     if self.c.transfers == TransferPolicy::PerIteration {
-                        let refresh: Vec<ArrayId> = self
-                            .written_in_iter
-                            .iter()
-                            .copied()
-                            .filter(|a| {
-                                self.c.program.array(*a).intent == Intent::In
-                                    && self.resident[a.0 as usize]
-                            })
-                            .collect();
-                        for a in refresh {
-                            self.d2h(a);
+                        for i in 0..self.written_in_iter.len() {
+                            let a = ArrayId(i as u32);
+                            if self.written_in_iter[i]
+                                && self.c.program.array(a).intent == Intent::In
+                                && self.resident[i]
+                            {
+                                self.d2h(a);
+                            }
                         }
                     }
                     iters += 1;
@@ -514,7 +530,7 @@ impl<'a> Runner<'a> {
                 if self.functional {
                     let v = self.eval_host(value);
                     self.vars[var.0 as usize] = Some(v);
-                    self.host_vars_f.insert(*var, v.as_f());
+                    self.env[var.0 as usize] = Some(v.as_f());
                 }
                 Ok(())
             }
@@ -610,7 +626,7 @@ impl<'a> Runner<'a> {
             }
             Some(self.eval_host(e).as_f())
         } else {
-            crate::dyncost::try_eval_pub(e, &self.params, &self.host_vars_f)
+            crate::dyncost::try_eval(e, &self.params, &self.env)
         }
     }
 
@@ -634,16 +650,41 @@ impl<'a> Runner<'a> {
                 paccport_faults::hang();
             }
         }
-        let plan = self
-            .c
-            .plan(&k.name)
-            .ok_or_else(|| format!("no plan for kernel `{}`", k.name))?
-            .clone();
+        // Kernels are identified by name, as plans are.
+        let idx = match self.kernels.iter().position(|e| e.stat.name == k.name) {
+            Some(idx) => idx,
+            None => {
+                let plan = self
+                    .c
+                    .plan(&k.name)
+                    .ok_or_else(|| format!("no plan for kernel `{}`", k.name))?;
+                let (reads, writes) = kernel_reads_writes(k);
+                self.kernels.push(Launched {
+                    plan,
+                    touched: reads
+                        .union(&writes)
+                        .map(|a| (*a, reads.contains(a)))
+                        .collect(),
+                    writes: writes.into_iter().collect(),
+                    stat: KernelStat {
+                        name: k.name.clone(),
+                        launches: 0,
+                        device_time: 0.0,
+                        ran_on_device: plan.exec != ExecStrategy::HostSequential,
+                        config_label: plan.config_label.clone(),
+                    },
+                    code: None,
+                });
+                self.kernels.len() - 1
+            }
+        };
+        let plan = self.kernels[idx].plan;
         // Evaluate loop extents with host variables.
-        let mut extents: Vec<u64> = Vec::with_capacity(k.loops.len());
+        let mut extents = std::mem::take(&mut self.extents);
+        extents.clear();
         for lp in &k.loops {
-            let lo = self.try_eval_host_scalar(&lp.lo).unwrap_or(0.0);
-            let hi = self.try_eval_host_scalar(&lp.hi).unwrap_or(lo);
+            let lo = self.try_eval_host_f(&lp.lo).unwrap_or(0.0);
+            let hi = self.try_eval_host_f(&lp.hi).unwrap_or(lo);
             extents.push((hi - lo).max(0.0) as u64);
         }
         let dist_rank = dist_rank_of(&plan.dist, k.rank());
@@ -671,16 +712,16 @@ impl<'a> Runner<'a> {
                 }
             }
         };
+        self.extents = extents;
         let per_iter: DynCost = kernel_dyn_cost(
-            &self.c.program,
             k,
-            &plan,
+            plan,
             dist_rank,
             &self.params,
-            &self.host_vars_f,
+            &mut self.env,
             &self.cfg.hints,
         );
-        let t = kernel_launch_time(&self.spec, &self.host_spec, &plan, &dims, n_par, &per_iter);
+        let t = kernel_launch_time(&self.spec, &self.host_spec, plan, &dims, n_par, &per_iter);
         let on_device = plan.exec != ExecStrategy::HostSequential;
         if on_device {
             self.kernel_time += t;
@@ -689,24 +730,26 @@ impl<'a> Runner<'a> {
         }
 
         // Data movement.
-        let (reads, writes) = kernel_reads_writes(k);
+        let touched = std::mem::take(&mut self.kernels[idx].touched);
+        let writes = std::mem::take(&mut self.kernels[idx].writes);
         if on_device {
-            for a in reads.union(&writes) {
+            for &(a, read) in &touched {
                 // Uncovered arrays are re-synchronized around every
                 // launch (no enclosing data region to keep them
                 // resident); covered arrays move at most once.
-                if self.region_cover[a.0 as usize] == 0 && reads.contains(a) {
-                    self.h2d(*a);
+                if self.region_cover[a.0 as usize] == 0 && read {
+                    self.h2d(a);
                 } else {
-                    self.ensure_on_device(*a);
+                    self.ensure_on_device(a);
                 }
             }
             for a in &writes {
                 self.host_valid[a.0 as usize] = false;
-                self.written_in_iter.insert(*a);
+                self.written_in_iter[a.0 as usize] = true;
             }
         } else {
-            for a in reads.iter().chain(writes.iter()) {
+            let reads = touched.iter().filter(|(_, read)| *read).map(|(a, _)| a);
+            for a in reads.chain(&writes) {
                 self.ensure_on_host(*a);
             }
             for a in &writes {
@@ -754,12 +797,11 @@ impl<'a> Runner<'a> {
                     tracker.as_ref(),
                 ),
                 ExecTier::Bytecode => {
-                    if !self.bc.contains_key(&k.name) {
-                        self.bc
-                            .insert(k.name.clone(), crate::bytecode::compile_kernel(p, k));
-                    }
+                    let code = self.kernels[idx]
+                        .code
+                        .get_or_insert_with(|| crate::bytecode::compile_kernel(p, k));
                     crate::bytecode::exec_kernel_bc(
-                        &self.bc[&k.name],
+                        code,
                         &self.params,
                         k,
                         &mut self.vars,
@@ -792,38 +834,18 @@ impl<'a> Runner<'a> {
         // Uncovered written arrays are copied back after every launch
         // (per-launch synchronization without a data region).
         if on_device {
-            let uncovered: Vec<ArrayId> = writes
-                .iter()
-                .copied()
-                .filter(|a| self.region_cover[a.0 as usize] == 0)
-                .collect();
-            for a in uncovered {
-                self.d2h(a);
+            for a in &writes {
+                if self.region_cover[a.0 as usize] == 0 {
+                    self.d2h(*a);
+                }
             }
         }
-
-        // Stats.
-        if !self.stats.contains_key(&k.name) {
-            self.launch_order.push(k.name.clone());
-            self.stats.insert(
-                k.name.clone(),
-                KernelStat {
-                    name: k.name.clone(),
-                    launches: 0,
-                    device_time: 0.0,
-                    ran_on_device: on_device,
-                    config_label: plan.config_label.clone(),
-                },
-            );
-        }
-        let stat = self.stats.get_mut(&k.name).expect("just inserted");
-        stat.launches += 1;
-        stat.device_time += t;
+        let entry = &mut self.kernels[idx];
+        entry.touched = touched;
+        entry.writes = writes;
+        entry.stat.launches += 1;
+        entry.stat.device_time += t;
         Ok(())
-    }
-
-    fn try_eval_host_scalar(&mut self, e: &paccport_ir::Expr) -> Option<f64> {
-        self.try_eval_host_f(e)
     }
 
     fn finish(mut self) -> Result<RunResult, String> {
@@ -841,11 +863,7 @@ impl<'a> Runner<'a> {
             0.0
         };
         let elapsed = self.kernel_time + self.transfer_time_s + self.host_time;
-        let stats: Vec<KernelStat> = self
-            .launch_order
-            .iter()
-            .map(|n| self.stats[n].clone())
-            .collect();
+        let stats: Vec<KernelStat> = self.kernels.into_iter().map(|e| e.stat).collect();
         // Simulated hardware counters → the metrics registry: what
         // `PGI_ACC_TIME=1` + nvprof gave the paper's authors, as
         // Prometheus series. One observation per kernel per run, and

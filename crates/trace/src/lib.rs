@@ -224,7 +224,7 @@ struct ThreadBuf {
     /// attributed to the work's owner.
     shared_events: Vec<(Arc<SharedWork>, u32, SpanEvent)>,
     spans: BTreeMap<String, SpanStat>,
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<&'static str, u64>,
 }
 
 type SharedBuf = Arc<Mutex<ThreadBuf>>;
@@ -515,7 +515,7 @@ pub fn take_request_events(ctx: u64) -> Vec<SpanEvent> {
 #[derive(Default)]
 struct Retired {
     spans: BTreeMap<String, SpanStat>,
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<&'static str, u64>,
 }
 
 fn retired_aggregates() -> &'static Mutex<Retired> {
@@ -619,10 +619,10 @@ pub fn add(name: &'static str, n: u64) {
         return;
     }
     if f & (F_AGG | F_EVENTS) != 0 {
-        with_buf(|b| *b.counters.entry(name.to_string()).or_default() += n);
+        with_buf(|b| *b.counters.entry(name).or_default() += n);
     }
     if f & F_METRICS != 0 {
-        metrics::counter_add(&metrics::sanitize(name), &[], n);
+        metrics::mirror_add(name, n);
     }
 }
 
@@ -734,7 +734,7 @@ impl Summary {
 pub fn summary() -> Summary {
     let bufs = all_bufs().lock().unwrap();
     let mut spans: BTreeMap<String, SpanStat> = BTreeMap::new();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
     {
         let retired = retired_aggregates().lock().unwrap();
         for (k, v) in &retired.spans {
@@ -743,7 +743,7 @@ pub fn summary() -> Summary {
             s.total_ns += v.total_ns;
         }
         for (k, v) in &retired.counters {
-            *counters.entry(k.clone()).or_default() += v;
+            *counters.entry(k).or_default() += v;
         }
     }
     for buf in bufs.iter() {
@@ -754,12 +754,15 @@ pub fn summary() -> Summary {
             s.total_ns += v.total_ns;
         }
         for (k, v) in &b.counters {
-            *counters.entry(k.clone()).or_default() += v;
+            *counters.entry(k).or_default() += v;
         }
     }
     Summary {
         spans: spans.into_iter().collect(),
-        counters: counters.into_iter().collect(),
+        counters: counters
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
     }
 }
 

@@ -148,6 +148,8 @@ struct Registry {
     /// histograms rather than inside [`Histogram`], so the plain
     /// bucket math stays `PartialEq`-comparable in tests).
     exemplars: BTreeMap<Key, BTreeMap<usize, Exemplar>>,
+    /// Registry key of each mirrored trace counter, sanitized once.
+    mirrored: BTreeMap<&'static str, Key>,
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -190,6 +192,27 @@ pub fn counter_add(name: &str, labels: &[(&str, &str)], n: u64) {
         .counters
         .entry(key(name, labels))
         .or_default() += n;
+}
+
+/// Mirror a trace counter bump ([`crate::add`]) into the label-less
+/// counter named [`sanitize`]`(name)`. Unlike [`counter_add`] it
+/// allocates only on a name's first bump, so it is cheap enough for
+/// per-kernel-launch counters.
+pub(crate) fn mirror_add(name: &'static str, n: u64) {
+    let mut r = registry()
+        .lock()
+        .expect("no thread panics while holding the metrics registry");
+    let r = &mut *r;
+    let k = r
+        .mirrored
+        .entry(name)
+        .or_insert_with(|| key(&sanitize(name), &[]));
+    match r.counters.get_mut(k) {
+        Some(v) => *v += n,
+        None => {
+            r.counters.insert(k.clone(), n);
+        }
+    }
 }
 
 /// Set a gauge (no-op while metrics are off).
@@ -506,6 +529,22 @@ mod tests {
         assert!(text.contains("unit_seconds_sum 2.000000000e0"));
         assert!(text.contains("unit_seconds_count 2"));
         assert!(text.contains("le=\"+Inf\"} 2"));
+        set_metrics_enabled(false);
+        reset_metrics();
+    }
+
+    #[test]
+    fn mirrored_trace_counters_are_sanitized_and_survive_a_reset() {
+        let _lock = registry_test_lock();
+        set_metrics_enabled(true);
+        mirror_add("unit.mirror-bumps", 2);
+        mirror_add("unit.mirror-bumps", 3);
+        assert_eq!(counter_value("unit_mirror_bumps", &[]), 5);
+        // The sanitized key outlives the registry's contents.
+        reset_metrics();
+        mirror_add("unit.mirror-bumps", 1);
+        assert_eq!(counter_value("unit_mirror_bumps", &[]), 1);
+        assert!(render_prometheus().contains("unit_mirror_bumps 1"));
         set_metrics_enabled(false);
         reset_metrics();
     }
