@@ -15,7 +15,7 @@
 //!                   [--fault-seed N] [telemetry flags]
 //! reproduce bench-devsim [--seed S] [--samples N] [--json FILE]
 //!                        [--against FILE]
-//! reproduce fsck DIR
+//! reproduce fsck DIR [telemetry flags]
 //! reproduce serve [--addr HOST:PORT] [--jobs N] [--workers N]
 //!                 [--queue-cap N] [--cache-bytes N] [--tenant-quota N]
 //!                 [--port-file FILE] [--inject SPEC] [--fault-seed N]
@@ -29,11 +29,12 @@
 //!
 //! With no `--exp`, all experiments run. `--scale` picks the input
 //! sizes: `paper` (Table IV, the default), `quick` (CI scale), or
-//! `smoke` (smallest functional sizes); `--quick` is an alias for
-//! `--scale quick`. `--jobs N` fans each experiment matrix out over N
-//! worker threads through a shared compile cache (`--jobs 1`, the
-//! default, is the serial reference path; stdout is byte-identical
-//! either way). `--trace` prints a pipeline trace — span timings and
+//! `smoke` (smallest functional sizes); `--quick` is exactly
+//! `--scale quick`, and whichever of the two comes last wins.
+//! `--jobs N` fans each experiment matrix out over N worker threads
+//! through a shared compile cache (`--jobs 1`, the default, is the
+//! serial reference path; stdout is byte-identical either way).
+//! `--trace` prints a pipeline trace — span timings and
 //! cache/transform/launch counters — to stderr after the run.
 //! Recognized ids:
 //! tab1 tab2 tab3 tab4 tab5 tab6 tab7, fig1 fig3 fig4 fig6 fig7 fig8
@@ -76,7 +77,12 @@
 //! (Section V-C1). `--profile` appends the same sweep to a normal
 //! figure run, sharing its compile cache.
 //!
-//! Structured telemetry (every subcommand): `--trace-out FILE` records
+//! Every subcommand rejects an unknown argument, a missing value or a
+//! malformed one as a usage error: exit code 2, nothing on stdout.
+//! When a flag is repeated, its last value wins.
+//!
+//! Structured telemetry (the figure run, `conform`, `profile` and
+//! `fsck`; these are the "telemetry flags"): `--trace-out FILE` records
 //! the run as a timestamped span event stream and exports it in
 //! `--trace-format` — `chrome` (trace-event JSON, loadable in Perfetto
 //! or `chrome://tracing`, one lane per engine worker), `jsonl` (one
@@ -167,18 +173,20 @@
 //! server's *modeled* timings — two runs with the same seed against
 //! fresh servers are byte-identical.
 
+use paccport_compilers::passes::Pipeline;
 use paccport_core::engine::Engine;
 use paccport_core::experiments as exp;
 use paccport_core::report;
+use paccport_core::serve::scale_by_name;
 use paccport_core::study::Scale;
 use paccport_trace::export::TraceFormat;
 
-/// Telemetry sinks shared by every subcommand: where to write the
-/// event-stream export and the metrics exposition, if anywhere. Held
-/// in a process global so *every* exit path — normal completion,
-/// usage errors via [`die`], and injected crashes via the
-/// `paccport_faults::on_crash` hook — can flush whatever has been
-/// recorded so far.
+/// Telemetry sinks of the subcommands that take telemetry flags:
+/// where to write the event-stream export and the metrics exposition,
+/// if anywhere. Held in a process global so *every* exit path —
+/// normal completion, usage errors via [`die`], and injected crashes
+/// via the `paccport_faults::on_crash` hook — can flush whatever has
+/// been recorded so far.
 struct Telemetry {
     trace_out: Option<String>,
     trace_format: Option<TraceFormat>,
@@ -191,40 +199,95 @@ static TELEMETRY: std::sync::Mutex<Telemetry> = std::sync::Mutex::new(Telemetry 
     metrics_out: None,
 });
 
-/// Consume `a` (and its value from `it`) if it is a telemetry flag;
-/// `false` means the flag belongs to someone else. Recording switches
-/// on the moment the flag is parsed — before any validation of later
-/// flags — so even a run that dies on a usage error leaves a
-/// parseable (if near-empty) export behind.
-fn tele_consume(a: &str, it: &mut std::slice::Iter<String>) -> bool {
-    match a {
-        "--trace-out" => {
-            let path = it
-                .next()
-                .cloned()
-                .unwrap_or_else(|| die("--trace-out requires a file path"));
-            paccport_trace::set_events_enabled(true);
-            TELEMETRY.lock().unwrap().trace_out = Some(path);
+/// One subcommand's arguments, consumed front to back. Each
+/// subcommand matches one flag per arm and reads values only through
+/// [`Args::value`] and [`Args::parsed`], so an unknown argument, a
+/// missing value or a malformed one is the same usage error (exit 2,
+/// nothing on stdout) everywhere, and a repeated flag's last value
+/// wins.
+struct Args {
+    /// Subcommand name prefixed to usage errors; empty for the figure
+    /// run.
+    cmd: &'static str,
+    rest: std::vec::IntoIter<String>,
+}
+
+const POSITIVE: &str = "a positive integer";
+const UNSIGNED: &str = "an unsigned integer";
+const FILE: &str = "a file path";
+const SCALES: &str = "smoke|quick|paper";
+const TIERS: &str = "tree|bytecode|both";
+const FAULT_SPEC: &str = "a fault spec (try `chaos`)";
+
+impl Args {
+    fn new(cmd: &'static str, args: Vec<String>) -> Self {
+        Args {
+            cmd,
+            rest: args.into_iter(),
         }
-        "--trace-format" => {
-            let name = it
-                .next()
-                .cloned()
-                .unwrap_or_else(|| die("--trace-format requires chrome|jsonl|folded"));
-            let format = TraceFormat::parse(&name).unwrap_or_else(|e| die(&e));
-            TELEMETRY.lock().unwrap().trace_format = Some(format);
-        }
-        "--metrics-out" => {
-            let path = it
-                .next()
-                .cloned()
-                .unwrap_or_else(|| die("--metrics-out requires a file path"));
-            paccport_trace::metrics::set_metrics_enabled(true);
-            TELEMETRY.lock().unwrap().metrics_out = Some(path);
-        }
-        _ => return false,
     }
-    true
+
+    fn next(&mut self) -> Option<String> {
+        self.rest.next()
+    }
+
+    fn die(&self, msg: &str) -> ! {
+        match self.cmd {
+            "" => die(msg),
+            cmd => die(&format!("{cmd}: {msg}")),
+        }
+    }
+
+    fn unknown(&self, arg: &str) -> ! {
+        self.die(&format!("unknown argument `{arg}`"))
+    }
+
+    /// The value after `flag`; `what` describes it in the usage error.
+    fn value(&mut self, flag: &str, what: &str) -> String {
+        self.rest
+            .next()
+            .unwrap_or_else(|| self.die(&format!("{flag} requires {what}")))
+    }
+
+    /// The value after `flag` as converted by `ok`; a value `ok`
+    /// rejects is the same usage error as a missing one.
+    fn parsed<T>(&mut self, flag: &str, what: &str, ok: impl FnOnce(&str) -> Option<T>) -> T {
+        let v = self.value(flag, what);
+        ok(&v).unwrap_or_else(|| self.die(&format!("{flag} requires {what}")))
+    }
+
+    /// Consume `flag` if it is a telemetry flag, else reject it.
+    /// Recording switches on the moment the flag is parsed — before
+    /// any validation of later flags — so even a run that dies on a
+    /// usage error leaves a parseable (if near-empty) export behind.
+    fn telemetry(&mut self, flag: &str) {
+        match flag {
+            "--trace-out" => {
+                let path = self.value(flag, FILE);
+                paccport_trace::set_events_enabled(true);
+                TELEMETRY.lock().unwrap().trace_out = Some(path);
+            }
+            "--trace-format" => {
+                let name = self.value(flag, "chrome|jsonl|folded");
+                let format = TraceFormat::parse(&name).unwrap_or_else(|e| die(&e));
+                TELEMETRY.lock().unwrap().trace_format = Some(format);
+            }
+            "--metrics-out" => {
+                let path = self.value(flag, FILE);
+                paccport_trace::metrics::set_metrics_enabled(true);
+                TELEMETRY.lock().unwrap().metrics_out = Some(path);
+            }
+            _ => self.unknown(flag),
+        }
+    }
+}
+
+fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
+    num(v).filter(|n| *n > T::default())
 }
 
 /// Validate the telemetry flag combination after parsing.
@@ -289,109 +352,51 @@ fn main() {
     // telemetry behind: flush from the crash hook, quietly, so exit
     // code 75 survives.
     paccport_faults::on_crash(|| tele_flush(true));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("conform") {
-        conform(&args[1..]);
-        return;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let sub = |cmd| Args::new(cmd, argv[1..].to_vec());
+    match argv.first().map(String::as_str) {
+        Some("conform") => return conform(sub("conform")),
+        Some("profile") => return profile_cmd(sub("profile")),
+        Some("bench-devsim") => return bench_devsim(sub("bench-devsim")),
+        Some("fsck") => return fsck_cmd(sub("fsck")),
+        Some("serve") => return serve_cmd(sub("serve")),
+        Some("loadgen") => return loadgen_cmd(sub("loadgen")),
+        _ => {}
     }
-    if args.first().map(String::as_str) == Some("profile") {
-        profile_cmd(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("bench-devsim") {
-        bench_devsim(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("fsck") {
-        fsck_cmd(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        serve_cmd(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("loadgen") {
-        loadgen_cmd(&args[1..]);
-        return;
-    }
-    let check = args.iter().any(|a| a == "--check");
-    let trace = args.iter().any(|a| a == "--trace");
-    let profile = args.iter().any(|a| a == "--profile");
-    let mut scale_name = if args.iter().any(|a| a == "--quick") {
-        "quick".to_string()
-    } else {
-        "paper".to_string()
-    };
+    let mut args = Args::new("", argv);
+    let (mut check, mut trace, mut profile, mut resume) = (false, false, false, false);
+    let mut scale = Scale::paper();
     let mut jobs: usize = 1;
     let mut wanted: Vec<String> = Vec::new();
     let mut inject: Option<String> = None;
     let mut fault_seed: u64 = 0;
-    let mut tier_name = "tree".to_string();
+    let mut tier = "tree".to_string();
     let mut state_dir: Option<String> = None;
-    let mut resume = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if tele_consume(a, &mut it) {
-        } else if a == "--state-dir" {
-            state_dir = Some(
-                it.next()
-                    .cloned()
-                    .unwrap_or_else(|| die("--state-dir requires a directory path")),
-            );
-        } else if a == "--resume" {
-            resume = true;
-        } else if a == "--tier" {
-            tier_name = it
-                .next()
-                .cloned()
-                .unwrap_or_else(|| die("--tier requires tree|bytecode|both"));
-        } else if a == "--exp" {
-            if let Some(id) = it.next() {
-                wanted.push(id.clone());
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--check" => check = true,
+            "--trace" => trace = true,
+            "--profile" => profile = true,
+            "--resume" => resume = true,
+            "--quick" => scale = Scale::quick(),
+            "--scale" => scale = args.parsed(&a, SCALES, scale_by_name),
+            "--jobs" => jobs = args.parsed(&a, POSITIVE, positive),
+            "--exp" => wanted.push(args.value(&a, "an experiment id")),
+            "--tier" => tier = args.value(&a, TIERS),
+            "--passes" => {
+                let spec = args.value(&a, "a comma-separated pass list (try `default`)");
+                let pipeline = Pipeline::parse(&spec).unwrap_or_else(|e| die(&e));
+                paccport_compilers::passes::set_global_pipeline(Some(pipeline));
             }
-        } else if a == "--inject" {
-            inject = Some(
-                it.next()
-                    .cloned()
-                    .unwrap_or_else(|| die("--inject requires a fault spec (try `chaos`)")),
-            );
-        } else if a == "--fault-seed" {
-            fault_seed = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die("--fault-seed requires an unsigned integer"));
-        } else if a == "--jobs" {
-            jobs = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die("--jobs requires a positive integer"));
-            if jobs == 0 {
-                die("--jobs requires a positive integer");
-            }
-        } else if a == "--scale" {
-            scale_name = it
-                .next()
-                .cloned()
-                .unwrap_or_else(|| die("--scale requires smoke|quick|paper"));
-        } else if a == "--passes" {
-            let spec = it.next().cloned().unwrap_or_else(|| {
-                die("--passes requires a comma-separated pass list (try `default`)")
-            });
-            match paccport_compilers::passes::Pipeline::parse(&spec) {
-                Ok(pl) => paccport_compilers::passes::set_global_pipeline(Some(pl)),
-                Err(e) => die(&e),
-            }
+            "--inject" => inject = Some(args.value(&a, FAULT_SPEC)),
+            "--fault-seed" => fault_seed = args.parsed(&a, UNSIGNED, num),
+            "--state-dir" => state_dir = Some(args.value(&a, "a directory path")),
+            flag => args.telemetry(flag),
         }
     }
     let all = wanted.is_empty();
-    let scale = match scale_name.as_str() {
-        "smoke" => Scale::smoke(),
-        "quick" => Scale::quick(),
-        "paper" => Scale::paper(),
-        _ => die("--scale requires smoke|quick|paper"),
-    };
     let want = |id: &str| all || wanted.iter().any(|w| w == id);
-    let tier_both = apply_tier(&tier_name);
+    let tier_both = apply_tier(&tier);
 
     if trace {
         paccport_trace::set_enabled(true);
@@ -401,11 +406,7 @@ fn main() {
         die("--resume requires --state-dir");
     }
     let _flush_guard = TraceFlushGuard;
-    if let Some(spec) = &inject {
-        let spec = paccport_faults::FaultSpec::parse(spec)
-            .unwrap_or_else(|e| die(&format!("--inject: {e}")));
-        paccport_faults::configure(spec, fault_seed);
-    }
+    configure_faults(inject, fault_seed);
 
     // Durable state, when asked for. Opened after fault configuration
     // so `restore_fault_events` can filter on the active kinds, and
@@ -476,10 +477,12 @@ fn main() {
     println!("paccport `reproduce` — Understanding Performance Portability of OpenACC");
     println!(
         "scale: {} (LUD {}, GE {}, BFS {}, BP {}x{}, Hydro {})\n",
-        match scale_name.as_str() {
-            "paper" => "paper (Table IV)",
-            "smoke" => "smoke",
-            _ => "quick",
+        if scale == Scale::paper() {
+            "paper (Table IV)"
+        } else if scale == Scale::smoke() {
+            "smoke"
+        } else {
+            "quick"
         },
         scale.lud_n,
         scale.ge_n,
@@ -706,34 +709,20 @@ fn apply_tier(name: &str) -> bool {
 /// conformance fuzzing. Exits 0 iff every program either matched the
 /// oracle bitwise on every leg or diverged only through a modeled
 /// compiler quirk.
-fn conform(args: &[String]) {
-    let mut programs: u64 = 50;
-    let mut seed: u64 = 42;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if tele_consume(a, &mut it) {
-        } else if a == "--programs" {
-            programs = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die("--programs requires an unsigned integer"));
-        } else if a == "--seed" {
-            seed = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die("--seed requires an unsigned integer"));
-        } else if a == "--tier" {
-            let name = it
-                .next()
-                .cloned()
-                .unwrap_or_else(|| die("--tier requires tree|bytecode|both"));
-            // `both` keeps the matrix legs on the tree reference; the
-            // always-on `tier/bytecode` leg covers the comparison.
-            apply_tier(&name);
-        } else {
-            die(&format!("conform: unknown argument `{a}`"));
+fn conform(mut args: Args) {
+    let (mut programs, mut seed): (u64, u64) = (50, 42);
+    let mut tier = "tree".to_string();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--programs" => programs = args.parsed(&a, UNSIGNED, num),
+            "--seed" => seed = args.parsed(&a, UNSIGNED, num),
+            "--tier" => tier = args.value(&a, TIERS),
+            flag => args.telemetry(flag),
         }
     }
+    // `both` keeps the matrix legs on the tree reference; the
+    // always-on `tier/bytecode` leg covers the comparison.
+    apply_tier(&tier);
     tele_validate();
     let report = paccport_conformance::run_conformance(programs, seed);
     print!("{}", report.render());
@@ -746,55 +735,24 @@ fn conform(args: &[String]) {
 /// `reproduce profile [--scale ...] [--jobs N] [--inject SPEC]
 /// [--fault-seed N]` — the per-kernel profile sweep over the
 /// functional benchmark matrix.
-fn profile_cmd(args: &[String]) {
-    let mut scale_name = "smoke".to_string();
+fn profile_cmd(mut args: Args) {
+    let mut scale = Scale::smoke();
     let mut jobs: usize = 1;
     let mut inject: Option<String> = None;
     let mut fault_seed: u64 = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if tele_consume(a, &mut it) {
-        } else if a == "--scale" {
-            scale_name = it
-                .next()
-                .cloned()
-                .unwrap_or_else(|| die("--scale requires smoke|quick|paper"));
-        } else if a == "--quick" {
-            scale_name = "quick".to_string();
-        } else if a == "--jobs" {
-            jobs = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&j| j > 0)
-                .unwrap_or_else(|| die("--jobs requires a positive integer"));
-        } else if a == "--inject" {
-            inject = Some(
-                it.next()
-                    .cloned()
-                    .unwrap_or_else(|| die("--inject requires a fault spec (try `chaos`)")),
-            );
-        } else if a == "--fault-seed" {
-            fault_seed = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die("--fault-seed requires an unsigned integer"));
-        } else {
-            die(&format!("profile: unknown argument `{a}`"));
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--scale" => scale = args.parsed(&a, SCALES, scale_by_name),
+            "--quick" => scale = Scale::quick(),
+            "--jobs" => jobs = args.parsed(&a, POSITIVE, positive),
+            "--inject" => inject = Some(args.value(&a, FAULT_SPEC)),
+            "--fault-seed" => fault_seed = args.parsed(&a, UNSIGNED, num),
+            flag => args.telemetry(flag),
         }
     }
-    let scale = match scale_name.as_str() {
-        "smoke" => Scale::smoke(),
-        "quick" => Scale::quick(),
-        "paper" => Scale::paper(),
-        _ => die("--scale requires smoke|quick|paper"),
-    };
     tele_validate();
     let _flush_guard = TraceFlushGuard;
-    if let Some(spec) = &inject {
-        let spec = paccport_faults::FaultSpec::parse(spec)
-            .unwrap_or_else(|e| die(&format!("--inject: {e}")));
-        paccport_faults::configure(spec, fault_seed);
-    }
+    configure_faults(inject, fault_seed);
     let eng = Engine::new(jobs);
     let report = paccport_core::profile::profile_matrix_on(&eng, &scale);
     print!("{}", report.render());
@@ -809,38 +767,18 @@ fn profile_cmd(args: &[String]) {
 /// `reproduce bench-devsim [--seed S] [--samples N] [--json FILE]
 /// [--against FILE]` — kernel-execution throughput of the two devsim
 /// tiers, with a bitwise cross-check before any timing.
-fn bench_devsim(args: &[String]) {
+fn bench_devsim(mut args: Args) {
     let mut seed: u64 = 42;
     let mut samples: usize = 7;
     let mut json_out: Option<String> = None;
     let mut against: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            seed = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die("--seed requires an unsigned integer"));
-        } else if a == "--samples" {
-            samples = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| die("--samples requires a positive integer"));
-        } else if a == "--json" {
-            json_out = Some(
-                it.next()
-                    .cloned()
-                    .unwrap_or_else(|| die("--json requires a file path")),
-            );
-        } else if a == "--against" {
-            against = Some(
-                it.next()
-                    .cloned()
-                    .unwrap_or_else(|| die("--against requires a file path")),
-            );
-        } else {
-            die(&format!("bench-devsim: unknown argument `{a}`"));
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--seed" => seed = args.parsed(&a, UNSIGNED, num),
+            "--samples" => samples = args.parsed(&a, POSITIVE, positive),
+            "--json" => json_out = Some(args.value(&a, FILE)),
+            "--against" => against = Some(args.value(&a, FILE)),
+            flag => args.unknown(flag),
         }
     }
     let report = paccport_bench::devbench::run_devsim_bench(seed, samples);
@@ -882,21 +820,19 @@ fn bench_devsim(args: &[String]) {
 /// Exit codes: 0 — already consistent; 1 — repairs were performed and
 /// the directory is now consistent; 2 — usage error; 3 — the
 /// directory cannot be inspected at all.
-fn fsck_cmd(args: &[String]) {
+fn fsck_cmd(mut args: Args) {
     let mut dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if tele_consume(a, &mut it) {
-        } else if a.starts_with("--") {
-            die(&format!("fsck: unknown argument `{a}`"));
+    while let Some(a) = args.next() {
+        if a.starts_with("--") {
+            args.telemetry(&a);
         } else if dir.is_none() {
-            dir = Some(a.clone());
+            dir = Some(a);
         } else {
-            die("fsck: exactly one state directory expected");
+            args.die("exactly one state directory expected");
         }
     }
     let Some(dir) = dir else {
-        die("fsck: a state directory is required");
+        args.die("a state directory is required");
     };
     tele_validate();
     let report = match paccport_persist::fsck(std::path::Path::new(&dir)) {
@@ -936,79 +872,29 @@ fn fsck_cmd(args: &[String]) {
 /// `reproduce serve` — stand up the experiment server on `--addr` and
 /// block until it drains (SIGTERM or `POST /shutdown`). Metrics are
 /// always on so `GET /metrics` has something to say.
-fn serve_cmd(args: &[String]) {
+fn serve_cmd(mut args: Args) {
     let mut addr = "127.0.0.1:0".to_string();
     let mut cfg = paccport_server::ServerConfig::default();
     let mut port_file: Option<String> = None;
     let mut inject: Option<String> = None;
     let mut fault_seed: u64 = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("serve: {a} requires {what}")))
-        };
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--addr" => addr = val("HOST:PORT"),
-            "--jobs" => {
-                cfg.jobs = val("a positive integer")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("serve: --jobs requires a positive integer"))
-            }
-            "--workers" => {
-                cfg.workers = val("a positive integer")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("serve: --workers requires a positive integer"))
-            }
-            "--queue-cap" => {
-                cfg.queue_cap = val("a positive integer")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("serve: --queue-cap requires a positive integer"))
-            }
-            "--cache-bytes" => {
-                cfg.cache_bytes = Some(
-                    val("a byte count")
-                        .parse()
-                        .unwrap_or_else(|_| die("serve: --cache-bytes requires a byte count")),
-                )
-            }
-            "--tenant-quota" => {
-                cfg.tenant_quota = Some(
-                    val("a byte count")
-                        .parse()
-                        .unwrap_or_else(|_| die("serve: --tenant-quota requires a byte count")),
-                )
-            }
-            "--port-file" => port_file = Some(val("a file path")),
-            "--access-log" => cfg.access_log = Some(val("a file path").into()),
-            "--recorder-cap" => {
-                cfg.recorder_cap = val("a positive integer")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("serve: --recorder-cap requires a positive integer"))
-            }
-            "--inject" => inject = Some(val("a fault spec (try `chaos`)")),
-            "--fault-seed" => {
-                fault_seed = val("an unsigned integer")
-                    .parse()
-                    .unwrap_or_else(|_| die("serve: --fault-seed requires an unsigned integer"))
-            }
-            other => die(&format!("serve: unknown argument `{other}`")),
+            "--addr" => addr = args.value(&a, "HOST:PORT"),
+            "--jobs" => cfg.jobs = args.parsed(&a, POSITIVE, positive),
+            "--workers" => cfg.workers = args.parsed(&a, POSITIVE, positive),
+            "--queue-cap" => cfg.queue_cap = args.parsed(&a, POSITIVE, positive),
+            "--cache-bytes" => cfg.cache_bytes = Some(args.parsed(&a, "a byte count", num)),
+            "--tenant-quota" => cfg.tenant_quota = Some(args.parsed(&a, "a byte count", num)),
+            "--port-file" => port_file = Some(args.value(&a, FILE)),
+            "--access-log" => cfg.access_log = Some(args.value(&a, FILE).into()),
+            "--recorder-cap" => cfg.recorder_cap = args.parsed(&a, POSITIVE, positive),
+            "--inject" => inject = Some(args.value(&a, FAULT_SPEC)),
+            "--fault-seed" => fault_seed = args.parsed(&a, UNSIGNED, num),
+            flag => args.unknown(flag),
         }
     }
-    if let Some(spec) = &inject {
-        let spec = paccport_faults::FaultSpec::parse(spec)
-            .unwrap_or_else(|e| die(&format!("serve: --inject: {e}")));
-        paccport_faults::configure(spec, fault_seed);
-    }
+    configure_faults(inject, fault_seed);
     paccport_trace::metrics::set_metrics_enabled(true);
     paccport_server::install_sigterm_drain();
     let server = paccport_server::Server::start(&addr, cfg)
@@ -1025,71 +911,32 @@ fn serve_cmd(args: &[String]) {
 
 /// `reproduce loadgen` — deterministic load against a running server;
 /// the SLO report goes to stdout (and `--json FILE`, when given).
-fn loadgen_cmd(args: &[String]) {
+fn loadgen_cmd(mut args: Args) {
     let mut cfg = paccport_server::loadgen::LoadgenConfig::default();
     let mut json_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("loadgen: {a} requires {what}")))
-        };
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--addr" => cfg.addr = val("HOST:PORT"),
-            "--rps" => {
-                cfg.rps = val("a positive integer")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("loadgen: --rps requires a positive integer"))
-            }
-            "--duration-steps" => {
-                cfg.steps = val("a positive integer")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("loadgen: --duration-steps requires a positive integer"))
-            }
-            "--seed" => {
-                cfg.seed = val("an unsigned integer")
-                    .parse()
-                    .unwrap_or_else(|_| die("loadgen: --seed requires an unsigned integer"))
-            }
+            "--addr" => cfg.addr = args.value(&a, "HOST:PORT"),
+            "--rps" => cfg.rps = args.parsed(&a, POSITIVE, positive),
+            "--duration-steps" => cfg.steps = args.parsed(&a, POSITIVE, positive),
+            "--seed" => cfg.seed = args.parsed(&a, UNSIGNED, num),
             "--dup-ratio" => {
-                cfg.dup_ratio = val("a ratio in [0,1]")
-                    .parse()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .unwrap_or_else(|| die("loadgen: --dup-ratio requires a ratio in [0,1]"))
+                let in_unit = |v: &str| num(v).filter(|r: &f64| (0.0..=1.0).contains(r));
+                cfg.dup_ratio = args.parsed(&a, "a ratio in [0,1]", in_unit)
             }
-            "--scale" => cfg.scale = val("smoke|quick|paper"),
-            "--tenants" => {
-                cfg.tenants = val("an unsigned integer")
-                    .parse()
-                    .unwrap_or_else(|_| die("loadgen: --tenants requires an unsigned integer"))
-            }
-            "--slo-ms" => {
-                cfg.slo_ms = val("a positive number")
-                    .parse()
-                    .ok()
-                    .filter(|&ms: &f64| ms > 0.0)
-                    .unwrap_or_else(|| die("loadgen: --slo-ms requires a positive number"))
-            }
-            "--json" => json_out = Some(val("a file path")),
+            "--scale" => cfg.scale = args.value(&a, SCALES),
+            "--tenants" => cfg.tenants = args.parsed(&a, UNSIGNED, num),
+            "--slo-ms" => cfg.slo_ms = args.parsed(&a, "a positive number", positive),
+            "--json" => json_out = Some(args.value(&a, FILE)),
             "--scrape-metrics" => cfg.scrape_metrics = true,
-            "--sample-traces" => {
-                cfg.sample_traces = val("an unsigned integer").parse().unwrap_or_else(|_| {
-                    die("loadgen: --sample-traces requires an unsigned integer")
-                })
-            }
-            "--trace-dir" => cfg.trace_dir = Some(val("a directory path")),
+            "--sample-traces" => cfg.sample_traces = args.parsed(&a, UNSIGNED, num),
+            "--trace-dir" => cfg.trace_dir = Some(args.value(&a, "a directory path")),
             "--shutdown" => cfg.shutdown_after = true,
-            other => die(&format!("loadgen: unknown argument `{other}`")),
+            flag => args.unknown(flag),
         }
     }
     if cfg.addr.is_empty() {
-        die("loadgen: --addr HOST:PORT is required");
+        args.die("--addr HOST:PORT is required");
     }
     let report =
         paccport_server::loadgen::run(&cfg).unwrap_or_else(|e| die(&format!("loadgen: {e}")));
@@ -1098,6 +945,15 @@ fn loadgen_cmd(args: &[String]) {
             .unwrap_or_else(|e| die(&format!("loadgen: cannot write {path}: {e}")));
     }
     print!("{report}");
+}
+
+/// Turn on fault injection when `--inject SPEC` was given.
+fn configure_faults(inject: Option<String>, fault_seed: u64) {
+    if let Some(spec) = inject {
+        let spec = paccport_faults::FaultSpec::parse(&spec)
+            .unwrap_or_else(|e| die(&format!("--inject: {e}")));
+        paccport_faults::configure(spec, fault_seed);
+    }
 }
 
 fn die(msg: &str) -> ! {

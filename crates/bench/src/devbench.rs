@@ -5,8 +5,7 @@
 //! accounting, no race tracker): each workload's kernels run over the
 //! full iteration space under the tree-walking interpreter and under
 //! the compile-once bytecode VM, wall-clocked with a median-of-N
-//! sample loop (the same measurement shape as the criterion shim's
-//! `Bencher::iter`, which `benches/tier_exec.rs` reuses). Before any
+//! sample loop. Before any
 //! timing, both tiers run once on identical inputs and every output
 //! buffer is asserted bitwise-equal — a benchmark that drifted
 //! semantically would be measuring a different program.
@@ -80,8 +79,7 @@ impl BenchReport {
         s
     }
 
-    /// Hand-rolled JSON (no serde dependency in the hot path; the
-    /// shape is stable and greppable).
+    /// Hand-rolled JSON (the shape is stable and greppable).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
@@ -329,7 +327,7 @@ pub fn run_devsim_bench(seed: u64, samples: usize) -> BenchReport {
         }
 
         let time = |f: &mut dyn FnMut()| {
-            // Warmup pass, then N timed samples (criterion-shim shape).
+            // Warmup pass, then N timed samples.
             f();
             let mut ts = Vec::with_capacity(samples);
             for _ in 0..samples {

@@ -1,16 +1,11 @@
 //! # paccport-bench — the benchmark harness
 //!
-//! Two faces:
-//!
-//! * the **`reproduce` binary** (`cargo run -p paccport-bench --bin
-//!   reproduce --release`) regenerates every table and figure of the
-//!   paper's evaluation section on the simulated test bed (use
-//!   `--quick` for CI-scale inputs, `--exp figN` for one experiment);
-//! * the **criterion benches** (`cargo bench`) measure this
-//!   reproduction's own machinery — one bench per paper table/figure
-//!   pipeline, plus ablations over the design choices DESIGN.md calls
-//!   out (quirk toggles, roofline vs pure-compute model, sampled vs
-//!   exact dynamic costs).
+//! The **`reproduce` binary** (`cargo run -p paccport-bench --bin
+//! reproduce --release`) regenerates every table and figure of the
+//! paper's evaluation section on the simulated test bed (use `--quick`
+//! for CI-scale inputs, `--exp figN` for one experiment). This library
+//! holds its `bench-devsim` measurement ([`devbench`]); the repo's
+//! end-to-end benchmark lives in `perfbench/`.
 
 pub mod devbench;
 

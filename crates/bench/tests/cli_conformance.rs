@@ -61,6 +61,11 @@ fn conform_rejects_bad_arguments() {
         &["conform", "--programs", "many"][..],
         &["conform", "--seed"][..],
         &["conform", "--frobnicate"][..],
+        &["profile", "--scale"][..],
+        &["bench-devsim", "--samples"][..],
+        &["serve", "--workers"][..],
+        &["loadgen", "--frobnicate"][..],
+        &["fsck", "--frobnicate"][..],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");

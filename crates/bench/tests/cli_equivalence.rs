@@ -44,9 +44,28 @@ fn bad_jobs_value_is_a_usage_error() {
         &["--quick", "--jobs", "0"][..],
         &["--quick", "--jobs", "many"][..],
         &["--quick", "--jobs"][..],
+        &["--quick", "--jbos", "4"][..],
+        &["--quick", "--exp"][..],
+        &["--quick", "fig6"][..],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
         assert!(out.stdout.is_empty(), "usage errors must not emit a report");
+    }
+}
+
+#[test]
+fn last_scale_flag_wins() {
+    for (args, want) in [
+        (&["--scale", "paper", "--quick"][..], "scale: quick ("),
+        (
+            &["--quick", "--scale", "paper"][..],
+            "scale: paper (Table IV)",
+        ),
+    ] {
+        let out = reproduce(&[args, &["--exp", "tab1"]].concat());
+        assert!(out.status.success(), "args: {args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(want), "args: {args:?}\n{stdout}");
     }
 }

@@ -4,11 +4,10 @@
 use crate::options::{CompileOptions, CompilerId};
 use paccport_ir::{Expr, VarId};
 use paccport_ptx::{CategoryCounts, PtxModule};
-use serde::{Deserialize, Serialize};
 
 /// How a kernel's parallel iteration space is distributed over device
 /// threads — the *thread distribution* at the centre of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DistSpec {
     /// One thread executes everything (the CAPS `gang(1), worker(1)`
     /// default-distribution bug, or any fully serialized kernel).
@@ -41,7 +40,7 @@ pub enum DistSpec {
 
 /// Concrete launch dimensions for one launch, after the loop extents
 /// are known.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchDims {
     pub grid: [u32; 3],
     pub block: [u32; 3],
@@ -131,7 +130,7 @@ impl DistSpec {
 
 /// Where and how a kernel executes — discovered in the paper via
 /// `PGI_ACC_TIME` and nvprof (the BFS "does not run on GPU" finding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
     /// Launched on the device with a parallel distribution.
     DeviceParallel,
@@ -142,7 +141,7 @@ pub enum ExecStrategy {
 }
 
 /// Whether the compiled kernel computes correct results on the target.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Correctness {
     Correct,
     /// Known-wrong on this target (CAPS `reduction` on MIC).
@@ -155,7 +154,7 @@ pub enum Correctness {
 /// instruction counts with loop and branch structure preserved, built
 /// by the same emission pass that produces the PTX (so static counts
 /// and dynamic estimates cannot drift apart).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CostTree {
     /// Instructions executed once per visit of this tree, excluding
     /// children.
@@ -168,7 +167,7 @@ pub struct CostTree {
 }
 
 /// A child region of a [`CostTree`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CostNode {
     /// A sequential loop: `body` runs `max(0, hi-lo)/step` times, plus
     /// `overhead` (compare/branch/increment) per iteration.
@@ -207,14 +206,14 @@ impl CostTree {
 }
 
 /// A compiler diagnostic line, as printed during compilation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     pub kernel: String,
     pub message: String,
 }
 
 /// Host↔device data-movement policy the compiler settled on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferPolicy {
     /// Arrays stay resident on the device; movement only at region
     /// boundaries and explicit `update`s (PGI's hoisted schedule —
@@ -227,7 +226,7 @@ pub enum TransferPolicy {
 }
 
 /// Per-kernel compilation outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelPlan {
     pub kernel: String,
     pub exec: ExecStrategy,
@@ -248,7 +247,7 @@ pub struct KernelPlan {
 }
 
 /// Everything a compiler produces for one program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     pub compiler: CompilerId,
     pub options: CompileOptions,
@@ -280,7 +279,7 @@ impl CompiledProgram {
 }
 
 /// Compilation failure (e.g. PGI on Hydro's pointer-heavy headers).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
     pub compiler: CompilerId,
     pub message: String,

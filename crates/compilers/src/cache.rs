@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use paccport_ir::Program;
+use paccport_trace::hash::{fnv1a128, fnv1a64, FNV_BASIS};
 
 use crate::artifact::{CompileError, CompiledProgram};
 use crate::options::{CompileOptions, CompilerId};
@@ -57,7 +58,7 @@ impl CacheKey {
         format!(
             "{}-{:016x}-{:032x}",
             crate::diskfmt::compiler_tag(self.compiler),
-            fnv1a64(self.options.as_bytes(), 0xcbf2_9ce4_8422_2325),
+            fnv1a64(self.options.as_bytes(), FNV_BASIS),
             self.program
         )
     }
@@ -84,26 +85,14 @@ pub trait ArtifactStore: Send + Sync {
 /// but 128 bits over a few-KB input makes accidental collisions across
 /// an experiment matrix of dozens of programs a non-concern.
 pub fn fingerprint(program: &Program) -> u128 {
-    let text = format!("{program:?}");
-    let lo = fnv1a64(text.as_bytes(), 0xcbf2_9ce4_8422_2325);
-    let hi = fnv1a64(text.as_bytes(), 0x6c62_272e_07bb_0142);
-    ((hi as u128) << 64) | lo as u128
-}
-
-fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
-    let mut h = basis;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a128(format!("{program:?}").as_bytes())
 }
 
 /// Content checksum of an artifact — same FNV construction as the key
 /// fingerprint, over the artifact's structural dump. Stored when an
 /// entry is built, re-verified on every read.
 pub fn artifact_checksum(c: &CompiledProgram) -> u64 {
-    fnv1a64(format!("{c:?}").as_bytes(), 0xcbf2_9ce4_8422_2325)
+    fnv1a64(format!("{c:?}").as_bytes(), FNV_BASIS)
 }
 
 /// One cache entry: a singleflight slot plus the checksum recorded

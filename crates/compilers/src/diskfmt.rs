@@ -3,8 +3,8 @@
 //! Serializes a full [`CompiledProgram`] — IR program, PTX module,
 //! kernel plans with their nested cost trees, diagnostics, options —
 //! as one [`paccport_persist::wire`] token record, suitable for a
-//! `BlobStore` entry. The workspace has no serialization framework
-//! (serde is a no-op shim), so every type is encoded by hand.
+//! `BlobStore` entry. The workspace has no serialization framework,
+//! so every type is encoded by hand.
 //!
 //! Two properties the cache layer depends on:
 //!

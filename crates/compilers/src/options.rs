@@ -1,7 +1,5 @@
 //! Compiler identities, targets, flags (Table I) and quirk toggles.
 
-use serde::{Deserialize, Serialize};
-
 /// The three "compilers" of the study.
 ///
 /// `OpenClHand` is not a directive compiler: it stands for the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// through the same lowering machinery so their PTX can be counted and
 /// compared (the paper compares OpenACC-generated PTX against the
 /// OpenCL versions' PTX in Figures 9 and 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompilerId {
     /// CAPS 3.4.1 — source-to-source, CUDA and OpenCL back ends,
     /// targets NVIDIA GPU, AMD GPU and Intel MIC.
@@ -36,14 +34,14 @@ impl CompilerId {
 }
 
 /// Code-generation back end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     Cuda,
     OpenCl,
 }
 
 /// Compilation / execution target device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// NVIDIA Kepler K40 (the paper's GPU node).
     GpuK40,
@@ -80,14 +78,14 @@ impl DeviceKind {
 
 /// Host-side C compiler used for the CPU portions (Figure 15 shows
 /// Hydro speeding up when GCC is swapped for the Intel compiler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostCompiler {
     Gcc,
     Intel,
 }
 
 /// Command-line flags from Table I of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Flag {
     /// `-O4` (PGI) — optimization level.
     O4,
@@ -114,7 +112,7 @@ pub enum Flag {
 /// Behavioural quirks of the 2014-era toolchains, reconstructed from
 /// the paper's observations. Each quirk is independently togglable so
 /// the ablation benches can show which finding each one produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuirkSet {
     /// CAPS: with no explicit gang/worker clauses and no `independent`
     /// directive, the compilation log claims `gangs(192)/workers(256)`
@@ -208,7 +206,7 @@ impl Default for QuirkSet {
 }
 
 /// Full compile configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompileOptions {
     pub backend: Backend,
     pub target: DeviceKind,

@@ -12,10 +12,9 @@
 use paccport_compilers::{compile, CompileOptions, CompilerId};
 use paccport_devsim::{run, RunConfig};
 use paccport_ir::Program;
-use serde::{Deserialize, Serialize};
 
 /// One candidate distribution for the search space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     pub gang: u32,
     pub worker: u32,
@@ -35,7 +34,7 @@ pub fn default_candidates() -> Vec<Candidate> {
 }
 
 /// Result of tuning one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunedKernel {
     pub kernel: String,
     pub chosen: Candidate,

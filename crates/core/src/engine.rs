@@ -471,17 +471,7 @@ impl Engine {
 /// cryptographic — it only has to make "the cell spec changed between
 /// runs" overwhelmingly unlikely to collide.
 pub fn cell_fingerprint(spec: &str) -> u128 {
-    fn fnv(bytes: &[u8], basis: u64) -> u64 {
-        let mut h = basis;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-    let lo = fnv(spec.as_bytes(), 0xcbf2_9ce4_8422_2325);
-    let hi = fnv(spec.as_bytes(), 0x6c62_272e_07bb_0142);
-    ((hi as u128) << 64) | lo as u128
+    paccport_trace::hash::fnv1a128(spec.as_bytes())
 }
 
 /// One job's attempt loop: watchdog + `catch_unwind` around every

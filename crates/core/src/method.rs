@@ -16,10 +16,9 @@
 //! insight is in the refusals.
 
 use paccport_ir::{analyze_loop, DepKind, Program};
-use serde::{Deserialize, Serialize};
 
 /// What one step did to one loop/kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StepAction {
     AddedIndependent {
         kernel: String,

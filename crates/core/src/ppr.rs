@@ -8,10 +8,8 @@
 //! paper's measurements land above 1 because the K40 outruns the
 //! 5110P.
 
-use serde::{Deserialize, Serialize};
-
 /// One PPR measurement for a single-source version of a benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PprEntry {
     pub benchmark: String,
     /// "OpenACC (CAPS)" or "OpenCL" — the single source base.
@@ -45,7 +43,7 @@ impl PprEntry {
 
 /// The Fig.-16 comparison for one benchmark: OpenACC's PPR against
 /// OpenCL's.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PprComparison {
     pub openacc: PprEntry,
     pub opencl: PprEntry,

@@ -4,10 +4,9 @@
 //! and the silent tiling no-op.
 
 use paccport_ptx::{CategoryCounts, CATEGORIES};
-use serde::{Deserialize, Serialize};
 
 /// One bar of a PTX-composition plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PtxBar {
     /// e.g. "CAPS-CUDA-K40 / Indep".
     pub label: String,
@@ -21,7 +20,7 @@ pub struct PtxBar {
 }
 
 /// A full PTX figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PtxFigure {
     pub id: String,
     pub title: String,
@@ -29,7 +28,7 @@ pub struct PtxFigure {
 }
 
 /// Verdict of comparing two adjacent optimization steps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepVerdict {
     /// Counts identical — the "optimization" did nothing to the code
     /// (fake success / silent no-op).

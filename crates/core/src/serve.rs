@@ -20,6 +20,7 @@
 
 use paccport_compilers::ArtifactCache;
 use paccport_devsim::{run, Buffer, ExecTier};
+use paccport_trace::hash::{fnv1a64, FNV_BASIS};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::soundness::CheckCell;
@@ -119,13 +120,8 @@ pub struct CellOutcome {
 /// element type, length and every element's bits all contribute, so
 /// two runs collide only if they produced identical memory.
 pub fn buffers_checksum(buffers: &[Buffer]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u64| {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut h = FNV_BASIS;
+    let mut eat = |b: u64| h = fnv1a64(&b.to_le_bytes(), h);
     for buf in buffers {
         match buf {
             Buffer::F32(v) => {

@@ -4,7 +4,6 @@
 use paccport_compilers::{compile, ArtifactCache, CompileOptions, CompilerId};
 use paccport_devsim::{run, RunConfig};
 use paccport_ptx::CategoryCounts;
-use serde::{Deserialize, Serialize};
 
 /// Input sizes for the whole study.
 ///
@@ -73,7 +72,7 @@ impl Scale {
 }
 
 /// One measured configuration of one benchmark version.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measured {
     /// e.g. "CAPS-CUDA-K40", "OCL-5110P".
     pub series: String,
@@ -211,7 +210,7 @@ fn measure_compiled(
 /// A cell that exhausted its retries and was quarantined: the figure
 /// completes with partial results and renders this as an explicit
 /// `FAILED(reason, attempts)` entry instead of dying.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellFailure {
     pub series: String,
     pub variant: String,
@@ -231,7 +230,7 @@ impl std::fmt::Display for CellFailure {
 /// A figure of elapsed-time bars: series × variants, plus the cells
 /// that failed out of the matrix (graceful degradation: a figure with
 /// quarantined cells still renders everything that succeeded).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElapsedFigure {
     pub id: String,
     pub title: String,

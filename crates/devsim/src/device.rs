@@ -14,7 +14,6 @@
 //! mechanism, not by fitting each figure.
 
 use paccport_compilers::{DeviceKind, HostCompiler};
-use serde::{Deserialize, Serialize};
 
 /// What the device schedules independently.
 ///
@@ -24,14 +23,14 @@ use serde::{Deserialize, Serialize};
 /// is why a 16-iteration kernel distributed as a single work-group
 /// crawled on the MIC however many workers it requested, and why the
 /// paper's best MIC distribution is `(gang 240, worker 1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelUnit {
     Threads,
     WorkGroups,
 }
 
 /// An accelerator (or host) performance description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     pub name: String,
     pub kind: DeviceKind,

@@ -7,10 +7,9 @@ use crate::runner::{run, RunConfig};
 use paccport_compilers::{compile, CompileError, CompileOptions, CompilerId};
 use paccport_ir::Program;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One heat map: rows = gang counts, columns = worker counts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeatMap {
     pub title: String,
     pub gangs: Vec<u32>,

@@ -2,7 +2,6 @@
 //! ledger.
 
 use paccport_ir::{ArrayDecl, MemSpace, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// Identity of one memory cell as seen by the race detector's shadow
 /// log. Global arrays are shared by every simulated thread, so their
@@ -40,7 +39,7 @@ impl MemLoc {
 }
 
 /// A typed, 1-D data buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Buffer {
     F32(Vec<f32>),
     F64(Vec<f64>),
@@ -152,7 +151,7 @@ impl Buffer {
 
 /// Direction-tagged transfer ledger — what `nvprof` would show, and
 /// the evidence behind Table VII.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransferLedger {
     pub h2d_count: u64,
     pub d2h_count: u64,

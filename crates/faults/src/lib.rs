@@ -32,6 +32,7 @@
 //! relaxed atomic load, mirroring how `paccport-trace` gates its
 //! sites.
 
+use paccport_trace::hash::{fnv1a64, FNV_BASIS, FNV_BASIS_ALT};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -395,15 +396,6 @@ pub fn current_attempt() -> u32 {
     ATTEMPT.with(|a| a.get())
 }
 
-fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
-    let mut h = basis;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Murmur3's 64-bit finalizer. Raw FNV-1a avalanches poorly on
 /// trailing bytes: a change to the *last* byte hashed (the attempt
 /// counter here) moves the hash by at most ~2^48, which almost never
@@ -422,7 +414,7 @@ fn mix64(mut h: u64) -> u64 {
 /// A unit-interval sample, pure in its inputs.
 fn roll(seed: u64, kind: FaultKind, key: &str, attempt: u32) -> f64 {
     let text = format!("{seed}\u{1f}{}\u{1f}{key}\u{1f}{attempt}", kind.tag());
-    let h = mix64(fnv1a64(text.as_bytes(), 0xcbf2_9ce4_8422_2325));
+    let h = mix64(fnv1a64(text.as_bytes(), FNV_BASIS));
     // Top 53 bits -> [0, 1).
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -654,7 +646,7 @@ impl Backoff {
         let exp = (attempt - 1).min(32);
         let raw = self.base_ns.saturating_mul(1u64 << exp);
         let text = format!("{}\u{1f}backoff\u{1f}{key}\u{1f}{attempt}", self.seed);
-        let jitter = fnv1a64(text.as_bytes(), 0x6c62_272e_07bb_0142) % self.base_ns.max(1);
+        let jitter = fnv1a64(text.as_bytes(), FNV_BASIS_ALT) % self.base_ns.max(1);
         raw.saturating_add(jitter).min(self.cap_ns)
     }
 }

@@ -21,10 +21,9 @@ use crate::expr::{to_affine, Expr};
 use crate::kernel::{Kernel, KernelBody, ParallelLoop};
 use crate::stmt::Block;
 use crate::types::{ArrayId, MemSpace, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Classification of a potential loop-carried dependence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DepKind {
     /// Proven carried dependence with the given distance in iterations
     /// of the analyzed loop (e.g. `A[i] = A[i-1] + 1` has distance 1).
@@ -35,7 +34,7 @@ pub enum DepKind {
 }
 
 /// Result of analyzing one parallel loop level.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DepReport {
     pub deps: Vec<DepKind>,
 }

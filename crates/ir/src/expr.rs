@@ -1,12 +1,11 @@
 //! The expression language of kernel bodies and loop bounds.
 
 use crate::types::{ArrayId, MemSpace, ParamId, Scalar, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Unary operators. `Rcp`, `Abs`, `Neg` appear by name in the paper's
 /// Table V PTX category listing; `Sqrt` is required by Hydro's
 /// equation of state and Riemann solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     Neg,
     Abs,
@@ -21,7 +20,7 @@ pub enum UnOp {
 
 /// Binary operators (PTX `add/sub/mul/div/max/min`, logical
 /// `and/or`, shifts `shl/shr`, integer `rem` for index arithmetic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -37,7 +36,7 @@ pub enum BinOp {
 }
 
 /// Comparison operators (lowered to PTX `setp.<cmp>`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -49,7 +48,7 @@ pub enum CmpOp {
 
 /// Built-in index variables available inside work-group ("staged")
 /// kernel bodies — the OpenCL `get_local_id` / `get_group_id` family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpecialVar {
     /// `get_local_id(dim)`
     LocalId(u8),
@@ -68,7 +67,7 @@ pub enum SpecialVar {
 /// plain integer-valued `Expr`s (arrays are 1-D; multi-dimensional
 /// accesses are written linearized, `a[i*n + j]`, exactly as the
 /// Rodinia OpenACC sources do).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Floating constant (stored as f64; narrowed at evaluation).
     FConst(f64),
@@ -294,7 +293,7 @@ impl Expr {
 /// This is exactly enough to express the linearized 2-D indices of the
 /// benchmarks (`i*n + j` has coefficient `1*n` for `i` and `1` for
 /// `j`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AffCoeff {
     pub k: i64,
     pub param: Option<ParamId>,

@@ -3,10 +3,9 @@
 use crate::expr::Expr;
 use crate::stmt::Block;
 use crate::types::{LocalArrayDecl, Scalar, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Reduction operators supported by the `reduction(op: var)` clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
     Add,
     Max,
@@ -35,7 +34,7 @@ impl ReduceOp {
 /// A `reduction(op: var)` clause attached to a sequential inner loop
 /// that a compiler may parallelize with a shared-memory tree (Fig. 13
 /// of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reduction {
     pub op: ReduceOp,
     /// The accumulator scalar (must be a `Let` local of the body).
@@ -44,7 +43,7 @@ pub struct Reduction {
 
 /// OpenACC 2.0 `device_type` targets (Section II-B, feature 4: set
 /// "different gang/worker/vector for NVIDIA GPU and AMD GPU").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccDeviceType {
     Nvidia,
     Radeon,
@@ -62,7 +61,7 @@ impl AccDeviceType {
 }
 
 /// One `device_type(<dev>) gang(g) worker(w) vector(v)` override.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceTypeClause {
     pub device: AccDeviceType,
     pub gang: Option<u32>,
@@ -71,7 +70,7 @@ pub struct DeviceTypeClause {
 }
 
 /// Per-loop OpenACC clauses (Section II-B / III of the paper).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoopClauses {
     /// `#pragma acc loop independent` — the programmer asserts no
     /// loop-carried dependence (Step 1 of the systematic method).
@@ -130,7 +129,7 @@ impl LoopClauses {
 /// Bounds may reference program parameters, host loop variables and
 /// *outer* parallel loop variables (triangular nests, as in Gaussian
 /// elimination's `for i in t+1..n`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelLoop {
     pub var: VarId,
     pub lo: Expr,
@@ -157,7 +156,7 @@ impl ParallelLoop {
 /// group before any thread proceeds to the next phase — i.e. there is
 /// an implicit work-group barrier between phases (CUDA
 /// `__syncthreads()`). Local arrays live per group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedBody {
     pub group_size: u32,
     pub locals: Vec<LocalArrayDecl>,
@@ -165,7 +164,7 @@ pub struct GroupedBody {
 }
 
 /// The body of a kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum KernelBody {
     /// Per-iteration body indexed by the parallel loop variables.
     Simple(Block),
@@ -178,7 +177,7 @@ pub enum KernelBody {
 /// the local work size, whether the range is two-dimensional, and
 /// whether each work-group cooperates on a single outer iteration
 /// (reduction-style kernels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchHint {
     pub local: (u32, u32),
     pub two_d: bool,
@@ -187,7 +186,7 @@ pub struct LaunchHint {
 
 /// A compute region: `#pragma acc parallel`/`kernels` around a loop
 /// nest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     pub name: String,
     /// Outermost-first parallel loops. At least one.
@@ -209,7 +208,7 @@ pub struct Kernel {
 }
 
 /// Reduction over the whole parallel iteration space of a kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionReduction {
     pub op: ReduceOp,
     /// Value produced by each iteration (evaluated after the body, so

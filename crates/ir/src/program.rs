@@ -3,10 +3,9 @@
 use crate::expr::Expr;
 use crate::kernel::Kernel;
 use crate::types::{ArrayDecl, ArrayId, ParamDecl, ParamId, Scalar, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Direction of an explicit `#pragma acc update` transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// `update device(...)` — host → device.
     ToDevice,
@@ -18,7 +17,7 @@ pub enum Dir {
 /// `main()` functions: data regions, the sequential outer loops that
 /// launch kernels per iteration (LUD's `k`, GE's `t`, Hydro's time
 /// step), BFS's flag-controlled `while`, and scalar host bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HostStmt {
     /// `#pragma acc data copyin/copyout/create(...) { body }`.
     /// Which arrays move in which direction follows their declared
@@ -89,7 +88,7 @@ impl HostStmt {
 
 /// A complete directive-annotated program: the unit the simulated
 /// compilers compile and the device simulator runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub name: String,
     pub params: Vec<ParamDecl>,

@@ -2,10 +2,9 @@
 
 use crate::expr::Expr;
 use crate::types::{ArrayId, MemSpace, Scalar, VarId};
-use serde::{Deserialize, Serialize};
 
 /// A sequence of statements.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Block(pub Vec<Stmt>);
 
 impl Block {
@@ -58,7 +57,7 @@ impl Block {
 }
 
 /// Kernel-body statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// Declare-and-initialize a kernel-local scalar.
     Let { var: VarId, ty: Scalar, init: Expr },

@@ -1,6 +1,5 @@
 //! Core identifier and declaration types shared by the whole IR.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scalar element / value types understood by the IR.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The benchmarks in the paper use single-precision floats and 32-bit
 /// integers; `F64` exists for reference-precision checks and `Bool`
 /// for mask arrays (BFS frontier masks are `bool` in Rodinia).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scalar {
     F32,
     F64,
@@ -47,16 +46,16 @@ impl fmt::Display for Scalar {
 }
 
 /// Index of an array declared in a [`crate::Program`]'s array table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub u32);
 
 /// Index of a scalar parameter declared in a [`crate::Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(pub u32);
 
 /// Index of a scalar variable: loop induction variables (host or
 /// device) and kernel-local scalars share one numbering per program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u32);
 
 /// Which memory an array access refers to.
@@ -66,7 +65,7 @@ pub struct VarId(pub u32);
 /// part of the paper hinges on this distinction: OpenACC tiling never
 /// produced `ld.shared`/`st.shared` instructions, while the
 /// hand-written OpenCL and the `reduction` directive did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemSpace {
     Global,
     Local,
@@ -74,7 +73,7 @@ pub enum MemSpace {
 
 /// Host/device data-movement intent of a program array, in the sense
 /// of the OpenACC `data` clauses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intent {
     /// `copyin` — host → device at region entry.
     In,
@@ -97,7 +96,7 @@ impl Intent {
 
 /// Declaration of a scalar program parameter (e.g. the matrix order
 /// `n`). Parameters are bound to concrete values at run/compile time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamDecl {
     pub name: String,
     pub ty: Scalar,
@@ -107,7 +106,7 @@ pub struct ParamDecl {
 ///
 /// `len` is an expression over parameters only, evaluated when the
 /// program is instantiated (e.g. `n*n` for a square matrix).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayDecl {
     pub name: String,
     pub elem: Scalar,
@@ -116,7 +115,7 @@ pub struct ArrayDecl {
 }
 
 /// Declaration of a work-group local array in a staged kernel body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalArrayDecl {
     pub name: String,
     pub elem: Scalar,

@@ -30,8 +30,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use paccport_faults as faults;
-
-use crate::fnv1a64;
+use paccport_trace::hash::{fnv1a64, FNV_BASIS};
 
 const MAGIC: &str = "B1";
 const TMP_SUFFIX: &str = ".tmp";
@@ -40,7 +39,7 @@ fn render(payload: &str) -> String {
     format!(
         "{MAGIC} {} {:016x}\n{payload}",
         payload.len(),
-        fnv1a64(payload.as_bytes())
+        fnv1a64(payload.as_bytes(), FNV_BASIS)
     )
 }
 
@@ -57,7 +56,7 @@ fn parse(content: &str) -> Option<String> {
         return None;
     }
     let crc = u64::from_str_radix(crc_tok, 16).ok()?;
-    if payload.len() != len || fnv1a64(payload.as_bytes()) != crc {
+    if payload.len() != len || fnv1a64(payload.as_bytes(), FNV_BASIS) != crc {
         return None;
     }
     Some(payload.to_string())

@@ -51,14 +51,14 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use paccport_faults as faults;
+use paccport_trace::hash::{fnv1a64, FNV_BASIS};
 
-use crate::fnv1a64;
 use crate::wire;
 
 const MAGIC: &str = "J1";
 
 fn record_crc(seq: u64, payload: &str) -> u64 {
-    fnv1a64(format!("{seq}\u{1f}{payload}").as_bytes())
+    fnv1a64(format!("{seq}\u{1f}{payload}").as_bytes(), FNV_BASIS)
 }
 
 fn render_record(seq: u64, payload: &str) -> String {
@@ -208,7 +208,10 @@ impl Journal {
     /// an injected crash or torn write ends the process instead.
     pub fn append(&self, payload: &str) -> io::Result<u64> {
         if faults::active() {
-            let torn_key = format!("journal:rec-{:016x}", fnv1a64(payload.as_bytes()));
+            let torn_key = format!(
+                "journal:rec-{:016x}",
+                fnv1a64(payload.as_bytes(), FNV_BASIS)
+            );
             if !faults::already_injected(faults::FaultKind::TornWrite, &torn_key)
                 && faults::inject(faults::FaultKind::TornWrite, &torn_key)
             {

@@ -1,7 +1,6 @@
 //! Per-category instruction counting and diffing.
 
 use crate::isa::{Category, CATEGORIES};
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul};
 
 /// Instruction counts per Table-V category.
@@ -9,7 +8,7 @@ use std::ops::{Add, AddAssign, Mul};
 /// Used both for *static* counts (what the paper plots in Figures 6,
 /// 9, 11 and 14) and — multiplied by trip counts — for the *dynamic*
 /// estimates the timing model consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CategoryCounts {
     counts: [u64; CATEGORIES.len()],
 }
@@ -118,7 +117,7 @@ impl Mul<u64> for CategoryCounts {
 
 /// Per-kernel counts for a whole module, with the producer string —
 /// one bar of a Figure-6-style composition plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleCounts {
     pub producer: String,
     pub per_kernel: Vec<(String, CategoryCounts)>,

@@ -1,19 +1,18 @@
 //! Instructions over virtual registers.
 
 use crate::isa::{Opcode, PtxType};
-use serde::{Deserialize, Serialize};
 
 /// A virtual register. The [`PtxType`] lives on the instruction; the
 /// formatter derives the PTX register class from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u32);
 
 /// A branch-target label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LabelId(pub u32);
 
 /// Hardware special registers (`mov.u32 %r1, %tid.x;`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecialReg {
     TidX,
     TidY,
@@ -41,7 +40,7 @@ impl SpecialReg {
 }
 
 /// Instruction operands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
     Reg(Reg),
     ImmF(f64),
@@ -62,7 +61,7 @@ impl From<Reg> for Operand {
 }
 
 /// One PTX-like instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instruction {
     pub op: Opcode,
     pub ty: PtxType,
@@ -92,7 +91,7 @@ impl Instruction {
 
 /// A body element: either a label or an instruction. Labels carry no
 /// cost and are skipped by the counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Item {
     Label(LabelId),
     Inst(Instruction),

@@ -1,6 +1,5 @@
 //! Opcodes, operand types and the Table-V instruction categories.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The instruction categories of the paper's Table V.
@@ -11,7 +10,7 @@ use std::fmt;
 /// shared-memory instructions; we keep the table's six columns and add
 /// a seventh bucket for synchronization/control (`bar.sync`, `ret`),
 /// which the paper's plots omit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     Arithmetic,
     FlowControl,
@@ -59,7 +58,7 @@ impl fmt::Display for Category {
 }
 
 /// Operand / instruction types, following PTX suffix spelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PtxType {
     F32,
     F64,
@@ -97,7 +96,7 @@ impl PtxType {
 
 /// The opcode vocabulary of Table V (plus `sqrt`/`ex2` needed by
 /// Hydro and Back Propagation, and the sync/control pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     // Arithmetic
     Add,

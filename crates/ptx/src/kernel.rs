@@ -2,10 +2,9 @@
 
 use crate::count::CategoryCounts;
 use crate::instr::Item;
-use serde::{Deserialize, Serialize};
 
 /// A compiled kernel: a linear instruction stream with labels.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PtxKernel {
     pub name: String,
     /// Formal parameters (scalars and array base pointers), by name.
@@ -44,7 +43,7 @@ impl PtxKernel {
 }
 
 /// A module: all kernels produced from one program by one compiler.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PtxModule {
     /// Which toolchain produced this module (e.g. "CAPS 3.4.1 (CUDA)").
     pub producer: String,

@@ -23,6 +23,7 @@
 //! gate `cmp`s. Per-request FNV body checksums are included, so the
 //! report also *proves* duplicate responses were byte-identical.
 
+use paccport_trace::hash::{fnv1a64, FNV_BASIS};
 use paccport_trace::json::{escape, Json};
 use paccport_trace::metrics::{bucket_bound, Histogram};
 
@@ -96,15 +97,6 @@ impl Rng {
     fn unit(&mut self) -> f64 {
         (self.next() >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// One scheduled request: coordinates plus schedule metadata.
@@ -367,7 +359,7 @@ fn sample_traces(
         entries.push(format!(
             "{{\"trace_id\":\"{}\",\"body_fnv\":\"{:016x}\"}}",
             s.trace_id,
-            fnv1a64(resp.body.as_bytes())
+            fnv1a64(resp.body.as_bytes(), FNV_BASIS)
         ));
     }
     Ok(format!("[{}]", entries.join(",")))
@@ -400,7 +392,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<String, String> {
             served.push(Served {
                 plan: p,
                 status,
-                body_fnv: fnv1a64(body.as_bytes()),
+                body_fnv: fnv1a64(body.as_bytes(), FNV_BASIS),
                 service_s,
                 failed_cells,
                 trace_id,

@@ -15,14 +15,7 @@
 //! already carries a trace can pass its own `traceparent` and the
 //! server adopts that id instead of deriving one.
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+use crate::hash::{fnv1a64, FNV_BASIS};
 
 /// Derive the 32-hex-digit trace id for `(fingerprint, seed)`. The
 /// two halves come from independent FNV passes (the second one is
@@ -32,16 +25,16 @@ pub fn derive_trace_id(fingerprint: &str, seed: u64) -> String {
     let mut salted = Vec::with_capacity(fingerprint.len() + 8);
     salted.extend_from_slice(fingerprint.as_bytes());
     salted.extend_from_slice(&seed.to_le_bytes());
-    let hi = fnv1a64(&salted);
+    let hi = fnv1a64(&salted, FNV_BASIS);
     salted.extend_from_slice(&hi.to_le_bytes());
-    let lo = fnv1a64(&salted);
+    let lo = fnv1a64(&salted, FNV_BASIS);
     format!("{hi:016x}{lo:016x}")
 }
 
 /// Derive the 16-hex-digit span (parent) id the server answers with
 /// — a pure function of the trace id, for the same reason.
 pub fn derive_span_id(trace_id: &str) -> String {
-    format!("{:016x}", fnv1a64(trace_id.as_bytes()))
+    format!("{:016x}", fnv1a64(trace_id.as_bytes(), FNV_BASIS))
 }
 
 /// Render a W3C `traceparent` header value for `trace_id`.

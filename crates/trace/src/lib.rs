@@ -72,6 +72,7 @@
 
 pub mod context;
 pub mod export;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 

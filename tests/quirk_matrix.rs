@@ -48,6 +48,12 @@ fn quirk_caps_default_gang1() {
             worker: 256
         }
     );
+    // The quirk alone produces the Fig. 3 baseline gap: ~774x at
+    // n=1024, the same as switching every quirk off.
+    let rc = RunConfig::timing(vec![("n".into(), 1024.0)], 1);
+    let t_bug = run(&on, &rc).unwrap().elapsed;
+    let t_fixed = run(&off, &rc).unwrap().elapsed;
+    assert!(t_bug / t_fixed > 10.0, "{t_bug} s vs {t_fixed} s");
 }
 
 /// `caps_fake_unroll_success`: off ⇒ the log admits the unroll did not
