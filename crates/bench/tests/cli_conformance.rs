@@ -1,12 +1,12 @@
-//! The `reproduce conform` subcommand and the blessed `--check`
-//! snapshot.
+//! The `reproduce conform` subcommand and the blessed snapshots.
 //!
 //! The conformance gate in CI diffs two runs byte-for-byte, so the
 //! subcommand's determinism is itself a tested contract here, not an
-//! aspiration. The `--check --scale smoke` report is additionally
-//! pinned against a golden snapshot: any change to the soundness
-//! table's wording, ordering or verdicts must be a conscious re-bless
-//! (`UPDATE_SNAPSHOTS=1 cargo test -p paccport-bench`), never drift.
+//! aspiration. The `--check --scale smoke` report and a 40-program
+//! `conform` report are additionally pinned against golden snapshots:
+//! any change to their wording, ordering, verdicts or tallies must be
+//! a conscious re-bless (`UPDATE_SNAPSHOTS=1 cargo test -p
+//! paccport-bench`), never drift.
 
 use std::process::{Command, Output};
 
@@ -73,24 +73,39 @@ fn conform_rejects_bad_arguments() {
     }
 }
 
-#[test]
-fn check_smoke_stdout_matches_blessed_snapshot() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/snapshots/check_smoke.txt"
-    );
-    let out = reproduce(&["--check", "--scale", "smoke"]);
-    assert!(out.status.success(), "--check --scale smoke must pass");
+/// Compare the stdout of `reproduce args` with the blessed snapshot
+/// `name`, or re-bless it when `UPDATE_SNAPSHOTS` is set.
+fn assert_matches_snapshot(name: &str, args: &[&str]) {
+    let path = format!("{}/tests/snapshots/{name}", env!("CARGO_MANIFEST_DIR"));
+    let command = format!("reproduce {}", args.join(" "));
+    let out = reproduce(args);
+    assert!(out.status.success(), "`{command}` must pass");
     let got = String::from_utf8_lossy(&out.stdout).into_owned();
     if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
-        std::fs::write(path, &got).expect("re-bless snapshot");
+        std::fs::write(&path, &got).expect("re-bless snapshot");
         return;
     }
-    let want = std::fs::read_to_string(path).expect("read blessed snapshot");
+    let want = std::fs::read_to_string(&path).expect("read blessed snapshot");
     assert_eq!(
         got, want,
-        "`reproduce --check --scale smoke` drifted from the blessed \
-         snapshot; if the change is intentional, re-bless with \
+        "`{command}` drifted from the blessed snapshot {name}; if the \
+         change is intentional, re-bless with \
          UPDATE_SNAPSHOTS=1 cargo test -p paccport-bench"
+    );
+}
+
+#[test]
+fn check_smoke_stdout_matches_blessed_snapshot() {
+    assert_matches_snapshot("check_smoke.txt", &["--check", "--scale", "smoke"]);
+}
+
+/// Every leg's classification over 40 programs, pinned: a change to
+/// how legs execute (the per-case memo, a tier, a transform matcher)
+/// must leave the tallies alone or re-bless them deliberately.
+#[test]
+fn conform_40_seed42_stdout_matches_blessed_snapshot() {
+    assert_matches_snapshot(
+        "conform_40_seed42.txt",
+        &["conform", "--programs", "40", "--seed", "42"],
     );
 }

@@ -89,20 +89,22 @@ pub fn fingerprint(program: &Program) -> u128 {
 }
 
 /// Content checksum of an artifact — same FNV construction as the key
-/// fingerprint, over the artifact's structural dump. Stored when an
-/// entry is built, re-verified on every read.
+/// fingerprint, over the artifact's structural dump. Computed once
+/// when an entry is built or decoded, and checked against the entry's
+/// stored sum on every read.
 pub fn artifact_checksum(c: &CompiledProgram) -> u64 {
     fnv1a64(format!("{c:?}").as_bytes(), FNV_BASIS)
 }
 
-/// One cache entry: a singleflight slot plus the checksum recorded
-/// when the artifact was built. `stored_sum` is written inside the
-/// slot's initializer (so the `OnceLock`'s release/acquire ordering
-/// publishes it); the `corrupt-cache` fault flips it *at write time*
-/// to simulate an artifact going stale on disk, and every read
-/// re-verifies it.
+/// One cache entry: a singleflight slot holding the artifact with the
+/// [`artifact_checksum`] computed when it was built or decoded, plus
+/// the checksum recorded for the stored copy. `stored_sum` is written
+/// inside the slot's initializer (so the `OnceLock`'s release/acquire
+/// ordering publishes it); the `corrupt-cache` fault flips it *at
+/// write time* to simulate an artifact going stale on disk, and every
+/// read compares it with the build-time sum.
 struct Entry {
-    slot: OnceLock<Result<Arc<CompiledProgram>, CompileError>>,
+    slot: OnceLock<Result<(Arc<CompiledProgram>, u64), CompileError>>,
     stored_sum: AtomicU64,
     /// Bumped per *key* on every (re)insertion, so fault decisions
     /// about "this physical copy" are keyed per generation — and,
@@ -243,7 +245,7 @@ impl ArtifactCache {
     /// for a key a pure function of (key, fault seed) — which thread
     /// warms the cache, or how many jobs race on it, cannot change
     /// what anyone is served. Read-side integrity is still verified on
-    /// every hit via [`artifact_checksum`].
+    /// every hit against the entry's build-time [`artifact_checksum`].
     pub fn compile(
         &self,
         id: CompilerId,
@@ -285,20 +287,17 @@ impl ArtifactCache {
                 if let Some(store) = &disk {
                     let name = key.storage_name();
                     if let Some(payload) = store.load(&name) {
-                        match crate::diskfmt::decode_artifact(&payload) {
-                            Ok(c) => {
+                        match crate::diskfmt::decode_artifact_summed(&payload) {
+                            Ok((c, sum)) => {
                                 paccport_trace::metrics::counter_add(
                                     "disk_cache_hit_total",
                                     &[],
                                     1,
                                 );
-                                let c = Arc::new(c);
-                                entry
-                                    .stored_sum
-                                    .store(artifact_checksum(&c), Ordering::Relaxed);
+                                entry.stored_sum.store(sum, Ordering::Relaxed);
                                 entry.bytes.store(payload.len() as u64, Ordering::Relaxed);
                                 *entry.tenant.lock().unwrap() = current_tenant();
-                                return Ok(c);
+                                return Ok((Arc::new(c), sum));
                             }
                             Err(_) => {
                                 // Transport said intact but the record
@@ -315,9 +314,11 @@ impl ArtifactCache {
                     }
                     paccport_trace::metrics::counter_add("disk_cache_miss_total", &[], 1);
                 }
-                let r = crate::compile(id, program, options).map(Arc::new);
-                if let Ok(c) = &r {
-                    let mut sum = artifact_checksum(c);
+                let r = crate::compile(id, program, options).map(|c| {
+                    let sum = artifact_checksum(&c);
+                    (Arc::new(c), sum)
+                });
+                if let Ok((c, sum)) = &r {
                     // The corrupt-cache fault strikes the physical
                     // copy as it is written; readers detect the
                     // mismatch below and evict.
@@ -326,11 +327,9 @@ impl ArtifactCache {
                         paccport_faults::FaultKind::CorruptCache,
                         &fault_key,
                     );
-                    if corrupted {
-                        sum = !sum;
-                    }
-                    entry.stored_sum.store(sum, Ordering::Relaxed);
-                    let encoded = crate::diskfmt::encode_artifact(c);
+                    let stored = if corrupted { !sum } else { *sum };
+                    entry.stored_sum.store(stored, Ordering::Relaxed);
+                    let encoded = crate::diskfmt::encode_artifact_summed(c, *sum);
                     entry.bytes.store(encoded.len() as u64, Ordering::Relaxed);
                     *entry.tenant.lock().unwrap() = current_tenant();
                     // Publish clean builds to the durable tier. A
@@ -361,8 +360,8 @@ impl ArtifactCache {
                 paccport_trace::add("cache.hit", 1);
             }
             match result {
-                Ok(c) => {
-                    if artifact_checksum(c) == entry.stored_sum.load(Ordering::Relaxed) {
+                Ok((c, sum)) => {
+                    if *sum == entry.stored_sum.load(Ordering::Relaxed) {
                         return Ok(Arc::clone(c));
                     }
                     // Integrity failure: never serve the entry — evict

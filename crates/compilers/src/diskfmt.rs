@@ -1354,9 +1354,15 @@ fn dec_plan(r: R) -> Result<KernelPlan, String> {
 
 /// Serialize a compiled artifact as one self-verifying token record.
 pub fn encode_artifact(c: &CompiledProgram) -> String {
+    encode_artifact_summed(c, artifact_checksum(c))
+}
+
+/// [`encode_artifact`] for a caller that already holds the artifact's
+/// [`artifact_checksum`], which is `sum`.
+pub(crate) fn encode_artifact_summed(c: &CompiledProgram, sum: u64) -> String {
     let mut w = Writer::new();
     w.word(MAGIC).u64(VERSION);
-    w.word(&format!("{:016x}", artifact_checksum(c)));
+    w.word(&format!("{sum:016x}"));
     w.word(compiler_tag(c.compiler));
     enc_options(&mut w, &c.options);
     enc_program(&mut w, &c.program);
@@ -1378,6 +1384,12 @@ pub fn encode_artifact(c: &CompiledProgram) -> String {
 /// truncation, garbling, version skew, or a codec defect — returns
 /// `Err`, which callers treat as a cache miss.
 pub fn decode_artifact(record: &str) -> Result<CompiledProgram, String> {
+    decode_artifact_summed(record).map(|(c, _)| c)
+}
+
+/// [`decode_artifact`], also returning the verified
+/// [`artifact_checksum`] of the decoded artifact.
+pub(crate) fn decode_artifact_summed(record: &str) -> Result<(CompiledProgram, u64), String> {
     let mut r = Reader::new(record);
     r.tag(MAGIC)?;
     let version = r.u64()?;
@@ -1424,7 +1436,7 @@ pub fn decode_artifact(record: &str) -> Result<CompiledProgram, String> {
             "artifact checksum mismatch: stored {expected:016x}, decoded {actual:016x}"
         ));
     }
-    Ok(decoded)
+    Ok((decoded, actual))
 }
 
 #[cfg(test)]

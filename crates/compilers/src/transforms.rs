@@ -389,11 +389,16 @@ pub fn strip_mine(k: &mut Kernel, tile: u32, va: &mut VarAlloc<'_>, env: &KindEn
     true
 }
 
-/// Recognize `let acc = init; for k in lo..hi { acc = acc + e }; rest`
-/// and rewrite it as a work-group tree reduction with shared memory
-/// and barriers (the paper's Fig. 13 pattern; emitted by both CAPS and
-/// PGI for the `reduction` directive, producing the observed
-/// `st.shared`/`ld.shared` instructions).
+fn is_zero_literal(e: &Expr) -> bool {
+    matches!(e, Expr::FConst(z) if *z == 0.0) || *e == Expr::IConst(0)
+}
+
+/// Recognize `let acc = 0; for k in lo..hi { acc = acc + e }; rest`,
+/// with `e` free of `acc`, and rewrite it as a work-group tree
+/// reduction with shared memory and barriers (the paper's Fig. 13
+/// pattern; emitted by both CAPS and PGI for the `reduction`
+/// directive, producing the observed `st.shared`/`ld.shared`
+/// instructions).
 ///
 /// Returns whether the kernel was transformed.
 pub fn reduction_to_grouped(k: &mut Kernel, group_size: u32, va: &mut VarAlloc<'_>) -> bool {
@@ -433,6 +438,12 @@ pub fn reduction_to_grouped(k: &mut Kernel, group_size: u32, va: &mut VarAlloc<'
                     }
                     _ => return false,
                 };
+                // Each lane starts from `init` and the tree adds every
+                // lane's partial, so `init` must be zero; a `term` that
+                // reads `acc` is a recurrence, not a sum.
+                if term.uses_var(acc) || !is_zero_literal(&init) {
+                    return false;
+                }
                 (*var, lo.clone(), hi.clone(), term)
             }
             _ => return false,
@@ -707,6 +718,34 @@ mod tests {
         let mut p = b.finish(vec![]);
         let mut va = VarAlloc::new(&mut p.var_names);
         assert!(!reduction_to_grouped(&mut k, 128, &mut va));
+    }
+
+    /// Regression: a lane-replicated non-zero `init` and a term that
+    /// reads the accumulator were both accepted, and the grouped
+    /// rewrite then computed a different value.
+    #[test]
+    fn reduction_transform_rejects_nonzero_init_and_recurrences() {
+        let (mut p, k) = accum_kernel();
+        let KernelBody::Simple(body) = &k.body else {
+            unreachable!("accum_kernel is simple")
+        };
+        let Stmt::Let { var: sum, .. } = body.0[0] else {
+            unreachable!("accum_kernel starts with the accumulator")
+        };
+        let mut nonzero_init = k.clone();
+        if let KernelBody::Simple(b) = &mut nonzero_init.body {
+            b.0[0] = let_(sum, Scalar::F32, 2.0);
+        }
+        let mut recurrence = k.clone();
+        if let KernelBody::Simple(b) = &mut recurrence.body {
+            let Stmt::For { body: fb, .. } = &mut b.0[1] else {
+                unreachable!("accum_kernel's second statement is the loop")
+            };
+            fb.0[0] = assign(sum, E::from(sum) + (ld(ArrayId(0), 0i64) + E::from(sum)));
+        }
+        let mut va = VarAlloc::new(&mut p.var_names);
+        assert!(!reduction_to_grouped(&mut nonzero_init, 8, &mut va));
+        assert!(!reduction_to_grouped(&mut recurrence, 8, &mut va));
     }
 
     #[test]

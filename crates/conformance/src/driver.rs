@@ -12,7 +12,13 @@
 //! * every **semantics-preserving transform variant** (unrolling,
 //!   grouped-phase unrolling, strip-mining, serialization, reduction
 //!   lowering, `simplify`), checked both oracle-vs-oracle and through
-//!   a CAPS/K40 compile-and-run of the transformed program.
+//!   a CAPS/K40 compile-and-run of the transformed program (pass
+//!   pipelines are held to the same contract).
+//!
+//! Within one case, each distinct program is run by the oracle and
+//! through CAPS/K40 once: a rewrite that reproduces a program already
+//! seen (often the source itself) reuses its results. Every leg still
+//! reports under its own label and with its own failure details.
 //!
 //! Outcomes are classified rather than boolean: a modeled
 //! miscompilation (the CAPS `reduction`-on-MIC bug) must show up as
@@ -30,9 +36,9 @@ use crate::printer::case_to_test;
 use crate::shrink::shrink;
 use paccport_compilers::passes::Pipeline;
 use paccport_compilers::transforms::TransformVariant;
-use paccport_compilers::{compile, CompileOptions, CompiledProgram, CompilerId};
+use paccport_compilers::{compile, CompileError, CompileOptions, CompiledProgram, CompilerId};
 use paccport_devsim::{run, ExecTier, RunConfig, RunResult};
-use paccport_ir::program_to_string;
+use paccport_ir::{program_to_string, Program};
 
 /// Broad category of a conformance failure. Shrinking preserves the
 /// (leg, kind) pair so a bitwise divergence cannot quietly morph into
@@ -110,6 +116,49 @@ fn matrix() -> Vec<(CompilerId, CompileOptions, &'static str)> {
     ]
 }
 
+/// The matrix leg whose compilation the transform, pass and tier legs
+/// reuse.
+const REFERENCE_LEG: &str = "caps/K40";
+
+/// Observable arrays of one run: name and bit patterns, in
+/// declaration order.
+type Observed = Vec<(String, Vec<u64>)>;
+
+/// What one [`check_case`] call has learned about each distinct
+/// program it ran. Transform variants and pass prefixes often produce
+/// the same program as each other, or the source program itself, so
+/// each distinct program goes through the oracle and the CAPS/K40
+/// compile-and-run once per case. Lookup is by structural equality;
+/// the memo never outlives the case.
+struct Memo(Vec<MemoEntry>);
+
+struct MemoEntry {
+    program: Program,
+    /// The oracle's observables, or its error.
+    oracle: Result<Observed, String>,
+    /// The CAPS/K40 compile-and-run outcome, once a leg needed it.
+    reference: Option<Outcome>,
+}
+
+impl Memo {
+    /// The entry for `p`, running the oracle on a first sighting.
+    fn entry(&mut self, p: Program, case: &Case) -> &mut MemoEntry {
+        let i = match self.0.iter().position(|e| e.program == p) {
+            Some(i) => i,
+            None => {
+                let oracle = run_oracle(&p, &case.params, &case.inputs).map(|o| o.observable(&p));
+                self.0.push(MemoEntry {
+                    program: p,
+                    oracle,
+                    reference: None,
+                });
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i]
+    }
+}
+
 /// Run every leg of a case and classify each outcome.
 pub fn check_case(case: &Case) -> Vec<Leg> {
     let mut legs = Vec::new();
@@ -127,27 +176,49 @@ pub fn check_case(case: &Case) -> Vec<Leg> {
         }
     };
     let want = base.observable(&case.program);
+    let mut reference = None;
     for (id, opts, label) in matrix() {
-        let outcome = compile_leg(case, id, &opts, &want);
+        let compiled = compile(id, &case.program, &opts);
+        let outcome = run_compiled(&compiled, case, &want);
+        if label == REFERENCE_LEG {
+            reference = Some((compiled, outcome.clone()));
+        }
         legs.push(Leg {
             label: label.to_string(),
             outcome,
         });
     }
+    let (reference, reference_outcome) = reference.expect("the matrix has the reference leg");
+    let mut memo = Memo(vec![MemoEntry {
+        program: case.program.clone(),
+        oracle: Ok(want.clone()),
+        reference: Some(reference_outcome),
+    }]);
     for v in TransformVariant::all() {
-        let outcome = transform_leg(case, v, &want);
+        let mut p = case.program.clone();
+        let outcome = if v.apply(&mut p) {
+            rewritten_leg(case, p, &v.label(), "transformed program", &want, &mut memo)
+        } else {
+            Outcome::SkippedTransform
+        };
         legs.push(Leg {
             label: format!("transform/{}", v.label()),
             outcome,
         });
     }
     for (label, pl) in pass_pipelines() {
-        let outcome = pass_leg(case, &pl, &want);
+        let mut p = case.program.clone();
+        let outcome = if pl.run(&mut p).changed() {
+            let what = format!("passes `{}`", pl.label());
+            rewritten_leg(case, p, &what, "pass-optimized program", &want, &mut memo)
+        } else {
+            Outcome::SkippedTransform
+        };
         legs.push(Leg { label, outcome });
     }
     legs.push(Leg {
         label: "tier/bytecode".into(),
-        outcome: tier_leg(case),
+        outcome: tier_leg(case, &reference),
     });
     legs
 }
@@ -180,10 +251,10 @@ fn pass_pipelines() -> Vec<(String, Pipeline)> {
 /// ledger, while-loop iteration count, per-kernel stats and every
 /// modeled timing. A panic is only excused if both tiers panic with
 /// the same message.
-fn tier_leg(case: &Case) -> Outcome {
-    let cp = match compile(CompilerId::Caps, &case.program, &CompileOptions::gpu()) {
+fn tier_leg(case: &Case, compiled: &Result<CompiledProgram, CompileError>) -> Outcome {
+    let cp = match compiled {
         Ok(cp) => cp,
-        Err(e) => return Outcome::CompileRejected(e.message),
+        Err(e) => return Outcome::CompileRejected(e.message.clone()),
     };
     let run_tier = |tier: ExecTier| {
         let mut cfg = RunConfig::functional(case.params.clone())
@@ -192,7 +263,7 @@ fn tier_leg(case: &Case) -> Outcome {
         for (name, buf) in &case.inputs {
             cfg = cfg.with_input(name, buf.clone());
         }
-        catch_unwind(AssertUnwindSafe(|| run(&cp, &cfg)))
+        catch_unwind(AssertUnwindSafe(|| run(cp, &cfg)))
     };
     let tree = run_tier(ExecTier::Tree);
     let byte = run_tier(ExecTier::Bytecode);
@@ -329,87 +400,60 @@ fn diff_run_results(a: &RunResult, b: &RunResult) -> Option<String> {
     None
 }
 
-fn compile_leg(
+fn run_compiled(
+    compiled: &Result<CompiledProgram, CompileError>,
     case: &Case,
-    id: CompilerId,
-    opts: &CompileOptions,
     want: &[(String, Vec<u64>)],
 ) -> Outcome {
-    match compile(id, &case.program, opts) {
-        Ok(cp) => exec_and_compare(&cp, case, want),
-        Err(e) => Outcome::CompileRejected(e.message),
+    match compiled {
+        Ok(cp) => exec_and_compare(cp, case, want),
+        Err(e) => Outcome::CompileRejected(e.message.clone()),
     }
 }
 
-/// A transform variant must (a) keep the program valid, (b) preserve
-/// big-step semantics under the oracle, and (c) still compile and run
-/// bitwise-identically through CAPS on the K40.
-fn transform_leg(case: &Case, v: TransformVariant, want: &[(String, Vec<u64>)]) -> Outcome {
-    let mut p = case.program.clone();
-    if !v.apply(&mut p) {
-        return Outcome::SkippedTransform;
-    }
+/// A transform variant or pass pipeline that rewrote the case's
+/// program into `p` must (a) keep it valid, (b) preserve big-step
+/// semantics under the oracle, and (c) still compile and run
+/// bitwise-identically through CAPS on the K40. `what` names the
+/// rewrite and `noun` the rewritten program in failure details.
+fn rewritten_leg(
+    case: &Case,
+    p: Program,
+    what: &str,
+    noun: &str,
+    want: &[(String, Vec<u64>)],
+    memo: &mut Memo,
+) -> Outcome {
     if let Err(e) = paccport_ir::validate(&p) {
         return Outcome::Mismatch {
             kind: FailKind::TransformInvalid,
-            detail: format!("{} broke validation: {e:?}", v.label()),
+            detail: format!("{what} broke validation: {e:?}"),
         };
     }
-    let t = match run_oracle(&p, &case.params, &case.inputs) {
-        Ok(o) => o,
+    let entry = memo.entry(p, case);
+    let got = match &entry.oracle {
+        Ok(got) => got,
         Err(e) => {
             return Outcome::Mismatch {
                 kind: FailKind::OracleError,
-                detail: format!("oracle failed on transformed program: {e}"),
+                detail: format!("oracle failed on {noun}: {e}"),
             }
         }
     };
-    if let Some(d) = diff_observables(want, &t.observable(&p)) {
+    if let Some(d) = diff_observables(want, got) {
         return Outcome::Mismatch {
             kind: FailKind::Diverged,
-            detail: format!("oracle-vs-oracle after {}: {d}", v.label()),
+            detail: format!("oracle-vs-oracle after {what}: {d}"),
         };
     }
-    match compile(CompilerId::Caps, &p, &CompileOptions::gpu()) {
-        Ok(cp) => exec_and_compare(&cp, case, want),
-        Err(e) => Outcome::CompileRejected(e.message),
-    }
-}
-
-/// A pass pipeline is held to the same contract as a transform
-/// variant: (a) keep the program valid, (b) preserve big-step
-/// semantics under the oracle, (c) still compile and run bitwise-
-/// identically through CAPS on the K40.
-fn pass_leg(case: &Case, pl: &Pipeline, want: &[(String, Vec<u64>)]) -> Outcome {
-    let mut p = case.program.clone();
-    if !pl.run(&mut p).changed() {
-        return Outcome::SkippedTransform;
-    }
-    if let Err(e) = paccport_ir::validate(&p) {
-        return Outcome::Mismatch {
-            kind: FailKind::TransformInvalid,
-            detail: format!("passes `{}` broke validation: {e:?}", pl.label()),
-        };
-    }
-    let t = match run_oracle(&p, &case.params, &case.inputs) {
-        Ok(o) => o,
-        Err(e) => {
-            return Outcome::Mismatch {
-                kind: FailKind::OracleError,
-                detail: format!("oracle failed on pass-optimized program: {e}"),
-            }
-        }
-    };
-    if let Some(d) = diff_observables(want, &t.observable(&p)) {
-        return Outcome::Mismatch {
-            kind: FailKind::Diverged,
-            detail: format!("oracle-vs-oracle after passes `{}`: {d}", pl.label()),
-        };
-    }
-    match compile(CompilerId::Caps, &p, &CompileOptions::gpu()) {
-        Ok(cp) => exec_and_compare(&cp, case, want),
-        Err(e) => Outcome::CompileRejected(e.message),
-    }
+    let program = &entry.program;
+    entry
+        .reference
+        .get_or_insert_with(|| {
+            let compiled = compile(CompilerId::Caps, program, &CompileOptions::gpu());
+            run_compiled(&compiled, case, want)
+        })
+        .clone()
 }
 
 fn exec_and_compare(cp: &CompiledProgram, case: &Case, want: &[(String, Vec<u64>)]) -> Outcome {
@@ -718,6 +762,154 @@ pub fn run_conformance(programs: u64, seed: u64) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`check_case`] without the per-case memo: every leg compiles
+    /// and runs its own program. The reference the memo must match.
+    fn check_case_memo_free(case: &Case) -> Vec<Leg> {
+        let base = match run_oracle(&case.program, &case.params, &case.inputs) {
+            Ok(o) => o,
+            Err(e) => {
+                return vec![Leg {
+                    label: "oracle".into(),
+                    outcome: Outcome::Mismatch {
+                        kind: FailKind::OracleError,
+                        detail: e,
+                    },
+                }]
+            }
+        };
+        let want = base.observable(&case.program);
+        let mut legs = Vec::new();
+        for (id, opts, label) in matrix() {
+            legs.push(Leg {
+                label: label.to_string(),
+                outcome: run_compiled(&compile(id, &case.program, &opts), case, &want),
+            });
+        }
+        for v in TransformVariant::all() {
+            let mut p = case.program.clone();
+            let outcome = if v.apply(&mut p) {
+                rewritten_leg_memo_free(case, &p, &v.label(), "transformed program", &want)
+            } else {
+                Outcome::SkippedTransform
+            };
+            legs.push(Leg {
+                label: format!("transform/{}", v.label()),
+                outcome,
+            });
+        }
+        for (label, pl) in pass_pipelines() {
+            let mut p = case.program.clone();
+            let outcome = if pl.run(&mut p).changed() {
+                let what = format!("passes `{}`", pl.label());
+                rewritten_leg_memo_free(case, &p, &what, "pass-optimized program", &want)
+            } else {
+                Outcome::SkippedTransform
+            };
+            legs.push(Leg { label, outcome });
+        }
+        let compiled = compile(CompilerId::Caps, &case.program, &CompileOptions::gpu());
+        legs.push(Leg {
+            label: "tier/bytecode".into(),
+            outcome: tier_leg(case, &compiled),
+        });
+        legs
+    }
+
+    fn rewritten_leg_memo_free(
+        case: &Case,
+        p: &Program,
+        what: &str,
+        noun: &str,
+        want: &[(String, Vec<u64>)],
+    ) -> Outcome {
+        if let Err(e) = paccport_ir::validate(p) {
+            return Outcome::Mismatch {
+                kind: FailKind::TransformInvalid,
+                detail: format!("{what} broke validation: {e:?}"),
+            };
+        }
+        let t = match run_oracle(p, &case.params, &case.inputs) {
+            Ok(o) => o,
+            Err(e) => {
+                return Outcome::Mismatch {
+                    kind: FailKind::OracleError,
+                    detail: format!("oracle failed on {noun}: {e}"),
+                }
+            }
+        };
+        if let Some(d) = diff_observables(want, &t.observable(p)) {
+            return Outcome::Mismatch {
+                kind: FailKind::Diverged,
+                detail: format!("oracle-vs-oracle after {what}: {d}"),
+            };
+        }
+        run_compiled(
+            &compile(CompilerId::Caps, p, &CompileOptions::gpu()),
+            case,
+            want,
+        )
+    }
+
+    /// The memo changes how often legs execute, never what they
+    /// report.
+    #[test]
+    fn memo_is_invisible() {
+        for seed in [5, 42] {
+            for index in 0..30 {
+                let case = generate(seed, index);
+                assert_eq!(
+                    check_case(&case),
+                    check_case_memo_free(&case),
+                    "seed {seed}, program {index}"
+                );
+            }
+        }
+    }
+
+    /// Correct rewrites are semantically equal, so a memo that served
+    /// one program's results for another would rarely show on
+    /// generated cases. Here the rewrites differ: each leg must still
+    /// get its own program's results under its own label.
+    #[test]
+    fn memo_keeps_distinct_programs_apart() {
+        use paccport_ir::{st, Expr, HostStmt, Intent, Kernel, ParallelLoop, ProgramBuilder};
+        let storing = |value: f64| {
+            let mut b = ProgramBuilder::new("fill");
+            let n = b.iparam("n");
+            let y = b.array("y", paccport_ir::Scalar::F32, n, Intent::Out);
+            let i = b.var("i");
+            let k = Kernel::simple(
+                "fill",
+                vec![ParallelLoop::new(i, Expr::iconst(0), Expr::param(n))],
+                paccport_ir::Block::new(vec![st(y, i, Expr::fconst(value))]),
+            );
+            b.finish(vec![HostStmt::Launch(k)])
+        };
+        let case = Case {
+            seed: 0,
+            index: 0,
+            program: storing(1.0),
+            params: vec![("n".to_string(), 4.0)],
+            inputs: vec![],
+        };
+        let want = run_oracle(&case.program, &case.params, &case.inputs)
+            .expect("oracle runs the fill kernel")
+            .observable(&case.program);
+        let mut memo = Memo(Vec::new());
+        for (value, what) in [
+            (2.0, "first"),
+            (1.0, "second"),
+            (2.0, "third"),
+            (1.0, "fourth"),
+        ] {
+            let p = storing(value);
+            let expected = rewritten_leg_memo_free(&case, &p, what, "rewritten program", &want);
+            let got = rewritten_leg(&case, p, what, "rewritten program", &want, &mut memo);
+            assert_eq!(got, expected, "leg {what}");
+        }
+        assert_eq!(memo.0.len(), 2, "one entry per distinct program");
+    }
 
     /// The first few generated programs must conform on every leg —
     /// the cheap smoke tier of `reproduce conform`.

@@ -383,15 +383,29 @@ pub fn exec_kernel_bc(
             };
             let n_groups = (hi - lo).max(0);
             let gsz = g.group_size as i64;
+            // One lane-state arena per launch: lane `t` owns register
+            // file `thread_regs[t * n_regs..][..n_regs]` and defined
+            // set `thread_def[t * n_vars..][..n_vars]` across a group's
+            // phases, and every group starts from the launch-time state
+            // and zeroed locals.
+            let (n_regs, n_vars) = (regs.len(), defined.len());
+            let mut thread_regs = regs.repeat(g.group_size as usize);
+            let mut thread_def = defined.repeat(g.group_size as usize);
+            let mut locals: Vec<Buffer> = g
+                .locals
+                .iter()
+                .map(|l| Buffer::zeroed(l.elem, l.len))
+                .collect();
             for grp in 0..n_groups {
-                let mut locals: Vec<Buffer> = g
-                    .locals
-                    .iter()
-                    .map(|l| Buffer::zeroed(l.elem, l.len))
-                    .collect();
-                // Per-thread register files persist across phases.
-                let mut thread_regs: Vec<Vec<V>> = vec![regs.clone(); g.group_size as usize];
-                let mut thread_def: Vec<Vec<bool>> = vec![defined.clone(); g.group_size as usize];
+                if grp > 0 {
+                    for lane in thread_regs.chunks_exact_mut(n_regs) {
+                        lane.copy_from_slice(&regs);
+                    }
+                    for lane in thread_def.chunks_exact_mut(n_vars) {
+                        lane.copy_from_slice(&defined);
+                    }
+                    locals.iter_mut().for_each(Buffer::zero);
+                }
                 for (pi, phase) in phases.iter().enumerate() {
                     let skip = fidelity == KernelFidelity::DropTreePhases
                         && pi > 0
@@ -405,9 +419,10 @@ pub fn exec_kernel_bc(
                         tr.set_epoch(pi as u32);
                     }
                     let pcode = sel(phase, charging);
-                    for t in 0..gsz {
-                        let tr_regs = &mut thread_regs[t as usize];
-                        let tdef = &mut thread_def[t as usize];
+                    let lanes = thread_regs
+                        .chunks_exact_mut(n_regs)
+                        .zip(thread_def.chunks_exact_mut(n_vars));
+                    for (t, (tr_regs, tdef)) in (0..gsz).zip(lanes) {
                         tr_regs[lp.var.0 as usize] = V::I(lo + grp);
                         tdef[lp.var.0 as usize] = true;
                         if let Some(trk) = tracker {

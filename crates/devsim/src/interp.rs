@@ -458,15 +458,24 @@ pub fn exec_kernel_traced(
             let hi = eval(p, params, &lp.hi, &scope_ro).as_i();
             let n_groups = (hi - lo).max(0);
             let gsz = g.group_size as i64;
+            // One lane-state arena per launch: lane `t` owns
+            // `thread_vars[t * n..][..n]` across a group's phases, and
+            // every group starts from the launch-time environment and
+            // zeroed locals.
+            let n = vars.len();
+            let mut thread_vars = vars.repeat(g.group_size as usize);
+            let mut locals: Vec<Buffer> = g
+                .locals
+                .iter()
+                .map(|l| Buffer::zeroed(l.elem, l.len))
+                .collect();
             for grp in 0..n_groups {
-                let mut locals: Vec<Buffer> = g
-                    .locals
-                    .iter()
-                    .map(|l| Buffer::zeroed(l.elem, l.len))
-                    .collect();
-                // Per-thread scalar environments persist across phases.
-                let mut thread_vars: Vec<Vec<Option<V>>> =
-                    vec![vars.to_vec(); g.group_size as usize];
+                if grp > 0 {
+                    for lane in thread_vars.chunks_exact_mut(n) {
+                        lane.copy_from_slice(vars);
+                    }
+                    locals.iter_mut().for_each(Buffer::zero);
+                }
                 for (pi, phase) in g.phases.iter().enumerate() {
                     let skip = fidelity == KernelFidelity::DropTreePhases
                         && pi > 0
@@ -479,8 +488,7 @@ pub fn exec_kernel_traced(
                         // the phase index is the tracker's epoch.
                         tr.set_epoch(pi as u32);
                     }
-                    for t in 0..gsz {
-                        let tv = &mut thread_vars[t as usize];
+                    for (t, tv) in (0..gsz).zip(thread_vars.chunks_exact_mut(n)) {
                         tv[lp.var.0 as usize] = Some(V::I(lo + grp));
                         if let Some(tr) = tracker {
                             tr.set_lane(grp, t);

@@ -60,6 +60,17 @@ impl Buffer {
         }
     }
 
+    /// Reset every element to zero, keeping the allocation.
+    pub(crate) fn zero(&mut self) {
+        match self {
+            Buffer::F32(v) => v.fill(0.0),
+            Buffer::F64(v) => v.fill(0.0),
+            Buffer::I32(v) => v.fill(0),
+            Buffer::U32(v) => v.fill(0),
+            Buffer::Bool(v) => v.fill(0),
+        }
+    }
+
     pub fn from_f32(v: Vec<f32>) -> Buffer {
         Buffer::F32(v)
     }
