@@ -97,9 +97,9 @@
 //! come from the virtual clock.
 //!
 //! `--tier tree|bytecode|both` selects the devsim execution tier for
-//! every functional kernel execution: `tree` (the default) is the
-//! tree-walking reference interpreter, `bytecode` the compile-once
-//! bytecode VM — the two are bitwise-equivalent by contract, so
+//! every functional kernel execution: `bytecode` (the default) is the
+//! compile-once bytecode VM, `tree` the tree-walking reference
+//! interpreter — the two are bitwise-equivalent by contract, so
 //! stdout is byte-identical either way. `both` additionally runs the
 //! tier-equivalence sweep: every soundness cell executes under *both*
 //! tiers and the complete observable run state (buffers, race sets,
@@ -370,7 +370,7 @@ fn main() {
     let mut wanted: Vec<String> = Vec::new();
     let mut inject: Option<String> = None;
     let mut fault_seed: u64 = 0;
-    let mut tier = "tree".to_string();
+    let mut tier = "bytecode".to_string();
     let mut state_dir: Option<String> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -711,7 +711,7 @@ fn apply_tier(name: &str) -> bool {
 /// compiler quirk.
 fn conform(mut args: Args) {
     let (mut programs, mut seed): (u64, u64) = (50, 42);
-    let mut tier = "tree".to_string();
+    let mut tier = "bytecode".to_string();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--programs" => programs = args.parsed(&a, UNSIGNED, num),

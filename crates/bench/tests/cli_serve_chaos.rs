@@ -19,7 +19,7 @@ fn spawn_serve(tag: &str, args: &[&str]) -> (Child, String) {
     let port_file =
         std::env::temp_dir().join(format!("paccport-serve-{}-{tag}.port", std::process::id()));
     let _ = std::fs::remove_file(&port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .arg("serve")
         .args(["--addr", "127.0.0.1:0", "--port-file"])
         .arg(&port_file)
@@ -36,6 +36,8 @@ fn spawn_serve(tag: &str, args: &[&str]) -> (Child, String) {
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
+    let _ = child.kill();
+    let _ = child.wait();
     panic!("server never wrote {}", port_file.display());
 }
 

@@ -272,7 +272,11 @@ mod tests {
             "fan2",
             vec![
                 ParallelLoop::new(i, (E::from(t) + 1i64).expr(), Expr::param(n)),
-                ParallelLoop::new(j, (E::from(i) * 0i64).expr(), Expr::param(n)),
+                ParallelLoop::new(
+                    j,
+                    Expr::bin(paccport_ir::BinOp::Mul, Expr::var(i), Expr::iconst(0)),
+                    Expr::param(n),
+                ),
             ],
             paccport_ir::Block::new(vec![st(
                 a,

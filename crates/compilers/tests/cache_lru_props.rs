@@ -15,7 +15,7 @@ use paccport_ir::{
 /// (number of store statements) — so the generated workloads exercise
 /// entries of genuinely different byte sizes.
 fn program(tag: u8, width: u8) -> paccport_ir::Program {
-    let mut b = ProgramBuilder::new(&format!("prog{tag}"));
+    let mut b = ProgramBuilder::new(format!("prog{tag}"));
     let n = b.iparam("n");
     let x = b.array("x", Scalar::F32, n, Intent::In);
     let y = b.array("y", Scalar::F32, n, Intent::InOut);

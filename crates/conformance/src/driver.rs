@@ -37,7 +37,7 @@ use crate::shrink::shrink;
 use paccport_compilers::passes::Pipeline;
 use paccport_compilers::transforms::TransformVariant;
 use paccport_compilers::{compile, CompileError, CompileOptions, CompiledProgram, CompilerId};
-use paccport_devsim::{run, ExecTier, RunConfig, RunResult};
+use paccport_devsim::{default_tier, run, ExecTier, RunConfig, RunResult};
 use paccport_ir::{program_to_string, Program};
 
 /// Broad category of a conformance failure. Shrinking preserves the
@@ -91,6 +91,9 @@ pub struct Failure {
     pub leg: String,
     pub kind: FailKind,
     pub detail: String,
+    /// The execution tier the legs ran on: shrinking keeps it, and the
+    /// printed reproducer pins it.
+    pub tier: ExecTier,
 }
 
 /// The compiler-personality × device matrix from the paper.
@@ -159,8 +162,15 @@ impl Memo {
     }
 }
 
-/// Run every leg of a case and classify each outcome.
+/// Run every leg of a case on the process-wide default tier and
+/// classify each outcome.
 pub fn check_case(case: &Case) -> Vec<Leg> {
+    check_case_on(case, default_tier())
+}
+
+/// Run every leg of a case, executing compiled programs on `tier`
+/// (the tier leg always runs both), and classify each outcome.
+fn check_case_on(case: &Case, tier: ExecTier) -> Vec<Leg> {
     let mut legs = Vec::new();
     let base = match run_oracle(&case.program, &case.params, &case.inputs) {
         Ok(o) => o,
@@ -179,7 +189,7 @@ pub fn check_case(case: &Case) -> Vec<Leg> {
     let mut reference = None;
     for (id, opts, label) in matrix() {
         let compiled = compile(id, &case.program, &opts);
-        let outcome = run_compiled(&compiled, case, &want);
+        let outcome = run_compiled(&compiled, case, &want, tier);
         if label == REFERENCE_LEG {
             reference = Some((compiled, outcome.clone()));
         }
@@ -197,7 +207,15 @@ pub fn check_case(case: &Case) -> Vec<Leg> {
     for v in TransformVariant::all() {
         let mut p = case.program.clone();
         let outcome = if v.apply(&mut p) {
-            rewritten_leg(case, p, &v.label(), "transformed program", &want, &mut memo)
+            rewritten_leg(
+                case,
+                p,
+                &v.label(),
+                "transformed program",
+                &want,
+                &mut memo,
+                tier,
+            )
         } else {
             Outcome::SkippedTransform
         };
@@ -210,7 +228,15 @@ pub fn check_case(case: &Case) -> Vec<Leg> {
         let mut p = case.program.clone();
         let outcome = if pl.run(&mut p).changed() {
             let what = format!("passes `{}`", pl.label());
-            rewritten_leg(case, p, &what, "pass-optimized program", &want, &mut memo)
+            rewritten_leg(
+                case,
+                p,
+                &what,
+                "pass-optimized program",
+                &want,
+                &mut memo,
+                tier,
+            )
         } else {
             Outcome::SkippedTransform
         };
@@ -404,9 +430,10 @@ fn run_compiled(
     compiled: &Result<CompiledProgram, CompileError>,
     case: &Case,
     want: &[(String, Vec<u64>)],
+    tier: ExecTier,
 ) -> Outcome {
     match compiled {
-        Ok(cp) => exec_and_compare(cp, case, want),
+        Ok(cp) => exec_and_compare(cp, case, want, tier),
         Err(e) => Outcome::CompileRejected(e.message.clone()),
     }
 }
@@ -423,6 +450,7 @@ fn rewritten_leg(
     noun: &str,
     want: &[(String, Vec<u64>)],
     memo: &mut Memo,
+    tier: ExecTier,
 ) -> Outcome {
     if let Err(e) = paccport_ir::validate(&p) {
         return Outcome::Mismatch {
@@ -451,13 +479,18 @@ fn rewritten_leg(
         .reference
         .get_or_insert_with(|| {
             let compiled = compile(CompilerId::Caps, program, &CompileOptions::gpu());
-            run_compiled(&compiled, case, want)
+            run_compiled(&compiled, case, want, tier)
         })
         .clone()
 }
 
-fn exec_and_compare(cp: &CompiledProgram, case: &Case, want: &[(String, Vec<u64>)]) -> Outcome {
-    let mut cfg = RunConfig::functional(case.params.clone());
+fn exec_and_compare(
+    cp: &CompiledProgram,
+    case: &Case,
+    want: &[(String, Vec<u64>)],
+    tier: ExecTier,
+) -> Outcome {
+    let mut cfg = RunConfig::functional(case.params.clone()).with_tier(tier);
     for (name, buf) in &case.inputs {
         cfg = cfg.with_input(name, buf.clone());
     }
@@ -541,35 +574,45 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// First unexcused failure of a case across all legs, if any.
-pub fn failure_of(case: &Case) -> Option<Failure> {
-    check_case(case)
+/// First unexcused failure of a case across all legs on `tier`, if
+/// any.
+pub fn failure_of(case: &Case, tier: ExecTier) -> Option<Failure> {
+    check_case_on(case, tier)
         .into_iter()
         .find_map(|leg| match leg.outcome {
             Outcome::Mismatch { kind, detail } => Some(Failure {
                 leg: leg.label,
                 kind,
                 detail,
+                tier,
             }),
             _ => None,
         })
 }
 
 /// Shrink a failing case while preserving the failing (leg, kind)
-/// pair, so the minimized program still exhibits the *same* bug.
+/// pair on the failure's tier, so the minimized program still
+/// exhibits the *same* bug.
 pub fn shrink_failure(case: &Case, f: &Failure) -> Case {
     let leg = f.leg.clone();
     let kind = f.kind;
     shrink(
         case,
-        &|c: &Case| matches!(failure_of(c), Some(g) if g.leg == leg && g.kind == kind),
+        &|c: &Case| matches!(failure_of(c, f.tier), Some(g) if g.leg == leg && g.kind == kind),
     )
 }
 
-/// Assert a single case conforms on every leg; on failure, panic with
-/// the shrunk reproducer and a paste-ready regression test.
+/// Assert a single case conforms on every leg under the process-wide
+/// default tier; see [`assert_conforms_on`].
 pub fn assert_conforms(case: &Case) {
-    if let Some(f) = failure_of(case) {
+    assert_conforms_on(case, default_tier());
+}
+
+/// Assert a single case conforms on every leg with compiled programs
+/// executing on `tier`; on failure, panic with the shrunk reproducer
+/// and a paste-ready regression test pinned to the same tier.
+pub fn assert_conforms_on(case: &Case, tier: ExecTier) {
+    if let Some(f) = failure_of(case, tier) {
         let shrunk = shrink_failure(case, &f);
         panic!(
             "conformance failure on leg `{}` ({:?}): {}\n\
@@ -580,7 +623,7 @@ pub fn assert_conforms(case: &Case) {
             f.detail,
             shrunk.program.stmt_count(),
             program_to_string(&shrunk.program),
-            case_to_test(&shrunk),
+            case_to_test(&shrunk, tier),
         );
     }
 }
@@ -691,6 +734,7 @@ fn outcome_label(o: &Outcome) -> &'static str {
 /// leg. Mismatches are shrunk and reported; everything else is
 /// tallied.
 pub fn run_conformance(programs: u64, seed: u64) -> Report {
+    let tier = default_tier();
     let mut r = Report {
         programs,
         seed,
@@ -700,7 +744,7 @@ pub fn run_conformance(programs: u64, seed: u64) -> Report {
         let _case_span =
             paccport_trace::span_attrs("conform.case", vec![("index".into(), index.to_string())]);
         let case = generate(seed, index);
-        for leg in check_case(&case) {
+        for leg in check_case_on(&case, tier) {
             let is_transform =
                 leg.label.starts_with("transform/") || leg.label.starts_with("pass/");
             if paccport_trace::metrics::metrics_enabled() {
@@ -740,6 +784,7 @@ pub fn run_conformance(programs: u64, seed: u64) -> Report {
                         leg: leg.label.clone(),
                         kind,
                         detail: detail.clone(),
+                        tier,
                     };
                     let shrunk = shrink_failure(&case, &failure);
                     r.counterexamples.push(Counterexample {
@@ -748,7 +793,7 @@ pub fn run_conformance(programs: u64, seed: u64) -> Report {
                         kind,
                         detail,
                         shrunk_program: program_to_string(&shrunk.program),
-                        regression: case_to_test(&shrunk),
+                        regression: case_to_test(&shrunk, tier),
                         shrunk_stmts: shrunk.program.stmt_count(),
                     });
                 }
@@ -783,7 +828,12 @@ mod tests {
         for (id, opts, label) in matrix() {
             legs.push(Leg {
                 label: label.to_string(),
-                outcome: run_compiled(&compile(id, &case.program, &opts), case, &want),
+                outcome: run_compiled(
+                    &compile(id, &case.program, &opts),
+                    case,
+                    &want,
+                    default_tier(),
+                ),
             });
         }
         for v in TransformVariant::all() {
@@ -848,6 +898,7 @@ mod tests {
             &compile(CompilerId::Caps, p, &CompileOptions::gpu()),
             case,
             want,
+            default_tier(),
         )
     }
 
@@ -905,7 +956,15 @@ mod tests {
         ] {
             let p = storing(value);
             let expected = rewritten_leg_memo_free(&case, &p, what, "rewritten program", &want);
-            let got = rewritten_leg(&case, p, what, "rewritten program", &want, &mut memo);
+            let got = rewritten_leg(
+                &case,
+                p,
+                what,
+                "rewritten program",
+                &want,
+                &mut memo,
+                default_tier(),
+            );
             assert_eq!(got, expected, "leg {what}");
         }
         assert_eq!(memo.0.len(), 2, "one entry per distinct program");

@@ -549,6 +549,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    type Job = (String, Box<dyn Fn() -> Result<u32, String> + Send>);
+
     #[test]
     fn serial_and_parallel_batches_agree_in_order() {
         let tasks = |n: usize| (0..n).map(|i| move || i * i).collect::<Vec<_>>();
@@ -600,7 +602,7 @@ mod tests {
     #[test]
     fn resilient_jobs_succeed_and_quarantine_genuine_failures() {
         let eng = Engine::new(2);
-        let jobs: Vec<(String, Box<dyn Fn() -> Result<u32, String> + Send>)> = vec![
+        let jobs: Vec<Job> = vec![
             ("ok".into(), Box::new(|| Ok(7u32))),
             ("bad".into(), Box::new(|| Err("deliberate breakage".into()))),
         ];
@@ -619,7 +621,7 @@ mod tests {
     #[test]
     fn resilient_jobs_isolate_panics() {
         let eng = Engine::serial();
-        let jobs: Vec<(String, Box<dyn Fn() -> Result<u32, String> + Send>)> = vec![
+        let jobs: Vec<Job> = vec![
             ("panics".into(), Box::new(|| panic!("kaboom"))),
             ("fine".into(), Box::new(|| Ok(1u32))),
         ];
@@ -707,8 +709,7 @@ mod tests {
         let eng = Engine::serial();
         let before = paccport_faults::vclock::now_ns();
         let wall = std::time::Instant::now();
-        let jobs: Vec<(String, Box<dyn Fn() -> Result<u32, String> + Send>)> =
-            vec![("always-fails".into(), Box::new(|| Err("nope".into())))];
+        let jobs: Vec<Job> = vec![("always-fails".into(), Box::new(|| Err("nope".into())))];
         let _ = eng.run_resilient(jobs);
         assert!(
             paccport_faults::vclock::now_ns() > before,

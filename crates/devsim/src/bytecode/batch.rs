@@ -26,21 +26,54 @@
 //! the float path where a lane operand is *guaranteed* tag-`F`, etc.).
 //! Reordering effects across lanes is handled by construction:
 //!
-//! * arrays written by a batch may only be read by the *same* affine
-//!   index they are written at (checked at runtime, per batch, with a
-//!   nonzero stride — every lane then owns a disjoint slice, so
-//!   lane-major and op-major orders commute);
+//! * a scatter to an array the batch also accesses otherwise carries a
+//!   [`Guard`], checked at runtime per batch: against every other
+//!   access to the array it must hit the *same* affine index with a
+//!   nonzero stride (every lane then owns a disjoint slice), a
+//!   disjoint element range (a scalar-indexed load is the range of
+//!   one element), or be performed by the same single lane, so
+//!   lane-major and op-major orders touch each element in the same
+//!   sequence;
 //! * every panic the tree-walker could raise mid-batch (bounds,
 //!   integer division by zero, undefined variable reads, parameter
-//!   type confusion) is detected by a **validation walk** that runs
-//!   the scalar/affine/control half of the program first, touching no
-//!   buffer; on any hazard the batch is abandoned *before any side
-//!   effect* and the caller falls back to the scalar VM, which
-//!   reproduces the tree-walker's partial effects and panic exactly.
+//!   and host-variable type confusion) is detected by a **validation
+//!   walk** that runs the scalar/affine/control half of the program
+//!   first, touching no buffer; on any hazard the batch is abandoned
+//!   *before any side effect* and the caller falls back to the scalar
+//!   VM, which reproduces the tree-walker's partial effects and panic
+//!   exactly;
+//! * the validation walk also counts the watchdog steps the lanes take
+//!   (one per statement and lane, like the tree-walker's charge: a
+//!   [`BOp::Step`], or a [`BOp::StepIf`] for the lanes taking an `If`
+//!   arm); the whole batch is charged at once, and a budget that would
+//!   run out mid-batch falls back so the scalar VM trips at the exact
+//!   statement.
 //!
-//! Anything the classifier cannot prove — `If` statements, atomics,
-//! local memory, lane-varying non-affine integers, stores inside
-//! sequential loops, ambiguous types — simply fails to compile
+//! Under the race detector the execution walk records every memory
+//! access once per batch on a small **tape** (array, affine
+//! `(base, stride)`, read or write, lane mask). The tape is then
+//! replayed into the tracker lane-ascending —
+//! `set_iteration(outer ++ [lane])`, then that lane's accesses in
+//! program order, scalar loads included — so the tracker sees the
+//! thread order and access count of the scalar path and reports
+//! identical races. `Select` arms run eagerly here but lazily in the
+//! tree-walker, and `If` arms run masked, so an arm that touches
+//! memory is bracketed by [`BOp::MaskPush`]/[`BOp::MaskPop`] and its
+//! accesses replay only on the lanes that take it.
+//!
+//! Constants and parameter reads are pooled into a prologue that runs
+//! before the body, so a pooled slot is set even when its first use
+//! sits in a sequential loop that runs zero times.
+//!
+//! An `If` outside sequential loops whose arms only store (or nest
+//! such `If`s) compiles to masked stores when its condition is built
+//! from scalars, integer compares of affine lanes and bool logic: the
+//! validation walk computes those lanes too ([`BatchPlan::early`]), so
+//! steps and guards see exactly the lanes that take each arm.
+//!
+//! Anything else the classifier cannot prove — other `If` statements,
+//! atomics, local memory, lane-varying non-affine integers, stores
+//! inside sequential loops, ambiguous types — simply fails to compile
 //! (`build` returns `None`) and the kernel keeps the scalar VM path.
 //!
 //! [`interp::bin`]: crate::interp
@@ -48,7 +81,8 @@
 //! [`interp::coerce`]: crate::interp
 
 use crate::interp::{self, V};
-use crate::memory::Buffer;
+use crate::memory::{Buffer, MemLoc};
+use crate::race::RaceTracker;
 use paccport_ir::expr::{BinOp, CmpOp, Expr, UnOp};
 use paccport_ir::kernel::{Kernel, KernelBody, ReduceOp};
 use paccport_ir::stmt::{Block, Stmt};
@@ -153,6 +187,10 @@ pub enum BOp {
     /// Mark a lane-assigned variable runtime-defined.
     DefMark {
         var: u16,
+    },
+    /// Validation-only: fall back unless the slot holds an integer.
+    VIsInt {
+        s: u16,
     },
 
     // ---- affine ----
@@ -340,23 +378,33 @@ pub enum BOp {
         dst: u16,
         f32src: bool,
     },
-    /// Affine scatter of f64 lanes. `guard` indexes
-    /// [`BatchPlan::guards`] (`u32::MAX` = unguarded): all listed
-    /// affine values must equal this one, with nonzero stride, or the
-    /// batch falls back.
+    /// Affine scatter of f64 lanes. Scatters to an array the batch
+    /// also accesses otherwise are checked by a [`Guard`]. `when`
+    /// masks a scatter inside an `If` arm to the lanes that take it.
     Scatter {
         array: u16,
         aff: u16,
         src: u16,
-        guard: u32,
+        when: Option<Arm>,
     },
     /// Affine scatter of one resolved scalar value.
     ScatterS {
         array: u16,
         aff: u16,
         s: u16,
-        guard: u32,
+        when: Option<Arm>,
     },
+
+    // ---- access-tape masks (execution walk, only while taping) ----
+    /// Enter a `Select` arm that reads memory, or an `If` arm: the
+    /// arm's accesses belong only to lanes whose condition (`Loc::S`
+    /// or `Loc::LB`) equals `pol`, within the enclosing arm's lanes.
+    MaskPush {
+        c: Loc,
+        pol: bool,
+    },
+    /// Leave the arm entered by the matching [`BOp::MaskPush`].
+    MaskPop,
 
     // ---- control (both walks) ----
     /// `if sv[cnt] >= sv[hi] jump exit` (both always `V::I`).
@@ -370,6 +418,26 @@ pub enum BOp {
         step: i64,
         back: u32,
     },
+    /// One watchdog step per lane, where the tree-walker charges one
+    /// per statement; the validation walk counts them.
+    Step,
+    /// One watchdog step per lane that takes the `If` arm.
+    StepIf {
+        arm: Arm,
+    },
+}
+
+/// The lanes that take an `If` arm: those set in bool lane slot `.0`,
+/// the conjunction of the conditions of every enclosing arm.
+/// The validation walk computes it too ([`BatchPlan::early`]), so
+/// steps and guards count exactly the lanes that take the arm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arm(pub u16);
+
+impl Arm {
+    fn takes(self, bl: &[Vec<bool>], b: usize) -> bool {
+        bl[self.0 as usize][b]
+    }
 }
 
 /// A compiled batch program for one kernel's innermost parallel loop.
@@ -391,9 +459,56 @@ pub struct BatchPlan {
     /// Region-reduction value location and operator, folded
     /// lane-ascending.
     pub reduce: Option<(Loc, ReduceOp)>,
-    /// Affine-equality guard sets for read/written arrays.
-    pub guards: Vec<Vec<u16>>,
+    /// One guard per scatter to an array the batch also accesses
+    /// otherwise, checked after the validation walk.
+    pub guards: Vec<Guard>,
+    /// Bool lane slots the validation walk computes too: `If`
+    /// conditions and the integer compares they are built from.
+    pub early: Vec<bool>,
 }
+
+/// Runtime check that lets a scatter reorder against the other
+/// accesses to its array. Against each of them, one of:
+///
+/// * their element ranges, over the lanes that perform them, are
+///   disjoint;
+/// * both hit the same per-lane element (equal affine values, nonzero
+///   stride — every lane owns a disjoint slice);
+/// * both are performed by the same single lane.
+///
+/// Each element is then touched in the same sequence lane-major and
+/// op-major.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Guard {
+    pub scatter: Touch,
+    /// Every access to the array, the scatter's own included.
+    pub others: Vec<Touch>,
+}
+
+/// One access to an array, as a guard sees it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Touch {
+    /// `Loc::A` for an affine index; `Loc::S` for a scalar load's
+    /// index (one element, whichever lane).
+    pub at: Loc,
+    /// The `If` arm the access sits in, if any.
+    pub when: Option<Arm>,
+}
+
+/// One memory access of a batch, in scalar program order: lane `b`
+/// touches element `base + stride·b` of global `array`.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    array: u32,
+    base: i64,
+    stride: i64,
+    write: bool,
+    /// Index of the lane mask in `BatchState::masks` (the lanes that
+    /// perform this access), or [`ALL_LANES`].
+    mask: u32,
+}
+
+const ALL_LANES: u32 = u32::MAX;
 
 /// Reusable batch scratch state (allocated once per kernel exec).
 #[derive(Debug, Default)]
@@ -407,13 +522,37 @@ pub struct BatchState {
     sv_snap: Vec<V>,
     vdef_snap: Vec<bool>,
     av_snap: Vec<(i64, i64)>,
+    /// Watchdog steps all lanes take (counted by the validation walk).
+    steps: u64,
+    /// Record `tape` (and its masks) in the execution walk: set when
+    /// a race tracker has to see the batch's accesses.
+    taping: bool,
+    tape: Vec<Access>,
+    /// `bn` flags per mask, back to back.
+    masks: Vec<bool>,
+    /// Masks of the enclosing `Select` and `If` arms, innermost last.
+    mask_stack: Vec<u32>,
+    /// Lanes executed batched by this state's kernel exec.
+    pub(crate) lanes: u64,
 }
 
 /// Largest batch the lane vectors will materialize.
 const MAX_BATCH: i64 = 1 << 22;
 
+/// Shadow logging for a batch: the launch's race tracker and the
+/// outer parallel-loop indices of the current innermost loop.
+pub struct Taping<'t, 'a> {
+    pub tracker: &'t RaceTracker<'a>,
+    pub outer: &'t mut Vec<i64>,
+}
+
 /// Execute `plan` over lanes `lo..hi`. Returns `false` (having touched
 /// nothing) if the batch must fall back to the scalar VM.
+///
+/// With `taping`, the batch's accesses are then replayed into the race
+/// tracker lane-ascending — each lane's in scalar program order, one
+/// `set_iteration(outer ++ [lane])` per lane — so the tracker sees
+/// exactly the access sequence the scalar path would have logged.
 #[allow(clippy::too_many_arguments)]
 pub fn run_batch(
     plan: &BatchPlan,
@@ -425,6 +564,7 @@ pub fn run_batch(
     params: &[V],
     bufs: &mut [Buffer],
     acc: &mut Option<f64>,
+    taping: Option<Taping<'_, '_>>,
 ) -> bool {
     if hi <= lo {
         // Zero-trip inner loop: the tree-walker does nothing.
@@ -456,19 +596,38 @@ pub fn run_batch(
     }
 
     // Validation walk: scalar/affine/control only, hazard checks, no
-    // buffer writes. Fall back on any hazard.
+    // buffer writes. Fall back on any hazard; the scatter guards are
+    // checked once every affine value is known.
     st.sv_snap.clone_from(&st.sv);
     st.vdef_snap.clone_from(&st.vdef);
     st.av_snap.clone_from(&st.av);
-    if !walk::<true>(plan, st, bn, params, bufs) {
+    st.steps = 0;
+    if !walk::<true>(plan, st, bn, params, bufs)
+        || !plan
+            .guards
+            .iter()
+            .all(|g| guard_holds(g, &st.av, &st.sv, &st.bl, bn))
+        // The whole batch's watchdog steps, charged at once; a budget
+        // that would trip mid-batch leaves the exact trip point to the
+        // scalar VM.
+        || !paccport_faults::try_charge(st.steps)
+    {
         return false;
     }
     // Restore and run for real.
     st.sv.clone_from(&st.sv_snap);
     st.vdef.clone_from(&st.vdef_snap);
     st.av.clone_from(&st.av_snap);
+    st.taping = taping.is_some();
+    st.tape.clear();
+    st.masks.clear();
+    st.mask_stack.clear();
     let ok = walk::<false>(plan, st, bn, params, bufs);
     debug_assert!(ok, "execution walk failed after validation passed");
+    st.lanes += bn as u64;
+    if let Some(t) = taping {
+        replay(st, lo, bn, t);
+    }
 
     // Fold the region reduction, lane-ascending like the tree-walker.
     if let (Some((loc, op)), Some(total)) = (plan.reduce, acc.as_mut()) {
@@ -520,6 +679,89 @@ pub fn run_batch(
         // written-back value is never observed.
     }
     true
+}
+
+/// Inclusive element range an affine index covers over `bn` lanes.
+fn lane_span((base, stride): (i64, i64), bn: usize) -> (i64, i64) {
+    let last = base + stride * (bn as i64 - 1);
+    (base.min(last), base.max(last))
+}
+
+/// What a [`Touch`] covers in one batch.
+struct Footprint {
+    aff: (i64, i64),
+    /// Inclusive element range over the performing lanes.
+    span: (i64, i64),
+    /// The performing lane, when exactly one lane performs it.
+    sole: Option<usize>,
+}
+
+/// `None` when no lane performs the access.
+fn footprint(
+    t: &Touch,
+    av: &[(i64, i64)],
+    sv: &[V],
+    bl: &[Vec<bool>],
+    bn: usize,
+) -> Option<Footprint> {
+    let aff = match t.at {
+        Loc::A(r) => av[r as usize],
+        Loc::S(s) => (sv[s as usize].as_i(), 0),
+        Loc::LF(_) | Loc::LB(_) => unreachable!("guards see affine or scalar indices"),
+    };
+    let Some(arm) = t.when else {
+        return Some(Footprint {
+            aff,
+            span: lane_span(aff, bn),
+            sole: (bn == 1).then_some(0),
+        });
+    };
+    let taken = &bl[arm.0 as usize][..bn];
+    let first = taken.iter().position(|&x| x)?;
+    let last = taken.iter().rposition(|&x| x).unwrap_or(first);
+    let at = |b: usize| aff.0 + aff.1 * b as i64;
+    let (a, z) = (at(first), at(last));
+    Some(Footprint {
+        aff,
+        span: (a.min(z), a.max(z)),
+        sole: (first == last).then_some(first),
+    })
+}
+
+fn guard_holds(g: &Guard, av: &[(i64, i64)], sv: &[V], bl: &[Vec<bool>], bn: usize) -> bool {
+    let Some(me) = footprint(&g.scatter, av, sv, bl, bn) else {
+        return true;
+    };
+    g.others.iter().all(|t| {
+        let Some(other) = footprint(t, av, sv, bl, bn) else {
+            return true;
+        };
+        other.span.1 < me.span.0
+            || me.span.1 < other.span.0
+            || (other.aff == me.aff && me.aff.1 != 0)
+            || (me.sole.is_some() && other.sole == me.sole)
+    })
+}
+
+/// Log the batch's taped accesses into the race tracker, one lane at
+/// a time in ascending order.
+fn replay(st: &BatchState, lo: i64, bn: usize, t: Taping<'_, '_>) {
+    for b in 0..bn {
+        t.outer.push(lo + b as i64);
+        t.tracker.set_iteration(t.outer);
+        t.outer.pop();
+        for a in &st.tape {
+            if a.mask != ALL_LANES && !st.masks[a.mask as usize * bn + b] {
+                continue;
+            }
+            let loc = MemLoc::global(a.array, a.base + a.stride * b as i64);
+            if a.write {
+                t.tracker.log_write(loc, false);
+            } else {
+                t.tracker.log_read(loc);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------
@@ -618,10 +860,26 @@ fn icmp(op: CmpOp, x: i64, y: i64) -> bool {
 
 /// Affine bounds hazard: every lane index must be a valid `usize`
 /// element index. Affine ⇒ the extremes sit at the endpoints.
-fn affine_in_bounds(base: i64, stride: i64, bn: usize, len: usize) -> bool {
-    let last = base + stride * (bn as i64 - 1);
-    let (min, max) = (base.min(last), base.max(last));
+fn affine_in_bounds(aff: (i64, i64), bn: usize, len: usize) -> bool {
+    let (min, max) = lane_span(aff, bn);
     min >= 0 && (max as usize) < len
+}
+
+/// Append one access to the tape, under the innermost arm's mask.
+fn record(
+    tape: &mut Vec<Access>,
+    mask_stack: &[u32],
+    array: u16,
+    (base, stride): (i64, i64),
+    write: bool,
+) {
+    tape.push(Access {
+        array: array as u32,
+        base,
+        stride,
+        write,
+        mask: mask_stack.last().copied().unwrap_or(ALL_LANES),
+    });
 }
 
 /// One walk over the op stream. `VALIDATE = true` runs only the
@@ -640,6 +898,11 @@ fn walk<const VALIDATE: bool>(
     let av = &mut st.av;
     let fl = &mut st.fl;
     let bl = &mut st.bl;
+    let steps = &mut st.steps;
+    let taping = !VALIDATE && st.taping;
+    let tape = &mut st.tape;
+    let masks = &mut st.masks;
+    let mask_stack = &mut st.mask_stack;
     let mut pc = 0usize;
     while let Some(op) = plan.ops.get(pc) {
         pc += 1;
@@ -731,6 +994,11 @@ fn walk<const VALIDATE: bool>(
                 if VALIDATE && !(i >= 0 && (i as usize) < buf.len()) {
                     return false;
                 }
+                if taping {
+                    // Executed once per batch, but every lane's scalar
+                    // run performs (and logs) it.
+                    record(tape, mask_stack, array, (i, 0), false);
+                }
                 sv[dst as usize] = match buf.elem() {
                     Scalar::F32 | Scalar::F64 => V::F(buf.get(i as usize)),
                     Scalar::Bool => V::B(buf.get(i as usize) != 0.0),
@@ -743,6 +1011,11 @@ fn walk<const VALIDATE: bool>(
                 }
             }
             BOp::DefMark { var } => vdef[var as usize] = true,
+            BOp::VIsInt { s } => {
+                if VALIDATE && !matches!(sv[s as usize], V::I(_)) {
+                    return false;
+                }
+            }
 
             // ---- affine ----
             BOp::AAddS { dst, a, s } => {
@@ -788,41 +1061,51 @@ fn walk<const VALIDATE: bool>(
                 sv[cnt as usize] = V::I(sv[cnt as usize].as_i() + step);
                 pc = back as usize;
             }
+            BOp::Step => {
+                if VALIDATE {
+                    *steps += bn as u64;
+                }
+            }
+            BOp::StepIf { arm } => {
+                if VALIDATE {
+                    *steps += (0..bn).filter(|&b| arm.takes(bl, b)).count() as u64;
+                }
+            }
 
             // ---- scatters: hazard checks in validate, writes in exec ----
             BOp::Scatter {
                 array,
                 aff,
                 src,
-                guard,
+                when,
             }
             | BOp::ScatterS {
                 array,
                 aff,
                 s: src,
-                guard,
+                when,
             } => {
                 let (base, stride) = av[aff as usize];
                 if VALIDATE {
-                    if !affine_in_bounds(base, stride, bn, bufs[array as usize].len()) {
+                    if !affine_in_bounds((base, stride), bn, bufs[array as usize].len()) {
                         return false;
                     }
-                    if guard != u32::MAX {
-                        let me = (base, stride);
-                        if stride == 0
-                            || !plan.guards[guard as usize]
-                                .iter()
-                                .all(|&r| av[r as usize] == me)
-                        {
-                            return false;
-                        }
-                    }
                     continue;
+                }
+                if taping {
+                    record(tape, mask_stack, array, (base, stride), true);
                 }
                 let scalar = matches!(op, BOp::ScatterS { .. });
                 let sval = if scalar { sv[src as usize].as_f() } else { 0.0 };
                 let lanes: &[f64] = if scalar { &[] } else { &fl[src as usize][..bn] };
                 let val = |b: usize| if scalar { sval } else { lanes[b] };
+                if let Some(arm) = when {
+                    let buf = &mut bufs[array as usize];
+                    for b in (0..bn).filter(|&b| arm.takes(bl, b)) {
+                        buf.set((base + stride * b as i64) as usize, val(b));
+                    }
+                    continue;
+                }
                 match &mut bufs[array as usize] {
                     Buffer::F32(v) => {
                         for b in 0..bn {
@@ -859,10 +1142,13 @@ fn walk<const VALIDATE: bool>(
             } => {
                 let (base, stride) = av[aff as usize];
                 if VALIDATE {
-                    if !affine_in_bounds(base, stride, bn, bufs[array as usize].len()) {
+                    if !affine_in_bounds((base, stride), bn, bufs[array as usize].len()) {
                         return false;
                     }
                     continue;
+                }
+                if taping {
+                    record(tape, mask_stack, array, (base, stride), false);
                 }
                 let dv = &mut fl[dst as usize][..bn];
                 if f32src {
@@ -895,10 +1181,71 @@ fn walk<const VALIDATE: bool>(
                 }
             }
 
+            // ---- bool lanes: `If` conditions are built from these, and
+            // the validation walk computes the ones it needs ----
+            BOp::BcastB { dst, s } if !VALIDATE || plan.early[dst as usize] => {
+                bl[dst as usize][..bn].fill(sv[s as usize].as_b())
+            }
+            BOp::ICmpAS { op, dst, a, s } if !VALIDATE || plan.early[dst as usize] => {
+                let (base, stride) = av[a as usize];
+                let y = sv[s as usize].as_i();
+                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
+                    *x = icmp(op, base + stride * b as i64, y);
+                }
+            }
+            BOp::ICmpSA { op, dst, s, a } if !VALIDATE || plan.early[dst as usize] => {
+                let (base, stride) = av[a as usize];
+                let y = sv[s as usize].as_i();
+                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
+                    *x = icmp(op, y, base + stride * b as i64);
+                }
+            }
+            BOp::ICmpAA { op, dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
+                let ((b0, s0), (b1, s1)) = (av[a as usize], av[b as usize]);
+                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
+                    *x = icmp(op, b0 + s0 * b as i64, b1 + s1 * b as i64);
+                }
+            }
+            BOp::BAnd { dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
+                lbin(bl, bn, dst, a, b, |x, y| x && y)
+            }
+            BOp::BOr { dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
+                lbin(bl, bn, dst, a, b, |x, y| x || y)
+            }
+            BOp::BNot { dst, a } if !VALIDATE || plan.early[dst as usize] => {
+                lmap(bl, bn, dst, a, |x| !x)
+            }
+
             // ---- lane compute: execution walk only ----
             _ if VALIDATE => {}
+            BOp::BcastB { .. }
+            | BOp::ICmpAS { .. }
+            | BOp::ICmpSA { .. }
+            | BOp::ICmpAA { .. }
+            | BOp::BAnd { .. }
+            | BOp::BOr { .. }
+            | BOp::BNot { .. } => unreachable!("the execution walk runs every bool-lane op above"),
+            BOp::MaskPush { c, pol } => {
+                if taping {
+                    let parent = mask_stack.last().copied().unwrap_or(ALL_LANES);
+                    mask_stack.push((masks.len() / bn) as u32);
+                    for b in 0..bn {
+                        let on = match c {
+                            Loc::S(s) => sv[s as usize].as_b(),
+                            Loc::LB(r) => bl[r as usize][b],
+                            Loc::A(_) | Loc::LF(_) => unreachable!("mask conditions are S or LB"),
+                        };
+                        let live = parent == ALL_LANES || masks[parent as usize * bn + b];
+                        masks.push(live && on == pol);
+                    }
+                }
+            }
+            BOp::MaskPop => {
+                if taping {
+                    mask_stack.pop();
+                }
+            }
             BOp::BcastF { dst, s } => fl[dst as usize][..bn].fill(sv[s as usize].as_f()),
-            BOp::BcastB { dst, s } => bl[dst as usize][..bn].fill(sv[s as usize].as_b()),
             BOp::CvtAtoF { dst, a } => {
                 let (base, stride) = av[a as usize];
                 for (b, x) in fl[dst as usize][..bn].iter_mut().enumerate() {
@@ -1002,29 +1349,6 @@ fn walk<const VALIDATE: bool>(
                     *x = fcmp(op, x0, z);
                 }
             }
-            BOp::ICmpAS { op, dst, a, s } => {
-                let (base, stride) = av[a as usize];
-                let y = sv[s as usize].as_i();
-                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
-                    *x = icmp(op, base + stride * b as i64, y);
-                }
-            }
-            BOp::ICmpSA { op, dst, s, a } => {
-                let (base, stride) = av[a as usize];
-                let y = sv[s as usize].as_i();
-                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
-                    *x = icmp(op, y, base + stride * b as i64);
-                }
-            }
-            BOp::ICmpAA { op, dst, a, b } => {
-                let ((b0, s0), (b1, s1)) = (av[a as usize], av[b as usize]);
-                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
-                    *x = icmp(op, b0 + s0 * b as i64, b1 + s1 * b as i64);
-                }
-            }
-            BOp::BAnd { dst, a, b } => lbin(bl, bn, dst, a, b, |x, y| x && y),
-            BOp::BOr { dst, a, b } => lbin(bl, bn, dst, a, b, |x, y| x || y),
-            BOp::BNot { dst, a } => lmap(bl, bn, dst, a, |x| !x),
             BOp::SelF { dst, c, a, b } => {
                 let d = dst as usize;
                 let cv = &bl[c as usize];
@@ -1087,12 +1411,10 @@ struct Val {
 /// Per-array access record, the input to scatter-guard construction.
 #[derive(Debug, Clone, Default)]
 struct ArrAcc {
-    /// Every affine register used to access the array.
-    affs: Vec<u16>,
-    /// `ops` indices of the array's scatters.
-    scatter_ops: Vec<usize>,
-    gathers: usize,
-    sloads: bool,
+    /// Every access to the array.
+    touches: Vec<Touch>,
+    /// The array's scatters.
+    scatters: Vec<Touch>,
     /// Any access from inside a sequential loop (affine registers are
     /// then recomputed per trip, so guard values would be stale).
     in_for: bool,
@@ -1102,6 +1424,7 @@ struct ArrAcc {
 #[derive(Clone)]
 struct BcSnap {
     ops_len: usize,
+    pre_len: usize,
     env: Vec<Val>,
     pinned: Vec<bool>,
     pin_len: usize,
@@ -1118,6 +1441,10 @@ struct BcSnap {
 struct Bc<'a> {
     p: &'a Program,
     ops: Vec<BOp>,
+    /// Prologue: pooled constants and parameter reads, run before
+    /// `ops` so that a slot first filled inside a sequential loop is
+    /// still set when a later loop (or a zero-trip one) reuses it.
+    pre: Vec<BOp>,
     env: Vec<Val>,
     /// Variables currently pinned to a mutable `LF` slot by an
     /// enclosing sequential loop (loop-carried lane values).
@@ -1139,6 +1466,11 @@ struct Bc<'a> {
     consts: Vec<(u8, u64, u16)>,
     /// Sequential-loop nesting depth.
     depth: u32,
+    /// The `If` arm being compiled, if any.
+    arm: Option<Arm>,
+    /// Bool lane slots the validation walk must compute (see
+    /// [`BatchPlan::early`]).
+    early: Vec<bool>,
 }
 
 /// Compile the innermost parallel loop of `k` into a batch plan, or
@@ -1154,6 +1486,7 @@ pub(crate) fn build(p: &Program, k: &Kernel) -> Option<BatchPlan> {
     let mut c = Bc {
         p,
         ops: Vec::new(),
+        pre: Vec::new(),
         env: (0..nv)
             .map(|i| Val {
                 loc: Loc::S(i as u16),
@@ -1172,6 +1505,8 @@ pub(crate) fn build(p: &Program, k: &Kernel) -> Option<BatchPlan> {
         pslots: vec![None; p.params.len()],
         consts: Vec::new(),
         depth: 0,
+        arm: None,
+        early: Vec::new(),
     };
     // Outer parallel loop variables are defined integer scalars; the
     // innermost one is the lane itself.
@@ -1200,32 +1535,29 @@ pub(crate) fn build(p: &Program, k: &Kernel) -> Option<BatchPlan> {
     };
 
     // Scatter guards. An array that is scattered *and* otherwise
-    // accessed is only batchable when every access provably hits the
-    // same per-lane index — checked at runtime by affine equality
-    // with nonzero stride (each lane then owns a disjoint slice, so
-    // lane-major and op-major orders commute). A sole scatter with no
+    // accessed is only batchable when, per batch, each scatter either
+    // hits the same per-lane index as every other access or a
+    // disjoint lane range (see [`Guard`]). A sole scatter with no
     // other access needs no guard: ascending-lane writes make the
     // last lane win, exactly like the tree's lane-major order.
-    let mut guards: Vec<Vec<u16>> = Vec::new();
+    let mut guards = Vec::new();
     for a in &c.acc {
-        if a.scatter_ops.is_empty() {
+        if a.scatters.is_empty() {
             continue;
         }
-        if a.sloads || a.in_for {
+        if a.in_for {
             return None;
         }
-        if a.gathers == 0 && a.scatter_ops.len() == 1 {
+        if a.touches.len() == 1 {
             continue;
         }
-        let gi = u32::try_from(guards.len()).ok()?;
-        guards.push(a.affs.clone());
-        for &oi in &a.scatter_ops {
-            match &mut c.ops[oi] {
-                BOp::Scatter { guard, .. } | BOp::ScatterS { guard, .. } => *guard = gi,
-                _ => unreachable!("scatter_ops points at a non-scatter"),
-            }
-        }
+        guards.extend(a.scatters.iter().map(|&scatter| Guard {
+            scatter,
+            others: a.touches.clone(),
+        }));
     }
+    let mut early = c.early;
+    early.resize(c.n_b as usize, false);
 
     // Lane-valued variables need an explicit last-lane writeback.
     let mut outs = Vec::new();
@@ -1236,8 +1568,27 @@ pub(crate) fn build(p: &Program, k: &Kernel) -> Option<BatchPlan> {
         }
     }
 
+    // The prologue runs first; shift the body's jump targets past it.
+    let shift = u32::try_from(c.pre.len()).ok()?;
+    let mut ops = c.pre;
+    for op in c.ops {
+        ops.push(match op {
+            BOp::ForHead { cnt, hi, exit } => BOp::ForHead {
+                cnt,
+                hi,
+                exit: exit.checked_add(shift)?,
+            },
+            BOp::ForStep { cnt, step, back } => BOp::ForStep {
+                cnt,
+                step,
+                back: back.checked_add(shift)?,
+            },
+            op => op,
+        });
+    }
+
     Some(BatchPlan {
-        ops: c.ops,
+        ops,
         n_vars,
         lane_var: u16::try_from(lane.0).ok()?,
         n_s: c.n_s,
@@ -1247,6 +1598,7 @@ pub(crate) fn build(p: &Program, k: &Kernel) -> Option<BatchPlan> {
         outs,
         reduce,
         guards,
+        early,
     })
 }
 
@@ -1254,6 +1606,7 @@ impl<'a> Bc<'a> {
     fn snap(&self) -> BcSnap {
         BcSnap {
             ops_len: self.ops.len(),
+            pre_len: self.pre.len(),
             env: self.env.clone(),
             pinned: self.pinned.clone(),
             pin_len: self.pin_slots.len(),
@@ -1270,6 +1623,7 @@ impl<'a> Bc<'a> {
 
     fn restore(&mut self, s: &BcSnap) {
         self.ops.truncate(s.ops_len);
+        self.pre.truncate(s.pre_len);
         self.env.clone_from(&s.env);
         self.pinned.clone_from(&s.pinned);
         self.pin_slots.truncate(s.pin_len);
@@ -1309,7 +1663,7 @@ impl<'a> Bc<'a> {
             return Some(s);
         }
         let dst = self.s_slot()?;
-        self.ops.push(BOp::SConst { dst, v });
+        self.pre.push(BOp::SConst { dst, v });
         self.consts.push((tag, bits, dst));
         Some(dst)
     }
@@ -1326,7 +1680,7 @@ impl<'a> Bc<'a> {
             Some(s) => s,
             None => {
                 let dst = self.s_slot()?;
-                self.ops.push(BOp::SParam {
+                self.pre.push(BOp::SParam {
                     dst,
                     p: u16::try_from(p.0).ok()?,
                     tag,
@@ -1386,6 +1740,21 @@ impl<'a> Bc<'a> {
         }
     }
 
+    /// Can scalar operand `v` take the tree's integer path against an
+    /// affine? Statically integer, or of unknown type (a host loop
+    /// variable, say) with a validation-time tag check: a non-integer
+    /// at run time makes the batch fall back.
+    fn int_scalar(&mut self, v: &Val) -> bool {
+        match (v.sty, v.loc) {
+            (STy::I | STy::B, _) => true,
+            (STy::Unk, Loc::S(s)) => {
+                self.ops.push(BOp::VIsInt { s });
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Guaranteed runtime-`F` operand? (The condition for committing
     /// to `interp::bin`/`cmp`'s float path at compile time.)
     fn float_certain(v: &Val) -> bool {
@@ -1404,6 +1773,10 @@ impl<'a> Bc<'a> {
     }
 
     fn stmt(&mut self, s: &Stmt) -> Option<()> {
+        self.ops.push(match self.arm {
+            None => BOp::Step,
+            Some(arm) => BOp::StepIf { arm },
+        });
         match s {
             Stmt::Let { var, ty, init } => {
                 let v = self.expr(init)?;
@@ -1429,9 +1802,90 @@ impl<'a> Bc<'a> {
             // No-op under sequential per-thread execution, same as the
             // tree-walker.
             Stmt::Barrier => Some(()),
-            // Control-divergent or synchronizing constructs keep the
-            // scalar VM path.
-            Stmt::If { .. } | Stmt::Atomic { .. } => None,
+            Stmt::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => self.if_stmt(cond, then_blk, else_blk),
+            // Synchronizing constructs keep the scalar VM path.
+            Stmt::Atomic { .. } => None,
+        }
+    }
+
+    /// An `If` outside sequential loops whose arms only store (or nest
+    /// such `If`s) runs as masked stores. Its condition must be built
+    /// from scalars, integer compares of affine lanes and bool logic,
+    /// which the validation walk computes too, so it can count steps
+    /// and check guards for exactly the lanes that take each arm.
+    fn if_stmt(&mut self, cond: &Expr, then_blk: &Block, else_blk: &Block) -> Option<()> {
+        fn stores_only(b: &Block) -> bool {
+            b.0.iter().all(|s| match s {
+                Stmt::Store { space, .. } => *space == MemSpace::Global,
+                Stmt::If {
+                    then_blk, else_blk, ..
+                } => stores_only(then_blk) && stores_only(else_blk),
+                _ => false,
+            })
+        }
+        if self.depth > 0 || !stores_only(then_blk) || !stores_only(else_blk) {
+            return None;
+        }
+        let vc = self.expr(cond)?;
+        let c = match vc.loc {
+            Loc::S(_) | Loc::LB(_) => self.lane_b(&vc)?,
+            Loc::A(_) | Loc::LF(_) => return None,
+        };
+        let outer = self.arm;
+        for (blk, pol) in [(then_blk, true), (else_blk, false)] {
+            if blk.0.is_empty() {
+                continue;
+            }
+            let mut m = c;
+            if !pol {
+                let dst = self.b_slot()?;
+                self.ops.push(BOp::BNot { dst, a: m });
+                m = dst;
+            }
+            if let Some(Arm(o)) = outer {
+                let dst = self.b_slot()?;
+                self.ops.push(BOp::BAnd { dst, a: o, b: m });
+                m = dst;
+            }
+            self.mark_early(m)?;
+            self.arm = Some(Arm(m));
+            self.ops.push(BOp::MaskPush {
+                c: Loc::LB(m),
+                pol: true,
+            });
+            let arm = self.block(blk);
+            self.ops.push(BOp::MaskPop);
+            self.arm = outer;
+            arm?;
+        }
+        Some(())
+    }
+
+    /// Mark bool lane slot `b` and the slots it is computed from as
+    /// validation-walk values; `None` unless all come from integer
+    /// compares and bool logic.
+    fn mark_early(&mut self, b: u16) -> Option<()> {
+        let op = self
+            .ops
+            .iter()
+            .rev()
+            .find(|op| early_dst(op) == Some(b))?
+            .clone();
+        if self.early.len() <= b as usize {
+            self.early.resize(b as usize + 1, false);
+        }
+        self.early[b as usize] = true;
+        match op {
+            BOp::BAnd { a, b, .. } | BOp::BOr { a, b, .. } => {
+                self.mark_early(a)?;
+                self.mark_early(b)
+            }
+            BOp::BNot { a, .. } => self.mark_early(a),
+            _ => Some(()),
         }
     }
 
@@ -1498,9 +1952,17 @@ impl<'a> Bc<'a> {
                 self.fma(va, vb, vc)
             }
             Expr::Select(c, a, b) => {
-                let vc = self.expr(c)?;
-                let va = self.expr(a)?;
-                let vb = self.expr(b)?;
+                let mut vc = self.expr(c)?;
+                if !matches!(vc.loc, Loc::S(_)) && (a.reads_global() || b.reads_global()) {
+                    // Masked arms need the condition as bool lanes.
+                    vc = Val {
+                        loc: Loc::LB(self.lane_b(&vc)?),
+                        sty: STy::B,
+                        f32v: false,
+                    };
+                }
+                let va = self.arm(vc.loc, true, a)?;
+                let vb = self.arm(vc.loc, false, b)?;
                 self.select(vc, va, vb)
             }
             Expr::Cast(ty, a) => {
@@ -1508,6 +1970,20 @@ impl<'a> Bc<'a> {
                 self.cast(*ty, va)
             }
         }
+    }
+
+    /// One `Select` arm. Arms run eagerly here, but the tree-walker
+    /// evaluates only the taken one: an arm that reads memory is
+    /// bracketed by a tape mask, so a race tracker sees its accesses
+    /// only on the lanes that take it.
+    fn arm(&mut self, c: Loc, pol: bool, e: &Expr) -> Option<Val> {
+        if !e.reads_global() {
+            return self.expr(e);
+        }
+        self.ops.push(BOp::MaskPush { c, pol });
+        let v = self.expr(e)?;
+        self.ops.push(BOp::MaskPop);
+        Some(v)
     }
 
     fn load(&mut self, space: MemSpace, array: ArrayId, index: &Expr) -> Option<Val> {
@@ -1520,8 +1996,20 @@ impl<'a> Bc<'a> {
         let arr = u16::try_from(array.0).ok()?;
         match idx.loc {
             Loc::S(si) => {
+                // Guards read the index after the walk: pin a variable
+                // slot's current value, since the variable may change.
+                let gi = if (si as usize) < self.env.len() {
+                    let t = self.s_slot()?;
+                    self.ops.push(BOp::SToInt { dst: t, a: si });
+                    t
+                } else {
+                    si
+                };
                 let rec = &mut self.acc[ai];
-                rec.sloads = true;
+                rec.touches.push(Touch {
+                    at: Loc::S(gi),
+                    when: self.arm,
+                });
                 rec.in_for |= self.depth > 0;
                 let dst = self.s_slot()?;
                 self.ops.push(BOp::SLoad {
@@ -1548,8 +2036,10 @@ impl<'a> Bc<'a> {
                     return None;
                 }
                 let rec = &mut self.acc[ai];
-                rec.affs.push(aff);
-                rec.gathers += 1;
+                rec.touches.push(Touch {
+                    at: Loc::A(aff),
+                    when: self.arm,
+                });
                 rec.in_for |= self.depth > 0;
                 let dst = self.f_slot()?;
                 self.ops.push(BOp::GatherF {
@@ -1780,7 +2270,6 @@ impl<'a> Bc<'a> {
     /// operands must be provably runtime-integers.
     fn abin(&mut self, op: BinOp, a: Val, b: Val) -> Option<Val> {
         use BinOp::*;
-        let int_scalar = |v: &Val| matches!(v.sty, STy::I | STy::B);
         let dst = self.a_slot()?;
         match (a.loc, b.loc) {
             (Loc::A(aa), Loc::A(ab)) => match op {
@@ -1788,13 +2277,13 @@ impl<'a> Bc<'a> {
                 Sub => self.ops.push(BOp::ASubAA { dst, a: aa, b: ab }),
                 _ => return None,
             },
-            (Loc::A(aa), Loc::S(sb)) if int_scalar(&b) => match op {
+            (Loc::A(aa), Loc::S(sb)) if self.int_scalar(&b) => match op {
                 Add => self.ops.push(BOp::AAddS { dst, a: aa, s: sb }),
                 Sub => self.ops.push(BOp::ASubAS { dst, a: aa, s: sb }),
                 Mul => self.ops.push(BOp::AMulS { dst, a: aa, s: sb }),
                 _ => return None,
             },
-            (Loc::S(sa), Loc::A(ab)) if int_scalar(&a) => match op {
+            (Loc::S(sa), Loc::A(ab)) if self.int_scalar(&a) => match op {
                 Add => self.ops.push(BOp::AAddS { dst, a: ab, s: sa }),
                 Sub => self.ops.push(BOp::ASubSA { dst, s: sa, a: ab }),
                 Mul => self.ops.push(BOp::AMulS { dst, a: ab, s: sa }),
@@ -1863,7 +2352,6 @@ impl<'a> Bc<'a> {
                 f32v: false,
             });
         }
-        let int_scalar = |v: &Val| matches!(v.sty, STy::I | STy::B);
         let dst = self.b_slot()?;
         match (a.loc, b.loc) {
             (Loc::A(aa), Loc::A(ab)) => {
@@ -1874,7 +2362,7 @@ impl<'a> Bc<'a> {
                     b: ab,
                 });
             }
-            (Loc::A(aa), Loc::S(sb)) if int_scalar(&b) => {
+            (Loc::A(aa), Loc::S(sb)) if self.int_scalar(&b) => {
                 self.ops.push(BOp::ICmpAS {
                     op,
                     dst,
@@ -1882,7 +2370,7 @@ impl<'a> Bc<'a> {
                     s: sb,
                 });
             }
-            (Loc::S(sa), Loc::A(ab)) if int_scalar(&a) => {
+            (Loc::S(sa), Loc::A(ab)) if self.int_scalar(&a) => {
                 self.ops.push(BOp::ICmpSA {
                     op,
                     dst,
@@ -2087,52 +2575,45 @@ impl<'a> Bc<'a> {
         };
         // The tree stores eval(value).as_f() and lets Buffer::set
         // narrow per element type; every class converts exactly.
-        let opidx;
-        match val.loc {
-            Loc::LF(src) => {
-                opidx = self.ops.len();
-                self.ops.push(BOp::Scatter {
-                    array: arr,
-                    aff,
-                    src,
-                    guard: u32::MAX,
-                });
-            }
+        let src = match val.loc {
+            Loc::LF(src) => src,
             Loc::S(s) => {
-                opidx = self.ops.len();
                 self.ops.push(BOp::ScatterS {
                     array: arr,
                     aff,
                     s,
-                    guard: u32::MAX,
+                    when: self.arm,
                 });
+                return self.scattered(array, aff);
             }
             Loc::A(r) => {
                 let src = self.f_slot()?;
                 self.ops.push(BOp::CvtAtoF { dst: src, a: r });
-                opidx = self.ops.len();
-                self.ops.push(BOp::Scatter {
-                    array: arr,
-                    aff,
-                    src,
-                    guard: u32::MAX,
-                });
+                src
             }
             Loc::LB(r) => {
                 let src = self.f_slot()?;
                 self.ops.push(BOp::CvtBtoF { dst: src, a: r });
-                opidx = self.ops.len();
-                self.ops.push(BOp::Scatter {
-                    array: arr,
-                    aff,
-                    src,
-                    guard: u32::MAX,
-                });
+                src
             }
-        }
+        };
+        self.ops.push(BOp::Scatter {
+            array: arr,
+            aff,
+            src,
+            when: self.arm,
+        });
+        self.scattered(array, aff)
+    }
+
+    fn scattered(&mut self, array: ArrayId, aff: u16) -> Option<()> {
+        let touch = Touch {
+            at: Loc::A(aff),
+            when: self.arm,
+        };
         let rec = &mut self.acc[array.0 as usize];
-        rec.affs.push(aff);
-        rec.scatter_ops.push(opidx);
+        rec.touches.push(touch);
+        rec.scatters.push(touch);
         Some(())
     }
 }
@@ -2561,6 +3042,20 @@ impl<'a> Bc<'a> {
     }
 }
 
+/// The bool lane slot an op the validation walk may need writes.
+fn early_dst(op: &BOp) -> Option<u16> {
+    match *op {
+        BOp::BcastB { dst, .. }
+        | BOp::ICmpAS { dst, .. }
+        | BOp::ICmpSA { dst, .. }
+        | BOp::ICmpAA { dst, .. }
+        | BOp::BAnd { dst, .. }
+        | BOp::BOr { dst, .. }
+        | BOp::BNot { dst, .. } => Some(dst),
+        _ => None,
+    }
+}
+
 fn lane_f_dst_mut(op: &mut BOp) -> Option<&mut u16> {
     match op {
         BOp::BcastF { dst, .. }
@@ -2719,7 +3214,7 @@ mod tests {
             "gather+scatter of one array needs a guard"
         );
         assert!(
-            plan.guards[0].len() >= 3,
+            plan.guards[0].others.len() >= 3,
             "all three accesses join the guard"
         );
         let (t, b) = run_both(&p, &params, &bufs);
@@ -2727,14 +3222,54 @@ mod tests {
     }
 
     #[test]
-    fn if_statement_rejects() {
-        let mut b = ProgramBuilder::new("batch_if");
+    fn pooled_values_first_used_in_a_zero_trip_loop_are_still_loaded() {
+        // The constant `1` and parameter `n` are first read inside a
+        // loop that runs zero times; the next loop reads them again.
+        let mut b = ProgramBuilder::new("batch_pool");
         let np = b.iparam("n");
         let o = b.array("o", Scalar::F32, E::from(np), Intent::Out);
+        let q = b.array("q", Scalar::F32, E::from(np), Intent::Out);
         let iv = b.var("i");
-        let body = vec![if_(
+        let kv = b.var("k");
+        let acc = b.var("acc");
+        let par = b.var("par");
+        let body = vec![
+            let_(acc, Scalar::F32, 0.0f64),
+            let_(par, Scalar::F32, 0.0f64),
+            for_(kv, 0i64, 0i64, vec![assign(acc, 1i64), assign(par, np)]),
+            for_(kv, 0i64, np, vec![assign(acc, 1i64), assign(par, np)]),
+            st(o, E::from(Expr::var(iv)), E::from(Expr::var(acc))),
+            st(q, E::from(Expr::var(iv)), E::from(Expr::var(par))),
+        ];
+        let k = Kernel::simple(
+            "pool",
+            vec![ParallelLoop::new(iv, Expr::iconst(0), Expr::param(np))],
+            Block::new(body),
+        );
+        let p = b.finish(vec![HostStmt::Launch(k)]);
+        let n = 3usize;
+        let bufs = vec![
+            Buffer::zeroed(Scalar::F32, n),
+            Buffer::zeroed(Scalar::F32, n),
+        ];
+        let (t, b) = run_both(&p, &[V::I(n as i64)], &bufs);
+        assert_eq!(t[0], Buffer::F32(vec![1.0; n]));
+        assert_eq!(t[1], Buffer::F32(vec![n as f32; n]));
+        assert_eq!(t, b, "pooled values diverged");
+    }
+
+    #[test]
+    fn masked_if_stores_batch_and_match_tree() {
+        // `o[i] = i < 2 ? 1 : x[i]` written as an `If`/else of stores.
+        let mut b = ProgramBuilder::new("batch_if");
+        let np = b.iparam("n");
+        let x = b.array("x", Scalar::F32, E::from(np), Intent::In);
+        let o = b.array("o", Scalar::F32, E::from(np), Intent::Out);
+        let iv = b.var("i");
+        let body = vec![paccport_ir::if_else(
             E::from(Expr::var(iv)).lt(E::from(2i64)),
             vec![st(o, E::from(Expr::var(iv)), 1.0f64)],
+            vec![st(o, E::from(Expr::var(iv)), ld(x, E::from(Expr::var(iv))))],
         )];
         let k = Kernel::simple(
             "ifk",
@@ -2742,7 +3277,52 @@ mod tests {
             Block::new(body),
         );
         let p = b.finish(vec![HostStmt::Launch(k)]);
-        assert!(build(&p, &p.kernels()[0]).is_none());
+        let plan = build(&p, p.kernels()[0]).expect("store-only If must batch-compile");
+        assert!(
+            plan.early.iter().any(|&e| e),
+            "the condition is a validation value"
+        );
+        let n = 6usize;
+        let bufs = vec![
+            Buffer::F32((0..n).map(|i| i as f32 + 0.5).collect()),
+            Buffer::zeroed(Scalar::F32, n),
+        ];
+        let (t, b) = run_both(&p, &[V::I(n as i64)], &bufs);
+        assert_eq!(t[1], Buffer::F32(vec![1.0, 1.0, 2.5, 3.5, 4.5, 5.5]));
+        assert_eq!(t, b, "masked If tiers diverged");
+    }
+
+    #[test]
+    fn ifs_that_assign_test_loaded_values_or_loop_reject() {
+        for shape in 0..3 {
+            let mut b = ProgramBuilder::new("batch_if_reject");
+            let np = b.iparam("n");
+            let x = b.array("x", Scalar::F32, E::from(np), Intent::In);
+            let o = b.array("o", Scalar::F32, E::from(np), Intent::Out);
+            let iv = b.var("i");
+            let kv = b.var("k");
+            let tv = b.var("t");
+            let i = || E::from(Expr::var(iv));
+            let store = || st(o, i(), 1.0f64);
+            let body = match shape {
+                // An arm that assigns a variable.
+                0 => vec![if_(
+                    i().lt(2i64),
+                    vec![let_(tv, Scalar::F32, 1.0f64), store()],
+                )],
+                // A condition on a loaded value: not a validation value.
+                1 => vec![if_(ld(x, i()).lt(0.0f64), vec![store()])],
+                // An `If` inside a sequential loop.
+                _ => vec![for_(kv, 0i64, 2i64, vec![if_(i().lt(2i64), vec![store()])])],
+            };
+            let k = Kernel::simple(
+                "ifk",
+                vec![ParallelLoop::new(iv, Expr::iconst(0), Expr::param(np))],
+                Block::new(body),
+            );
+            let p = b.finish(vec![HostStmt::Launch(k)]);
+            assert!(build(&p, p.kernels()[0]).is_none(), "shape {shape}");
+        }
     }
 
     #[test]
@@ -2769,7 +3349,7 @@ mod tests {
             dest: red,
         });
         let p = b.finish(vec![HostStmt::Launch(k)]);
-        let plan = build(&p, &p.kernels()[0]).expect("reduction shape must batch-compile");
+        let plan = build(&p, p.kernels()[0]).expect("reduction shape must batch-compile");
         assert!(matches!(plan.reduce, Some((Loc::LF(_), ReduceOp::Max))));
         let n = 9i64;
         let af: Vec<f64> = (0..n).map(|i| ((i * 7 % 5) as f64) - 1.5).collect();

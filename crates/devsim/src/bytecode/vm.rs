@@ -16,6 +16,10 @@
 //! it runs the full stream, charging exactly where the tree-walker
 //! does, so timeout budgets trip at the same statement.
 //!
+//! A simple kernel's innermost parallel loop first tries the batch
+//! path ([`batch`]), with or without a race tracker or watchdog; the
+//! scalar dispatch loops below are its fallback.
+//!
 //! [`interp::bin`]: crate::interp
 //! [`interp::cmp`]: crate::interp
 //! [`interp::coerce`]: crate::interp
@@ -331,6 +335,11 @@ pub fn exec_kernel_bc(
                 charging,
                 &mut bstate,
             );
+            if let Some(st) = &bstate {
+                // Once per launch: how many lanes skipped per-lane
+                // dispatch.
+                paccport_trace::add("bytecode.batched_lanes", st.lanes);
+            }
             if let Some(t) = tracker {
                 // The combined reduction store is a synchronization
                 // point, not a per-iteration access.
@@ -513,15 +522,23 @@ fn nest(
         (lo, regs[b.hi.out as usize].as_i())
     };
     let var = k.loops[depth].var.0 as usize;
-    if tracker.is_none() && !charging && depth + 1 == k.loops.len() {
+    if depth + 1 == k.loops.len() {
         // Batched innermost loop: one pass over the whole lane range
-        // with loop-invariant operands resolved once. Shadow logging
-        // and watchdog charging need per-lane dispatch, so the batch
-        // only runs without them; `run_batch` returns `false` (having
-        // touched nothing) on any hazard, falling through to the
+        // with loop-invariant operands resolved once. Under the race
+        // detector the batch tapes its accesses and replays them into
+        // the tracker lane by lane, in scalar order; an armed watchdog
+        // is charged the batch's steps at once. `run_batch` returns
+        // `false` (having touched nothing) on any hazard, or when the
+        // watchdog would trip mid-batch, falling through to the
         // scalar paths below.
         if let Some(plan) = &code.batch {
-            if batch::run_batch(plan, bstate, lo, hi, regs, defined, params, bufs, acc) {
+            let taping = tracker.map(|tracker| batch::Taping {
+                tracker,
+                outer: &mut *iter,
+            });
+            if batch::run_batch(
+                plan, bstate, lo, hi, regs, defined, params, bufs, acc, taping,
+            ) {
                 return;
             }
         }

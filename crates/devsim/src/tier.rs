@@ -1,14 +1,16 @@
 //! Execution-tier selection: tree-walker vs bytecode VM.
 //!
-//! The tree-walking interpreter in [`crate::interp`] is the semantic
-//! reference; the bytecode VM in [`crate::bytecode`] is the fast tier,
-//! required to be **bitwise equal** to the reference on every program
-//! (enforced by the conformance driver's tier leg and the
-//! `tier_equivalence` suite). The tier is a [`RunConfig`] field
-//! (`RunConfig::with_tier`), defaulting to a process-wide knob the CLI
-//! sets once from `--tier` so the engine, the conformance legs, and
-//! every internal `RunConfig::functional` construction site inherit it
-//! without plumbing.
+//! The bytecode VM in [`crate::bytecode`] is the default tier: it runs
+//! every functional execution unless `--tier tree` asks otherwise,
+//! batching innermost parallel loops with or without the race
+//! detector and the watchdog. The tree-walking interpreter in
+//! [`crate::interp`] stays as the semantic reference the VM must match
+//! **bitwise** on every program (enforced by the conformance driver's
+//! tier leg and the `tier_equivalence` suite). The tier is a
+//! [`RunConfig`] field (`RunConfig::with_tier`), defaulting to a
+//! process-wide knob the CLI sets once from `--tier` so the engine,
+//! the conformance legs, and every internal `RunConfig::functional`
+//! construction site inherit it without plumbing.
 //!
 //! [`RunConfig`]: crate::runner::RunConfig
 
@@ -43,9 +45,9 @@ impl ExecTier {
     }
 }
 
-/// 0 = Tree, 1 = Bytecode. Relaxed is enough: the CLI writes this once
-/// before any run starts; workers only read.
-static DEFAULT_TIER: AtomicU8 = AtomicU8::new(0);
+/// 0 = Tree, 1 = Bytecode (the default). Relaxed is enough: the CLI
+/// writes this once before any run starts; workers only read.
+static DEFAULT_TIER: AtomicU8 = AtomicU8::new(1);
 
 /// Set the process-wide default tier new `RunConfig`s pick up.
 pub fn set_default_tier(t: ExecTier) {
@@ -58,10 +60,10 @@ pub fn set_default_tier(t: ExecTier) {
     );
 }
 
-/// The process-wide default tier (Tree unless overridden).
+/// The process-wide default tier (Bytecode unless overridden).
 pub fn default_tier() -> ExecTier {
     match DEFAULT_TIER.load(Ordering::Relaxed) {
-        1 => ExecTier::Bytecode,
-        _ => ExecTier::Tree,
+        0 => ExecTier::Tree,
+        _ => ExecTier::Bytecode,
     }
 }

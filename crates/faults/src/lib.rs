@@ -738,6 +738,24 @@ fn charge_slow(n: u64, injected: bool) {
     }
 }
 
+/// Charge `n` steps at once if this thread's budget covers every one
+/// of them (always, with no watchdog armed); otherwise charge nothing
+/// and return `false`, so the caller can take a path that charges step
+/// by step and trips at the exact step [`charge`] would.
+pub fn try_charge(n: u64) -> bool {
+    if WATCHERS.load(Ordering::Relaxed) == 0 {
+        return true;
+    }
+    BUDGET.with(|b| match b.get() {
+        Some(left) if left < n => false,
+        Some(left) => {
+            b.set(Some(left - n));
+            true
+        }
+        None => true,
+    })
+}
+
 /// An injected hang: spin charging the watchdog until it trips. Arms
 /// the default budget first if nothing is armed, so a hang can never
 /// actually wedge the process.
@@ -1017,6 +1035,27 @@ mod tests {
         disarm_watchdog();
         assert!(!watchdog_armed());
         charge(1_000_000); // no-op when disarmed
+    }
+
+    #[test]
+    fn try_charge_takes_all_or_nothing() {
+        let _g = lock();
+        assert!(try_charge(u64::MAX), "no watchdog: always fits");
+        arm_watchdog(100);
+        assert!(!try_charge(101), "over budget: refused");
+        assert!(try_charge(100), "a refusal charged nothing");
+        assert!(
+            watchdog_armed(),
+            "exactly exhausting the budget does not trip"
+        );
+        assert!(!try_charge(1));
+        install_quiet_panic_hook();
+        let caught = std::panic::catch_unwind(|| charge(1)).unwrap_err();
+        assert!(
+            timeout_of(caught.as_ref()).is_some(),
+            "the next single step trips"
+        );
+        assert!(!watchdog_armed());
     }
 
     #[test]

@@ -370,11 +370,11 @@ mod tests {
         let s = State::sod(32, 8);
         let c = courant(&s);
         // Sound speed of the left state: sqrt(1.4 * 1.0 / 1.0).
-        let expect = (GAMMA_f64() * 1.0f64).sqrt() as f32;
+        let expect = (gamma_f64() * 1.0f64).sqrt() as f32;
         assert!((c - expect).abs() < 1e-3, "{c} vs {expect}");
     }
 
-    fn GAMMA_f64() -> f64 {
+    fn gamma_f64() -> f64 {
         GAMMA as f64
     }
 

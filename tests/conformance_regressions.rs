@@ -1,11 +1,19 @@
-//! Shrunk reproducers of `reduction-to-grouped` miscompiles, pinned as
-//! conformance regressions exactly as `reproduce conform` printed them.
+//! Shrunk reproducers of past miscompiles, pinned as conformance
+//! regressions exactly as `reproduce conform` printed them.
 //!
 //! `reduction_to_grouped` once accepted loops that are not sums: a
 //! non-zero `init`, which every lane of the work-group adds once, and
 //! a term that reads the accumulator (seed 5, program 214 has both).
 //! The transform leg then diverged from the oracle on seeds 5, 6, 8
 //! and 13 of `reproduce conform --programs 300`.
+//!
+//! The bytecode tier's batch compiler once pooled a constant at its
+//! first use, so a constant first used inside a sequential loop that
+//! ran zero times was never loaded: a later loop assigning the same
+//! constant stored a zero instead. The unroll transform's main and
+//! remainder loops make that shape, and `transform/unroll(x3)` diverged
+//! on seeds 42, 5 and 7 (`--tier bytecode`); the last three tests pin
+//! one shrunk case per seed on that tier.
 
 #[test]
 #[allow(unused_variables)]
@@ -469,4 +477,262 @@ fn conformance_regression_s13_i184() {
         ],
     };
     assert_conforms(&case);
+}
+
+#[test]
+#[allow(unused_imports, unused_variables)]
+fn conformance_regression_s42_i130() {
+    use paccport_conformance::{assert_conforms_on, Case};
+    use paccport_devsim::{Buffer, ExecTier};
+    use paccport_ir::builder::ProgramBuilder;
+    use paccport_ir::expr::*;
+    use paccport_ir::kernel::*;
+    use paccport_ir::stmt::*;
+    use paccport_ir::types::*;
+    use paccport_ir::{Dir, HostStmt};
+
+    let mut b = ProgramBuilder::new("gen_130");
+    let p0 = b.iparam("n");
+    let p1 = b.param("alpha", Scalar::F32);
+    let a0 = b.array("x", Scalar::F32, Expr::param(p0), Intent::In);
+    let a1 = b.array("y", Scalar::F32, Expr::param(p0), Intent::InOut);
+    let a2 = b.array("flag", Scalar::I32, Expr::iconst(1), Intent::InOut);
+    let v0 = b.var("i_red1");
+    let v1 = b.var("acc_red1");
+    let v2 = b.var("k_red1");
+
+    let program = b.finish(vec![HostStmt::Launch(Kernel {
+        name: "red1".to_string(),
+        loops: vec![ParallelLoop {
+            var: v0,
+            lo: Expr::iconst(0),
+            hi: Expr::iconst(1),
+            clauses: LoopClauses {
+                independent: false,
+                gang: None,
+                worker: None,
+                vector: Some(64),
+                tile: None,
+                unroll_jam: Some(2),
+                device_overrides: vec![],
+            },
+        }],
+        body: KernelBody::Simple(Block(vec![
+            Stmt::Let {
+                var: v1,
+                ty: Scalar::F32,
+                init: Expr::fconst(0.0),
+            },
+            Stmt::For {
+                var: v2,
+                lo: Expr::iconst(0),
+                hi: Expr::param(p0),
+                step: 1,
+                body: Block(vec![Stmt::Assign {
+                    var: v1,
+                    value: Expr::iconst(1),
+                }]),
+            },
+            Stmt::Store {
+                space: MemSpace::Global,
+                array: a1,
+                index: Expr::iconst(0),
+                value: Expr::var(v1),
+            },
+        ])),
+        locals: vec![],
+        region_reduction: None,
+        reduction: None,
+        launch_hint: None,
+    })]);
+    let case = Case {
+        seed: 42,
+        index: 130,
+        program,
+        params: vec![("n".to_string(), 5.0), ("alpha".to_string(), 2.0)],
+        inputs: vec![
+            ("x".to_string(), Buffer::F32(vec![2.0, 1.0, 4.0, 6.0, 3.0])),
+            ("y".to_string(), Buffer::F32(vec![2.0, 5.0, 6.0, 7.0, 4.0])),
+            ("flag".to_string(), Buffer::I32(vec![3])),
+        ],
+    };
+    assert_conforms_on(&case, ExecTier::Bytecode);
+}
+
+#[test]
+#[allow(unused_imports, unused_variables)]
+fn conformance_regression_s5_i40() {
+    use paccport_conformance::{assert_conforms_on, Case};
+    use paccport_devsim::{Buffer, ExecTier};
+    use paccport_ir::builder::ProgramBuilder;
+    use paccport_ir::expr::*;
+    use paccport_ir::kernel::*;
+    use paccport_ir::stmt::*;
+    use paccport_ir::types::*;
+    use paccport_ir::{Dir, HostStmt};
+
+    let mut b = ProgramBuilder::new("gen_40");
+    let p0 = b.iparam("n");
+    let a0 = b.array("x", Scalar::F32, Expr::param(p0), Intent::In);
+    let a1 = b.array("y", Scalar::F32, Expr::param(p0), Intent::InOut);
+    let a2 = b.array("r", Scalar::F32, Expr::iconst(1), Intent::Out);
+    let v0 = b.var("i_red1");
+    let v1 = b.var("acc_red1");
+    let v2 = b.var("k_red1");
+    let v3 = b.var("i_red2");
+    let v4 = b.var("acc_red2");
+    let v5 = b.var("k_red2");
+    let v6 = b.var("i_rr3");
+
+    let program = b.finish(vec![HostStmt::Launch(Kernel {
+        name: "red1".to_string(),
+        loops: vec![ParallelLoop {
+            var: v0,
+            lo: Expr::iconst(0),
+            hi: Expr::iconst(1),
+            clauses: LoopClauses {
+                independent: false,
+                gang: None,
+                worker: None,
+                vector: None,
+                tile: None,
+                unroll_jam: Some(2),
+                device_overrides: vec![],
+            },
+        }],
+        body: KernelBody::Simple(Block(vec![
+            Stmt::Let {
+                var: v1,
+                ty: Scalar::F32,
+                init: Expr::fconst(0.0),
+            },
+            Stmt::For {
+                var: v2,
+                lo: Expr::iconst(0),
+                hi: Expr::param(p0),
+                step: 1,
+                body: Block(vec![Stmt::Assign {
+                    var: v1,
+                    value: Expr::iconst(1),
+                }]),
+            },
+            Stmt::Store {
+                space: MemSpace::Global,
+                array: a1,
+                index: Expr::iconst(0),
+                value: Expr::var(v1),
+            },
+        ])),
+        locals: vec![],
+        region_reduction: None,
+        reduction: None,
+        launch_hint: None,
+    })]);
+    let case = Case {
+        seed: 5,
+        index: 40,
+        program,
+        params: vec![("n".to_string(), 4.0)],
+        inputs: vec![
+            ("x".to_string(), Buffer::F32(vec![6.0, 1.0, 4.0, 7.0])),
+            ("y".to_string(), Buffer::F32(vec![7.0, 8.0, 5.0, 8.0])),
+        ],
+    };
+    assert_conforms_on(&case, ExecTier::Bytecode);
+}
+
+#[test]
+#[allow(unused_imports, unused_variables)]
+fn conformance_regression_s7_i8() {
+    use paccport_conformance::{assert_conforms_on, Case};
+    use paccport_devsim::{Buffer, ExecTier};
+    use paccport_ir::builder::ProgramBuilder;
+    use paccport_ir::expr::*;
+    use paccport_ir::kernel::*;
+    use paccport_ir::stmt::*;
+    use paccport_ir::types::*;
+    use paccport_ir::{Dir, HostStmt};
+
+    let mut b = ProgramBuilder::new("gen_8");
+    let p0 = b.iparam("n");
+    let a0 = b.array("x", Scalar::F32, Expr::param(p0), Intent::In);
+    let a1 = b.array("y", Scalar::F32, Expr::param(p0), Intent::InOut);
+    let a2 = b.array(
+        "z",
+        Scalar::F32,
+        Expr::bin(BinOp::Mul, Expr::param(p0), Expr::param(p0)),
+        Intent::In,
+    );
+    let a3 = b.array("w", Scalar::F32, Expr::param(p0), Intent::Out);
+    let a4 = b.array("m", Scalar::I32, Expr::param(p0), Intent::InOut);
+    let v0 = b.var("i_red1");
+    let v1 = b.var("acc_red1");
+    let v2 = b.var("k_red1");
+    let v3 = b.var("i_k2");
+    let v4 = b.var("j_k2");
+    let v5 = b.var("t0_k2");
+    let v6 = b.var("kv0_k2");
+
+    let program = b.finish(vec![HostStmt::Launch(Kernel {
+        name: "red1".to_string(),
+        loops: vec![ParallelLoop {
+            var: v0,
+            lo: Expr::iconst(0),
+            hi: Expr::iconst(1),
+            clauses: LoopClauses {
+                independent: false,
+                gang: Some(64),
+                worker: Some(4),
+                vector: None,
+                tile: None,
+                unroll_jam: Some(2),
+                device_overrides: vec![],
+            },
+        }],
+        body: KernelBody::Simple(Block(vec![
+            Stmt::Let {
+                var: v1,
+                ty: Scalar::F32,
+                init: Expr::fconst(0.0),
+            },
+            Stmt::For {
+                var: v2,
+                lo: Expr::iconst(0),
+                hi: Expr::param(p0),
+                step: 1,
+                body: Block(vec![Stmt::Assign {
+                    var: v1,
+                    value: Expr::iconst(1),
+                }]),
+            },
+            Stmt::Store {
+                space: MemSpace::Global,
+                array: a3,
+                index: Expr::iconst(0),
+                value: Expr::var(v1),
+            },
+        ])),
+        locals: vec![],
+        region_reduction: None,
+        reduction: None,
+        launch_hint: None,
+    })]);
+    let case = Case {
+        seed: 7,
+        index: 8,
+        program,
+        params: vec![("n".to_string(), 4.0)],
+        inputs: vec![
+            ("x".to_string(), Buffer::F32(vec![6.0, 5.0, 2.0, 3.0])),
+            ("y".to_string(), Buffer::F32(vec![1.0, 5.0, 4.0, 4.0])),
+            (
+                "z".to_string(),
+                Buffer::F32(vec![
+                    7.0, 8.0, 7.0, 7.0, 8.0, 7.0, 6.0, 7.0, 6.0, 1.0, 2.0, 2.0, 3.0, 4.0, 7.0, 5.0,
+                ]),
+            ),
+            ("m".to_string(), Buffer::I32(vec![3, 1, 2, 4])),
+        ],
+    };
+    assert_conforms_on(&case, ExecTier::Bytecode);
 }
