@@ -4,13 +4,12 @@
 //! ```text
 //! reproduce [--check] [--scale smoke|quick|paper] [--quick]
 //!           [--jobs N] [--trace] [--profile] [--exp <id>]...
-//!           [--tier tree|bytecode|both] [--passes LIST]
+//!           [--passes LIST]
 //!           [--inject SPEC] [--fault-seed N]
 //!           [--state-dir DIR] [--resume]
 //!           [--trace-out FILE] [--trace-format chrome|jsonl|folded]
 //!           [--metrics-out FILE]
-//! reproduce conform [--programs N] [--seed S] [--tier tree|bytecode|both]
-//!           [telemetry flags]
+//! reproduce conform [--programs N] [--seed S] [telemetry flags]
 //! reproduce profile [--scale ...] [--jobs N] [--inject SPEC]
 //!                   [--fault-seed N] [telemetry flags]
 //! reproduce bench-devsim [--seed S] [--samples N] [--json FILE]
@@ -65,11 +64,15 @@
 //! (`--seed S`, default 42) each execute under the reference oracle,
 //! the functional simulator across every compiler personality ×
 //! device, and every semantics-preserving transform, asserting
-//! bitwise-equal observables. Known miscompilation quirks (the CAPS
-//! MIC reduction lowering) must surface as *expected* divergence.
-//! Any genuine mismatch is shrunk to a minimal program, printed as a
-//! paste-ready regression test, and the run exits nonzero. Output is
-//! deterministic: same arguments, byte-identical stdout.
+//! bitwise-equal observables. One more leg per program runs the
+//! CAPS/K40 compilation on both devsim interpreters, the bytecode VM
+//! every other run uses and the tree-walking reference, and requires
+//! the whole run state, race log included, to agree bitwise. Known
+//! miscompilation quirks (the CAPS MIC reduction lowering) must
+//! surface as *expected* divergence. Any genuine mismatch is shrunk
+//! to a minimal program, printed as a paste-ready regression test, and
+//! the run exits nonzero. Output is deterministic: same arguments,
+//! byte-identical stdout.
 //!
 //! `profile` runs every benchmark variant × target functionally and
 //! prints the `nvprof`-style per-kernel profile for each cell — the
@@ -96,23 +99,10 @@
 //! wall-clock timestamp fields vary, and under `--inject` even those
 //! come from the virtual clock.
 //!
-//! `--tier tree|bytecode|both` selects the devsim execution tier for
-//! every functional kernel execution: `bytecode` (the default) is the
-//! compile-once bytecode VM, `tree` the tree-walking reference
-//! interpreter — the two are bitwise-equivalent by contract, so
-//! stdout is byte-identical either way. `both` additionally runs the
-//! tier-equivalence sweep: every soundness cell executes under *both*
-//! tiers and the complete observable run state (buffers, race sets,
-//! transfer ledgers, timings) is compared bit-for-bit, appending a
-//! `tier equivalence` section and exiting nonzero on any mismatch.
-//! On `conform`, `--tier` picks the tier the compiler-matrix legs run
-//! under; the always-on `tier/bytecode` leg cross-checks the two
-//! tiers on every generated program regardless.
-//!
-//! `bench-devsim` measures kernel-execution throughput of the two
-//! tiers on the hydro and matmul workloads (median-of-`--samples`
-//! wall time, bitwise cross-check before timing) and optionally
-//! writes a JSON report (`--json`). `--against FILE` compares the
+//! `bench-devsim` measures kernel-execution throughput of the bytecode
+//! VM against the tree-walking reference on the hydro and matmul
+//! workloads (median-of-`--samples` wall time, bitwise cross-check
+//! before timing) and optionally writes a JSON report (`--json`). `--against FILE` compares the
 //! fresh speedups with a previously committed report and exits
 //! nonzero if any workload regressed more than 10% below it.
 //!
@@ -216,7 +206,6 @@ const POSITIVE: &str = "a positive integer";
 const UNSIGNED: &str = "an unsigned integer";
 const FILE: &str = "a file path";
 const SCALES: &str = "smoke|quick|paper";
-const TIERS: &str = "tree|bytecode|both";
 const FAULT_SPEC: &str = "a fault spec (try `chaos`)";
 
 impl Args {
@@ -370,7 +359,6 @@ fn main() {
     let mut wanted: Vec<String> = Vec::new();
     let mut inject: Option<String> = None;
     let mut fault_seed: u64 = 0;
-    let mut tier = "bytecode".to_string();
     let mut state_dir: Option<String> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -382,7 +370,6 @@ fn main() {
             "--scale" => scale = args.parsed(&a, SCALES, scale_by_name),
             "--jobs" => jobs = args.parsed(&a, POSITIVE, positive),
             "--exp" => wanted.push(args.value(&a, "an experiment id")),
-            "--tier" => tier = args.value(&a, TIERS),
             "--passes" => {
                 let spec = args.value(&a, "a comma-separated pass list (try `default`)");
                 let pipeline = Pipeline::parse(&spec).unwrap_or_else(|e| die(&e));
@@ -396,7 +383,6 @@ fn main() {
     }
     let all = wanted.is_empty();
     let want = |id: &str| all || wanted.iter().any(|w| w == id);
-    let tier_both = apply_tier(&tier);
 
     if trace {
         paccport_trace::set_enabled(true);
@@ -446,12 +432,6 @@ fn main() {
     if check {
         let report = exp::check_soundness_on(&eng, &scale);
         print!("{}", report::render_soundness(&report));
-        let mut tiers_ok = true;
-        if tier_both {
-            let tr = paccport_core::tierdiff::tier_equivalence_on(eng.cache(), &scale);
-            print!("{}", tr.render());
-            tiers_ok = tr.ok();
-        }
         print!("{}", report::render_fault_ledger(&eng.quarantined()));
         if trace {
             eprintln!(
@@ -465,10 +445,6 @@ fn main() {
         tele_flush(false);
         if !report.all_consistent() || !report.lost_update_caught() {
             eprintln!("reproduce --check: soundness invariant violated");
-            std::process::exit(1);
-        }
-        if !tiers_ok {
-            eprintln!("reproduce --check: execution tiers diverged");
             std::process::exit(1);
         }
         return;
@@ -645,16 +621,6 @@ fn main() {
         );
     }
 
-    // `--tier both` on a figure run appends the same equivalence
-    // sweep `--check --tier both` performs (at the clamped functional
-    // sizes), sharing the engine's compile cache.
-    let mut tiers_ok = true;
-    if tier_both {
-        let tr = paccport_core::tierdiff::tier_equivalence_on(eng.cache(), &scale);
-        print!("{}", tr.render());
-        tiers_ok = tr.ok();
-    }
-
     // The fault ledger renders only when injection is configured, so
     // fault-free stdout is untouched.
     print!("{}", report::render_fault_ledger(&eng.quarantined()));
@@ -684,25 +650,6 @@ fn main() {
         }
         std::process::exit(1);
     }
-    if !tiers_ok {
-        eprintln!("reproduce: execution tiers diverged");
-        std::process::exit(1);
-    }
-}
-
-/// Parse `--tier` and set the process-wide default execution tier.
-/// Returns whether the caller should additionally run the two-tier
-/// equivalence sweep (`both`).
-fn apply_tier(name: &str) -> bool {
-    match name {
-        "both" => true,
-        _ => {
-            let t = paccport_devsim::ExecTier::parse(name)
-                .unwrap_or_else(|| die("--tier requires tree|bytecode|both"));
-            paccport_devsim::set_default_tier(t);
-            false
-        }
-    }
 }
 
 /// `reproduce conform [--programs N] [--seed S]` — differential
@@ -711,18 +658,13 @@ fn apply_tier(name: &str) -> bool {
 /// compiler quirk.
 fn conform(mut args: Args) {
     let (mut programs, mut seed): (u64, u64) = (50, 42);
-    let mut tier = "bytecode".to_string();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--programs" => programs = args.parsed(&a, UNSIGNED, num),
             "--seed" => seed = args.parsed(&a, UNSIGNED, num),
-            "--tier" => tier = args.value(&a, TIERS),
             flag => args.telemetry(flag),
         }
     }
-    // `both` keeps the matrix legs on the tree reference; the
-    // always-on `tier/bytecode` leg covers the comparison.
-    apply_tier(&tier);
     tele_validate();
     let report = paccport_conformance::run_conformance(programs, seed);
     print!("{}", report.render());
@@ -765,8 +707,9 @@ fn profile_cmd(mut args: Args) {
 }
 
 /// `reproduce bench-devsim [--seed S] [--samples N] [--json FILE]
-/// [--against FILE]` — kernel-execution throughput of the two devsim
-/// tiers, with a bitwise cross-check before any timing.
+/// [--against FILE]` — kernel-execution throughput of the bytecode VM
+/// against the tree-walking reference, with a bitwise cross-check
+/// before any timing.
 fn bench_devsim(mut args: Args) {
     let mut seed: u64 = 42;
     let mut samples: usize = 7;

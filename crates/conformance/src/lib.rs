@@ -35,8 +35,8 @@ pub mod rng;
 pub mod shrink;
 
 pub use driver::{
-    assert_conforms, assert_conforms_on, check_case, failure_of, run_conformance, shrink_failure,
-    Counterexample, FailKind, Failure, Leg, Outcome, Report,
+    assert_conforms, check_case, failure_of, run_conformance, shrink_failure, Counterexample,
+    FailKind, Failure, Leg, Outcome, Report,
 };
 pub use generate::{generate, Case};
 pub use oracle::{run_oracle, OracleOutput};

@@ -12,16 +12,15 @@
 //! to code that compiles.
 
 use crate::generate::Case;
-use paccport_devsim::{Buffer, ExecTier};
+use paccport_devsim::Buffer;
 use paccport_ir::expr::Expr;
 use paccport_ir::kernel::{Kernel, KernelBody, LoopClauses};
 use paccport_ir::stmt::{Block, Stmt};
 use paccport_ir::types::{Intent, MemSpace, Scalar};
 use paccport_ir::HostStmt;
 
-/// Render `case` as a self-contained `#[test]` fn that checks it on
-/// `tier`, the execution tier it failed on.
-pub fn case_to_test(case: &Case, tier: ExecTier) -> String {
+/// Render `case` as a self-contained `#[test]` fn that checks it.
+pub fn case_to_test(case: &Case) -> String {
     let p = &case.program;
     let mut s = String::new();
     s.push_str("#[test]\n#[allow(unused_imports, unused_variables)]\n");
@@ -29,8 +28,8 @@ pub fn case_to_test(case: &Case, tier: ExecTier) -> String {
         "fn conformance_regression_s{}_i{}() {{\n",
         case.seed, case.index
     ));
-    s.push_str("    use paccport_conformance::{assert_conforms_on, Case};\n");
-    s.push_str("    use paccport_devsim::{Buffer, ExecTier};\n");
+    s.push_str("    use paccport_conformance::{assert_conforms, Case};\n");
+    s.push_str("    use paccport_devsim::Buffer;\n");
     s.push_str("    use paccport_ir::builder::ProgramBuilder;\n");
     s.push_str("    use paccport_ir::expr::*;\n");
     s.push_str("    use paccport_ir::kernel::*;\n");
@@ -88,9 +87,7 @@ pub fn case_to_test(case: &Case, tier: ExecTier) -> String {
     }
     s.push_str("        ],\n");
     s.push_str("    };\n");
-    s.push_str(&format!(
-        "    assert_conforms_on(&case, ExecTier::{tier:?});\n"
-    ));
+    s.push_str("    assert_conforms(&case);\n");
     s.push_str("}\n");
     s
 }
@@ -449,8 +446,8 @@ mod tests {
     #[test]
     fn printed_test_mentions_every_array_and_param() {
         let case = generate(42, 0);
-        let src = case_to_test(&case, ExecTier::Bytecode);
-        assert!(src.contains("assert_conforms_on(&case, ExecTier::Bytecode)"));
+        let src = case_to_test(&case);
+        assert!(src.contains("assert_conforms(&case);"));
         assert!(src.contains("ProgramBuilder::new"));
         for pd in &case.program.params {
             assert!(
@@ -471,16 +468,6 @@ mod tests {
     #[test]
     fn printer_is_deterministic() {
         let case = generate(42, 3);
-        let tier = ExecTier::Tree;
-        assert_eq!(case_to_test(&case, tier), case_to_test(&case, tier));
-    }
-
-    #[test]
-    fn printed_test_pins_the_failing_tier() {
-        let case = generate(42, 1);
-        for tier in [ExecTier::Tree, ExecTier::Bytecode] {
-            let src = case_to_test(&case, tier);
-            assert!(src.contains(&format!("assert_conforms_on(&case, ExecTier::{tier:?});")));
-        }
+        assert_eq!(case_to_test(&case), case_to_test(&case));
     }
 }

@@ -45,7 +45,6 @@ pub mod serve;
 pub mod soundness;
 pub mod step5;
 pub mod study;
-pub mod tierdiff;
 
 pub use autotune::{autotune_distribution, default_candidates, Candidate, TuneOutcome};
 pub use coalesce::{Gate, Singleflight};

@@ -19,7 +19,7 @@
 //! are pure functions of the cell to begin with.
 
 use paccport_compilers::ArtifactCache;
-use paccport_devsim::{run, Buffer, ExecTier};
+use paccport_devsim::{run, Buffer};
 use paccport_trace::hash::{fnv1a64, FNV_BASIS};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -42,18 +42,16 @@ pub fn matrix(scale: &Scale) -> Vec<CheckCell> {
     built_matrix(scale).to_vec()
 }
 
-/// The matrix at `scale`, built once per process. Cells capture the
-/// default execution tier when built, so it is part of the key.
+/// The matrix at `scale`, built once per process.
 fn built_matrix(scale: &Scale) -> Arc<Vec<CheckCell>> {
-    type Built = ((Scale, ExecTier), Arc<Vec<CheckCell>>);
+    type Built = (Scale, Arc<Vec<CheckCell>>);
     static BUILT: Mutex<Vec<Built>> = Mutex::new(Vec::new());
-    let key = (*scale, paccport_devsim::default_tier());
     let mut built = BUILT.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((_, cells)) = built.iter().find(|(k, _)| *k == key) {
+    if let Some((_, cells)) = built.iter().find(|(k, _)| k == scale) {
         return Arc::clone(cells);
     }
     let cells = Arc::new(crate::experiments::soundness_cells(scale));
-    built.push((key, Arc::clone(&cells)));
+    built.push((*scale, Arc::clone(&cells)));
     cells
 }
 

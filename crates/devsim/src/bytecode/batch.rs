@@ -81,7 +81,7 @@
 //! [`interp::coerce`]: crate::interp
 
 use crate::interp::{self, V};
-use crate::memory::{Buffer, MemLoc};
+use crate::memory::{narrow_f32, Buffer, MemLoc};
 use crate::race::RaceTracker;
 use paccport_ir::expr::{BinOp, CmpOp, Expr, UnOp};
 use paccport_ir::kernel::{Kernel, KernelBody, ReduceOp};
@@ -1109,7 +1109,7 @@ fn walk<const VALIDATE: bool>(
                 match &mut bufs[array as usize] {
                     Buffer::F32(v) => {
                         for b in 0..bn {
-                            v[(base + stride * b as i64) as usize] = val(b) as f32;
+                            v[(base + stride * b as i64) as usize] = narrow_f32(val(b));
                         }
                     }
                     Buffer::F64(v) => {

@@ -180,9 +180,8 @@ pub enum Instr {
 }
 
 /// A flat instruction stream plus its charge-stripped twin (jump
-/// targets remapped). `stripped` is derived from `code`, so equality
-/// and the disassembly cover `code` only.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// targets remapped), derived from `code`.
+#[derive(Debug, Clone, Default)]
 pub struct CodeBlock {
     pub code: Vec<Instr>,
     pub stripped: Vec<Instr>,
@@ -234,7 +233,7 @@ fn strip_charges(code: &[Instr]) -> Vec<Instr> {
 ///
 /// Fragments share the temp register space, so a fragment's output
 /// must be consumed before the next fragment (or the body) runs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ExprFrag {
     pub block: CodeBlock,
     pub out: Reg,
@@ -243,14 +242,14 @@ pub struct ExprFrag {
 /// Compiled bounds of one parallel-loop level. Evaluated at nest-entry
 /// of that level, like the tree-walker: run `lo`, read it, then run
 /// `hi` (the fragments share temp registers).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LoopBounds {
     pub lo: ExprFrag,
     pub hi: ExprFrag,
 }
 
 /// Compiled kernel body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum BodyCode {
     Simple {
         block: CodeBlock,
@@ -277,21 +276,8 @@ pub struct KernelCode {
     pub bounds: Vec<LoopBounds>,
     pub body: BodyCode,
     /// Optional batched form of the innermost parallel loop (see
-    /// [`super::batch`]). Derived from the same kernel, so it is
-    /// deliberately excluded from equality — the disassembly
-    /// round-trip identity is about the instruction streams.
+    /// [`super::batch`]), derived from the same kernel.
     pub batch: Option<super::batch::BatchPlan>,
-}
-
-impl PartialEq for KernelCode {
-    fn eq(&self, other: &Self) -> bool {
-        self.kernel == other.kernel
-            && self.n_regs == other.n_regs
-            && self.n_vars == other.n_vars
-            && self.prelude == other.prelude
-            && self.bounds == other.bounds
-            && self.body == other.body
-    }
 }
 
 impl KernelCode {
@@ -957,9 +943,4 @@ pub fn compile_kernel(p: &Program, k: &Kernel) -> KernelCode {
         body,
         batch: super::batch::build(p, k),
     }
-}
-
-/// Compile every kernel of a program, in launch-site order.
-pub fn compile_program(p: &Program) -> Vec<KernelCode> {
-    p.kernels().iter().map(|k| compile_kernel(p, k)).collect()
 }

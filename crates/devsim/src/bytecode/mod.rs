@@ -1,4 +1,5 @@
-//! Compile-once bytecode execution tier.
+//! Compile-once bytecode execution tier: the interpreter every
+//! functional run in the product uses.
 //!
 //! The tree-walking interpreter in [`crate::interp`] re-traverses the
 //! statement/expression tree for every simulated thread; this module
@@ -9,7 +10,8 @@
 //!
 //! The contract, enforced by the conformance driver's `tier/bytecode`
 //! leg and the `tier_equivalence` suite, is **bitwise equality** with
-//! the tree-walker: identical output buffers (f64 bit patterns),
+//! the tree-walker, which is kept as the reference (see
+//! [`crate::tier`]): identical output buffers (f64 bit patterns),
 //! identical race-tracker logs, identical panics (message and
 //! evaluation step), identical watchdog charge counts. Shared
 //! arithmetic helpers and a side-effect-preserving lowering make this
@@ -17,11 +19,9 @@
 
 pub mod batch;
 pub mod compile;
-pub mod disasm;
 pub mod vm;
 
-pub use compile::{compile_kernel, compile_program, BodyCode, CodeBlock, Instr, KernelCode};
-pub use disasm::{disassemble, parse};
+pub use compile::{compile_kernel, BodyCode, CodeBlock, Instr, KernelCode};
 pub use vm::exec_kernel_bc;
 
 use crate::interp::{exec_kernel_traced, KernelFidelity, V};

@@ -4,9 +4,10 @@
 //! building (π's K40 GPU node and 5110P MIC node). This crate stands
 //! in for that test bed with two cooperating layers:
 //!
-//! 1. a **functional interpreter** ([`interp`]) that actually executes
-//!    every compiled kernel against typed buffers, so each benchmark
-//!    variant's *results* are validated against a native Rust
+//! 1. a **functional interpreter** ([`bytecode`], checked bitwise
+//!    against the tree-walking reference [`interp`]) that actually
+//!    executes every compiled kernel against typed buffers, so each
+//!    benchmark variant's *results* are validated against a native Rust
 //!    reference — including the deliberately wrong results of the
 //!    CAPS-reduction-on-MIC bug;
 //! 2. an **analytic timing model** ([`device`], [`timing`],
@@ -66,5 +67,5 @@ pub use memory::{Buffer, MemLoc, TransferLedger};
 pub use profile::render_profile;
 pub use race::{Race, RaceKind, RaceTracker, ThreadId};
 pub use runner::{run, Fidelity, KernelStat, RunConfig, RunResult};
-pub use tier::{default_tier, set_default_tier, ExecTier};
+pub use tier::ExecTier;
 pub use timing::{bw_fraction, compute_rate, kernel_launch_time, transfer_time, warp_efficiency};

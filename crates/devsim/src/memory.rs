@@ -38,6 +38,21 @@ impl MemLoc {
     }
 }
 
+/// Narrow an f64 to the f32 an `F32` buffer stores, with every NaN
+/// stored as the one canonical quiet NaN (`f32::NAN`). Rust leaves the
+/// sign and payload of a NaN produced by arithmetic or an `as` cast
+/// unspecified, so two execution paths computing the same NaN could
+/// otherwise store different bits.
+#[inline]
+pub fn narrow_f32(val: f64) -> f32 {
+    let x = val as f32;
+    if x.is_nan() {
+        f32::NAN
+    } else {
+        x
+    }
+}
+
 /// A typed, 1-D data buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Buffer {
@@ -118,10 +133,11 @@ impl Buffer {
         }
     }
 
-    /// Write element `i` from an f64 (narrowed per the element type).
+    /// Write element `i` from an f64 (narrowed per the element type;
+    /// see [`narrow_f32`]).
     pub fn set(&mut self, i: usize, val: f64) {
         match self {
-            Buffer::F32(v) => v[i] = val as f32,
+            Buffer::F32(v) => v[i] = narrow_f32(val),
             Buffer::F64(v) => v[i] = val,
             Buffer::I32(v) => v[i] = val as i32,
             Buffer::U32(v) => v[i] = val as u32,
@@ -230,6 +246,17 @@ mod tests {
         // …and signed zeros are told apart, unlike float `==`.
         assert_ne!(a.bits()[1], b.bits()[1]);
         assert_eq!(Buffer::I32(vec![-1]).bits(), vec![u32::MAX as u64]);
+    }
+
+    #[test]
+    fn f32_stores_canonicalize_nan() {
+        let mut b = Buffer::zeroed(Scalar::F32, 2);
+        b.set(0, f64::NAN);
+        b.set(1, -f64::NAN);
+        assert_eq!(b.bits(), vec![0x7fc0_0000; 2]);
+        // Infinities and signed zeros are values, not NaNs: kept.
+        assert_eq!(narrow_f32(f64::NEG_INFINITY), f32::NEG_INFINITY);
+        assert_eq!(narrow_f32(-0.0).to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

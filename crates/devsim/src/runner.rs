@@ -49,10 +49,9 @@ pub struct RunConfig {
     /// cell label). `None` falls back to the program name, so direct
     /// `run` callers still get per-program fault determinism.
     pub fault_scope: Option<String>,
-    /// Which interpreter executes kernels during functional runs.
-    /// Constructors pick up [`crate::tier::default_tier`], so a CLI
-    /// `--tier` flag reaches every internal construction site; use
-    /// [`RunConfig::with_tier`] to pin a tier explicitly.
+    /// Which interpreter executes kernels during functional runs: the
+    /// bytecode VM unless a test pins the tree-walking reference with
+    /// [`RunConfig::with_tier`].
     pub tier: ExecTier,
 }
 
@@ -65,7 +64,7 @@ impl RunConfig {
             hints: CostHints::default(),
             race_check: false,
             fault_scope: None,
-            tier: crate::tier::default_tier(),
+            tier: ExecTier::Bytecode,
         }
     }
 
@@ -77,7 +76,7 @@ impl RunConfig {
             hints: CostHints::default(),
             race_check: false,
             fault_scope: None,
-            tier: crate::tier::default_tier(),
+            tier: ExecTier::Bytecode,
         }
     }
 
@@ -154,6 +153,89 @@ impl RunResult {
     pub fn buffer<'a>(&'a self, c: &CompiledProgram, name: &str) -> Option<&'a Buffer> {
         let id = c.program.array_id(name)?;
         self.host.get(id.0 as usize)
+    }
+
+    /// First difference from `other` in any observable field, if any:
+    /// host buffers, race set, shadow-log access count, while-loop
+    /// iterations, transfer ledger, per-kernel stats and modeled
+    /// timings. Floats compare by bit pattern, never numerically, so
+    /// two execution tiers agree only if they agree bitwise.
+    pub fn diff(&self, other: &RunResult) -> Option<String> {
+        let (a, b) = (self, other);
+        if a.host.len() != b.host.len() {
+            return Some(format!("buffer count {} vs {}", a.host.len(), b.host.len()));
+        }
+        for (i, (ba, bb)) in a.host.iter().zip(&b.host).enumerate() {
+            let (wa, wb) = (ba.bits(), bb.bits());
+            if wa.len() != wb.len() {
+                return Some(format!("buffer {i} length {} vs {}", wa.len(), wb.len()));
+            }
+            if let Some(j) = (0..wa.len()).find(|&j| wa[j] != wb[j]) {
+                return Some(format!(
+                    "buffer {i}[{j}]: bits {:#018x} vs {:#018x}",
+                    wa[j], wb[j]
+                ));
+            }
+        }
+        if a.races != b.races {
+            return Some(format!("race sets differ: {:?} vs {:?}", a.races, b.races));
+        }
+        if a.race_accesses != b.race_accesses {
+            return Some(format!(
+                "shadow-logged access counts differ: {} vs {}",
+                a.race_accesses, b.race_accesses
+            ));
+        }
+        if a.while_iterations != b.while_iterations {
+            return Some(format!(
+                "while iterations {} vs {}",
+                a.while_iterations, b.while_iterations
+            ));
+        }
+        if a.transfers != b.transfers {
+            return Some(format!(
+                "transfer ledgers differ: {:?} vs {:?}",
+                a.transfers, b.transfers
+            ));
+        }
+        if a.transfers_outside_while != b.transfers_outside_while {
+            return Some("transfers outside while differ".into());
+        }
+        if a.any_known_wrong != b.any_known_wrong {
+            return Some(format!(
+                "known-wrong flags differ: {} vs {}",
+                a.any_known_wrong, b.any_known_wrong
+            ));
+        }
+        if a.kernel_stats.len() != b.kernel_stats.len() {
+            return Some("kernel stat counts differ".into());
+        }
+        for (sa, sb) in a.kernel_stats.iter().zip(&b.kernel_stats) {
+            if sa.name != sb.name
+                || sa.launches != sb.launches
+                || sa.ran_on_device != sb.ran_on_device
+                || sa.config_label != sb.config_label
+                || sa.device_time.to_bits() != sb.device_time.to_bits()
+            {
+                return Some(format!("kernel stats differ: {sa:?} vs {sb:?}"));
+            }
+        }
+        for (label, fa, fb) in [
+            ("elapsed", a.elapsed, b.elapsed),
+            ("kernel_time", a.kernel_time, b.kernel_time),
+            ("transfer_time_s", a.transfer_time_s, b.transfer_time_s),
+            ("host_time", a.host_time, b.host_time),
+            (
+                "transfers_per_while_iter",
+                a.transfers_per_while_iter,
+                b.transfers_per_while_iter,
+            ),
+        ] {
+            if fa.to_bits() != fb.to_bits() {
+                return Some(format!("{label}: {fa} vs {fb} (bit-level)"));
+            }
+        }
+        None
     }
 }
 

@@ -1,23 +1,19 @@
 //! Property tests for the bytecode execution tier.
 //!
-//! Three families, each driven by a seeded structural generator that
+//! Two families, each driven by a seeded structural generator that
 //! builds small but gnarly kernels (nested sequential loops, branches,
 //! selects, mixed f32/f64/int arithmetic, region reductions):
 //!
-//! 1. **Disassembler fixpoint** — `parse(disassemble(code)) == code`,
-//!    so the textual form is a lossless round-trip of the instruction
-//!    stream (including jump targets and the charge-stripped twin,
-//!    which the parser re-derives).
-//! 2. **Slot allocation** — variable register slots are injective per
+//! 1. **Slot allocation** — variable register slots are injective per
 //!    kernel, stay below `n_regs`, and `n_vars` matches the program
 //!    environment, so the flat register file can never alias two
 //!    distinct IR variables.
-//! 3. **Tier bit-equality** — executing the same kernel under the
+//! 2. **Tier bit-equality** — executing the same kernel under the
 //!    tree-walker and the bytecode VM produces bitwise-identical
 //!    output buffers (f64 bit patterns) and identical final variable
 //!    environments.
 
-use paccport_devsim::bytecode::{compile_kernel, disassemble, parse};
+use paccport_devsim::bytecode::compile_kernel;
 use paccport_devsim::interp::KernelFidelity;
 use paccport_devsim::{exec_kernel, exec_kernel_tiered, fresh_vars, Buffer, ExecTier, V};
 use paccport_ir::{
@@ -300,19 +296,6 @@ fn bits(v: Option<V>) -> Option<(u8, u64)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
-
-    /// compile → disassemble → parse is the identity on `KernelCode`.
-    #[test]
-    fn disassembly_fixpoint(seed in 0u64..600) {
-        let case = gen_case(seed);
-        for k in case.p.kernels() {
-            let code = compile_kernel(&case.p, k);
-            let text = disassemble(&code);
-            let back = parse(&text)
-                .unwrap_or_else(|e| panic!("parse failed for seed {seed}: {e}\n{text}"));
-            prop_assert_eq!(&back, &code, "round-trip mismatch for seed {}", seed);
-        }
-    }
 
     /// Variable slots are injective and in range; the register file is
     /// large enough for every program variable.
