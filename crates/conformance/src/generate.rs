@@ -33,7 +33,6 @@
 //! Every emitted program is gated by `paccport_ir::validate`; the
 //! generator retries (deterministically) on the rare invalid draw.
 
-use crate::rng::Rng;
 use paccport_devsim::Buffer;
 use paccport_ir::builder::ProgramBuilder;
 use paccport_ir::expr::{Expr, SpecialVar};
@@ -46,6 +45,7 @@ use paccport_ir::types::{ArrayId, Intent, LocalArrayDecl, MemSpace, ParamId, Sca
 use paccport_ir::{
     assign, for_, if_, if_else, ld, ld_local, let_, st, st_local, Dir, HostStmt, Program, E,
 };
+use paccport_trace::rng::Rng;
 
 /// One generated conformance test case: a program plus the concrete
 /// parameter values and input buffers it runs with.

@@ -31,8 +31,12 @@ pub mod driver;
 pub mod generate;
 pub mod oracle;
 pub mod printer;
-pub mod rng;
 pub mod shrink;
+
+/// The generator's seeded stream, re-exported from its one home.
+pub mod rng {
+    pub use paccport_trace::rng::Rng;
+}
 
 pub use driver::{
     assert_conforms, check_case, failure_of, run_conformance, shrink_failure, Counterexample,

@@ -6,11 +6,11 @@
 //! and the integration tests assert their shapes against the paper's
 //! findings.
 //!
-//! Every matrix-shaped generator comes in two forms: `figN_on(&Engine,
+//! Every generator that compiles takes an [`Engine`]: `figN_on(&eng,
 //! scale)` fans the cells out through the engine's worker pool and
-//! shared compile cache, and the original `figN(scale)` delegates to a
-//! fresh serial engine. Cell order (and therefore report output) is
-//! identical in both.
+//! shared compile cache. Cell order, and therefore report output, is
+//! the same for every worker count; `Engine::serial()` is the
+//! one-worker reference.
 
 use crate::engine::Engine;
 use crate::ppr::{PprComparison, PprEntry};
@@ -87,11 +87,6 @@ pub fn lud_variants() -> Vec<(String, VariantCfg)> {
 }
 
 /// Figure 3: elapsed time of LUD on GPU and MIC per optimization step.
-pub fn fig3_lud(scale: &Scale) -> ElapsedFigure {
-    fig3_lud_on(&Engine::serial(), scale)
-}
-
-/// [`fig3_lud`] through a shared engine.
 pub fn fig3_lud_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     let cfg = RunConfig::timing(vec![("n".into(), scale.lud_n as f64)], 1);
     let mut cells = Vec::new();
@@ -121,12 +116,9 @@ pub fn fig3_lud_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
 }
 
 /// Figure 4: the three thread-distribution heat maps for LUD.
-pub fn fig4_heatmaps(scale: &Scale) -> Vec<HeatMap> {
-    fig4_heatmaps_on(&Engine::serial(), scale)
-}
-
-/// [`fig4_heatmaps`] with the three sweeps batched on the engine (each
-/// sweep additionally parallelizes its own rows internally).
+///
+/// Batches the three sweeps on the engine (each sweep additionally
+/// parallelizes its own rows internally).
 pub fn fig4_heatmaps_on(eng: &Engine, scale: &Scale) -> Vec<HeatMap> {
     let gangs: Vec<u32> = vec![1, 32, 64, 128, 240, 256, 512, 1024];
     let workers: Vec<u32> = vec![1, 2, 4, 8, 16, 32, 64];
@@ -156,12 +148,9 @@ pub fn fig4_heatmaps_on(eng: &Engine, scale: &Scale) -> Vec<HeatMap> {
 }
 
 /// Figure 6: PTX instruction composition of LUD per step, CAPS vs PGI.
-pub fn fig6_lud_ptx(scale: &Scale) -> PtxFigure {
-    fig6_lud_ptx_on(&Engine::serial(), scale)
-}
-
-/// [`fig6_lud_ptx`] through a shared engine. The CAPS GPU cells reuse
-/// the artifacts fig. 3 compiled when both run on one engine.
+///
+/// The CAPS GPU cells reuse the artifacts fig. 3 compiled when both run
+/// on one engine.
 pub fn fig6_lud_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     let cfg = RunConfig::timing(vec![("n".into(), scale.lud_n.min(512) as f64)], 1);
     let mut cells = Vec::new();
@@ -226,11 +215,6 @@ pub fn ge_variants() -> Vec<(String, VariantCfg)> {
 }
 
 /// Figure 7: elapsed time of GE, including the OpenCL versions.
-pub fn fig7_ge(scale: &Scale) -> ElapsedFigure {
-    fig7_ge_on(&Engine::serial(), scale)
-}
-
-/// [`fig7_ge`] through a shared engine.
 pub fn fig7_ge_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     let cfg = RunConfig::timing(vec![("n".into(), scale.ge_n as f64)], 1);
     let mut cells = Vec::new();
@@ -299,11 +283,6 @@ pub fn fig8_advanced_config() -> String {
 }
 
 /// Figure 9: GE PTX composition with memcpy and kernel-launch rows.
-pub fn fig9_ge_ptx(scale: &Scale) -> PtxFigure {
-    fig9_ge_ptx_on(&Engine::serial(), scale)
-}
-
-/// [`fig9_ge_ptx`] through a shared engine.
 pub fn fig9_ge_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     let n = scale.ge_n.min(512) as f64;
     let cfg = RunConfig::timing(vec![("n".into(), n)], 1);
@@ -380,11 +359,6 @@ fn bfs_hints(scale: &Scale) -> CostHints {
 }
 
 /// Figure 10: elapsed time of BFS.
-pub fn fig10_bfs(scale: &Scale) -> ElapsedFigure {
-    fig10_bfs_on(&Engine::serial(), scale)
-}
-
-/// [`fig10_bfs`] through a shared engine.
 pub fn fig10_bfs_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     let cfg = bfs_cfg(scale);
     let mut cells = Vec::new();
@@ -423,11 +397,6 @@ pub fn fig10_bfs_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
 }
 
 /// Figure 11: BFS PTX composition (incl. the PGI stub discovery).
-pub fn fig11_bfs_ptx(scale: &Scale) -> PtxFigure {
-    fig11_bfs_ptx_on(&Engine::serial(), scale)
-}
-
-/// [`fig11_bfs_ptx`] through a shared engine.
 pub fn fig11_bfs_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     let cfg = bfs_cfg(scale);
     let mut cells = vec![CellSpec::new(
@@ -478,13 +447,9 @@ pub struct Table7Row {
 }
 
 /// Table VII: BFS execution modes and data transfers.
-pub fn tab7_bfs(scale: &Scale) -> Vec<Table7Row> {
-    tab7_bfs_on(&Engine::serial(), scale)
-}
-
-/// [`tab7_bfs`] through a shared engine. Its four cells are the same
-/// BFS GPU artifacts as fig. 10/11, so on a shared engine they are
-/// pure cache hits.
+///
+/// Its four cells are the same BFS GPU artifacts as fig. 10/11, so on a
+/// shared engine they are pure cache hits.
 pub fn tab7_bfs_on(eng: &Engine, scale: &Scale) -> Vec<Table7Row> {
     let cfg = bfs_cfg(scale);
     let mut cells = Vec::new();
@@ -565,11 +530,6 @@ pub fn bp_variants() -> Vec<(String, VariantCfg)> {
 }
 
 /// Figure 12: elapsed time of BP.
-pub fn fig12_bp(scale: &Scale) -> ElapsedFigure {
-    fig12_bp_on(&Engine::serial(), scale)
-}
-
-/// [`fig12_bp`] through a shared engine.
 pub fn fig12_bp_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     let cfg = bp_cfg(scale);
     let mut cells = Vec::new();
@@ -606,12 +566,9 @@ pub fn fig12_bp_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
 
 /// Figure 13: the shared-memory tree reduction, as lowered by the
 /// compilers for the `reduction` directive (rendered IR).
-pub fn fig13_reduction_listing() -> String {
-    fig13_reduction_listing_on(&Engine::serial())
-}
-
-/// [`fig13_reduction_listing`] compiling through the engine's cache —
-/// the same artifact fig. 12's Reduction cell uses.
+///
+/// Compiles through the engine's cache: the same artifact fig. 12's
+/// Reduction cell uses.
 pub fn fig13_reduction_listing_on(eng: &Engine) -> String {
     let mut vc = VariantCfg::independent();
     vc.reduction = true;
@@ -624,11 +581,6 @@ pub fn fig13_reduction_listing_on(eng: &Engine) -> String {
 }
 
 /// Figure 14: BP PTX composition.
-pub fn fig14_bp_ptx(scale: &Scale) -> PtxFigure {
-    fig14_bp_ptx_on(&Engine::serial(), scale)
-}
-
-/// [`fig14_bp_ptx`] through a shared engine.
 pub fn fig14_bp_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     let cfg = bp_cfg(scale);
     let mut cells = vec![CellSpec::new(
@@ -672,11 +624,6 @@ pub fn fig14_bp_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
 
 /// Figure 15: Hydro elapsed times — OpenCL vs CAPS OpenACC, GPU vs
 /// MIC, GCC vs Intel host compiler.
-pub fn fig15_hydro(scale: &Scale) -> ElapsedFigure {
-    fig15_hydro_on(&Engine::serial(), scale)
-}
-
-/// [`fig15_hydro`] through a shared engine.
 pub fn fig15_hydro_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     let cfg = hydro::timing_run_config(scale.hydro_n, scale.hydro_n, scale.hydro_steps);
     let mut cells = Vec::new();
@@ -735,12 +682,9 @@ pub fn fig15_hydro_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
 /// OpenCL versions across GPU and MIC, for GE, BFS, BP and Hydro
 /// (LUD is excluded, as in the paper: its OpenCL version uses a
 /// different algorithm).
-pub fn fig16_ppr(scale: &Scale) -> Vec<PprComparison> {
-    fig16_ppr_on(&Engine::serial(), scale)
-}
-
-/// [`fig16_ppr`] through a shared engine: 4 benchmarks × 4 timings
-/// (OpenACC/OpenCL × GPU/MIC) as one 16-cell batch.
+///
+/// Runs 4 benchmarks × 4 timings (OpenACC/OpenCL × GPU/MIC) as one
+/// 16-cell batch.
 pub fn fig16_ppr_on(eng: &Engine, scale: &Scale) -> Vec<PprComparison> {
     // GE: optimized (reorganized + independent) vs OpenCL baseline.
     // BP: optimized = independent (the reduction is wrong on MIC, so
@@ -842,12 +786,9 @@ pub struct ExtAutotuneRow {
 }
 
 /// Run extension 1 on LUD.
-pub fn ext1_autotune_vs_hand(scale: &Scale) -> Vec<ExtAutotuneRow> {
-    ext1_autotune_vs_hand_on(&Engine::serial(), scale)
-}
-
-/// [`ext1_autotune_vs_hand`] with the two device rows batched on the
-/// engine (each row's auto-tune search stays internal to its task).
+///
+/// Batches the two device rows on the engine (each row's auto-tune
+/// search stays internal to its task).
 pub fn ext1_autotune_vs_hand_on(eng: &Engine, scale: &Scale) -> Vec<ExtAutotuneRow> {
     use crate::autotune::{autotune_distribution, default_candidates};
     use crate::study::measure_cached;
@@ -910,11 +851,6 @@ pub struct ExtDataRegionRow {
 }
 
 /// Run extension 2 on LUD.
-pub fn ext2_data_regions(scale: &Scale) -> Vec<ExtDataRegionRow> {
-    ext2_data_regions_on(&Engine::serial(), scale)
-}
-
-/// [`ext2_data_regions`] through a shared engine.
 pub fn ext2_data_regions_on(eng: &Engine, scale: &Scale) -> Vec<ExtDataRegionRow> {
     let n = scale.lud_n.min(1024);
     let cfg = RunConfig::timing(vec![("n".into(), n as f64)], 1);
@@ -1174,13 +1110,9 @@ pub fn soundness_cells(scale: &Scale) -> Vec<CheckCell> {
 }
 
 /// Run the soundness check over the whole benchmark matrix.
-pub fn check_soundness(scale: &Scale) -> SoundnessReport {
-    check_soundness_on(&Engine::serial(), scale)
-}
-
-/// [`check_soundness`] with the cells fanned out through a shared
-/// engine. Row order is identical to the serial path (submission
-/// order is preserved by the engine).
+///
+/// Row order is the same for every worker count (the engine preserves
+/// submission order).
 pub fn check_soundness_on(eng: &Engine, scale: &Scale) -> SoundnessReport {
     let _g = paccport_trace::span("soundness.matrix");
     let cells = soundness_cells(scale);
@@ -1231,11 +1163,8 @@ pub fn check_soundness_on(eng: &Engine, scale: &Scale) -> SoundnessReport {
 /// Figure 1: shared-memory tiling (CUDA/OpenCL style) vs OpenACC
 /// tiling — returns `(shared_memory_ops_cuda_style, shared_memory_ops_openacc_tile)`.
 /// The paper's point: the OpenACC pair is always 0.
-pub fn fig1_tiling_shared_ops() -> (u64, u64) {
-    fig1_tiling_shared_ops_on(&Engine::serial())
-}
-
-/// [`fig1_tiling_shared_ops`] compiling through the engine's cache.
+///
+/// Compiles through the engine's cache.
 pub fn fig1_tiling_shared_ops_on(eng: &Engine) -> (u64, u64) {
     // CUDA-style: BP's hand-written OpenCL forward kernel stages
     // through __local memory.
@@ -1309,7 +1238,7 @@ mod tests {
 
     #[test]
     fn fig3_shape() {
-        let f = fig3_lud(&s());
+        let f = fig3_lud_on(&Engine::serial(), &s());
         // 4 variants × 3 series.
         assert_eq!(f.points.len(), 12);
         let base = f.get("CAPS-CUDA-K40", "Base").unwrap();
@@ -1324,7 +1253,7 @@ mod tests {
 
     #[test]
     fn fig6_shape() {
-        let f = fig6_lud_ptx(&s());
+        let f = fig6_lud_ptx_on(&Engine::serial(), &s());
         // PGI emits more PTX than CAPS for the same source (V-A3).
         let caps = f
             .bars
@@ -1361,14 +1290,14 @@ mod tests {
     #[test]
     fn tab2_and_fig1() {
         assert_eq!(tab2_dependence_demo(), (true, true));
-        let (cuda, acc) = fig1_tiling_shared_ops();
+        let (cuda, acc) = fig1_tiling_shared_ops_on(&Engine::serial());
         assert!(cuda > 0);
         assert_eq!(acc, 0);
     }
 
     #[test]
     fn fig16_shape() {
-        let ppr = fig16_ppr(&s());
+        let ppr = fig16_ppr_on(&Engine::serial(), &s());
         assert_eq!(ppr.len(), 4);
         for c in &ppr {
             assert!(

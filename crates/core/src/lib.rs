@@ -59,4 +59,4 @@ pub use profile::{profile_matrix_on, CellProfile, ProfileReport};
 pub use ptxcmp::{compare_steps, PtxBar, PtxFigure, StepVerdict};
 pub use soundness::{check_cell, CellCheck, CheckCell, SoundnessReport, SoundnessRow};
 pub use step5::{insert_data_regions, strip_data_regions};
-pub use study::{measure, measure_cached, CellSpec, ElapsedFigure, Measured, Scale};
+pub use study::{measure_cached, CellSpec, ElapsedFigure, Measured, Scale};

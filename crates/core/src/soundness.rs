@@ -21,7 +21,7 @@
 //!   reduction array and the two conflicting iterations.
 //!
 //! [`check_cell`] verifies one (program, compiler, device, input)
-//! cell; `crate::experiments::check_soundness` sweeps the full
+//! cell; `crate::experiments::check_soundness_on` sweeps the full
 //! benchmark matrix and `crate::report::render_soundness` prints the
 //! per-kernel table.
 

@@ -1,7 +1,7 @@
 //! Study orchestration: scales, measurement points and the helpers
 //! every figure generator shares.
 
-use paccport_compilers::{compile, ArtifactCache, CompileOptions, CompilerId};
+use paccport_compilers::{ArtifactCache, CompileOptions, CompilerId};
 use paccport_devsim::{run, RunConfig};
 use paccport_ptx::CategoryCounts;
 
@@ -145,22 +145,10 @@ impl CellSpec {
     }
 }
 
-/// Compile and run one program, collecting a [`Measured`] point.
-pub fn measure(
-    series: &str,
-    variant: &str,
-    compiler: CompilerId,
-    options: &CompileOptions,
-    program: &paccport_ir::Program,
-    cfg: &RunConfig,
-) -> Result<Measured, String> {
-    let c = compile(compiler, program, options).map_err(|e| e.to_string())?;
-    measure_compiled(series, variant, &c, cfg)
-}
-
-/// Like [`measure`], but compiling through a shared [`ArtifactCache`]
-/// so identical (program, options, device) artifacts are built once
-/// across the whole experiment matrix.
+/// Compile one program through a shared [`ArtifactCache`] and run it,
+/// collecting a [`Measured`] point. The cache builds identical
+/// (program, options, device) artifacts once across the whole
+/// experiment matrix.
 pub fn measure_cached(
     cache: &ArtifactCache,
     series: &str,
@@ -173,17 +161,7 @@ pub fn measure_cached(
     let c = cache
         .compile(compiler, program, options)
         .map_err(|e| e.to_string())?;
-    measure_compiled(series, variant, &c, cfg)
-}
-
-/// The run-and-collect half shared by the serial and cached paths.
-fn measure_compiled(
-    series: &str,
-    variant: &str,
-    c: &paccport_compilers::CompiledProgram,
-    cfg: &RunConfig,
-) -> Result<Measured, String> {
-    let r = run(c, cfg)?;
+    let r = run(&c, cfg)?;
     // Dominant kernel: the one with the most device time.
     let dominant = r
         .kernel_stats
@@ -311,7 +289,8 @@ mod tests {
     fn measure_produces_complete_points() {
         let p = lud::program(&VariantCfg::thread_dist(256, 16));
         let cfg = RunConfig::timing(vec![("n".into(), 256.0)], 1);
-        let m = measure(
+        let m = measure_cached(
+            &ArtifactCache::new(),
             "CAPS-CUDA-K40",
             "Dist(256,16)",
             CompilerId::Caps,

@@ -3,8 +3,8 @@
 //! Functional runs execute kernels on the bytecode VM
 //! ([`crate::bytecode`]). This tree-walker is the semantic reference
 //! the VM must match bitwise: only the conformance driver's
-//! `tier/bytecode` leg, tests and `bench-devsim` run it. It also holds
-//! the arithmetic helpers both interpreters share.
+//! `tier/bytecode` leg and tests run it. It also holds the arithmetic
+//! helpers both interpreters share.
 //!
 //! This is what makes the reproduction *checkable*: every benchmark
 //! variant — baseline, gridified, unrolled, tiled, reduction-lowered —

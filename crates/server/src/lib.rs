@@ -5,7 +5,7 @@
 //! JSON service over `std::net::TcpListener` that accepts requests
 //! naming a slice of the paper's benchmark matrix —
 //! `(benchmark × variant × target × scale × seed)` — and executes
-//! them on the shared work-stealing [`Engine`] against the shared
+//! them on the shared work-stealing [`Engine`] against its one
 //! [`ArtifactCache`].
 //!
 //! The serving layer adds what a batch run never needed:
@@ -124,8 +124,8 @@ pub struct Flight {
 
 struct Inner {
     cfg: ServerConfig,
+    /// Runs every cell; its artifact cache is the server's one cache.
     engine: Engine,
-    cache: ArtifactCache,
     flights: Singleflight<Flight>,
     /// Admitted connections, each with the queue depth it saw at
     /// admission (surfaced in the access log).
@@ -195,7 +195,6 @@ impl Server {
         paccport_trace::metrics::set_metrics_enabled(true);
         let inner = Arc::new(Inner {
             engine: Engine::new(cfg.jobs),
-            cache: ArtifactCache::new(),
             flights: Singleflight::new(),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -207,8 +206,9 @@ impl Server {
             next_ctx: AtomicU64::new(1),
             cfg,
         });
-        inner.cache.set_byte_cap(inner.cfg.cache_bytes);
-        inner.cache.set_tenant_quota(inner.cfg.tenant_quota);
+        let cache = inner.engine.cache();
+        cache.set_byte_cap(inner.cfg.cache_bytes);
+        cache.set_tenant_quota(inner.cfg.tenant_quota);
         let workers = (0..inner.cfg.workers.max(1))
             .map(|_| {
                 let inner = Arc::clone(&inner);
@@ -256,7 +256,7 @@ impl Server {
 
     /// The shared artifact cache (test observability).
     pub fn cache(&self) -> &ArtifactCache {
-        &self.inner.cache
+        self.inner.engine.cache()
     }
 
     /// The request-coalescing layer (test observability).
@@ -664,7 +664,7 @@ fn run_cells(
         .map(|cell| {
             let cell = cell.clone();
             let tenant = tenant.clone();
-            let cache = &inner.cache;
+            let cache = inner.engine.cache();
             (
                 format!("serve/{}", cell.label()),
                 move || -> Result<CellOutcome, String> {

@@ -26,6 +26,7 @@
 use paccport_trace::hash::{fnv1a64, FNV_BASIS};
 use paccport_trace::json::{escape, Json};
 use paccport_trace::metrics::{bucket_bound, Histogram};
+use paccport_trace::rng::Rng;
 
 use crate::http;
 
@@ -81,24 +82,6 @@ impl Default for LoadgenConfig {
     }
 }
 
-/// splitmix64: the same construction the proptest shim uses; cheap,
-/// seedable, and good enough to decorrelate schedule draws.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// One scheduled request: coordinates plus schedule metadata.
 struct Planned {
     step: u32,
@@ -133,7 +116,7 @@ fn plan(cfg: &LoadgenConfig) -> Result<Vec<Planned>, String> {
     if pool.is_empty() {
         return Err("empty experiment matrix".to_string());
     }
-    let mut rng = Rng(cfg.seed | 1);
+    let mut rng = Rng::new(cfg.seed | 1);
     let mut out = Vec::new();
     let mut prev: Option<(String, String, String)> = None;
     let mut counter = 0u32;
@@ -142,7 +125,7 @@ fn plan(cfg: &LoadgenConfig) -> Result<Vec<Planned>, String> {
             let coords = match &prev {
                 Some(p) if rng.unit() < cfg.dup_ratio => p.clone(),
                 _ => {
-                    let cell = &pool[(rng.next() as usize) % pool.len()];
+                    let cell = &pool[(rng.next_u64() as usize) % pool.len()];
                     (
                         cell.benchmark.clone(),
                         cell.variant.clone(),

@@ -75,6 +75,7 @@ pub mod export;
 pub mod hash;
 pub mod json;
 pub mod metrics;
+pub mod rng;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -91,10 +91,10 @@ fn heatmap_sweeps_agree() {
 fn cached_listing_matches_direct_compile() {
     assert_eq!(
         exp::fig13_reduction_listing_on(&Engine::new(JOBS)),
-        exp::fig13_reduction_listing(),
+        exp::fig13_reduction_listing_on(&Engine::serial()),
     );
     assert_eq!(
         exp::fig1_tiling_shared_ops_on(&Engine::new(JOBS)),
-        exp::fig1_tiling_shared_ops(),
+        exp::fig1_tiling_shared_ops_on(&Engine::serial()),
     );
 }

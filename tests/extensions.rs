@@ -3,7 +3,8 @@
 //! automatic data-region insertion.
 
 use paccport::compilers::{compile, CompileOptions, CompilerId};
-use paccport::core::experiments::{ext1_autotune_vs_hand, ext2_data_regions};
+use paccport::core::engine::Engine;
+use paccport::core::experiments::{ext1_autotune_vs_hand_on, ext2_data_regions_on};
 use paccport::core::study::Scale;
 use paccport::core::{insert_data_regions, strip_data_regions};
 use paccport::devsim::{run, Buffer, RunConfig};
@@ -15,7 +16,7 @@ use paccport::kernels::{compare_f32, lud, VariantCfg};
 fn autotune_rediscovers_the_papers_configurations() {
     let mut s = Scale::quick();
     s.lud_n = 1024;
-    let rows = ext1_autotune_vs_hand(&s);
+    let rows = ext1_autotune_vs_hand_on(&Engine::serial(), &s);
     assert_eq!(rows.len(), 2);
     let gpu = &rows[0];
     assert_eq!(gpu.device, "K40");
@@ -40,7 +41,7 @@ fn autotune_rediscovers_the_papers_configurations() {
 /// preserves results.
 #[test]
 fn step5_data_region_insertion() {
-    let rows = ext2_data_regions(&Scale::quick());
+    let rows = ext2_data_regions_on(&Engine::serial(), &Scale::quick());
     assert_eq!(rows.len(), 2);
     assert!(
         rows[0].transfers > 100,

@@ -4,6 +4,7 @@
 //! Each test names the claim and the section/figure it comes from, so
 //! a failure pinpoints which part of the reproduction drifted.
 
+use paccport::core::engine::Engine;
 use paccport::core::experiments as exp;
 use paccport::core::study::Scale;
 
@@ -16,7 +17,7 @@ fn scale() -> Scale {
 /// on GPU", and thread distribution bridges the gap.
 #[test]
 fn claim_lud_baseline_gap_and_fix() {
-    let f = exp::fig3_lud(&scale());
+    let f = exp::fig3_lud_on(&Engine::serial(), &scale());
     let caps_base = f.get("CAPS-CUDA-K40", "Base").unwrap().seconds;
     let pgi_base = f.get("PGI-K40", "Base").unwrap().seconds;
     let ratio = caps_base / pgi_base;
@@ -35,7 +36,7 @@ fn claim_lud_baseline_gap_and_fix() {
 /// tiling for CAPS improves the performance."
 #[test]
 fn claim_lud_unroll_and_tile_do_not_help() {
-    let f = exp::fig3_lud(&scale());
+    let f = exp::fig3_lud_on(&Engine::serial(), &scale());
     let dist = f.get("CAPS-CUDA-K40", "ThreadDist").unwrap().seconds;
     for v in ["Unroll", "Tile"] {
         let t = f.get("CAPS-CUDA-K40", v).unwrap().seconds;
@@ -54,7 +55,7 @@ fn claim_fig4_optima() {
     // A paper-sized matrix is needed for the memory-bound valley.
     let mut s = scale();
     s.lud_n = 2048;
-    let maps = exp::fig4_heatmaps(&s);
+    let maps = exp::fig4_heatmaps_on(&Engine::serial(), &s);
     assert_eq!(maps.len(), 3);
     let (gg, gw, _) = maps[0].best(); // CAPS-K40
     assert!(gw <= 32, "GPU worker optimum small, got {gw}");
@@ -72,7 +73,7 @@ fn claim_fig4_optima() {
 /// distribution changes no PTX.
 #[test]
 fn claim_fig6_ptx_composition() {
-    let f = exp::fig6_lud_ptx(&scale());
+    let f = exp::fig6_lud_ptx_on(&Engine::serial(), &scale());
     let caps = |v: &str| {
         f.bars
             .iter()
@@ -100,7 +101,7 @@ fn claim_fig6_ptx_composition() {
 /// OpenCL baseline; the Fig.-8 advanced NDRange is the fastest.
 #[test]
 fn claim_ge_fig7() {
-    let f = exp::fig7_ge(&scale());
+    let f = exp::fig7_ge_on(&Engine::serial(), &scale());
     let caps_base = f.get("CAPS-CUDA-K40", "Base").unwrap().seconds;
     let caps_indep = f.get("CAPS-CUDA-K40", "Indep").unwrap().seconds;
     assert!(caps_indep < caps_base / 20.0);
@@ -122,7 +123,7 @@ fn claim_ge_fig7() {
 /// thread row is 1x1, becoming 128x1 with independent.
 #[test]
 fn claim_ge_fig9_launches_and_threads() {
-    let f = exp::fig9_ge_ptx(&scale());
+    let f = exp::fig9_ge_ptx_on(&Engine::serial(), &scale());
     let bar = |label: &str| f.bars.iter().find(|b| b.label == label).unwrap();
     let n = scale().ge_n as u64 - 1;
     assert_eq!(bar("CAPS-CUDA-K40 / Base").launches, 3 * n);
@@ -150,7 +151,7 @@ fn claim_ge_fig9_launches_and_threads() {
 /// GPU; independent gives large speedups on both.
 #[test]
 fn claim_bfs_fig10() {
-    let f = exp::fig10_bfs(&scale());
+    let f = exp::fig10_bfs_on(&Engine::serial(), &scale());
     let caps_gpu_base = f.get("CAPS-CUDA-K40", "Base").unwrap();
     let caps_mic_base = f.get("CAPS-OCL-5110P", "Base").unwrap();
     assert!(
@@ -174,7 +175,7 @@ fn claim_bfs_fig10() {
 /// transfers 3 times per frontier iteration.
 #[test]
 fn claim_bfs_pgi_discovery_and_tab7() {
-    let f = exp::fig11_bfs_ptx(&scale());
+    let f = exp::fig11_bfs_ptx_on(&Engine::serial(), &scale());
     let pgi = f
         .bars
         .iter()
@@ -199,7 +200,7 @@ fn claim_bfs_pgi_discovery_and_tab7() {
         "CAPS CSE reduces global instructions"
     );
 
-    let rows = exp::tab7_bfs(&scale());
+    let rows = exp::tab7_bfs_on(&Engine::serial(), &scale());
     assert_eq!(rows[0].compiler, "CAPS");
     assert!(rows[0].data_transfers.contains("3 times in each iteration"));
     assert_eq!(rows[0].with_independent_mode, "Parallel mode");
@@ -213,7 +214,7 @@ fn claim_bfs_pgi_discovery_and_tab7() {
 /// no PTX; the OpenCL version is fastest on the GPU.
 #[test]
 fn claim_bp_reduction_story() {
-    let f = exp::fig14_bp_ptx(&scale());
+    let f = exp::fig14_bp_ptx_on(&Engine::serial(), &scale());
     let bar = |label: &str| f.bars.iter().find(|b| b.label == label).unwrap();
     use paccport::ptx::Category;
     for series in ["CAPS-CUDA-K40", "PGI-K40"] {
@@ -239,7 +240,7 @@ fn claim_bp_reduction_story() {
     // PGI ignores independent (Base and Indep bars identical).
     assert_eq!(bar("PGI-K40 / Base").counts, bar("PGI-K40 / Indep").counts);
 
-    let e = exp::fig12_bp(&scale());
+    let e = exp::fig12_bp_on(&Engine::serial(), &scale());
     let ocl = e.get("OCL-K40", "OCL").unwrap().seconds;
     let acc = e.get("CAPS-CUDA-K40", "Indep").unwrap().seconds;
     assert!(
@@ -255,7 +256,7 @@ fn claim_bp_reduction_story() {
 /// devices; ICC beats GCC; optimized GPU beats optimized MIC.
 #[test]
 fn claim_hydro_fig15() {
-    let f = exp::fig15_hydro(&scale());
+    let f = exp::fig15_hydro_on(&Engine::serial(), &scale());
     let bg = f.get("ACC-K40 (GCC)", "Base").unwrap().seconds;
     let og = f.get("ACC-K40 (GCC)", "Indep+Dist").unwrap().seconds;
     let om = f.get("ACC-5110P (GCC)", "Indep+Dist").unwrap().seconds;
@@ -272,7 +273,7 @@ fn claim_hydro_fig15() {
 /// some cases.
 #[test]
 fn claim_fig16_ppr() {
-    let rows = exp::fig16_ppr(&scale());
+    let rows = exp::fig16_ppr_on(&Engine::serial(), &scale());
     assert_eq!(rows.len(), 4);
     for c in &rows {
         assert!(
@@ -294,7 +295,7 @@ fn claim_fig16_ppr() {
 #[test]
 fn claim_tab2_fig1() {
     assert_eq!(exp::tab2_dependence_demo(), (true, true));
-    let (cuda_shared, acc_shared) = exp::fig1_tiling_shared_ops();
+    let (cuda_shared, acc_shared) = exp::fig1_tiling_shared_ops_on(&Engine::serial());
     assert!(cuda_shared > 0);
     assert_eq!(acc_shared, 0, "OpenACC tiling never touches shared memory");
 }

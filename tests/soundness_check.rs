@@ -4,13 +4,14 @@
 //! logging, and the detector's findings must agree with
 //! `analyze_loop`'s verdicts (what `reproduce --check` automates).
 
-use paccport::core::experiments::{check_soundness, soundness_cells};
+use paccport::core::engine::Engine;
+use paccport::core::experiments::{check_soundness_on, soundness_cells};
 use paccport::core::report::render_soundness;
 use paccport::core::study::Scale;
 
 #[test]
 fn benchmark_matrix_upholds_the_soundness_invariant() {
-    let rep = check_soundness(&Scale::smoke());
+    let rep = check_soundness_on(&Engine::serial(), &Scale::smoke());
 
     // Every cell compiled and ran.
     assert!(rep.failures.is_empty(), "{:?}", rep.failures);
@@ -71,7 +72,7 @@ fn benchmark_matrix_upholds_the_soundness_invariant() {
 
 #[test]
 fn caps_lost_update_on_mic_is_caught_as_a_write_write_race() {
-    let rep = check_soundness(&Scale::smoke());
+    let rep = check_soundness_on(&Engine::serial(), &Scale::smoke());
     assert!(rep.lost_update_caught());
 
     let demos: Vec<_> = rep.rows.iter().filter(|r| r.lost_update_demo).collect();
