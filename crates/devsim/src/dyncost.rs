@@ -255,23 +255,60 @@ impl TreeEval<'_> {
 /// Most sample points one launch averages over.
 const MAX_SAMPLES: usize = 9;
 
+/// How a kernel's launches are sampled: fixed by the kernel and its
+/// plan, so a run works it out once, at the kernel's first launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sampling {
+    /// How many outermost parallel loops are distributed (their
+    /// variables are sampled).
+    pub(crate) dist_rank: usize,
+    /// Whether a loop bound anywhere in the cost tree (through both
+    /// branch arms) reads a sampled variable. When none does, every
+    /// sample point costs the same.
+    bounds_vary: bool,
+}
+
+impl Sampling {
+    /// `dist_rank` is clamped to the kernel's loop count.
+    pub fn new(kernel: &Kernel, plan: &KernelPlan, dist_rank: usize) -> Sampling {
+        let dist_rank = dist_rank.min(kernel.loops.len());
+        Sampling {
+            dist_rank,
+            bounds_vary: bounds_read_any(&plan.cost, &kernel.loops[..dist_rank]),
+        }
+    }
+}
+
+fn bounds_read_any(t: &CostTree, loops: &[ParallelLoop]) -> bool {
+    t.kids.iter().any(|kid| match kid {
+        CostNode::Loop { lo, hi, body, .. } => {
+            loops
+                .iter()
+                .any(|lp| lo.uses_var(lp.var) || hi.uses_var(lp.var))
+                || bounds_read_any(body, loops)
+        }
+        CostNode::Branch { then, els } => {
+            bounds_read_any(then, loops) || bounds_read_any(els, loops)
+        }
+    })
+}
+
 /// Average per-parallel-iteration dynamic cost of a kernel launch.
 ///
 /// `env` binds the host variables currently in scope, one slot per
 /// program variable; the distributed loop variables are bound in it
-/// while sampling and restored before returning. `dist_rank` says how
-/// many parallel loops are distributed (their variables are sampled
-/// when the cost depends on them).
+/// while sampling and restored before returning.
 pub fn kernel_dyn_cost(
     kernel: &Kernel,
     plan: &KernelPlan,
-    dist_rank: usize,
+    sampling: Sampling,
     params: &[V],
     env: &mut [Option<f64>],
     hints: &CostHints,
 ) -> DynCost {
     let mut s = Sampler {
-        loops: &kernel.loops[..dist_rank.min(kernel.loops.len())],
+        loops: &kernel.loops[..sampling.dist_rank],
+        bounds_vary: sampling.bounds_vary,
         plan,
         params,
         hints,
@@ -291,9 +328,12 @@ pub fn kernel_dyn_cost(
 /// each loop variable takes `{lo, mid, hi-1}` (consecutive duplicates
 /// dropped) under the bindings of the loops outside it, and the cost
 /// tree is evaluated once per full binding, in lexicographic order,
-/// for the first [`MAX_SAMPLES`] of them.
+/// for the first [`MAX_SAMPLES`] of them. When no bound in the tree
+/// reads a sampled variable, the first evaluation is copied into the
+/// later slots: the walk, the count and the averaging stay the same.
 struct Sampler<'a> {
     loops: &'a [ParallelLoop],
+    bounds_vary: bool,
     plan: &'a KernelPlan,
     params: &'a [V],
     hints: &'a CostHints,
@@ -304,13 +344,17 @@ struct Sampler<'a> {
 impl Sampler<'_> {
     fn sample(&mut self, level: usize, env: &mut [Option<f64>]) {
         let Some(lp) = self.loops.get(level) else {
-            let mut ev = TreeEval {
-                kernel: &self.plan.kernel,
-                params: self.params,
-                hints: self.hints,
-                branch_idx: 0,
+            self.costs[self.n] = if self.n > 0 && !self.bounds_vary {
+                self.costs[0]
+            } else {
+                let mut ev = TreeEval {
+                    kernel: &self.plan.kernel,
+                    params: self.params,
+                    hints: self.hints,
+                    branch_idx: 0,
+                };
+                ev.eval(&self.plan.cost, env)
             };
-            self.costs[self.n] = ev.eval(&self.plan.cost, env);
             self.n += 1;
             return;
         };
@@ -428,7 +472,8 @@ mod tests {
             env[v.0 as usize] = Some(*x);
         }
         let before = env.clone();
-        let got = kernel_dyn_cost(kernel, plan, dist_rank, params, &mut env, hints);
+        let sampling = Sampling::new(kernel, plan, dist_rank);
+        let got = kernel_dyn_cost(kernel, plan, sampling, params, &mut env, hints);
         assert_eq!(
             bits(&got),
             bits(&want),
@@ -480,7 +525,7 @@ mod tests {
             kernel_dyn_cost(
                 kernel,
                 plan,
-                1,
+                Sampling::new(kernel, plan, 1),
                 &[V::I(nv)],
                 &mut unbound(&c.program),
                 &CostHints::default(),
@@ -518,7 +563,14 @@ mod tests {
         let plan = c.plan("guarded").unwrap();
         let kernel = c.program.kernel("guarded").unwrap();
         let cost_with = |h: CostHints| {
-            kernel_dyn_cost(kernel, plan, 1, &[V::I(64)], &mut unbound(&c.program), &h)
+            kernel_dyn_cost(
+                kernel,
+                plan,
+                Sampling::new(kernel, plan, 1),
+                &[V::I(64)],
+                &mut unbound(&c.program),
+                &h,
+            )
         };
         let dflt = cost_with(CostHints::default());
         let rare = cost_with(CostHints::default().with_branch("guarded", 0, 0.01));
@@ -554,7 +606,7 @@ mod tests {
             kernel_dyn_cost(
                 kernel,
                 plan,
-                1,
+                Sampling::new(kernel, plan, 1),
                 &[V::I(64)],
                 &mut unbound(&c.program),
                 &CostHints::default().with_trips("edges", t),
@@ -677,23 +729,22 @@ mod tests {
         assert!(checked.iter().all(|n| *n > 0), "{compilers:?}: {checked:?}");
     }
 
-    /// `out[i][j][k] += sum_{m in k..n} x[m]` over the triangular nest
-    /// `i in 0..n, j in i+1..n, k in j..n`: cost depends on every
-    /// distributed variable, a rank-3 sweep has more than nine
-    /// candidate points, and the empty `j` range at `i = n-1` collapses
-    /// to one point.
-    #[test]
-    fn rank3_triangular_nest_hits_the_sample_cap() {
+    /// The triangular nest of [`rank3_triangular_nest_hits_the_sample_cap`];
+    /// `independent` lets CAPS distribute it instead of serializing it.
+    fn tri3_program(independent: bool) -> Program {
         let mut b = ProgramBuilder::new("tri3");
         let n = b.iparam("n");
         let x = b.array("x", Scalar::F32, n, Intent::In);
         let out = b.array("out", Scalar::F32, n, Intent::InOut);
         let (i, j, k, m, s) = (b.var("i"), b.var("j"), b.var("k"), b.var("m"), b.var("s"));
-        let loops = vec![
+        let mut loops = vec![
             ParallelLoop::new(i, Expr::iconst(0), Expr::param(n)),
             ParallelLoop::new(j, (E::from(i) + 1i64).0, Expr::param(n)),
             ParallelLoop::new(k, Expr::var(j), Expr::param(n)),
         ];
+        for lp in &mut loops {
+            lp.clauses.independent = independent;
+        }
         let kern = Kernel::simple(
             "tri3",
             loops,
@@ -708,7 +759,17 @@ mod tests {
                 st(out, k, E::from(s)),
             ]),
         );
-        let p = b.finish(vec![HostStmt::Launch(kern)]);
+        b.finish(vec![HostStmt::Launch(kern)])
+    }
+
+    /// `out[i][j][k] += sum_{m in k..n} x[m]` over the triangular nest
+    /// `i in 0..n, j in i+1..n, k in j..n`: each inner bound names an
+    /// outer variable, a rank-3 sweep has more than nine
+    /// candidate points, and the empty `j` range at `i = n-1` collapses
+    /// to one point.
+    #[test]
+    fn rank3_triangular_nest_hits_the_sample_cap() {
+        let p = tri3_program(false);
         let c = compile(CompilerId::Caps, &p, &CompileOptions::gpu()).unwrap();
         let plan = c.plan("tri3").unwrap();
         let kernel = c.program.kernel("tri3").unwrap();
@@ -727,6 +788,177 @@ mod tests {
         for nv in [1, 2, 3] {
             sampled(3, nv);
         }
+    }
+
+    /// LUD's inner `k` loops are bounded by the host variable `i`, never
+    /// by the distributed `j`, and GE's kernels have no inner loops
+    /// outside the serialized ones bounded by the host `t`: every sample
+    /// point costs the same.
+    #[test]
+    fn lud_and_ge_bounds_do_not_read_the_sampled_variables() {
+        let mut reorg = VariantCfg::independent();
+        reorg.reorganized = true;
+        let programs = [
+            lud::program(&VariantCfg::baseline()),
+            lud::program(&VariantCfg::thread_dist(256, 16)),
+            gaussian::program(&VariantCfg::baseline()),
+            gaussian::program(&VariantCfg::independent()),
+            gaussian::program(&reorg),
+        ];
+        let mut checked = BTreeMap::new();
+        for p in &programs {
+            for id in [CompilerId::Caps, CompilerId::Pgi, CompilerId::OpenArc] {
+                for opts in [CompileOptions::gpu(), CompileOptions::mic()] {
+                    let Ok(c) = compile(id, p, &opts) else {
+                        continue; // PGI has no MIC back end
+                    };
+                    for k in c.program.kernels() {
+                        let plan = c.plan(&k.name).unwrap();
+                        let s = Sampling::new(k, plan, dist_rank_of(&plan.dist, k.rank()));
+                        assert!(!s.bounds_vary, "{id:?} {}: {s:?}", k.name);
+                        *checked.entry(k.name.clone()).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        let names: Vec<_> = checked.keys().map(String::as_str).collect();
+        assert_eq!(
+            names,
+            ["fan1", "fan2", "fan2a", "fan2b", "lud_col", "lud_row"]
+        );
+    }
+
+    /// Checks that `sampling` says the bounds vary, that the sampler
+    /// matches the reference over `samples` points, and that copying the
+    /// first point's cost instead would change the result.
+    fn assert_samples_differ(
+        p: &Program,
+        kernel: &Kernel,
+        plan: &KernelPlan,
+        sampling: Sampling,
+        samples: usize,
+    ) {
+        assert!(sampling.bounds_vary, "{}: {sampling:?}", kernel.name);
+        let rank = sampling.dist_rank;
+        let params = [V::I(64)];
+        let none = BTreeMap::new();
+        let hints = CostHints::default();
+        let n = assert_matches_reference(p, kernel, plan, rank, &params, &none, &hints);
+        assert_eq!(n, samples);
+        let (want, _) = reference_dyn_cost(
+            kernel,
+            plan,
+            rank,
+            &params,
+            &none,
+            &hints,
+            p.var_names.len(),
+        );
+        let copied = kernel_dyn_cost(
+            kernel,
+            plan,
+            Sampling {
+                bounds_vary: false,
+                ..sampling
+            },
+            &params,
+            &mut unbound(p),
+            &hints,
+        );
+        assert_ne!(bits(&copied), bits(&want), "{}", kernel.name);
+    }
+
+    /// `tri3`'s inner bounds read `j` and `k`. Serialized, its cost tree
+    /// rebinds them (the check is conservative); distributed, the
+    /// sampled values reach the `k` and `m` loops.
+    #[test]
+    fn triangular_bounds_read_the_sampled_variables() {
+        let c = compile(
+            CompilerId::Caps,
+            &tri3_program(false),
+            &CompileOptions::gpu(),
+        )
+        .unwrap();
+        let plan = c.plan("tri3").unwrap();
+        let kernel = c.program.kernel("tri3").unwrap();
+        for rank in [2, 3] {
+            assert!(Sampling::new(kernel, plan, rank).bounds_vary, "rank {rank}");
+        }
+        let none = Sampling::new(kernel, plan, 0);
+        assert_eq!(
+            none,
+            Sampling {
+                dist_rank: 0,
+                bounds_vary: false
+            }
+        );
+        assert_eq!(Sampling::new(kernel, plan, 7).dist_rank, 3, "clamped");
+
+        let c = compile(
+            CompilerId::Caps,
+            &tri3_program(true),
+            &CompileOptions::gpu(),
+        )
+        .unwrap();
+        let plan = c.plan("tri3").unwrap();
+        let kernel = c.program.kernel("tri3").unwrap();
+        assert_eq!(plan.exec, paccport_compilers::ExecStrategy::DeviceParallel);
+        let rank = dist_rank_of(&plan.dist, kernel.rank());
+        assert_eq!(rank, 2);
+        // i takes {0, 32, 63}, j three points unless its range is empty.
+        assert_samples_differ(
+            &c.program,
+            kernel,
+            plan,
+            Sampling::new(kernel, plan, rank),
+            7,
+        );
+    }
+
+    /// `if x[i] > 0 { for m in i..n { s += x[m] } }`: the distributed
+    /// `i` appears only in the bound of a loop inside a branch arm. The
+    /// check must see through the branch, and copying the first sample
+    /// instead would give a different cost.
+    #[test]
+    fn a_bound_inside_a_branch_arm_reads_the_sampled_variable() {
+        let mut b = ProgramBuilder::new("p");
+        let n = b.iparam("n");
+        let x = b.array("x", Scalar::F32, n, Intent::In);
+        let out = b.array("out", Scalar::F32, n, Intent::Out);
+        let (i, m, s) = (b.var("i"), b.var("m"), b.var("s"));
+        let mut lp = ParallelLoop::new(i, Expr::iconst(0), Expr::param(n));
+        lp.clauses.independent = true;
+        let k = Kernel::simple(
+            "tail",
+            vec![lp],
+            paccport_ir::Block::new(vec![
+                let_(s, Scalar::F32, 0.0),
+                paccport_ir::if_(
+                    ld(x, i).gt(0.0),
+                    vec![for_(
+                        m,
+                        E::from(i),
+                        E::from(n),
+                        vec![assign(s, E::from(s) + ld(x, m))],
+                    )],
+                ),
+                st(out, i, E::from(s)),
+            ]),
+        );
+        let p = b.finish(vec![HostStmt::Launch(k)]);
+        let c = compile(CompilerId::Caps, &p, &CompileOptions::gpu()).unwrap();
+        let plan = c.plan("tail").unwrap();
+        let kernel = c.program.kernel("tail").unwrap();
+        assert!(
+            plan.cost.kids.iter().all(|kid| matches!(
+                kid,
+                CostNode::Branch { then, .. }
+                    if matches!(then.kids.as_slice(), [CostNode::Loop { .. }])
+            )) && !plan.cost.kids.is_empty(),
+            "the loop sits inside a branch arm: {:?}",
+            plan.cost
+        );
+        assert_samples_differ(&c.program, kernel, plan, Sampling::new(kernel, plan, 1), 3);
     }
 
     /// A distributed loop whose bounds read memory (BFS-style edge

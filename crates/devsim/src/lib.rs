@@ -60,7 +60,7 @@ pub mod timing;
 
 pub use bytecode::{compile_kernel, exec_kernel_bc, exec_kernel_tiered, KernelCode};
 pub use device::{amd_firepro, host_cpu, k40, phi5110p, spec_for, DeviceSpec, ParallelUnit};
-pub use dyncost::{kernel_dyn_cost, CostHints, DynCost};
+pub use dyncost::{kernel_dyn_cost, CostHints, DynCost, Sampling};
 pub use heatmap::{sweep, HeatMap};
 pub use interp::{exec_kernel, exec_kernel_traced, fresh_vars, KernelFidelity, V};
 pub use memory::{Buffer, MemLoc, TransferLedger};
@@ -68,4 +68,6 @@ pub use profile::render_profile;
 pub use race::{Race, RaceKind, RaceTracker, ThreadId};
 pub use runner::{run, Fidelity, KernelStat, RunConfig, RunResult};
 pub use tier::ExecTier;
-pub use timing::{bw_fraction, compute_rate, kernel_launch_time, transfer_time, warp_efficiency};
+pub use timing::{
+    bw_fraction, compute_rate, kernel_launch_time, transfer_time, warp_efficiency, LaunchShape,
+};

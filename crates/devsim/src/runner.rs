@@ -4,16 +4,16 @@
 //! execution of every kernel so results can be validated.
 
 use crate::device::{host_cpu, spec_for, DeviceSpec};
-use crate::dyncost::{kernel_dyn_cost, CostHints, DynCost};
+use crate::dyncost::{kernel_dyn_cost, CostHints, DynCost, Sampling};
 use crate::interp::{exec_kernel_traced, fresh_vars, KernelFidelity, V};
 use crate::memory::{Buffer, TransferLedger};
 use crate::race::{Race, RaceTracker};
 use crate::tier::ExecTier;
-use crate::timing::{kernel_launch_time, transfer_time};
+use crate::timing::{kernel_launch_time, transfer_time, LaunchShape};
 use paccport_compilers::common::dist_rank_of;
 use paccport_compilers::lower::used_arrays;
 use paccport_compilers::{
-    CompiledProgram, Correctness, DistSpec, ExecStrategy, KernelPlan, TransferPolicy,
+    CompiledProgram, Correctness, DistSpec, ExecStrategy, KernelPlan, LaunchDims, TransferPolicy,
 };
 use paccport_ir::stmt::Stmt;
 use paccport_ir::types::MemSpace;
@@ -283,6 +283,10 @@ fn run_inner(c: &CompiledProgram, cfg: &RunConfig) -> Result<RunResult, String> 
 /// the kernel's first launch in a run and reused by every later one.
 struct Launched<'a> {
     plan: &'a KernelPlan,
+    sampling: Sampling,
+    /// The launch dimensions of the latest launch and their shape
+    /// terms, recomputed only when the dimensions change.
+    shape: Option<(LaunchDims, LaunchShape)>,
     /// Global arrays the kernel reads or writes, ascending, each
     /// flagged when read.
     touched: Vec<(ArrayId, bool)>,
@@ -743,6 +747,8 @@ impl<'a> Runner<'a> {
                 let (reads, writes) = kernel_reads_writes(k);
                 self.kernels.push(Launched {
                     plan,
+                    sampling: Sampling::new(k, plan, dist_rank_of(&plan.dist, k.rank())),
+                    shape: None,
                     touched: reads
                         .union(&writes)
                         .map(|a| (*a, reads.contains(a)))
@@ -760,7 +766,7 @@ impl<'a> Runner<'a> {
                 self.kernels.len() - 1
             }
         };
-        let plan = self.kernels[idx].plan;
+        let Launched { plan, sampling, .. } = self.kernels[idx];
         // Evaluate loop extents with host variables.
         let mut extents = std::mem::take(&mut self.extents);
         extents.clear();
@@ -769,7 +775,6 @@ impl<'a> Runner<'a> {
             let hi = self.try_eval_host_f(&lp.hi).unwrap_or(lo);
             extents.push((hi - lo).max(0.0) as u64);
         }
-        let dist_rank = dist_rank_of(&plan.dist, k.rank());
         let dims = plan.dist.launch_dims(&extents);
         // Serialized executions carry a cost tree that already covers
         // the whole nest (rank-0 lowering), so the multiplier is 1.
@@ -786,10 +791,10 @@ impl<'a> Runner<'a> {
                 }
                 DistSpec::Grouped { .. } => dims.total_threads(),
                 _ => {
-                    if dist_rank == 0 {
+                    if sampling.dist_rank == 0 {
                         1
                     } else {
-                        extents.iter().take(dist_rank).product()
+                        extents.iter().take(sampling.dist_rank).product()
                     }
                 }
             }
@@ -798,12 +803,28 @@ impl<'a> Runner<'a> {
         let per_iter: DynCost = kernel_dyn_cost(
             k,
             plan,
-            dist_rank,
+            sampling,
             &self.params,
             &mut self.env,
             &self.cfg.hints,
         );
-        let t = kernel_launch_time(&self.spec, &self.host_spec, plan, &dims, n_par, &per_iter);
+        let shape = match self.kernels[idx].shape {
+            Some((last, shape)) if last == dims => shape,
+            _ => {
+                let shape = LaunchShape::new(&self.spec, &dims);
+                self.kernels[idx].shape = Some((dims, shape));
+                shape
+            }
+        };
+        let t = kernel_launch_time(
+            &self.spec,
+            &self.host_spec,
+            plan,
+            &dims,
+            &shape,
+            n_par,
+            &per_iter,
+        );
         let on_device = plan.exec != ExecStrategy::HostSequential;
         if on_device {
             self.kernel_time += t;

@@ -73,8 +73,30 @@ pub fn bw_fraction(spec: &DeviceSpec, dims: &LaunchDims) -> f64 {
     ramp * shape
 }
 
+/// The launch-shape terms of the roofline: [`warp_efficiency`],
+/// [`compute_rate`] and [`bw_fraction`]. Each is a pure function of the
+/// device and the launch dimensions, so a kernel relaunched with the
+/// same `dims` can reuse them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaunchShape {
+    warp_efficiency: f64,
+    compute_rate: f64,
+    bw_fraction: f64,
+}
+
+impl LaunchShape {
+    pub fn new(spec: &DeviceSpec, dims: &LaunchDims) -> LaunchShape {
+        LaunchShape {
+            warp_efficiency: warp_efficiency(spec, dims),
+            compute_rate: compute_rate(spec, dims),
+            bw_fraction: bw_fraction(spec, dims),
+        }
+    }
+}
+
 /// Modeled time of one kernel launch.
 ///
+/// * `shape` — [`LaunchShape::new`] of `spec` and `dims`.
 /// * `n_par` — number of parallel iterations the cost tree is "per"
 ///   (the distributed-iteration count; 1 for fully serialized runs).
 /// * `per_iter` — averaged dynamic cost per parallel iteration.
@@ -84,6 +106,7 @@ pub fn kernel_launch_time(
     host: &DeviceSpec,
     plan: &KernelPlan,
     dims: &LaunchDims,
+    shape: &LaunchShape,
     n_par: u64,
     per_iter: &DynCost,
 ) -> f64 {
@@ -92,7 +115,7 @@ pub fn kernel_launch_time(
     // resident-thread occupancy — the divergence/occupancy numbers a
     // real profiler would report for this launch shape.
     if paccport_trace::metrics::metrics_enabled() && plan.exec == ExecStrategy::DeviceParallel {
-        let eff = warp_efficiency(spec, dims);
+        let eff = shape.warp_efficiency;
         let units = parallel_units(spec, dims);
         let occupancy = (units.min(spec.max_concurrent_threads as f64)
             / spec.max_concurrent_threads as f64)
@@ -116,8 +139,8 @@ pub fn kernel_launch_time(
             total_issue / spec.single_thread_ips + spec.launch_overhead_s
         }
         ExecStrategy::DeviceParallel => {
-            let compute = total_issue / compute_rate(spec, dims);
-            let mem = total_bytes / (spec.mem_bw * bw_fraction(spec, dims));
+            let compute = total_issue / shape.compute_rate;
+            let mem = total_bytes / (spec.mem_bw * shape.bw_fraction);
             compute.max(mem) + spec.launch_overhead_s
         }
     };
@@ -155,6 +178,19 @@ mod tests {
         }
     }
 
+    /// One launch with its shape computed on the spot.
+    fn launch_time(
+        spec: &DeviceSpec,
+        host: &DeviceSpec,
+        plan: &KernelPlan,
+        dims: &LaunchDims,
+        n_par: u64,
+        per_iter: &DynCost,
+    ) -> f64 {
+        let shape = LaunchShape::new(spec, dims);
+        kernel_launch_time(spec, host, plan, dims, &shape, n_par, per_iter)
+    }
+
     fn cost(instr: f64, ldst: f64) -> DynCost {
         let mut c = CategoryCounts::default();
         c.add_n(Category::Arithmetic, instr as u64);
@@ -171,8 +207,8 @@ mod tests {
         let seq = plan(ExecStrategy::DeviceSequential);
         let dims_par = DistSpec::PgiAuto { vector: 128 }.launch_dims(&[n]);
         let dims_seq = DistSpec::Sequential.launch_dims(&[n]);
-        let t_par = kernel_launch_time(&gpu, &host, &par, &dims_par, n, &per);
-        let t_seq = kernel_launch_time(&gpu, &host, &seq, &dims_seq, n, &per);
+        let t_par = launch_time(&gpu, &host, &par, &dims_par, n, &per);
+        let t_seq = launch_time(&gpu, &host, &seq, &dims_seq, n, &per);
         let speedup = t_seq / t_par;
         assert!(
             speedup > 300.0 && speedup < 30000.0,
@@ -188,8 +224,8 @@ mod tests {
         let per = cost(50.0, 4.0);
         let seq = plan(ExecStrategy::DeviceSequential);
         let dims = DistSpec::Sequential.launch_dims(&[1 << 20]);
-        let t_gpu = kernel_launch_time(&gpu, &host, &seq, &dims, 1 << 20, &per);
-        let t_mic = kernel_launch_time(&mic, &host, &seq, &dims, 1 << 20, &per);
+        let t_gpu = launch_time(&gpu, &host, &seq, &dims, 1 << 20, &per);
+        let t_mic = launch_time(&mic, &host, &seq, &dims, 1 << 20, &per);
         assert!(
             t_mic < t_gpu,
             "sequential code must run faster on MIC ({t_mic} vs {t_gpu})"
@@ -209,7 +245,7 @@ mod tests {
         let t = |worker: u32| {
             let d = DistSpec::GangWorker { gang: 256, worker };
             let dims = d.launch_dims(&[n]);
-            kernel_launch_time(&gpu, &host, &par, &dims, n, &per)
+            launch_time(&gpu, &host, &par, &dims, n, &per)
         };
         let t8 = t(8);
         let t16 = t(16);
@@ -239,8 +275,8 @@ mod tests {
         let p = plan(ExecStrategy::HostSequential);
         let dims = DistSpec::Sequential.launch_dims(&[1]);
         let per = cost(100.0, 0.0);
-        let tg = kernel_launch_time(&gpu, &hostg, &p, &dims, 1 << 20, &per);
-        let ti = kernel_launch_time(&gpu, &hosti, &p, &dims, 1 << 20, &per);
+        let tg = launch_time(&gpu, &hostg, &p, &dims, 1 << 20, &per);
+        let ti = launch_time(&gpu, &hosti, &p, &dims, 1 << 20, &per);
         assert!(ti < tg);
     }
 
@@ -260,9 +296,9 @@ mod tests {
         let mut p = plan(ExecStrategy::DeviceParallel);
         let dims = DistSpec::PgiAuto { vector: 128 }.launch_dims(&[1 << 16]);
         let per = cost(20.0, 2.0);
-        let t1 = kernel_launch_time(&gpu, &host, &p, &dims, 1 << 16, &per);
+        let t1 = launch_time(&gpu, &host, &p, &dims, 1 << 16, &per);
         p.perf_penalty = 128.0;
-        let t2 = kernel_launch_time(&gpu, &host, &p, &dims, 1 << 16, &per);
+        let t2 = launch_time(&gpu, &host, &p, &dims, 1 << 16, &per);
         assert!((t2 / t1 - 128.0).abs() < 1e-6);
     }
 }

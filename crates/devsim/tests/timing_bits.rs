@@ -3,7 +3,9 @@
 //! Every `f64` the model produces for a fixed set of paper cells at
 //! quick scale (`n = 512`) is pinned by its IEEE-754 bit pattern: the
 //! Fig. 3 LUD ladder, the corner cells of the three Fig. 4 heat maps
-//! (1×1, 256×16, 1024×64) and the Fig. 7 GE ladder. Any change to the
+//! (1×1, 256×16, 1024×64), the Fig. 7 GE ladder and the OpenARC LUD
+//! cells of the auto-tuning extension (hand `thread_dist(256, 16)` and
+//! the baseline it tunes, on both devices). Any change to the
 //! launch path — plan lookup, sampling order, summation order — that
 //! moves a single bit of a modeled time fails here, even where the
 //! rendered figures (three decimals) would not show it.
@@ -142,6 +144,30 @@ fn fig7() -> Vec<String> {
     out
 }
 
+/// Extension 1 compiles LUD only with OpenARC: the hand-distributed
+/// cell and the baseline the auto-tuner starts from, on both devices.
+fn ext1() -> Vec<String> {
+    let mut out = Vec::new();
+    for (variant, vc) in [
+        ("Hand", VariantCfg::thread_dist(256, 16)),
+        ("Base", VariantCfg::baseline()),
+    ] {
+        let p = lud::program(&vc);
+        for (s, opts) in [
+            ("OpenARC-K40", CompileOptions::gpu()),
+            ("OpenARC-5110P", CompileOptions::mic()),
+        ] {
+            out.push(render(
+                &format!("ext1 {s}/{variant}"),
+                CompilerId::OpenArc,
+                &opts,
+                &p,
+            ));
+        }
+    }
+    out
+}
+
 /// The model's outputs for every cell, as bit patterns. A change to the
 /// launch path must leave each one intact; only a deliberate change to
 /// the model itself may rewrite this table.
@@ -186,6 +212,10 @@ const GOLDEN: &[&str] = &[
     "fig7 OCL-5110P/OCL-Base elapsed=3fab42bf9d584d60 kernel=3fab012e06005258 transfer=3f406465d5fec1eb host=0000000000000000 fan1:511:3f87bc39ac9f0513 fan2:511:3fa5121f9ad89168",
     "fig7 OCL-K40/OCL-Advanced elapsed=3f88cd9ea2b17bce kernel=3f87fcd80fff4bd4 transfer=3f3a18d25645ff35 host=0000000000000000 fan1:511:3f70f210d1a195a2 fan2:511:3f7f079f4e5d01fd",
     "fig7 OCL-5110P/OCL-Advanced elapsed=3f9ff99347050396 kernel=3f9f767018550d87 transfer=3f406465d5fec1eb host=0000000000000000 fan1:511:3f8670d555318abd fan2:511:3f943e056dbc4831",
+    "ext1 OpenARC-K40/Hand elapsed=3f85541952d16497 kernel=3f8490439a173ddf transfer=3f387ab71744d70b host=0000000000000000 lud_row:512:3f748f77ff9cc5c5 lud_col:512:3f74910f3491b5ea",
+    "ext1 OpenARC-5110P/Hand elapsed=3f953aaef05823d8 kernel=3f94c23f162c532d transfer=3f3e1bf68af42ad9 host=0000000000000000 lud_row:512:3f84beda293a196e lud_col:512:3f84c5a4031e8cf8",
+    "ext1 OpenARC-K40/Base elapsed=3f8680f8f5e9e38c kernel=3f85bd233d2fbcd4 transfer=3f387ab71744d70b host=0000000000000000 lud_row:512:3f75be67a4ceb479 lud_col:512:3f75bbded590c534",
+    "ext1 OpenARC-5110P/Base elapsed=3f99dec384863b1d kernel=3f996653aa5a6a72 transfer=3f3e1bf68af42ad9 host=0000000000000000 lud_row:512:3f891357cb98f022 lud_col:512:3f89b94f891be4ac",
 ];
 
 #[test]
@@ -194,6 +224,7 @@ fn modeled_times_are_bit_identical_to_the_golden_cells() {
         .into_iter()
         .chain(fig4_corners())
         .chain(fig7())
+        .chain(ext1())
         .collect();
     assert_eq!(got.len(), GOLDEN.len());
     for (got, want) in got.iter().zip(GOLDEN) {

@@ -13,11 +13,16 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Upper bound on a request body; larger bodies are refused with 413.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
 /// Upper bound on the request line + headers together.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+/// The read timeout the server sets on every accepted socket: a read
+/// of the request that waits longer is answered 408, so a silent
+/// client cannot hold a worker.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A parsed inbound request. Header names are lowercased at parse
 /// time; values keep their bytes.
@@ -57,8 +62,23 @@ impl Refusal {
 
 /// Read one request off the connection. The outer `io::Result` is
 /// transport failure (peer vanished — just drop the connection); the
-/// inner result is a protocol refusal to answer with a 4xx.
+/// inner result is a protocol refusal to answer with a 4xx, including
+/// a 408 when a read outlasts the socket's read timeout.
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, Refusal>> {
+    match read_request_inner(stream) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            Ok(Err(Refusal::new(408, "timed out waiting for the request")))
+        }
+        r => r,
+    }
+}
+
+fn read_request_inner(stream: &mut TcpStream) -> io::Result<Result<Request, Refusal>> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let mut head_bytes = 0usize;
@@ -148,6 +168,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",

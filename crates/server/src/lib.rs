@@ -382,6 +382,9 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
     if let Some(gate) = &inner.cfg.request_gate {
         gate.pass();
     }
+    if stream.set_read_timeout(Some(http::READ_TIMEOUT)).is_err() {
+        return;
+    }
     let (route, handled) = match http::read_request(&mut stream) {
         Ok(Ok(req)) => {
             let route: &str = match (req.method.as_str(), req.path.as_str()) {

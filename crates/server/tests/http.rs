@@ -232,6 +232,45 @@ fn backpressure_answers_429_with_retry_after() {
 }
 
 #[test]
+fn a_silent_client_times_out_without_stalling_the_server() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+    // One worker, parked at the gate until it holds the silent socket.
+    let request_gate = Gate::new();
+    let (server, addr) = start(ServerConfig {
+        workers: 1,
+        request_gate: Some(request_gate.clone()),
+        ..Default::default()
+    });
+    let mut silent = TcpStream::connect(&addr).unwrap();
+    request_gate.wait_parked(1);
+    request_gate.open();
+    let start = Instant::now();
+    let mut probe = TcpStream::connect(&addr).unwrap();
+    probe
+        .write_all(format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
+        .unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let health = http::read_response(&mut probe).expect("/healthz answers within 5 s");
+    assert_eq!(health.status, 200);
+    assert!(start.elapsed() < Duration::from_secs(5));
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let refused = http::read_response(&mut silent).expect("the silent socket is answered");
+    assert_eq!(refused.status, 408, "{}", refused.body);
+    assert!(
+        refused.body.contains("timed out waiting"),
+        "{}",
+        refused.body
+    );
+    stop(server);
+}
+
+#[test]
 fn shutdown_drains_gracefully() {
     let (server, addr) = start(ServerConfig::default());
     let warm = "{\"benchmark\":\"LUD\",\"variant\":\"Base\",\
