@@ -243,7 +243,8 @@ fn pass_pipelines() -> Vec<(String, Pipeline)> {
     out
 }
 
-/// The tenth leg: execute the CAPS/K40 compilation of the case under
+/// The tier-equivalence leg, run after every compiler, transform and
+/// pass leg: execute the CAPS/K40 compilation of the case under
 /// both execution tiers — tree-walker and bytecode VM — with the race
 /// detector shadow-logging, and require the *entire* observable run
 /// state to agree bitwise: every host buffer (f64 bit patterns), the

@@ -1,18 +1,22 @@
-//! Batched lane execution of the innermost parallel loop.
+//! Batched lane execution: a simple kernel's innermost parallel loop,
+//! or one phase of a work-group kernel across the group's lanes.
 //!
 //! The scalar VM still dispatches one instruction per value per lane;
 //! for the hot kernels that cost is the whole runtime. This module
-//! compiles a *second* form of a simple kernel's body — a straight
-//! batch program over the entire innermost iteration space — executed
-//! once per inner loop instead of once per lane.
+//! compiles a *second* form of a kernel body — a straight batch program
+//! over all its lanes — executed once instead of once per lane: once
+//! per innermost loop of a simple kernel ([`build`], [`run_batch`]),
+//! once per phase and work-group of a grouped one ([`build_phases`],
+//! [`run_group_phase`]).
 //!
 //! Values are classified at compile time:
 //!
 //! * **S** — lane-invariant scalars (one [`V`] slot, computed once);
 //! * **A** — affine lane integers `base + stride·lane` (one `(i64,
 //!   i64)` pair — never materialized per lane);
-//! * **LF/LB** — genuinely lane-varying floats / bools, held in flat
-//!   vectors and processed by tight per-op loops.
+//! * **LF/LB/LI** — genuinely lane-varying floats / bools / integers
+//!   (`affine % scalar` and whatever integer arithmetic follows), held
+//!   in flat vectors and processed by tight per-op loops.
 //!
 //! The "hoisting of loop-invariant operand resolution" happens in this
 //! classification: a scalar operand of a float lane op is `as_f()`'d
@@ -26,14 +30,18 @@
 //! the float path where a lane operand is *guaranteed* tag-`F`, etc.).
 //! Reordering effects across lanes is handled by construction:
 //!
-//! * a scatter to an array the batch also accesses otherwise carries a
-//!   [`Guard`], checked at runtime per batch: against every other
-//!   access to the array it must hit the *same* affine index with a
-//!   nonzero stride (every lane then owns a disjoint slice), a
+//! * a scatter to a global array the batch also accesses otherwise
+//!   carries a [`Guard`], checked at runtime per batch: against every
+//!   other access to the array it must hit the *same* affine index
+//!   with a nonzero stride (every lane then owns a disjoint slice), a
 //!   disjoint element range (a scalar-indexed load is the range of
 //!   one element), or be performed by the same single lane, so
 //!   lane-major and op-major orders touch each element in the same
 //!   sequence;
+//! * a scatter to a work-group's local array gets the exact per-element
+//!   [`Owner`] check instead: no element one lane writes may be touched
+//!   by another lane (a tree-reduction step's interleaved reads and
+//!   writes pass it; their ranges overlap);
 //! * every panic the tree-walker could raise mid-batch (bounds,
 //!   integer division by zero, undefined variable reads, parameter
 //!   and host-variable type confusion) is detected by a **validation
@@ -45,45 +53,65 @@
 //! * the validation walk also counts the watchdog steps the lanes take
 //!   (one per statement and lane, like the tree-walker's charge: a
 //!   [`BOp::Step`], or a [`BOp::StepIf`] for the lanes taking an `If`
-//!   arm); the whole batch is charged at once, and a budget that would
-//!   run out mid-batch falls back so the scalar VM trips at the exact
-//!   statement.
+//!   arm or a masked loop's trip); the whole batch is charged at once,
+//!   and a budget that would run out mid-batch falls back so the
+//!   scalar VM trips at the exact statement.
 //!
 //! Under the race detector the execution walk records every memory
 //! access once per batch on a small **tape** (array, affine
 //! `(base, stride)`, read or write, lane mask). The tape is then
-//! replayed into the tracker lane-ascending —
-//! `set_iteration(outer ++ [lane])`, then that lane's accesses in
-//! program order, scalar loads included — so the tracker sees the
-//! thread order and access count of the scalar path and reports
-//! identical races. `Select` arms run eagerly here but lazily in the
-//! tree-walker, and `If` arms run masked, so an arm that touches
-//! memory is bracketed by [`BOp::MaskPush`]/[`BOp::MaskPop`] and its
-//! accesses replay only on the lanes that take it.
+//! replayed into the tracker lane-ascending — `set_iteration(outer ++
+//! [lane])`, or `set_lane(group, lane)` in a grouped phase whose epoch
+//! the VM has set, then that lane's accesses in program order, scalar
+//! loads included — so the tracker sees the thread order and access
+//! count of the scalar path and reports identical races. `Select` arms
+//! run eagerly here but lazily in the tree-walker, and `If` arms run
+//! masked, so an arm that touches memory is bracketed by
+//! [`BOp::MaskPush`]/[`BOp::MaskPop`] and its accesses replay only on
+//! the lanes that take it.
 //!
 //! Constants and parameter reads are pooled into a prologue that runs
 //! before the body, so a pooled slot is set even when its first use
 //! sits in a sequential loop that runs zero times.
 //!
 //! An `If` outside sequential loops whose arms only store (or nest
-//! such `If`s) compiles to masked stores when its condition is built
-//! from scalars, integer compares of affine lanes and bool logic: the
-//! validation walk computes those lanes too ([`BatchPlan::early`]), so
-//! steps and guards see exactly the lanes that take each arm.
+//! such `If`s) compiles to masked stores, gathers and scatters when its
+//! condition is built from scalars, integer compares of affine or int
+//! lanes and bool logic: the validation walk computes those lanes too
+//! ([`BatchPlan::early`]), so steps, bounds and guards see exactly the
+//! lanes that take each arm — a lane that does not take it may index
+//! out of bounds. A condition that could read an element the batch
+//! stores to would be stale in the validation walk, so it rejects.
+//!
+//! A grouped phase goes further. `LocalId` is the affine lane, the
+//! other work-group builtins are scalars, and local arrays are
+//! addressed after the global ones. `If` arms may assign variables,
+//! which then reach only the lanes taking the arm. A sequential loop
+//! whose bounds vary per lane (the strided partial sum `k = lo + tid ..
+//! hi step group_size`, or its unrolled main and remainder loops,
+//! bounded by int lanes) runs as a masked loop: each trip covers the
+//! lanes still below their bound, and a counter that starts from int
+//! lanes indexes memory per lane ([`BOp::GatherFI`], reading only
+//! arrays the phase does not store to). The work-group's per-lane registers
+//! stay the source of truth between phases: a phase gathers the
+//! variables an earlier phase left in them ([`Gather`], verified per
+//! lane) and writes back the ones a later phase reads, so any phase can
+//! fall back to the scalar VM with no state to convert.
 //!
 //! Anything else the classifier cannot prove — other `If` statements,
-//! atomics, local memory, lane-varying non-affine integers, stores
-//! inside sequential loops, ambiguous types — simply fails to compile
-//! (`build` returns `None`) and the kernel keeps the scalar VM path.
+//! atomics, local memory outside a grouped phase, other lane-varying
+//! integers, stores inside sequential loops, ambiguous types — simply
+//! fails to compile (`None`), and the kernel or phase keeps the scalar
+//! VM path.
 //!
 //! [`interp::bin`]: crate::interp
 //! [`interp::cmp`]: crate::interp
 //! [`interp::coerce`]: crate::interp
 
-use crate::interp::{self, V};
+use crate::interp::{self, GroupCtx, V};
 use crate::memory::{narrow_f32, Buffer, MemLoc};
 use crate::race::RaceTracker;
-use paccport_ir::expr::{BinOp, CmpOp, Expr, UnOp};
+use paccport_ir::expr::{BinOp, CmpOp, Expr, SpecialVar, UnOp};
 use paccport_ir::kernel::{Kernel, KernelBody, ReduceOp};
 use paccport_ir::stmt::{Block, Stmt};
 use paccport_ir::types::{ArrayId, MemSpace, ParamId, Scalar, VarId};
@@ -102,6 +130,9 @@ pub enum Loc {
     LF(u16),
     /// bool lane vector.
     LB(u16),
+    /// i64 lane vector: a lane integer that is not affine
+    /// (`affine % scalar`, or any integer arithmetic on such lanes).
+    LI(u16),
 }
 
 /// One batch operation. Scalar/affine/control ops run in both the
@@ -192,6 +223,18 @@ pub enum BOp {
     VIsInt {
         s: u16,
     },
+    /// Work-group builtin of a grouped phase (1 group id, 2 local
+    /// size, 3 number of groups): lane-invariant.
+    SGroup {
+        dst: u16,
+        which: u8,
+    },
+    /// Plain scalar copy (keeps a value an `If` arm assigned for the
+    /// masked writeback after later code reuses the variable's slot).
+    SCopy {
+        dst: u16,
+        a: u16,
+    },
 
     // ---- affine ----
     AAddS {
@@ -232,6 +275,25 @@ pub enum BOp {
     AFromS {
         dst: u16,
         s: u16,
+    },
+    ACopy {
+        dst: u16,
+        a: u16,
+    },
+    /// Integer arithmetic that is not affine, into int lanes: each
+    /// operand a scalar, an affine or int lanes (both walks). The
+    /// validation walk rejects a divisor of 0 or -1 on any lane, on
+    /// which the tree-walker would panic.
+    IBin {
+        op: BinOp,
+        dst: u16,
+        a: Loc,
+        b: Loc,
+    },
+    /// Copy int lanes (a masked loop's mutable counter).
+    LCopyI {
+        dst: u16,
+        a: u16,
     },
 
     // ---- conversions into lane vectors (execution walk only) ----
@@ -344,6 +406,19 @@ pub enum BOp {
         a: u16,
         b: u16,
     },
+    /// Integer comparisons of int lanes with a scalar.
+    ICmpLS {
+        op: CmpOp,
+        dst: u16,
+        a: u16,
+        s: u16,
+    },
+    ICmpSL {
+        op: CmpOp,
+        dst: u16,
+        s: u16,
+        a: u16,
+    },
 
     // ---- bool lane ops ----
     BAnd {
@@ -371,12 +446,23 @@ pub enum BOp {
 
     // ---- memory ----
     /// Affine gather from an F32/F64 array. Hazard: bounds (checked at
-    /// the affine endpoints by the validation walk).
+    /// the affine endpoints of the performing lanes by the validation
+    /// walk). `when` masks a gather inside an `If` arm or a masked
+    /// loop to the lanes that perform it.
     GatherF {
         array: u16,
         aff: u16,
         dst: u16,
         f32src: bool,
+        when: Option<Arm>,
+    },
+    /// Gather from an F32/F64 array at int-lane indices; `when` as for
+    /// [`BOp::GatherF`]. Its array must not be stored to.
+    GatherFI {
+        array: u16,
+        idx: u16,
+        dst: u16,
+        when: Option<Arm>,
     },
     /// Affine scatter of f64 lanes. Scatters to an array the batch
     /// also accesses otherwise are checked by a [`Guard`]. `when`
@@ -418,12 +504,40 @@ pub enum BOp {
         step: i64,
         back: u32,
     },
+    /// Head of a sequential loop whose bounds vary per lane (both
+    /// walks): lane `b` takes this trip iff its counter `cnt` (affine
+    /// or int lanes) is below its bound `hi` (likewise), recorded in
+    /// bool lane slot `mask`; exit once no lane does.
+    MForHead {
+        cnt: Loc,
+        hi: Loc,
+        mask: u16,
+        exit: u32,
+    },
+    /// `cnt += step` on every lane, then jump back.
+    MForStep {
+        cnt: Loc,
+        step: i64,
+        back: u32,
+    },
+    /// A masked loop's assignment to a pinned variable: `fl[dst][b] =
+    /// fl[src][b]` on the lanes set in `mask`.
+    LMergeF {
+        dst: u16,
+        src: u16,
+        mask: u16,
+    },
     /// One watchdog step per lane, where the tree-walker charges one
     /// per statement; the validation walk counts them.
     Step,
     /// One watchdog step per lane that takes the `If` arm.
     StepIf {
         arm: Arm,
+    },
+    /// List the lanes set in bool slot `m`, an arm's mask (both
+    /// walks): masked ops then visit just those lanes.
+    Active {
+        m: u16,
     },
 }
 
@@ -435,24 +549,32 @@ pub enum BOp {
 pub struct Arm(pub u16);
 
 impl Arm {
-    fn takes(self, bl: &[Vec<bool>], b: usize) -> bool {
-        bl[self.0 as usize][b]
+    /// The lanes taking the arm, ascending (its [`BOp::Active`] list).
+    fn lanes(self, act: &[Vec<u32>]) -> &[u32] {
+        &act[self.0 as usize]
     }
 }
 
-/// A compiled batch program for one kernel's innermost parallel loop.
+/// A compiled batch program: a simple kernel's innermost parallel
+/// loop, or one phase of a grouped kernel over its work-group's lanes.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     pub ops: Vec<BOp>,
     /// Scalar slots `0..n_vars` mirror the VM variable registers.
     pub n_vars: u16,
-    /// The innermost parallel loop variable: the tree-walker marks it
-    /// defined on every lane, so a non-empty batch does too.
-    pub lane_var: u16,
+    /// Memory arrays `0..n_glob` are the program's global arrays; a
+    /// grouped kernel's local arrays follow.
+    pub n_glob: u16,
+    /// The innermost parallel loop variable of a simple kernel: the
+    /// tree-walker marks it defined on every lane, so a non-empty batch
+    /// does too. (A grouped phase's loop variable is set on every lane
+    /// by the VM before the phase runs.)
+    pub lane_var: Option<u16>,
     pub n_s: u16,
     pub n_a: u16,
     pub n_f: u16,
     pub n_b: u16,
+    pub n_i: u16,
     /// Lane-valued variables written back as the last lane's value
     /// (the state the tree-walker leaves after its final iteration).
     pub outs: Vec<(u16, Loc)>,
@@ -462,9 +584,39 @@ pub struct BatchPlan {
     /// One guard per scatter to an array the batch also accesses
     /// otherwise, checked after the validation walk.
     pub guards: Vec<Guard>,
+    /// Per-element owner checks for the local arrays a grouped phase
+    /// scatters to and also accesses otherwise.
+    pub owners: Vec<Owner>,
     /// Bool lane slots the validation walk computes too: `If`
     /// conditions and the integer compares they are built from.
     pub early: Vec<bool>,
+    /// Ops whose result the execution walk reuses from the validation
+    /// walk: lane conditions outside sequential loops, computed by
+    /// both walks from the same state.
+    pub settled: Vec<bool>,
+    /// Grouped phase: variables an earlier phase assigned, gathered
+    /// from the work-group's per-lane registers before the phase runs
+    /// (see [`Gather`]).
+    pub ins: Vec<(u16, Gather)>,
+    /// Grouped phase: variables written back to every lane's registers
+    /// after the phase (only those a later phase reads), in order;
+    /// an `If` arm's assignment goes only to the lanes taking the arm.
+    pub wb: Vec<(u16, Loc, Option<Arm>)>,
+}
+
+/// How a grouped phase expects a variable an earlier phase assigned
+/// to sit across the lanes. Each is verified when gathered; a lane
+/// that disagrees makes the phase fall back before any effect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gather {
+    /// The same value (bit for bit) and definedness on every lane:
+    /// read from lane 0 into the variable's scalar slot.
+    Uniform,
+    /// Defined integers `base + stride·lane` on every lane, into
+    /// affine slot `.0`.
+    Affine(u16),
+    /// Defined floats on every lane, into f64 lane slot `.0`.
+    Float(u16),
 }
 
 /// Runtime check that lets a scatter reorder against the other
@@ -485,6 +637,19 @@ pub struct Guard {
     pub others: Vec<Touch>,
 }
 
+/// Exact per-element check for a local array (at most a work-group's
+/// worth of elements): over the lanes that perform them, no element
+/// one lane writes is touched by another lane. A tree-reduction step
+/// writes `{0, 2s, 4s, …}` and reads `{s, 3s, …}`: disjoint element
+/// by element, though a [`Guard`]'s ranges overlap.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Owner {
+    pub array: u16,
+    /// Every access to the array, its scatters included.
+    pub touches: Vec<Touch>,
+    pub scatters: Vec<Touch>,
+}
+
 /// One access to an array, as a guard sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Touch {
@@ -496,12 +661,17 @@ pub struct Touch {
 }
 
 /// One memory access of a batch, in scalar program order: lane `b`
-/// touches element `base + stride·b` of global `array`.
+/// touches element `base + stride·b` of memory array `array` (a local
+/// array when at or past the plan's `n_glob`).
 #[derive(Debug, Clone, Copy)]
 struct Access {
     array: u32,
     base: i64,
     stride: i64,
+    /// Where the access's per-lane indices start in
+    /// `BatchState::lane_idx` when they are int lanes, not affine; or
+    /// [`AFFINE`].
+    idx: u32,
     write: bool,
     /// Index of the lane mask in `BatchState::masks` (the lanes that
     /// perform this access), or [`ALL_LANES`].
@@ -509,6 +679,7 @@ struct Access {
 }
 
 const ALL_LANES: u32 = u32::MAX;
+const AFFINE: u32 = u32::MAX;
 
 /// Reusable batch scratch state (allocated once per kernel exec).
 #[derive(Debug, Default)]
@@ -518,6 +689,9 @@ pub struct BatchState {
     av: Vec<(i64, i64)>,
     fl: Vec<Vec<f64>>,
     bl: Vec<Vec<bool>>,
+    il: Vec<Vec<i64>>,
+    /// Per bool slot used as an arm: the lanes it has set.
+    act: Vec<Vec<u32>>,
     /// Snapshot buffers for restoring between the walks.
     sv_snap: Vec<V>,
     vdef_snap: Vec<bool>,
@@ -530,8 +704,19 @@ pub struct BatchState {
     tape: Vec<Access>,
     /// `bn` flags per mask, back to back.
     masks: Vec<bool>,
+    /// `bn` indices per int-lane-indexed access, back to back.
+    lane_idx: Vec<i64>,
     /// Masks of the enclosing `Select` and `If` arms, innermost last.
     mask_stack: Vec<u32>,
+    /// The work-group builtins of the grouped phase being run.
+    group: GroupCtx,
+    /// Owner-check scratch: per element, the lane touching it.
+    owner: Vec<u32>,
+    /// By variable: the affine lanes a work-group's registers are known
+    /// to hold, from this state's own writebacks or verified gathers.
+    /// Forgotten whenever the registers change otherwise
+    /// ([`forget_lanes`]).
+    known: Vec<Option<(i64, i64)>>,
     /// Lanes executed batched by this state's kernel exec.
     pub(crate) lanes: u64,
 }
@@ -544,6 +729,53 @@ const MAX_BATCH: i64 = 1 << 22;
 pub struct Taping<'t, 'a> {
     pub tracker: &'t RaceTracker<'a>,
     pub outer: &'t mut Vec<i64>,
+}
+
+/// The memory a batch addresses: global arrays, then local ones.
+struct Mem<'m> {
+    bufs: &'m mut [Buffer],
+    locals: &'m mut [Buffer],
+    n_glob: usize,
+}
+
+impl Mem<'_> {
+    fn get(&self, a: u16) -> &Buffer {
+        match (a as usize).checked_sub(self.n_glob) {
+            None => &self.bufs[a as usize],
+            Some(l) => &self.locals[l],
+        }
+    }
+
+    fn get_mut(&mut self, a: u16) -> &mut Buffer {
+        match (a as usize).checked_sub(self.n_glob) {
+            None => &mut self.bufs[a as usize],
+            Some(l) => &mut self.locals[l],
+        }
+    }
+}
+
+impl BatchState {
+    /// Size every slot class for `plan` over `bn` lanes. The scalar
+    /// slots `0..n_vars` must already hold the variables.
+    fn prepare(&mut self, plan: &BatchPlan, bn: usize) {
+        self.sv.resize(plan.n_s as usize, V::I(0));
+        self.av.resize(plan.n_a as usize, (0, 0));
+        self.av[0] = (0, 1);
+        // Lane vectors only grow: the phases of a grouped kernel take
+        // turns with different slot counts.
+        fn size<T: Clone + Default>(v: &mut Vec<Vec<T>>, n: u16, bn: usize) {
+            if v.len() < n as usize {
+                v.resize(n as usize, Vec::new());
+            }
+            v.iter_mut().for_each(|l| l.resize(bn, T::default()));
+        }
+        size(&mut self.fl, plan.n_f, bn);
+        size(&mut self.bl, plan.n_b, bn);
+        size(&mut self.il, plan.n_i, bn);
+        if self.act.len() < plan.n_b as usize {
+            self.act.resize(plan.n_b as usize, Vec::new());
+        }
+    }
 }
 
 /// Execute `plan` over lanes `lo..hi`. Returns `false` (having touched
@@ -580,21 +812,253 @@ pub fn run_batch(
     // Prepare scalar/affine state and size the lane vectors.
     st.sv.clear();
     st.sv.extend_from_slice(&regs[..nv]);
-    st.sv.resize(plan.n_s as usize, V::I(0));
     st.vdef.clear();
     st.vdef.extend_from_slice(&defined[..nv]);
-    st.vdef[plan.lane_var as usize] = true;
-    st.av.resize(plan.n_a as usize, (0, 0));
-    st.av[0] = (lo, 1);
-    st.fl.resize(plan.n_f as usize, Vec::new());
-    for v in &mut st.fl {
-        v.resize(bn, 0.0);
+    if let Some(lane) = plan.lane_var {
+        st.vdef[lane as usize] = true;
     }
-    st.bl.resize(plan.n_b as usize, Vec::new());
-    for v in &mut st.bl {
-        v.resize(bn, false);
+    st.prepare(plan, bn);
+    st.av[0] = (lo, 1);
+    let mut mem = Mem {
+        bufs,
+        locals: &mut [],
+        n_glob: plan.n_glob as usize,
+    };
+    if !execute(plan, st, bn, params, &mut mem, taping.is_some()) {
+        return false;
+    }
+    if let Some(t) = taping {
+        replay(st, bn, plan.n_glob, 0, t.tracker, |b| {
+            t.outer.push(lo + b as i64);
+            t.tracker.set_iteration(t.outer);
+            t.outer.pop();
+        });
     }
 
+    // Fold the region reduction, lane-ascending like the tree-walker.
+    if let (Some((loc, op)), Some(total)) = (plan.reduce, acc.as_mut()) {
+        each_lane(st, loc, 0..bn, |_, v| *total = op.combine(*total, v.as_f()));
+    }
+
+    // Write the environment back: scalar slots wholesale, lane-valued
+    // variables as their final lane's value.
+    regs[..nv].copy_from_slice(&st.sv[..nv]);
+    defined[..nv].copy_from_slice(&st.vdef[..nv]);
+    for &(var, loc) in &plan.outs {
+        regs[var as usize] = lane_value(st, loc, bn - 1);
+        // Definedness is NOT forced here: the wholesale `vdef` copy
+        // above already carries the exact runtime answer (`DefMark`
+        // runs iff the assignment executed, so a lane temp assigned
+        // only inside a zero-trip sequential loop stays undefined,
+        // exactly like the tree-walker). An undefined variable's
+        // written-back value is never observed.
+    }
+    true
+}
+
+/// A work-group's per-lane state: lane `t` owns register file
+/// `regs[t * n_regs..][..n_regs]` and defined set
+/// `defined[t * n_vars..][..n_vars]`. It is the source of truth
+/// between phases, batched or not.
+pub struct Lanes<'l> {
+    pub regs: &'l mut [V],
+    pub defined: &'l mut [bool],
+    pub n_regs: usize,
+    pub n_vars: usize,
+}
+
+/// Execute grouped phase `plan` across all `group.local_size` lanes
+/// of work-group `group.group_id` at once. Returns `false` (having
+/// touched nothing) if the phase must run on the scalar VM lane by
+/// lane instead.
+///
+/// The phase gathers the variables it reads from `lanes`, runs
+/// op-major, and writes back the ones a later phase reads. With a
+/// tracker, the accesses are replayed `set_lane(group, lane)`
+/// lane-ascending, in scalar order; the caller has set the phase's
+/// epoch.
+#[allow(clippy::too_many_arguments)]
+pub fn run_group_phase(
+    plan: &BatchPlan,
+    state: &mut Option<Box<BatchState>>,
+    lanes: Lanes<'_>,
+    params: &[V],
+    bufs: &mut [Buffer],
+    locals: &mut [Buffer],
+    group: GroupCtx,
+    tracker: Option<&RaceTracker<'_>>,
+) -> bool {
+    let bn = group.local_size as usize;
+    if bn == 0 || group.local_size > MAX_BATCH {
+        return false;
+    }
+    let st = state.get_or_insert_with(Default::default);
+    let nv = plan.n_vars as usize;
+    let Lanes {
+        regs,
+        defined,
+        n_regs,
+        n_vars,
+    } = lanes;
+    // Variables no earlier phase assigned hold the launch-time state,
+    // the same on every lane: lane 0 speaks for all of them.
+    st.sv.clear();
+    st.sv.extend_from_slice(&regs[..nv]);
+    st.vdef.clear();
+    st.vdef.extend_from_slice(&defined[..nv]);
+    st.prepare(plan, bn);
+    st.known.resize(nv, None);
+    st.group = group;
+    for &(var, how) in &plan.ins {
+        let v = var as usize;
+        // Lane `b`'s (value, defined) of the variable, lane-ascending.
+        let mut lanes = regs
+            .chunks_exact(n_regs)
+            .zip(defined.chunks_exact(n_vars))
+            .take(bn)
+            .map(|(r, d)| (r[v], d[v]));
+        let ok = match how {
+            Gather::Uniform => {
+                let (x, d) = (regs[v], defined[v]);
+                lanes.all(|(y, e)| e == d && same_bits(y, x))
+            }
+            Gather::Affine(r) => match (st.known[v], regs[v], regs[(bn.min(2) - 1) * n_regs + v]) {
+                (Some(aff), ..) => {
+                    st.av[r as usize] = aff;
+                    true
+                }
+                (None, V::I(base), V::I(next)) => {
+                    let stride = next - base;
+                    st.av[r as usize] = (base, stride);
+                    let mut want = base;
+                    let ok = lanes.all(|lane| {
+                        let ok = lane == (V::I(want), true);
+                        want += stride;
+                        ok
+                    });
+                    st.known[v] = ok.then_some((base, stride));
+                    ok
+                }
+                _ => false,
+            },
+            Gather::Float(r) => {
+                let dst = &mut st.fl[r as usize];
+                lanes.zip(dst.iter_mut()).all(|(lane, x)| match lane {
+                    (V::F(y), true) => {
+                        *x = y;
+                        true
+                    }
+                    _ => false,
+                })
+            }
+        };
+        if !ok {
+            return false;
+        }
+        if how != Gather::Uniform {
+            st.vdef[v] = true;
+        }
+    }
+    let mut mem = Mem {
+        bufs,
+        locals,
+        n_glob: plan.n_glob as usize,
+    };
+    if !execute(plan, st, bn, params, &mut mem, tracker.is_some()) {
+        return false;
+    }
+    if let Some(t) = tracker {
+        replay(st, bn, plan.n_glob, group.group_id, t, |b| {
+            t.set_lane(group.group_id, b as i64)
+        });
+    }
+    for &(var, loc, when) in &plan.wb {
+        let v = var as usize;
+        let def = st.vdef[v];
+        st.known[v] = match (loc, when, def) {
+            (Loc::A(a), None, true) => Some(st.av[a as usize]),
+            _ => None,
+        };
+        let st = &**st;
+        let put = |b: usize, x: V| {
+            regs[b * n_regs + v] = x;
+            defined[b * n_vars + v] = def;
+        };
+        match when {
+            Some(arm) => each_lane(st, loc, arm.lanes(&st.act).iter().map(|&b| b as usize), put),
+            None => each_lane(st, loc, 0..bn, put),
+        }
+    }
+    true
+}
+
+/// The work-group's registers changed outside [`run_group_phase`] (a
+/// phase ran lane by lane, or a new group starts): forget what they
+/// were known to hold.
+pub fn forget_lanes(state: &mut Option<Box<BatchState>>) {
+    if let Some(st) = state {
+        st.known.clear();
+    }
+}
+
+/// Bitwise equality of two values, tag included (`-0.0` is not `0.0`,
+/// a NaN equals its own bits).
+fn same_bits(a: V, b: V) -> bool {
+    match (a, b) {
+        (V::I(x), V::I(y)) => x == y,
+        (V::F(x), V::F(y)) => x.to_bits() == y.to_bits(),
+        (V::B(x), V::B(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// Call `f(b, value)` for each lane `b` of `lanes`, resolving `loc`
+/// once rather than per lane.
+fn each_lane(
+    st: &BatchState,
+    loc: Loc,
+    lanes: impl Iterator<Item = usize>,
+    mut f: impl FnMut(usize, V),
+) {
+    match loc {
+        Loc::S(r) => {
+            let x = st.sv[r as usize];
+            lanes.for_each(|b| f(b, x));
+        }
+        Loc::A(r) => {
+            let (base, stride) = st.av[r as usize];
+            lanes.for_each(|b| f(b, V::I(base + stride * b as i64)));
+        }
+        Loc::LF(r) => lanes.for_each(|b| f(b, V::F(st.fl[r as usize][b]))),
+        Loc::LB(r) => lanes.for_each(|b| f(b, V::B(st.bl[r as usize][b]))),
+        Loc::LI(r) => lanes.for_each(|b| f(b, V::I(st.il[r as usize][b]))),
+    }
+}
+
+/// Lane `b`'s value of a location.
+fn lane_value(st: &BatchState, loc: Loc, b: usize) -> V {
+    match loc {
+        Loc::S(r) => st.sv[r as usize],
+        Loc::A(r) => {
+            let (base, stride) = st.av[r as usize];
+            V::I(base + stride * b as i64)
+        }
+        Loc::LF(r) => V::F(st.fl[r as usize][b]),
+        Loc::LB(r) => V::B(st.bl[r as usize][b]),
+        Loc::LI(r) => V::I(st.il[r as usize][b]),
+    }
+}
+
+/// Validate, charge and execute `plan` over `bn` prepared lanes.
+/// Returns `false` (having touched nothing) on any hazard.
+fn execute(
+    plan: &BatchPlan,
+    st: &mut BatchState,
+    bn: usize,
+    params: &[V],
+    mem: &mut Mem<'_>,
+    taping: bool,
+) -> bool {
     // Validation walk: scalar/affine/control only, hazard checks, no
     // buffer writes. Fall back on any hazard; the scatter guards are
     // checked once every affine value is known.
@@ -602,11 +1066,15 @@ pub fn run_batch(
     st.vdef_snap.clone_from(&st.vdef);
     st.av_snap.clone_from(&st.av);
     st.steps = 0;
-    if !walk::<true>(plan, st, bn, params, bufs)
+    if !walk::<true>(plan, st, bn, params, mem)
         || !plan
             .guards
             .iter()
-            .all(|g| guard_holds(g, &st.av, &st.sv, &st.bl, bn))
+            .all(|g| guard_holds(g, &st.av, &st.sv, &st.act, bn))
+        || !plan.owners.iter().all(|o| {
+            let len = mem.get(o.array).len();
+            owner_holds(o, st, bn, len)
+        })
         // The whole batch's watchdog steps, charged at once; a budget
         // that would trip mid-batch leaves the exact trip point to the
         // scalar VM.
@@ -618,66 +1086,14 @@ pub fn run_batch(
     st.sv.clone_from(&st.sv_snap);
     st.vdef.clone_from(&st.vdef_snap);
     st.av.clone_from(&st.av_snap);
-    st.taping = taping.is_some();
+    st.taping = taping;
     st.tape.clear();
     st.masks.clear();
+    st.lane_idx.clear();
     st.mask_stack.clear();
-    let ok = walk::<false>(plan, st, bn, params, bufs);
+    let ok = walk::<false>(plan, st, bn, params, mem);
     debug_assert!(ok, "execution walk failed after validation passed");
     st.lanes += bn as u64;
-    if let Some(t) = taping {
-        replay(st, lo, bn, t);
-    }
-
-    // Fold the region reduction, lane-ascending like the tree-walker.
-    if let (Some((loc, op)), Some(total)) = (plan.reduce, acc.as_mut()) {
-        match loc {
-            Loc::LF(r) => {
-                for &v in &st.fl[r as usize][..bn] {
-                    *total = op.combine(*total, v);
-                }
-            }
-            Loc::S(r) => {
-                let v = st.sv[r as usize].as_f();
-                for _ in 0..bn {
-                    *total = op.combine(*total, v);
-                }
-            }
-            Loc::A(r) => {
-                let (base, stride) = st.av[r as usize];
-                for b in 0..bn {
-                    *total = op.combine(*total, (base + stride * b as i64) as f64);
-                }
-            }
-            Loc::LB(r) => {
-                for &v in &st.bl[r as usize][..bn] {
-                    *total = op.combine(*total, v as i64 as f64);
-                }
-            }
-        }
-    }
-
-    // Write the environment back: scalar slots wholesale, lane-valued
-    // variables as their final lane's value.
-    regs[..nv].copy_from_slice(&st.sv[..nv]);
-    defined[..nv].copy_from_slice(&st.vdef[..nv]);
-    for &(var, loc) in &plan.outs {
-        regs[var as usize] = match loc {
-            Loc::S(r) => st.sv[r as usize],
-            Loc::A(r) => {
-                let (base, stride) = st.av[r as usize];
-                V::I(base + stride * (bn as i64 - 1))
-            }
-            Loc::LF(r) => V::F(st.fl[r as usize][bn - 1]),
-            Loc::LB(r) => V::B(st.bl[r as usize][bn - 1]),
-        };
-        // Definedness is NOT forced here: the wholesale `vdef` copy
-        // above already carries the exact runtime answer (`DefMark`
-        // runs iff the assignment executed, so a lane temp assigned
-        // only inside a zero-trip sequential loop stays undefined,
-        // exactly like the tree-walker). An undefined variable's
-        // written-back value is never observed.
-    }
     true
 }
 
@@ -685,6 +1101,26 @@ pub fn run_batch(
 fn lane_span((base, stride): (i64, i64), bn: usize) -> (i64, i64) {
     let last = base + stride * (bn as i64 - 1);
     (base.min(last), base.max(last))
+}
+
+/// Inclusive element range an affine index covers over the lanes that
+/// perform it, and the performing lane when there is exactly one;
+/// `None` when no lane does. Affine ⇒ the extremes sit at the first
+/// and last performing lanes.
+fn active_span(
+    aff: (i64, i64),
+    when: Option<Arm>,
+    act: &[Vec<u32>],
+    bn: usize,
+) -> Option<((i64, i64), Option<usize>)> {
+    let Some(arm) = when else {
+        return Some((lane_span(aff, bn), (bn == 1).then_some(0)));
+    };
+    let taken = arm.lanes(act);
+    let (first, last) = (*taken.first()? as usize, *taken.last()? as usize);
+    let at = |b: usize| aff.0 + aff.1 * b as i64;
+    let (a, z) = (at(first), at(last));
+    Some(((a.min(z), a.max(z)), (first == last).then_some(first)))
 }
 
 /// What a [`Touch`] covers in one batch.
@@ -696,44 +1132,33 @@ struct Footprint {
     sole: Option<usize>,
 }
 
+fn touch_aff(t: &Touch, av: &[(i64, i64)], sv: &[V]) -> (i64, i64) {
+    match t.at {
+        Loc::A(r) => av[r as usize],
+        Loc::S(s) => (sv[s as usize].as_i(), 0),
+        _ => unreachable!("guards see affine or scalar indices"),
+    }
+}
+
 /// `None` when no lane performs the access.
 fn footprint(
     t: &Touch,
     av: &[(i64, i64)],
     sv: &[V],
-    bl: &[Vec<bool>],
+    act: &[Vec<u32>],
     bn: usize,
 ) -> Option<Footprint> {
-    let aff = match t.at {
-        Loc::A(r) => av[r as usize],
-        Loc::S(s) => (sv[s as usize].as_i(), 0),
-        Loc::LF(_) | Loc::LB(_) => unreachable!("guards see affine or scalar indices"),
-    };
-    let Some(arm) = t.when else {
-        return Some(Footprint {
-            aff,
-            span: lane_span(aff, bn),
-            sole: (bn == 1).then_some(0),
-        });
-    };
-    let taken = &bl[arm.0 as usize][..bn];
-    let first = taken.iter().position(|&x| x)?;
-    let last = taken.iter().rposition(|&x| x).unwrap_or(first);
-    let at = |b: usize| aff.0 + aff.1 * b as i64;
-    let (a, z) = (at(first), at(last));
-    Some(Footprint {
-        aff,
-        span: (a.min(z), a.max(z)),
-        sole: (first == last).then_some(first),
-    })
+    let aff = touch_aff(t, av, sv);
+    let (span, sole) = active_span(aff, t.when, act, bn)?;
+    Some(Footprint { aff, span, sole })
 }
 
-fn guard_holds(g: &Guard, av: &[(i64, i64)], sv: &[V], bl: &[Vec<bool>], bn: usize) -> bool {
-    let Some(me) = footprint(&g.scatter, av, sv, bl, bn) else {
+fn guard_holds(g: &Guard, av: &[(i64, i64)], sv: &[V], act: &[Vec<u32>], bn: usize) -> bool {
+    let Some(me) = footprint(&g.scatter, av, sv, act, bn) else {
         return true;
     };
     g.others.iter().all(|t| {
-        let Some(other) = footprint(t, av, sv, bl, bn) else {
+        let Some(other) = footprint(t, av, sv, act, bn) else {
             return true;
         };
         other.span.1 < me.span.0
@@ -743,22 +1168,68 @@ fn guard_holds(g: &Guard, av: &[(i64, i64)], sv: &[V], bl: &[Vec<bool>], bn: usi
     })
 }
 
+/// [`Owner`]'s check over a `len`-element array.
+fn owner_holds(o: &Owner, st: &mut BatchState, bn: usize, len: usize) -> bool {
+    const FREE: u32 = u32::MAX;
+    const SHARED: u32 = u32::MAX - 1;
+    let own = &mut st.owner;
+    own.clear();
+    own.resize(len, FREE);
+    // Each access's (lane, element) pairs; every access was
+    // bounds-checked over its lanes already.
+    let visit = |t: &Touch, f: &mut dyn FnMut(u32, usize) -> bool| {
+        let (base, stride) = touch_aff(t, &st.av, &st.sv);
+        let at = |b: u32| (base + stride * b as i64) as usize;
+        match t.when {
+            Some(arm) => arm.lanes(&st.act).iter().all(|&b| f(b, at(b))),
+            None => (0..bn as u32).all(|b| f(b, at(b))),
+        }
+    };
+    for t in &o.touches {
+        visit(t, &mut |b, e| {
+            let cell = &mut own[e];
+            if *cell == FREE {
+                *cell = b;
+            } else if *cell != b {
+                *cell = SHARED;
+            }
+            true
+        });
+    }
+    o.scatters
+        .iter()
+        .all(|t| visit(t, &mut |_, e| own[e] != SHARED))
+}
+
 /// Log the batch's taped accesses into the race tracker, one lane at
-/// a time in ascending order.
-fn replay(st: &BatchState, lo: i64, bn: usize, t: Taping<'_, '_>) {
+/// a time in ascending order: `enter(lane)` attributes what follows to
+/// that lane's thread, then its accesses replay in program order.
+fn replay(
+    st: &BatchState,
+    bn: usize,
+    n_glob: u16,
+    group: i64,
+    tracker: &RaceTracker<'_>,
+    mut enter: impl FnMut(usize),
+) {
     for b in 0..bn {
-        t.outer.push(lo + b as i64);
-        t.tracker.set_iteration(t.outer);
-        t.outer.pop();
+        enter(b);
         for a in &st.tape {
             if a.mask != ALL_LANES && !st.masks[a.mask as usize * bn + b] {
                 continue;
             }
-            let loc = MemLoc::global(a.array, a.base + a.stride * b as i64);
+            let i = match a.idx {
+                AFFINE => a.base + a.stride * b as i64,
+                at => st.lane_idx[at as usize + b],
+            };
+            let loc = match a.array.checked_sub(n_glob as u32) {
+                None => MemLoc::global(a.array, i),
+                Some(l) => MemLoc::local(l, group, i),
+            };
             if a.write {
-                t.tracker.log_write(loc, false);
+                tracker.log_write(loc, false);
             } else {
-                t.tracker.log_read(loc);
+                tracker.log_read(loc);
             }
         }
     }
@@ -858,11 +1329,55 @@ fn icmp(op: CmpOp, x: i64, y: i64) -> bool {
     }
 }
 
-/// Affine bounds hazard: every lane index must be a valid `usize`
-/// element index. Affine ⇒ the extremes sit at the endpoints.
-fn affine_in_bounds(aff: (i64, i64), bn: usize, len: usize) -> bool {
-    let (min, max) = lane_span(aff, bn);
-    min >= 0 && (max as usize) < len
+/// Affine bounds hazard: every index of a performing lane must be a
+/// valid `usize` element index.
+fn affine_in_bounds(
+    aff: (i64, i64),
+    when: Option<Arm>,
+    act: &[Vec<u32>],
+    bn: usize,
+    len: usize,
+) -> bool {
+    active_span(aff, when, act, bn).is_none_or(|((min, max), _)| min >= 0 && (max as usize) < len)
+}
+
+/// Store `val(b)` at element `base + stride·b` for each lane `b` of
+/// `lanes`, narrowed per the element type exactly like
+/// [`Buffer::set`], which is resolved once rather than per lane.
+fn store_lanes(
+    buf: &mut Buffer,
+    lanes: impl Iterator<Item = usize>,
+    (base, stride): (i64, i64),
+    val: impl Fn(usize) -> f64,
+) {
+    let at = |b: usize| (base + stride * b as i64) as usize;
+    match buf {
+        Buffer::F32(v) => lanes.for_each(|b| v[at(b)] = narrow_f32(val(b))),
+        Buffer::F64(v) => lanes.for_each(|b| v[at(b)] = val(b)),
+        Buffer::I32(v) => lanes.for_each(|b| v[at(b)] = val(b) as i32),
+        Buffer::U32(v) => lanes.for_each(|b| v[at(b)] = val(b) as u32),
+        Buffer::Bool(v) => lanes.for_each(|b| v[at(b)] = (val(b) != 0.0) as u8),
+    }
+}
+
+/// Are `a / y` and `a % y` over `bn` lanes a shift and a mask? So
+/// when the affine lanes are non-negative and `y` a power of two.
+fn pow2_lanes(a: (i64, i64), y: V, bn: usize) -> bool {
+    let y = y.as_i();
+    y > 0 && y & (y - 1) == 0 && lane_span(a, bn).0 >= 0
+}
+
+/// Lane `b` of an integer location: a scalar, an affine or int lanes.
+fn int_at(sv: &[V], av: &[(i64, i64)], il: &[Vec<i64>], l: Loc, b: usize) -> i64 {
+    match l {
+        Loc::S(s) => sv[s as usize].as_i(),
+        Loc::A(r) => {
+            let (base, stride) = av[r as usize];
+            base + stride * b as i64
+        }
+        Loc::LI(r) => il[r as usize][b],
+        Loc::LF(_) | Loc::LB(_) => unreachable!("integer operands are S, A or LI"),
+    }
 }
 
 /// Append one access to the tape, under the innermost arm's mask.
@@ -877,6 +1392,7 @@ fn record(
         array: array as u32,
         base,
         stride,
+        idx: AFFINE,
         write,
         mask: mask_stack.last().copied().unwrap_or(ALL_LANES),
     });
@@ -891,13 +1407,17 @@ fn walk<const VALIDATE: bool>(
     st: &mut BatchState,
     bn: usize,
     params: &[V],
-    bufs: &mut [Buffer],
+    mem: &mut Mem<'_>,
 ) -> bool {
     let sv = &mut st.sv;
     let vdef = &mut st.vdef;
     let av = &mut st.av;
     let fl = &mut st.fl;
     let bl = &mut st.bl;
+    let il = &mut st.il;
+    let act = &mut st.act;
+    let lane_idx = &mut st.lane_idx;
+    let group = st.group;
     let steps = &mut st.steps;
     let taping = !VALIDATE && st.taping;
     let tape = &mut st.tape;
@@ -906,6 +1426,9 @@ fn walk<const VALIDATE: bool>(
     let mut pc = 0usize;
     while let Some(op) = plan.ops.get(pc) {
         pc += 1;
+        if !VALIDATE && plan.settled[pc - 1] {
+            continue;
+        }
         match *op {
             // ---- scalar ----
             BOp::SConst { dst, v } => sv[dst as usize] = v,
@@ -990,7 +1513,7 @@ fn walk<const VALIDATE: bool>(
             }
             BOp::SLoad { array, idx, dst } => {
                 let i = sv[idx as usize].as_i();
-                let buf = &bufs[array as usize];
+                let buf = mem.get(array);
                 if VALIDATE && !(i >= 0 && (i as usize) < buf.len()) {
                     return false;
                 }
@@ -1016,6 +1539,14 @@ fn walk<const VALIDATE: bool>(
                     return false;
                 }
             }
+            BOp::SGroup { dst, which } => {
+                sv[dst as usize] = V::I(match which {
+                    1 => group.group_id,
+                    2 => group.local_size,
+                    _ => group.num_groups,
+                });
+            }
+            BOp::SCopy { dst, a } => sv[dst as usize] = sv[a as usize],
 
             // ---- affine ----
             BOp::AAddS { dst, a, s } => {
@@ -1050,6 +1581,56 @@ fn walk<const VALIDATE: bool>(
             BOp::AFromS { dst, s } => {
                 av[dst as usize] = (sv[s as usize].as_i(), 0);
             }
+            BOp::ACopy { dst, a } => av[dst as usize] = av[a as usize],
+            BOp::IBin {
+                op: op @ (BinOp::Div | BinOp::Rem),
+                dst,
+                a: Loc::A(a),
+                b: Loc::S(s),
+            } if pow2_lanes(av[a as usize], sv[s as usize], bn) => {
+                // `tid % 2s`: a power-of-two divisor of non-negative
+                // affine lanes is a mask or a shift, exactly.
+                let (base, stride) = av[a as usize];
+                let y = sv[s as usize].as_i();
+                let lanes = il[dst as usize][..bn].iter_mut().enumerate();
+                let at = |b: usize| base + stride * b as i64;
+                match op {
+                    BinOp::Rem => lanes.for_each(|(b, x)| *x = at(b) & (y - 1)),
+                    _ => lanes.for_each(|(b, x)| *x = at(b) >> y.trailing_zeros()),
+                }
+            }
+            BOp::IBin { op, dst, a, b } => {
+                let mut out = std::mem::take(&mut il[dst as usize]);
+                let ok = out[..bn].iter_mut().enumerate().all(|(i, x)| {
+                    let (p, q) = (int_at(sv, av, il, a, i), int_at(sv, av, il, b, i));
+                    if matches!(op, BinOp::Div | BinOp::Rem) && (q == 0 || q == -1) {
+                        // The tree panics on 0 (and on `i64::MIN / -1`):
+                        // leave the lane to it.
+                        return false;
+                    }
+                    *x = match op {
+                        BinOp::Add => p + q,
+                        BinOp::Sub => p - q,
+                        BinOp::Mul => p * q,
+                        BinOp::Div => p / q,
+                        BinOp::Rem => p % q,
+                        BinOp::Min => p.min(q),
+                        BinOp::Max => p.max(q),
+                        _ => unreachable!("int lane ops are arithmetic-only"),
+                    };
+                    true
+                });
+                il[dst as usize] = out;
+                if !ok {
+                    debug_assert!(VALIDATE, "execution walk hit a divisor validation passed");
+                    return false;
+                }
+            }
+            BOp::LCopyI { dst, a } => {
+                let mut out = std::mem::take(&mut il[dst as usize]);
+                out[..bn].copy_from_slice(&il[a as usize][..bn]);
+                il[dst as usize] = out;
+            }
 
             // ---- control ----
             BOp::ForHead { cnt, hi, exit } => {
@@ -1061,6 +1642,29 @@ fn walk<const VALIDATE: bool>(
                 sv[cnt as usize] = V::I(sv[cnt as usize].as_i() + step);
                 pc = back as usize;
             }
+            BOp::MForHead {
+                cnt,
+                hi,
+                mask,
+                exit,
+            } => {
+                let mut any = false;
+                for (b, x) in bl[mask as usize][..bn].iter_mut().enumerate() {
+                    *x = int_at(sv, av, il, cnt, b) < int_at(sv, av, il, hi, b);
+                    any |= *x;
+                }
+                if !any {
+                    pc = exit as usize;
+                }
+            }
+            BOp::MForStep { cnt, step, back } => {
+                match cnt {
+                    Loc::A(r) => av[r as usize].0 += step,
+                    Loc::LI(r) => il[r as usize][..bn].iter_mut().for_each(|x| *x += step),
+                    _ => unreachable!("masked loop counters are affine or int lanes"),
+                }
+                pc = back as usize;
+            }
             BOp::Step => {
                 if VALIDATE {
                     *steps += bn as u64;
@@ -1068,8 +1672,14 @@ fn walk<const VALIDATE: bool>(
             }
             BOp::StepIf { arm } => {
                 if VALIDATE {
-                    *steps += (0..bn).filter(|&b| arm.takes(bl, b)).count() as u64;
+                    *steps += arm.lanes(act).len() as u64;
                 }
+            }
+            BOp::Active { m } => {
+                let list = &mut act[m as usize];
+                list.clear();
+                let taken = bl[m as usize][..bn].iter().enumerate();
+                list.extend(taken.filter(|&(_, &on)| on).map(|(b, _)| b as u32));
             }
 
             // ---- scatters: hazard checks in validate, writes in exec ----
@@ -1087,7 +1697,7 @@ fn walk<const VALIDATE: bool>(
             } => {
                 let (base, stride) = av[aff as usize];
                 if VALIDATE {
-                    if !affine_in_bounds((base, stride), bn, bufs[array as usize].len()) {
+                    if !affine_in_bounds((base, stride), when, act, bn, mem.get(array).len()) {
                         return false;
                     }
                     continue;
@@ -1099,39 +1709,55 @@ fn walk<const VALIDATE: bool>(
                 let sval = if scalar { sv[src as usize].as_f() } else { 0.0 };
                 let lanes: &[f64] = if scalar { &[] } else { &fl[src as usize][..bn] };
                 let val = |b: usize| if scalar { sval } else { lanes[b] };
-                if let Some(arm) = when {
-                    let buf = &mut bufs[array as usize];
-                    for b in (0..bn).filter(|&b| arm.takes(bl, b)) {
-                        buf.set((base + stride * b as i64) as usize, val(b));
+                let buf = mem.get_mut(array);
+                match when {
+                    Some(arm) => {
+                        let taken = arm.lanes(act).iter().map(|&b| b as usize);
+                        store_lanes(buf, taken, (base, stride), val)
+                    }
+                    None => store_lanes(buf, 0..bn, (base, stride), val),
+                }
+            }
+            BOp::GatherFI {
+                array,
+                idx,
+                dst,
+                when,
+            } => {
+                let ix = &il[idx as usize][..bn];
+                let all = 0..bn as u32;
+                let lanes: &mut dyn Iterator<Item = u32> = match when {
+                    Some(arm) => &mut arm.lanes(act).iter().copied(),
+                    None => &mut all.clone(),
+                };
+                if VALIDATE {
+                    let len = mem.get(array).len() as i64;
+                    for b in lanes {
+                        if !(0..len).contains(&ix[b as usize]) {
+                            return false;
+                        }
                     }
                     continue;
                 }
-                match &mut bufs[array as usize] {
-                    Buffer::F32(v) => {
-                        for b in 0..bn {
-                            v[(base + stride * b as i64) as usize] = narrow_f32(val(b));
+                if taping {
+                    let at = u32::try_from(lane_idx.len()).expect("tape index pool fits u32");
+                    lane_idx.extend_from_slice(ix);
+                    record(tape, mask_stack, array, (0, 0), false);
+                    tape.last_mut().expect("just recorded").idx = at;
+                }
+                let dv = &mut fl[dst as usize][..bn];
+                match mem.get(array) {
+                    Buffer::F32(src) => {
+                        for b in lanes {
+                            dv[b as usize] = src[ix[b as usize] as usize] as f64;
                         }
                     }
-                    Buffer::F64(v) => {
-                        for b in 0..bn {
-                            v[(base + stride * b as i64) as usize] = val(b);
+                    Buffer::F64(src) => {
+                        for b in lanes {
+                            dv[b as usize] = src[ix[b as usize] as usize];
                         }
                     }
-                    Buffer::I32(v) => {
-                        for b in 0..bn {
-                            v[(base + stride * b as i64) as usize] = val(b) as i32;
-                        }
-                    }
-                    Buffer::U32(v) => {
-                        for b in 0..bn {
-                            v[(base + stride * b as i64) as usize] = val(b) as u32;
-                        }
-                    }
-                    Buffer::Bool(v) => {
-                        for b in 0..bn {
-                            v[(base + stride * b as i64) as usize] = (val(b) != 0.0) as u8;
-                        }
-                    }
+                    _ => unreachable!("GatherFI source type pinned at compile"),
                 }
             }
             BOp::GatherF {
@@ -1139,10 +1765,11 @@ fn walk<const VALIDATE: bool>(
                 aff,
                 dst,
                 f32src,
+                when,
             } => {
                 let (base, stride) = av[aff as usize];
                 if VALIDATE {
-                    if !affine_in_bounds((base, stride), bn, bufs[array as usize].len()) {
+                    if !affine_in_bounds((base, stride), when, act, bn, mem.get(array).len()) {
                         return false;
                     }
                     continue;
@@ -1151,8 +1778,25 @@ fn walk<const VALIDATE: bool>(
                     record(tape, mask_stack, array, (base, stride), false);
                 }
                 let dv = &mut fl[dst as usize][..bn];
-                if f32src {
-                    let src = match &bufs[array as usize] {
+                if let Some(arm) = when {
+                    // Only the performing lanes may index: another
+                    // lane's element can be out of bounds.
+                    let at = |b: u32| (base + stride * b as i64) as usize;
+                    match mem.get(array) {
+                        Buffer::F32(src) => {
+                            for &b in arm.lanes(act) {
+                                dv[b as usize] = src[at(b)] as f64;
+                            }
+                        }
+                        Buffer::F64(src) => {
+                            for &b in arm.lanes(act) {
+                                dv[b as usize] = src[at(b)];
+                            }
+                        }
+                        _ => unreachable!("GatherF source type pinned at compile"),
+                    }
+                } else if f32src {
+                    let src = match mem.get(array) {
                         Buffer::F32(v) => v,
                         _ => unreachable!("GatherF/f32 source type pinned at compile"),
                     };
@@ -1167,7 +1811,7 @@ fn walk<const VALIDATE: bool>(
                         }
                     }
                 } else {
-                    let src = match &bufs[array as usize] {
+                    let src = match mem.get(array) {
                         Buffer::F64(v) => v,
                         _ => unreachable!("GatherF/f64 source type pinned at compile"),
                     };
@@ -1206,6 +1850,18 @@ fn walk<const VALIDATE: bool>(
                     *x = icmp(op, b0 + s0 * b as i64, b1 + s1 * b as i64);
                 }
             }
+            BOp::ICmpLS { op, dst, a, s } if !VALIDATE || plan.early[dst as usize] => {
+                let y = sv[s as usize].as_i();
+                for (x, &z) in bl[dst as usize][..bn].iter_mut().zip(&il[a as usize][..bn]) {
+                    *x = icmp(op, z, y);
+                }
+            }
+            BOp::ICmpSL { op, dst, s, a } if !VALIDATE || plan.early[dst as usize] => {
+                let y = sv[s as usize].as_i();
+                for (x, &z) in bl[dst as usize][..bn].iter_mut().zip(&il[a as usize][..bn]) {
+                    *x = icmp(op, y, z);
+                }
+            }
             BOp::BAnd { dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
                 lbin(bl, bn, dst, a, b, |x, y| x && y)
             }
@@ -1222,9 +1878,18 @@ fn walk<const VALIDATE: bool>(
             | BOp::ICmpAS { .. }
             | BOp::ICmpSA { .. }
             | BOp::ICmpAA { .. }
+            | BOp::ICmpLS { .. }
+            | BOp::ICmpSL { .. }
             | BOp::BAnd { .. }
             | BOp::BOr { .. }
             | BOp::BNot { .. } => unreachable!("the execution walk runs every bool-lane op above"),
+            BOp::LMergeF { dst, src, mask } => {
+                let mut dv = std::mem::take(&mut fl[dst as usize]);
+                for &b in Arm(mask).lanes(act) {
+                    dv[b as usize] = fl[src as usize][b as usize];
+                }
+                fl[dst as usize] = dv;
+            }
             BOp::MaskPush { c, pol } => {
                 if taping {
                     let parent = mask_stack.last().copied().unwrap_or(ALL_LANES);
@@ -1233,7 +1898,7 @@ fn walk<const VALIDATE: bool>(
                         let on = match c {
                             Loc::S(s) => sv[s as usize].as_b(),
                             Loc::LB(r) => bl[r as usize][b],
-                            Loc::A(_) | Loc::LF(_) => unreachable!("mask conditions are S or LB"),
+                            _ => unreachable!("mask conditions are S or LB"),
                         };
                         let live = parent == ALL_LANES || masks[parent as usize * bn + b];
                         masks.push(live && on == pol);
@@ -1433,9 +2098,14 @@ struct BcSnap {
     n_a: u16,
     n_f: u16,
     n_b: u16,
+    n_i: u16,
     acc: Vec<ArrAcc>,
     pslots: Vec<Option<u16>>,
     consts: Vec<(u8, u64, u16)>,
+    specials: [Option<u16>; 4],
+    poison: Vec<bool>,
+    uncond: Vec<bool>,
+    masked_wb: Vec<(u16, Loc, Arm)>,
 }
 
 struct Bc<'a> {
@@ -1458,6 +2128,7 @@ struct Bc<'a> {
     n_a: u16,
     n_f: u16,
     n_b: u16,
+    n_i: u16,
     acc: Vec<ArrAcc>,
     /// Parameter → scalar-slot cache.
     pslots: Vec<Option<u16>>,
@@ -1466,11 +2137,36 @@ struct Bc<'a> {
     consts: Vec<(u8, u64, u16)>,
     /// Sequential-loop nesting depth.
     depth: u32,
-    /// The `If` arm being compiled, if any.
+    /// The `If` arm (or masked loop trip) being compiled, if any.
     arm: Option<Arm>,
     /// Bool lane slots the validation walk must compute (see
     /// [`BatchPlan::early`]).
     early: Vec<bool>,
+    /// A grouped phase: `LocalId` is the lane, local arrays are
+    /// addressable, sequential loops may have per-lane bounds and `If`
+    /// arms may assign variables.
+    grouped: bool,
+    /// Element types of the kernel's local arrays, addressed after the
+    /// program's global arrays.
+    locals_elem: Vec<Scalar>,
+    /// Pooled work-group builtin slots, by `Instr::Special` number.
+    specials: [Option<u16>; 4],
+    /// Compiling the body of a masked loop (per-lane bounds): `arm` is
+    /// its trip mask.
+    masked_loop: bool,
+    /// Variables whose lanes the plan cannot name after an `If` arm or
+    /// a masked loop assigned them on some lanes only: reading one
+    /// rejects the plan.
+    poison: Vec<bool>,
+    /// Variables assigned outside `If` arms so far; an arm assigning
+    /// one afterwards would need that value written back first, so it
+    /// rejects.
+    uncond: Vec<bool>,
+    /// Variables assigned inside the `If` arm being compiled.
+    arm_vars: Vec<u16>,
+    /// `If`-arm assignments, written back at the end of a grouped phase
+    /// to the lanes taking the arm.
+    masked_wb: Vec<(u16, Loc, Arm)>,
 }
 
 /// Compile the innermost parallel loop of `k` into a batch plan, or
@@ -1480,34 +2176,8 @@ pub(crate) fn build(p: &Program, k: &Kernel) -> Option<BatchPlan> {
         KernelBody::Simple(b) => b,
         KernelBody::Grouped(_) => return None,
     };
-    let nv = p.var_names.len();
-    let n_vars = u16::try_from(nv).ok()?;
     let lane = k.loops.last()?.var;
-    let mut c = Bc {
-        p,
-        ops: Vec::new(),
-        pre: Vec::new(),
-        env: (0..nv)
-            .map(|i| Val {
-                loc: Loc::S(i as u16),
-                sty: STy::Unk,
-                f32v: false,
-            })
-            .collect(),
-        pinned: vec![false; nv],
-        pin_slots: Vec::new(),
-        sdef: vec![false; nv],
-        n_s: n_vars,
-        n_a: 1, // av[0] is the lane affine (lo, 1)
-        n_f: 0,
-        n_b: 0,
-        acc: vec![ArrAcc::default(); p.arrays.len()],
-        pslots: vec![None; p.params.len()],
-        consts: Vec::new(),
-        depth: 0,
-        arm: None,
-        early: Vec::new(),
-    };
+    let mut c = Bc::new(p, false, Vec::new())?;
     // Outer parallel loop variables are defined integer scalars; the
     // innermost one is the lane itself.
     for lp in &k.loops[..k.loops.len() - 1] {
@@ -1534,31 +2204,6 @@ pub(crate) fn build(p: &Program, k: &Kernel) -> Option<BatchPlan> {
         None => None,
     };
 
-    // Scatter guards. An array that is scattered *and* otherwise
-    // accessed is only batchable when, per batch, each scatter either
-    // hits the same per-lane index as every other access or a
-    // disjoint lane range (see [`Guard`]). A sole scatter with no
-    // other access needs no guard: ascending-lane writes make the
-    // last lane win, exactly like the tree's lane-major order.
-    let mut guards = Vec::new();
-    for a in &c.acc {
-        if a.scatters.is_empty() {
-            continue;
-        }
-        if a.in_for {
-            return None;
-        }
-        if a.touches.len() == 1 {
-            continue;
-        }
-        guards.extend(a.scatters.iter().map(|&scatter| Guard {
-            scatter,
-            others: a.touches.clone(),
-        }));
-    }
-    let mut early = c.early;
-    early.resize(c.n_b as usize, false);
-
     // Lane-valued variables need an explicit last-lane writeback.
     let mut outs = Vec::new();
     for (i, v) in c.env.iter().enumerate() {
@@ -1567,42 +2212,377 @@ pub(crate) fn build(p: &Program, k: &Kernel) -> Option<BatchPlan> {
             loc => outs.push((i as u16, loc)),
         }
     }
+    let mut plan = c.finish()?;
+    plan.lane_var = Some(u16::try_from(lane.0).ok()?);
+    plan.outs = outs;
+    plan.reduce = reduce;
+    Some(plan)
+}
 
-    // The prologue runs first; shift the body's jump targets past it.
-    let shift = u32::try_from(c.pre.len()).ok()?;
-    let mut ops = c.pre;
-    for op in c.ops {
-        ops.push(match op {
-            BOp::ForHead { cnt, hi, exit } => BOp::ForHead {
-                cnt,
-                hi,
-                exit: exit.checked_add(shift)?,
-            },
-            BOp::ForStep { cnt, step, back } => BOp::ForStep {
-                cnt,
-                step,
-                back: back.checked_add(shift)?,
-            },
-            op => op,
+/// How the lanes of a variable stand after the phase that last
+/// assigned it, as the next phase reading it gathers them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    Uniform,
+    Affine,
+    Float,
+}
+
+/// Work-groups smaller than this run every phase lane by lane: a
+/// batched phase's fixed cost outweighs the per-lane dispatch it
+/// saves. Measured on `reduction_to_grouped` launches: 4-lane groups
+/// ran ~2× slower batched, 8-lane ones broke even, 16-, 32- and
+/// 128-lane ones ran 1.2×, 2× and 3.4× faster.
+const MIN_GROUP_LANES: u32 = 8;
+
+/// Compile every phase of grouped kernel `k` into a batch plan over
+/// its work-group's lanes, `None` where a phase falls outside the
+/// provably-bitwise subset (it then runs lane by lane).
+pub(crate) fn build_phases(p: &Program, k: &Kernel) -> Vec<Option<BatchPlan>> {
+    let KernelBody::Grouped(g) = &k.body else {
+        return Vec::new();
+    };
+    if g.group_size < MIN_GROUP_LANES {
+        return vec![None; g.phases.len()];
+    }
+    let nv = p.var_names.len();
+    let gvar = match k.loops.as_slice() {
+        [lp] => lp.var.0 as usize,
+        _ => return vec![None; g.phases.len()],
+    };
+    // Per phase: the variables it may read before assigning them, and
+    // the ones it assigns.
+    let sets: Vec<(Vec<bool>, Vec<bool>)> = g
+        .phases
+        .iter()
+        .map(|ph| {
+            let mut reads = vec![false; nv];
+            exposed_reads(ph, &mut vec![false; nv], &mut reads);
+            let mut w = Vec::new();
+            super::compile::collect_assigned(ph, &mut w);
+            let mut assigns = vec![false; nv];
+            w.iter().for_each(|v| assigns[v.0 as usize] = true);
+            (reads, assigns)
+        })
+        .collect();
+    let locals_elem: Vec<Scalar> = g.locals.iter().map(|l| l.elem).collect();
+    let mut held: Vec<Option<Held>> = vec![None; nv];
+    let mut earlier = vec![false; nv];
+    let mut plans = Vec::with_capacity(g.phases.len());
+    for (pi, phase) in g.phases.iter().enumerate() {
+        // What a later phase (batched or not) may read of this one.
+        let mut live = vec![false; nv];
+        for (reads, _) in &sets[pi + 1..] {
+            live.iter_mut().zip(reads).for_each(|(l, r)| *l |= r);
+        }
+        let (reads, assigns) = &sets[pi];
+        let plan = build_phase(
+            p,
+            phase,
+            locals_elem.clone(),
+            gvar,
+            &held,
+            &earlier,
+            reads,
+            assigns,
+            &live,
+        );
+        for v in (0..nv).filter(|&v| assigns[v]) {
+            let wb = plan
+                .as_ref()
+                .and_then(|pl| pl.wb.iter().find(|w| w.0 as usize == v));
+            held[v] = match wb {
+                Some((_, Loc::S(_), None)) => Some(Held::Uniform),
+                Some((_, Loc::A(_), None)) => Some(Held::Affine),
+                Some((_, Loc::LF(_), None)) => Some(Held::Float),
+                _ => None,
+            };
+            earlier[v] = true;
+        }
+        plans.push(plan);
+    }
+    plans
+}
+
+/// Mark in `reads` every variable `b` may read before assigning it,
+/// given the variables `def` definitely assigned on entry; leaves in
+/// `def` those definitely assigned on exit.
+fn exposed_reads(b: &Block, def: &mut Vec<bool>, reads: &mut [bool]) {
+    fn expr(e: &Expr, def: &[bool], reads: &mut [bool]) {
+        e.walk(&mut |x| {
+            if let Expr::Var(v) = x {
+                reads[v.0 as usize] |= !def[v.0 as usize];
+            }
         });
     }
+    for s in &b.0 {
+        s.for_each_expr(&mut |e| expr(e, def, reads));
+        match s {
+            Stmt::Let { var, .. } | Stmt::Assign { var, .. } => def[var.0 as usize] = true,
+            Stmt::If {
+                then_blk, else_blk, ..
+            } => {
+                let mut then_def = def.clone();
+                exposed_reads(then_blk, &mut then_def, reads);
+                exposed_reads(else_blk, def, reads);
+                def.iter_mut().zip(then_def).for_each(|(d, t)| *d &= t);
+            }
+            Stmt::For { var, body, .. } => {
+                // A zero-trip loop assigns nothing.
+                let mut inner = def.clone();
+                inner[var.0 as usize] = true;
+                exposed_reads(body, &mut inner, reads);
+            }
+            Stmt::Store { .. } | Stmt::Atomic { .. } | Stmt::Barrier => {}
+        }
+    }
+}
 
-    Some(BatchPlan {
-        ops,
-        n_vars,
-        lane_var: u16::try_from(lane.0).ok()?,
-        n_s: c.n_s,
-        n_a: c.n_a,
-        n_f: c.n_f,
-        n_b: c.n_b,
-        outs,
-        reduce,
-        guards,
-        early,
-    })
+/// One phase of [`build_phases`]. `earlier` marks the variables an
+/// earlier phase assigns and `held` how their lanes stand; `reads` the
+/// ones this phase may read before assigning them; `live` the ones a
+/// later phase may.
+#[allow(clippy::too_many_arguments)]
+fn build_phase(
+    p: &Program,
+    phase: &Block,
+    locals_elem: Vec<Scalar>,
+    gvar: usize,
+    held: &[Option<Held>],
+    earlier: &[bool],
+    reads: &[bool],
+    assigns: &[bool],
+    live: &[bool],
+) -> Option<BatchPlan> {
+    let mut c = Bc::new(p, true, locals_elem)?;
+    // The VM sets the group's loop variable on every lane.
+    c.env[gvar].sty = STy::I;
+    c.sdef[gvar] = true;
+    // Everything an earlier phase assigned is gathered from the lanes
+    // when this phase reads it, or assigns it for a later one (a
+    // zero-trip loop leaves the gathered value).
+    let mut ins = Vec::new();
+    for v in 0..earlier.len() {
+        if v == gvar || !earlier[v] || !(reads[v] || assigns[v] && live[v]) {
+            continue;
+        }
+        let (how, loc, sty) = match held[v]? {
+            Held::Uniform => (Gather::Uniform, Loc::S(v as u16), STy::Unk),
+            Held::Affine => {
+                let r = c.a_slot()?;
+                (Gather::Affine(r), Loc::A(r), STy::I)
+            }
+            Held::Float => {
+                let r = c.f_slot()?;
+                (Gather::Float(r), Loc::LF(r), STy::F)
+            }
+        };
+        c.env[v] = Val {
+            loc,
+            sty,
+            f32v: false,
+        };
+        c.sdef[v] = how != Gather::Uniform;
+        ins.push((v as u16, how));
+    }
+
+    c.block(phase)?;
+
+    let mut wb = Vec::new();
+    for v in 0..earlier.len() {
+        if v == gvar || !assigns[v] || !live[v] {
+            continue;
+        }
+        if c.poison[v] {
+            let masked = c.masked_wb.iter().filter(|m| m.0 as usize == v);
+            let before = wb.len();
+            wb.extend(masked.map(|&(var, loc, arm)| (var, loc, Some(arm))));
+            if wb.len() == before {
+                return None;
+            }
+        } else if c.sdef[v] || !earlier[v] || ins.iter().any(|&(i, _)| i as usize == v) {
+            // Known on every lane: assigned for sure, or starting from
+            // a value the phase holds.
+            wb.push((v as u16, c.env[v].loc, None));
+        } else {
+            return None;
+        }
+    }
+    let mut plan = c.finish()?;
+    plan.ins = ins;
+    plan.wb = wb;
+    Some(plan)
 }
 
 impl<'a> Bc<'a> {
+    /// A compiler with every variable an undefined-until-checked
+    /// scalar in its own slot, for a simple kernel or a grouped phase
+    /// with local arrays of element types `locals_elem`.
+    fn new(p: &'a Program, grouped: bool, locals_elem: Vec<Scalar>) -> Option<Bc<'a>> {
+        let nv = p.var_names.len();
+        let n_vars = u16::try_from(nv).ok()?;
+        Some(Bc {
+            p,
+            ops: Vec::new(),
+            pre: Vec::new(),
+            env: (0..nv)
+                .map(|i| Val {
+                    loc: Loc::S(i as u16),
+                    sty: STy::Unk,
+                    f32v: false,
+                })
+                .collect(),
+            pinned: vec![false; nv],
+            pin_slots: Vec::new(),
+            sdef: vec![false; nv],
+            n_s: n_vars,
+            n_a: 1, // av[0] is the lane affine
+            n_f: 0,
+            n_b: 0,
+            n_i: 0,
+            acc: vec![ArrAcc::default(); p.arrays.len() + locals_elem.len()],
+            pslots: vec![None; p.params.len()],
+            consts: Vec::new(),
+            depth: 0,
+            arm: None,
+            early: Vec::new(),
+            grouped,
+            locals_elem,
+            specials: [None; 4],
+            masked_loop: false,
+            poison: vec![false; nv],
+            uncond: vec![false; nv],
+            arm_vars: Vec::new(),
+            masked_wb: Vec::new(),
+        })
+    }
+
+    /// The plan for the compiled body: guards, early slots, and the
+    /// prologue in front.
+    fn finish(self) -> Option<BatchPlan> {
+        let n_glob = self.p.arrays.len();
+        // Scatter guards. An array that is scattered *and* otherwise
+        // accessed is only batchable when, per batch, each scatter
+        // either hits the same per-lane index as every other access or
+        // a disjoint lane range (see [`Guard`]); a local array gets
+        // the exact [`Owner`] check instead. A sole scatter with no
+        // other access needs neither: ascending-lane writes make the
+        // last lane win, exactly like the tree's lane-major order.
+        let mut guards = Vec::new();
+        let mut owners = Vec::new();
+        for (i, a) in self.acc.iter().enumerate() {
+            if a.scatters.is_empty() {
+                continue;
+            }
+            if a.in_for || a.touches.iter().any(|t| matches!(t.at, Loc::LI(_))) {
+                return None;
+            }
+            if a.touches.len() == 1 {
+                continue;
+            }
+            if i >= n_glob {
+                owners.push(Owner {
+                    array: u16::try_from(i).ok()?,
+                    touches: a.touches.clone(),
+                    scatters: a.scatters.clone(),
+                });
+                continue;
+            }
+            guards.extend(a.scatters.iter().map(|&scatter| Guard {
+                scatter,
+                others: a.touches.clone(),
+            }));
+        }
+        let mut early = self.early;
+        early.resize(self.n_b as usize, false);
+        // The validation walk runs before any store lands: a scalar
+        // load after a store to its array (the guards let one lane do
+        // both) would read the old element there, and every hazard
+        // check, `If` lane set and reused condition built on it would
+        // be wrong.
+        let mut stored = vec![false; self.acc.len()];
+        for op in &self.ops {
+            match *op {
+                BOp::Scatter { array, .. } | BOp::ScatterS { array, .. } => {
+                    stored[array as usize] = true
+                }
+                BOp::SLoad { array, .. } if stored[array as usize] => return None,
+                _ => {}
+            }
+        }
+        // Lane conditions outside sequential loops: both walks compute
+        // them once, from the same state.
+        let mut in_loop = vec![false; self.ops.len()];
+        for (h, op) in self.ops.iter().enumerate() {
+            if let BOp::ForHead { exit, .. } | BOp::MForHead { exit, .. } = *op {
+                in_loop[h..exit as usize].iter_mut().for_each(|x| *x = true);
+            }
+        }
+        let mut settled = vec![false; self.pre.len()];
+        settled.extend(self.ops.iter().zip(&in_loop).map(|(op, &looped)| {
+            !looped
+                && match *op {
+                    BOp::IBin { .. } | BOp::Active { .. } => true,
+                    _ => early_dst(op).is_some_and(|d| early[d as usize]),
+                }
+        }));
+
+        // The prologue runs first; shift the body's jump targets past it.
+        let shift = u32::try_from(self.pre.len()).ok()?;
+        let mut ops = self.pre;
+        for op in self.ops {
+            ops.push(match op {
+                BOp::ForHead { cnt, hi, exit } => BOp::ForHead {
+                    cnt,
+                    hi,
+                    exit: exit.checked_add(shift)?,
+                },
+                BOp::ForStep { cnt, step, back } => BOp::ForStep {
+                    cnt,
+                    step,
+                    back: back.checked_add(shift)?,
+                },
+                BOp::MForHead {
+                    cnt,
+                    hi,
+                    mask,
+                    exit,
+                } => BOp::MForHead {
+                    cnt,
+                    hi,
+                    mask,
+                    exit: exit.checked_add(shift)?,
+                },
+                BOp::MForStep { cnt, step, back } => BOp::MForStep {
+                    cnt,
+                    step,
+                    back: back.checked_add(shift)?,
+                },
+                op => op,
+            });
+        }
+
+        Some(BatchPlan {
+            ops,
+            n_vars: u16::try_from(self.p.var_names.len()).ok()?,
+            n_glob: u16::try_from(n_glob).ok()?,
+            lane_var: None,
+            n_s: self.n_s,
+            n_a: self.n_a,
+            n_f: self.n_f,
+            n_b: self.n_b,
+            n_i: self.n_i,
+            outs: Vec::new(),
+            reduce: None,
+            guards,
+            owners,
+            early,
+            settled,
+            ins: Vec::new(),
+            wb: Vec::new(),
+        })
+    }
+
     fn snap(&self) -> BcSnap {
         BcSnap {
             ops_len: self.ops.len(),
@@ -1615,9 +2595,14 @@ impl<'a> Bc<'a> {
             n_a: self.n_a,
             n_f: self.n_f,
             n_b: self.n_b,
+            n_i: self.n_i,
             acc: self.acc.clone(),
             pslots: self.pslots.clone(),
             consts: self.consts.clone(),
+            specials: self.specials,
+            poison: self.poison.clone(),
+            uncond: self.uncond.clone(),
+            masked_wb: self.masked_wb.clone(),
         }
     }
 
@@ -1632,9 +2617,14 @@ impl<'a> Bc<'a> {
         self.n_a = s.n_a;
         self.n_f = s.n_f;
         self.n_b = s.n_b;
+        self.n_i = s.n_i;
         self.acc.clone_from(&s.acc);
         self.pslots.clone_from(&s.pslots);
         self.consts.clone_from(&s.consts);
+        self.specials = s.specials;
+        self.poison.clone_from(&s.poison);
+        self.uncond.clone_from(&s.uncond);
+        self.masked_wb.clone_from(&s.masked_wb);
     }
 
     fn s_slot(&mut self) -> Option<u16> {
@@ -1655,6 +2645,11 @@ impl<'a> Bc<'a> {
     fn b_slot(&mut self) -> Option<u16> {
         let r = self.n_b;
         self.n_b = self.n_b.checked_add(1)?;
+        Some(r)
+    }
+    fn i_slot(&mut self) -> Option<u16> {
+        let r = self.n_i;
+        self.n_i = self.n_i.checked_add(1)?;
         Some(r)
     }
 
@@ -1715,6 +2710,7 @@ impl<'a> Bc<'a> {
                 self.ops.push(BOp::CvtBtoF { dst, a: b });
                 Some(dst)
             }
+            Loc::LI(_) => None,
         }
     }
 
@@ -1737,6 +2733,7 @@ impl<'a> Bc<'a> {
                 self.ops.push(BOp::CvtAtoB { dst, a });
                 Some(dst)
             }
+            Loc::LI(_) => None,
         }
     }
 
@@ -1761,7 +2758,7 @@ impl<'a> Bc<'a> {
         match v.loc {
             Loc::LF(_) => true,
             Loc::S(_) => v.sty == STy::F,
-            Loc::A(_) | Loc::LB(_) => false,
+            Loc::A(_) | Loc::LB(_) | Loc::LI(_) => false,
         }
     }
 
@@ -1813,27 +2810,31 @@ impl<'a> Bc<'a> {
     }
 
     /// An `If` outside sequential loops whose arms only store (or nest
-    /// such `If`s) runs as masked stores. Its condition must be built
-    /// from scalars, integer compares of affine lanes and bool logic,
-    /// which the validation walk computes too, so it can count steps
-    /// and check guards for exactly the lanes that take each arm.
+    /// such `If`s) runs as masked stores; in a grouped phase the arms
+    /// may also assign variables, which the phase then writes back to
+    /// the lanes taking the arm. The condition must be built from
+    /// scalars, integer compares of affine or int lanes and bool
+    /// logic, which the validation walk computes too, so it can count
+    /// steps and check bounds and guards for exactly the lanes that
+    /// take each arm.
     fn if_stmt(&mut self, cond: &Expr, then_blk: &Block, else_blk: &Block) -> Option<()> {
-        fn stores_only(b: &Block) -> bool {
+        fn arm_ok(b: &Block, grouped: bool) -> bool {
             b.0.iter().all(|s| match s {
-                Stmt::Store { space, .. } => *space == MemSpace::Global,
+                Stmt::Store { space, .. } => grouped || *space == MemSpace::Global,
+                Stmt::Let { .. } | Stmt::Assign { .. } => grouped,
                 Stmt::If {
                     then_blk, else_blk, ..
-                } => stores_only(then_blk) && stores_only(else_blk),
+                } => arm_ok(then_blk, grouped) && arm_ok(else_blk, grouped),
                 _ => false,
             })
         }
-        if self.depth > 0 || !stores_only(then_blk) || !stores_only(else_blk) {
+        if self.depth > 0 || !arm_ok(then_blk, self.grouped) || !arm_ok(else_blk, self.grouped) {
             return None;
         }
         let vc = self.expr(cond)?;
         let c = match vc.loc {
             Loc::S(_) | Loc::LB(_) => self.lane_b(&vc)?,
-            Loc::A(_) | Loc::LF(_) => return None,
+            _ => return None,
         };
         let outer = self.arm;
         for (blk, pol) in [(then_blk, true), (else_blk, false)] {
@@ -1852,6 +2853,9 @@ impl<'a> Bc<'a> {
                 m = dst;
             }
             self.mark_early(m)?;
+            self.ops.push(BOp::Active { m });
+            let sdef = self.sdef.clone();
+            let outer_vars = std::mem::take(&mut self.arm_vars);
             self.arm = Some(Arm(m));
             self.ops.push(BOp::MaskPush {
                 c: Loc::LB(m),
@@ -1861,6 +2865,36 @@ impl<'a> Bc<'a> {
             self.ops.push(BOp::MaskPop);
             self.arm = outer;
             arm?;
+            let vars = std::mem::replace(&mut self.arm_vars, outer_vars);
+            self.close_arm(&vars, Arm(m))?;
+            self.arm_vars.extend(vars);
+            self.sdef = sdef;
+        }
+        Some(())
+    }
+
+    /// Leave an `If` arm that assigned `vars`: each one's value is
+    /// recorded for the lanes taking the arm, and the variable is
+    /// poisoned for the rest of the phase (its lanes now disagree).
+    fn close_arm(&mut self, vars: &[u16], arm: Arm) -> Option<()> {
+        for &v in vars {
+            let i = v as usize;
+            if self.poison[i] {
+                // A nested arm already recorded it.
+                continue;
+            }
+            let loc = match self.env[i].loc {
+                // The variable's own slot may be reassigned later in
+                // the phase: keep this value apart.
+                Loc::S(s) => {
+                    let t = self.s_slot()?;
+                    self.ops.push(BOp::SCopy { dst: t, a: s });
+                    Loc::S(t)
+                }
+                loc => loc,
+            };
+            self.masked_wb.push((v, loc, arm));
+            self.poison[i] = true;
         }
         Some(())
     }
@@ -1918,6 +2952,9 @@ impl<'a> Bc<'a> {
             Expr::Param(p) => self.param(*p),
             Expr::Var(v) => {
                 let i = v.0 as usize;
+                if self.poison[i] {
+                    return None;
+                }
                 if !self.sdef[i] {
                     self.ops.push(BOp::VDefCheck {
                         var: u16::try_from(v.0).ok()?,
@@ -1925,7 +2962,7 @@ impl<'a> Bc<'a> {
                 }
                 Some(self.env[i])
             }
-            Expr::Special(_) => None,
+            Expr::Special(sv) => self.special(*sv),
             Expr::Load {
                 space,
                 array,
@@ -1953,7 +2990,7 @@ impl<'a> Bc<'a> {
             }
             Expr::Select(c, a, b) => {
                 let mut vc = self.expr(c)?;
-                if !matches!(vc.loc, Loc::S(_)) && (a.reads_global() || b.reads_global()) {
+                if !matches!(vc.loc, Loc::S(_)) && (reads_memory(a) || reads_memory(b)) {
                     // Masked arms need the condition as bool lanes.
                     vc = Val {
                         loc: Loc::LB(self.lane_b(&vc)?),
@@ -1977,7 +3014,7 @@ impl<'a> Bc<'a> {
     /// bracketed by a tape mask, so a race tracker sees its accesses
     /// only on the lanes that take it.
     fn arm(&mut self, c: Loc, pol: bool, e: &Expr) -> Option<Val> {
-        if !e.reads_global() {
+        if !reads_memory(e) {
             return self.expr(e);
         }
         self.ops.push(BOp::MaskPush { c, pol });
@@ -1986,14 +3023,57 @@ impl<'a> Bc<'a> {
         Some(v)
     }
 
-    fn load(&mut self, space: MemSpace, array: ArrayId, index: &Expr) -> Option<Val> {
-        if space != MemSpace::Global {
+    /// A work-group builtin of a grouped phase: `LocalId` is the lane,
+    /// the others are lane-invariant scalars.
+    fn special(&mut self, sv: SpecialVar) -> Option<Val> {
+        if !self.grouped {
             return None;
         }
+        let which = match sv {
+            SpecialVar::LocalId(_) => {
+                return Some(Val {
+                    loc: Loc::A(0),
+                    sty: STy::I,
+                    f32v: false,
+                })
+            }
+            SpecialVar::GroupId(_) => 1,
+            SpecialVar::LocalSize(_) => 2,
+            SpecialVar::NumGroups(_) => 3,
+        };
+        let dst = match self.specials[which as usize] {
+            Some(s) => s,
+            None => {
+                let dst = self.s_slot()?;
+                self.pre.push(BOp::SGroup { dst, which });
+                self.specials[which as usize] = Some(dst);
+                dst
+            }
+        };
+        Some(Val {
+            loc: Loc::S(dst),
+            sty: STy::I,
+            f32v: false,
+        })
+    }
+
+    /// The memory index and element type of an array: global arrays
+    /// first, then a grouped phase's local ones.
+    fn array(&self, space: MemSpace, array: ArrayId) -> Option<(usize, Scalar)> {
+        let a = array.0 as usize;
+        match space {
+            MemSpace::Global => Some((a, self.p.arrays[a].elem)),
+            MemSpace::Local if self.grouped => {
+                Some((self.p.arrays.len() + a, *self.locals_elem.get(a)?))
+            }
+            MemSpace::Local => None,
+        }
+    }
+
+    fn load(&mut self, space: MemSpace, array: ArrayId, index: &Expr) -> Option<Val> {
+        let (ai, elem) = self.array(space, array)?;
         let idx = self.expr(index)?;
-        let ai = array.0 as usize;
-        let elem = self.p.arrays[ai].elem;
-        let arr = u16::try_from(array.0).ok()?;
+        let arr = u16::try_from(ai).ok()?;
         match idx.loc {
             Loc::S(si) => {
                 // Guards read the index after the walk: pin a variable
@@ -2047,6 +3127,7 @@ impl<'a> Bc<'a> {
                     aff,
                     dst,
                     f32src: elem == Scalar::F32,
+                    when: self.arm,
                 });
                 Some(Val {
                     loc: Loc::LF(dst),
@@ -2054,7 +3135,29 @@ impl<'a> Bc<'a> {
                     f32v: elem == Scalar::F32,
                 })
             }
-            Loc::LF(_) | Loc::LB(_) => None,
+            Loc::LI(idx) if elem.is_float() => {
+                // No guard can order these against a store: `finish`
+                // rejects a stored-to array read this way.
+                let rec = &mut self.acc[ai];
+                rec.touches.push(Touch {
+                    at: Loc::LI(idx),
+                    when: self.arm,
+                });
+                rec.in_for |= self.depth > 0;
+                let dst = self.f_slot()?;
+                self.ops.push(BOp::GatherFI {
+                    array: arr,
+                    idx,
+                    dst,
+                    when: self.arm,
+                });
+                Some(Val {
+                    loc: Loc::LF(dst),
+                    sty: STy::F,
+                    f32v: elem == Scalar::F32,
+                })
+            }
+            Loc::LF(_) | Loc::LB(_) | Loc::LI(_) => None,
         }
     }
 
@@ -2162,6 +3265,7 @@ impl<'a> Bc<'a> {
                     })
                 }
             },
+            Loc::LI(_) => None,
         }
     }
 
@@ -2270,6 +3374,40 @@ impl<'a> Bc<'a> {
     /// operands must be provably runtime-integers.
     fn abin(&mut self, op: BinOp, a: Val, b: Val) -> Option<Val> {
         use BinOp::*;
+        let affine = match (a.loc, b.loc) {
+            (Loc::A(_), Loc::A(_)) => matches!(op, Add | Sub),
+            (Loc::A(_), Loc::S(_)) | (Loc::S(_), Loc::A(_)) => matches!(op, Add | Sub | Mul),
+            _ => false,
+        };
+        if !affine {
+            // Exact per lane, though not affine: int lanes.
+            let int = |v: &Val| matches!(v.loc, Loc::A(_) | Loc::LI(_)) || v.sty != STy::F;
+            let arith = matches!(op, Add | Sub | Mul | Div | Rem | Min | Max);
+            if !arith || !int(&a) || !int(&b) {
+                return None;
+            }
+            for v in [&a, &b] {
+                if let Loc::S(_) = v.loc {
+                    if !self.int_scalar(v) {
+                        return None;
+                    }
+                } else if !matches!(v.loc, Loc::A(_) | Loc::LI(_)) {
+                    return None;
+                }
+            }
+            let dst = self.i_slot()?;
+            self.ops.push(BOp::IBin {
+                op,
+                dst,
+                a: a.loc,
+                b: b.loc,
+            });
+            return Some(Val {
+                loc: Loc::LI(dst),
+                sty: STy::I,
+                f32v: false,
+            });
+        }
         let dst = self.a_slot()?;
         match (a.loc, b.loc) {
             (Loc::A(aa), Loc::A(ab)) => match op {
@@ -2376,6 +3514,22 @@ impl<'a> Bc<'a> {
                     dst,
                     s: sa,
                     a: ab,
+                });
+            }
+            (Loc::LI(la), Loc::S(sb)) if self.int_scalar(&b) => {
+                self.ops.push(BOp::ICmpLS {
+                    op,
+                    dst,
+                    a: la,
+                    s: sb,
+                });
+            }
+            (Loc::S(sa), Loc::LI(lb)) if self.int_scalar(&a) => {
+                self.ops.push(BOp::ICmpSL {
+                    op,
+                    dst,
+                    s: sa,
+                    a: lb,
                 });
             }
             _ => return None,
@@ -2552,18 +3706,20 @@ impl<'a> Bc<'a> {
                 Scalar::Bool => Some(a),
                 Scalar::I32 | Scalar::U32 => None,
             },
+            Loc::LI(_) => None,
         }
     }
 
     fn store(&mut self, space: MemSpace, array: ArrayId, index: &Expr, value: &Expr) -> Option<()> {
         // Stores inside sequential loops would interleave with other
         // lanes' loop trips in the tree; keep those on the scalar VM.
-        if space != MemSpace::Global || self.depth > 0 {
+        let (ai, _) = self.array(space, array)?;
+        if self.depth > 0 {
             return None;
         }
         let idx = self.expr(index)?;
         let val = self.expr(value)?;
-        let arr = u16::try_from(array.0).ok()?;
+        let arr = u16::try_from(ai).ok()?;
         let aff = match idx.loc {
             Loc::A(r) => r,
             Loc::S(si) => {
@@ -2571,7 +3727,7 @@ impl<'a> Bc<'a> {
                 self.ops.push(BOp::AFromS { dst, s: si });
                 dst
             }
-            Loc::LF(_) | Loc::LB(_) => return None,
+            Loc::LF(_) | Loc::LB(_) | Loc::LI(_) => return None,
         };
         // The tree stores eval(value).as_f() and lets Buffer::set
         // narrow per element type; every class converts exactly.
@@ -2584,7 +3740,7 @@ impl<'a> Bc<'a> {
                     s,
                     when: self.arm,
                 });
-                return self.scattered(array, aff);
+                return self.scattered(ai, aff);
             }
             Loc::A(r) => {
                 let src = self.f_slot()?;
@@ -2596,6 +3752,7 @@ impl<'a> Bc<'a> {
                 self.ops.push(BOp::CvtBtoF { dst: src, a: r });
                 src
             }
+            Loc::LI(_) => return None,
         };
         self.ops.push(BOp::Scatter {
             array: arr,
@@ -2603,15 +3760,15 @@ impl<'a> Bc<'a> {
             src,
             when: self.arm,
         });
-        self.scattered(array, aff)
+        self.scattered(ai, aff)
     }
 
-    fn scattered(&mut self, array: ArrayId, aff: u16) -> Option<()> {
+    fn scattered(&mut self, ai: usize, aff: u16) -> Option<()> {
         let touch = Touch {
             at: Loc::A(aff),
             when: self.arm,
         };
-        let rec = &mut self.acc[array.0 as usize];
+        let rec = &mut self.acc[ai];
         rec.touches.push(touch);
         rec.scatters.push(touch);
         Some(())
@@ -2622,8 +3779,24 @@ impl<'a> Bc<'a> {
     fn assign(&mut self, var: VarId, let_ty: Option<Scalar>, v: Val) -> Option<()> {
         let vi = var.0 as usize;
         let vu = u16::try_from(var.0).ok()?;
+        if self.arm.is_some() && !self.masked_loop {
+            // Inside an `If` arm (grouped phases only): this value
+            // reaches just the lanes taking the arm (`close_arm`).
+            if self.uncond[vi] {
+                return None;
+            }
+            self.arm_vars.push(vu);
+        } else {
+            self.uncond[vi] = true;
+            self.poison[vi] = false;
+            self.masked_wb.retain(|m| m.0 != vu);
+        }
         if self.pinned[vi] {
             return self.assign_pinned(vu, let_ty, v);
+        }
+        if self.masked_loop {
+            // Every variable a masked loop assigns is pinned.
+            return None;
         }
         match v.loc {
             Loc::S(src) => {
@@ -2740,6 +3913,8 @@ impl<'a> Bc<'a> {
             }
             (Scalar::Bool, Loc::LB(_)) => Some(v),
             (Scalar::I32 | Scalar::U32, Loc::LB(_)) => None,
+            (Scalar::I32 | Scalar::U32, Loc::LI(_)) => Some(v),
+            (_, Loc::LI(_)) => None,
             (_, Loc::S(_)) => unreachable!("scalar coercion goes through SLet"),
         }
     }
@@ -2763,12 +3938,19 @@ impl<'a> Bc<'a> {
     /// Assignment to a variable pinned to a mutable LF slot by an
     /// enclosing sequential loop. The pin invariant: the slot holds a
     /// runtime-`F` value at every program point, so only assignments
-    /// that provably produce `F` compile.
+    /// that provably produce `F` compile. In a masked loop the new
+    /// lanes land in a temp merged into the pin on the lanes taking
+    /// the trip; the others keep their value.
     fn assign_pinned(&mut self, vu: u16, let_ty: Option<Scalar>, v: Val) -> Option<()> {
         let vi = vu as usize;
         let pin = match self.env[vi].loc {
             Loc::LF(r) => r,
             _ => return None,
+        };
+        let masked = if self.masked_loop { self.arm } else { None };
+        let dst = match masked {
+            Some(_) => self.f_slot()?,
+            None => pin,
         };
         let f32v = match let_ty {
             Some(Scalar::F32) => {
@@ -2781,33 +3963,35 @@ impl<'a> Bc<'a> {
                             dst: t,
                             a: s,
                         });
-                        self.ops.push(BOp::BcastF { dst: pin, s: t });
+                        self.ops.push(BOp::BcastF { dst, s: t });
                     }
                     Loc::LF(f) => {
                         if v.f32v {
-                            self.redirect_or_copy(f, pin);
+                            self.redirect_or_copy(f, dst);
                         } else {
-                            self.ops.push(BOp::CvtFtoF32 { dst: pin, a: f });
+                            self.ops.push(BOp::CvtFtoF32 { dst, a: f });
                         }
                     }
                     Loc::A(aff) => {
                         let t = self.f_slot()?;
                         self.ops.push(BOp::CvtAtoF { dst: t, a: aff });
-                        self.ops.push(BOp::CvtFtoF32 { dst: pin, a: t });
+                        self.ops.push(BOp::CvtFtoF32 { dst, a: t });
                     }
                     Loc::LB(b) => {
-                        self.ops.push(BOp::CvtBtoF { dst: pin, a: b });
+                        self.ops.push(BOp::CvtBtoF { dst, a: b });
                     }
+                    Loc::LI(_) => return None,
                 }
                 true
             }
             Some(Scalar::F64) => {
                 // coerce F64 = V::F(as_f) — total for every class.
                 match v.loc {
-                    Loc::S(s) => self.ops.push(BOp::BcastF { dst: pin, s }),
-                    Loc::LF(f) => self.redirect_or_copy(f, pin),
-                    Loc::A(aff) => self.ops.push(BOp::CvtAtoF { dst: pin, a: aff }),
-                    Loc::LB(b) => self.ops.push(BOp::CvtBtoF { dst: pin, a: b }),
+                    Loc::S(s) => self.ops.push(BOp::BcastF { dst, s }),
+                    Loc::LF(f) => self.redirect_or_copy(f, dst),
+                    Loc::A(aff) => self.ops.push(BOp::CvtAtoF { dst, a: aff }),
+                    Loc::LB(b) => self.ops.push(BOp::CvtBtoF { dst, a: b }),
+                    Loc::LI(_) => return None,
                 }
                 matches!(v.loc, Loc::LF(_) | Loc::LB(_)) && v.f32v
             }
@@ -2817,12 +4001,23 @@ impl<'a> Bc<'a> {
                 // Raw Assign stores the value verbatim: it must be
                 // guaranteed runtime-F already.
                 match v.loc {
-                    Loc::S(s) if v.sty == STy::F => self.ops.push(BOp::BcastF { dst: pin, s }),
-                    Loc::LF(f) => self.redirect_or_copy(f, pin),
+                    Loc::S(s) if v.sty == STy::F => self.ops.push(BOp::BcastF { dst, s }),
+                    Loc::LF(f) => self.redirect_or_copy(f, dst),
                     _ => return None,
                 }
                 v.f32v
             }
+        };
+        let f32v = match masked {
+            Some(Arm(mask)) => {
+                self.ops.push(BOp::LMergeF {
+                    dst: pin,
+                    src: dst,
+                    mask,
+                });
+                f32v && self.env[vi].f32v
+            }
+            None => f32v,
         };
         self.env[vi] = Val {
             loc: Loc::LF(pin),
@@ -2865,27 +4060,41 @@ impl<'a> Bc<'a> {
         step: i64,
         body: &Block,
     ) -> Option<()> {
+        if self.masked_loop {
+            // Its trips would run on the enclosing trip's lanes only.
+            return None;
+        }
         let vlo = self.expr(lo)?;
         let vhi = self.expr(hi)?;
+        let mut w: Vec<VarId> = Vec::new();
+        super::compile::collect_assigned(body, &mut w);
+        w.sort_unstable();
+        w.dedup();
+        // An `If` arm or a masked loop left these variables' lanes
+        // unnamed. (A masked loop sets its variable on every lane it
+        // runs and poisons it again.)
+        if w.iter().any(|v| self.poison[v.0 as usize]) {
+            return None;
+        }
         let (slo, shi) = match (vlo.loc, vhi.loc) {
             (Loc::S(a), Loc::S(b)) => (a, b),
-            _ => return None, // lane-varying trip counts stay on the VM
+            _ => return self.masked_for(var, vlo, vhi, step, body, &w),
         };
+        if self.poison[var.0 as usize] {
+            return None;
+        }
         // A `for` shadowing a lane-valued variable would need a
         // per-lane zero-trip story; reject that degenerate shape.
         if !matches!(self.env[var.0 as usize].loc, Loc::S(_)) {
             return None;
         }
         let vu = u16::try_from(var.0).ok()?;
+        self.uncond[var.0 as usize] = true;
+        self.masked_wb.retain(|m| m.0 != vu);
         let cnt = self.s_slot()?;
         let hii = self.s_slot()?;
         self.ops.push(BOp::SToInt { dst: cnt, a: slo });
         self.ops.push(BOp::SToInt { dst: hii, a: shi });
-
-        let mut w: Vec<VarId> = Vec::new();
-        super::compile::collect_assigned(body, &mut w);
-        w.sort_unstable();
-        w.dedup();
 
         self.depth += 1;
         let outer = self.snap();
@@ -3040,6 +4249,133 @@ impl<'a> Bc<'a> {
             return Some(());
         }
     }
+
+    /// A sequential loop whose bounds vary per lane (grouped phases,
+    /// outside other loops and `If` arms): every lane steps its own
+    /// counter, and each trip runs on the lanes still below their
+    /// bound, its trip mask. Every variable the body assigns (`w`) is
+    /// pinned and updated under the mask, so a lane whose loop ended
+    /// keeps its value. Afterwards the loop variable holds each lane's
+    /// last trip, which no plan names: it is poisoned.
+    fn masked_for(
+        &mut self,
+        var: VarId,
+        lo: Val,
+        hi: Val,
+        step: i64,
+        body: &Block,
+        w: &[VarId],
+    ) -> Option<()> {
+        if !self.grouped || self.depth > 0 || self.arm.is_some() || step <= 0 || w.contains(&var) {
+            return None;
+        }
+        // The tree reads both bounds through `as_i()`.
+        let mut lane_int = |v: Val| -> Option<Loc> {
+            match v.loc {
+                Loc::A(_) | Loc::LI(_) => Some(v.loc),
+                Loc::S(s) => {
+                    let dst = self.a_slot()?;
+                    self.ops.push(BOp::AFromS { dst, s });
+                    Some(Loc::A(dst))
+                }
+                _ => None,
+            }
+        };
+        let (lo, hi) = (lane_int(lo)?, lane_int(hi)?);
+        for &v in w {
+            let i = v.0 as usize;
+            let promo_ok = matches!(self.env[i].loc, Loc::LF(_))
+                || (matches!(self.env[i].loc, Loc::S(_)) && self.env[i].sty == STy::F);
+            if !promo_ok {
+                return None;
+            }
+            let pf = self.f_slot()?;
+            match self.env[i].loc {
+                Loc::S(s) => self.ops.push(BOp::BcastF { dst: pf, s }),
+                Loc::LF(t) => self.ops.push(BOp::LCopyF { dst: pf, a: t }),
+                _ => unreachable!(),
+            }
+            self.env[i] = Val {
+                loc: Loc::LF(pf),
+                sty: STy::F,
+                f32v: false,
+            };
+            self.pinned[i] = true;
+            self.pin_slots.push(pf);
+        }
+        // The counter stays affine when the lower bound is.
+        let cnt = match lo {
+            Loc::A(a) => {
+                let dst = self.a_slot()?;
+                self.ops.push(BOp::ACopy { dst, a });
+                Loc::A(dst)
+            }
+            Loc::LI(a) => {
+                let dst = self.i_slot()?;
+                self.ops.push(BOp::LCopyI { dst, a });
+                Loc::LI(dst)
+            }
+            _ => unreachable!("lane_int gives A or LI"),
+        };
+        let mask = self.b_slot()?;
+        let head = u32::try_from(self.ops.len()).ok()?;
+        self.ops.push(BOp::MForHead {
+            cnt,
+            hi,
+            mask,
+            exit: 0,
+        });
+        self.ops.push(BOp::Active { m: mask });
+        self.ops.push(BOp::MaskPush {
+            c: Loc::LB(mask),
+            pol: true,
+        });
+        let pre_sdef = self.sdef.clone();
+        let vi = var.0 as usize;
+        self.env[vi] = Val {
+            loc: cnt,
+            sty: STy::I,
+            f32v: false,
+        };
+        self.sdef[vi] = true;
+        // Every trip sets it on the lanes it runs.
+        self.poison[vi] = false;
+        self.depth += 1;
+        self.arm = Some(Arm(mask));
+        self.masked_loop = true;
+        let done = self.block(body);
+        self.depth -= 1;
+        self.arm = None;
+        self.masked_loop = false;
+        done?;
+        self.ops.push(BOp::MaskPop);
+        self.ops.push(BOp::MForStep {
+            cnt,
+            step,
+            back: head,
+        });
+        let exit = u32::try_from(self.ops.len()).ok()?;
+        if let Some(BOp::MForHead { exit: e, .. }) = self.ops.get_mut(head as usize) {
+            *e = exit;
+        }
+        self.sdef = pre_sdef;
+        for v in w {
+            self.pinned[v.0 as usize] = false;
+        }
+        let vu = u16::try_from(var.0).ok()?;
+        self.uncond[vi] = true;
+        self.masked_wb.retain(|m| m.0 != vu);
+        self.poison[vi] = true;
+        Some(())
+    }
+}
+
+/// Does `e` read memory (global or local)? A lane-conditional arm that
+/// does is masked on the access tape.
+fn reads_memory(e: &Expr) -> bool {
+    let mut found = false;
+    e.walk(&mut |x| found |= matches!(x, Expr::Load { .. }));
+    found
 }
 
 /// The bool lane slot an op the validation walk may need writes.
@@ -3049,6 +4385,8 @@ fn early_dst(op: &BOp) -> Option<u16> {
         | BOp::ICmpAS { dst, .. }
         | BOp::ICmpSA { dst, .. }
         | BOp::ICmpAA { dst, .. }
+        | BOp::ICmpLS { dst, .. }
+        | BOp::ICmpSL { dst, .. }
         | BOp::BAnd { dst, .. }
         | BOp::BOr { dst, .. }
         | BOp::BNot { dst, .. } => Some(dst),
@@ -3356,6 +4694,142 @@ mod tests {
         let bufs = vec![Buffer::F64(af), Buffer::zeroed(Scalar::F64, 1)];
         let (t, b) = run_both(&p, &[V::I(n)], &bufs);
         assert_eq!(t, b, "reduction tiers diverged");
+    }
+
+    #[test]
+    fn a_load_after_a_store_to_its_array_rejects() {
+        // The validation walk would compute `y[3] < 1` before lane 0's
+        // `y[3] = y[i]` lands: the plan must not exist.
+        let mut b = ProgramBuilder::new("batch_stale_if");
+        let np = b.iparam("n");
+        let y = b.array("y", Scalar::F32, E::from(np), Intent::InOut);
+        let iv = b.var("i");
+        let jv = b.var("j");
+        let i = || E::from(Expr::var(iv));
+        let body = vec![
+            st(y, 3i64, ld(y, i())),
+            paccport_ir::if_else(ld(y, 3i64).lt(1.0f64), vec![], vec![st(y, i(), 2.0f64)]),
+        ];
+        let k = Kernel::simple(
+            "stale",
+            vec![
+                ParallelLoop::new(iv, Expr::iconst(0), Expr::param(np)),
+                ParallelLoop::new(jv, Expr::iconst(0), Expr::iconst(1)),
+            ],
+            Block::new(body),
+        );
+        let p = b.finish(vec![HostStmt::Launch(k)]);
+        let k = &p.kernels()[0];
+        assert!(build(&p, k).is_none());
+        let n = 6usize;
+        let bufs = vec![Buffer::F32(vec![0.5, 3.0, 0.25, 0.5, 4.0, 0.0])];
+        let params = [V::I(n as i64)];
+        let mut tree = bufs.clone();
+        exec_kernel(
+            &p,
+            &params,
+            k,
+            &mut fresh_vars(&p),
+            &mut tree,
+            KernelFidelity::Exact,
+        );
+        let code = super::super::compile::compile_kernel(&p, k);
+        let mut byte = bufs;
+        super::super::vm::exec_kernel_bc(
+            &code,
+            &params,
+            k,
+            &mut fresh_vars(&p),
+            &mut byte,
+            KernelFidelity::Exact,
+            None,
+        );
+        assert_eq!(tree, byte);
+    }
+
+    /// `reduction_to_grouped(k, gsz)` of three accumulation shapes:
+    /// a flat sum over `src[k]`, a row sum over `a[i*n + k]`, and
+    /// backprop's `layer_forward` (`sum += w[k*(h+1) + j] · in[k]`
+    /// over `j in 1..h+1`, then a sigmoid); each also unrolled by 2 as
+    /// CAPS does.
+    fn grouped_shapes(gsz: u32) -> Vec<(Program, Kernel)> {
+        use paccport_compilers::transforms::{
+            reduction_to_grouped, unroll_grouped_phases, VarAlloc,
+        };
+        (0..6)
+            .map(|case| {
+                let shape = case % 3;
+                let mut b = ProgramBuilder::new("shapes");
+                let np = b.iparam("n");
+                let src = b.array("src", Scalar::F32, E::from(np) * np, Intent::In);
+                let w = b.array("w", Scalar::F32, E::from(np) * np, Intent::In);
+                let out = b.array("out", Scalar::F32, E::from(np) + 1i64, Intent::Out);
+                let jv = b.var("j");
+                let kv = b.var("k");
+                let sum = b.var("sum");
+                let (j, k) = (|| E::from(Expr::var(jv)), || E::from(Expr::var(kv)));
+                let (lo, hi, term, result) = match shape {
+                    0 => (0i64, E::from(np), ld(src, k()), E::from(Expr::var(sum))),
+                    1 => (
+                        0,
+                        E::from(np),
+                        ld(src, j() * np + k()),
+                        E::from(Expr::var(sum)),
+                    ),
+                    _ => (
+                        1,
+                        E::from(np) + 1i64,
+                        ld(w, k() * (E::from(np) + 1i64) + j()) * ld(src, k()),
+                        E::from(1.0) / (E::from(1.0) + (-E::from(Expr::var(sum))).exp()),
+                    ),
+                };
+                let mut kern = Kernel::simple(
+                    "acc",
+                    vec![ParallelLoop::new(jv, Expr::iconst(lo), hi.expr())],
+                    Block::new(vec![
+                        let_(sum, Scalar::F32, 0.0f64),
+                        for_(
+                            kv,
+                            0i64,
+                            E::from(np),
+                            vec![assign(sum, E::from(Expr::var(sum)) + term)],
+                        ),
+                        st(out, j(), result),
+                    ]),
+                );
+                let mut p = b.finish(vec![]);
+                let mut va = VarAlloc::new(&mut p.var_names);
+                assert!(
+                    reduction_to_grouped(&mut kern, gsz, &mut va),
+                    "shape {shape}"
+                );
+                if case >= 3 {
+                    let kinds = paccport_ir::KindEnv::for_program(&p);
+                    assert!(unroll_grouped_phases(&mut kern, 2, &kinds), "shape {shape}");
+                }
+                (p, kern)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_phase_of_a_grouped_reduction_batch_compiles() {
+        for gsz in [8, 128] {
+            for (shape, (p, k)) in grouped_shapes(gsz).iter().enumerate() {
+                let code = super::super::compile::compile_kernel(p, k);
+                let super::super::compile::BodyCode::Grouped { batch, .. } = &code.body else {
+                    unreachable!("reduction_to_grouped makes a grouped body");
+                };
+                let missing: Vec<usize> =
+                    (0..batch.len()).filter(|&i| batch[i].is_none()).collect();
+                assert!(
+                    missing.is_empty(),
+                    "gsz {gsz}, shape {shape}: phases {missing:?}"
+                );
+                // The tree phases' owner checks are exact, not ranges.
+                assert!(batch[1].as_ref().is_some_and(|pl| pl.owners.len() == 1));
+            }
+        }
     }
 
     #[test]

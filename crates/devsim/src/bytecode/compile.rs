@@ -259,6 +259,14 @@ pub enum BodyCode {
     },
     Grouped {
         phases: Vec<CodeBlock>,
+        /// Batched form of each phase over a work-group's lanes (see
+        /// [`super::batch`]), where the phase compiles to one.
+        batch: Vec<Option<super::batch::BatchPlan>>,
+        /// The variables some phase assigns. No phase writes any other
+        /// register it later reads (pool registers are set once per
+        /// launch, temps before each use), so these are all a lane
+        /// must reset to start a new group from the launch state.
+        written: Vec<Reg>,
     },
 }
 
@@ -275,8 +283,8 @@ pub struct KernelCode {
     pub prelude: CodeBlock,
     pub bounds: Vec<LoopBounds>,
     pub body: BodyCode,
-    /// Optional batched form of the innermost parallel loop (see
-    /// [`super::batch`]), derived from the same kernel.
+    /// Optional batched form of a simple kernel's innermost parallel
+    /// loop (see [`super::batch`]), derived from the same kernel.
     pub batch: Option<super::batch::BatchPlan>,
 }
 
@@ -930,7 +938,18 @@ pub fn compile_kernel(p: &Program, k: &Kernel) -> KernelCode {
                 c.def = saved_def;
                 phases.push(CodeBlock::new(code));
             }
-            BodyCode::Grouped { phases }
+            let mut written = Vec::new();
+            g.phases
+                .iter()
+                .for_each(|ph| collect_assigned(ph, &mut written));
+            let mut written: Vec<Reg> = written.iter().map(|v| v.0 as Reg).collect();
+            written.sort_unstable();
+            written.dedup();
+            BodyCode::Grouped {
+                phases,
+                batch: super::batch::build_phases(p, k),
+                written,
+            }
         }
     };
 

@@ -20,6 +20,15 @@
 //! path ([`batch`]), with or without a race tracker or watchdog; the
 //! scalar dispatch loops below are its fallback.
 //!
+//! A grouped kernel runs its work-groups one after another, and each
+//! group its phases in order, separated by implicit barriers. Every
+//! lane owns a register file and defined set in a per-launch arena. A
+//! phase with a batch plan first runs across all the group's lanes at
+//! once ([`batch::run_group_phase`]), gathering from and writing back
+//! to that arena; when its hazard checks fail, or it has no plan, the
+//! phase runs lane by lane on the scalar VM against the same arena,
+//! exactly like the tree-walker.
+//!
 //! [`interp::bin`]: crate::interp
 //! [`interp::cmp`]: crate::interp
 //! [`interp::coerce`]: crate::interp
@@ -356,8 +365,12 @@ pub fn exec_kernel_bc(
             }
         }
         KernelBody::Grouped(g) => {
-            let phases = match &code.body {
-                BodyCode::Grouped { phases } => phases,
+            let (phases, plans, written) = match &code.body {
+                BodyCode::Grouped {
+                    phases,
+                    batch,
+                    written,
+                } => (phases, batch, written),
                 BodyCode::Simple { .. } => unreachable!("kernel/code shape mismatch"),
             };
             // Grouped kernels have one parallel loop; each group of
@@ -405,15 +418,22 @@ pub fn exec_kernel_bc(
                 .iter()
                 .map(|l| Buffer::zeroed(l.elem, l.len))
                 .collect();
+            let var = lp.var.0 as usize;
+            let mut bstate = None;
+            let (mut batched, mut fallbacks) = (0u64, 0u64);
             for grp in 0..n_groups {
                 if grp > 0 {
-                    for lane in thread_regs.chunks_exact_mut(n_regs) {
-                        lane.copy_from_slice(&regs);
-                    }
-                    for lane in thread_def.chunks_exact_mut(n_vars) {
-                        lane.copy_from_slice(&defined);
+                    let lanes = thread_regs
+                        .chunks_exact_mut(n_regs)
+                        .zip(thread_def.chunks_exact_mut(n_vars));
+                    for (lane_regs, lane_def) in lanes {
+                        for &v in written {
+                            lane_regs[v as usize] = regs[v as usize];
+                            lane_def[v as usize] = defined[v as usize];
+                        }
                     }
                     locals.iter_mut().for_each(Buffer::zero);
+                    batch::forget_lanes(&mut bstate);
                 }
                 for (pi, phase) in phases.iter().enumerate() {
                     let skip = fidelity == KernelFidelity::DropTreePhases
@@ -427,13 +447,56 @@ pub fn exec_kernel_bc(
                         // the phase index is the tracker's epoch.
                         tr.set_epoch(pi as u32);
                     }
+                    // Every lane enters the phase on the group's
+                    // iteration of the parallel loop. A batched phase
+                    // reads it from lane 0 only and never writes it
+                    // back, so the other lanes get it only when the
+                    // phase runs lane by lane.
+                    thread_regs[var] = V::I(lo + grp);
+                    thread_def[var] = true;
+                    let group = GroupCtx {
+                        local_id: 0,
+                        group_id: grp,
+                        local_size: gsz,
+                        num_groups: n_groups,
+                    };
+                    // The whole phase across the group's lanes at once
+                    // when its plan's hazard checks pass; lane by lane
+                    // otherwise.
+                    if let Some(plan) = &plans[pi] {
+                        let lanes = batch::Lanes {
+                            regs: &mut thread_regs,
+                            defined: &mut thread_def,
+                            n_regs,
+                            n_vars,
+                        };
+                        if batch::run_group_phase(
+                            plan,
+                            &mut bstate,
+                            lanes,
+                            params,
+                            bufs,
+                            &mut locals,
+                            group,
+                            tracker,
+                        ) {
+                            batched += gsz as u64;
+                            continue;
+                        }
+                    }
+                    fallbacks += 1;
+                    batch::forget_lanes(&mut bstate);
+                    for lane in thread_regs.chunks_exact_mut(n_regs) {
+                        lane[var] = V::I(lo + grp);
+                    }
+                    for lane in thread_def.chunks_exact_mut(n_vars) {
+                        lane[var] = true;
+                    }
                     let pcode = sel(phase, charging);
                     let lanes = thread_regs
                         .chunks_exact_mut(n_regs)
                         .zip(thread_def.chunks_exact_mut(n_vars));
                     for (t, (tr_regs, tdef)) in (0..gsz).zip(lanes) {
-                        tr_regs[lp.var.0 as usize] = V::I(lo + grp);
-                        tdef[lp.var.0 as usize] = true;
                         if let Some(trk) = tracker {
                             trk.set_lane(grp, t);
                         }
@@ -443,9 +506,7 @@ pub fn exec_kernel_bc(
                             locals: Some(&mut locals),
                             group: GroupCtx {
                                 local_id: t,
-                                group_id: grp,
-                                local_size: gsz,
-                                num_groups: n_groups,
+                                ..group
                             },
                             tracker,
                         };
@@ -453,6 +514,10 @@ pub fn exec_kernel_bc(
                     }
                 }
             }
+            // Once per launch: lanes × phases that skipped per-lane
+            // dispatch, and the group phases that ran lane by lane.
+            paccport_trace::add("bytecode.batched_group_lanes", batched);
+            paccport_trace::add("bytecode.group_fallbacks", fallbacks);
             if let Some(tr) = tracker {
                 tr.clear_thread();
             }

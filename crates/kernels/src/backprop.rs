@@ -217,6 +217,20 @@ mod tests {
     use paccport_ir::validate;
     use paccport_ptx::Category;
 
+    #[test]
+    fn opencl_forward_kernel_batches_every_phase() {
+        use paccport_devsim::bytecode::{compile_kernel, BodyCode};
+        for gsz in [8, 16, 128] {
+            let p = opencl_program(gsz);
+            let k = p.kernels().into_iter().find(|k| k.name == "layer_forward");
+            let code = compile_kernel(&p, k.expect("layer_forward"));
+            let BodyCode::Grouped { batch, .. } = &code.body else {
+                panic!("layer_forward is a work-group kernel");
+            };
+            assert!(batch.iter().all(Option::is_some), "group size {gsz}");
+        }
+    }
+
     const N_IN: usize = 255;
     const N_HID: usize = 16;
 

@@ -8,12 +8,14 @@
 //!
 //! Parsing is defensive and failures are *typed*: a malformed request
 //! maps to a status code plus an actionable one-line message, never a
-//! panic or a hang. Bodies and header blocks are size-capped so a
-//! misbehaving client cannot balloon server memory.
+//! panic or a hang. Bodies and header blocks are size-capped while
+//! they are read, so a misbehaving client cannot balloon server
+//! memory, and the whole request has one deadline, so a slow one
+//! cannot hold a worker.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on a request body; larger bodies are refused with 413.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
@@ -23,6 +25,10 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// of the request that waits longer is answered 408, so a silent
 /// client cannot hold a worker.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// The whole request (line, headers and body) must arrive within this
+/// long of the first read, however the bytes trickle in; a request
+/// still incomplete then is answered 408.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A parsed inbound request. Header names are lowercased at parse
 /// time; values keep their bytes.
@@ -63,8 +69,13 @@ impl Refusal {
 /// Read one request off the connection. The outer `io::Result` is
 /// transport failure (peer vanished — just drop the connection); the
 /// inner result is a protocol refusal to answer with a 4xx, including
-/// a 408 when a read outlasts the socket's read timeout.
+/// a 408 when a read outlasts [`READ_TIMEOUT`] or the request outlasts
+/// [`REQUEST_DEADLINE`].
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, Refusal>> {
+    let stream = Deadlined {
+        stream,
+        until: Instant::now() + REQUEST_DEADLINE,
+    };
     match read_request_inner(stream) {
         Err(e)
             if matches!(
@@ -78,12 +89,46 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, Refusa
     }
 }
 
-fn read_request_inner(stream: &mut TcpStream) -> io::Result<Result<Request, Refusal>> {
+/// A socket whose reads each wait at most [`READ_TIMEOUT`], and never
+/// past `until`.
+struct Deadlined<'s> {
+    stream: &'s TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left.min(READ_TIMEOUT)))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Read one head line into `line`, reading at most `budget` bytes of
+/// it: `None` once the line runs past the budget.
+fn head_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    budget: usize,
+) -> io::Result<Option<usize>> {
+    line.clear();
+    let n = reader.take(budget as u64 + 1).read_line(line)?;
+    Ok((n <= budget).then_some(n))
+}
+
+fn too_large() -> Refusal {
+    Refusal::new(431, format!("header block exceeds {MAX_HEAD_BYTES} bytes"))
+}
+
+fn read_request_inner(stream: Deadlined<'_>) -> io::Result<Result<Request, Refusal>> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    let mut head_bytes = 0usize;
-    reader.read_line(&mut line)?;
-    head_bytes += line.len();
+    let Some(mut head_bytes) = head_line(&mut reader, &mut line, MAX_HEAD_BYTES)? else {
+        return Ok(Err(too_large()));
+    };
     let request_line = line.trim_end_matches(['\r', '\n']).to_string();
     let mut parts = request_line.split(' ');
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -106,16 +151,10 @@ fn read_request_inner(stream: &mut TcpStream) -> io::Result<Result<Request, Refu
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(Err(Refusal::new(400, "connection closed mid-headers")));
-        }
-        head_bytes += line.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Ok(Err(Refusal::new(
-                431,
-                format!("header block exceeds {MAX_HEAD_BYTES} bytes"),
-            )));
+        match head_line(&mut reader, &mut line, MAX_HEAD_BYTES - head_bytes)? {
+            None => return Ok(Err(too_large())),
+            Some(0) => return Ok(Err(Refusal::new(400, "connection closed mid-headers"))),
+            Some(n) => head_bytes += n,
         }
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {

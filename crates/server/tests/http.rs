@@ -271,6 +271,69 @@ fn a_silent_client_times_out_without_stalling_the_server() {
 }
 
 #[test]
+fn an_endless_head_line_is_refused_431_as_it_arrives() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Duration;
+    let (server, addr) = start(ServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    // 1 MiB with no newline: the server must stop reading at its head
+    // budget instead of buffering the line until the read times out.
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        // The server stops reading: this write may be cut short.
+        let _ = writer.write_all(&vec![b'a'; 1 << 20]);
+    });
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let refused = http::read_response(&mut conn).expect("the flood is answered");
+    assert_eq!(refused.status, 431, "{}", refused.body);
+    assert!(refused.body.contains("exceeds"), "{}", refused.body);
+    drop(conn);
+    flood.join().unwrap();
+    let health = http::request(&addr, "GET", "/healthz", &[], "").unwrap();
+    assert_eq!(health.status, 200);
+    stop(server);
+}
+
+#[test]
+fn a_trickling_client_is_answered_408_at_the_request_deadline() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+    let (server, addr) = start(ServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    // One byte a second keeps every read under READ_TIMEOUT; only the
+    // deadline for the whole request ends it.
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    let start = Instant::now();
+    let mut writer = conn.try_clone().unwrap();
+    let trickle = std::thread::spawn(move || {
+        for &byte in b"GET /healthz HTTP/1.1\r\nX-Slow: zzzz" {
+            if writer.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    });
+    let limit = http::REQUEST_DEADLINE + Duration::from_secs(1);
+    conn.set_read_timeout(Some(limit)).unwrap();
+    let refused = http::read_response(&mut conn).expect("answered at the deadline");
+    assert_eq!(refused.status, 408, "{}", refused.body);
+    assert!(start.elapsed() < limit, "{:?}", start.elapsed());
+    // The worker is free again.
+    let health = http::request(&addr, "GET", "/healthz", &[], "").unwrap();
+    assert_eq!(health.status, 200);
+    drop(conn);
+    trickle.join().unwrap();
+    stop(server);
+}
+
+#[test]
 fn shutdown_drains_gracefully() {
     let (server, addr) = start(ServerConfig::default());
     let warm = "{\"benchmark\":\"LUD\",\"variant\":\"Base\",\
