@@ -86,17 +86,19 @@
 //! A grouped phase goes further. `LocalId` is the affine lane, the
 //! other work-group builtins are scalars, and local arrays are
 //! addressed after the global ones. `If` arms may assign variables,
-//! which then reach only the lanes taking the arm. A sequential loop
-//! whose bounds vary per lane (the strided partial sum `k = lo + tid ..
-//! hi step group_size`, or its unrolled main and remainder loops,
-//! bounded by int lanes) runs as a masked loop: each trip covers the
-//! lanes still below their bound, and a counter that starts from int
-//! lanes indexes memory per lane ([`BOp::GatherFI`], reading only
-//! arrays the phase does not store to). The work-group's per-lane registers
-//! stay the source of truth between phases: a phase gathers the
-//! variables an earlier phase left in them ([`Gather`], verified per
-//! lane) and writes back the ones a later phase reads, so any phase can
-//! fall back to the scalar VM with no state to convert.
+//! which then reach only the lanes taking the arm; a variable assigned
+//! in two arms of one phase (an `else`, a later or a nested `If`)
+//! rejects the plan, since one writeback per arm cannot order them. A
+//! sequential loop whose bounds vary per lane (the strided partial sum
+//! `k = lo + tid .. hi step group_size`, or its unrolled main and
+//! remainder loops, bounded by int lanes) runs as a masked loop: each
+//! trip covers the lanes still below their bound, and a counter that
+//! starts from int lanes indexes memory per lane ([`BOp::GatherFI`],
+//! reading only arrays the phase does not store to). The work-group's
+//! per-lane registers stay the source of truth between phases: a phase
+//! gathers the variables an earlier phase left in them ([`Gather`],
+//! verified per lane) and writes back the ones a later phase reads, so
+//! any phase can fall back to the scalar VM with no state to convert.
 //!
 //! Anything else the classifier cannot prove — other `If` statements,
 //! atomics, local memory outside a grouped phase, other lane-varying
@@ -712,11 +714,6 @@ pub struct BatchState {
     group: GroupCtx,
     /// Owner-check scratch: per element, the lane touching it.
     owner: Vec<u32>,
-    /// By variable: the affine lanes a work-group's registers are known
-    /// to hold, from this state's own writebacks or verified gathers.
-    /// Forgotten whenever the registers change otherwise
-    /// ([`forget_lanes`]).
-    known: Vec<Option<(i64, i64)>>,
     /// Lanes executed batched by this state's kernel exec.
     pub(crate) lanes: u64,
 }
@@ -907,7 +904,6 @@ pub fn run_group_phase(
     st.vdef.clear();
     st.vdef.extend_from_slice(&defined[..nv]);
     st.prepare(plan, bn);
-    st.known.resize(nv, None);
     st.group = group;
     for &(var, how) in &plan.ins {
         let v = var as usize;
@@ -922,22 +918,16 @@ pub fn run_group_phase(
                 let (x, d) = (regs[v], defined[v]);
                 lanes.all(|(y, e)| e == d && same_bits(y, x))
             }
-            Gather::Affine(r) => match (st.known[v], regs[v], regs[(bn.min(2) - 1) * n_regs + v]) {
-                (Some(aff), ..) => {
-                    st.av[r as usize] = aff;
-                    true
-                }
-                (None, V::I(base), V::I(next)) => {
+            Gather::Affine(r) => match (regs[v], regs[(bn.min(2) - 1) * n_regs + v]) {
+                (V::I(base), V::I(next)) => {
                     let stride = next - base;
                     st.av[r as usize] = (base, stride);
                     let mut want = base;
-                    let ok = lanes.all(|lane| {
+                    lanes.all(|lane| {
                         let ok = lane == (V::I(want), true);
                         want += stride;
                         ok
-                    });
-                    st.known[v] = ok.then_some((base, stride));
-                    ok
+                    })
                 }
                 _ => false,
             },
@@ -975,10 +965,6 @@ pub fn run_group_phase(
     for &(var, loc, when) in &plan.wb {
         let v = var as usize;
         let def = st.vdef[v];
-        st.known[v] = match (loc, when, def) {
-            (Loc::A(a), None, true) => Some(st.av[a as usize]),
-            _ => None,
-        };
         let st = &**st;
         let put = |b: usize, x: V| {
             regs[b * n_regs + v] = x;
@@ -990,15 +976,6 @@ pub fn run_group_phase(
         }
     }
     true
-}
-
-/// The work-group's registers changed outside [`run_group_phase`] (a
-/// phase ran lane by lane, or a new group starts): forget what they
-/// were known to hold.
-pub fn forget_lanes(state: &mut Option<Box<BatchState>>) {
-    if let Some(st) = state {
-        st.known.clear();
-    }
 }
 
 /// Bitwise equality of two values, tag included (`-0.0` is not `0.0`,
@@ -2162,8 +2139,11 @@ struct Bc<'a> {
     /// one afterwards would need that value written back first, so it
     /// rejects.
     uncond: Vec<bool>,
-    /// Variables assigned inside the `If` arm being compiled.
+    /// Variables assigned inside `If` arms so far, in order; those of
+    /// the arm being compiled (and the arms nested in it) start at
+    /// `arm_from`.
     arm_vars: Vec<u16>,
+    arm_from: usize,
     /// `If`-arm assignments, written back at the end of a grouped phase
     /// to the lanes taking the arm.
     masked_wb: Vec<(u16, Loc, Arm)>,
@@ -2453,6 +2433,7 @@ impl<'a> Bc<'a> {
             poison: vec![false; nv],
             uncond: vec![false; nv],
             arm_vars: Vec::new(),
+            arm_from: 0,
             masked_wb: Vec::new(),
         })
     }
@@ -2855,7 +2836,7 @@ impl<'a> Bc<'a> {
             self.mark_early(m)?;
             self.ops.push(BOp::Active { m });
             let sdef = self.sdef.clone();
-            let outer_vars = std::mem::take(&mut self.arm_vars);
+            let outer_from = std::mem::replace(&mut self.arm_from, self.arm_vars.len());
             self.arm = Some(Arm(m));
             self.ops.push(BOp::MaskPush {
                 c: Loc::LB(m),
@@ -2865,7 +2846,8 @@ impl<'a> Bc<'a> {
             self.ops.push(BOp::MaskPop);
             self.arm = outer;
             arm?;
-            let vars = std::mem::replace(&mut self.arm_vars, outer_vars);
+            let vars = self.arm_vars.split_off(self.arm_from);
+            self.arm_from = outer_from;
             self.close_arm(&vars, Arm(m))?;
             self.arm_vars.extend(vars);
             self.sdef = sdef;
@@ -2880,7 +2862,8 @@ impl<'a> Bc<'a> {
         for &v in vars {
             let i = v as usize;
             if self.poison[i] {
-                // A nested arm already recorded it.
+                // Only an arm nested in this one can have poisoned it
+                // (`assign`), and that arm recorded it.
                 continue;
             }
             let loc = match self.env[i].loc {
@@ -3781,8 +3764,12 @@ impl<'a> Bc<'a> {
         let vu = u16::try_from(var.0).ok()?;
         if self.arm.is_some() && !self.masked_loop {
             // Inside an `If` arm (grouped phases only): this value
-            // reaches just the lanes taking the arm (`close_arm`).
-            if self.uncond[vi] {
+            // reaches just the lanes taking the arm (`close_arm`). One
+            // writeback per variable and arm cannot order two arms'
+            // values on the lanes taking both, so a variable another
+            // arm assigned (a sibling, an earlier or nested `If`, or
+            // one still open around this arm) rejects.
+            if self.uncond[vi] || self.poison[vi] || self.arm_vars[..self.arm_from].contains(&vu) {
                 return None;
             }
             self.arm_vars.push(vu);

@@ -433,7 +433,6 @@ pub fn exec_kernel_bc(
                         }
                     }
                     locals.iter_mut().for_each(Buffer::zero);
-                    batch::forget_lanes(&mut bstate);
                 }
                 for (pi, phase) in phases.iter().enumerate() {
                     let skip = fidelity == KernelFidelity::DropTreePhases
@@ -485,7 +484,6 @@ pub fn exec_kernel_bc(
                         }
                     }
                     fallbacks += 1;
-                    batch::forget_lanes(&mut bstate);
                     for lane in thread_regs.chunks_exact_mut(n_regs) {
                         lane[var] = V::I(lo + grp);
                     }

@@ -11,9 +11,9 @@ use paccport_compilers::transforms::{reduction_to_grouped, unroll_grouped_phases
 use paccport_devsim::interp::KernelFidelity;
 use paccport_devsim::{exec_kernel_tiered, fresh_vars, Buffer, ExecTier, Race, RaceTracker, V};
 use paccport_ir::{
-    assign, for_, if_, ld, ld_local, let_, st, st_local, Block, CmpOp, Expr, GroupedBody, Intent,
-    Kernel, KernelBody, LocalArrayDecl, ParallelLoop, Program, ProgramBuilder, Scalar, SpecialVar,
-    Stmt, E,
+    assign, for_, if_, if_else, ld, ld_local, let_, st, st_local, Block, CmpOp, Expr, GroupedBody,
+    Intent, Kernel, KernelBody, LocalArrayDecl, ParallelLoop, Program, ProgramBuilder, Scalar,
+    SpecialVar, Stmt, E,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -192,11 +192,13 @@ fn grouped(gsz: usize, groups: i64, phases: impl Fn(Ids) -> Vec<Vec<Stmt>>) -> C
     let out = b.array("out", Scalar::F32, len, Intent::InOut);
     let g = b.var("g");
     let tid = b.var("tid");
+    let v = b.var("v");
     let ids = Ids {
         x,
         out,
         g,
         tid,
+        v,
         sdata: paccport_ir::ArrayId(0),
         gsz: gsz as i64,
     };
@@ -232,6 +234,8 @@ struct Ids {
     out: paccport_ir::ArrayId,
     g: paccport_ir::VarId,
     tid: paccport_ir::VarId,
+    /// A spare float variable.
+    v: paccport_ir::VarId,
     sdata: paccport_ir::ArrayId,
     gsz: i64,
 }
@@ -488,4 +492,66 @@ fn a_zero_divisor_falls_back_and_panics_alike() {
     let (seen, _) = case.both(PLAIN);
     let msg = seen.panic.expect("tid % 0 panics in group 1");
     assert!(msg.contains("remainder by zero"), "{msg}");
+}
+
+#[test]
+fn a_variable_assigned_in_two_arms_matches() {
+    // Phase 0 sets `v` on every lane, phase 1 reassigns it in `If`
+    // arms, phase 2 stores it. Phase 1 batches only where one arm
+    // assigns `v`; the lanes of one arm must not keep the value of
+    // another, nor their old one. Phase 2 runs lane by lane: the lanes
+    // of `v` no longer share a class after a masked writeback.
+    let _one = serial();
+    type Arms = fn(Ids) -> Vec<Stmt>;
+    let shapes: [(bool, Arms); 5] = [
+        (true, |ids| {
+            vec![if_(ids.every(2), vec![assign(ids.v, 1.0)])]
+        }),
+        (false, |ids| {
+            vec![if_else(
+                E::from(ids.tid).lt(4i64),
+                vec![assign(ids.v, 1.0)],
+                vec![assign(ids.v, 2.0)],
+            )]
+        }),
+        (false, |ids| {
+            vec![
+                if_(E::from(ids.tid).lt(4i64), vec![assign(ids.v, 1.0)]),
+                if_(ids.every(2), vec![assign(ids.v, 2.0)]),
+            ]
+        }),
+        (false, |ids| {
+            vec![if_(
+                E::from(ids.tid).lt(6i64),
+                vec![
+                    if_(ids.every(2), vec![assign(ids.v, 1.0)]),
+                    assign(ids.v, 2.0),
+                ],
+            )]
+        }),
+        (false, |ids| {
+            vec![if_(
+                E::from(ids.tid).lt(6i64),
+                vec![
+                    assign(ids.v, 2.0),
+                    if_(ids.every(2), vec![assign(ids.v, 1.0)]),
+                ],
+            )]
+        }),
+    ];
+    for (i, (batches, arms)) in shapes.into_iter().enumerate() {
+        let case = grouped(8, 2, |ids| {
+            let mut stage = ids.stage();
+            stage.push(let_(ids.v, Scalar::F32, 0.5));
+            vec![stage, arms(ids), vec![st(ids.out, ids.slot(), ids.v)]]
+        });
+        for tracked in [false, true] {
+            let run = Run { tracked, ..PLAIN };
+            let (seen, (lanes, fallbacks)) = case.both(run);
+            assert_eq!(seen.panic, None, "shape {i}");
+            let fell = if batches { 2 } else { 4 };
+            assert_eq!(fallbacks, fell, "shape {i}, tracked {tracked}");
+            assert_eq!(lanes, (3 * 2 - fell) * 8, "shape {i}");
+        }
+    }
 }

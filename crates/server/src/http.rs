@@ -14,7 +14,7 @@
 //! cannot hold a worker.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Upper bound on a request body; larger bodies are refused with 413.
@@ -29,6 +29,9 @@ pub const READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// long of the first read, however the bytes trickle in; a request
 /// still incomplete then is answered 408.
 pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+/// How long a refused connection is drained before it is closed
+/// ([`linger`]).
+pub const LINGER: Duration = Duration::from_secs(1);
 
 /// A parsed inbound request. Header names are lowercased at parse
 /// time; values keep their bytes.
@@ -89,6 +92,22 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, Refusa
     }
 }
 
+/// Close the sending side of a refused connection, then read and drop
+/// what the client still sends until it closes, for at most
+/// [`LINGER`]. A socket closed with unread input is reset, and the
+/// reset can destroy a refusal the client has not read yet.
+pub fn linger(stream: &TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let mut rest = Deadlined {
+        stream,
+        until: Instant::now() + LINGER,
+    };
+    let mut sink = [0u8; 4096];
+    while matches!(rest.read(&mut sink), Ok(n) if n > 0) {}
+}
+
 /// A socket whose reads each wait at most [`READ_TIMEOUT`], and never
 /// past `until`.
 struct Deadlined<'s> {
@@ -107,16 +126,18 @@ impl Read for Deadlined<'_> {
     }
 }
 
-/// Read one head line into `line`, reading at most `budget` bytes of
-/// it: `None` once the line runs past the budget.
-fn head_line(
-    reader: &mut impl BufRead,
-    line: &mut String,
-    budget: usize,
-) -> io::Result<Option<usize>> {
-    line.clear();
-    let n = reader.take(budget as u64 + 1).read_line(line)?;
-    Ok((n <= budget).then_some(n))
+/// Read one head line of at most `budget` bytes, line end included.
+/// The budget is checked before the bytes are decoded, so a line cut
+/// inside a multi-byte character is refused 431 like any other.
+fn head_line(reader: &mut impl BufRead, budget: usize) -> io::Result<Result<String, Refusal>> {
+    let mut line = Vec::new();
+    reader
+        .take(budget as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if line.len() > budget {
+        return Ok(Err(too_large()));
+    }
+    Ok(String::from_utf8(line).map_err(|_| Refusal::new(400, "head line is not valid UTF-8")))
 }
 
 fn too_large() -> Refusal {
@@ -125,10 +146,11 @@ fn too_large() -> Refusal {
 
 fn read_request_inner(stream: Deadlined<'_>) -> io::Result<Result<Request, Refusal>> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let Some(mut head_bytes) = head_line(&mut reader, &mut line, MAX_HEAD_BYTES)? else {
-        return Ok(Err(too_large()));
+    let line = match head_line(&mut reader, MAX_HEAD_BYTES)? {
+        Ok(line) => line,
+        Err(refusal) => return Ok(Err(refusal)),
     };
+    let mut head_bytes = line.len();
     let request_line = line.trim_end_matches(['\r', '\n']).to_string();
     let mut parts = request_line.split(' ');
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -151,11 +173,14 @@ fn read_request_inner(stream: Deadlined<'_>) -> io::Result<Result<Request, Refus
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     loop {
-        match head_line(&mut reader, &mut line, MAX_HEAD_BYTES - head_bytes)? {
-            None => return Ok(Err(too_large())),
-            Some(0) => return Ok(Err(Refusal::new(400, "connection closed mid-headers"))),
-            Some(n) => head_bytes += n,
-        }
+        let line = match head_line(&mut reader, MAX_HEAD_BYTES - head_bytes)? {
+            Ok(line) if line.is_empty() => {
+                return Ok(Err(Refusal::new(400, "connection closed mid-headers")))
+            }
+            Ok(line) => line,
+            Err(refusal) => return Ok(Err(refusal)),
+        };
+        head_bytes += line.len();
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             break;
@@ -521,5 +546,25 @@ mod tests {
         h.join().unwrap();
         assert_eq!(resp.status, 413);
         assert!(resp.body.contains("exceeds"));
+    }
+
+    #[test]
+    fn an_oversized_line_of_multibyte_characters_is_refused_431() {
+        // Three-byte characters after pads of 0, 1 and 2 bytes: the
+        // head budget ends inside a character for at least one.
+        for pad in 0..3 {
+            let (addr, h) = one_shot(|stream| {
+                let refusal = read_request(stream).unwrap().unwrap_err();
+                assert_eq!(refusal.status, 431, "{}", refusal.message);
+            });
+            let line = format!(
+                "GET /{}{} HTTP/1.1\r\n\r\n",
+                "a".repeat(pad),
+                "\u{20ac}".repeat(MAX_HEAD_BYTES / 3 + 1)
+            );
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            stream.write_all(line.as_bytes()).unwrap();
+            h.join().unwrap();
+        }
     }
 }

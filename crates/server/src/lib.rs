@@ -467,6 +467,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
         Ok(Err(refusal)) => {
             counter_add("serve_requests_total", &[("route", "malformed")], 1);
             let _ = http::respond_error(&mut stream, refusal.status, &refusal.message);
+            http::linger(&stream);
             ("malformed", Handled::plain(refusal.status))
         }
         Err(_) => return, // peer vanished mid-request
