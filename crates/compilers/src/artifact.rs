@@ -268,14 +268,6 @@ impl CompiledProgram {
     pub fn plan(&self, kernel: &str) -> Option<&KernelPlan> {
         self.plans.iter().find(|p| p.kernel == kernel)
     }
-
-    /// All diagnostics for one kernel.
-    pub fn diags_for(&self, kernel: &str) -> Vec<&Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.kernel == kernel)
-            .collect()
-    }
 }
 
 /// Compilation failure (e.g. PGI on Hydro's pointer-heavy headers).

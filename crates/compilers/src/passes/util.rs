@@ -245,17 +245,6 @@ pub fn replace_expr(e: &Expr, target: &Expr, with: &Expr) -> Expr {
     }
 }
 
-/// Count occurrences of `target` in `e` (structural equality).
-pub fn count_expr(e: &Expr, target: &Expr) -> usize {
-    let mut n = 0;
-    e.walk(&mut |sub| {
-        if sub == target {
-            n += 1;
-        }
-    });
-    n
-}
-
 /// Variables (re)defined by this statement, *including* nested ones:
 /// `Assign` targets, `Let` bindings and `For` loop variables. Used by
 /// CSE to invalidate availability after a statement executes.

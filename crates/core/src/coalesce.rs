@@ -11,6 +11,13 @@
 //! layer wants on top of a cache: the cache makes *repeated* work
 //! cheap, the singleflight makes *concurrent duplicate* work free.
 //!
+//! A flight is one `OnceLock` slot in a keyed map, the same std wait
+//! the artifact cache uses for its compile singleflight: the leader
+//! runs its closure inside `get_or_init`, followers block in theirs.
+//! If the leader panics, the slot stays empty and the next caller
+//! blocked on it (or the next to arrive) runs its own closure and
+//! leads instead.
+//!
 //! [`Gate`] is a test-only rendezvous: threads park on [`Gate::pass`]
 //! until somebody calls [`Gate::open`]. The server threads it through
 //! its request and run paths so integration tests can hold requests
@@ -19,28 +26,16 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// The state a flight can be in, as seen by followers.
-enum FlightState<V> {
-    Pending,
-    Ready(Arc<V>),
-    /// The leader panicked out of the computation; followers must
-    /// retry as fresh flights rather than wait forever.
-    Abandoned,
-}
-
-struct Flight<V> {
-    state: Mutex<FlightState<V>>,
-    cv: Condvar,
-    /// Followers currently blocked on this flight (for observability;
-    /// tests poll this through [`Singleflight::waiting`]).
-    waiters: AtomicU64,
-}
+type Slot<V> = Arc<OnceLock<Arc<V>>>;
 
 /// Keyed in-flight computation deduplication (see module docs).
 pub struct Singleflight<V> {
-    inflight: Mutex<HashMap<String, Arc<Flight<V>>>>,
+    inflight: Mutex<HashMap<String, Slot<V>>>,
+    /// Followers currently blocked on a flight (for observability;
+    /// tests poll this through [`Singleflight::waiting`]).
+    waiting: AtomicU64,
     coalesced: AtomicU64,
     led: AtomicU64,
 }
@@ -49,33 +44,9 @@ impl<V> Default for Singleflight<V> {
     fn default() -> Self {
         Singleflight {
             inflight: Mutex::new(HashMap::new()),
+            waiting: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             led: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Removes the flight and wakes followers if the leader unwinds
-/// without publishing (panic inside the computation).
-struct LeaderGuard<'a, V> {
-    sf: &'a Singleflight<V>,
-    key: &'a str,
-    flight: &'a Arc<Flight<V>>,
-    done: bool,
-}
-
-impl<V> Drop for LeaderGuard<'_, V> {
-    fn drop(&mut self) {
-        if !self.done {
-            let mut map = self.sf.inflight.lock().unwrap();
-            if map
-                .get(self.key)
-                .is_some_and(|cur| Arc::ptr_eq(cur, self.flight))
-            {
-                map.remove(self.key);
-            }
-            *self.flight.state.lock().unwrap() = FlightState::Abandoned;
-            self.flight.cv.notify_all();
         }
     }
 }
@@ -87,84 +58,52 @@ impl<V> Singleflight<V> {
 
     /// Run `f` under `key`, coalescing with any in-flight computation
     /// for the same key. Returns the (shared) value and whether this
-    /// caller led the flight (`true`) or coalesced onto another
-    /// caller's (`false`).
+    /// caller's closure ran (`true`) or it shared another caller's
+    /// value (`false`).
     pub fn run(&self, key: &str, f: impl FnOnce() -> V) -> (Arc<V>, bool) {
-        // `f` is FnOnce, so if we lose the leadership race we cannot
-        // re-run it — but then we never needed to: a follower never
-        // calls its closure.
-        let mut f = Some(f);
-        loop {
-            let (flight, leader) = {
-                let mut map = self.inflight.lock().unwrap();
-                match map.get(key) {
-                    Some(fl) => (Arc::clone(fl), false),
-                    None => {
-                        let fl = Arc::new(Flight {
-                            state: Mutex::new(FlightState::Pending),
-                            cv: Condvar::new(),
-                            waiters: AtomicU64::new(0),
-                        });
-                        map.insert(key.to_string(), Arc::clone(&fl));
-                        (fl, true)
-                    }
-                }
-            };
-            if leader {
-                self.led.fetch_add(1, Ordering::Relaxed);
-                let mut guard = LeaderGuard {
-                    sf: self,
-                    key,
-                    flight: &flight,
-                    done: false,
-                };
-                let v = Arc::new(f.take().expect("leader runs the closure once")());
-                // Publish, then vacate the key: later requests start a
-                // fresh flight (this is coalescing, not memoization).
-                {
-                    let mut map = self.inflight.lock().unwrap();
-                    if map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, &flight)) {
-                        map.remove(key);
-                    }
-                }
-                *flight.state.lock().unwrap() = FlightState::Ready(Arc::clone(&v));
-                flight.cv.notify_all();
-                guard.done = true;
-                return (v, true);
-            }
-            // Follower: count ourselves in (observable while blocked),
-            // wait for the leader, and share its value.
+        let mut map = self.inflight.lock().unwrap();
+        let found = map.contains_key(key);
+        let slot = Arc::clone(map.entry(key.to_string()).or_default());
+        // A new flight keeps the map locked until its closure starts,
+        // so no follower can take the slot first. A follower unlocks
+        // before it waits.
+        let held = (!found).then_some(map);
+        if found {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             paccport_trace::metrics::counter_add("coalesce_waits_total", &[], 1);
-            flight.waiters.fetch_add(1, Ordering::Relaxed);
-            let mut st = flight.state.lock().unwrap();
-            loop {
-                match &*st {
-                    FlightState::Pending => st = flight.cv.wait(st).unwrap(),
-                    FlightState::Ready(v) => {
-                        let v = Arc::clone(v);
-                        flight.waiters.fetch_sub(1, Ordering::Relaxed);
-                        return (v, false);
-                    }
-                    FlightState::Abandoned => break,
-                }
-            }
-            flight.waiters.fetch_sub(1, Ordering::Relaxed);
-            // Leader died without publishing: retry as a fresh flight.
+            self.waiting.fetch_add(1, Ordering::Relaxed);
         }
+        let mut led = false;
+        let v = Arc::clone(slot.get_or_init(|| {
+            drop(held);
+            if found {
+                // The leader died without publishing: this follower
+                // runs its own closure and leads in its place.
+                self.waiting.fetch_sub(1, Ordering::Relaxed);
+            }
+            led = true;
+            self.led.fetch_add(1, Ordering::Relaxed);
+            Arc::new(f())
+        }));
+        if led {
+            // Published; vacate the key, so later requests start a
+            // fresh flight (this is coalescing, not memoization).
+            let mut map = self.inflight.lock().unwrap();
+            if map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, &slot)) {
+                map.remove(key);
+            }
+        } else {
+            self.waiting.fetch_sub(1, Ordering::Relaxed);
+        }
+        (v, led)
     }
 
     /// Followers currently blocked across all flights.
     pub fn waiting(&self) -> u64 {
-        self.inflight
-            .lock()
-            .unwrap()
-            .values()
-            .map(|fl| fl.waiters.load(Ordering::Relaxed))
-            .sum()
+        self.waiting.load(Ordering::Relaxed)
     }
 
-    /// Total callers that coalesced onto another caller's flight.
+    /// Total callers that found another caller's flight for their key.
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
     }
@@ -328,5 +267,21 @@ mod tests {
         let (v, led) = done;
         assert_eq!(*v, 7, "follower retried and computed its own value");
         assert!(led, "the retry leads a fresh flight");
+    }
+
+    #[test]
+    fn leader_panic_with_nobody_waiting_lets_the_next_caller_lead() {
+        let sf: Singleflight<u32> = Singleflight::new();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sf.run("k", || panic!("leader dies"))
+        }));
+        assert!(r.is_err());
+        let (v, led) = sf.run("k", || 9);
+        assert_eq!(*v, 9, "the next caller computed its own value");
+        assert!(led, "the next caller leads");
+        assert_eq!(sf.led(), 2);
+        assert_eq!(sf.waiting(), 0);
+        let (v, led) = sf.run("k", || 10);
+        assert_eq!((*v, led), (10, true), "the key was vacated after publish");
     }
 }

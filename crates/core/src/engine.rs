@@ -32,57 +32,33 @@ use paccport_persist::wire::{Reader, Writer};
 use crate::durable::{CellJournal, DurableResult};
 use crate::study::{measure_cached, CellFailure, CellSpec, Measured};
 
-/// How the engine retries failing jobs.
-///
-/// Backoff runs on the *virtual* clock (`paccport_faults::vclock`):
-/// a retry "sleeps" by advancing it, so schedules are deterministic
-/// and tests never wall-sleep. Each attempt runs under a step-budget
-/// watchdog (the per-job timeout) and `catch_unwind` panic isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per job (first run + retries), ≥ 1.
-    pub max_attempts: u32,
-    /// Base backoff delay (virtual ns); doubles per retry.
-    pub backoff_base_ns: u64,
-    /// Backoff ceiling (virtual ns), applied after jitter.
-    pub backoff_cap_ns: u64,
-    /// Watchdog step budget per attempt — the per-job timeout.
-    pub step_budget: u64,
-}
+// How the engine retries failing jobs. Backoff runs on the *virtual*
+// clock (`paccport_faults::vclock`): a retry "sleeps" by advancing it,
+// so schedules are deterministic and tests never wall-sleep. Each
+// attempt runs under a step-budget watchdog (the per-job timeout) and
+// `catch_unwind` panic isolation.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base_ns: 50_000_000,   // 50 virtual ms
-            backoff_cap_ns: 2_000_000_000, // 2 virtual s
-            step_budget: paccport_faults::DEFAULT_STEP_BUDGET,
-        }
-    }
-}
+/// Total attempts per job (first run + retries).
+pub const MAX_ATTEMPTS: u32 = 3;
+/// Base backoff delay (virtual ns, 50 ms); doubles per retry.
+const BACKOFF_BASE_NS: u64 = 50_000_000;
+/// Backoff ceiling (virtual ns, 2 s), applied after jitter.
+const BACKOFF_CAP_NS: u64 = 2_000_000_000;
 
-/// A job that exhausted its retry budget and was quarantined.
+/// A job that exhausted its retry budget and was quarantined; the
+/// engine's quarantine ledger holds clones of it. (Only quarantines are
+/// ledgered: whether a *recovery* needed 1 or 2 attempts can depend on
+/// which worker warmed the compile cache first, but the quarantine set
+/// is a pure function of the fault seed — see `paccport-faults`.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFailure {
     pub label: String,
     /// The last error (or panic message) observed.
     pub reason: String,
-    /// Attempts consumed (== the policy's `max_attempts`).
+    /// Attempts consumed (== [`MAX_ATTEMPTS`]).
     pub attempts: u32,
     /// Whether the final failure carried the injected-fault marker —
     /// chaos we asked for, as opposed to a genuine bug.
-    pub injected: bool,
-}
-
-/// The engine's record of one quarantined job. (Only quarantines are
-/// ledgered: whether a *recovery* needed 1 or 2 attempts can depend on
-/// which worker warmed the compile cache first, but the quarantine set
-/// is a pure function of the fault seed — see `paccport-faults`.)
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuarantineRecord {
-    pub label: String,
-    pub reason: String,
-    pub attempts: u32,
     pub injected: bool,
 }
 
@@ -93,8 +69,7 @@ pub struct QuarantineRecord {
 pub struct Engine {
     jobs: usize,
     cache: Arc<ArtifactCache>,
-    policy: RetryPolicy,
-    quarantine: Mutex<Vec<QuarantineRecord>>,
+    quarantine: Mutex<Vec<JobFailure>>,
     /// Run journal for `--state-dir` runs: completed cells replay
     /// instead of recomputing (see [`crate::durable`]).
     journal: Option<Arc<CellJournal>>,
@@ -116,7 +91,6 @@ impl Engine {
         Engine {
             jobs: jobs.max(1),
             cache: Arc::new(ArtifactCache::new()),
-            policy: RetryPolicy::default(),
             quarantine: Mutex::new(Vec::new()),
             journal: None,
             matrix_seq: AtomicU64::new(0),
@@ -128,19 +102,6 @@ impl Engine {
     pub fn with_journal(mut self, journal: Arc<CellJournal>) -> Self {
         self.journal = Some(journal);
         self
-    }
-
-    /// Replace the retry policy (builder style).
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = RetryPolicy {
-            max_attempts: policy.max_attempts.max(1),
-            ..policy
-        };
-        self
-    }
-
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// The reference single-threaded engine.
@@ -252,11 +213,10 @@ impl Engine {
         F: Fn() -> Result<T, String> + Send,
     {
         paccport_faults::install_quiet_panic_hook();
-        let policy = self.policy;
         let quarantine = &self.quarantine;
         let tasks: Vec<_> = jobs
             .into_iter()
-            .map(|(label, f)| move || run_with_retry(label, f, policy, quarantine))
+            .map(|(label, f)| move || run_with_retry(label, f, quarantine))
             .collect();
         self.run_batch(tasks)
     }
@@ -283,7 +243,6 @@ impl Engine {
             return self.run_resilient(jobs.into_iter().map(|(l, _, f)| (l, f)).collect());
         };
         paccport_faults::install_quiet_panic_hook();
-        let policy = self.policy;
         let quarantine = &self.quarantine;
         let tasks: Vec<_> = jobs
             .into_iter()
@@ -311,22 +270,18 @@ impl Engine {
                         }
                         Some(Err(jf)) => {
                             paccport_trace::metrics::counter_add("cells_replayed_total", &[], 1);
-                            quarantine.lock().unwrap().push(QuarantineRecord {
-                                label: label.clone(),
-                                reason: jf.reason.clone(),
-                                attempts: jf.attempts,
-                                injected: jf.injected,
-                            });
-                            return Err(JobFailure {
+                            let failure = JobFailure {
                                 label,
                                 reason: jf.reason.clone(),
                                 attempts: jf.attempts,
                                 injected: jf.injected,
-                            });
+                            };
+                            quarantine.lock().unwrap().push(failure.clone());
+                            return Err(failure);
                         }
                         None => {}
                     }
-                    let res = run_with_retry(label, f, policy, quarantine);
+                    let res = run_with_retry(label, f, quarantine);
                     match &res {
                         Ok(v) => {
                             let mut w = Writer::new();
@@ -346,7 +301,7 @@ impl Engine {
 
     /// Jobs quarantined by [`Engine::run_resilient`] so far, sorted by
     /// label (deterministic regardless of worker scheduling).
-    pub fn quarantined(&self) -> Vec<QuarantineRecord> {
+    pub fn quarantined(&self) -> Vec<JobFailure> {
         let mut q = self.quarantine.lock().unwrap().clone();
         q.sort_by(|a, b| (&a.label, &a.reason).cmp(&(&b.label, &b.reason)));
         q
@@ -354,7 +309,7 @@ impl Engine {
 
     /// Quarantined jobs whose failure was *not* an injected fault —
     /// genuine breakage the `reproduce` CLI must exit nonzero for.
-    pub fn uninjected_failures(&self) -> Vec<QuarantineRecord> {
+    pub fn uninjected_failures(&self) -> Vec<JobFailure> {
         self.quarantined()
             .into_iter()
             .filter(|r| !r.injected)
@@ -436,8 +391,8 @@ impl Engine {
             .collect()
     }
 
-    /// Compile through the shared cache, retrying injected faults under
-    /// the engine's policy. For generators that need an artifact on the
+    /// Compile through the shared cache, retrying injected faults up
+    /// to [`MAX_ATTEMPTS`] times. For generators that need an artifact on the
     /// calling thread (figs. 1 and 13) and would otherwise abort a
     /// chaos run on a transient fault; genuine errors return on the
     /// first attempt, exactly like [`ArtifactCache::compile`].
@@ -448,7 +403,7 @@ impl Engine {
         options: &paccport_compilers::CompileOptions,
     ) -> Result<Arc<paccport_compilers::CompiledProgram>, String> {
         let mut last = String::new();
-        for attempt in 0..self.policy.max_attempts.max(1) {
+        for attempt in 0..MAX_ATTEMPTS {
             paccport_faults::set_attempt(attempt);
             let r = self.cache.compile(id, program, options);
             paccport_faults::set_attempt(0);
@@ -481,20 +436,19 @@ pub fn cell_fingerprint(spec: &str) -> u128 {
 fn run_with_retry<T, F>(
     label: String,
     f: F,
-    policy: RetryPolicy,
-    quarantine: &Mutex<Vec<QuarantineRecord>>,
+    quarantine: &Mutex<Vec<JobFailure>>,
 ) -> Result<T, JobFailure>
 where
     F: Fn() -> Result<T, String>,
 {
     let _job_span = paccport_trace::span_attrs("engine.job", vec![("label".into(), label.clone())]);
     let backoff = paccport_faults::Backoff {
-        base_ns: policy.backoff_base_ns,
-        cap_ns: policy.backoff_cap_ns,
+        base_ns: BACKOFF_BASE_NS,
+        cap_ns: BACKOFF_CAP_NS,
         seed: paccport_faults::seed(),
     };
     let mut last = String::new();
-    for attempt in 0..policy.max_attempts.max(1) {
+    for attempt in 0..MAX_ATTEMPTS {
         if attempt > 0 {
             let delay = backoff.delay_ns(&label, attempt);
             paccport_faults::vclock::advance(delay);
@@ -510,7 +464,8 @@ where
             ],
         );
         paccport_faults::set_attempt(attempt);
-        paccport_faults::arm_watchdog(policy.step_budget);
+        // The per-job timeout.
+        paccport_faults::arm_watchdog(paccport_faults::DEFAULT_STEP_BUDGET);
         let guard = paccport_faults::job_guard();
         let outcome = catch_unwind(AssertUnwindSafe(&f));
         drop(guard);
@@ -529,19 +484,14 @@ where
         &[("injected", if injected { "true" } else { "false" })],
         1,
     );
-    let record = QuarantineRecord {
-        label: label.clone(),
-        reason: last.clone(),
-        attempts: policy.max_attempts.max(1),
-        injected,
-    };
-    quarantine.lock().unwrap().push(record);
-    Err(JobFailure {
+    let failure = JobFailure {
         label,
         reason: last,
-        attempts: policy.max_attempts.max(1),
+        attempts: MAX_ATTEMPTS,
         injected,
-    })
+    };
+    quarantine.lock().unwrap().push(failure.clone());
+    Err(failure)
 }
 
 #[cfg(test)]
@@ -610,7 +560,7 @@ mod tests {
         assert_eq!(results[0], Ok(7));
         let f = results[1].as_ref().unwrap_err();
         assert_eq!(f.label, "bad");
-        assert_eq!(f.attempts, eng.policy().max_attempts);
+        assert_eq!(f.attempts, MAX_ATTEMPTS);
         assert!(!f.injected, "a genuine error is not an injected fault");
         let q = eng.quarantined();
         assert_eq!(q.len(), 1);
@@ -682,7 +632,7 @@ mod tests {
             assert_eq!(res[0], Ok(Val(40)));
             let f = res[1].as_ref().unwrap_err();
             assert_eq!(f.reason, "deliberate breakage");
-            assert_eq!(f.attempts, eng.policy().max_attempts);
+            assert_eq!(f.attempts, MAX_ATTEMPTS);
             let q = eng.quarantined();
             assert_eq!(q.len(), 1);
             assert_eq!(q[0].label, "bad");

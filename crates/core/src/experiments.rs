@@ -855,22 +855,15 @@ pub fn ext2_data_regions_on(eng: &Engine, scale: &Scale) -> Vec<ExtDataRegionRow
     let n = scale.lud_n.min(1024);
     let cfg = RunConfig::timing(vec![("n".into(), n as f64)], 1);
     let optimized = lud::program(&VariantCfg::thread_dist(256, 16));
-    let stripped = crate::step5::strip_data_regions(&optimized);
-    let mut restored = stripped.clone();
+    let naive = crate::step5::strip_data_regions(&optimized);
+    let mut restored = naive.clone();
     crate::step5::insert_data_regions(&mut restored);
     let labels = [
         "no data region (naive port)",
         "after Step 5 (region inserted)",
     ];
     let cells = vec![
-        CellSpec::new(
-            "x",
-            labels[0],
-            CompilerId::Caps,
-            gpu(),
-            stripped,
-            cfg.clone(),
-        ),
+        CellSpec::new("x", labels[0], CompilerId::Caps, gpu(), naive, cfg.clone()),
         CellSpec::new("x", labels[1], CompilerId::Caps, gpu(), restored, cfg),
     ];
     eng.measure_matrix(cells)

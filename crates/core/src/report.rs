@@ -80,7 +80,7 @@ pub fn render_elapsed(f: &ElapsedFigure) -> String {
 /// fault event, and every quarantined job. Both sets are pure
 /// functions of (spec, seed) — see `paccport-faults` — so this renders
 /// byte-identically across runs and job counts.
-pub fn render_fault_ledger(quarantined: &[crate::engine::QuarantineRecord]) -> String {
+pub fn render_fault_ledger(quarantined: &[crate::engine::JobFailure]) -> String {
     let mut out = String::new();
     let Some((spec, seed)) = paccport_faults::config_summary() else {
         return out;

@@ -174,59 +174,8 @@ pub enum Instr {
     },
     /// One watchdog step (`paccport_faults::charge(1)`) — emitted at
     /// each statement boundary, mirroring the tree-walker's
-    /// per-statement charge. Stripped from the fast stream executed
-    /// when no watchdog is armed on the current thread.
+    /// per-statement charge.
     Charge,
-}
-
-/// A flat instruction stream plus its charge-stripped twin (jump
-/// targets remapped), derived from `code`.
-#[derive(Debug, Clone, Default)]
-pub struct CodeBlock {
-    pub code: Vec<Instr>,
-    pub stripped: Vec<Instr>,
-}
-
-impl CodeBlock {
-    pub fn new(code: Vec<Instr>) -> CodeBlock {
-        let stripped = strip_charges(&code);
-        CodeBlock { code, stripped }
-    }
-}
-
-/// Drop `Charge` instructions and remap jump targets.
-fn strip_charges(code: &[Instr]) -> Vec<Instr> {
-    // new_pc[i] = index of instruction i in the stripped stream (for a
-    // Charge: the index of the next surviving instruction, which is
-    // what a jump *to* a Charge must land on).
-    let mut new_pc = Vec::with_capacity(code.len() + 1);
-    let mut n = 0u32;
-    for ins in code {
-        new_pc.push(n);
-        if !matches!(ins, Instr::Charge) {
-            n += 1;
-        }
-    }
-    new_pc.push(n); // jumps one-past-the-end are legal exits
-    let fix = |to: u32| new_pc[to as usize];
-    code.iter()
-        .filter(|i| !matches!(i, Instr::Charge))
-        .map(|i| match *i {
-            Instr::Jump { to } => Instr::Jump { to: fix(to) },
-            Instr::JumpIfFalse { cond, to } => Instr::JumpIfFalse { cond, to: fix(to) },
-            Instr::ForHead { cnt, hi, exit } => Instr::ForHead {
-                cnt,
-                hi,
-                exit: fix(exit),
-            },
-            Instr::ForStep { cnt, step, back } => Instr::ForStep {
-                cnt,
-                step,
-                back: fix(back),
-            },
-            other => other,
-        })
-        .collect()
 }
 
 /// An expression fragment: run `block`, result is in `out`.
@@ -235,7 +184,7 @@ fn strip_charges(code: &[Instr]) -> Vec<Instr> {
 /// must be consumed before the next fragment (or the body) runs.
 #[derive(Debug, Clone)]
 pub struct ExprFrag {
-    pub block: CodeBlock,
+    pub block: Vec<Instr>,
     pub out: Reg,
 }
 
@@ -252,13 +201,13 @@ pub struct LoopBounds {
 #[derive(Debug, Clone)]
 pub enum BodyCode {
     Simple {
-        block: CodeBlock,
+        block: Vec<Instr>,
         /// Region-reduction value, evaluated after each iteration's
         /// body in the same (tracked) scope.
         reduce: Option<ExprFrag>,
     },
     Grouped {
-        phases: Vec<CodeBlock>,
+        phases: Vec<Vec<Instr>>,
         /// Batched form of each phase over a work-group's lanes (see
         /// [`super::batch`]), where the phase compiles to one.
         batch: Vec<Option<super::batch::BatchPlan>>,
@@ -280,7 +229,7 @@ pub struct KernelCode {
     /// Registers `0..n_vars` are the program variable slots.
     pub n_vars: u16,
     /// Hoisted constants and parameter reads, run once per launch.
-    pub prelude: CodeBlock,
+    pub prelude: Vec<Instr>,
     pub bounds: Vec<LoopBounds>,
     pub body: BodyCode,
     /// Optional batched form of a simple kernel's innermost parallel
@@ -871,10 +820,7 @@ impl<'a> Compiler<'a> {
         let mut code = Vec::new();
         let (out, _) = self.expr(e, &mut code);
         self.next = mark;
-        ExprFrag {
-            block: CodeBlock::new(code),
-            out,
-        }
+        ExprFrag { block: code, out }
     }
 }
 
@@ -913,7 +859,7 @@ pub fn compile_kernel(p: &Program, k: &Kernel) -> KernelCode {
             // scope each iteration.
             let reduce = k.region_reduction.as_ref().map(|rr| c.frag(&rr.value));
             BodyCode::Simple {
-                block: CodeBlock::new(code),
+                block: code,
                 reduce,
             }
         }
@@ -936,7 +882,7 @@ pub fn compile_kernel(p: &Program, k: &Kernel) -> KernelCode {
                 c.block(phase, &mut code);
                 c.vtypes = saved_ty;
                 c.def = saved_def;
-                phases.push(CodeBlock::new(code));
+                phases.push(code);
             }
             let mut written = Vec::new();
             g.phases
@@ -957,7 +903,7 @@ pub fn compile_kernel(p: &Program, k: &Kernel) -> KernelCode {
         kernel: k.name.clone(),
         n_regs: c.max,
         n_vars: c.n_vars,
-        prelude: CodeBlock::new(c.prelude),
+        prelude: c.prelude,
         bounds,
         body,
         batch: super::batch::build(p, k),

@@ -21,7 +21,7 @@ pub mod batch;
 pub mod compile;
 pub mod vm;
 
-pub use compile::{compile_kernel, BodyCode, CodeBlock, Instr, KernelCode};
+pub use compile::{compile_kernel, BodyCode, Instr, KernelCode};
 pub use vm::exec_kernel_bc;
 
 use crate::interp::{exec_kernel_traced, KernelFidelity, V};

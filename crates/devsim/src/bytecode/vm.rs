@@ -9,12 +9,16 @@
 //! tiers cannot drift: the VM only changes how operands are fetched,
 //! never what is computed.
 //!
-//! The watchdog stream is chosen once per kernel execution: if this
-//! thread has no armed budget, `charge()` is observably a no-op (the
-//! budget cell is thread-local), so the VM runs the charge-stripped
-//! twin stream and pays nothing per statement. With a watchdog armed
-//! it runs the full stream, charging exactly where the tree-walker
-//! does, so timeout budgets trip at the same statement.
+//! Each kernel compiles to one instruction stream, with an
+//! [`Instr::Charge`] at every statement boundary, run whether or not a
+//! watchdog is armed. With a budget armed on this thread it charges
+//! exactly where the tree-walker does, so timeout budgets trip at the
+//! same statement. With none armed in the process,
+//! `paccport_faults::charge` returns after one relaxed load of the
+//! watcher count (with one armed only on another thread, after a look
+//! at this thread's budget cell), so an unwatched run pays a
+//! well-predicted branch per statement rather than needing a second,
+//! charge-free copy of every stream.
 //!
 //! A simple kernel's innermost parallel loop first tries the batch
 //! path ([`batch`]), with or without a race tracker or watchdog; the
@@ -29,12 +33,17 @@
 //! phase runs lane by lane on the scalar VM against the same arena,
 //! exactly like the tree-walker.
 //!
+//! The trace counters `bytecode.batched_lanes`,
+//! `bytecode.batched_group_lanes` and `bytecode.group_fallbacks` are
+//! added once per launch, when it ends: a launch that panics or trips
+//! the watchdog still counts the work it did before.
+//!
 //! [`interp::bin`]: crate::interp
 //! [`interp::cmp`]: crate::interp
 //! [`interp::coerce`]: crate::interp
 
 use super::batch;
-use super::compile::{BodyCode, CodeBlock, Instr, KernelCode};
+use super::compile::{BodyCode, Instr, KernelCode};
 use crate::interp::{self, GroupCtx, KernelFidelity, V};
 use crate::memory::{Buffer, MemLoc};
 use crate::race::RaceTracker;
@@ -63,12 +72,38 @@ impl Ctx<'_> {
     }
 }
 
-/// Pick the full or charge-stripped stream, decided once per exec.
-fn sel(cb: &CodeBlock, charging: bool) -> &[Instr] {
-    if charging {
-        &cb.code
-    } else {
-        &cb.stripped
+/// One launch's batching counters, added to the trace when the launch
+/// ends: on return, and while unwinding from a panic or a watchdog
+/// trip, so the work done before it still counts.
+struct Tally {
+    grouped: bool,
+    /// Batch scratch state; a simple kernel's `lanes` count lives here.
+    bstate: Option<Box<batch::BatchState>>,
+    /// Lanes × phases of a grouped kernel that ran batched.
+    group_lanes: u64,
+    /// Phases of a grouped kernel that ran lane by lane.
+    fallbacks: u64,
+}
+
+impl Tally {
+    fn new(grouped: bool) -> Tally {
+        Tally {
+            grouped,
+            bstate: None,
+            group_lanes: 0,
+            fallbacks: 0,
+        }
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        if self.grouped {
+            paccport_trace::add("bytecode.batched_group_lanes", self.group_lanes);
+            paccport_trace::add("bytecode.group_fallbacks", self.fallbacks);
+        } else if let Some(st) = &self.bstate {
+            paccport_trace::add("bytecode.batched_lanes", st.lanes);
+        }
     }
 }
 
@@ -296,11 +331,6 @@ pub fn exec_kernel_bc(
     fidelity: KernelFidelity,
     tracker: Option<&RaceTracker>,
 ) {
-    // Constant for the whole exec: the budget cell is thread-local and
-    // nothing inside a kernel arms or disarms it. When unarmed,
-    // `charge()` is a no-op, so the stripped stream is observationally
-    // identical and we skip the per-statement call entirely.
-    let charging = paccport_faults::watchdog_armed();
     let mut regs = vec![V::I(0); code.n_regs as usize];
     let mut defined = vec![false; code.n_vars as usize];
     for (i, v) in vars.iter().enumerate() {
@@ -317,19 +347,14 @@ pub fn exec_kernel_bc(
             group: GroupCtx::default(),
             tracker: None,
         };
-        run_code(
-            sel(&code.prelude, charging),
-            &mut regs,
-            &mut defined,
-            &mut ctx,
-        );
+        run_code(&code.prelude, &mut regs, &mut defined, &mut ctx);
     }
 
     match &k.body {
         KernelBody::Simple(_) => {
             let mut acc = k.region_reduction.as_ref().map(|rr| rr.op.identity());
             let mut iter = Vec::with_capacity(k.loops.len());
-            let mut bstate = None;
+            let mut tally = Tally::new(false);
             nest(
                 code,
                 k,
@@ -341,14 +366,8 @@ pub fn exec_kernel_bc(
                 &mut acc,
                 tracker,
                 &mut iter,
-                charging,
-                &mut bstate,
+                &mut tally.bstate,
             );
-            if let Some(st) = &bstate {
-                // Once per launch: how many lanes skipped per-lane
-                // dispatch.
-                paccport_trace::add("bytecode.batched_lanes", st.lanes);
-            }
             if let Some(t) = tracker {
                 // The combined reduction store is a synchronization
                 // point, not a per-iteration access.
@@ -388,19 +407,9 @@ pub fn exec_kernel_bc(
                     // parallel region: not per-iteration accesses.
                     tracker: None,
                 };
-                run_code(
-                    sel(&b.lo.block, charging),
-                    &mut regs,
-                    &mut defined,
-                    &mut ctx,
-                );
+                run_code(&b.lo.block, &mut regs, &mut defined, &mut ctx);
                 let lo = regs[b.lo.out as usize].as_i();
-                run_code(
-                    sel(&b.hi.block, charging),
-                    &mut regs,
-                    &mut defined,
-                    &mut ctx,
-                );
+                run_code(&b.hi.block, &mut regs, &mut defined, &mut ctx);
                 (lo, regs[b.hi.out as usize].as_i())
             };
             let n_groups = (hi - lo).max(0);
@@ -419,8 +428,7 @@ pub fn exec_kernel_bc(
                 .map(|l| Buffer::zeroed(l.elem, l.len))
                 .collect();
             let var = lp.var.0 as usize;
-            let mut bstate = None;
-            let (mut batched, mut fallbacks) = (0u64, 0u64);
+            let mut tally = Tally::new(true);
             for grp in 0..n_groups {
                 if grp > 0 {
                     let lanes = thread_regs
@@ -471,7 +479,7 @@ pub fn exec_kernel_bc(
                         };
                         if batch::run_group_phase(
                             plan,
-                            &mut bstate,
+                            &mut tally.bstate,
                             lanes,
                             params,
                             bufs,
@@ -479,18 +487,17 @@ pub fn exec_kernel_bc(
                             group,
                             tracker,
                         ) {
-                            batched += gsz as u64;
+                            tally.group_lanes += gsz as u64;
                             continue;
                         }
                     }
-                    fallbacks += 1;
+                    tally.fallbacks += 1;
                     for lane in thread_regs.chunks_exact_mut(n_regs) {
                         lane[var] = V::I(lo + grp);
                     }
                     for lane in thread_def.chunks_exact_mut(n_vars) {
                         lane[var] = true;
                     }
-                    let pcode = sel(phase, charging);
                     let lanes = thread_regs
                         .chunks_exact_mut(n_regs)
                         .zip(thread_def.chunks_exact_mut(n_vars));
@@ -508,14 +515,10 @@ pub fn exec_kernel_bc(
                             },
                             tracker,
                         };
-                        run_code(pcode, tr_regs, tdef, &mut ctx);
+                        run_code(phase, tr_regs, tdef, &mut ctx);
                     }
                 }
             }
-            // Once per launch: lanes × phases that skipped per-lane
-            // dispatch, and the group phases that ran lane by lane.
-            paccport_trace::add("bytecode.batched_group_lanes", batched);
-            paccport_trace::add("bytecode.group_fallbacks", fallbacks);
             if let Some(tr) = tracker {
                 tr.clear_thread();
             }
@@ -538,7 +541,6 @@ fn nest(
     acc: &mut Option<f64>,
     tracker: Option<&RaceTracker>,
     iter: &mut Vec<i64>,
-    charging: bool,
     bstate: &mut Option<Box<batch::BatchState>>,
 ) {
     let (block, reduce) = match &code.body {
@@ -556,9 +558,9 @@ fn nest(
             group: GroupCtx::default(),
             tracker,
         };
-        run_code(sel(block, charging), regs, defined, &mut ctx);
+        run_code(block, regs, defined, &mut ctx);
         if let (Some(rr), Some(frag)) = (&k.region_reduction, reduce) {
-            run_code(sel(&frag.block, charging), regs, defined, &mut ctx);
+            run_code(&frag.block, regs, defined, &mut ctx);
             let v = regs[frag.out as usize].as_f();
             if let Some(total) = acc.as_mut() {
                 *total = rr.op.combine(*total, v);
@@ -579,9 +581,9 @@ fn nest(
         };
         // The two fragments share temp registers: read `lo` before
         // running `hi`.
-        run_code(sel(&b.lo.block, charging), regs, defined, &mut ctx);
+        run_code(&b.lo.block, regs, defined, &mut ctx);
         let lo = regs[b.lo.out as usize].as_i();
-        run_code(sel(&b.hi.block, charging), regs, defined, &mut ctx);
+        run_code(&b.hi.block, regs, defined, &mut ctx);
         (lo, regs[b.hi.out as usize].as_i())
     };
     let var = k.loops[depth].var.0 as usize;
@@ -609,7 +611,6 @@ fn nest(
     if tracker.is_none() && depth + 1 == k.loops.len() && k.region_reduction.is_none() {
         // Innermost fast path: no thread-id bookkeeping, no reduction
         // accumulation — a flat dispatch loop over the body stream.
-        let body = sel(block, charging);
         let mut ctx = Ctx {
             params,
             bufs,
@@ -620,7 +621,7 @@ fn nest(
         for i in lo..hi {
             regs[var] = V::I(i);
             defined[var] = true;
-            run_code(body, regs, defined, &mut ctx);
+            run_code(block, regs, defined, &mut ctx);
         }
         return;
     }
@@ -639,7 +640,6 @@ fn nest(
             acc,
             tracker,
             iter,
-            charging,
             bstate,
         );
         iter.pop();

@@ -1,7 +1,7 @@
 //! Typed buffers and the host/device memory pair with its transfer
 //! ledger.
 
-use paccport_ir::{ArrayDecl, MemSpace, Scalar};
+use paccport_ir::{MemSpace, Scalar};
 
 /// Identity of one memory cell as seen by the race detector's shadow
 /// log. Global arrays are shared by every simulated thread, so their
@@ -84,14 +84,6 @@ impl Buffer {
             Buffer::U32(v) => v.fill(0),
             Buffer::Bool(v) => v.fill(0),
         }
-    }
-
-    pub fn from_f32(v: Vec<f32>) -> Buffer {
-        Buffer::F32(v)
-    }
-
-    pub fn from_i32(v: Vec<i32>) -> Buffer {
-        Buffer::I32(v)
     }
 
     pub fn elem(&self) -> Scalar {
@@ -204,16 +196,6 @@ impl TransferLedger {
         self.d2h_count += 1;
         self.d2h_bytes += bytes;
     }
-}
-
-/// Instantiate zeroed buffers for every array of a program, given the
-/// evaluated lengths.
-pub fn alloc_buffers(decls: &[ArrayDecl], lens: &[usize]) -> Vec<Buffer> {
-    decls
-        .iter()
-        .zip(lens)
-        .map(|(d, l)| Buffer::zeroed(d.elem, *l))
-        .collect()
 }
 
 #[cfg(test)]

@@ -95,11 +95,6 @@ impl RunConfig {
         self
     }
 
-    pub fn with_fault_scope(mut self, scope: impl Into<String>) -> Self {
-        self.fault_scope = Some(scope.into());
-        self
-    }
-
     pub fn with_tier(mut self, tier: ExecTier) -> Self {
         self.tier = tier;
         self

@@ -371,7 +371,8 @@ fn watchdog_budgets_trip_at_the_same_step_batched() {
         .expect("the launch finishes in 100k steps");
     // Every budget from none to past the end: each phase boundary is
     // covered exactly, over-covered and under-covered by one step.
-    // (A tripped launch charges no trace counters.)
+    // (A tripped launch still charges the phases it batched before
+    // the trip.)
     for b in 0..=total + 2 {
         let run = Run {
             budget: Some(b),
@@ -416,7 +417,9 @@ fn an_inactive_lanes_out_of_bounds_read_still_batches() {
 fn an_active_lanes_out_of_bounds_read_falls_back_and_panics_alike() {
     // Lane 6 takes the arm and reads `sdata[8]`: the tree panics
     // there, after lanes 0, 2 and 4 stored and group 0 published. The
-    // panicking launch charges no trace counters.
+    // panicking launch still charges what it did: group 0's three
+    // phases and group 1's first two batched, then group 1's last
+    // phase fell back.
     let _one = serial();
     let case = grouped(8, 2, |ids| {
         vec![
@@ -440,8 +443,10 @@ fn an_active_lanes_out_of_bounds_read_falls_back_and_panics_alike() {
     });
     for tracked in [false, true] {
         let run = Run { tracked, ..PLAIN };
-        let msg = case.both(run).0.panic.expect("the tree panics");
+        let (seen, counts) = case.both(run);
+        let msg = seen.panic.expect("the tree panics");
         assert!(msg.contains("out of bounds"), "{msg}");
+        assert_eq!(counts, ((3 + 2) * 8, 1), "tracked {tracked}");
     }
 }
 

@@ -15,28 +15,20 @@
 //! happen before the next group starts.
 
 use paccport_devsim::{MemLoc, RaceTracker, ThreadId};
+use paccport_trace::rng::Rng;
 use proptest::prelude::*;
 
-/// splitmix64 — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-    fn range(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + self.below((hi - lo) as u64) as i64
-    }
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
+/// The first draws of schedule 5, pinned so the generated schedules
+/// never shift under the shared generator.
+#[test]
+fn schedule_stream_known_answer() {
+    let mut rng = Rng::new(5);
+    assert_eq!(rng.below(3), 2);
+    assert!(rng.chance(50, 100));
+    assert_eq!(
+        [rng.range(1, 3), rng.range(-2, 2), rng.range(0, 999)],
+        [3, 2, 461]
+    );
 }
 
 /// Which kinds of threads a schedule uses.
@@ -51,11 +43,11 @@ enum Mode {
 /// just outside it or far away.
 fn index(rng: &mut Rng, len: usize) -> i64 {
     match rng.below(10) {
-        0 => -1 - rng.range(0, 3),
-        1 => len as i64 + rng.range(0, 2),
+        0 => -1 - rng.range(0, 2),
+        1 => len as i64 + rng.range(0, 1),
         2 => 1 << 40,
         3 => i64::MIN,
-        _ if len > 0 => rng.range(0, len as i64),
+        _ if len > 0 => rng.range(0, len as i64 - 1),
         _ => 0,
     }
 }
@@ -65,13 +57,13 @@ fn index(rng: &mut Rng, len: usize) -> i64 {
 fn next_iteration(rng: &mut Rng, last: &[i64]) -> Vec<i64> {
     if last.is_empty() {
         // Rank 0 has a single iteration; extend it instead.
-        return vec![rng.range(-2, 3)];
+        return vec![rng.range(-2, 2)];
     }
     let mut v = last.to_vec();
     let p = rng.below(v.len() as u64) as usize;
-    v[p] += rng.range(1, 3);
+    v[p] += rng.range(1, 2);
     for x in &mut v[p + 1..] {
-        *x = rng.range(-2, 4);
+        *x = rng.range(-2, 3);
     }
     v
 }
@@ -79,16 +71,16 @@ fn next_iteration(rng: &mut Rng, last: &[i64]) -> Vec<i64> {
 /// Drive both trackers with one seeded schedule and compare them;
 /// returns the conflict count they agree on.
 fn check_schedule(seed: u64) -> Result<u64, String> {
-    let mut rng = Rng(seed);
+    let mut rng = Rng::new(seed);
     let mode = match rng.below(3) {
         0 => Mode::Iterations,
         1 => Mode::Lanes,
         _ => Mode::Mixed,
     };
-    let barriers_dropped = rng.chance(50);
+    let barriers_dropped = rng.chance(50, 100);
     let global_names = ["a", "b", "c"];
     let local_names = ["sdata", "tile"];
-    let globals: Vec<(&str, usize)> = global_names[..rng.range(1, 4) as usize]
+    let globals: Vec<(&str, usize)> = global_names[..rng.range(1, 3) as usize]
         .iter()
         .map(|n| (*n, rng.below(7) as usize))
         .collect();
@@ -103,8 +95,8 @@ fn check_schedule(seed: u64) -> Result<u64, String> {
     let flat = RaceTracker::new("k", globals.clone(), locals.clone(), barriers_dropped);
 
     let rank = rng.below(4) as usize;
-    let mut iter: Vec<i64> = (0..rank).map(|_| rng.range(-2, 3)).collect();
-    let mut group = rng.range(0, 3);
+    let mut iter: Vec<i64> = (0..rank).map(|_| rng.range(-2, 2)).collect();
+    let mut group = rng.range(0, 2);
     let mut started = false;
     let steps = rng.below(160);
     for step in 0..steps {
@@ -119,7 +111,7 @@ fn check_schedule(seed: u64) -> Result<u64, String> {
                 flat.set_epoch(e);
             }
             2..=5 if mode != Mode::Lanes => {
-                if started && !rng.chance(15) {
+                if started && !rng.chance(15, 100) {
                     iter = next_iteration(&mut rng, &iter);
                 }
                 started = true;
@@ -127,23 +119,23 @@ fn check_schedule(seed: u64) -> Result<u64, String> {
                 flat.set_iteration(&iter);
             }
             2..=5 => {
-                if rng.chance(20) {
-                    group += rng.range(1, 3);
+                if rng.chance(20, 100) {
+                    group += rng.range(1, 2);
                 }
-                let lane = rng.range(0, 5);
+                let lane = rng.range(0, 4);
                 model.set_thread(Some(ThreadId::Lane { group, lane }));
                 flat.set_lane(group, lane);
             }
             6 if mode == Mode::Mixed => {
-                if rng.chance(30) {
+                if rng.chance(30, 100) {
                     group += 1;
                 }
-                let lane = rng.range(0, 3);
+                let lane = rng.range(0, 2);
                 model.set_thread(Some(ThreadId::Lane { group, lane }));
                 flat.set_lane(group, lane);
             }
             _ => {
-                let local = !locals.is_empty() && rng.chance(35);
+                let local = !locals.is_empty() && rng.chance(35, 100);
                 let shapes = if local { &locals } else { &globals };
                 // Now and then an array the tracker was not told about.
                 let array = rng.below(shapes.len() as u64 + 1) as u32;

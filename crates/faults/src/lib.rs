@@ -756,7 +756,7 @@ pub fn try_charge(n: u64) -> bool {
     })
 }
 
-/// An injected hang: spin charging the watchdog until it trips. Arms
+/// An injected hang: spin on the watchdog budget until it trips. Arms
 /// the default budget first if nothing is armed, so a hang can never
 /// actually wedge the process.
 pub fn hang() -> ! {

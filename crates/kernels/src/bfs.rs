@@ -69,10 +69,6 @@ impl Graph {
         }
         Graph { nodes, edges, n }
     }
-
-    pub fn avg_degree(&self) -> f64 {
-        self.edges.len() as f64 / self.n as f64
-    }
 }
 
 /// Reference BFS: 1-based levels from `source`; unreached nodes stay 0.

@@ -1,7 +1,6 @@
 //! Shared benchmark infrastructure: variant configuration, validation
 //! reporting and seeded input generation.
 
-use paccport_devsim::Buffer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -210,16 +209,6 @@ pub fn table4() -> Vec<BenchmarkRow> {
             input_size: "20M layers",
         },
     ]
-}
-
-/// Convenience: turn a `Vec<f32>` into a device buffer.
-pub fn f32_buf(v: Vec<f32>) -> Buffer {
-    Buffer::F32(v)
-}
-
-/// Convenience: turn a `Vec<i32>` into a device buffer.
-pub fn i32_buf(v: Vec<i32>) -> Buffer {
-    Buffer::I32(v)
 }
 
 #[cfg(test)]

@@ -162,11 +162,6 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| format!("record ended early: `{}`", self.context()))
     }
 
-    /// Next raw token, `None` if the record is exhausted.
-    pub fn maybe_word(&mut self) -> Option<&'a str> {
-        self.toks.next()
-    }
-
     /// Next token which must equal `expect`.
     pub fn tag(&mut self, expect: &str) -> Result<(), String> {
         let got = self.word()?;

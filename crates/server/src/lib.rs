@@ -172,11 +172,6 @@ pub fn install_sigterm_drain() {
     }
 }
 
-/// Test handle: simulate SIGTERM delivery without a signal.
-pub fn trigger_sigterm_for_tests() {
-    on_sigterm(15);
-}
-
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port, then read
     /// [`Server::addr`]) and start accepting.
@@ -628,12 +623,12 @@ fn parse_tenant(req: &http::Request) -> Result<Option<String>, String> {
 
 /// Resolve a request to its matched cells, or a one-line 400 naming
 /// the offending coordinate with the known vocabulary.
-fn resolve(rr: &RunRequest) -> Result<(paccport_core::study::Scale, Vec<CheckCell>), String> {
+fn resolve(rr: &RunRequest) -> Result<Vec<CheckCell>, String> {
     let scale = serve::scale_by_name(&rr.scale)
         .ok_or_else(|| format!("unknown scale `{}`; known: smoke, quick, paper", rr.scale))?;
     let cells = serve::expand(&scale, &rr.benchmark, &rr.variant, &rr.target);
     if !cells.is_empty() {
-        return Ok((scale, cells));
+        return Ok(cells);
     }
     // Name the coordinate that matched nothing, with its vocabulary.
     type Pick = fn(&CheckCell) -> &String;
@@ -702,30 +697,33 @@ fn run_cells(
         .collect()
 }
 
+/// The prelude `/run` and `/stream` share: the tenant, the body and
+/// the cells it names. A refusal has already been answered with a
+/// one-line 400; its access-log record carries the tenant only once
+/// the tenant is known to be valid (the resolve refusal).
+fn run_prelude(
+    stream: &mut TcpStream,
+    req: &http::Request,
+) -> Result<(Option<String>, RunRequest, Vec<CheckCell>), Handled> {
+    let mut refuse = |e: String| {
+        let _ = http::respond_error(stream, 400, &e);
+        Handled::plain(400)
+    };
+    let tenant = parse_tenant(req).map_err(&mut refuse)?;
+    let rr = RunRequest::parse(&req.body).map_err(&mut refuse)?;
+    match resolve(&rr) {
+        Ok(cells) => Ok((tenant, rr, cells)),
+        Err(e) => Err(Handled {
+            tenant,
+            ..refuse(e)
+        }),
+    }
+}
+
 fn handle_run(inner: &Inner, stream: &mut TcpStream, req: &http::Request) -> Handled {
-    let tenant = match parse_tenant(req) {
-        Ok(t) => t,
-        Err(e) => {
-            let _ = http::respond_error(stream, 400, &e);
-            return Handled::plain(400);
-        }
-    };
-    let rr = match RunRequest::parse(&req.body) {
-        Ok(rr) => rr,
-        Err(e) => {
-            let _ = http::respond_error(stream, 400, &e);
-            return Handled::plain(400);
-        }
-    };
-    let cells = match resolve(&rr) {
-        Ok((_, cells)) => cells,
-        Err(e) => {
-            let _ = http::respond_error(stream, 400, &e);
-            return Handled {
-                tenant,
-                ..Handled::plain(400)
-            };
-        }
+    let (tenant, rr, cells) = match run_prelude(stream, req) {
+        Ok(p) => p,
+        Err(refused) => return refused,
     };
     let trace_id = request_trace_id(req, "run", &tenant, &rr);
     // Coalesce identical concurrent requests into one execution. The
@@ -790,29 +788,9 @@ fn handle_run(inner: &Inner, stream: &mut TcpStream, req: &http::Request) -> Han
 }
 
 fn handle_stream(inner: &Inner, stream: &mut TcpStream, req: &http::Request) -> Handled {
-    let tenant = match parse_tenant(req) {
-        Ok(t) => t,
-        Err(e) => {
-            let _ = http::respond_error(stream, 400, &e);
-            return Handled::plain(400);
-        }
-    };
-    let rr = match RunRequest::parse(&req.body) {
-        Ok(rr) => rr,
-        Err(e) => {
-            let _ = http::respond_error(stream, 400, &e);
-            return Handled::plain(400);
-        }
-    };
-    let cells = match resolve(&rr) {
-        Ok((_, cells)) => cells,
-        Err(e) => {
-            let _ = http::respond_error(stream, 400, &e);
-            return Handled {
-                tenant,
-                ..Handled::plain(400)
-            };
-        }
+    let (tenant, rr, cells) = match run_prelude(stream, req) {
+        Ok(p) => p,
+        Err(refused) => return refused,
     };
     let trace_id = request_trace_id(req, "stream", &tenant, &rr);
     let ctx = inner.next_ctx.fetch_add(1, Ordering::Relaxed);

@@ -110,11 +110,14 @@ fn protocol_refusals_are_one_line_4xx() {
         ("{}", Some("bad tenant!"), 400, "invalid X-Tenant"),
     ] {
         let headers: Vec<(&str, &str)> = tenant.map(|t| ("X-Tenant", t)).into_iter().collect();
-        let r = http::request(&addr, "POST", "/run", &headers, body).unwrap();
-        assert_eq!(r.status, status, "{body:?}: {}", r.body);
-        assert!(r.body.contains(want), "{body:?} => {}", r.body);
-        assert_eq!(r.body.matches('\n').count(), 1, "one-line error");
-        paccport_trace::json::parse(&r.body).expect("error bodies are JSON");
+        // `/run` and `/stream` share one request prelude.
+        for path in ["/run", "/stream"] {
+            let r = http::request(&addr, "POST", path, &headers, body).unwrap();
+            assert_eq!(r.status, status, "{path} {body:?}: {}", r.body);
+            assert!(r.body.contains(want), "{path} {body:?} => {}", r.body);
+            assert_eq!(r.body.matches('\n').count(), 1, "one-line error");
+            paccport_trace::json::parse(&r.body).expect("error bodies are JSON");
+        }
     }
 
     // Oversized body: refused before any parsing.

@@ -125,11 +125,6 @@ pub fn set_events_enabled(on: bool) {
     set_flag(F_EVENTS, on);
 }
 
-/// Whether the event stream is currently on.
-pub fn events_enabled() -> bool {
-    flags() & F_EVENTS != 0
-}
-
 // ===================================================================
 // Clock
 // ===================================================================

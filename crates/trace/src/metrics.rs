@@ -282,16 +282,6 @@ pub fn counter_value(name: &str, labels: &[(&str, &str)]) -> u64 {
         .unwrap_or(0)
 }
 
-/// Snapshot of a histogram, if it exists.
-pub fn histogram_snapshot(name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-    registry()
-        .lock()
-        .unwrap()
-        .histograms
-        .get(&key(name, labels))
-        .cloned()
-}
-
 /// One `histogram_sums` row: the series' label set, observation sum,
 /// and observation count.
 pub type HistogramSum = (Vec<(String, String)>, f64, u64);

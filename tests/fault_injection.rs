@@ -9,7 +9,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use paccport::core::engine::Engine;
+use paccport::core::engine::{Engine, MAX_ATTEMPTS};
 use paccport::core::study::{CellSpec, ElapsedFigure, Scale};
 use paccport::core::{experiments as exp, report};
 use paccport::faults::{self, FaultSpec};
@@ -98,7 +98,7 @@ fn hung_kernel_times_out_and_is_quarantined() {
     let f = results[0].as_ref().expect_err("rate-1.0 hang must fail");
     assert!(f.reason.contains("Timeout"), "{}", f.reason);
     assert!(f.injected);
-    assert_eq!(f.attempts, eng.policy().max_attempts);
+    assert_eq!(f.attempts, MAX_ATTEMPTS);
     let q = eng.quarantined();
     assert_eq!(q.len(), 1);
     assert!(q[0].reason.contains("Timeout"));
