@@ -5,8 +5,8 @@
 //! for the hot kernels that cost is the whole runtime. This module
 //! compiles a *second* form of a kernel body — a straight batch program
 //! over all its lanes — executed once instead of once per lane: once
-//! per innermost loop of a simple kernel ([`build`], [`run_batch`]),
-//! once per phase and work-group of a grouped one ([`build_phases`],
+//! per innermost loop of a simple kernel (`build`, [`run_batch`]),
+//! once per phase and work-group of a grouped one (`build_phases`,
 //! [`run_group_phase`]).
 //!
 //! Values are classified at compile time:
@@ -24,11 +24,19 @@
 //! lane; a fully scalar load index becomes a single [`BOp::SLoad`]
 //! per sequential-loop trip instead of one per lane per trip.
 //!
-//! **Bitwise equivalence is non-negotiable.** Every lane op replicates
-//! [`interp::bin`]/[`interp::cmp`]/[`interp::coerce`] semantics for
-//! the value classes it is compiled against (the compiler only picks
-//! the float path where a lane operand is *guaranteed* tag-`F`, etc.).
-//! Reordering effects across lanes is handled by construction:
+//! **Bitwise equivalence is non-negotiable.** No op defines what it
+//! computes: scalar ops call the tree-walker's own functions in
+//! [`interp`] (`bin`, `cmp`, `un`, `fma`, `cast`, `coerce`, `decode`
+//! and the work-group builtins of [`GroupCtx`]), and lane ops call
+//! their element forms once per lane (`f32_arith` for [`BOp::FBin`],
+//! `compare` for [`BOp::FCmp`] and [`BOp::ICmp`], `int_arith` for
+//! [`BOp::IBin`], `un_f` and `fma`). The compiler only picks a lane op
+//! where the tree-walker's runtime dispatch provably takes that path
+//! (the float path only where an operand is *guaranteed* tag-`F`,
+//! etc.). A binary lane op takes each operand as a [`Loc`], scalar or
+//! lanes, in the expression's order; the executor resolves the pair of
+//! classes once per op, outside its lane loop. Reordering effects
+//! across lanes is handled by construction:
 //!
 //! * a scatter to a global array the batch also accesses otherwise
 //!   carries a [`Guard`], checked at runtime per batch: against every
@@ -106,9 +114,7 @@
 //! fails to compile (`None`), and the kernel or phase keeps the scalar
 //! VM path.
 //!
-//! [`interp::bin`]: crate::interp
-//! [`interp::cmp`]: crate::interp
-//! [`interp::coerce`]: crate::interp
+//! [`interp`]: crate::interp
 
 use crate::interp::{self, GroupCtx, V};
 use crate::memory::{narrow_f32, Buffer, MemLoc};
@@ -160,7 +166,7 @@ pub enum BOp {
         dst: u16,
         a: u16,
     },
-    /// Generic binary op ([`interp::bin`]); the validation walk
+    /// Generic binary op (`interp::bin`); the validation walk
     /// pre-checks integer division by zero so execution cannot panic.
     SBin {
         op: BinOp,
@@ -225,11 +231,11 @@ pub enum BOp {
     VIsInt {
         s: u16,
     },
-    /// Work-group builtin of a grouped phase (1 group id, 2 local
-    /// size, 3 number of groups): lane-invariant.
+    /// Work-group builtin of a grouped phase other than the local id:
+    /// lane-invariant.
     SGroup {
         dst: u16,
-        which: u8,
+        sv: SpecialVar,
     },
     /// Plain scalar copy (keeps a value an `If` arm assigned for the
     /// masked writeback after later code reuses the variable's slot).
@@ -239,35 +245,13 @@ pub enum BOp {
     },
 
     // ---- affine ----
-    AAddS {
+    /// `Add`/`Sub` of affines and scalars, or `Mul` of an affine by a
+    /// scalar, into an affine; a scalar operand reads as `(y, 0)`.
+    ABin {
+        op: BinOp,
         dst: u16,
-        a: u16,
-        s: u16,
-    },
-    ASubAS {
-        dst: u16,
-        a: u16,
-        s: u16,
-    },
-    ASubSA {
-        dst: u16,
-        s: u16,
-        a: u16,
-    },
-    AAddA {
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    ASubAA {
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    AMulS {
-        dst: u16,
-        a: u16,
-        s: u16,
+        a: Loc,
+        b: Loc,
     },
     ANeg {
         dst: u16,
@@ -339,25 +323,13 @@ pub enum BOp {
         a: u16,
     },
 
-    // ---- float lane ops (f32-narrowed, exactly `interp::bin`) ----
-    FBinLL {
+    // ---- float lane ops (`interp::f32_arith`, as `interp::bin`) ----
+    /// Each operand f64 lanes or a scalar, resolved (`as_f()`) once.
+    FBin {
         op: BinOp,
         dst: u16,
-        a: u16,
-        b: u16,
-    },
-    /// Lane ⊕ scalar: the scalar is resolved (`as_f() as f32`) once.
-    FBinLS {
-        op: BinOp,
-        dst: u16,
-        a: u16,
-        s: u16,
-    },
-    FBinSL {
-        op: BinOp,
-        dst: u16,
-        s: u16,
-        b: u16,
+        a: Loc,
+        b: Loc,
     },
     FFma {
         dst: u16,
@@ -370,56 +342,21 @@ pub enum BOp {
         dst: u16,
         a: u16,
     },
-    /// Full-f64 comparisons, exactly `interp::cmp`'s float path.
-    FCmpLL {
+    /// Full-f64 comparison, `interp::cmp`'s float path: each operand
+    /// f64 lanes or a scalar, as for [`BOp::FBin`].
+    FCmp {
         op: CmpOp,
         dst: u16,
-        a: u16,
-        b: u16,
+        a: Loc,
+        b: Loc,
     },
-    FCmpLS {
+    /// Integer comparison of two affines, of an affine and a scalar, or
+    /// of int lanes and a scalar, into bool lanes.
+    ICmp {
         op: CmpOp,
         dst: u16,
-        a: u16,
-        s: u16,
-    },
-    FCmpSL {
-        op: CmpOp,
-        dst: u16,
-        s: u16,
-        b: u16,
-    },
-    /// Integer comparisons with affine operands.
-    ICmpAS {
-        op: CmpOp,
-        dst: u16,
-        a: u16,
-        s: u16,
-    },
-    ICmpSA {
-        op: CmpOp,
-        dst: u16,
-        s: u16,
-        a: u16,
-    },
-    ICmpAA {
-        op: CmpOp,
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    /// Integer comparisons of int lanes with a scalar.
-    ICmpLS {
-        op: CmpOp,
-        dst: u16,
-        a: u16,
-        s: u16,
-    },
-    ICmpSL {
-        op: CmpOp,
-        dst: u16,
-        s: u16,
-        a: u16,
+        a: Loc,
+        b: Loc,
     },
 
     // ---- bool lane ops ----
@@ -1109,14 +1046,6 @@ struct Footprint {
     sole: Option<usize>,
 }
 
-fn touch_aff(t: &Touch, av: &[(i64, i64)], sv: &[V]) -> (i64, i64) {
-    match t.at {
-        Loc::A(r) => av[r as usize],
-        Loc::S(s) => (sv[s as usize].as_i(), 0),
-        _ => unreachable!("guards see affine or scalar indices"),
-    }
-}
-
 /// `None` when no lane performs the access.
 fn footprint(
     t: &Touch,
@@ -1125,7 +1054,7 @@ fn footprint(
     act: &[Vec<u32>],
     bn: usize,
 ) -> Option<Footprint> {
-    let aff = touch_aff(t, av, sv);
+    let aff = affine(av, sv, t.at);
     let (span, sole) = active_span(aff, t.when, act, bn)?;
     Some(Footprint { aff, span, sole })
 }
@@ -1155,7 +1084,7 @@ fn owner_holds(o: &Owner, st: &mut BatchState, bn: usize, len: usize) -> bool {
     // Each access's (lane, element) pairs; every access was
     // bounds-checked over its lanes already.
     let visit = |t: &Touch, f: &mut dyn FnMut(u32, usize) -> bool| {
-        let (base, stride) = touch_aff(t, &st.av, &st.sv);
+        let (base, stride) = affine(&st.av, &st.sv, t.at);
         let at = |b: u32| (base + stride * b as i64) as usize;
         match t.when {
             Some(arm) => arm.lanes(&st.act).iter().all(|&b| f(b, at(b))),
@@ -1265,44 +1194,53 @@ fn lmap<T: Copy + Default>(v: &mut [Vec<T>], bn: usize, dst: u16, a: u16, f: imp
     }
 }
 
-/// `interp::bin`'s f32-narrowed float arithmetic, one element.
-#[inline(always)]
-fn f32_arith(op: BinOp, x: f64, y: f64) -> f64 {
-    let (x, y) = (x as f32, y as f32);
-    (match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        BinOp::Div => x / y,
-        BinOp::Rem => x % y,
-        BinOp::Min => x.min(y),
-        BinOp::Max => x.max(y),
-        _ => unreachable!("float lane ops are arithmetic-only"),
-    }) as f64
-}
-
-/// `interp::cmp`'s full-f64 float comparison, one element.
-#[inline(always)]
-fn fcmp(op: CmpOp, x: f64, y: f64) -> bool {
+/// Float lane arithmetic `dst = a op b`, each operand f64 lanes or a
+/// scalar (`as_f()` once per batch). The operator and the operand
+/// classes are resolved here, once per op, outside the lane loop.
+fn fbin(fl: &mut [Vec<f64>], sv: &[V], bn: usize, op: BinOp, dst: u16, a: Loc, b: Loc) {
+    fn go(
+        fl: &mut [Vec<f64>],
+        sv: &[V],
+        bn: usize,
+        dst: u16,
+        a: Loc,
+        b: Loc,
+        f: impl Fn(f64, f64) -> f64,
+    ) {
+        match (a, b) {
+            (Loc::LF(a), Loc::LF(b)) => lbin(fl, bn, dst, a, b, f),
+            (Loc::LF(a), Loc::S(s)) => {
+                let y = sv[s as usize].as_f();
+                lmap(fl, bn, dst, a, |x| f(x, y))
+            }
+            (Loc::S(s), Loc::LF(b)) => {
+                let x = sv[s as usize].as_f();
+                lmap(fl, bn, dst, b, |y| f(x, y))
+            }
+            _ => unreachable!("float lane ops have a lane operand"),
+        }
+    }
+    use interp::f32_arith;
+    // One closure per operator, so each loop gets it constant.
     match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
+        BinOp::Add => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Add, x, y)),
+        BinOp::Sub => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Sub, x, y)),
+        BinOp::Mul => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Mul, x, y)),
+        BinOp::Div => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Div, x, y)),
+        BinOp::Rem => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Rem, x, y)),
+        BinOp::Min => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Min, x, y)),
+        BinOp::Max => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Max, x, y)),
+        _ => unreachable!("float lane ops are arithmetic-only"),
     }
 }
 
-#[inline(always)]
-fn icmp(op: CmpOp, x: i64, y: i64) -> bool {
-    match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
+/// An integer location's lanes as `(base, stride)`: an affine, or a
+/// scalar, which reads as `(y, 0)`.
+fn affine(av: &[(i64, i64)], sv: &[V], l: Loc) -> (i64, i64) {
+    match l {
+        Loc::A(r) => av[r as usize],
+        Loc::S(s) => (sv[s as usize].as_i(), 0),
+        _ => unreachable!("affine operands are A or S"),
     }
 }
 
@@ -1347,13 +1285,11 @@ fn pow2_lanes(a: (i64, i64), y: V, bn: usize) -> bool {
 /// Lane `b` of an integer location: a scalar, an affine or int lanes.
 fn int_at(sv: &[V], av: &[(i64, i64)], il: &[Vec<i64>], l: Loc, b: usize) -> i64 {
     match l {
-        Loc::S(s) => sv[s as usize].as_i(),
-        Loc::A(r) => {
-            let (base, stride) = av[r as usize];
+        Loc::LI(r) => il[r as usize][b],
+        l => {
+            let (base, stride) = affine(av, sv, l);
             base + stride * b as i64
         }
-        Loc::LI(r) => il[r as usize][b],
-        Loc::LF(_) | Loc::LB(_) => unreachable!("integer operands are S, A or LI"),
     }
 }
 
@@ -1422,23 +1358,7 @@ fn walk<const VALIDATE: bool>(
                 }
                 sv[dst as usize] = v;
             }
-            BOp::SUn { op, dst, a } => {
-                let va = sv[a as usize];
-                sv[dst as usize] = match op {
-                    UnOp::Neg => match va {
-                        V::I(v) => V::I(-v),
-                        other => V::F(-other.as_f()),
-                    },
-                    UnOp::Abs => match va {
-                        V::I(v) => V::I(v.abs()),
-                        other => V::F(other.as_f().abs()),
-                    },
-                    UnOp::Rcp => V::F(1.0 / va.as_f()),
-                    UnOp::Sqrt => V::F(va.as_f().sqrt()),
-                    UnOp::Not => V::B(!va.as_b()),
-                    UnOp::Exp => V::F(va.as_f().exp()),
-                };
-            }
+            BOp::SUn { op, dst, a } => sv[dst as usize] = interp::un(op, sv[a as usize]),
             BOp::SBin { op, dst, a, b } => {
                 let (va, vb) = (sv[a as usize], sv[b as usize]);
                 if VALIDATE
@@ -1455,23 +1375,10 @@ fn walk<const VALIDATE: bool>(
                 sv[dst as usize] = V::B(interp::cmp(op, sv[a as usize], sv[b as usize]));
             }
             BOp::SFma { dst, a, b, c } => {
-                let (x, y, z) = (
-                    sv[a as usize].as_f(),
-                    sv[b as usize].as_f(),
-                    sv[c as usize].as_f(),
-                );
-                sv[dst as usize] = V::F(((x as f32).mul_add(y as f32, z as f32)) as f64);
+                let (x, y, z) = (sv[a as usize], sv[b as usize], sv[c as usize]);
+                sv[dst as usize] = V::F(interp::fma(x.as_f(), y.as_f(), z.as_f()));
             }
-            BOp::SCast { ty, dst, a } => {
-                let v = sv[a as usize];
-                sv[dst as usize] = match ty {
-                    Scalar::F32 => V::F(v.as_f() as f32 as f64),
-                    Scalar::F64 => V::F(v.as_f()),
-                    Scalar::I32 => V::I(v.as_i() as i32 as i64),
-                    Scalar::U32 => V::I(v.as_i() as u32 as i64),
-                    Scalar::Bool => V::B(v.as_b()),
-                };
-            }
+            BOp::SCast { ty, dst, a } => sv[dst as usize] = interp::cast(ty, sv[a as usize]),
             BOp::SSelect { dst, c, a, b } => {
                 sv[dst as usize] = if sv[c as usize].as_b() {
                     sv[a as usize]
@@ -1499,11 +1406,7 @@ fn walk<const VALIDATE: bool>(
                     // run performs (and logs) it.
                     record(tape, mask_stack, array, (i, 0), false);
                 }
-                sv[dst as usize] = match buf.elem() {
-                    Scalar::F32 | Scalar::F64 => V::F(buf.get(i as usize)),
-                    Scalar::Bool => V::B(buf.get(i as usize) != 0.0),
-                    _ => V::I(buf.get(i as usize) as i64),
-                };
+                sv[dst as usize] = interp::decode(buf, i as usize);
             }
             BOp::VDefCheck { var } => {
                 if VALIDATE && !vdef[var as usize] {
@@ -1516,40 +1419,19 @@ fn walk<const VALIDATE: bool>(
                     return false;
                 }
             }
-            BOp::SGroup { dst, which } => {
-                sv[dst as usize] = V::I(match which {
-                    1 => group.group_id,
-                    2 => group.local_size,
-                    _ => group.num_groups,
-                });
-            }
+            BOp::SGroup { dst, sv: var } => sv[dst as usize] = V::I(group.get(var)),
             BOp::SCopy { dst, a } => sv[dst as usize] = sv[a as usize],
 
             // ---- affine ----
-            BOp::AAddS { dst, a, s } => {
-                let (b0, s0) = av[a as usize];
-                av[dst as usize] = (b0 + sv[s as usize].as_i(), s0);
-            }
-            BOp::ASubAS { dst, a, s } => {
-                let (b0, s0) = av[a as usize];
-                av[dst as usize] = (b0 - sv[s as usize].as_i(), s0);
-            }
-            BOp::ASubSA { dst, s, a } => {
-                let (b0, s0) = av[a as usize];
-                av[dst as usize] = (sv[s as usize].as_i() - b0, -s0);
-            }
-            BOp::AAddA { dst, a, b } => {
-                let ((b0, s0), (b1, s1)) = (av[a as usize], av[b as usize]);
-                av[dst as usize] = (b0 + b1, s0 + s1);
-            }
-            BOp::ASubAA { dst, a, b } => {
-                let ((b0, s0), (b1, s1)) = (av[a as usize], av[b as usize]);
-                av[dst as usize] = (b0 - b1, s0 - s1);
-            }
-            BOp::AMulS { dst, a, s } => {
-                let (b0, s0) = av[a as usize];
-                let m = sv[s as usize].as_i();
-                av[dst as usize] = (b0 * m, s0 * m);
+            BOp::ABin { op, dst, a, b } => {
+                let ((b0, s0), (b1, s1)) = (affine(av, sv, a), affine(av, sv, b));
+                av[dst as usize] = match op {
+                    BinOp::Add => (b0 + b1, s0 + s1),
+                    BinOp::Sub => (b0 - b1, s0 - s1),
+                    // One factor is a scalar: its stride is 0.
+                    BinOp::Mul => (b0 * b1, s0 * b1 + s1 * b0),
+                    _ => unreachable!("affine ops are Add, Sub and Mul"),
+                };
             }
             BOp::ANeg { dst, a } => {
                 let (b0, s0) = av[a as usize];
@@ -1585,16 +1467,7 @@ fn walk<const VALIDATE: bool>(
                         // leave the lane to it.
                         return false;
                     }
-                    *x = match op {
-                        BinOp::Add => p + q,
-                        BinOp::Sub => p - q,
-                        BinOp::Mul => p * q,
-                        BinOp::Div => p / q,
-                        BinOp::Rem => p % q,
-                        BinOp::Min => p.min(q),
-                        BinOp::Max => p.max(q),
-                        _ => unreachable!("int lane ops are arithmetic-only"),
-                    };
+                    *x = interp::int_arith(op, p, q);
                     true
                 });
                 il[dst as usize] = out;
@@ -1807,36 +1680,23 @@ fn walk<const VALIDATE: bool>(
             BOp::BcastB { dst, s } if !VALIDATE || plan.early[dst as usize] => {
                 bl[dst as usize][..bn].fill(sv[s as usize].as_b())
             }
-            BOp::ICmpAS { op, dst, a, s } if !VALIDATE || plan.early[dst as usize] => {
-                let (base, stride) = av[a as usize];
-                let y = sv[s as usize].as_i();
-                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
-                    *x = icmp(op, base + stride * b as i64, y);
-                }
-            }
-            BOp::ICmpSA { op, dst, s, a } if !VALIDATE || plan.early[dst as usize] => {
-                let (base, stride) = av[a as usize];
-                let y = sv[s as usize].as_i();
-                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
-                    *x = icmp(op, y, base + stride * b as i64);
-                }
-            }
-            BOp::ICmpAA { op, dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
-                let ((b0, s0), (b1, s1)) = (av[a as usize], av[b as usize]);
-                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
-                    *x = icmp(op, b0 + s0 * b as i64, b1 + s1 * b as i64);
-                }
-            }
-            BOp::ICmpLS { op, dst, a, s } if !VALIDATE || plan.early[dst as usize] => {
-                let y = sv[s as usize].as_i();
-                for (x, &z) in bl[dst as usize][..bn].iter_mut().zip(&il[a as usize][..bn]) {
-                    *x = icmp(op, z, y);
-                }
-            }
-            BOp::ICmpSL { op, dst, s, a } if !VALIDATE || plan.early[dst as usize] => {
-                let y = sv[s as usize].as_i();
-                for (x, &z) in bl[dst as usize][..bn].iter_mut().zip(&il[a as usize][..bn]) {
-                    *x = icmp(op, y, z);
+            BOp::ICmp { op, dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
+                let out = bl[dst as usize][..bn].iter_mut().enumerate();
+                let at = |(base, stride): (i64, i64), b: usize| base + stride * b as i64;
+                let cmp = |x: i64, y: i64| interp::compare(op, x, y);
+                match (a, b) {
+                    (Loc::LI(r), b) => {
+                        let (q, lanes) = (affine(av, sv, b), &il[r as usize]);
+                        out.for_each(|(b, x)| *x = cmp(lanes[b], at(q, b)));
+                    }
+                    (a, Loc::LI(r)) => {
+                        let (p, lanes) = (affine(av, sv, a), &il[r as usize]);
+                        out.for_each(|(b, x)| *x = cmp(at(p, b), lanes[b]));
+                    }
+                    (a, b) => {
+                        let (p, q) = (affine(av, sv, a), affine(av, sv, b));
+                        out.for_each(|(b, x)| *x = cmp(at(p, b), at(q, b)));
+                    }
                 }
             }
             BOp::BAnd { dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
@@ -1852,11 +1712,7 @@ fn walk<const VALIDATE: bool>(
             // ---- lane compute: execution walk only ----
             _ if VALIDATE => {}
             BOp::BcastB { .. }
-            | BOp::ICmpAS { .. }
-            | BOp::ICmpSA { .. }
-            | BOp::ICmpAA { .. }
-            | BOp::ICmpLS { .. }
-            | BOp::ICmpSL { .. }
+            | BOp::ICmp { .. }
             | BOp::BAnd { .. }
             | BOp::BOr { .. }
             | BOp::BNot { .. } => unreachable!("the execution walk runs every bool-lane op above"),
@@ -1918,31 +1774,7 @@ fn walk<const VALIDATE: bool>(
                     fl[dst as usize] = dv;
                 }
             }
-            BOp::FBinLL { op, dst, a, b } => match op {
-                BinOp::Add => lbin(fl, bn, dst, a, b, |x, y| f32_arith(BinOp::Add, x, y)),
-                BinOp::Sub => lbin(fl, bn, dst, a, b, |x, y| f32_arith(BinOp::Sub, x, y)),
-                BinOp::Mul => lbin(fl, bn, dst, a, b, |x, y| f32_arith(BinOp::Mul, x, y)),
-                BinOp::Div => lbin(fl, bn, dst, a, b, |x, y| f32_arith(BinOp::Div, x, y)),
-                _ => lbin(fl, bn, dst, a, b, move |x, y| f32_arith(op, x, y)),
-            },
-            BOp::FBinLS { op, dst, a, s } => {
-                let y = sv[s as usize].as_f();
-                match op {
-                    BinOp::Add => lmap(fl, bn, dst, a, |x| f32_arith(BinOp::Add, x, y)),
-                    BinOp::Sub => lmap(fl, bn, dst, a, |x| f32_arith(BinOp::Sub, x, y)),
-                    BinOp::Mul => lmap(fl, bn, dst, a, |x| f32_arith(BinOp::Mul, x, y)),
-                    BinOp::Max => lmap(fl, bn, dst, a, |x| f32_arith(BinOp::Max, x, y)),
-                    _ => lmap(fl, bn, dst, a, move |x| f32_arith(op, x, y)),
-                }
-            }
-            BOp::FBinSL { op, dst, s, b } => {
-                let x = sv[s as usize].as_f();
-                match op {
-                    BinOp::Mul => lmap(fl, bn, dst, b, |y| f32_arith(BinOp::Mul, x, y)),
-                    BinOp::Sub => lmap(fl, bn, dst, b, |y| f32_arith(BinOp::Sub, x, y)),
-                    _ => lmap(fl, bn, dst, b, move |y| f32_arith(op, x, y)),
-                }
-            }
+            BOp::FBin { op, dst, a, b } => fbin(fl, sv, bn, op, dst, a, b),
             BOp::FFma { dst, a, b, c } => {
                 let d = dst as usize;
                 let mut dv = std::mem::take(&mut fl[d]);
@@ -1954,41 +1786,36 @@ fn walk<const VALIDATE: bool>(
                             fl[r as usize][i]
                         }
                     };
-                    let (x, y, z) = (pick(a, &dv), pick(b, &dv), pick(c, &dv));
-                    dv[i] = ((x as f32).mul_add(y as f32, z as f32)) as f64;
+                    dv[i] = interp::fma(pick(a, &dv), pick(b, &dv), pick(c, &dv));
                 }
                 fl[d] = dv;
             }
+            // One closure per operator, so each loop gets it constant.
             BOp::UnF { op, dst, a } => match op {
-                UnOp::Neg => lmap(fl, bn, dst, a, |x| -x),
-                UnOp::Abs => lmap(fl, bn, dst, a, f64::abs),
-                UnOp::Rcp => lmap(fl, bn, dst, a, |x| 1.0 / x),
-                UnOp::Sqrt => lmap(fl, bn, dst, a, f64::sqrt),
-                UnOp::Exp => lmap(fl, bn, dst, a, f64::exp),
+                UnOp::Neg => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Neg, x)),
+                UnOp::Abs => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Abs, x)),
+                UnOp::Rcp => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Rcp, x)),
+                UnOp::Sqrt => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Sqrt, x)),
+                UnOp::Exp => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Exp, x)),
                 UnOp::Not => unreachable!("Not lowers to CvtFtoB + BNot"),
             },
-            BOp::FCmpLL { op, dst, a, b } => {
-                let dv = &mut bl[dst as usize][..bn];
-                for ((x, &y), &z) in dv
-                    .iter_mut()
-                    .zip(&fl[a as usize][..bn])
-                    .zip(&fl[b as usize][..bn])
-                {
-                    *x = fcmp(op, y, z);
-                }
-            }
-            BOp::FCmpLS { op, dst, a, s } => {
-                let y = sv[s as usize].as_f();
-                let dv = &mut bl[dst as usize][..bn];
-                for (x, &z) in dv.iter_mut().zip(&fl[a as usize][..bn]) {
-                    *x = fcmp(op, z, y);
-                }
-            }
-            BOp::FCmpSL { op, dst, s, b } => {
-                let x0 = sv[s as usize].as_f();
-                let dv = &mut bl[dst as usize][..bn];
-                for (x, &z) in dv.iter_mut().zip(&fl[b as usize][..bn]) {
-                    *x = fcmp(op, x0, z);
+            BOp::FCmp { op, dst, a, b } => {
+                let out = bl[dst as usize][..bn].iter_mut();
+                let cmp = |x: f64, y: f64| interp::compare(op, x, y);
+                match (a, b) {
+                    (Loc::LF(a), Loc::LF(b)) => {
+                        let lanes = out.zip(&fl[a as usize]).zip(&fl[b as usize]);
+                        lanes.for_each(|((x, &p), &q)| *x = cmp(p, q));
+                    }
+                    (Loc::LF(a), Loc::S(s)) => {
+                        let q = sv[s as usize].as_f();
+                        out.zip(&fl[a as usize]).for_each(|(x, &p)| *x = cmp(p, q));
+                    }
+                    (Loc::S(s), Loc::LF(b)) => {
+                        let p = sv[s as usize].as_f();
+                        out.zip(&fl[b as usize]).for_each(|(x, &q)| *x = cmp(p, q));
+                    }
+                    _ => unreachable!("float lane compares have a lane operand"),
                 }
             }
             BOp::SelF { dst, c, a, b } => {
@@ -2079,7 +1906,7 @@ struct BcSnap {
     acc: Vec<ArrAcc>,
     pslots: Vec<Option<u16>>,
     consts: Vec<(u8, u64, u16)>,
-    specials: [Option<u16>; 4],
+    specials: Vec<(SpecialVar, u16)>,
     poison: Vec<bool>,
     uncond: Vec<bool>,
     masked_wb: Vec<(u16, Loc, Arm)>,
@@ -2126,8 +1953,8 @@ struct Bc<'a> {
     /// Element types of the kernel's local arrays, addressed after the
     /// program's global arrays.
     locals_elem: Vec<Scalar>,
-    /// Pooled work-group builtin slots, by `Instr::Special` number.
-    specials: [Option<u16>; 4],
+    /// Pooled work-group builtin slots.
+    specials: Vec<(SpecialVar, u16)>,
     /// Compiling the body of a masked loop (per-lane bounds): `arm` is
     /// its trip mask.
     masked_loop: bool,
@@ -2428,7 +2255,7 @@ impl<'a> Bc<'a> {
             early: Vec::new(),
             grouped,
             locals_elem,
-            specials: [None; 4],
+            specials: Vec::new(),
             masked_loop: false,
             poison: vec![false; nv],
             uncond: vec![false; nv],
@@ -2580,7 +2407,7 @@ impl<'a> Bc<'a> {
             acc: self.acc.clone(),
             pslots: self.pslots.clone(),
             consts: self.consts.clone(),
-            specials: self.specials,
+            specials: self.specials.clone(),
             poison: self.poison.clone(),
             uncond: self.uncond.clone(),
             masked_wb: self.masked_wb.clone(),
@@ -2602,7 +2429,7 @@ impl<'a> Bc<'a> {
         self.acc.clone_from(&s.acc);
         self.pslots.clone_from(&s.pslots);
         self.consts.clone_from(&s.consts);
-        self.specials = s.specials;
+        self.specials.clone_from(&s.specials);
         self.poison.clone_from(&s.poison);
         self.uncond.clone_from(&s.uncond);
         self.masked_wb.clone_from(&s.masked_wb);
@@ -3012,24 +2839,19 @@ impl<'a> Bc<'a> {
         if !self.grouped {
             return None;
         }
-        let which = match sv {
-            SpecialVar::LocalId(_) => {
-                return Some(Val {
-                    loc: Loc::A(0),
-                    sty: STy::I,
-                    f32v: false,
-                })
-            }
-            SpecialVar::GroupId(_) => 1,
-            SpecialVar::LocalSize(_) => 2,
-            SpecialVar::NumGroups(_) => 3,
-        };
-        let dst = match self.specials[which as usize] {
-            Some(s) => s,
+        if let SpecialVar::LocalId(_) = sv {
+            return Some(Val {
+                loc: Loc::A(0),
+                sty: STy::I,
+                f32v: false,
+            });
+        }
+        let dst = match self.specials.iter().find(|&&(v, _)| v == sv) {
+            Some(&(_, s)) => s,
             None => {
                 let dst = self.s_slot()?;
-                self.pre.push(BOp::SGroup { dst, which });
-                self.specials[which as usize] = Some(dst);
+                self.pre.push(BOp::SGroup { dst, sv });
+                self.specials.push((sv, dst));
                 dst
             }
         };
@@ -3316,41 +3138,22 @@ impl<'a> Bc<'a> {
     /// path. Scalar operands stay scalar (resolved once per batch).
     fn fbin(&mut self, op: BinOp, a: Val, b: Val) -> Option<Val> {
         let dst = self.f_slot()?;
-        match (a.loc, b.loc) {
-            (Loc::S(sa), _) => {
-                let lb = self.lane_f(&b)?;
-                self.ops.push(BOp::FBinSL {
-                    op,
-                    dst,
-                    s: sa,
-                    b: lb,
-                });
-            }
-            (_, Loc::S(sb)) => {
-                let la = self.lane_f(&a)?;
-                self.ops.push(BOp::FBinLS {
-                    op,
-                    dst,
-                    a: la,
-                    s: sb,
-                });
-            }
-            _ => {
-                let la = self.lane_f(&a)?;
-                let lb = self.lane_f(&b)?;
-                self.ops.push(BOp::FBinLL {
-                    op,
-                    dst,
-                    a: la,
-                    b: lb,
-                });
-            }
-        }
+        let (a, b) = (self.float_operand(&a)?, self.float_operand(&b)?);
+        self.ops.push(BOp::FBin { op, dst, a, b });
         Some(Val {
             loc: Loc::LF(dst),
             sty: STy::F,
             f32v: true,
         })
+    }
+
+    /// An operand of a float lane op: a scalar stays one, anything
+    /// else becomes f64 lanes.
+    fn float_operand(&mut self, v: &Val) -> Option<Loc> {
+        match v.loc {
+            Loc::S(_) => Some(v.loc),
+            _ => Some(Loc::LF(self.lane_f(v)?)),
+        }
     }
 
     /// Integer-path lane arithmetic: closed affine forms only. Both
@@ -3392,26 +3195,20 @@ impl<'a> Bc<'a> {
             });
         }
         let dst = self.a_slot()?;
-        match (a.loc, b.loc) {
-            (Loc::A(aa), Loc::A(ab)) => match op {
-                Add => self.ops.push(BOp::AAddA { dst, a: aa, b: ab }),
-                Sub => self.ops.push(BOp::ASubAA { dst, a: aa, b: ab }),
-                _ => return None,
-            },
-            (Loc::A(aa), Loc::S(sb)) if self.int_scalar(&b) => match op {
-                Add => self.ops.push(BOp::AAddS { dst, a: aa, s: sb }),
-                Sub => self.ops.push(BOp::ASubAS { dst, a: aa, s: sb }),
-                Mul => self.ops.push(BOp::AMulS { dst, a: aa, s: sb }),
-                _ => return None,
-            },
-            (Loc::S(sa), Loc::A(ab)) if self.int_scalar(&a) => match op {
-                Add => self.ops.push(BOp::AAddS { dst, a: ab, s: sa }),
-                Sub => self.ops.push(BOp::ASubSA { dst, s: sa, a: ab }),
-                Mul => self.ops.push(BOp::AMulS { dst, a: ab, s: sa }),
-                _ => return None,
-            },
-            _ => return None,
+        let int = match (a.loc, b.loc) {
+            (Loc::A(_), Loc::S(_)) => self.int_scalar(&b),
+            (Loc::S(_), Loc::A(_)) => self.int_scalar(&a),
+            _ => true,
+        };
+        if !int {
+            return None;
         }
+        self.ops.push(BOp::ABin {
+            op,
+            dst,
+            a: a.loc,
+            b: b.loc,
+        });
         Some(Val {
             loc: Loc::A(dst),
             sty: STy::I,
@@ -3434,88 +3231,27 @@ impl<'a> Bc<'a> {
                 f32v: false,
             });
         }
+        let dst = self.b_slot()?;
         if Self::float_certain(&a) || Self::float_certain(&b) {
             // Full-f64 float compare — exact for every operand class.
-            let dst = self.b_slot()?;
-            match (a.loc, b.loc) {
-                (Loc::S(sa), _) => {
-                    let lb = self.lane_f(&b)?;
-                    self.ops.push(BOp::FCmpSL {
-                        op,
-                        dst,
-                        s: sa,
-                        b: lb,
-                    });
-                }
-                (_, Loc::S(sb)) => {
-                    let la = self.lane_f(&a)?;
-                    self.ops.push(BOp::FCmpLS {
-                        op,
-                        dst,
-                        a: la,
-                        s: sb,
-                    });
-                }
-                _ => {
-                    let la = self.lane_f(&a)?;
-                    let lb = self.lane_f(&b)?;
-                    self.ops.push(BOp::FCmpLL {
-                        op,
-                        dst,
-                        a: la,
-                        b: lb,
-                    });
-                }
+            let (a, b) = (self.float_operand(&a)?, self.float_operand(&b)?);
+            self.ops.push(BOp::FCmp { op, dst, a, b });
+        } else {
+            let int = match (a.loc, b.loc) {
+                (Loc::A(_), Loc::A(_)) => true,
+                (Loc::A(_) | Loc::LI(_), Loc::S(_)) => self.int_scalar(&b),
+                (Loc::S(_), Loc::A(_) | Loc::LI(_)) => self.int_scalar(&a),
+                _ => false,
+            };
+            if !int {
+                return None;
             }
-            return Some(Val {
-                loc: Loc::LB(dst),
-                sty: STy::B,
-                f32v: false,
+            self.ops.push(BOp::ICmp {
+                op,
+                dst,
+                a: a.loc,
+                b: b.loc,
             });
-        }
-        let dst = self.b_slot()?;
-        match (a.loc, b.loc) {
-            (Loc::A(aa), Loc::A(ab)) => {
-                self.ops.push(BOp::ICmpAA {
-                    op,
-                    dst,
-                    a: aa,
-                    b: ab,
-                });
-            }
-            (Loc::A(aa), Loc::S(sb)) if self.int_scalar(&b) => {
-                self.ops.push(BOp::ICmpAS {
-                    op,
-                    dst,
-                    a: aa,
-                    s: sb,
-                });
-            }
-            (Loc::S(sa), Loc::A(ab)) if self.int_scalar(&a) => {
-                self.ops.push(BOp::ICmpSA {
-                    op,
-                    dst,
-                    s: sa,
-                    a: ab,
-                });
-            }
-            (Loc::LI(la), Loc::S(sb)) if self.int_scalar(&b) => {
-                self.ops.push(BOp::ICmpLS {
-                    op,
-                    dst,
-                    a: la,
-                    s: sb,
-                });
-            }
-            (Loc::S(sa), Loc::LI(lb)) if self.int_scalar(&a) => {
-                self.ops.push(BOp::ICmpSL {
-                    op,
-                    dst,
-                    s: sa,
-                    a: lb,
-                });
-            }
-            _ => return None,
         }
         Some(Val {
             loc: Loc::LB(dst),
@@ -3616,80 +3352,10 @@ impl<'a> Bc<'a> {
                     f32v,
                 })
             }
-            Loc::LF(f) => match ty {
-                Scalar::F32 => {
-                    if a.f32v {
-                        return Some(a);
-                    }
-                    let dst = self.f_slot()?;
-                    self.ops.push(BOp::CvtFtoF32 { dst, a: f });
-                    Some(Val {
-                        loc: Loc::LF(dst),
-                        sty: STy::F,
-                        f32v: true,
-                    })
-                }
-                // cast F64 on a runtime-F value is as_f(): identity.
-                Scalar::F64 => Some(a),
-                Scalar::Bool => {
-                    let dst = self.b_slot()?;
-                    self.ops.push(BOp::CvtFtoB { dst, a: f });
-                    Some(Val {
-                        loc: Loc::LB(dst),
-                        sty: STy::B,
-                        f32v: false,
-                    })
-                }
-                // as_i() of float lanes is not affine.
-                Scalar::I32 | Scalar::U32 => None,
-            },
-            Loc::A(aff) => match ty {
-                Scalar::F32 => {
-                    let t = self.f_slot()?;
-                    self.ops.push(BOp::CvtAtoF { dst: t, a: aff });
-                    let dst = self.f_slot()?;
-                    self.ops.push(BOp::CvtFtoF32 { dst, a: t });
-                    Some(Val {
-                        loc: Loc::LF(dst),
-                        sty: STy::F,
-                        f32v: true,
-                    })
-                }
-                Scalar::F64 => {
-                    let dst = self.f_slot()?;
-                    self.ops.push(BOp::CvtAtoF { dst, a: aff });
-                    Some(Val {
-                        loc: Loc::LF(dst),
-                        sty: STy::F,
-                        f32v: false,
-                    })
-                }
-                Scalar::Bool => {
-                    let dst = self.b_slot()?;
-                    self.ops.push(BOp::CvtAtoB { dst, a: aff });
-                    Some(Val {
-                        loc: Loc::LB(dst),
-                        sty: STy::B,
-                        f32v: false,
-                    })
-                }
-                // I32/U32 casts wrap through 32 bits — not affine.
-                Scalar::I32 | Scalar::U32 => None,
-            },
-            Loc::LB(b) => match ty {
-                Scalar::F32 | Scalar::F64 => {
-                    let dst = self.f_slot()?;
-                    self.ops.push(BOp::CvtBtoF { dst, a: b });
-                    Some(Val {
-                        loc: Loc::LF(dst),
-                        sty: STy::F,
-                        f32v: true,
-                    })
-                }
-                Scalar::Bool => Some(a),
-                Scalar::I32 | Scalar::U32 => None,
-            },
-            Loc::LI(_) => None,
+            // I32/U32 casts wrap through 32 bits: not affine, nor
+            // exact on float lanes. The others coerce.
+            _ if matches!(ty, Scalar::I32 | Scalar::U32) => None,
+            _ => self.coerce_lane(ty, a),
         }
     }
 
@@ -4369,11 +4035,7 @@ fn reads_memory(e: &Expr) -> bool {
 fn early_dst(op: &BOp) -> Option<u16> {
     match *op {
         BOp::BcastB { dst, .. }
-        | BOp::ICmpAS { dst, .. }
-        | BOp::ICmpSA { dst, .. }
-        | BOp::ICmpAA { dst, .. }
-        | BOp::ICmpLS { dst, .. }
-        | BOp::ICmpSL { dst, .. }
+        | BOp::ICmp { dst, .. }
         | BOp::BAnd { dst, .. }
         | BOp::BOr { dst, .. }
         | BOp::BNot { dst, .. } => Some(dst),
@@ -4388,9 +4050,7 @@ fn lane_f_dst_mut(op: &mut BOp) -> Option<&mut u16> {
         | BOp::CvtBtoF { dst, .. }
         | BOp::CvtFtoF32 { dst, .. }
         | BOp::LCopyF { dst, .. }
-        | BOp::FBinLL { dst, .. }
-        | BOp::FBinLS { dst, .. }
-        | BOp::FBinSL { dst, .. }
+        | BOp::FBin { dst, .. }
         | BOp::FFma { dst, .. }
         | BOp::UnF { dst, .. }
         | BOp::SelF { dst, .. }
@@ -4402,7 +4062,7 @@ fn lane_f_dst_mut(op: &mut BOp) -> Option<&mut u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{exec_kernel, fresh_vars, KernelFidelity};
+    use crate::interp::{exec_kernel_traced, fresh_vars, KernelFidelity};
     use paccport_ir::builder::ProgramBuilder;
     use paccport_ir::{assign, for_, if_, ld, let_, st, HostStmt, Intent, ParallelLoop, E};
 
@@ -4491,13 +4151,14 @@ mod tests {
         let k = &p.kernels()[0];
         let mut tree_bufs = bufs.to_vec();
         let mut vars = fresh_vars(p);
-        exec_kernel(
+        exec_kernel_traced(
             p,
             params,
             k,
             &mut vars,
             &mut tree_bufs,
             KernelFidelity::Exact,
+            None,
         );
         let code = super::super::compile::compile_kernel(p, k);
         assert!(code.batch.is_some(), "kernel failed to batch-compile");
@@ -4712,13 +4373,14 @@ mod tests {
         let bufs = vec![Buffer::F32(vec![0.5, 3.0, 0.25, 0.5, 4.0, 0.0])];
         let params = [V::I(n as i64)];
         let mut tree = bufs.clone();
-        exec_kernel(
+        exec_kernel_traced(
             &p,
             &params,
             k,
             &mut fresh_vars(&p),
             &mut tree,
             KernelFidelity::Exact,
+            None,
         );
         let code = super::super::compile::compile_kernel(&p, k);
         let mut byte = bufs;
@@ -4846,13 +4508,14 @@ mod tests {
         let params = [V::I(n)];
         let mut tree_bufs = bufs.clone();
         let mut tree_vars = fresh_vars(&p);
-        exec_kernel(
+        exec_kernel_traced(
             &p,
             &params,
             k,
             &mut tree_vars,
             &mut tree_bufs,
             KernelFidelity::Exact,
+            None,
         );
         let code = super::super::compile::compile_kernel(&p, k);
         let mut bc_bufs = bufs;

@@ -15,17 +15,22 @@
 //! is sized by the pre-scan before any code is emitted, so the
 //! watermark temp allocator can never collide with a pooled value.
 //!
+//! Instructions name operations; they do not define them. Every one
+//! the VM executes — arithmetic, compares, unary ops, `fma`, casts,
+//! loads, stores, atomics and work-group builtins — is the
+//! tree-walker's own definition in [`crate::interp`], so lowering can
+//! change how operands are fetched but never what is computed.
+//!
 //! A conservative forward type analysis (`F`/`I`/`B`/`Unk` lattice)
 //! picks type-specialized opcodes (`BinFF`/`BinII`) where both operand
-//! types are statically known; the specialized arms re-check the
-//! runtime tags and fall back to the generic [`interp::bin`] path, so
-//! a wrong inference can cost speed but never correctness. A parallel
-//! definite-assignment analysis inserts [`Instr::CheckDef`] exactly
-//! where a variable read is not statically proven initialized, so the
-//! tree-walker's "read of undefined variable" panic reproduces at the
-//! same evaluation step.
-//!
-//! [`interp::bin`]: crate::interp
+//! types are statically known. They call the same element function
+//! the generic `Bin` reaches (`interp::f32_arith`/`interp::int_arith`)
+//! without dispatching on the runtime tags, and take the generic path
+//! when the tags disagree, so a wrong inference can cost speed but
+//! never correctness. A parallel definite-assignment analysis inserts
+//! [`Instr::CheckDef`] exactly where a variable read is not statically
+//! proven initialized, so the tree-walker's "read of undefined
+//! variable" panic reproduces at the same evaluation step.
 
 use paccport_ir::expr::{BinOp, CmpOp, Expr, SpecialVar, UnOp};
 use paccport_ir::kernel::{Kernel, KernelBody, ReduceOp};
@@ -63,11 +68,10 @@ pub enum Instr {
         dst: Reg,
         src: Reg,
     },
-    /// Work-group builtin: 0 local_id, 1 group_id, 2 local_size,
-    /// 3 num_groups.
+    /// Work-group builtin.
     Special {
         dst: Reg,
-        which: u8,
+        sv: SpecialVar,
     },
     /// Panic like the tree-walker's `get_var` if `var` has not been
     /// assigned yet in this execution.
@@ -457,13 +461,7 @@ impl<'a> Compiler<'a> {
             }
             Expr::Special(sv) => {
                 let dst = self.alloc();
-                let which = match sv {
-                    SpecialVar::LocalId(_) => 0,
-                    SpecialVar::GroupId(_) => 1,
-                    SpecialVar::LocalSize(_) => 2,
-                    SpecialVar::NumGroups(_) => 3,
-                };
-                code.push(Instr::Special { dst, which });
+                code.push(Instr::Special { dst, sv: *sv });
                 (dst, Ty::I)
             }
             Expr::Load {

@@ -4,10 +4,15 @@
 //! Values live in a flat register arena (`Vec<V>`), with the program's
 //! variables occupying the low registers — one bounds-checked index
 //! per access instead of the tree-walker's `Vec<Option<V>>` scope
-//! lookups. Every arithmetic helper is *shared* with the tree-walker
-//! ([`interp::bin`], [`interp::cmp`], [`interp::coerce`]), so the two
-//! tiers cannot drift: the VM only changes how operands are fetched,
-//! never what is computed.
+//! lookups. The VM defines no device operation of its own: every
+//! instruction calls the tree-walker's definition in [`interp`] —
+//! [`interp::Machine`]'s `load`, `store` and `atomic` and its
+//! work-group builtins, and the element functions (`bin`, `cmp`,
+//! `f32_arith`, `int_arith`, `un`, `fma`, `cast`, `coerce`). `BinFF`
+//! and `BinII` call `f32_arith` and `int_arith` directly when the
+//! runtime tags match their static types. So the tiers cannot drift:
+//! the VM only changes how operands are fetched, never what is
+//! computed.
 //!
 //! Each kernel compiles to one instruction stream, with an
 //! [`Instr::Charge`] at every statement boundary, run whether or not a
@@ -38,38 +43,24 @@
 //! added once per launch, when it ends: a launch that panics or trips
 //! the watchdog still counts the work it did before.
 //!
-//! [`interp::bin`]: crate::interp
-//! [`interp::cmp`]: crate::interp
-//! [`interp::coerce`]: crate::interp
+//! [`interp`]: crate::interp
+//! [`interp::Machine`]: crate::interp::Machine
 
 use super::batch;
 use super::compile::{BodyCode, Instr, KernelCode};
-use crate::interp::{self, GroupCtx, KernelFidelity, V};
-use crate::memory::{Buffer, MemLoc};
+use crate::interp::{self, GroupCtx, KernelFidelity, Machine, V};
+use crate::memory::Buffer;
 use crate::race::RaceTracker;
-use paccport_ir::expr::{BinOp, UnOp};
 use paccport_ir::kernel::{Kernel, KernelBody};
-use paccport_ir::types::{MemSpace, Scalar};
 
 /// Everything an instruction can touch — the VM's analogue of
-/// [`interp::Scope`].
+/// [`interp::Scope`], which keeps variables where this keeps the
+/// parameters.
 ///
 /// [`interp::Scope`]: crate::interp::Scope
 struct Ctx<'a> {
     params: &'a [V],
-    bufs: &'a mut [Buffer],
-    locals: Option<&'a mut Vec<Buffer>>,
-    group: GroupCtx,
-    tracker: Option<&'a RaceTracker<'a>>,
-}
-
-impl Ctx<'_> {
-    fn mem_loc(&self, space: MemSpace, array: u32, index: i64) -> MemLoc {
-        match space {
-            MemSpace::Global => MemLoc::global(array, index),
-            MemSpace::Local => MemLoc::local(array, self.group.group_id, index),
-        }
-    }
+    m: Machine<'a>,
 }
 
 /// One launch's batching counters, added to the trace when the launch
@@ -118,54 +109,20 @@ fn run_code(code: &[Instr], regs: &mut [V], defined: &mut [bool], ctx: &mut Ctx<
             Instr::ConstB { dst, v } => regs[dst as usize] = V::B(v),
             Instr::Param { dst, p } => regs[dst as usize] = ctx.params[p as usize],
             Instr::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
-            Instr::Special { dst, which } => {
-                regs[dst as usize] = V::I(match which {
-                    0 => ctx.group.local_id,
-                    1 => ctx.group.group_id,
-                    2 => ctx.group.local_size,
-                    _ => ctx.group.num_groups,
-                });
-            }
+            Instr::Special { dst, sv } => regs[dst as usize] = V::I(ctx.m.group.get(sv)),
             Instr::CheckDef { var } => {
                 if !defined[var as usize] {
                     panic!("read of undefined variable v{var}");
                 }
             }
-            Instr::Un { op, dst, a } => {
-                let va = regs[a as usize];
-                regs[dst as usize] = match op {
-                    UnOp::Neg => match va {
-                        V::I(v) => V::I(-v),
-                        other => V::F(-other.as_f()),
-                    },
-                    UnOp::Abs => match va {
-                        V::I(v) => V::I(v.abs()),
-                        other => V::F(other.as_f().abs()),
-                    },
-                    UnOp::Rcp => V::F(1.0 / va.as_f()),
-                    UnOp::Sqrt => V::F(va.as_f().sqrt()),
-                    UnOp::Not => V::B(!va.as_b()),
-                    UnOp::Exp => V::F(va.as_f().exp()),
-                };
-            }
+            Instr::Un { op, dst, a } => regs[dst as usize] = interp::un(op, regs[a as usize]),
             Instr::Bin { op, dst, a, b } => {
                 regs[dst as usize] = interp::bin(op, regs[a as usize], regs[b as usize]);
             }
             Instr::BinFF { op, dst, a, b } => {
                 let (va, vb) = (regs[a as usize], regs[b as usize]);
                 regs[dst as usize] = if let (V::F(x), V::F(y)) = (va, vb) {
-                    let (x, y) = (x as f32, y as f32);
-                    let r = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                        BinOp::Rem => x % y,
-                        BinOp::Min => x.min(y),
-                        BinOp::Max => x.max(y),
-                        _ => unreachable!("BinFF is arithmetic-only"),
-                    };
-                    V::F(r as f64)
+                    V::F(interp::f32_arith(op, x, y))
                 } else {
                     interp::bin(op, va, vb)
                 };
@@ -173,22 +130,7 @@ fn run_code(code: &[Instr], regs: &mut [V], defined: &mut [bool], ctx: &mut Ctx<
             Instr::BinII { op, dst, a, b } => {
                 let (va, vb) = (regs[a as usize], regs[b as usize]);
                 regs[dst as usize] = if let (V::I(x), V::I(y)) = (va, vb) {
-                    V::I(match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => {
-                            assert!(y != 0, "integer division by zero");
-                            x / y
-                        }
-                        BinOp::Rem => {
-                            assert!(y != 0, "integer remainder by zero");
-                            x % y
-                        }
-                        BinOp::Min => x.min(y),
-                        BinOp::Max => x.max(y),
-                        _ => unreachable!("BinII is arithmetic-only"),
-                    })
+                    V::I(interp::int_arith(op, x, y))
                 } else {
                     interp::bin(op, va, vb)
                 };
@@ -197,22 +139,10 @@ fn run_code(code: &[Instr], regs: &mut [V], defined: &mut [bool], ctx: &mut Ctx<
                 regs[dst as usize] = V::B(interp::cmp(op, regs[a as usize], regs[b as usize]));
             }
             Instr::Fma { dst, a, b, c } => {
-                let va = regs[a as usize].as_f();
-                let vb = regs[b as usize].as_f();
-                let vc = regs[c as usize].as_f();
-                // f32 semantics, like the devices' fma.f32.
-                regs[dst as usize] = V::F(((va as f32).mul_add(vb as f32, vc as f32)) as f64);
+                let (va, vb, vc) = (regs[a as usize], regs[b as usize], regs[c as usize]);
+                regs[dst as usize] = V::F(interp::fma(va.as_f(), vb.as_f(), vc.as_f()));
             }
-            Instr::Cast { ty, dst, a } => {
-                let v = regs[a as usize];
-                regs[dst as usize] = match ty {
-                    Scalar::F32 => V::F(v.as_f() as f32 as f64),
-                    Scalar::F64 => V::F(v.as_f()),
-                    Scalar::I32 => V::I(v.as_i() as i32 as i64),
-                    Scalar::U32 => V::I(v.as_i() as u32 as i64),
-                    Scalar::Bool => V::B(v.as_b()),
-                };
-            }
+            Instr::Cast { ty, dst, a } => regs[dst as usize] = interp::cast(ty, regs[a as usize]),
             Instr::LetVar { ty, var, src } => {
                 regs[var as usize] = interp::coerce(regs[src as usize], ty);
                 defined[var as usize] = true;
@@ -229,52 +159,15 @@ fn run_code(code: &[Instr], regs: &mut [V], defined: &mut [bool], ctx: &mut Ctx<
                 array,
                 idx,
                 dst,
-            } => {
-                let i = regs[idx as usize].as_i();
-                if let Some(t) = ctx.tracker {
-                    t.log_read(ctx.mem_loc(space, array as u32, i));
-                }
-                let buf = match space {
-                    MemSpace::Global => &ctx.bufs[array as usize],
-                    MemSpace::Local => {
-                        &ctx.locals.as_ref().expect("local access outside group")[array as usize]
-                    }
-                };
-                assert!(
-                    (i as usize) < buf.len(),
-                    "index {i} out of bounds for array of length {} ({:?})",
-                    buf.len(),
-                    space
-                );
-                regs[dst as usize] = match buf.elem() {
-                    Scalar::F32 | Scalar::F64 => V::F(buf.get(i as usize)),
-                    Scalar::Bool => V::B(buf.get(i as usize) != 0.0),
-                    _ => V::I(buf.get(i as usize) as i64),
-                };
-            }
+            } => regs[dst as usize] = ctx.m.load(space, array as u32, regs[idx as usize].as_i()),
             Instr::Store {
                 space,
                 array,
                 idx,
                 val,
             } => {
-                let i = regs[idx as usize].as_i();
-                let v = regs[val as usize].as_f();
-                if let Some(t) = ctx.tracker {
-                    t.log_write(ctx.mem_loc(space, array as u32, i), false);
-                }
-                let buf = match space {
-                    MemSpace::Global => &mut ctx.bufs[array as usize],
-                    MemSpace::Local => {
-                        &mut ctx.locals.as_mut().expect("local store outside group")[array as usize]
-                    }
-                };
-                assert!(
-                    (i as usize) < buf.len(),
-                    "store index {i} out of bounds for array of length {}",
-                    buf.len()
-                );
-                buf.set(i as usize, v);
+                let (i, v) = (regs[idx as usize].as_i(), regs[val as usize].as_f());
+                ctx.m.store(space, array as u32, i, v);
             }
             Instr::Atomic {
                 op,
@@ -282,16 +175,8 @@ fn run_code(code: &[Instr], regs: &mut [V], defined: &mut [bool], ctx: &mut Ctx<
                 idx,
                 val,
             } => {
-                // Sequential interpretation makes the read-modify-write
-                // trivially atomic.
-                let i = regs[idx as usize].as_i() as usize;
-                let v = regs[val as usize].as_f();
-                if let Some(t) = ctx.tracker {
-                    t.log_write(ctx.mem_loc(MemSpace::Global, array as u32, i as i64), true);
-                }
-                let buf = &mut ctx.bufs[array as usize];
-                let old = buf.get(i);
-                buf.set(i, op.combine(old, v));
+                let (i, v) = (regs[idx as usize].as_i(), regs[val as usize].as_f());
+                ctx.m.atomic(op, array as u32, i, v);
             }
             Instr::Jump { to } => pc = to as usize,
             Instr::JumpIfFalse { cond, to } => {
@@ -342,10 +227,7 @@ pub fn exec_kernel_bc(
     {
         let mut ctx = Ctx {
             params,
-            bufs: &mut *bufs,
-            locals: None,
-            group: GroupCtx::default(),
-            tracker: None,
+            m: Machine::global(&mut *bufs, None),
         };
         run_code(&code.prelude, &mut regs, &mut defined, &mut ctx);
     }
@@ -398,14 +280,11 @@ pub fn exec_kernel_bc(
             let lp = &k.loops[0];
             let b = &code.bounds[0];
             let (lo, hi) = {
+                // Loop bounds are evaluated once, before the parallel
+                // region: not per-iteration accesses.
                 let mut ctx = Ctx {
                     params,
-                    bufs: &mut *bufs,
-                    locals: None,
-                    group: GroupCtx::default(),
-                    // Loop bounds are evaluated once, before the
-                    // parallel region: not per-iteration accesses.
-                    tracker: None,
+                    m: Machine::global(&mut *bufs, None),
                 };
                 run_code(&b.lo.block, &mut regs, &mut defined, &mut ctx);
                 let lo = regs[b.lo.out as usize].as_i();
@@ -507,13 +386,15 @@ pub fn exec_kernel_bc(
                         }
                         let mut ctx = Ctx {
                             params,
-                            bufs: &mut *bufs,
-                            locals: Some(&mut locals),
-                            group: GroupCtx {
-                                local_id: t,
-                                ..group
+                            m: Machine {
+                                bufs: &mut *bufs,
+                                locals: Some(&mut locals),
+                                group: GroupCtx {
+                                    local_id: t,
+                                    ..group
+                                },
+                                tracker,
                             },
-                            tracker,
                         };
                         run_code(phase, tr_regs, tdef, &mut ctx);
                     }
@@ -553,10 +434,7 @@ fn nest(
         }
         let mut ctx = Ctx {
             params,
-            bufs,
-            locals: None,
-            group: GroupCtx::default(),
-            tracker,
+            m: Machine::global(bufs, tracker),
         };
         run_code(block, regs, defined, &mut ctx);
         if let (Some(rr), Some(frag)) = (&k.region_reduction, reduce) {
@@ -570,14 +448,11 @@ fn nest(
     }
     let b = &code.bounds[depth];
     let (lo, hi) = {
+        // Loop bounds are evaluated before the parallel region at this
+        // depth: not per-iteration accesses.
         let mut ctx = Ctx {
             params,
-            bufs: &mut *bufs,
-            locals: None,
-            group: GroupCtx::default(),
-            // Loop bounds are evaluated before the parallel region at
-            // this depth: not per-iteration accesses.
-            tracker: None,
+            m: Machine::global(&mut *bufs, None),
         };
         // The two fragments share temp registers: read `lo` before
         // running `hi`.
@@ -613,10 +488,7 @@ fn nest(
         // accumulation — a flat dispatch loop over the body stream.
         let mut ctx = Ctx {
             params,
-            bufs,
-            locals: None,
-            group: GroupCtx::default(),
-            tracker: None,
+            m: Machine::global(bufs, None),
         };
         for i in lo..hi {
             regs[var] = V::I(i);

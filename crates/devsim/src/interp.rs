@@ -3,8 +3,15 @@
 //! Functional runs execute kernels on the bytecode VM
 //! ([`crate::bytecode`]). This tree-walker is the semantic reference
 //! the VM must match bitwise: only the conformance driver's
-//! `tier/bytecode` leg and tests run it. It also holds the arithmetic
-//! helpers both interpreters share.
+//! `tier/bytecode` leg and tests run it.
+//!
+//! It also holds the one definition of every device operation, which
+//! the tree-walker, the bytecode VM ([`crate::bytecode`]'s `vm`) and
+//! its batch VM (`batch`) all call: [`Machine`] performs loads, stores
+//! and atomics (tracker log, bounds check, panic) and reads the
+//! work-group builtins; the element functions after [`eval`] compute
+//! arithmetic, compares, unary ops, `fma`, casts and element decoding,
+//! on a [`V`] or on one f64 lane.
 //!
 //! This is what makes the reproduction *checkable*: every benchmark
 //! variant — baseline, gridified, unrolled, tiled, reduction-lowered —
@@ -23,7 +30,7 @@
 use crate::memory::{Buffer, MemLoc};
 use crate::race::RaceTracker;
 use paccport_ir::expr::{BinOp, CmpOp, Expr, SpecialVar, UnOp};
-use paccport_ir::kernel::{Kernel, KernelBody};
+use paccport_ir::kernel::{Kernel, KernelBody, ReduceOp};
 use paccport_ir::stmt::{Block, Stmt};
 use paccport_ir::types::{MemSpace, Scalar};
 use paccport_ir::Program;
@@ -75,11 +82,25 @@ pub struct GroupCtx {
     pub num_groups: i64,
 }
 
-/// Everything an expression evaluation can touch.
-pub struct Scope<'a> {
-    /// Scalar variables, indexed by `VarId`. A flat slice — one
-    /// bounds-checked index per access, no `Vec` header indirection.
-    pub vars: &'a mut [Option<V>],
+impl GroupCtx {
+    /// The value of work-group builtin `sv` (its dimension is ignored).
+    #[inline(always)]
+    pub(crate) fn get(self, sv: SpecialVar) -> i64 {
+        match sv {
+            SpecialVar::LocalId(_) => self.local_id,
+            SpecialVar::GroupId(_) => self.group_id,
+            SpecialVar::LocalSize(_) => self.local_size,
+            SpecialVar::NumGroups(_) => self.num_groups,
+        }
+    }
+}
+
+/// The memory and work-group builtins one simulated thread sees, in
+/// the tree-walker ([`Scope`]) and the bytecode VM alike. Each memory
+/// effect logs to the race tracker, checks bounds and panics in one
+/// fixed order, so every tier fails at the same access with the same
+/// message.
+pub struct Machine<'a> {
     /// Global (device or host, depending on caller) arrays.
     pub bufs: &'a mut [Buffer],
     /// Work-group local arrays (grouped kernels only).
@@ -89,7 +110,17 @@ pub struct Scope<'a> {
     pub tracker: Option<&'a RaceTracker<'a>>,
 }
 
-impl<'a> Scope<'a> {
+impl<'a> Machine<'a> {
+    /// Global arrays only: no work-group, no local arrays.
+    pub fn global(bufs: &'a mut [Buffer], tracker: Option<&'a RaceTracker<'a>>) -> Machine<'a> {
+        Machine {
+            bufs,
+            locals: None,
+            group: GroupCtx::default(),
+            tracker,
+        }
+    }
+
     /// The location a `(space, array)` access resolves to for the race
     /// detector: local arrays are per-group instances.
     fn mem_loc(&self, space: MemSpace, array: u32, index: i64) -> MemLoc {
@@ -98,6 +129,68 @@ impl<'a> Scope<'a> {
             MemSpace::Local => MemLoc::local(array, self.group.group_id, index),
         }
     }
+
+    /// Read element `i` of an array.
+    #[inline(always)]
+    pub(crate) fn load(&self, space: MemSpace, array: u32, i: i64) -> V {
+        if let Some(t) = self.tracker {
+            t.log_read(self.mem_loc(space, array, i));
+        }
+        let buf = match space {
+            MemSpace::Global => &self.bufs[array as usize],
+            MemSpace::Local => {
+                &self.locals.as_ref().expect("local access outside group")[array as usize]
+            }
+        };
+        assert!(
+            (i as usize) < buf.len(),
+            "index {i} out of bounds for array of length {} ({:?})",
+            buf.len(),
+            space
+        );
+        decode(buf, i as usize)
+    }
+
+    /// Write `v` to element `i` of an array, narrowed to its type.
+    #[inline(always)]
+    pub(crate) fn store(&mut self, space: MemSpace, array: u32, i: i64, v: f64) {
+        if let Some(t) = self.tracker {
+            t.log_write(self.mem_loc(space, array, i), false);
+        }
+        let buf = match space {
+            MemSpace::Global => &mut self.bufs[array as usize],
+            MemSpace::Local => {
+                &mut self.locals.as_mut().expect("local store outside group")[array as usize]
+            }
+        };
+        assert!(
+            (i as usize) < buf.len(),
+            "store index {i} out of bounds for array of length {}",
+            buf.len()
+        );
+        buf.set(i as usize, v);
+    }
+
+    /// Combine `v` into element `i` of a global array. Sequential
+    /// interpretation makes the read-modify-write trivially atomic.
+    #[inline(always)]
+    pub(crate) fn atomic(&mut self, op: ReduceOp, array: u32, i: i64, v: f64) {
+        let i = i as usize;
+        if let Some(t) = self.tracker {
+            t.log_write(self.mem_loc(MemSpace::Global, array, i as i64), true);
+        }
+        let buf = &mut self.bufs[array as usize];
+        let old = buf.get(i);
+        buf.set(i, op.combine(old, v));
+    }
+}
+
+/// Everything an expression evaluation can touch.
+pub struct Scope<'a> {
+    /// Scalar variables, indexed by `VarId`. A flat slice — one
+    /// bounds-checked index per access, no `Vec` header indirection.
+    pub vars: &'a mut [Option<V>],
+    pub m: Machine<'a>,
 }
 
 impl Scope<'_> {
@@ -121,56 +214,16 @@ pub fn eval(p: &Program, params: &[V], e: &Expr, s: &Scope<'_>) -> V {
         Expr::BConst(v) => V::B(*v),
         Expr::Param(id) => params[id.0 as usize],
         Expr::Var(id) => s.get_var(*id),
-        Expr::Special(sv) => V::I(match sv {
-            SpecialVar::LocalId(_) => s.group.local_id,
-            SpecialVar::GroupId(_) => s.group.group_id,
-            SpecialVar::LocalSize(_) => s.group.local_size,
-            SpecialVar::NumGroups(_) => s.group.num_groups,
-        }),
+        Expr::Special(sv) => V::I(s.m.group.get(*sv)),
         Expr::Load {
             space,
             array,
             index,
         } => {
             let i = eval(p, params, index, s).as_i();
-            if let Some(t) = s.tracker {
-                t.log_read(s.mem_loc(*space, array.0, i));
-            }
-            let buf = match space {
-                MemSpace::Global => &s.bufs[array.0 as usize],
-                MemSpace::Local => {
-                    &s.locals.as_ref().expect("local access outside group")[array.0 as usize]
-                }
-            };
-            assert!(
-                (i as usize) < buf.len(),
-                "index {i} out of bounds for array of length {} ({:?})",
-                buf.len(),
-                space
-            );
-            match buf.elem() {
-                Scalar::F32 | Scalar::F64 => V::F(buf.get(i as usize)),
-                Scalar::Bool => V::B(buf.get(i as usize) != 0.0),
-                _ => V::I(buf.get(i as usize) as i64),
-            }
+            s.m.load(*space, array.0, i)
         }
-        Expr::Un(op, a) => {
-            let va = eval(p, params, a, s);
-            match op {
-                UnOp::Neg => match va {
-                    V::I(v) => V::I(-v),
-                    other => V::F(-other.as_f()),
-                },
-                UnOp::Abs => match va {
-                    V::I(v) => V::I(v.abs()),
-                    other => V::F(other.as_f().abs()),
-                },
-                UnOp::Rcp => V::F(1.0 / va.as_f()),
-                UnOp::Sqrt => V::F(va.as_f().sqrt()),
-                UnOp::Not => V::B(!va.as_b()),
-                UnOp::Exp => V::F(va.as_f().exp()),
-            }
-        }
+        Expr::Un(op, a) => un(*op, eval(p, params, a, s)),
         Expr::Bin(op, a, b) => {
             let va = eval(p, params, a, s);
             let vb = eval(p, params, b, s);
@@ -185,8 +238,7 @@ pub fn eval(p: &Program, params: &[V], e: &Expr, s: &Scope<'_>) -> V {
             let va = eval(p, params, a, s).as_f();
             let vb = eval(p, params, b, s).as_f();
             let vc = eval(p, params, c, s).as_f();
-            // f32 semantics, like the devices' fma.f32.
-            V::F(((va as f32).mul_add(vb as f32, vc as f32)) as f64)
+            V::F(fma(va, vb, vc))
         }
         Expr::Select(c, a, b) => {
             if eval(p, params, c, s).as_b() {
@@ -195,62 +247,133 @@ pub fn eval(p: &Program, params: &[V], e: &Expr, s: &Scope<'_>) -> V {
                 eval(p, params, b, s)
             }
         }
-        Expr::Cast(ty, a) => {
-            let v = eval(p, params, a, s);
-            match ty {
-                Scalar::F32 => V::F(v.as_f() as f32 as f64),
-                Scalar::F64 => V::F(v.as_f()),
-                Scalar::I32 => V::I(v.as_i() as i32 as i64),
-                Scalar::U32 => V::I(v.as_i() as u32 as i64),
-                Scalar::Bool => V::B(v.as_b()),
-            }
-        }
+        Expr::Cast(ty, a) => cast(*ty, eval(p, params, a, s)),
     }
 }
 
-/// Shared by the tree-walker and the bytecode VM (`crate::bytecode`):
-/// both tiers funnel every binary operation through this one function,
-/// so their f32-narrowed arithmetic is bit-identical by construction.
+// ---------------------------------------------------------------
+// Element semantics. The one definition of every device operation:
+// the tree-walker, the bytecode VM and the batch VM's scalar and lane
+// ops all call these, so their results are bit-identical by
+// construction. Each is `#[inline(always)]`, so a lane loop calling
+// one with a constant operator compiles to a tight loop.
+// ---------------------------------------------------------------
+
+/// f32 arithmetic, like the devices' `.f32` ops: both operands narrow
+/// to f32, the result widens back. `op` is arithmetic.
+#[inline(always)]
+pub(crate) fn f32_arith(op: BinOp, x: f64, y: f64) -> f64 {
+    let (x, y) = (x as f32, y as f32);
+    (match op {
+        BinOp::Add => x + y,
+        BinOp::Sub => x - y,
+        BinOp::Mul => x * y,
+        BinOp::Div => x / y,
+        BinOp::Rem => x % y,
+        BinOp::Min => x.min(y),
+        BinOp::Max => x.max(y),
+        _ => unreachable!("f32_arith is arithmetic-only"),
+    }) as f64
+}
+
+/// Integer arithmetic; `op` is arithmetic. Division and remainder by
+/// zero panic.
+#[inline(always)]
+pub(crate) fn int_arith(op: BinOp, x: i64, y: i64) -> i64 {
+    match op {
+        BinOp::Add => x + y,
+        BinOp::Sub => x - y,
+        BinOp::Mul => x * y,
+        BinOp::Div => {
+            assert!(y != 0, "integer division by zero");
+            x / y
+        }
+        BinOp::Rem => {
+            assert!(y != 0, "integer remainder by zero");
+            x % y
+        }
+        BinOp::Min => x.min(y),
+        BinOp::Max => x.max(y),
+        _ => unreachable!("int_arith is arithmetic-only"),
+    }
+}
+
+/// A float (full f64) or integer comparison.
+#[inline(always)]
+pub(crate) fn compare<T: PartialOrd>(op: CmpOp, x: T, y: T) -> bool {
+    match op {
+        CmpOp::Eq => x == y,
+        CmpOp::Ne => x != y,
+        CmpOp::Lt => x < y,
+        CmpOp::Le => x <= y,
+        CmpOp::Gt => x > y,
+        CmpOp::Ge => x >= y,
+    }
+}
+
+/// A unary op: `Neg` and `Abs` keep an integer an integer, `Not` gives
+/// a bool, and everything else takes the float path ([`un_f`]).
+#[inline(always)]
+pub(crate) fn un(op: UnOp, v: V) -> V {
+    match (op, v) {
+        (UnOp::Neg, V::I(x)) => V::I(-x),
+        (UnOp::Abs, V::I(x)) => V::I(x.abs()),
+        (UnOp::Not, v) => V::B(!v.as_b()),
+        (op, v) => V::F(un_f(op, v.as_f())),
+    }
+}
+
+/// The float path of [`un`], one f64 lane.
+#[inline(always)]
+pub(crate) fn un_f(op: UnOp, x: f64) -> f64 {
+    match op {
+        UnOp::Neg => -x,
+        UnOp::Abs => x.abs(),
+        UnOp::Rcp => 1.0 / x,
+        UnOp::Sqrt => x.sqrt(),
+        UnOp::Exp => x.exp(),
+        UnOp::Not => unreachable!("Not is a bool op"),
+    }
+}
+
+/// Fused multiply-add with f32 semantics, like the devices' `fma.f32`.
+#[inline(always)]
+pub(crate) fn fma(a: f64, b: f64, c: f64) -> f64 {
+    ((a as f32).mul_add(b as f32, c as f32)) as f64
+}
+
+/// `Cast`: integer casts wrap through 32 bits (unlike [`coerce`]).
+#[inline(always)]
+pub(crate) fn cast(ty: Scalar, v: V) -> V {
+    match ty {
+        Scalar::F32 => V::F(v.as_f() as f32 as f64),
+        Scalar::F64 => V::F(v.as_f()),
+        Scalar::I32 => V::I(v.as_i() as i32 as i64),
+        Scalar::U32 => V::I(v.as_i() as u32 as i64),
+        Scalar::Bool => V::B(v.as_b()),
+    }
+}
+
+/// Element `i` of `buf` as a value of its element type.
+#[inline(always)]
+pub(crate) fn decode(buf: &Buffer, i: usize) -> V {
+    match buf.elem() {
+        Scalar::F32 | Scalar::F64 => V::F(buf.get(i)),
+        Scalar::Bool => V::B(buf.get(i) != 0.0),
+        _ => V::I(buf.get(i) as i64),
+    }
+}
+
+/// A binary op, dispatched on the operands' runtime tags: arithmetic
+/// takes the f32 path if either is a float, the integer path if not.
 pub(crate) fn bin(op: BinOp, a: V, b: V) -> V {
     use BinOp::*;
-    let float = a.is_float() || b.is_float();
     match op {
         Add | Sub | Mul | Div | Rem | Min | Max => {
-            if float {
-                // f32 arithmetic, matching the devices.
-                let x = a.as_f() as f32;
-                let y = b.as_f() as f32;
-                let r = match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y,
-                    Rem => x % y,
-                    Min => x.min(y),
-                    Max => x.max(y),
-                    _ => unreachable!(),
-                };
-                V::F(r as f64)
+            if a.is_float() || b.is_float() {
+                V::F(f32_arith(op, a.as_f(), b.as_f()))
             } else {
-                let x = a.as_i();
-                let y = b.as_i();
-                let r = match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => {
-                        assert!(y != 0, "integer division by zero");
-                        x / y
-                    }
-                    Rem => {
-                        assert!(y != 0, "integer remainder by zero");
-                        x % y
-                    }
-                    Min => x.min(y),
-                    Max => x.max(y),
-                    _ => unreachable!(),
-                };
-                V::I(r)
+                V::I(int_arith(op, a.as_i(), b.as_i()))
             }
         }
         And => V::B(a.as_b() && b.as_b()),
@@ -260,30 +383,12 @@ pub(crate) fn bin(op: BinOp, a: V, b: V) -> V {
     }
 }
 
+/// A comparison: full f64 if either operand is a float, integer if not.
 pub(crate) fn cmp(op: CmpOp, a: V, b: V) -> bool {
-    let float = a.is_float() || b.is_float();
-    if float {
-        let x = a.as_f();
-        let y = b.as_f();
-        match op {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        }
+    if a.is_float() || b.is_float() {
+        compare(op, a.as_f(), b.as_f())
     } else {
-        let x = a.as_i();
-        let y = b.as_i();
-        match op {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        }
+        compare(op, a.as_i(), b.as_i())
     }
 }
 
@@ -317,21 +422,7 @@ fn exec_stmt(p: &Program, params: &[V], stmt: &Stmt, s: &mut Scope<'_>) {
         } => {
             let i = eval(p, params, index, s).as_i();
             let v = eval(p, params, value, s).as_f();
-            if let Some(t) = s.tracker {
-                t.log_write(s.mem_loc(*space, array.0, i), false);
-            }
-            let buf = match space {
-                MemSpace::Global => &mut s.bufs[array.0 as usize],
-                MemSpace::Local => {
-                    &mut s.locals.as_mut().expect("local store outside group")[array.0 as usize]
-                }
-            };
-            assert!(
-                (i as usize) < buf.len(),
-                "store index {i} out of bounds for array of length {}",
-                buf.len()
-            );
-            buf.set(i as usize, v);
+            s.m.store(*space, array.0, i, v);
         }
         Stmt::If {
             cond,
@@ -371,16 +462,9 @@ fn exec_stmt(p: &Program, params: &[V], stmt: &Stmt, s: &mut Scope<'_>) {
             index,
             value,
         } => {
-            // Sequential interpretation makes the read-modify-write
-            // trivially atomic.
-            let i = eval(p, params, index, s).as_i() as usize;
+            let i = eval(p, params, index, s).as_i();
             let v = eval(p, params, value, s).as_f();
-            if let Some(t) = s.tracker {
-                t.log_write(s.mem_loc(MemSpace::Global, array.0, i as i64), true);
-            }
-            let buf = &mut s.bufs[array.0 as usize];
-            let old = buf.get(i);
-            buf.set(i, op.combine(old, v));
+            s.m.atomic(*op, array.0, i, v);
         }
     }
 }
@@ -410,21 +494,11 @@ pub enum KernelFidelity {
 /// `vars` is the reusable scalar environment (length =
 /// `program.var_names.len()`); host-loop variables already bound in it
 /// are visible to the kernel (triangular bounds).
-pub fn exec_kernel(
-    p: &Program,
-    params: &[V],
-    k: &Kernel,
-    vars: &mut [Option<V>],
-    bufs: &mut [Buffer],
-    fidelity: KernelFidelity,
-) {
-    exec_kernel_traced(p, params, k, vars, bufs, fidelity, None)
-}
-
-/// [`exec_kernel`] with an optional shadow access log: every global
-/// and local memory access inside the parallel region is recorded
-/// against the logical thread performing it (iteration vector or
-/// group/lane), so the tracker can flag cross-thread conflicts.
+///
+/// With a `tracker`, every global and local memory access inside the
+/// parallel region is recorded against the logical thread performing
+/// it (iteration vector or group/lane), so the tracker can flag
+/// cross-thread conflicts.
 pub fn exec_kernel_traced(
     p: &Program,
     params: &[V],
@@ -455,10 +529,7 @@ pub fn exec_kernel_traced(
             let lp = &k.loops[0];
             let scope_ro = Scope {
                 vars: &mut *vars,
-                bufs,
-                locals: None,
-                group: GroupCtx::default(),
-                tracker: None,
+                m: Machine::global(bufs, None),
             };
             let lo = eval(p, params, &lp.lo, &scope_ro).as_i();
             let hi = eval(p, params, &lp.hi, &scope_ro).as_i();
@@ -501,15 +572,17 @@ pub fn exec_kernel_traced(
                         }
                         let mut s = Scope {
                             vars: tv,
-                            bufs,
-                            locals: Some(&mut locals),
-                            group: GroupCtx {
-                                local_id: t,
-                                group_id: grp,
-                                local_size: gsz,
-                                num_groups: n_groups,
+                            m: Machine {
+                                bufs,
+                                locals: Some(&mut locals),
+                                group: GroupCtx {
+                                    local_id: t,
+                                    group_id: grp,
+                                    local_size: gsz,
+                                    num_groups: n_groups,
+                                },
+                                tracker,
                             },
-                            tracker,
                         };
                         exec_block(p, params, phase, &mut s);
                     }
@@ -542,10 +615,7 @@ fn exec_nest(
         let body = k.simple_body().expect("simple kernel");
         let mut s = Scope {
             vars: &mut *vars,
-            bufs,
-            locals: None,
-            group: GroupCtx::default(),
-            tracker,
+            m: Machine::global(bufs, tracker),
         };
         exec_block(p, params, body, &mut s);
         if let (Some(rr), Some(total)) = (&k.region_reduction, acc.as_mut()) {
@@ -556,14 +626,11 @@ fn exec_nest(
     }
     let lp = &k.loops[depth];
     let (lo, hi) = {
+        // Loop bounds are evaluated once, before the parallel region:
+        // not per-iteration accesses.
         let s = Scope {
             vars: &mut *vars,
-            bufs,
-            locals: None,
-            group: GroupCtx::default(),
-            // Loop bounds are evaluated once, before the parallel
-            // region: not per-iteration accesses.
-            tracker: None,
+            m: Machine::global(bufs, None),
         };
         (
             eval(p, params, &lp.lo, &s).as_i(),
@@ -592,7 +659,15 @@ mod tests {
 
     fn run_simple(k: &Kernel, p: &Program, bufs: &mut [Buffer]) {
         let mut vars = fresh_vars(p);
-        exec_kernel(p, &[V::I(8)], k, &mut vars, bufs, KernelFidelity::Exact);
+        exec_kernel_traced(
+            p,
+            &[V::I(8)],
+            k,
+            &mut vars,
+            bufs,
+            KernelFidelity::Exact,
+            None,
+        );
     }
 
     #[test]
@@ -747,20 +822,29 @@ mod tests {
 
         let mut bufs = vec![Buffer::F32(data.clone()), Buffer::zeroed(Scalar::F32, 32)];
         let mut vars = fresh_vars(&p);
-        exec_kernel(&p, &params, &k, &mut vars, &mut bufs, KernelFidelity::Exact);
+        exec_kernel_traced(
+            &p,
+            &params,
+            &k,
+            &mut vars,
+            &mut bufs,
+            KernelFidelity::Exact,
+            None,
+        );
         assert_eq!(bufs[1].as_f32()[0], expect);
         assert_eq!(bufs[1].as_f32()[1], expect);
 
         // Buggy mode loses partials: result differs.
         let mut bufs2 = vec![Buffer::F32(data), Buffer::zeroed(Scalar::F32, 32)];
         let mut vars2 = fresh_vars(&p);
-        exec_kernel(
+        exec_kernel_traced(
             &p,
             &params,
             &k,
             &mut vars2,
             &mut bufs2,
             KernelFidelity::DropTreePhases,
+            None,
         );
         assert_ne!(bufs2.last().unwrap().as_f32()[0], expect);
     }
@@ -818,6 +902,107 @@ mod tests {
         );
         assert!(tracker.races().is_empty(), "{:?}", tracker.races());
         assert!(tracker.accesses() > 0);
+    }
+
+    /// Known answers for the element functions every interpreter
+    /// calls. Tests that compare one tier with another cannot see a
+    /// change made here; this table can.
+    #[test]
+    fn element_functions_give_known_answers() {
+        use BinOp::*;
+        use CmpOp::*;
+        use UnOp::*;
+        let (f, i, b) = (V::F, V::I, V::B);
+        // A quiet NaN with its sign bit set, and the same NaN positive.
+        let neg_nan = f64::from_bits(0xfff8_0000_0000_0000);
+        let pos_nan = f64::from_bits(0x7ff8_0000_0000_0000);
+        let inf = f64::INFINITY;
+        let tenth = 0.1f32 as f64;
+        // 1 + 2^-12 squared is 1 + 2^-11 + 2^-24: the multiply rounds
+        // the 2^-24 away, the fused multiply-add keeps it.
+        let a = 1.0 + 2f64.powi(-12);
+        let c = -(1.0 + 2f64.powi(-11));
+        let two32 = 1i64 << 32;
+        let rows: [(&str, V, V); 40] = [
+            ("-0.0 + -0.0", bin(Add, f(-0.0), f(-0.0)), f(-0.0)),
+            ("-0.0 + 0.0", bin(Add, f(-0.0), f(0.0)), f(0.0)),
+            (
+                "0.1 + 0.2 in f32",
+                bin(Add, f(0.1), f(0.2)),
+                f(0.30000001192092896),
+            ),
+            ("0.1 narrows", bin(Mul, f(0.1), i(1)), f(tenth)),
+            ("0.1 narrowed is", f(tenth), f(0.10000000149011612)),
+            ("1e39 overflows f32", bin(Add, f(1e39), f(0.0)), f(inf)),
+            ("inf - 1", bin(Sub, f(inf), f(1.0)), f(inf)),
+            ("1 / -0.0", bin(Div, f(1.0), f(-0.0)), f(-inf)),
+            ("min skips NaN", bin(Min, f(neg_nan), f(1.0)), f(1.0)),
+            ("max skips NaN", bin(Max, f(2.0), f(neg_nan)), f(2.0)),
+            ("int + float is float", bin(Add, i(1), f(0.5)), f(1.5)),
+            ("-7 / 2", bin(Div, i(-7), i(2)), i(-3)),
+            ("-7 % 2", bin(Rem, i(-7), i(2)), i(-1)),
+            ("int min", bin(Min, i(-3), b(true)), i(-3)),
+            ("-0.0 == 0.0", b(cmp(Eq, f(-0.0), f(0.0))), b(true)),
+            ("-0.0 < 0.0", b(cmp(Lt, f(-0.0), f(0.0))), b(false)),
+            ("NaN != NaN", b(cmp(Ne, f(neg_nan), f(neg_nan))), b(true)),
+            ("NaN >= -inf", b(cmp(Ge, f(neg_nan), f(-inf))), b(false)),
+            ("inf > f64::MAX", b(cmp(Gt, f(inf), f(f64::MAX))), b(true)),
+            ("int compare", b(cmp(Le, i(-1), i(0))), b(true)),
+            ("neg -0.0", un(Neg, f(-0.0)), f(0.0)),
+            ("abs -0.0", un(Abs, f(-0.0)), f(0.0)),
+            ("neg NaN flips its sign", un(Neg, f(neg_nan)), f(pos_nan)),
+            ("abs NaN clears its sign", un(Abs, f(neg_nan)), f(pos_nan)),
+            ("rcp +0", un(Rcp, f(0.0)), f(inf)),
+            ("rcp -0", un(Rcp, f(-0.0)), f(-inf)),
+            ("sqrt -0.0", un(Sqrt, f(-0.0)), f(-0.0)),
+            ("exp -inf", un(Exp, f(-inf)), f(0.0)),
+            ("neg int", un(Neg, i(5)), i(-5)),
+            ("not -0.0", un(Not, f(-0.0)), b(true)),
+            ("fma keeps the low bits", f(fma(a, a, c)), f(2f64.powi(-24))),
+            (
+                "mul then add drops them",
+                bin(Add, bin(Mul, f(a), f(a)), f(c)),
+                f(0.0),
+            ),
+            ("i32 of -1", cast(Scalar::I32, i(-1)), i(-1)),
+            ("u32 of -1", cast(Scalar::U32, i(-1)), i(u32::MAX as i64)),
+            ("i32 of 2^32 + 5", cast(Scalar::I32, i(two32 + 5)), i(5)),
+            ("u32 of 2^32 + 5", cast(Scalar::U32, i(two32 + 5)), i(5)),
+            (
+                "i32 of 2^31",
+                cast(Scalar::I32, i(two32 / 2)),
+                i(i32::MIN as i64),
+            ),
+            (
+                "u32 of -3.7",
+                cast(Scalar::U32, f(-3.7)),
+                i(u32::MAX as i64 - 2),
+            ),
+            ("f32 of 0.1", cast(Scalar::F32, f(0.1)), f(tenth)),
+            (
+                "f64 keeps a NaN's sign",
+                cast(Scalar::F64, f(neg_nan)),
+                f(neg_nan),
+            ),
+        ];
+        let bits = |v: V| match v {
+            V::F(x) => (0, x.to_bits()),
+            V::I(x) => (1, x as u64),
+            V::B(x) => (2, x as u64),
+        };
+        for (name, got, want) in rows {
+            assert_eq!(bits(got), bits(want), "{name}: {got:?} vs {want:?}");
+        }
+        let decoded = [
+            (Buffer::F64(vec![neg_nan]), f(neg_nan)),
+            (Buffer::F32(vec![-0.0]), f(-0.0)),
+            (Buffer::I32(vec![-5]), i(-5)),
+            (Buffer::U32(vec![u32::MAX]), i(u32::MAX as i64)),
+            (Buffer::Bool(vec![1]), b(true)),
+        ];
+        for (buf, want) in decoded {
+            assert_eq!(bits(decode(&buf, 0)), bits(want), "{buf:?}");
+        }
     }
 
     #[test]

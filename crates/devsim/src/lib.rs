@@ -62,7 +62,7 @@ pub use bytecode::{compile_kernel, exec_kernel_bc, exec_kernel_tiered, KernelCod
 pub use device::{amd_firepro, host_cpu, k40, phi5110p, spec_for, DeviceSpec, ParallelUnit};
 pub use dyncost::{kernel_dyn_cost, CostHints, DynCost, Sampling};
 pub use heatmap::{sweep, HeatMap};
-pub use interp::{exec_kernel, exec_kernel_traced, fresh_vars, KernelFidelity, V};
+pub use interp::{exec_kernel_traced, fresh_vars, KernelFidelity, V};
 pub use memory::{Buffer, MemLoc, TransferLedger};
 pub use profile::render_profile;
 pub use race::{Race, RaceKind, RaceTracker, ThreadId};

@@ -372,10 +372,7 @@ impl<'a> Runner<'a> {
             for a in &p.arrays {
                 let scope = crate::interp::Scope {
                     vars: &mut scratch,
-                    bufs: &mut no_bufs,
-                    locals: None,
-                    group: Default::default(),
-                    tracker: None,
+                    m: crate::interp::Machine::global(&mut no_bufs, None),
                 };
                 let l = crate::interp::eval(p, &params, &a.len, &scope).as_i();
                 if l < 0 {
@@ -686,10 +683,7 @@ impl<'a> Runner<'a> {
     fn eval_host(&mut self, e: &paccport_ir::Expr) -> V {
         let scope = crate::interp::Scope {
             vars: &mut self.vars,
-            bufs: &mut self.host,
-            locals: None,
-            group: Default::default(),
-            tracker: None,
+            m: crate::interp::Machine::global(&mut self.host, None),
         };
         crate::interp::eval(&self.c.program, &self.params, e, &scope)
     }

@@ -15,7 +15,7 @@
 
 use paccport_devsim::bytecode::compile_kernel;
 use paccport_devsim::interp::KernelFidelity;
-use paccport_devsim::{exec_kernel, exec_kernel_tiered, fresh_vars, Buffer, ExecTier, V};
+use paccport_devsim::{exec_kernel_tiered, exec_kernel_traced, fresh_vars, Buffer, ExecTier, V};
 use paccport_ir::{
     assign, for_, if_, ld, let_, st, Block, Expr, HostStmt, Intent, Kernel, ParallelLoop, Program,
     ProgramBuilder, ReduceOp, RegionReduction, Scalar, Stmt, VarId, E,
@@ -323,8 +323,8 @@ proptest! {
 
         let mut tree_bufs = case.bufs.clone();
         let mut tree_vars = fresh_vars(&case.p);
-        exec_kernel(&case.p, &case.params, k, &mut tree_vars, &mut tree_bufs,
-                    KernelFidelity::Exact);
+        exec_kernel_traced(&case.p, &case.params, k, &mut tree_vars, &mut tree_bufs,
+                    KernelFidelity::Exact, None);
 
         let mut bc_bufs = case.bufs.clone();
         let mut bc_vars = fresh_vars(&case.p);

@@ -560,3 +560,75 @@ fn a_variable_assigned_in_two_arms_matches() {
         }
     }
 }
+
+#[test]
+fn every_operand_order_of_the_batch_ops_matches() {
+    // One row per operand-class pair the batch VM's float, compare and
+    // affine ops take: a lane operand and a scalar `s` in either order,
+    // two lane operands, and int lanes (`tid % 3`). Every row batches
+    // and must match the tree-walker bit for bit, which a swapped
+    // operand pair breaks on every row whose operation does not
+    // commute.
+    let _one = serial();
+    type Row = (&'static str, fn(Ids) -> Stmt);
+    fn x(ids: Ids) -> E {
+        ld(ids.x, ids.slot())
+    }
+    fn tid(ids: Ids) -> E {
+        E::from(ids.tid)
+    }
+    fn put(ids: Ids, v: E) -> Stmt {
+        st(ids.out, ids.slot(), v)
+    }
+    fn mark(ids: Ids, c: E) -> Stmt {
+        if_(c, vec![st(ids.out, ids.slot(), 1.0)])
+    }
+    let rows: [Row; 21] = [
+        ("s - x[i]", |ids| put(ids, E::from(1.25) - x(ids))),
+        ("x[i] - s", |ids| put(ids, x(ids) - 1.25)),
+        ("s / x[i]", |ids| put(ids, E::from(1.25) / x(ids))),
+        ("x[i] / s", |ids| put(ids, x(ids) / 1.25)),
+        ("x[i] / (x[i] + s)", |ids| {
+            put(ids, x(ids) / (x(ids) + 1.25))
+        }),
+        ("s < x[i]", |ids| {
+            put(ids, E::from(1.25).lt(x(ids)).select(1.0, 2.0))
+        }),
+        ("x[i] < s", |ids| put(ids, x(ids).lt(1.25).select(1.0, 2.0))),
+        ("x[i] < x[i] * s", |ids| {
+            put(ids, x(ids).lt(x(ids) * 1.25).select(1.0, 2.0))
+        }),
+        ("tid < s", |ids| mark(ids, tid(ids).lt(3i64))),
+        ("s < tid", |ids| mark(ids, E::from(3i64).lt(tid(ids)))),
+        ("tid == tid + c", |ids| {
+            mark(ids, tid(ids).eq_(tid(ids) + 0i64))
+        }),
+        ("2 tid < tid + c", |ids| {
+            mark(ids, (tid(ids) * 2i64).lt(tid(ids) + 3i64))
+        }),
+        ("tid % 3 < s", |ids| mark(ids, (tid(ids) % 3i64).lt(1i64))),
+        ("s < tid % 3", |ids| {
+            mark(ids, E::from(1i64).lt(tid(ids) % 3i64))
+        }),
+        ("tid + s", |ids| put(ids, tid(ids) + 3i64)),
+        ("tid - s", |ids| put(ids, tid(ids) - 3i64)),
+        ("s - tid", |ids| put(ids, E::from(3i64) - tid(ids))),
+        ("tid + tid", |ids| put(ids, tid(ids) + tid(ids))),
+        ("tid - 2 tid", |ids| put(ids, tid(ids) - tid(ids) * 2i64)),
+        ("tid * s", |ids| put(ids, tid(ids) * 3i64)),
+        ("s * tid", |ids| put(ids, E::from(3i64) * tid(ids))),
+    ];
+    for (name, row) in rows {
+        let case = grouped(8, 2, |ids| {
+            let mut phase = ids.stage();
+            phase.push(row(ids));
+            vec![phase]
+        });
+        for tracked in [false, true] {
+            let run = Run { tracked, ..PLAIN };
+            let (seen, counts) = case.both(run);
+            assert_eq!(seen.panic, None, "{name}");
+            assert_eq!(counts, (2 * 8, 0), "{name}, tracked {tracked}");
+        }
+    }
+}

@@ -6,7 +6,7 @@ use paccport::compilers::transforms::{
     reduction_to_grouped, serialize_inner_loops, strip_mine, unroll_inner_loops, VarAlloc,
 };
 use paccport::compilers::DistSpec;
-use paccport::devsim::{exec_kernel, fresh_vars, Buffer, KernelFidelity, V};
+use paccport::devsim::{exec_kernel_traced, fresh_vars, Buffer, KernelFidelity, V};
 use paccport::ir::{
     analyze_block, assign, for_, ld, let_, st, Block, Expr, HostStmt, Intent, Kernel, KindEnv,
     ParallelLoop, Program, ProgramBuilder, Scalar, E,
@@ -70,7 +70,7 @@ fn flat_program() -> (Program, Kernel) {
 
 fn run_kernel(p: &Program, k: &Kernel, params: &[V], bufs: &mut [Buffer]) {
     let mut vars = fresh_vars(p);
-    exec_kernel(p, params, k, &mut vars, bufs, KernelFidelity::Exact);
+    exec_kernel_traced(p, params, k, &mut vars, bufs, KernelFidelity::Exact, None);
 }
 
 // -------------------------------------------------------------------
@@ -266,10 +266,7 @@ proptest! {
                 vars[i.0 as usize] = Some(V::I(it));
                 let mut scope = paccport::devsim::interp::Scope {
                     vars: &mut vars,
-                    bufs: &mut rev,
-                    locals: None,
-                    group: Default::default(),
-                    tracker: None,
+                    m: paccport::devsim::interp::Machine::global(&mut rev, None),
                 };
                 paccport::devsim::interp::exec_block(
                     &p,
