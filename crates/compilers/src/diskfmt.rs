@@ -14,7 +14,7 @@
 //!   round trip would *not* reproduce the artifact; this structural
 //!   codec does.)
 //! * **Self-verification.** The record embeds
-//!   [`artifact_checksum`](crate::cache::artifact_checksum) computed
+//!   [`artifact_checksum`] computed
 //!   at encode time, and [`decode_artifact`] recomputes it over the
 //!   *decoded* value. Any codec defect, version skew, or corruption
 //!   the store's CRC missed therefore surfaces as a decode error —

@@ -187,7 +187,7 @@ impl Pipeline {
 
     /// Run the pipeline on `p`. Each full sweep applies the passes in
     /// order; sweeps repeat while any `fixpoint` pass still reports
-    /// progress, up to [`MAX_SWEEPS`]. Non-fixpoint (structural)
+    /// progress, up to `MAX_SWEEPS`. Non-fixpoint (structural)
     /// passes run during the first sweep only.
     pub fn run(&self, p: &mut Program) -> PassStats {
         let mut stats = PassStats::default();

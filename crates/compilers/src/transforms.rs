@@ -269,7 +269,7 @@ fn unroll_block_filtered(b: &Block, factor: u32, changed: &mut bool, skip_accum:
 
 /// Move the parallel loops below `keep` into the kernel body as
 /// sequential `For` statements — how PGI serializes the inner loops of
-/// a nest it distributes one-dimensionally ("[128,1] … to execute the
+/// a nest it distributes one-dimensionally ("\[128,1\] … to execute the
 /// outer loop in parallel and the inner loop sequentially").
 ///
 /// Making the serialization explicit in the IR lets `-Munroll` operate

@@ -10,7 +10,7 @@
 //!    directives must not change observable values, so the oracle
 //!    ignores them and anything that *does* change is a bug (or a
 //!    modeled one).
-//! 2. [`generate`] — a seeded generator of well-typed programs drawn
+//! 2. [`mod@generate`] — a seeded generator of well-typed programs drawn
 //!    from the paper's benchmark shapes, constrained so every compiler
 //!    leg is *bitwise* comparable to the oracle.
 //! 3. [`driver`] — runs each program through the oracle, the
@@ -19,7 +19,7 @@
 //!    outcome. Known-miscompilation quirks (the CAPS MIC reduction
 //!    bug) must show up as *expected* divergence — silently passing
 //!    would itself be a failure of the quirk model.
-//! 4. [`shrink`] — greedy structural minimizer; failures are reported
+//! 4. [`mod@shrink`] — greedy structural minimizer; failures are reported
 //!    as the smallest program that still fails, printed by
 //!    [`printer`] as a paste-ready regression test.
 //!

@@ -30,13 +30,25 @@
 //! and the work-group builtins of [`GroupCtx`]), and lane ops call
 //! their element forms once per lane (`f32_arith` for [`BOp::FBin`],
 //! `compare` for [`BOp::FCmp`] and [`BOp::ICmp`], `int_arith` for
-//! [`BOp::IBin`], `un_f` and `fma`). The compiler only picks a lane op
-//! where the tree-walker's runtime dispatch provably takes that path
-//! (the float path only where an operand is *guaranteed* tag-`F`,
-//! etc.). A binary lane op takes each operand as a [`Loc`], scalar or
-//! lanes, in the expression's order; the executor resolves the pair of
-//! classes once per op, outside its lane loop. Reordering effects
-//! across lanes is handled by construction:
+//! [`BOp::IBin`], `as_f`/`as_b` for [`BOp::Cvt`], `un_f` and `fma`).
+//! The compiler only picks a lane op where the tree-walker's runtime
+//! dispatch provably takes that path (the float path only where an
+//! operand is *guaranteed* tag-`F`, etc.).
+//!
+//! One op per mechanism: every change of class is a [`BOp::Cvt`]
+//! (made by `lane_f`, `lane_b`, `lane_int` and `coerce_lane` only),
+//! every copy between slots of a class a [`BOp::Copy`], every store a
+//! [`BOp::Scatter`] of a scalar or float lanes. An op names its
+//! operands as [`Loc`]s (or slots), in the expression's order, and the
+//! executor resolves their classes **once per op, outside the lane
+//! loop**: the integer compares, arithmetic and masked-loop heads
+//! share one loop over lane pairs (`int_pairs`), specialized per pair
+//! of operand classes. A lane op writes its class's spare vector,
+//! which then swaps places with the destination slot, so a
+//! destination the pin redirect points at an operand needs no case of
+//! its own.
+//!
+//! Reordering effects across lanes is handled by construction:
 //!
 //! * a scatter to a global array the batch also accesses otherwise
 //!   carries a [`Guard`], checked at runtime per batch: against every
@@ -237,14 +249,27 @@ pub enum BOp {
         dst: u16,
         sv: SpecialVar,
     },
-    /// Plain scalar copy (keeps a value an `If` arm assigned for the
-    /// masked writeback after later code reuses the variable's slot).
-    SCopy {
-        dst: u16,
-        a: u16,
+
+    // ---- class changes and copies: scalars, affines and int lanes in
+    // both walks, float and bool lanes in the execution walk (and the
+    // validation walk's `early` bool slots) ----
+    /// `a`'s value in `dst`'s class: a scalar into an affine (`(as_i(),
+    /// 0)`), or a scalar, an affine or the other lane class into float
+    /// or bool lanes (`as_f()` / `as_b()` per lane).
+    Cvt {
+        dst: Loc,
+        a: Loc,
+    },
+    /// `a` into `dst`, a slot of the same class: a value an `If` arm
+    /// assigned kept for the masked writeback, a pinned variable's
+    /// entry value, a pinned value another variable captures, lanes
+    /// moved into a pin, or a masked loop's mutable counter.
+    Copy {
+        dst: Loc,
+        a: Loc,
     },
 
-    // ---- affine ----
+    // ---- affine and int lanes (both walks) ----
     /// `Add`/`Sub` of affines and scalars, or `Mul` of an affine by a
     /// scalar, into an affine; a scalar operand reads as `(y, 0)`.
     ABin {
@@ -257,70 +282,15 @@ pub enum BOp {
         dst: u16,
         a: u16,
     },
-    /// Degenerate affine from a scalar: `(sv[s].as_i(), 0)`.
-    AFromS {
-        dst: u16,
-        s: u16,
-    },
-    ACopy {
-        dst: u16,
-        a: u16,
-    },
     /// Integer arithmetic that is not affine, into int lanes: each
-    /// operand a scalar, an affine or int lanes (both walks). The
-    /// validation walk rejects a divisor of 0 or -1 on any lane, on
-    /// which the tree-walker would panic.
+    /// operand a scalar, an affine or int lanes. The validation walk
+    /// rejects a divisor of 0 or -1 on any lane, on which the
+    /// tree-walker would panic.
     IBin {
         op: BinOp,
         dst: u16,
         a: Loc,
         b: Loc,
-    },
-    /// Copy int lanes (a masked loop's mutable counter).
-    LCopyI {
-        dst: u16,
-        a: u16,
-    },
-
-    // ---- conversions into lane vectors (execution walk only) ----
-    /// Broadcast `sv[s].as_f()`.
-    BcastF {
-        dst: u16,
-        s: u16,
-    },
-    /// Broadcast `sv[s].as_b()`.
-    BcastB {
-        dst: u16,
-        s: u16,
-    },
-    /// Affine → f64 lanes (`as_f` of the exact integer).
-    CvtAtoF {
-        dst: u16,
-        a: u16,
-    },
-    /// Affine → bool lanes (`!= 0`).
-    CvtAtoB {
-        dst: u16,
-        a: u16,
-    },
-    /// Bool lanes → f64 lanes (0.0 / 1.0).
-    CvtBtoF {
-        dst: u16,
-        a: u16,
-    },
-    /// f64 lanes → bool lanes (`!= 0.0`).
-    CvtFtoB {
-        dst: u16,
-        a: u16,
-    },
-    /// `v as f32 as f64` per lane (the F32 `Let` coercion / cast).
-    CvtFtoF32 {
-        dst: u16,
-        a: u16,
-    },
-    LCopyF {
-        dst: u16,
-        a: u16,
     },
 
     // ---- float lane ops (`interp::f32_arith`, as `interp::bin`) ----
@@ -342,6 +312,11 @@ pub enum BOp {
         dst: u16,
         a: u16,
     },
+    /// `v as f32 as f64` per lane (the F32 `Let` coercion / cast).
+    CvtFtoF32 {
+        dst: u16,
+        a: u16,
+    },
     /// Full-f64 comparison, `interp::cmp`'s float path: each operand
     /// f64 lanes or a scalar, as for [`BOp::FBin`].
     FCmp {
@@ -351,7 +326,8 @@ pub enum BOp {
         b: Loc,
     },
     /// Integer comparison of two affines, of an affine and a scalar, or
-    /// of int lanes and a scalar, into bool lanes.
+    /// of int lanes and a scalar, into bool lanes (`compare` over the
+    /// lane pairs [`BOp::IBin`] and [`BOp::MForHead`] walk too).
     ICmp {
         op: CmpOp,
         dst: u16,
@@ -403,20 +379,14 @@ pub enum BOp {
         dst: u16,
         when: Option<Arm>,
     },
-    /// Affine scatter of f64 lanes. Scatters to an array the batch
-    /// also accesses otherwise are checked by a [`Guard`]. `when`
-    /// masks a scatter inside an `If` arm to the lanes that take it.
+    /// Affine scatter of f64 lanes or of one scalar, `as_f()`'d once.
+    /// Scatters to an array the batch also accesses otherwise are
+    /// checked by a [`Guard`]. `when` masks a scatter inside an `If`
+    /// arm to the lanes that take it.
     Scatter {
         array: u16,
         aff: u16,
-        src: u16,
-        when: Option<Arm>,
-    },
-    /// Affine scatter of one resolved scalar value.
-    ScatterS {
-        array: u16,
-        aff: u16,
-        s: u16,
+        src: Loc,
         when: Option<Arm>,
     },
 
@@ -629,6 +599,10 @@ pub struct BatchState {
     fl: Vec<Vec<f64>>,
     bl: Vec<Vec<bool>>,
     il: Vec<Vec<i64>>,
+    /// Each class's spare lane vector: a lane op writes it, then it
+    /// swaps places with the op's destination slot.
+    spare_f: Vec<f64>,
+    spare_b: Vec<bool>,
     /// Per bool slot used as an arm: the lanes it has set.
     act: Vec<Vec<u32>>,
     /// Snapshot buffers for restoring between the walks.
@@ -706,6 +680,12 @@ impl BatchState {
         size(&mut self.fl, plan.n_f, bn);
         size(&mut self.bl, plan.n_b, bn);
         size(&mut self.il, plan.n_i, bn);
+        if plan.n_f > 0 {
+            self.spare_f.resize(bn, 0.0);
+        }
+        if plan.n_b > 0 {
+            self.spare_b.resize(bn, false);
+        }
         if self.act.len() < plan.n_b as usize {
             self.act.resize(plan.n_b as usize, Vec::new());
         }
@@ -1145,77 +1125,73 @@ fn replay(
 // Execution
 // ---------------------------------------------------------------
 
-/// Lane binary op with full destination-aliasing support (the
-/// pin-redirect peephole may point an op's destination at one of its
-/// operands).
-fn lbin<T: Copy + Default>(
+/// Lane op `dst = f(…)` over one slot class: `f` fills the class's
+/// spare vector from the slots, and the spare then swaps places with
+/// slot `dst`. The destination may so be any operand as well (the
+/// pin-redirect peephole points an op's destination at one of its
+/// operands), which still reads its old lanes: there is no aliasing
+/// case to resolve, per op or per lane.
+fn lanes<T>(v: &mut [Vec<T>], spare: &mut Vec<T>, dst: u16, f: impl FnOnce(&mut [T], &[Vec<T>])) {
+    f(spare, v);
+    std::mem::swap(&mut v[dst as usize], spare);
+}
+
+/// Lane binary op over one slot class.
+fn lbin<T: Copy>(
     v: &mut [Vec<T>],
-    bn: usize,
+    spare: &mut Vec<T>,
     dst: u16,
     a: u16,
     b: u16,
     f: impl Fn(T, T) -> T,
 ) {
-    let (d, a, b) = (dst as usize, a as usize, b as usize);
-    let mut dv = std::mem::take(&mut v[d]);
-    if d == a && d == b {
-        for x in &mut dv[..bn] {
-            *x = f(*x, *x);
-        }
-    } else if d == a {
-        for (x, &y) in dv[..bn].iter_mut().zip(&v[b][..bn]) {
-            *x = f(*x, y);
-        }
-    } else if d == b {
-        for (x, &y) in dv[..bn].iter_mut().zip(&v[a][..bn]) {
-            *x = f(y, *x);
-        }
-    } else {
-        for ((x, &y), &z) in dv[..bn].iter_mut().zip(&v[a][..bn]).zip(&v[b][..bn]) {
-            *x = f(y, z);
-        }
-    }
-    v[d] = dv;
+    lanes(v, spare, dst, |out, v| {
+        let args = v[a as usize].iter().zip(&v[b as usize]);
+        out.iter_mut()
+            .zip(args)
+            .for_each(|(x, (&y, &z))| *x = f(y, z));
+    });
 }
 
-/// Lane unary op, destination possibly aliasing the operand.
-fn lmap<T: Copy + Default>(v: &mut [Vec<T>], bn: usize, dst: u16, a: u16, f: impl Fn(T) -> T) {
-    let (d, a) = (dst as usize, a as usize);
-    if d == a {
-        for x in &mut v[d][..bn] {
-            *x = f(*x);
-        }
-    } else {
-        let mut dv = std::mem::take(&mut v[d]);
-        for (x, &y) in dv[..bn].iter_mut().zip(&v[a][..bn]) {
-            *x = f(y);
-        }
-        v[d] = dv;
+/// Lane unary op over one slot class.
+fn lmap<T: Copy>(v: &mut [Vec<T>], spare: &mut Vec<T>, dst: u16, a: u16, f: impl Fn(T) -> T) {
+    lanes(v, spare, dst, |out, v| {
+        let args = v[a as usize].iter();
+        out.iter_mut().zip(args).for_each(|(x, &y)| *x = f(y));
+    });
+}
+
+/// Copy lane slot `a` into slot `dst` of the same class.
+fn copy_lanes<T: Copy>(v: &mut [Vec<T>], dst: u16, a: u16) {
+    if dst != a {
+        let mut out = std::mem::take(&mut v[dst as usize]);
+        out.copy_from_slice(&v[a as usize]);
+        v[dst as usize] = out;
     }
 }
 
 /// Float lane arithmetic `dst = a op b`, each operand f64 lanes or a
 /// scalar (`as_f()` once per batch). The operator and the operand
 /// classes are resolved here, once per op, outside the lane loop.
-fn fbin(fl: &mut [Vec<f64>], sv: &[V], bn: usize, op: BinOp, dst: u16, a: Loc, b: Loc) {
+fn fbin(fl: &mut [Vec<f64>], spare: &mut Vec<f64>, sv: &[V], op: BinOp, dst: u16, a: Loc, b: Loc) {
     fn go(
         fl: &mut [Vec<f64>],
+        spare: &mut Vec<f64>,
         sv: &[V],
-        bn: usize,
         dst: u16,
         a: Loc,
         b: Loc,
         f: impl Fn(f64, f64) -> f64,
     ) {
         match (a, b) {
-            (Loc::LF(a), Loc::LF(b)) => lbin(fl, bn, dst, a, b, f),
+            (Loc::LF(a), Loc::LF(b)) => lbin(fl, spare, dst, a, b, f),
             (Loc::LF(a), Loc::S(s)) => {
                 let y = sv[s as usize].as_f();
-                lmap(fl, bn, dst, a, |x| f(x, y))
+                lmap(fl, spare, dst, a, |x| f(x, y))
             }
             (Loc::S(s), Loc::LF(b)) => {
                 let x = sv[s as usize].as_f();
-                lmap(fl, bn, dst, b, |y| f(x, y))
+                lmap(fl, spare, dst, b, |y| f(x, y))
             }
             _ => unreachable!("float lane ops have a lane operand"),
         }
@@ -1223,14 +1199,82 @@ fn fbin(fl: &mut [Vec<f64>], sv: &[V], bn: usize, op: BinOp, dst: u16, a: Loc, b
     use interp::f32_arith;
     // One closure per operator, so each loop gets it constant.
     match op {
-        BinOp::Add => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Add, x, y)),
-        BinOp::Sub => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Sub, x, y)),
-        BinOp::Mul => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Mul, x, y)),
-        BinOp::Div => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Div, x, y)),
-        BinOp::Rem => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Rem, x, y)),
-        BinOp::Min => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Min, x, y)),
-        BinOp::Max => go(fl, sv, bn, dst, a, b, |x, y| f32_arith(BinOp::Max, x, y)),
+        BinOp::Add => go(fl, spare, sv, dst, a, b, |x, y| f32_arith(BinOp::Add, x, y)),
+        BinOp::Sub => go(fl, spare, sv, dst, a, b, |x, y| f32_arith(BinOp::Sub, x, y)),
+        BinOp::Mul => go(fl, spare, sv, dst, a, b, |x, y| f32_arith(BinOp::Mul, x, y)),
+        BinOp::Div => go(fl, spare, sv, dst, a, b, |x, y| f32_arith(BinOp::Div, x, y)),
+        BinOp::Rem => go(fl, spare, sv, dst, a, b, |x, y| f32_arith(BinOp::Rem, x, y)),
+        BinOp::Min => go(fl, spare, sv, dst, a, b, |x, y| f32_arith(BinOp::Min, x, y)),
+        BinOp::Max => go(fl, spare, sv, dst, a, b, |x, y| f32_arith(BinOp::Max, x, y)),
         _ => unreachable!("float lane ops are arithmetic-only"),
+    }
+}
+
+/// [`BOp::Cvt`] into lanes: `as_f()` or `as_b()`, the tree's own
+/// conversions, of each lane's value of a scalar, an affine or the
+/// other lane class, the class pair resolved once per op.
+fn cvt(fl: &mut [Vec<f64>], bl: &mut [Vec<bool>], sv: &[V], av: &[(i64, i64)], dst: Loc, a: Loc) {
+    let aff = |r: u16| {
+        let (base, stride) = av[r as usize];
+        (0..).map(move |b: i64| V::I(base + stride * b))
+    };
+    match (dst, a) {
+        (Loc::LF(d), Loc::S(s)) => fl[d as usize].fill(sv[s as usize].as_f()),
+        (Loc::LB(d), Loc::S(s)) => bl[d as usize].fill(sv[s as usize].as_b()),
+        (Loc::LF(d), Loc::A(r)) => {
+            let out = fl[d as usize].iter_mut();
+            out.zip(aff(r)).for_each(|(x, v)| *x = v.as_f());
+        }
+        (Loc::LB(d), Loc::A(r)) => {
+            let out = bl[d as usize].iter_mut();
+            out.zip(aff(r)).for_each(|(x, v)| *x = v.as_b());
+        }
+        (Loc::LF(d), Loc::LB(r)) => {
+            let out = fl[d as usize].iter_mut();
+            out.zip(&bl[r as usize])
+                .for_each(|(x, &y)| *x = V::B(y).as_f());
+        }
+        (Loc::LB(d), Loc::LF(r)) => {
+            let out = bl[d as usize].iter_mut();
+            out.zip(&fl[r as usize])
+                .for_each(|(x, &y)| *x = V::F(y).as_b());
+        }
+        _ => unreachable!("lane conversions go from S, A or the other class to LF or LB"),
+    }
+}
+
+/// `out[b] = f(p, q)` for each lane `b` and its pair of integer
+/// operand values: `a` and `b` each a scalar, an affine or int lanes,
+/// resolved once per op, outside the lane loop. `false` at the first
+/// lane `f` refuses (`None`), leaving the later lanes as they were.
+fn int_pairs<T>(
+    out: &mut [T],
+    sv: &[V],
+    av: &[(i64, i64)],
+    il: &[Vec<i64>],
+    a: Loc,
+    b: Loc,
+    f: impl FnMut(i64, i64) -> Option<T>,
+) -> bool {
+    fn go<T>(
+        out: &mut [T],
+        pairs: impl Iterator<Item = (i64, i64)>,
+        mut f: impl FnMut(i64, i64) -> Option<T>,
+    ) -> bool {
+        out.iter_mut()
+            .zip(pairs)
+            .all(|(x, (p, q))| f(p, q).map(|v| *x = v).is_some())
+    }
+    let aff = |l: Loc| {
+        let (base, stride) = affine(av, sv, l);
+        (0..).map(move |b: i64| base + stride * b)
+    };
+    let ints = |r: u16| il[r as usize].iter().copied();
+    match (a, b) {
+        (Loc::LI(x), Loc::LI(y)) => go(out, ints(x).zip(ints(y)), f),
+        (Loc::LI(x), q) => go(out, ints(x).zip(aff(q)), f),
+        (p, Loc::LI(y)) => go(out, aff(p).zip(ints(y)), f),
+        (p, q) => go(out, aff(p).zip(aff(q)), f),
     }
 }
 
@@ -1257,21 +1301,33 @@ fn affine_in_bounds(
 }
 
 /// Store `val(b)` at element `base + stride·b` for each lane `b` of
-/// `lanes`, narrowed per the element type exactly like
+/// `0..bn`, or of `taken`, narrowed per the element type exactly like
 /// [`Buffer::set`], which is resolved once rather than per lane.
 fn store_lanes(
     buf: &mut Buffer,
-    lanes: impl Iterator<Item = usize>,
-    (base, stride): (i64, i64),
+    taken: Option<&[u32]>,
+    bn: usize,
+    aff: (i64, i64),
     val: impl Fn(usize) -> f64,
 ) {
-    let at = |b: usize| (base + stride * b as i64) as usize;
-    match buf {
-        Buffer::F32(v) => lanes.for_each(|b| v[at(b)] = narrow_f32(val(b))),
-        Buffer::F64(v) => lanes.for_each(|b| v[at(b)] = val(b)),
-        Buffer::I32(v) => lanes.for_each(|b| v[at(b)] = val(b) as i32),
-        Buffer::U32(v) => lanes.for_each(|b| v[at(b)] = val(b) as u32),
-        Buffer::Bool(v) => lanes.for_each(|b| v[at(b)] = (val(b) != 0.0) as u8),
+    fn go(
+        buf: &mut Buffer,
+        lanes: impl Iterator<Item = usize>,
+        (base, stride): (i64, i64),
+        val: impl Fn(usize) -> f64,
+    ) {
+        let at = |b: usize| (base + stride * b as i64) as usize;
+        match buf {
+            Buffer::F32(v) => lanes.for_each(|b| v[at(b)] = narrow_f32(val(b))),
+            Buffer::F64(v) => lanes.for_each(|b| v[at(b)] = val(b)),
+            Buffer::I32(v) => lanes.for_each(|b| v[at(b)] = val(b) as i32),
+            Buffer::U32(v) => lanes.for_each(|b| v[at(b)] = val(b) as u32),
+            Buffer::Bool(v) => lanes.for_each(|b| v[at(b)] = (val(b) != 0.0) as u8),
+        }
+    }
+    match taken {
+        Some(t) => go(buf, t.iter().map(|&b| b as usize), aff, val),
+        None => go(buf, 0..bn, aff, val),
     }
 }
 
@@ -1280,17 +1336,6 @@ fn store_lanes(
 fn pow2_lanes(a: (i64, i64), y: V, bn: usize) -> bool {
     let y = y.as_i();
     y > 0 && y & (y - 1) == 0 && lane_span(a, bn).0 >= 0
-}
-
-/// Lane `b` of an integer location: a scalar, an affine or int lanes.
-fn int_at(sv: &[V], av: &[(i64, i64)], il: &[Vec<i64>], l: Loc, b: usize) -> i64 {
-    match l {
-        Loc::LI(r) => il[r as usize][b],
-        l => {
-            let (base, stride) = affine(av, sv, l);
-            base + stride * b as i64
-        }
-    }
 }
 
 /// Append one access to the tape, under the innermost arm's mask.
@@ -1313,8 +1358,9 @@ fn record(
 
 /// One walk over the op stream. `VALIDATE = true` runs only the
 /// scalar/affine/control half plus hazard checks (no buffer writes, no
-/// lane compute) and returns `false` on any hazard; `VALIDATE = false`
-/// executes everything and always returns `true`.
+/// lane compute but the `early` bool slots) and returns `false` on any
+/// hazard; `VALIDATE = false` executes everything and always returns
+/// `true`.
 fn walk<const VALIDATE: bool>(
     plan: &BatchPlan,
     st: &mut BatchState,
@@ -1328,6 +1374,8 @@ fn walk<const VALIDATE: bool>(
     let fl = &mut st.fl;
     let bl = &mut st.bl;
     let il = &mut st.il;
+    let spare_f = &mut st.spare_f;
+    let spare_b = &mut st.spare_b;
     let act = &mut st.act;
     let lane_idx = &mut st.lane_idx;
     let group = st.group;
@@ -1420,9 +1468,21 @@ fn walk<const VALIDATE: bool>(
                 }
             }
             BOp::SGroup { dst, sv: var } => sv[dst as usize] = V::I(group.get(var)),
-            BOp::SCopy { dst, a } => sv[dst as usize] = sv[a as usize],
 
-            // ---- affine ----
+            // ---- class changes and copies of scalars, affines and int
+            // lanes ----
+            BOp::Cvt { dst: Loc::A(d), a } => av[d as usize] = affine(av, sv, a),
+            BOp::Copy { dst, a } => match (dst, a) {
+                (Loc::S(d), Loc::S(a)) => sv[d as usize] = sv[a as usize],
+                (Loc::A(d), Loc::A(a)) => av[d as usize] = av[a as usize],
+                (Loc::LI(d), Loc::LI(a)) => copy_lanes(il, d, a),
+                // Float lanes hold execution-walk values only.
+                (Loc::LF(_), _) if VALIDATE => {}
+                (Loc::LF(d), Loc::LF(a)) => copy_lanes(fl, d, a),
+                _ => unreachable!("a copy keeps its class"),
+            },
+
+            // ---- affine and int lanes ----
             BOp::ABin { op, dst, a, b } => {
                 let ((b0, s0), (b1, s1)) = (affine(av, sv, a), affine(av, sv, b));
                 av[dst as usize] = match op {
@@ -1437,10 +1497,6 @@ fn walk<const VALIDATE: bool>(
                 let (b0, s0) = av[a as usize];
                 av[dst as usize] = (-b0, -s0);
             }
-            BOp::AFromS { dst, s } => {
-                av[dst as usize] = (sv[s as usize].as_i(), 0);
-            }
-            BOp::ACopy { dst, a } => av[dst as usize] = av[a as usize],
             BOp::IBin {
                 op: op @ (BinOp::Div | BinOp::Rem),
                 dst,
@@ -1451,7 +1507,7 @@ fn walk<const VALIDATE: bool>(
                 // affine lanes is a mask or a shift, exactly.
                 let (base, stride) = av[a as usize];
                 let y = sv[s as usize].as_i();
-                let lanes = il[dst as usize][..bn].iter_mut().enumerate();
+                let lanes = il[dst as usize].iter_mut().enumerate();
                 let at = |b: usize| base + stride * b as i64;
                 match op {
                     BinOp::Rem => lanes.for_each(|(b, x)| *x = at(b) & (y - 1)),
@@ -1460,26 +1516,18 @@ fn walk<const VALIDATE: bool>(
             }
             BOp::IBin { op, dst, a, b } => {
                 let mut out = std::mem::take(&mut il[dst as usize]);
-                let ok = out[..bn].iter_mut().enumerate().all(|(i, x)| {
-                    let (p, q) = (int_at(sv, av, il, a, i), int_at(sv, av, il, b, i));
-                    if matches!(op, BinOp::Div | BinOp::Rem) && (q == 0 || q == -1) {
-                        // The tree panics on 0 (and on `i64::MIN / -1`):
-                        // leave the lane to it.
-                        return false;
-                    }
-                    *x = interp::int_arith(op, p, q);
-                    true
+                let div = matches!(op, BinOp::Div | BinOp::Rem);
+                let ok = int_pairs(&mut out, sv, av, il, a, b, |p, q| {
+                    // The tree panics on 0 (and on `i64::MIN / -1`):
+                    // leave the lane to it.
+                    let panics = div && (q == 0 || q == -1);
+                    (!panics).then(|| interp::int_arith(op, p, q))
                 });
                 il[dst as usize] = out;
                 if !ok {
                     debug_assert!(VALIDATE, "execution walk hit a divisor validation passed");
                     return false;
                 }
-            }
-            BOp::LCopyI { dst, a } => {
-                let mut out = std::mem::take(&mut il[dst as usize]);
-                out[..bn].copy_from_slice(&il[a as usize][..bn]);
-                il[dst as usize] = out;
             }
 
             // ---- control ----
@@ -1499,10 +1547,10 @@ fn walk<const VALIDATE: bool>(
                 exit,
             } => {
                 let mut any = false;
-                for (b, x) in bl[mask as usize][..bn].iter_mut().enumerate() {
-                    *x = int_at(sv, av, il, cnt, b) < int_at(sv, av, il, hi, b);
-                    any |= *x;
-                }
+                int_pairs(&mut bl[mask as usize], sv, av, il, cnt, hi, |p, q| {
+                    any |= p < q;
+                    Some(p < q)
+                });
                 if !any {
                     pc = exit as usize;
                 }
@@ -1510,7 +1558,7 @@ fn walk<const VALIDATE: bool>(
             BOp::MForStep { cnt, step, back } => {
                 match cnt {
                     Loc::A(r) => av[r as usize].0 += step,
-                    Loc::LI(r) => il[r as usize][..bn].iter_mut().for_each(|x| *x += step),
+                    Loc::LI(r) => il[r as usize].iter_mut().for_each(|x| *x += step),
                     _ => unreachable!("masked loop counters are affine or int lanes"),
                 }
                 pc = back as usize;
@@ -1528,21 +1576,15 @@ fn walk<const VALIDATE: bool>(
             BOp::Active { m } => {
                 let list = &mut act[m as usize];
                 list.clear();
-                let taken = bl[m as usize][..bn].iter().enumerate();
+                let taken = bl[m as usize].iter().enumerate();
                 list.extend(taken.filter(|&(_, &on)| on).map(|(b, _)| b as u32));
             }
 
-            // ---- scatters: hazard checks in validate, writes in exec ----
+            // ---- memory: hazard checks in validate, accesses in exec ----
             BOp::Scatter {
                 array,
                 aff,
                 src,
-                when,
-            }
-            | BOp::ScatterS {
-                array,
-                aff,
-                s: src,
                 when,
             } => {
                 let (base, stride) = av[aff as usize];
@@ -1555,17 +1597,18 @@ fn walk<const VALIDATE: bool>(
                 if taping {
                     record(tape, mask_stack, array, (base, stride), true);
                 }
-                let scalar = matches!(op, BOp::ScatterS { .. });
-                let sval = if scalar { sv[src as usize].as_f() } else { 0.0 };
-                let lanes: &[f64] = if scalar { &[] } else { &fl[src as usize][..bn] };
-                let val = |b: usize| if scalar { sval } else { lanes[b] };
+                let taken = when.map(|arm| arm.lanes(act));
                 let buf = mem.get_mut(array);
-                match when {
-                    Some(arm) => {
-                        let taken = arm.lanes(act).iter().map(|&b| b as usize);
-                        store_lanes(buf, taken, (base, stride), val)
+                match src {
+                    Loc::S(s) => {
+                        let x = sv[s as usize].as_f();
+                        store_lanes(buf, taken, bn, (base, stride), |_| x)
                     }
-                    None => store_lanes(buf, 0..bn, (base, stride), val),
+                    Loc::LF(r) => {
+                        let lanes = &fl[r as usize];
+                        store_lanes(buf, taken, bn, (base, stride), |b| lanes[b])
+                    }
+                    _ => unreachable!("scatters store a scalar or float lanes"),
                 }
             }
             BOp::GatherFI {
@@ -1675,47 +1718,19 @@ fn walk<const VALIDATE: bool>(
                 }
             }
 
-            // ---- bool lanes: `If` conditions are built from these, and
-            // the validation walk computes the ones it needs ----
-            BOp::BcastB { dst, s } if !VALIDATE || plan.early[dst as usize] => {
-                bl[dst as usize][..bn].fill(sv[s as usize].as_b())
+            // ---- lane compute: execution walk only, but for the bool
+            // lanes `If` conditions are built from, which the validation
+            // walk computes where it needs them ----
+            _ if VALIDATE && !early_dst(op).is_some_and(|d| plan.early[d as usize]) => {}
+            BOp::Cvt { dst, a } => cvt(fl, bl, sv, av, dst, a),
+            BOp::ICmp { op, dst, a, b } => {
+                int_pairs(&mut bl[dst as usize], sv, av, il, a, b, |p, q| {
+                    Some(interp::compare(op, p, q))
+                });
             }
-            BOp::ICmp { op, dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
-                let out = bl[dst as usize][..bn].iter_mut().enumerate();
-                let at = |(base, stride): (i64, i64), b: usize| base + stride * b as i64;
-                let cmp = |x: i64, y: i64| interp::compare(op, x, y);
-                match (a, b) {
-                    (Loc::LI(r), b) => {
-                        let (q, lanes) = (affine(av, sv, b), &il[r as usize]);
-                        out.for_each(|(b, x)| *x = cmp(lanes[b], at(q, b)));
-                    }
-                    (a, Loc::LI(r)) => {
-                        let (p, lanes) = (affine(av, sv, a), &il[r as usize]);
-                        out.for_each(|(b, x)| *x = cmp(at(p, b), lanes[b]));
-                    }
-                    (a, b) => {
-                        let (p, q) = (affine(av, sv, a), affine(av, sv, b));
-                        out.for_each(|(b, x)| *x = cmp(at(p, b), at(q, b)));
-                    }
-                }
-            }
-            BOp::BAnd { dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
-                lbin(bl, bn, dst, a, b, |x, y| x && y)
-            }
-            BOp::BOr { dst, a, b } if !VALIDATE || plan.early[dst as usize] => {
-                lbin(bl, bn, dst, a, b, |x, y| x || y)
-            }
-            BOp::BNot { dst, a } if !VALIDATE || plan.early[dst as usize] => {
-                lmap(bl, bn, dst, a, |x| !x)
-            }
-
-            // ---- lane compute: execution walk only ----
-            _ if VALIDATE => {}
-            BOp::BcastB { .. }
-            | BOp::ICmp { .. }
-            | BOp::BAnd { .. }
-            | BOp::BOr { .. }
-            | BOp::BNot { .. } => unreachable!("the execution walk runs every bool-lane op above"),
+            BOp::BAnd { dst, a, b } => lbin(bl, spare_b, dst, a, b, |x, y| x && y),
+            BOp::BOr { dst, a, b } => lbin(bl, spare_b, dst, a, b, |x, y| x || y),
+            BOp::BNot { dst, a } => lmap(bl, spare_b, dst, a, |x| !x),
             BOp::LMergeF { dst, src, mask } => {
                 let mut dv = std::mem::take(&mut fl[dst as usize]);
                 for &b in Arm(mask).lanes(act) {
@@ -1743,64 +1758,27 @@ fn walk<const VALIDATE: bool>(
                     mask_stack.pop();
                 }
             }
-            BOp::BcastF { dst, s } => fl[dst as usize][..bn].fill(sv[s as usize].as_f()),
-            BOp::CvtAtoF { dst, a } => {
-                let (base, stride) = av[a as usize];
-                for (b, x) in fl[dst as usize][..bn].iter_mut().enumerate() {
-                    *x = (base + stride * b as i64) as f64;
-                }
-            }
-            BOp::CvtAtoB { dst, a } => {
-                let (base, stride) = av[a as usize];
-                for (b, x) in bl[dst as usize][..bn].iter_mut().enumerate() {
-                    *x = base + stride * b as i64 != 0;
-                }
-            }
-            BOp::CvtBtoF { dst, a } => {
-                for (x, &y) in fl[dst as usize][..bn].iter_mut().zip(&bl[a as usize][..bn]) {
-                    *x = y as i64 as f64;
-                }
-            }
-            BOp::CvtFtoB { dst, a } => {
-                for (x, &y) in bl[dst as usize][..bn].iter_mut().zip(&fl[a as usize][..bn]) {
-                    *x = y != 0.0;
-                }
-            }
-            BOp::CvtFtoF32 { dst, a } => lmap(fl, bn, dst, a, |x| x as f32 as f64),
-            BOp::LCopyF { dst, a } => {
-                if dst != a {
-                    let mut dv = std::mem::take(&mut fl[dst as usize]);
-                    dv[..bn].copy_from_slice(&fl[a as usize][..bn]);
-                    fl[dst as usize] = dv;
-                }
-            }
-            BOp::FBin { op, dst, a, b } => fbin(fl, sv, bn, op, dst, a, b),
-            BOp::FFma { dst, a, b, c } => {
-                let d = dst as usize;
-                let mut dv = std::mem::take(&mut fl[d]);
-                for i in 0..bn {
-                    let pick = |r: u16, dv: &[f64]| {
-                        if r as usize == d {
-                            dv[i]
-                        } else {
-                            fl[r as usize][i]
-                        }
-                    };
-                    dv[i] = interp::fma(pick(a, &dv), pick(b, &dv), pick(c, &dv));
-                }
-                fl[d] = dv;
-            }
+            BOp::CvtFtoF32 { dst, a } => lmap(fl, spare_f, dst, a, |x| x as f32 as f64),
+            BOp::FBin { op, dst, a, b } => fbin(fl, spare_f, sv, op, dst, a, b),
+            BOp::FFma { dst, a, b, c } => lanes(fl, spare_f, dst, |out, fl| {
+                let args = fl[a as usize]
+                    .iter()
+                    .zip(&fl[b as usize])
+                    .zip(&fl[c as usize]);
+                let fma = |((&x, &y), &z)| interp::fma(x, y, z);
+                out.iter_mut().zip(args).for_each(|(o, xyz)| *o = fma(xyz));
+            }),
             // One closure per operator, so each loop gets it constant.
             BOp::UnF { op, dst, a } => match op {
-                UnOp::Neg => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Neg, x)),
-                UnOp::Abs => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Abs, x)),
-                UnOp::Rcp => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Rcp, x)),
-                UnOp::Sqrt => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Sqrt, x)),
-                UnOp::Exp => lmap(fl, bn, dst, a, |x| interp::un_f(UnOp::Exp, x)),
-                UnOp::Not => unreachable!("Not lowers to CvtFtoB + BNot"),
+                UnOp::Neg => lmap(fl, spare_f, dst, a, |x| interp::un_f(UnOp::Neg, x)),
+                UnOp::Abs => lmap(fl, spare_f, dst, a, |x| interp::un_f(UnOp::Abs, x)),
+                UnOp::Rcp => lmap(fl, spare_f, dst, a, |x| interp::un_f(UnOp::Rcp, x)),
+                UnOp::Sqrt => lmap(fl, spare_f, dst, a, |x| interp::un_f(UnOp::Sqrt, x)),
+                UnOp::Exp => lmap(fl, spare_f, dst, a, |x| interp::un_f(UnOp::Exp, x)),
+                UnOp::Not => unreachable!("Not lowers to Cvt + BNot"),
             },
             BOp::FCmp { op, dst, a, b } => {
-                let out = bl[dst as usize][..bn].iter_mut();
+                let out = bl[dst as usize].iter_mut();
                 let cmp = |x: f64, y: f64| interp::compare(op, x, y);
                 match (a, b) {
                     (Loc::LF(a), Loc::LF(b)) => {
@@ -1819,32 +1797,12 @@ fn walk<const VALIDATE: bool>(
                 }
             }
             BOp::SelF { dst, c, a, b } => {
-                let d = dst as usize;
-                let cv = &bl[c as usize];
-                let mut dv = std::mem::take(&mut fl[d]);
-                if a as usize == d || b as usize == d {
-                    for i in 0..bn {
-                        let (x, y) = (
-                            if a as usize == d {
-                                dv[i]
-                            } else {
-                                fl[a as usize][i]
-                            },
-                            if b as usize == d {
-                                dv[i]
-                            } else {
-                                fl[b as usize][i]
-                            },
-                        );
-                        dv[i] = if cv[i] { x } else { y };
-                    }
-                } else {
-                    let (av_, bv_) = (&fl[a as usize][..bn], &fl[b as usize][..bn]);
-                    for (i, x) in dv[..bn].iter_mut().enumerate() {
-                        *x = if cv[i] { av_[i] } else { bv_[i] };
-                    }
-                }
-                fl[d] = dv;
+                let on = &bl[c as usize];
+                lanes(fl, spare_f, dst, |out, fl| {
+                    let args = on.iter().zip(&fl[a as usize]).zip(&fl[b as usize]);
+                    let pick = |((&on, &x), &y)| if on { x } else { y };
+                    out.iter_mut().zip(args).for_each(|(o, cxy)| *o = pick(cxy));
+                })
             }
         }
     }
@@ -2101,7 +2059,10 @@ pub(crate) fn build_phases(p: &Program, k: &Kernel) -> Vec<Option<BatchPlan>> {
             held[v] = match wb {
                 Some((_, Loc::S(_), None)) => Some(Held::Uniform),
                 Some((_, Loc::A(_), None)) => Some(Held::Affine),
-                Some((_, Loc::LF(_), None)) => Some(Held::Float),
+                // The lanes an `If` arm did not reach keep an earlier
+                // value: floats on every lane is what the gather can
+                // still check for.
+                Some((_, Loc::LF(_) | Loc::S(_), _)) => Some(Held::Float),
                 _ => None,
             };
             earlier[v] = true;
@@ -2311,9 +2272,7 @@ impl<'a> Bc<'a> {
         let mut stored = vec![false; self.acc.len()];
         for op in &self.ops {
             match *op {
-                BOp::Scatter { array, .. } | BOp::ScatterS { array, .. } => {
-                    stored[array as usize] = true
-                }
+                BOp::Scatter { array, .. } => stored[array as usize] = true,
                 BOp::SLoad { array, .. } if stored[array as usize] => return None,
                 _ => {}
             }
@@ -2499,50 +2458,67 @@ impl<'a> Bc<'a> {
         })
     }
 
-    /// `as_f()` of any value class into an f64 lane vector.
+    /// `as_f()` of any value class but int lanes into an f64 lane
+    /// vector: the lanes themselves, or one [`BOp::Cvt`].
     fn lane_f(&mut self, v: &Val) -> Option<u16> {
         match v.loc {
             Loc::LF(r) => Some(r),
-            Loc::S(s) => {
-                let dst = self.f_slot()?;
-                self.ops.push(BOp::BcastF { dst, s });
-                Some(dst)
-            }
-            Loc::A(a) => {
-                let dst = self.f_slot()?;
-                self.ops.push(BOp::CvtAtoF { dst, a });
-                Some(dst)
-            }
-            Loc::LB(b) => {
-                let dst = self.f_slot()?;
-                self.ops.push(BOp::CvtBtoF { dst, a: b });
-                Some(dst)
-            }
             Loc::LI(_) => None,
+            a => {
+                let dst = self.f_slot()?;
+                self.ops.push(BOp::Cvt {
+                    dst: Loc::LF(dst),
+                    a,
+                });
+                Some(dst)
+            }
         }
     }
 
-    /// `as_b()` of any value class into a bool lane vector.
+    /// `as_b()` of any value class but int lanes into a bool lane
+    /// vector: the lanes themselves, or one [`BOp::Cvt`].
     fn lane_b(&mut self, v: &Val) -> Option<u16> {
         match v.loc {
             Loc::LB(r) => Some(r),
-            Loc::S(s) => {
-                let dst = self.b_slot()?;
-                self.ops.push(BOp::BcastB { dst, s });
-                Some(dst)
-            }
-            Loc::LF(f) => {
-                let dst = self.b_slot()?;
-                self.ops.push(BOp::CvtFtoB { dst, a: f });
-                Some(dst)
-            }
-            Loc::A(a) => {
-                let dst = self.b_slot()?;
-                self.ops.push(BOp::CvtAtoB { dst, a });
-                Some(dst)
-            }
             Loc::LI(_) => None,
+            a => {
+                let dst = self.b_slot()?;
+                self.ops.push(BOp::Cvt {
+                    dst: Loc::LB(dst),
+                    a,
+                });
+                Some(dst)
+            }
         }
+    }
+
+    /// An integer operand the tree reads through `as_i()`, as lanes: an
+    /// affine or int lanes as they are, a scalar as the affine
+    /// `(as_i(), 0)`.
+    fn lane_int(&mut self, v: &Val) -> Option<Loc> {
+        match v.loc {
+            Loc::A(_) | Loc::LI(_) => Some(v.loc),
+            Loc::S(_) => {
+                let dst = Loc::A(self.a_slot()?);
+                self.ops.push(BOp::Cvt { dst, a: v.loc });
+                Some(dst)
+            }
+            Loc::LF(_) | Loc::LB(_) => None,
+        }
+    }
+
+    /// A fresh slot of `a`'s class holding a copy of it. (No bool
+    /// lanes are ever kept apart.)
+    fn copy(&mut self, a: Loc) -> Option<Loc> {
+        let dst = match a {
+            Loc::S(_) => Loc::S(self.s_slot()?),
+            Loc::A(_) => Loc::A(self.a_slot()?),
+            Loc::LF(_) => Loc::LF(self.f_slot()?),
+            Loc::LI(_) => Loc::LI(self.i_slot()?),
+            Loc::LB(_) => return None,
+        };
+        self.ops.push(BOp::Copy { dst, a });
+        Some(dst)
     }
 
     /// Can scalar operand `v` take the tree's integer path against an
@@ -2696,11 +2672,7 @@ impl<'a> Bc<'a> {
             let loc = match self.env[i].loc {
                 // The variable's own slot may be reassigned later in
                 // the phase: keep this value apart.
-                Loc::S(s) => {
-                    let t = self.s_slot()?;
-                    self.ops.push(BOp::SCopy { dst: t, a: s });
-                    Loc::S(t)
-                }
+                s @ Loc::S(_) => self.copy(s)?,
                 loc => loc,
             };
             self.masked_wb.push((v, loc, arm));
@@ -2967,8 +2939,8 @@ impl<'a> Bc<'a> {
     }
 
     fn unop(&mut self, op: UnOp, a: Val) -> Option<Val> {
-        match a.loc {
-            Loc::S(s) => {
+        let (loc, sty) = match (op, a.loc) {
+            (_, Loc::S(s)) => {
                 let dst = self.s_slot()?;
                 self.ops.push(BOp::SUn { op, dst, a: s });
                 let sty = match op {
@@ -2982,96 +2954,35 @@ impl<'a> Bc<'a> {
                         STy::Unk => STy::Unk,
                     },
                 };
-                let f32v = matches!(op, UnOp::Neg | UnOp::Abs) && a.f32v;
-                Some(Val {
-                    loc: Loc::S(dst),
-                    sty,
-                    f32v,
-                })
+                (Loc::S(dst), sty)
             }
-            Loc::LF(f) => match op {
-                UnOp::Not => {
-                    let t = self.b_slot()?;
-                    self.ops.push(BOp::CvtFtoB { dst: t, a: f });
-                    let dst = self.b_slot()?;
-                    self.ops.push(BOp::BNot { dst, a: t });
-                    Some(Val {
-                        loc: Loc::LB(dst),
-                        sty: STy::B,
-                        f32v: false,
-                    })
-                }
-                _ => {
-                    let dst = self.f_slot()?;
-                    self.ops.push(BOp::UnF { op, dst, a: f });
-                    Some(Val {
-                        loc: Loc::LF(dst),
-                        sty: STy::F,
-                        f32v: matches!(op, UnOp::Neg | UnOp::Abs) && a.f32v,
-                    })
-                }
-            },
-            Loc::A(aff) => match op {
-                UnOp::Neg => {
-                    let dst = self.a_slot()?;
-                    self.ops.push(BOp::ANeg { dst, a: aff });
-                    Some(Val {
-                        loc: Loc::A(dst),
-                        sty: STy::I,
-                        f32v: false,
-                    })
-                }
-                UnOp::Not => {
-                    let t = self.b_slot()?;
-                    self.ops.push(BOp::CvtAtoB { dst: t, a: aff });
-                    let dst = self.b_slot()?;
-                    self.ops.push(BOp::BNot { dst, a: t });
-                    Some(Val {
-                        loc: Loc::LB(dst),
-                        sty: STy::B,
-                        f32v: false,
-                    })
-                }
-                // |base + s·b| is not affine.
-                UnOp::Abs => None,
-                UnOp::Rcp | UnOp::Sqrt | UnOp::Exp => {
-                    let t = self.f_slot()?;
-                    self.ops.push(BOp::CvtAtoF { dst: t, a: aff });
-                    let dst = self.f_slot()?;
-                    self.ops.push(BOp::UnF { op, dst, a: t });
-                    Some(Val {
-                        loc: Loc::LF(dst),
-                        sty: STy::F,
-                        f32v: false,
-                    })
-                }
-            },
-            Loc::LB(b) => match op {
-                UnOp::Not => {
-                    let dst = self.b_slot()?;
-                    self.ops.push(BOp::BNot { dst, a: b });
-                    Some(Val {
-                        loc: Loc::LB(dst),
-                        sty: STy::B,
-                        f32v: false,
-                    })
-                }
-                // Runtime tag is B, so Neg/Abs/Rcp/Sqrt/Exp all take
-                // the tree's float path over as_f().
-                _ => {
-                    let t = self.f_slot()?;
-                    self.ops.push(BOp::CvtBtoF { dst: t, a: b });
-                    let dst = self.f_slot()?;
-                    self.ops.push(BOp::UnF { op, dst, a: t });
-                    Some(Val {
-                        loc: Loc::LF(dst),
-                        sty: STy::F,
-                        f32v: false,
-                    })
-                }
-            },
-            Loc::LI(_) => None,
-        }
+            (UnOp::Neg, Loc::A(r)) => {
+                let dst = self.a_slot()?;
+                self.ops.push(BOp::ANeg { dst, a: r });
+                (Loc::A(dst), STy::I)
+            }
+            // |base + s·b| is not affine.
+            (UnOp::Abs, Loc::A(_)) => return None,
+            (UnOp::Not, _) => {
+                let b = self.lane_b(&a)?;
+                let dst = self.b_slot()?;
+                self.ops.push(BOp::BNot { dst, a: b });
+                (Loc::LB(dst), STy::B)
+            }
+            // The runtime tag of other lanes is not I: the tree's float
+            // path over `as_f()`.
+            _ => {
+                let f = self.lane_f(&a)?;
+                let dst = self.f_slot()?;
+                self.ops.push(BOp::UnF { op, dst, a: f });
+                (Loc::LF(dst), STy::F)
+            }
+        };
+        Some(Val {
+            loc,
+            sty,
+            f32v: matches!(op, UnOp::Neg | UnOp::Abs) && a.f32v,
+        })
     }
 
     fn binop(&mut self, op: BinOp, a: Val, b: Val) -> Option<Val> {
@@ -3369,50 +3280,19 @@ impl<'a> Bc<'a> {
         let idx = self.expr(index)?;
         let val = self.expr(value)?;
         let arr = u16::try_from(ai).ok()?;
-        let aff = match idx.loc {
-            Loc::A(r) => r,
-            Loc::S(si) => {
-                let dst = self.a_slot()?;
-                self.ops.push(BOp::AFromS { dst, s: si });
-                dst
-            }
-            Loc::LF(_) | Loc::LB(_) | Loc::LI(_) => return None,
+        let Loc::A(aff) = self.lane_int(&idx)? else {
+            return None;
         };
         // The tree stores eval(value).as_f() and lets Buffer::set
-        // narrow per element type; every class converts exactly.
-        let src = match val.loc {
-            Loc::LF(src) => src,
-            Loc::S(s) => {
-                self.ops.push(BOp::ScatterS {
-                    array: arr,
-                    aff,
-                    s,
-                    when: self.arm,
-                });
-                return self.scattered(ai, aff);
-            }
-            Loc::A(r) => {
-                let src = self.f_slot()?;
-                self.ops.push(BOp::CvtAtoF { dst: src, a: r });
-                src
-            }
-            Loc::LB(r) => {
-                let src = self.f_slot()?;
-                self.ops.push(BOp::CvtBtoF { dst: src, a: r });
-                src
-            }
-            Loc::LI(_) => return None,
-        };
+        // narrow per element type; every class but int lanes converts
+        // exactly.
+        let src = self.float_operand(&val)?;
         self.ops.push(BOp::Scatter {
             array: arr,
             aff,
             src,
             when: self.arm,
         });
-        self.scattered(ai, aff)
-    }
-
-    fn scattered(&mut self, ai: usize, aff: u16) -> Option<()> {
         let touch = Touch {
             at: Loc::A(aff),
             when: self.arm,
@@ -3497,12 +3377,32 @@ impl<'a> Bc<'a> {
         }
     }
 
-    /// `interp::coerce` applied to a lane-classed value.
+    /// `interp::coerce` applied to a lane value, or to a scalar
+    /// broadcast to lanes.
     fn coerce_lane(&mut self, ty: Scalar, v: Val) -> Option<Val> {
-        match (ty, v.loc) {
-            (Scalar::F32, Loc::LF(f)) => {
-                if v.f32v {
-                    return Some(v);
+        match ty {
+            // V::I(as_i()) of an int is the identity; as_i() of float
+            // or bool lanes is not affine.
+            Scalar::I32 | Scalar::U32 => matches!(v.loc, Loc::A(_) | Loc::LI(_)).then_some(v),
+            Scalar::Bool => Some(Val {
+                loc: Loc::LB(self.lane_b(&v)?),
+                sty: STy::B,
+                f32v: false,
+            }),
+            Scalar::F32 | Scalar::F64 => {
+                let f = self.lane_f(&v)?;
+                // Bool lanes convert to 0.0 or 1.0, exact in f32.
+                let f32v = match v.loc {
+                    Loc::LF(_) => v.f32v,
+                    Loc::LB(_) => true,
+                    _ => false,
+                };
+                if ty == Scalar::F64 || f32v {
+                    return Some(Val {
+                        loc: Loc::LF(f),
+                        sty: STy::F,
+                        f32v,
+                    });
                 }
                 let dst = self.f_slot()?;
                 self.ops.push(BOp::CvtFtoF32 { dst, a: f });
@@ -3512,80 +3412,19 @@ impl<'a> Bc<'a> {
                     f32v: true,
                 })
             }
-            (Scalar::F64, Loc::LF(_)) => Some(v),
-            (Scalar::Bool, Loc::LF(f)) => {
-                let dst = self.b_slot()?;
-                self.ops.push(BOp::CvtFtoB { dst, a: f });
-                Some(Val {
-                    loc: Loc::LB(dst),
-                    sty: STy::B,
-                    f32v: false,
-                })
-            }
-            // as_i() of float lanes is not affine.
-            (Scalar::I32 | Scalar::U32, Loc::LF(_)) => None,
-            // V::I(as_i()) of an int is the identity.
-            (Scalar::I32 | Scalar::U32, Loc::A(_)) => Some(v),
-            (Scalar::F32, Loc::A(aff)) => {
-                let t = self.f_slot()?;
-                self.ops.push(BOp::CvtAtoF { dst: t, a: aff });
-                let dst = self.f_slot()?;
-                self.ops.push(BOp::CvtFtoF32 { dst, a: t });
-                Some(Val {
-                    loc: Loc::LF(dst),
-                    sty: STy::F,
-                    f32v: true,
-                })
-            }
-            (Scalar::F64, Loc::A(aff)) => {
-                let dst = self.f_slot()?;
-                self.ops.push(BOp::CvtAtoF { dst, a: aff });
-                Some(Val {
-                    loc: Loc::LF(dst),
-                    sty: STy::F,
-                    f32v: false,
-                })
-            }
-            (Scalar::Bool, Loc::A(aff)) => {
-                let dst = self.b_slot()?;
-                self.ops.push(BOp::CvtAtoB { dst, a: aff });
-                Some(Val {
-                    loc: Loc::LB(dst),
-                    sty: STy::B,
-                    f32v: false,
-                })
-            }
-            (Scalar::F32 | Scalar::F64, Loc::LB(b)) => {
-                let dst = self.f_slot()?;
-                self.ops.push(BOp::CvtBtoF { dst, a: b });
-                Some(Val {
-                    loc: Loc::LF(dst),
-                    sty: STy::F,
-                    f32v: true,
-                })
-            }
-            (Scalar::Bool, Loc::LB(_)) => Some(v),
-            (Scalar::I32 | Scalar::U32, Loc::LB(_)) => None,
-            (Scalar::I32 | Scalar::U32, Loc::LI(_)) => Some(v),
-            (_, Loc::LI(_)) => None,
-            (_, Loc::S(_)) => unreachable!("scalar coercion goes through SLet"),
         }
     }
 
     /// A value living in a pin slot may be overwritten by a later loop
     /// trip; capturing it in another variable must copy the lanes.
     fn unalias_pin(&mut self, v: Val) -> Option<Val> {
-        if let Loc::LF(f) = v.loc {
-            if self.pin_slots.contains(&f) {
-                let dst = self.f_slot()?;
-                self.ops.push(BOp::LCopyF { dst, a: f });
-                return Some(Val {
-                    loc: Loc::LF(dst),
-                    ..v
-                });
-            }
+        match v.loc {
+            Loc::LF(f) if self.pin_slots.contains(&f) => Some(Val {
+                loc: self.copy(v.loc)?,
+                ..v
+            }),
+            _ => Some(v),
         }
-        Some(v)
     }
 
     /// Assignment to a variable pinned to a mutable LF slot by an
@@ -3605,62 +3444,19 @@ impl<'a> Bc<'a> {
             Some(_) => self.f_slot()?,
             None => pin,
         };
-        let f32v = match let_ty {
-            Some(Scalar::F32) => {
-                match v.loc {
-                    Loc::S(s) => {
-                        // coerce F32 = as_f as f32 as f64, then broadcast.
-                        let t = self.s_slot()?;
-                        self.ops.push(BOp::SCast {
-                            ty: Scalar::F32,
-                            dst: t,
-                            a: s,
-                        });
-                        self.ops.push(BOp::BcastF { dst, s: t });
-                    }
-                    Loc::LF(f) => {
-                        if v.f32v {
-                            self.redirect_or_copy(f, dst);
-                        } else {
-                            self.ops.push(BOp::CvtFtoF32 { dst, a: f });
-                        }
-                    }
-                    Loc::A(aff) => {
-                        let t = self.f_slot()?;
-                        self.ops.push(BOp::CvtAtoF { dst: t, a: aff });
-                        self.ops.push(BOp::CvtFtoF32 { dst, a: t });
-                    }
-                    Loc::LB(b) => {
-                        self.ops.push(BOp::CvtBtoF { dst, a: b });
-                    }
-                    Loc::LI(_) => return None,
-                }
-                true
-            }
-            Some(Scalar::F64) => {
-                // coerce F64 = V::F(as_f) — total for every class.
-                match v.loc {
-                    Loc::S(s) => self.ops.push(BOp::BcastF { dst, s }),
-                    Loc::LF(f) => self.redirect_or_copy(f, dst),
-                    Loc::A(aff) => self.ops.push(BOp::CvtAtoF { dst, a: aff }),
-                    Loc::LB(b) => self.ops.push(BOp::CvtBtoF { dst, a: b }),
-                    Loc::LI(_) => return None,
-                }
-                matches!(v.loc, Loc::LF(_) | Loc::LB(_)) && v.f32v
-            }
+        let v = match (let_ty, v.loc) {
+            // coerce F32 = as_f as f32 as f64: narrow a scalar once,
+            // then broadcast it.
+            (Some(Scalar::F32), Loc::S(_)) => self.cast(Scalar::F32, v)?,
+            (Some(ty @ (Scalar::F32 | Scalar::F64)), _) => self.coerce_lane(ty, v)?,
+            // Raw Assign stores the value verbatim: it must be
+            // guaranteed runtime-F already.
+            (None, _) if Self::float_certain(&v) => v,
             // An I32/U32/Bool Let would give the variable a non-F tag.
-            Some(Scalar::I32 | Scalar::U32 | Scalar::Bool) => return None,
-            None => {
-                // Raw Assign stores the value verbatim: it must be
-                // guaranteed runtime-F already.
-                match v.loc {
-                    Loc::S(s) if v.sty == STy::F => self.ops.push(BOp::BcastF { dst, s }),
-                    Loc::LF(f) => self.redirect_or_copy(f, dst),
-                    _ => return None,
-                }
-                v.f32v
-            }
+            _ => return None,
         };
+        let f = self.lane_f(&v)?;
+        self.redirect_or_copy(f, dst);
         let f32v = match masked {
             Some(Arm(mask)) => {
                 self.ops.push(BOp::LMergeF {
@@ -3668,9 +3464,9 @@ impl<'a> Bc<'a> {
                     src: dst,
                     mask,
                 });
-                f32v && self.env[vi].f32v
+                v.f32v && self.env[vi].f32v
             }
-            None => f32v,
+            None => v.f32v,
         };
         self.env[vi] = Val {
             loc: Loc::LF(pin),
@@ -3684,8 +3480,9 @@ impl<'a> Bc<'a> {
     }
 
     /// Move freshly produced lanes into a pin slot — by retargeting
-    /// the producing op when the source is a throwaway temp, else by
-    /// an explicit copy.
+    /// the producing op when the source is a throwaway temp (which is
+    /// then free again if it was the last slot taken), else by an
+    /// explicit copy.
     fn redirect_or_copy(&mut self, src: u16, pin: u16) {
         if src == pin {
             return; // e.g. `x = cast(F64, x)` — already in place
@@ -3693,16 +3490,46 @@ impl<'a> Bc<'a> {
         let fresh =
             !self.pin_slots.contains(&src) && !self.env.iter().any(|v| v.loc == Loc::LF(src));
         if fresh {
-            if let Some(op) = self.ops.last_mut() {
-                if let Some(d) = lane_f_dst_mut(op) {
-                    if *d == src {
-                        *d = pin;
-                        return;
+            if let Some(d) = self.ops.last_mut().and_then(lane_f_dst_mut) {
+                if *d == src {
+                    *d = pin;
+                    if src + 1 == self.n_f {
+                        self.n_f = src;
                     }
+                    return;
                 }
             }
         }
-        self.ops.push(BOp::LCopyF { dst: pin, a: src });
+        self.ops.push(BOp::Copy {
+            dst: Loc::LF(pin),
+            a: Loc::LF(src),
+        });
+    }
+
+    /// Pin variable `i` to a fresh mutable f64 lane slot holding its
+    /// value, the home of its lanes across a sequential loop's trips.
+    /// The value must be guaranteed runtime-F or the pin invariant
+    /// cannot hold (and, for a zero-trip loop, the broadcast entry
+    /// value must already be what the tree would leave behind).
+    fn pin(&mut self, i: usize) -> Option<()> {
+        let v = self.env[i];
+        if !Self::float_certain(&v) {
+            return None;
+        }
+        let loc = match v.loc {
+            Loc::LF(_) => self.copy(v.loc)?,
+            _ => Loc::LF(self.lane_f(&v)?),
+        };
+        if let Loc::LF(r) = loc {
+            self.pin_slots.push(r);
+        }
+        self.env[i] = Val {
+            loc,
+            sty: STy::F,
+            f32v: false,
+        };
+        self.pinned[i] = true;
+        Some(())
     }
 
     fn for_loop(
@@ -3764,40 +3591,8 @@ impl<'a> Bc<'a> {
                 self.depth -= 1;
                 return None;
             }
-            // Promote the pinned variables. The entry value must be
-            // guaranteed runtime-F or the pin invariant cannot hold
-            // (and, for a zero-trip loop, the broadcast entry value
-            // must already be what the tree would leave behind).
-            let mut pin_fail = false;
-            for &pv in &pins {
-                let i = pv as usize;
-                let promo_ok = matches!(self.env[i].loc, Loc::LF(_))
-                    || (matches!(self.env[i].loc, Loc::S(_)) && self.env[i].sty == STy::F);
-                if !promo_ok {
-                    pin_fail = true;
-                    break;
-                }
-                let pf = match self.f_slot() {
-                    Some(r) => r,
-                    None => {
-                        pin_fail = true;
-                        break;
-                    }
-                };
-                match self.env[i].loc {
-                    Loc::S(s) => self.ops.push(BOp::BcastF { dst: pf, s }),
-                    Loc::LF(t) => self.ops.push(BOp::LCopyF { dst: pf, a: t }),
-                    _ => unreachable!(),
-                }
-                self.env[i] = Val {
-                    loc: Loc::LF(pf),
-                    sty: STy::F,
-                    f32v: false,
-                };
-                self.pinned[i] = true;
-                self.pin_slots.push(pf);
-            }
-            if pin_fail {
+            // Promote the pinned variables.
+            if !pins.iter().all(|&pv| self.pin(pv as usize).is_some()) {
                 self.restore(&outer);
                 self.depth -= 1;
                 return None;
@@ -3922,54 +3717,12 @@ impl<'a> Bc<'a> {
         if !self.grouped || self.depth > 0 || self.arm.is_some() || step <= 0 || w.contains(&var) {
             return None;
         }
-        // The tree reads both bounds through `as_i()`.
-        let mut lane_int = |v: Val| -> Option<Loc> {
-            match v.loc {
-                Loc::A(_) | Loc::LI(_) => Some(v.loc),
-                Loc::S(s) => {
-                    let dst = self.a_slot()?;
-                    self.ops.push(BOp::AFromS { dst, s });
-                    Some(Loc::A(dst))
-                }
-                _ => None,
-            }
-        };
-        let (lo, hi) = (lane_int(lo)?, lane_int(hi)?);
-        for &v in w {
-            let i = v.0 as usize;
-            let promo_ok = matches!(self.env[i].loc, Loc::LF(_))
-                || (matches!(self.env[i].loc, Loc::S(_)) && self.env[i].sty == STy::F);
-            if !promo_ok {
-                return None;
-            }
-            let pf = self.f_slot()?;
-            match self.env[i].loc {
-                Loc::S(s) => self.ops.push(BOp::BcastF { dst: pf, s }),
-                Loc::LF(t) => self.ops.push(BOp::LCopyF { dst: pf, a: t }),
-                _ => unreachable!(),
-            }
-            self.env[i] = Val {
-                loc: Loc::LF(pf),
-                sty: STy::F,
-                f32v: false,
-            };
-            self.pinned[i] = true;
-            self.pin_slots.push(pf);
+        let (lo, hi) = (self.lane_int(&lo)?, self.lane_int(&hi)?);
+        for v in w {
+            self.pin(v.0 as usize)?;
         }
         // The counter stays affine when the lower bound is.
-        let cnt = match lo {
-            Loc::A(a) => {
-                let dst = self.a_slot()?;
-                self.ops.push(BOp::ACopy { dst, a });
-                Loc::A(dst)
-            }
-            Loc::LI(a) => {
-                let dst = self.i_slot()?;
-                self.ops.push(BOp::LCopyI { dst, a });
-                Loc::LI(dst)
-            }
-            _ => unreachable!("lane_int gives A or LI"),
-        };
+        let cnt = self.copy(lo)?;
         let mask = self.b_slot()?;
         let head = u32::try_from(self.ops.len()).ok()?;
         self.ops.push(BOp::MForHead {
@@ -4031,10 +3784,15 @@ fn reads_memory(e: &Expr) -> bool {
     found
 }
 
-/// The bool lane slot an op the validation walk may need writes.
+/// The bool lane slot an op the validation walk may need writes: a
+/// scalar's broadcast, an integer compare or bool logic. (Bool lanes
+/// converted from affine or float lanes are execution-walk values.)
 fn early_dst(op: &BOp) -> Option<u16> {
     match *op {
-        BOp::BcastB { dst, .. }
+        BOp::Cvt {
+            dst: Loc::LB(dst),
+            a: Loc::S(_),
+        }
         | BOp::ICmp { dst, .. }
         | BOp::BAnd { dst, .. }
         | BOp::BOr { dst, .. }
@@ -4043,13 +3801,17 @@ fn early_dst(op: &BOp) -> Option<u16> {
     }
 }
 
+/// The f64 lane slot an op writes all of, which the pin redirect may
+/// retarget.
 fn lane_f_dst_mut(op: &mut BOp) -> Option<&mut u16> {
     match op {
-        BOp::BcastF { dst, .. }
-        | BOp::CvtAtoF { dst, .. }
-        | BOp::CvtBtoF { dst, .. }
+        BOp::Cvt {
+            dst: Loc::LF(dst), ..
+        }
+        | BOp::Copy {
+            dst: Loc::LF(dst), ..
+        }
         | BOp::CvtFtoF32 { dst, .. }
-        | BOp::LCopyF { dst, .. }
         | BOp::FBin { dst, .. }
         | BOp::FFma { dst, .. }
         | BOp::UnF { dst, .. }
@@ -4187,6 +3949,31 @@ mod tests {
         assert!(plan.guards.is_empty(), "sole scatter needs no guard");
         let (t, b) = run_both(&p, &params, &bufs);
         assert_eq!(t, b, "matmul tiers diverged");
+    }
+
+    #[test]
+    fn plans_take_no_more_ops_than_before() {
+        // A pin redirect that fails, or a class change spelled with an
+        // extra op, changes no output, only these op counts: they may
+        // not grow.
+        let size = |p: &Program| build(p, p.kernels()[0]).expect("plan").ops.len();
+        assert!(size(&matmul_like().0) <= 25);
+        assert!(size(&rmw_like().0) <= 7);
+        // Per shape of `grouped_shapes`: the first and last phase; the
+        // tree phases between them take 15 ops each.
+        let ends = [(23, 13), (25, 13), (29, 18), (55, 13), (61, 13), (72, 18)];
+        for gsz in [8, 128] {
+            for (shape, (p, k)) in grouped_shapes(gsz).iter().enumerate() {
+                let sizes: Vec<usize> = build_phases(p, k)
+                    .iter()
+                    .map(|pl| pl.as_ref().expect("every phase batches").ops.len())
+                    .collect();
+                let mut want = vec![15; sizes.len()];
+                (want[0], want[sizes.len() - 1]) = ends[shape];
+                let fits = sizes.iter().zip(&want).all(|(s, w)| s <= w);
+                assert!(fits, "gsz {gsz}, shape {shape}: {sizes:?} vs {want:?}");
+            }
+        }
     }
 
     #[test]

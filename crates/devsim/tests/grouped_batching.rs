@@ -193,12 +193,14 @@ fn grouped(gsz: usize, groups: i64, phases: impl Fn(Ids) -> Vec<Vec<Stmt>>) -> C
     let g = b.var("g");
     let tid = b.var("tid");
     let v = b.var("v");
+    let k = b.var("k");
     let ids = Ids {
         x,
         out,
         g,
         tid,
         v,
+        k,
         sdata: paccport_ir::ArrayId(0),
         gsz: gsz as i64,
     };
@@ -236,6 +238,8 @@ struct Ids {
     tid: paccport_ir::VarId,
     /// A spare float variable.
     v: paccport_ir::VarId,
+    /// A spare loop variable.
+    k: paccport_ir::VarId,
     sdata: paccport_ir::ArrayId,
     gsz: i64,
 }
@@ -504,8 +508,9 @@ fn a_variable_assigned_in_two_arms_matches() {
     // Phase 0 sets `v` on every lane, phase 1 reassigns it in `If`
     // arms, phase 2 stores it. Phase 1 batches only where one arm
     // assigns `v`; the lanes of one arm must not keep the value of
-    // another, nor their old one. Phase 2 runs lane by lane: the lanes
-    // of `v` no longer share a class after a masked writeback.
+    // another, nor their old one. After that masked writeback phase 2
+    // gathers `v` as floats, checked on every lane, and batches too;
+    // after the rejected phases it runs lane by lane.
     let _one = serial();
     type Arms = fn(Ids) -> Vec<Stmt>;
     let shapes: [(bool, Arms); 5] = [
@@ -554,7 +559,7 @@ fn a_variable_assigned_in_two_arms_matches() {
             let run = Run { tracked, ..PLAIN };
             let (seen, (lanes, fallbacks)) = case.both(run);
             assert_eq!(seen.panic, None, "shape {i}");
-            let fell = if batches { 2 } else { 4 };
+            let fell = if batches { 0 } else { 4 };
             assert_eq!(fallbacks, fell, "shape {i}, tracked {tracked}");
             assert_eq!(lanes, (3 * 2 - fell) * 8, "shape {i}");
         }
@@ -565,25 +570,41 @@ fn a_variable_assigned_in_two_arms_matches() {
 fn every_operand_order_of_the_batch_ops_matches() {
     // One row per operand-class pair the batch VM's float, compare and
     // affine ops take: a lane operand and a scalar `s` in either order,
-    // two lane operands, and int lanes (`tid % 3`). Every row batches
-    // and must match the tree-walker bit for bit, which a swapped
-    // operand pair breaks on every row whose operation does not
-    // commute.
+    // two lane operands, and int lanes (`tid % 3`). Then one row per
+    // class change the compiler makes (scalar to affine, float or bool
+    // lanes; affine to float or bool lanes; bool to float lanes and
+    // back), per class it copies (a scalar an `If` arm assigns, a
+    // masked loop's affine or int-lane counter, a pinned variable's
+    // float lanes), and a scatter of a scalar and of lanes. Every row
+    // batches and must match the tree-walker bit for bit, which a
+    // swapped operand pair breaks on every row whose operation does
+    // not commute.
     let _one = serial();
-    type Row = (&'static str, fn(Ids) -> Stmt);
+    type Row = (&'static str, fn(Ids) -> Vec<Stmt>);
     fn x(ids: Ids) -> E {
         ld(ids.x, ids.slot())
     }
     fn tid(ids: Ids) -> E {
         E::from(ids.tid)
     }
-    fn put(ids: Ids, v: E) -> Stmt {
-        st(ids.out, ids.slot(), v)
+    fn put(ids: Ids, v: E) -> Vec<Stmt> {
+        vec![st(ids.out, ids.slot(), v)]
     }
-    fn mark(ids: Ids, c: E) -> Stmt {
-        if_(c, vec![st(ids.out, ids.slot(), 1.0)])
+    fn mark(ids: Ids, c: E) -> Vec<Stmt> {
+        vec![if_(c, vec![st(ids.out, ids.slot(), 1.0)])]
     }
-    let rows: [Row; 21] = [
+    /// `v = 0; for k in lo..gsz { v += x[g·gsz + k] }; out[i] = v`: a
+    /// masked loop when `lo` varies per lane.
+    fn sum_from(ids: Ids, lo: E) -> Vec<Stmt> {
+        let at = E::from(ids.g) * ids.gsz + ids.k;
+        let step = assign(ids.v, E::from(ids.v) + ld(ids.x, at));
+        vec![
+            let_(ids.v, Scalar::F32, 0.0),
+            for_(ids.k, lo, ids.gsz, vec![step]),
+            st(ids.out, ids.slot(), ids.v),
+        ]
+    }
+    let rows: [Row; 34] = [
         ("s - x[i]", |ids| put(ids, E::from(1.25) - x(ids))),
         ("x[i] - s", |ids| put(ids, x(ids) - 1.25)),
         ("s / x[i]", |ids| put(ids, E::from(1.25) / x(ids))),
@@ -617,11 +638,51 @@ fn every_operand_order_of_the_batch_ops_matches() {
         ("tid - 2 tid", |ids| put(ids, tid(ids) - tid(ids) * 2i64)),
         ("tid * s", |ids| put(ids, tid(ids) * 3i64)),
         ("s * tid", |ids| put(ids, E::from(3i64) * tid(ids))),
+        ("Cvt S to A: out[g gsz] = x[i]", |ids| {
+            vec![st(ids.out, E::from(ids.g) * ids.gsz, x(ids))]
+        }),
+        ("Cvt S to LF: x[i] < s ? s : x[i]", |ids| {
+            put(ids, x(ids).lt(1.25).select(1.25, x(ids)))
+        }),
+        ("Cvt S to LB: if g == 1", |ids| {
+            mark(ids, E::from(ids.g).eq_(1i64))
+        }),
+        ("Cvt A to LF: out[i] = tid", |ids| put(ids, tid(ids))),
+        ("Cvt A to LB: !tid", |ids| {
+            put(ids, (!tid(ids)).select(1.0, 2.0))
+        }),
+        ("Cvt LB to LF: out[i] = tid < s", |ids| {
+            put(ids, tid(ids).lt(3i64))
+        }),
+        ("Cvt LF to LB: !(x[i] - s)", |ids| {
+            put(ids, (!(x(ids) - 0.5)).select(1.0, 2.0))
+        }),
+        ("Copy S: v = s in an arm", |ids| {
+            vec![if_(ids.every(2), vec![assign(ids.v, 1.0)])]
+        }),
+        ("Copy A: k from tid", |ids| sum_from(ids, tid(ids))),
+        ("Copy LI: k from tid % 3", |ids| {
+            sum_from(ids, tid(ids) % 3i64)
+        }),
+        ("Copy LF: pin v = x[i]", |ids| {
+            vec![
+                let_(ids.v, Scalar::F32, x(ids)),
+                for_(
+                    ids.k,
+                    0i64,
+                    2i64,
+                    vec![assign(ids.v, E::from(ids.v) * 1.25)],
+                ),
+                st(ids.out, ids.slot(), ids.v),
+            ]
+        }),
+        ("Scatter S: out[i] = s", |ids| put(ids, E::from(1.25))),
+        ("Scatter LF: out[i] = x[i]", |ids| put(ids, x(ids))),
     ];
     for (name, row) in rows {
         let case = grouped(8, 2, |ids| {
             let mut phase = ids.stage();
-            phase.push(row(ids));
+            phase.extend(row(ids));
             vec![phase]
         });
         for tracked in [false, true] {

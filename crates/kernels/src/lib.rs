@@ -14,7 +14,7 @@
 //! | [`backprop`]| Back Propagation     | Unstructured Grid    | 20M layers  |
 //!
 //! [`stream`] additionally carries the STREAM bandwidth kernels from
-//! the authors' previous study (the paper's reference [11]), used to
+//! the authors' previous study (the paper's reference \[11\]), used to
 //! pin the device model's memory system.
 
 pub mod backprop;

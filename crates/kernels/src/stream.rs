@@ -1,7 +1,7 @@
 //! STREAM-style bandwidth micro-benchmarks (Copy / Scale / Add /
 //! Triad).
 //!
-//! The authors' previous work (the paper's reference [11]) evaluated
+//! The authors' previous work (the paper's reference \[11\]) evaluated
 //! OpenACC with SHOC, STREAM and EPCC before moving to Rodinia; we
 //! include STREAM both for continuity and because it pins the device
 //! model: a pure-bandwidth kernel must run at a sane fraction of the

@@ -141,7 +141,7 @@ impl_tuple_strategy!((A.0, B.1)(A.0, B.1, C.2)(A.0, B.1, C.2, D.3));
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// The strategy behind [`vec`]: a length drawn from `len`, then
+    /// The strategy behind [`vec()`]: a length drawn from `len`, then
     /// that many independent draws from `elem`.
     pub struct VecStrategy<S> {
         elem: S,
