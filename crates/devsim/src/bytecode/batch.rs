@@ -1741,15 +1741,29 @@ fn walk<const VALIDATE: bool>(
             BOp::MaskPush { c, pol } => {
                 if taping {
                     let parent = mask_stack.last().copied().unwrap_or(ALL_LANES);
-                    mask_stack.push((masks.len() / bn) as u32);
-                    for b in 0..bn {
-                        let on = match c {
-                            Loc::S(s) => sv[s as usize].as_b(),
-                            Loc::LB(r) => bl[r as usize][b],
-                            _ => unreachable!("mask conditions are S or LB"),
-                        };
-                        let live = parent == ALL_LANES || masks[parent as usize * bn + b];
-                        masks.push(live && on == pol);
+                    let base = masks.len();
+                    mask_stack.push((base / bn) as u32);
+                    // The arm's mask starts as its parent's, then the
+                    // condition's class is resolved once: one bool for
+                    // every lane, or one lane vector.
+                    if parent == ALL_LANES {
+                        masks.resize(base + bn, true);
+                    } else {
+                        let p = parent as usize * bn;
+                        masks.extend_from_within(p..p + bn);
+                    }
+                    let arm = &mut masks[base..];
+                    match c {
+                        Loc::S(s) => {
+                            if sv[s as usize].as_b() != pol {
+                                arm.fill(false);
+                            }
+                        }
+                        Loc::LB(r) => {
+                            let on = &bl[r as usize][..bn];
+                            arm.iter_mut().zip(on).for_each(|(m, &x)| *m &= x == pol);
+                        }
+                        _ => unreachable!("mask conditions are S or LB"),
                     }
                 }
             }
@@ -3048,8 +3062,10 @@ impl<'a> Bc<'a> {
     /// operand is runtime-`F`, which is what commits the tree to this
     /// path. Scalar operands stay scalar (resolved once per batch).
     fn fbin(&mut self, op: BinOp, a: Val, b: Val) -> Option<Val> {
-        let dst = self.f_slot()?;
+        // Operands first: the destination is then the last slot taken,
+        // which `redirect_or_copy` gives back when it retargets the op.
         let (a, b) = (self.float_operand(&a)?, self.float_operand(&b)?);
+        let dst = self.f_slot()?;
         self.ops.push(BOp::FBin { op, dst, a, b });
         Some(Val {
             loc: Loc::LF(dst),
@@ -3974,6 +3990,43 @@ mod tests {
                 assert!(fits, "gsz {gsz}, shape {shape}: {sizes:?} vs {want:?}");
             }
         }
+    }
+
+    /// `acc = acc * 0.5 + i` in a sequential loop: the `FBin` of the
+    /// `+` reads the lane index converted to floats and is retargeted
+    /// into `acc`'s pin. The destination it abandons is the last float
+    /// slot taken, so it is given back and no batch sizes a lane vector
+    /// for it.
+    #[test]
+    fn a_retargeted_fbin_gives_its_destination_back() {
+        let mut b = ProgramBuilder::new("batch_fbin_pin");
+        let np = b.iparam("n");
+        let o = b.array("o", Scalar::F32, E::from(np), Intent::Out);
+        let (iv, kv, acc) = (b.var("i"), b.var("k"), b.var("acc"));
+        let body = vec![
+            let_(acc, Scalar::F32, 0.0f64),
+            for_(
+                kv,
+                0i64,
+                np,
+                vec![assign(
+                    acc,
+                    E::from(Expr::var(acc)) * 0.5f64 + E::from(Expr::var(iv)),
+                )],
+            ),
+            st(o, E::from(Expr::var(iv)), E::from(Expr::var(acc))),
+        ];
+        let k = Kernel::simple(
+            "fbin_pin",
+            vec![ParallelLoop::new(iv, Expr::iconst(0), Expr::param(np))],
+            Block::new(body),
+        );
+        let p = b.finish(vec![HostStmt::Launch(k)]);
+        let plan = build(&p, p.kernels()[0]).expect("plan");
+        // The pin, `acc * 0.5` and the lane index converted to floats.
+        assert_eq!(plan.n_f, 3, "{:?}", plan.ops);
+        let (t, b) = run_both(&p, &[V::I(9)], &[Buffer::zeroed(Scalar::F32, 9)]);
+        assert_eq!(t, b);
     }
 
     #[test]

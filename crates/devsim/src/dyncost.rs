@@ -13,6 +13,25 @@
 //! variables are sampled at `{lo, mid, hi-1}` and averaged. Bounds
 //! that cannot be evaluated at all (BFS's data-dependent edge ranges)
 //! fall back to a per-kernel trip hint.
+//!
+//! Within one run the kernel, its plan, the parameters and the
+//! [`CostHints`] never change, so a run compiles each kernel's timing
+//! path once, at its first launch, into a `CostPlan`:
+//!
+//! - every bound (cost-tree loops, sampled parallel loops, launch
+//!   extents) is lowered with the parameters folded in: a constant, a
+//!   variable, a variable plus a constant, or the expression itself;
+//! - the tree is flattened into one depth-first program whose rows are
+//!   the node counts already converted to `f64`, with each branch's
+//!   weight and the kernel's trip fallback resolved from the hints;
+//! - it notes whether any cost-tree bound reads a sampled variable.
+//!
+//! A launch then reads only the host variables in scope: it walks the
+//! sample points and runs the program once per point, or once in all
+//! when no bound reads a sampled variable. It performs the same
+//! floating-point operations in the same order as the recursive,
+//! map-based evaluation the unit tests keep as its oracle, so every
+//! modeled bit is the same.
 
 use paccport_compilers::{CostNode, CostTree, KernelPlan};
 use paccport_ir::expr::{BinOp, CmpOp, Expr, UnOp};
@@ -103,13 +122,6 @@ pub(crate) fn try_eval(e: &Expr, params: &[V], env: &[Option<f64>]) -> Option<f6
     try_eval_mode(e, params, env, false)
 }
 
-/// Lenient evaluation: unbound variables and work-group builtins read
-/// as 0 (a lower-corner estimate — correct for strided reduction
-/// loops whose start is `lo + tid`), but memory loads still fail.
-fn try_eval_lenient(e: &Expr, params: &[V], env: &[Option<f64>]) -> Option<f64> {
-    try_eval_mode(e, params, env, true)
-}
-
 fn try_eval_mode(e: &Expr, params: &[V], vars: &[Option<f64>], lenient: bool) -> Option<f64> {
     match e {
         Expr::FConst(v) => Some(*v),
@@ -197,16 +209,156 @@ fn try_eval_mode(e: &Expr, params: &[V], vars: &[Option<f64>], lenient: bool) ->
     }
 }
 
-struct TreeEval<'a> {
-    kernel: &'a str,
-    params: &'a [V],
-    hints: &'a CostHints,
-    branch_idx: usize,
+/// Value of `e` when it reads no variable and no work-group builtin
+/// (the same at every launch of a run), `None` when it reads either.
+fn fold(e: &Expr, params: &[V]) -> Option<Option<f64>> {
+    let mut reads_env = false;
+    e.walk(&mut |x| reads_env |= matches!(x, Expr::Var(_) | Expr::Special(_)));
+    (!reads_env).then(|| try_eval(e, params, &[]))
 }
 
-impl TreeEval<'_> {
-    fn eval(&mut self, t: &CostTree, env: &mut [Option<f64>]) -> DynCost {
-        let mut out = DynCost::from_counts(&t.flat, t.flat_ldst);
+fn read(env: &[Option<f64>], slot: usize) -> Option<f64> {
+    env.get(slot).copied().flatten()
+}
+
+/// A bound expression lowered once per run, with the run's parameters
+/// folded in. Each evaluation gives exactly what [`try_eval_mode`]
+/// gives on the expression it was lowered from.
+#[derive(Debug, Clone, Copy)]
+enum Bound<'a> {
+    /// Reads no variable and no builtin: one value, or one failure,
+    /// for the whole run.
+    Const(Option<f64>),
+    /// One variable.
+    Slot(usize),
+    /// One variable plus a constant, in either order.
+    SlotPlus(usize, f64),
+    /// Anything else, evaluated in full.
+    General(&'a Expr),
+}
+
+impl<'a> Bound<'a> {
+    fn lower(e: &'a Expr, params: &[V]) -> Bound<'a> {
+        if let Some(v) = fold(e, params) {
+            return Bound::Const(v);
+        }
+        let var = |x: &Expr| match x {
+            Expr::Var(v) => Some(v.0 as usize),
+            _ => None,
+        };
+        let konst = |x: &Expr| fold(x, params).flatten();
+        let lowered = match e {
+            Expr::Var(v) => Some(Bound::Slot(v.0 as usize)),
+            Expr::Bin(BinOp::Add, a, b) => var(a)
+                .zip(konst(b))
+                .or_else(|| var(b).zip(konst(a)))
+                .map(|(s, c)| Bound::SlotPlus(s, c)),
+            _ => None,
+        };
+        lowered.unwrap_or(Bound::General(e))
+    }
+
+    /// [`try_eval`] of the expression.
+    fn eval(self, params: &[V], env: &[Option<f64>]) -> Option<f64> {
+        match self {
+            Bound::Const(v) => v,
+            Bound::Slot(s) => read(env, s),
+            Bound::SlotPlus(s, c) => read(env, s).map(|x| x + c),
+            Bound::General(e) => try_eval(e, params, env),
+        }
+    }
+
+    /// [`try_eval`] of the expression, else its lenient evaluation,
+    /// where unbound variables and builtins read as 0 (a lower-corner
+    /// estimate, right for strided reduction loops whose start is
+    /// `lo + tid`) but memory loads still fail.
+    fn eval_or_lenient(self, params: &[V], env: &[Option<f64>]) -> Option<f64> {
+        match self {
+            Bound::Const(v) => v,
+            Bound::Slot(s) => Some(read(env, s).unwrap_or(0.0)),
+            Bound::SlotPlus(s, c) => Some(read(env, s).unwrap_or(0.0) + c),
+            Bound::General(e) => {
+                try_eval(e, params, env).or_else(|| try_eval_mode(e, params, env, true))
+            }
+        }
+    }
+}
+
+/// One step of a flattened [`CostTree`]. The program runs in
+/// depth-first order with one running cost, the node being summed;
+/// entering a loop body or a branch arm suspends it in a [`Frame`].
+#[derive(Debug, Clone)]
+enum Op<'a> {
+    /// Enter a loop: bind its variable to the midpoint of its bounds,
+    /// note its trip count, and start summing its body from `body`,
+    /// the body node's own counts.
+    Enter {
+        slot: usize,
+        lo: Bound<'a>,
+        hi: Bound<'a>,
+        step: f64,
+        body: DynCost,
+    },
+    /// Leave a loop: add the per-iteration overhead to the body's
+    /// cost, restore the variable, and add trips × that to the node
+    /// around the loop.
+    Leave { slot: usize, overhead: DynCost },
+    /// Start summing a branch arm (`then`, then `els`) from its own
+    /// counts.
+    Arm(DynCost),
+    /// Add both arms to the node around the branch: `then` weighted
+    /// `w`, `els` weighted `not_w = 1 - w`.
+    Join { w: f64, not_w: f64 },
+}
+
+/// A suspended running cost, with the trip count and the shadowed
+/// binding of the loop entered (unused for a branch arm).
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    cost: DynCost,
+    trips: f64,
+    saved: Option<f64>,
+}
+
+/// A [`CostTree`] flattened for one run: counts converted to `f64`,
+/// bounds lowered, branch weights and the trip fallback resolved from
+/// the [`CostHints`].
+#[derive(Debug)]
+struct FlatTree<'a> {
+    /// The root node's own counts.
+    root: DynCost,
+    ops: Vec<Op<'a>>,
+    /// Trip count and midpoint of a loop whose bounds cannot be
+    /// evaluated: the kernel's trip hint, and half of it.
+    fallback: (f64, f64),
+    /// Scratch for the suspended costs.
+    frames: Vec<Frame>,
+}
+
+impl<'a> FlatTree<'a> {
+    fn new(plan: &'a KernelPlan, params: &[V], hints: &CostHints) -> FlatTree<'a> {
+        let trips = hints.trip_fallback(&plan.kernel);
+        let mut tree = FlatTree {
+            root: DynCost::from_counts(&plan.cost.flat, plan.cost.flat_ldst),
+            ops: Vec::new(),
+            fallback: (trips, trips / 2.0),
+            frames: Vec::new(),
+        };
+        let weight = |idx| hints.branch_weight(&plan.kernel, idx);
+        tree.flatten(&plan.cost, params, &weight, &mut 0);
+        tree
+    }
+
+    /// Appends the program of `t`'s children. Branches are numbered in
+    /// the order a depth-first walk meets them, `then` arm before `els`.
+    fn flatten(
+        &mut self,
+        t: &'a CostTree,
+        params: &[V],
+        weight: &impl Fn(usize) -> f64,
+        branches: &mut usize,
+    ) {
+        let own = |t: &CostTree| DynCost::from_counts(&t.flat, t.flat_ldst);
         for kid in &t.kids {
             match kid {
                 CostNode::Loop {
@@ -217,65 +369,234 @@ impl TreeEval<'_> {
                     overhead,
                     body,
                 } => {
-                    let lo_v = try_eval(lo, self.params, env)
-                        .or_else(|| try_eval_lenient(lo, self.params, env));
-                    let hi_v = try_eval(hi, self.params, env)
-                        .or_else(|| try_eval_lenient(hi, self.params, env));
-                    let trips = match (lo_v, hi_v) {
-                        (Some(l), Some(h)) => ((h - l) / *step as f64).ceil().max(0.0),
-                        _ => self.hints.trip_fallback(self.kernel),
-                    };
-                    // Bind the loop var to its midpoint for the body.
-                    let mid = match (lo_v, hi_v) {
-                        (Some(l), Some(h)) => (l + h) / 2.0,
-                        _ => self.hints.trip_fallback(self.kernel) / 2.0,
-                    };
                     let slot = var.0 as usize;
-                    let saved = env[slot].replace(mid);
-                    let body_cost = self.eval(body, env);
-                    env[slot] = saved;
-                    let mut per_iter = body_cost;
-                    per_iter.add_scaled(&DynCost::from_counts(overhead, 0), 1.0);
-                    out.add_scaled(&per_iter, trips);
+                    self.ops.push(Op::Enter {
+                        slot,
+                        lo: Bound::lower(lo, params),
+                        hi: Bound::lower(hi, params),
+                        step: *step as f64,
+                        body: own(body),
+                    });
+                    self.flatten(body, params, weight, branches);
+                    self.ops.push(Op::Leave {
+                        slot,
+                        overhead: DynCost::from_counts(overhead, 0),
+                    });
                 }
                 CostNode::Branch { then, els } => {
-                    let w = self.hints.branch_weight(self.kernel, self.branch_idx);
-                    self.branch_idx += 1;
-                    let t_cost = self.eval(then, env);
-                    let e_cost = self.eval(els, env);
-                    out.add_scaled(&t_cost, w);
-                    out.add_scaled(&e_cost, 1.0 - w);
+                    let w = weight(*branches);
+                    *branches += 1;
+                    for arm in [then, els] {
+                        self.ops.push(Op::Arm(own(arm)));
+                        self.flatten(arm, params, weight, branches);
+                    }
+                    self.ops.push(Op::Join { w, not_w: 1.0 - w });
                 }
             }
         }
-        out
+    }
+
+    /// The tree's cost under the bindings in `env`, which loops rebind
+    /// while they run and restore.
+    fn eval(&mut self, params: &[V], env: &mut [Option<f64>]) -> DynCost {
+        let FlatTree {
+            root,
+            ops,
+            fallback,
+            frames,
+        } = self;
+        let mut cost = *root;
+        for op in ops.iter() {
+            match *op {
+                Op::Enter {
+                    slot,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                } => {
+                    let bounds = (
+                        lo.eval_or_lenient(params, env),
+                        hi.eval_or_lenient(params, env),
+                    );
+                    let (trips, mid) = match bounds {
+                        (Some(l), Some(h)) => (((h - l) / step).ceil().max(0.0), (l + h) / 2.0),
+                        _ => *fallback,
+                    };
+                    let saved = env[slot].replace(mid);
+                    frames.push(Frame { cost, trips, saved });
+                    cost = body;
+                }
+                Op::Leave { slot, overhead } => {
+                    let mut per_iter = cost;
+                    per_iter.add_scaled(&overhead, 1.0);
+                    let f = frames.pop().expect("an open loop");
+                    env[slot] = f.saved;
+                    cost = f.cost;
+                    cost.add_scaled(&per_iter, f.trips);
+                }
+                Op::Arm(own) => {
+                    frames.push(Frame {
+                        cost,
+                        trips: 0.0,
+                        saved: None,
+                    });
+                    cost = own;
+                }
+                Op::Join { w, not_w } => {
+                    let then = frames.pop().expect("a then arm").cost;
+                    let els = cost;
+                    cost = frames.pop().expect("a branch's node").cost;
+                    cost.add_scaled(&then, w);
+                    cost.add_scaled(&els, not_w);
+                }
+            }
+        }
+        cost
     }
 }
 
 /// Most sample points one launch averages over.
 const MAX_SAMPLES: usize = 9;
 
-/// How a kernel's launches are sampled: fixed by the kernel and its
-/// plan, so a run works it out once, at the kernel's first launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sampling {
+/// A parallel loop's variable and lowered bounds.
+#[derive(Debug, Clone, Copy)]
+struct LoopBounds<'a> {
+    slot: usize,
+    lo: Bound<'a>,
+    hi: Bound<'a>,
+}
+
+/// One kernel's timing path, compiled at its first launch in a run:
+/// the kernel, its plan, the run's parameters and its [`CostHints`]
+/// are fixed for the whole run, so each launch only reads the host
+/// variables in scope.
+#[derive(Debug)]
+pub(crate) struct CostPlan<'a> {
+    /// Every parallel loop, outermost first: the extents of a
+    /// timing-only launch, and the first `dist_rank` are sampled.
+    loops: Vec<LoopBounds<'a>>,
     /// How many outermost parallel loops are distributed (their
     /// variables are sampled).
-    pub(crate) dist_rank: usize,
+    dist_rank: usize,
     /// Whether a loop bound anywhere in the cost tree (through both
     /// branch arms) reads a sampled variable. When none does, every
     /// sample point costs the same.
     bounds_vary: bool,
+    tree: FlatTree<'a>,
 }
 
-impl Sampling {
-    /// `dist_rank` is clamped to the kernel's loop count.
-    pub fn new(kernel: &Kernel, plan: &KernelPlan, dist_rank: usize) -> Sampling {
+impl<'a> CostPlan<'a> {
+    /// `dist_rank` is clamped to the kernel's loop count; `params` and
+    /// `hints` are the run's.
+    pub(crate) fn new(
+        kernel: &'a Kernel,
+        plan: &'a KernelPlan,
+        dist_rank: usize,
+        params: &[V],
+        hints: &CostHints,
+    ) -> CostPlan<'a> {
         let dist_rank = dist_rank.min(kernel.loops.len());
-        Sampling {
+        let loops = kernel
+            .loops
+            .iter()
+            .map(|lp| LoopBounds {
+                slot: lp.var.0 as usize,
+                lo: Bound::lower(&lp.lo, params),
+                hi: Bound::lower(&lp.hi, params),
+            })
+            .collect();
+        CostPlan {
+            loops,
             dist_rank,
             bounds_vary: bounds_read_any(&plan.cost, &kernel.loops[..dist_rank]),
+            tree: FlatTree::new(plan, params, hints),
         }
+    }
+
+    pub(crate) fn dist_rank(&self) -> usize {
+        self.dist_rank
+    }
+
+    /// Each parallel loop's trip extent at a timing-only launch: a
+    /// bound that cannot be evaluated reads as 0 for `lo` and as `lo`
+    /// for `hi`.
+    pub(crate) fn extents(&self, params: &[V], env: &[Option<f64>], out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(self.loops.iter().map(|lp| {
+            let lo = lp.lo.eval(params, env).unwrap_or(0.0);
+            let hi = lp.hi.eval(params, env).unwrap_or(lo);
+            (hi - lo).max(0.0) as u64
+        }));
+    }
+
+    /// Average per-parallel-iteration dynamic cost of one launch.
+    ///
+    /// `env` binds the host variables currently in scope, one slot per
+    /// program variable; the sampled loop variables are bound in it
+    /// while sampling and restored before returning. The tree is
+    /// evaluated once per sample point, or once in all when no bound
+    /// reads a sampled variable; either way every point's cost is
+    /// added to the average, in order, weighted `1/n`.
+    pub(crate) fn dyn_cost(&mut self, params: &[V], env: &mut [Option<f64>]) -> DynCost {
+        let sampled = &self.loops[..self.dist_rank];
+        let mut n = 0;
+        sample(sampled, params, env, &mut n, &mut |_| {});
+        let w = 1.0 / n.max(1) as f64;
+        let mut acc = DynCost::default();
+        if self.bounds_vary {
+            let tree = &mut self.tree;
+            sample(sampled, params, env, &mut 0, &mut |env| {
+                acc.add_scaled(&tree.eval(params, env), w)
+            });
+        } else {
+            let c = self.tree.eval(params, env);
+            for _ in 0..n {
+                acc.add_scaled(&c, w);
+            }
+        }
+        acc
+    }
+}
+
+/// Depth-first walk over the sample points of the distributed loops:
+/// each loop variable takes `{lo, mid, hi-1}` (consecutive duplicates
+/// dropped) under the bindings of the loops outside it, and `leaf`
+/// sees each full binding, in lexicographic order, for the first
+/// [`MAX_SAMPLES`] of them. `n` counts the bindings seen.
+fn sample(
+    loops: &[LoopBounds],
+    params: &[V],
+    env: &mut [Option<f64>],
+    n: &mut usize,
+    leaf: &mut impl FnMut(&mut [Option<f64>]),
+) {
+    let Some((lp, inner)) = loops.split_first() else {
+        leaf(env);
+        *n += 1;
+        return;
+    };
+    let lo = lp.lo.eval(params, env).unwrap_or(0.0);
+    let hi = lp.hi.eval(params, env).unwrap_or(lo + 1.0);
+    let mut last = None;
+    for pt in [lo, (lo + hi) / 2.0, (hi - 1.0).max(lo)] {
+        if last == Some(pt) {
+            continue;
+        }
+        last = Some(pt);
+        if *n == MAX_SAMPLES {
+            return;
+        }
+        let saved = env[lp.slot].replace(pt);
+        // The innermost loop visits its points itself: one more call
+        // per point would cost about as much as the rest of the point.
+        if inner.is_empty() {
+            leaf(env);
+            *n += 1;
+        } else {
+            sample(inner, params, env, n, leaf);
+        }
+        env[lp.slot] = saved;
     }
 }
 
@@ -291,90 +612,6 @@ fn bounds_read_any(t: &CostTree, loops: &[ParallelLoop]) -> bool {
             bounds_read_any(then, loops) || bounds_read_any(els, loops)
         }
     })
-}
-
-/// Average per-parallel-iteration dynamic cost of a kernel launch.
-///
-/// `env` binds the host variables currently in scope, one slot per
-/// program variable; the distributed loop variables are bound in it
-/// while sampling and restored before returning.
-pub fn kernel_dyn_cost(
-    kernel: &Kernel,
-    plan: &KernelPlan,
-    sampling: Sampling,
-    params: &[V],
-    env: &mut [Option<f64>],
-    hints: &CostHints,
-) -> DynCost {
-    let mut s = Sampler {
-        loops: &kernel.loops[..sampling.dist_rank],
-        bounds_vary: sampling.bounds_vary,
-        plan,
-        params,
-        hints,
-        costs: [DynCost::default(); MAX_SAMPLES],
-        n: 0,
-    };
-    s.sample(0, env);
-    let mut acc = DynCost::default();
-    let n = s.n.max(1) as f64;
-    for c in &s.costs[..s.n] {
-        acc.add_scaled(c, 1.0 / n);
-    }
-    acc
-}
-
-/// Depth-first walk over the sample points of the distributed loops:
-/// each loop variable takes `{lo, mid, hi-1}` (consecutive duplicates
-/// dropped) under the bindings of the loops outside it, and the cost
-/// tree is evaluated once per full binding, in lexicographic order,
-/// for the first [`MAX_SAMPLES`] of them. When no bound in the tree
-/// reads a sampled variable, the first evaluation is copied into the
-/// later slots: the walk, the count and the averaging stay the same.
-struct Sampler<'a> {
-    loops: &'a [ParallelLoop],
-    bounds_vary: bool,
-    plan: &'a KernelPlan,
-    params: &'a [V],
-    hints: &'a CostHints,
-    costs: [DynCost; MAX_SAMPLES],
-    n: usize,
-}
-
-impl Sampler<'_> {
-    fn sample(&mut self, level: usize, env: &mut [Option<f64>]) {
-        let Some(lp) = self.loops.get(level) else {
-            self.costs[self.n] = if self.n > 0 && !self.bounds_vary {
-                self.costs[0]
-            } else {
-                let mut ev = TreeEval {
-                    kernel: &self.plan.kernel,
-                    params: self.params,
-                    hints: self.hints,
-                    branch_idx: 0,
-                };
-                ev.eval(&self.plan.cost, env)
-            };
-            self.n += 1;
-            return;
-        };
-        let lo = try_eval(&lp.lo, self.params, env).unwrap_or(0.0);
-        let hi = try_eval(&lp.hi, self.params, env).unwrap_or(lo + 1.0);
-        let slot = lp.var.0 as usize;
-        let mut last = None;
-        for pt in [lo, (lo + hi) / 2.0, (hi - 1.0).max(lo)] {
-            if last == Some(pt) {
-                continue;
-            }
-            last = Some(pt);
-            if self.n == MAX_SAMPLES {
-                return;
-            }
-            let saved = env[slot].replace(pt);
-            self.sample(level + 1, env);
-            env[slot] = saved;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -393,10 +630,67 @@ mod tests {
         vec![None; p.var_names.len()]
     }
 
-    /// The map-based sampler `kernel_dyn_cost` replaced, kept as its
-    /// oracle: every sample point is a cloned environment, built level
-    /// by level and cut to nine after each level. Also returns how many
-    /// points it averaged over.
+    /// The recursive tree walk [`FlatTree`] replaced, kept as its
+    /// oracle: bounds evaluated from their expressions, counts converted
+    /// at every node, hints looked up by name at every branch and loop.
+    fn reference_tree_cost(
+        t: &CostTree,
+        kernel: &str,
+        params: &[V],
+        hints: &CostHints,
+        branch_idx: &mut usize,
+        env: &mut [Option<f64>],
+    ) -> DynCost {
+        let mut out = DynCost::from_counts(&t.flat, t.flat_ldst);
+        for kid in &t.kids {
+            match kid {
+                CostNode::Loop {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    overhead,
+                    body,
+                } => {
+                    let eval = |e: &Expr, env: &[Option<f64>]| {
+                        try_eval(e, params, env).or_else(|| try_eval_mode(e, params, env, true))
+                    };
+                    let (lo_v, hi_v) = (eval(lo, env), eval(hi, env));
+                    let trips = match (lo_v, hi_v) {
+                        (Some(l), Some(h)) => ((h - l) / *step as f64).ceil().max(0.0),
+                        _ => hints.trip_fallback(kernel),
+                    };
+                    // Bind the loop var to its midpoint for the body.
+                    let mid = match (lo_v, hi_v) {
+                        (Some(l), Some(h)) => (l + h) / 2.0,
+                        _ => hints.trip_fallback(kernel) / 2.0,
+                    };
+                    let slot = var.0 as usize;
+                    let saved = env[slot].replace(mid);
+                    let body_cost =
+                        reference_tree_cost(body, kernel, params, hints, branch_idx, env);
+                    env[slot] = saved;
+                    let mut per_iter = body_cost;
+                    per_iter.add_scaled(&DynCost::from_counts(overhead, 0), 1.0);
+                    out.add_scaled(&per_iter, trips);
+                }
+                CostNode::Branch { then, els } => {
+                    let w = hints.branch_weight(kernel, *branch_idx);
+                    *branch_idx += 1;
+                    let t_cost = reference_tree_cost(then, kernel, params, hints, branch_idx, env);
+                    let e_cost = reference_tree_cost(els, kernel, params, hints, branch_idx, env);
+                    out.add_scaled(&t_cost, w);
+                    out.add_scaled(&e_cost, 1.0 - w);
+                }
+            }
+        }
+        out
+    }
+
+    /// The map-based sampler [`CostPlan`] replaced, kept as its oracle:
+    /// every sample point is a cloned environment, built level by level
+    /// and cut to nine after each level, and the tree is walked at each
+    /// one. Also returns how many points it averaged over.
     fn reference_dyn_cost(
         kernel: &Kernel,
         plan: &KernelPlan,
@@ -433,13 +727,9 @@ mod tests {
         let mut acc = DynCost::default();
         let n = samples.len().max(1) as f64;
         for s in &samples {
-            let mut ev = TreeEval {
-                kernel: &plan.kernel,
-                params,
-                hints,
-                branch_idx: 0,
-            };
-            acc.add_scaled(&ev.eval(&plan.cost, &mut dense(s)), 1.0 / n);
+            let mut env = dense(s);
+            let c = reference_tree_cost(&plan.cost, &plan.kernel, params, hints, &mut 0, &mut env);
+            acc.add_scaled(&c, 1.0 / n);
         }
         (acc, samples.len())
     }
@@ -452,9 +742,10 @@ mod tests {
             .collect()
     }
 
-    /// Runs both samplers on one kernel and requires bit-identical
-    /// costs and an environment restored to its bindings on entry.
-    /// Returns the reference's sample count.
+    /// Runs the plan and the reference on one kernel and requires
+    /// bit-identical costs, an environment restored to its bindings on
+    /// entry, and the extents the runner computed before plans: each
+    /// bound through [`try_eval`]. Returns the reference's sample count.
     fn assert_matches_reference(
         p: &Program,
         kernel: &Kernel,
@@ -472,8 +763,8 @@ mod tests {
             env[v.0 as usize] = Some(*x);
         }
         let before = env.clone();
-        let sampling = Sampling::new(kernel, plan, dist_rank);
-        let got = kernel_dyn_cost(kernel, plan, sampling, params, &mut env, hints);
+        let mut cost = CostPlan::new(kernel, plan, dist_rank, params, hints);
+        let got = cost.dyn_cost(params, &mut env);
         assert_eq!(
             bits(&got),
             bits(&want),
@@ -486,7 +777,31 @@ mod tests {
             "{}/{}: bindings not restored",
             p.name, kernel.name
         );
+        let want: Vec<u64> = kernel
+            .loops
+            .iter()
+            .map(|lp| {
+                let lo = try_eval(&lp.lo, params, &env).unwrap_or(0.0);
+                let hi = try_eval(&lp.hi, params, &env).unwrap_or(lo);
+                (hi - lo).max(0.0) as u64
+            })
+            .collect();
+        let mut got = Vec::new();
+        cost.extents(params, &env, &mut got);
+        assert_eq!(got, want, "{}/{} extents", p.name, kernel.name);
         n
+    }
+
+    /// One launch's cost through a plan built for it alone.
+    fn dyn_cost(
+        kernel: &Kernel,
+        plan: &KernelPlan,
+        dist_rank: usize,
+        params: &[V],
+        env: &mut [Option<f64>],
+        hints: &CostHints,
+    ) -> DynCost {
+        CostPlan::new(kernel, plan, dist_rank, params, hints).dyn_cost(params, env)
     }
 
     /// Build `out[i] = sum_{k<n} x[k]` and check the dynamic cost
@@ -522,10 +837,10 @@ mod tests {
         let kernel = c.program.kernel("sum").unwrap();
 
         let cost_at = |nv: i64| {
-            kernel_dyn_cost(
+            dyn_cost(
                 kernel,
                 plan,
-                Sampling::new(kernel, plan, 1),
+                1,
                 &[V::I(nv)],
                 &mut unbound(&c.program),
                 &CostHints::default(),
@@ -562,16 +877,8 @@ mod tests {
         let c = compile(CompilerId::Caps, &p, &CompileOptions::gpu()).unwrap();
         let plan = c.plan("guarded").unwrap();
         let kernel = c.program.kernel("guarded").unwrap();
-        let cost_with = |h: CostHints| {
-            kernel_dyn_cost(
-                kernel,
-                plan,
-                Sampling::new(kernel, plan, 1),
-                &[V::I(64)],
-                &mut unbound(&c.program),
-                &h,
-            )
-        };
+        let cost_with =
+            |h: CostHints| dyn_cost(kernel, plan, 1, &[V::I(64)], &mut unbound(&c.program), &h);
         let dflt = cost_with(CostHints::default());
         let rare = cost_with(CostHints::default().with_branch("guarded", 0, 0.01));
         assert!(dflt.issue_slots() > rare.issue_slots());
@@ -603,10 +910,10 @@ mod tests {
         let plan = c.plan("edges").unwrap();
         let kernel = c.program.kernel("edges").unwrap();
         let cost_with = |t: f64| {
-            kernel_dyn_cost(
+            dyn_cost(
                 kernel,
                 plan,
-                Sampling::new(kernel, plan, 1),
+                1,
                 &[V::I(64)],
                 &mut unbound(&c.program),
                 &CostHints::default().with_trips("edges", t),
@@ -668,8 +975,34 @@ mod tests {
         vars
     }
 
+    /// Parameter values for `p`: every parameter set to `size`.
+    fn params_of(p: &Program, size: f64) -> Vec<V> {
+        p.params
+            .iter()
+            .map(|d| match d.ty {
+                Scalar::F32 | Scalar::F64 => V::F(size),
+                _ => V::I(size as i64),
+            })
+            .collect()
+    }
+
+    fn branch_count(t: &CostTree) -> usize {
+        t.kids
+            .iter()
+            .map(|kid| match kid {
+                CostNode::Loop { body, .. } => branch_count(body),
+                CostNode::Branch { then, els } => 1 + branch_count(then) + branch_count(els),
+            })
+            .sum()
+    }
+
+    /// Every ladder kernel on every personality and target, at three
+    /// sizes, with the host loop variables unbound or at 0, 1 and
+    /// `n - 1` (zero-trip inner loops, single-point samples), under the
+    /// default hints, BFS's, and a 0.3 weight on every branch with a
+    /// trip fallback of 5, at the planned rank and at rank 3.
     #[test]
-    fn in_place_sampler_matches_the_map_based_reference_on_every_ladder_kernel() {
+    fn the_plan_matches_the_map_based_reference_on_every_ladder_kernel() {
         let bfs_hints = CostHints::default()
             .with_branch("bfs_kernel1", 0, 0.05)
             .with_branch("bfs_kernel2", 0, 0.05)
@@ -700,23 +1033,21 @@ mod tests {
                             continue;
                         };
                         checked[ci] += 1;
-                        for (size, at) in [(64.0, 0.0), (1000.0, 3.0), (4096.0, 2047.0)] {
-                            let params: Vec<V> = c
-                                .program
-                                .params
-                                .iter()
-                                .map(|d| match d.ty {
-                                    Scalar::F32 | Scalar::F64 => V::F(size),
-                                    _ => V::I(size as i64),
-                                })
-                                .collect();
-                            let bound: BTreeMap<VarId, f64> =
-                                host_vars.iter().map(|v| (*v, at)).collect();
-                            for host in [BTreeMap::new(), bound] {
-                                for hints in [CostHints::default(), bfs_hints.clone()] {
+                        let skewed = (0..branch_count(&plan.cost))
+                            .fold(CostHints::default().with_trips(&k.name, 5.0), |h, idx| {
+                                h.with_branch(&k.name, idx, 0.3)
+                            });
+                        for size in [64.0, 1000.0, 4096.0] {
+                            let params = params_of(&c.program, size);
+                            let mut hosts = vec![BTreeMap::new()];
+                            for at in [0.0, 1.0, size - 1.0] {
+                                hosts.push(host_vars.iter().map(|v| (*v, at)).collect());
+                            }
+                            for host in &hosts {
+                                for hints in [&CostHints::default(), &bfs_hints, &skewed] {
                                     for rank in [dist_rank_of(&plan.dist, k.rank()), 3] {
                                         assert_matches_reference(
-                                            &c.program, k, plan, rank, &params, &host, &hints,
+                                            &c.program, k, plan, rank, &params, host, hints,
                                         );
                                     }
                                 }
@@ -814,7 +1145,9 @@ mod tests {
                     };
                     for k in c.program.kernels() {
                         let plan = c.plan(&k.name).unwrap();
-                        let s = Sampling::new(k, plan, dist_rank_of(&plan.dist, k.rank()));
+                        let rank = dist_rank_of(&plan.dist, k.rank());
+                        let params = params_of(&c.program, 64.0);
+                        let s = CostPlan::new(k, plan, rank, &params, &CostHints::default());
                         assert!(!s.bounds_vary, "{id:?} {}: {s:?}", k.name);
                         *checked.entry(k.name.clone()).or_insert(0) += 1;
                     }
@@ -828,21 +1161,21 @@ mod tests {
         );
     }
 
-    /// Checks that `sampling` says the bounds vary, that the sampler
-    /// matches the reference over `samples` points, and that copying the
-    /// first point's cost instead would change the result.
+    /// Checks that the plan at `rank` says the bounds vary, that it
+    /// matches the reference over `samples` points, and that evaluating
+    /// the tree once instead would change the result.
     fn assert_samples_differ(
         p: &Program,
         kernel: &Kernel,
         plan: &KernelPlan,
-        sampling: Sampling,
+        rank: usize,
         samples: usize,
     ) {
-        assert!(sampling.bounds_vary, "{}: {sampling:?}", kernel.name);
-        let rank = sampling.dist_rank;
         let params = [V::I(64)];
         let none = BTreeMap::new();
         let hints = CostHints::default();
+        let mut cost = CostPlan::new(kernel, plan, rank, &params, &hints);
+        assert!(cost.bounds_vary, "{}: {cost:?}", kernel.name);
         let n = assert_matches_reference(p, kernel, plan, rank, &params, &none, &hints);
         assert_eq!(n, samples);
         let (want, _) = reference_dyn_cost(
@@ -854,18 +1187,9 @@ mod tests {
             &hints,
             p.var_names.len(),
         );
-        let copied = kernel_dyn_cost(
-            kernel,
-            plan,
-            Sampling {
-                bounds_vary: false,
-                ..sampling
-            },
-            &params,
-            &mut unbound(p),
-            &hints,
-        );
-        assert_ne!(bits(&copied), bits(&want), "{}", kernel.name);
+        cost.bounds_vary = false;
+        let once = cost.dyn_cost(&params, &mut unbound(p));
+        assert_ne!(bits(&once), bits(&want), "{}", kernel.name);
     }
 
     /// `tri3`'s inner bounds read `j` and `k`. Serialized, its cost tree
@@ -881,18 +1205,14 @@ mod tests {
         .unwrap();
         let plan = c.plan("tri3").unwrap();
         let kernel = c.program.kernel("tri3").unwrap();
+        let hints = CostHints::default();
+        let at = |rank| CostPlan::new(kernel, plan, rank, &[V::I(64)], &hints);
         for rank in [2, 3] {
-            assert!(Sampling::new(kernel, plan, rank).bounds_vary, "rank {rank}");
+            assert!(at(rank).bounds_vary, "rank {rank}");
         }
-        let none = Sampling::new(kernel, plan, 0);
-        assert_eq!(
-            none,
-            Sampling {
-                dist_rank: 0,
-                bounds_vary: false
-            }
-        );
-        assert_eq!(Sampling::new(kernel, plan, 7).dist_rank, 3, "clamped");
+        let none = at(0);
+        assert_eq!((none.dist_rank, none.bounds_vary), (0, false));
+        assert_eq!(at(7).dist_rank(), 3, "clamped");
 
         let c = compile(
             CompilerId::Caps,
@@ -906,13 +1226,7 @@ mod tests {
         let rank = dist_rank_of(&plan.dist, kernel.rank());
         assert_eq!(rank, 2);
         // i takes {0, 32, 63}, j three points unless its range is empty.
-        assert_samples_differ(
-            &c.program,
-            kernel,
-            plan,
-            Sampling::new(kernel, plan, rank),
-            7,
-        );
+        assert_samples_differ(&c.program, kernel, plan, rank, 7);
     }
 
     /// `if x[i] > 0 { for m in i..n { s += x[m] } }`: the distributed
@@ -958,19 +1272,20 @@ mod tests {
             "the loop sits inside a branch arm: {:?}",
             plan.cost
         );
-        assert_samples_differ(&c.program, kernel, plan, Sampling::new(kernel, plan, 1), 3);
+        assert_samples_differ(&c.program, kernel, plan, 1, 3);
     }
 
     /// A distributed loop whose bounds read memory (BFS-style edge
     /// ranges) falls back to `{0, 0.5}`, and a serialized one to the
-    /// kernel's trip hint; both must agree with the reference.
+    /// kernel's trip hint, its variable bound to half the hint for the
+    /// inner loop that reads it; all must agree with the reference.
     #[test]
     fn data_dependent_bounds_match_the_reference() {
         let mut b = ProgramBuilder::new("p");
         let n = b.iparam("n");
         let nodes = b.array("nodes", Scalar::I32, n, Intent::In);
         let out = b.array("out", Scalar::F32, n, Intent::Out);
-        let (i, j, e) = (b.var("i"), b.var("j"), b.var("e"));
+        let (i, j, e, f) = (b.var("i"), b.var("j"), b.var("e"), b.var("f"));
         let loops = vec![
             ParallelLoop::new(i, Expr::iconst(0), Expr::param(n)),
             ParallelLoop::new(j, ld(nodes, i).0, (ld(nodes, i) + 2i64).0),
@@ -982,7 +1297,7 @@ mod tests {
                 e,
                 ld(nodes, j),
                 ld(nodes, j) + 4i64,
-                vec![st(out, i, 1.0)],
+                vec![for_(f, 0i64, E::from(e), vec![st(out, i, 1.0)])],
             )]),
         );
         let p = b.finish(vec![HostStmt::Launch(k)]);

@@ -60,7 +60,7 @@ pub mod timing;
 
 pub use bytecode::{compile_kernel, exec_kernel_bc, exec_kernel_tiered, KernelCode};
 pub use device::{amd_firepro, host_cpu, k40, phi5110p, spec_for, DeviceSpec, ParallelUnit};
-pub use dyncost::{kernel_dyn_cost, CostHints, DynCost, Sampling};
+pub use dyncost::{CostHints, DynCost};
 pub use heatmap::{sweep, HeatMap};
 pub use interp::{exec_kernel_traced, fresh_vars, KernelFidelity, V};
 pub use memory::{Buffer, MemLoc, TransferLedger};

@@ -4,7 +4,7 @@
 //! execution of every kernel so results can be validated.
 
 use crate::device::{host_cpu, spec_for, DeviceSpec};
-use crate::dyncost::{kernel_dyn_cost, CostHints, DynCost, Sampling};
+use crate::dyncost::{CostHints, CostPlan, DynCost};
 use crate::interp::{exec_kernel_traced, fresh_vars, KernelFidelity, V};
 use crate::memory::{Buffer, TransferLedger};
 use crate::race::{Race, RaceTracker};
@@ -274,11 +274,14 @@ fn run_inner(c: &CompiledProgram, cfg: &RunConfig) -> Result<RunResult, String> 
     r.finish()
 }
 
-/// What one kernel launch needs beyond its own loop extents, built at
-/// the kernel's first launch in a run and reused by every later one.
+/// What one kernel launch needs, built at the kernel's first launch in
+/// a run and reused by every later one.
 struct Launched<'a> {
+    /// The kernel of the `Launch` this entry was built for.
+    kernel: &'a Kernel,
     plan: &'a KernelPlan,
-    sampling: Sampling,
+    /// The kernel's timing path for this run.
+    cost: CostPlan<'a>,
     /// The launch dimensions of the latest launch and their shape
     /// terms, recomputed only when the dimensions change.
     shape: Option<(LaunchDims, LaunchShape)>,
@@ -306,7 +309,7 @@ struct Runner<'a> {
     dev: Vec<Buffer>,
     vars: Vec<Option<V>>,
     /// Host variables as the timing model sees them, one slot per
-    /// program variable; [`kernel_dyn_cost`] samples in it in place.
+    /// program variable; [`CostPlan::dyn_cost`] samples in it in place.
     env: Vec<Option<f64>>,
     resident: Vec<bool>,
     host_valid: Vec<bool>,
@@ -511,7 +514,7 @@ impl<'a> Runner<'a> {
         }
     }
 
-    fn host_stmt(&mut self, s: &HostStmt) -> Result<(), String> {
+    fn host_stmt(&mut self, s: &'a HostStmt) -> Result<(), String> {
         match s {
             HostStmt::DataRegion { arrays, body } => {
                 for a in arrays {
@@ -680,6 +683,11 @@ impl<'a> Runner<'a> {
         }
     }
 
+    fn cost_plan(&self, k: &'a Kernel, plan: &'a KernelPlan) -> CostPlan<'a> {
+        let dist_rank = dist_rank_of(&plan.dist, k.rank());
+        CostPlan::new(k, plan, dist_rank, &self.params, &self.cfg.hints)
+    }
+
     fn eval_host(&mut self, e: &paccport_ir::Expr) -> V {
         let scope = crate::interp::Scope {
             vars: &mut self.vars,
@@ -705,7 +713,7 @@ impl<'a> Runner<'a> {
         }
     }
 
-    fn launch(&mut self, k: &Kernel) -> Result<(), String> {
+    fn launch(&mut self, k: &'a Kernel) -> Result<(), String> {
         if paccport_faults::active() {
             let scope = self
                 .cfg
@@ -725,9 +733,25 @@ impl<'a> Runner<'a> {
                 paccport_faults::hang();
             }
         }
-        // Kernels are identified by name, as plans are.
-        let idx = match self.kernels.iter().position(|e| e.stat.name == k.name) {
-            Some(idx) => idx,
+        // Kernels are identified by name, as plans are; a relaunch from
+        // the same `Launch` is found by identity first.
+        let by_name = || self.kernels.iter().position(|e| e.stat.name == k.name);
+        let found = self
+            .kernels
+            .iter()
+            .position(|e| std::ptr::eq(e.kernel, k))
+            .or_else(by_name);
+        let idx = match found {
+            Some(idx) => {
+                let Launched { kernel, plan, .. } = self.kernels[idx];
+                if !std::ptr::eq(kernel, k) && kernel.loops != k.loops {
+                    // Another `Launch` of the name, over other loops.
+                    let cost = self.cost_plan(k, plan);
+                    let e = &mut self.kernels[idx];
+                    (e.kernel, e.cost) = (k, cost);
+                }
+                idx
+            }
             None => {
                 let plan = self
                     .c
@@ -735,8 +759,9 @@ impl<'a> Runner<'a> {
                     .ok_or_else(|| format!("no plan for kernel `{}`", k.name))?;
                 let (reads, writes) = kernel_reads_writes(k);
                 self.kernels.push(Launched {
+                    kernel: k,
                     plan,
-                    sampling: Sampling::new(k, plan, dist_rank_of(&plan.dist, k.rank())),
+                    cost: self.cost_plan(k, plan),
                     shape: None,
                     touched: reads
                         .union(&writes)
@@ -755,14 +780,20 @@ impl<'a> Runner<'a> {
                 self.kernels.len() - 1
             }
         };
-        let Launched { plan, sampling, .. } = self.kernels[idx];
+        let plan = self.kernels[idx].plan;
+        let dist_rank = self.kernels[idx].cost.dist_rank();
         // Evaluate loop extents with host variables.
         let mut extents = std::mem::take(&mut self.extents);
-        extents.clear();
-        for lp in &k.loops {
-            let lo = self.try_eval_host_f(&lp.lo).unwrap_or(0.0);
-            let hi = self.try_eval_host_f(&lp.hi).unwrap_or(lo);
-            extents.push((hi - lo).max(0.0) as u64);
+        if self.functional {
+            extents.clear();
+            for lp in &k.loops {
+                let lo = self.try_eval_host_f(&lp.lo).unwrap_or(0.0);
+                let hi = self.try_eval_host_f(&lp.hi).unwrap_or(lo);
+                extents.push((hi - lo).max(0.0) as u64);
+            }
+        } else {
+            let cost = &self.kernels[idx].cost;
+            cost.extents(&self.params, &self.env, &mut extents);
         }
         let dims = plan.dist.launch_dims(&extents);
         // Serialized executions carry a cost tree that already covers
@@ -780,23 +811,16 @@ impl<'a> Runner<'a> {
                 }
                 DistSpec::Grouped { .. } => dims.total_threads(),
                 _ => {
-                    if sampling.dist_rank == 0 {
+                    if dist_rank == 0 {
                         1
                     } else {
-                        extents.iter().take(sampling.dist_rank).product()
+                        extents.iter().take(dist_rank).product()
                     }
                 }
             }
         };
         self.extents = extents;
-        let per_iter: DynCost = kernel_dyn_cost(
-            k,
-            plan,
-            sampling,
-            &self.params,
-            &mut self.env,
-            &self.cfg.hints,
-        );
+        let per_iter: DynCost = self.kernels[idx].cost.dyn_cost(&self.params, &mut self.env);
         let shape = match self.kernels[idx].shape {
             Some((last, shape)) if last == dims => shape,
             _ => {
@@ -1313,6 +1337,44 @@ mod tests {
                 assert_eq!(*msg, want, "{tier:?}");
             }
         }
+    }
+
+    /// Modeled time of `saxpy` launched once from each of `sites`.
+    fn saxpy_sites(sites: Vec<HostStmt>) -> RunResult {
+        let mut p = saxpy_program(true);
+        p.body = sites;
+        let c = compile(CompilerId::Caps, &p, &CompileOptions::gpu()).unwrap();
+        run(&c, &RunConfig::timing(vec![("n".into(), 4e6)], 1)).unwrap()
+    }
+
+    #[test]
+    fn one_kernel_launched_from_two_sites_keeps_one_stat() {
+        let p = saxpy_program(true);
+        let HostStmt::Launch(k) = &p.body[0] else {
+            panic!("saxpy is one launch")
+        };
+        let one = saxpy_sites(vec![HostStmt::Launch(k.clone())]);
+        let t = one.kernel_stats[0].device_time;
+        let two = saxpy_sites(vec![
+            HostStmt::Launch(k.clone()),
+            HostStmt::Launch(k.clone()),
+        ]);
+        assert_eq!(two.kernel_stats.len(), 1, "{:?}", two.kernel_stats);
+        let stat = &two.kernel_stats[0];
+        assert_eq!((stat.name.as_str(), stat.launches), ("saxpy", 2));
+        assert_eq!(stat.device_time.to_bits(), (t + t).to_bits());
+        // The second site's own loops set its extents: half the range.
+        let mut half = k.clone();
+        half.loops[0].hi = (E::from(Expr::param(paccport_ir::ParamId(0))) / 2i64).0;
+        let t_half = saxpy_sites(vec![HostStmt::Launch(half.clone())]).kernel_stats[0].device_time;
+        let mixed = saxpy_sites(vec![HostStmt::Launch(k.clone()), HostStmt::Launch(half)]);
+        assert_eq!(mixed.kernel_stats.len(), 1);
+        assert_eq!(mixed.kernel_stats[0].launches, 2);
+        assert_eq!(
+            mixed.kernel_stats[0].device_time.to_bits(),
+            (t + t_half).to_bits()
+        );
+        assert!(t_half < t);
     }
 
     #[test]

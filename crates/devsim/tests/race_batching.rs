@@ -247,6 +247,32 @@ fn lazy_select_arms_log_only_the_taken_side() {
     // The outer condition loads once; taken inner arms load twice more
     // plus one arm; every lane stores once.
     assert!(seen.accesses > 2 * N as u64 && seen.accesses < 5 * N as u64);
+
+    // A lane-invariant condition (a host variable) takes the same arm
+    // on every lane: the other arm's loads are never logged. The arms
+    // load twice and once, so logging the wrong one changes the count.
+    let mut b = ProgramBuilder::new("pick");
+    let x = b.array("x", Scalar::F32, N + 1, Intent::In);
+    let y = b.array("y", Scalar::F32, N, Intent::In);
+    let o = b.array("o", Scalar::F32, N, Intent::Out);
+    let (j, s) = (b.var("j"), b.var("s"));
+    let pick = E::from(s)
+        .gt(0i64)
+        .select(ld(x, j) + ld(x, E::from(j) + 1i64), ld(y, j));
+    let k = simple("pick", vec![par(j, 0i64, N)], vec![st(o, j, pick)]);
+    let p = b.finish(vec![paccport_ir::HostStmt::Launch(k)]);
+    let bufs = [
+        f32s((N + 1) as usize, |e| e as f32),
+        f32s(N as usize, |e| -(e as f32)),
+        f32s(N as usize, |_| 0.0),
+    ];
+    for (on, per_lane) in [(0, 2), (1, 3)] {
+        let mut vars = fresh_vars(&p);
+        vars[s.0 as usize] = Some(V::I(on));
+        let (seen, lanes) = both_tiers(&p, &vars, &[], &bufs);
+        assert_eq!(lanes, N as u64);
+        assert_eq!(seen.accesses, per_lane * N as u64, "s = {on}");
+    }
 }
 
 #[test]

@@ -1,19 +1,23 @@
 //! Golden-bits regression test for the analytic timing model.
 //!
 //! Every `f64` the model produces for a fixed set of paper cells at
-//! quick scale (`n = 512`) is pinned by its IEEE-754 bit pattern: the
-//! Fig. 3 LUD ladder, the corner cells of the three Fig. 4 heat maps
-//! (1×1, 256×16, 1024×64), the Fig. 7 GE ladder and the OpenARC LUD
-//! cells of the auto-tuning extension (hand `thread_dist(256, 16)` and
-//! the baseline it tunes, on both devices). Any change to the
-//! launch path — plan lookup, sampling order, summation order — that
+//! quick scale is pinned by its IEEE-754 bit pattern: the Fig. 3 LUD
+//! ladder, the corner cells of the three Fig. 4 heat maps (1×1,
+//! 256×16, 1024×64), the Fig. 7 GE ladder and the OpenARC LUD cells of
+//! the auto-tuning extension (hand `thread_dist(256, 16)` and the
+//! baseline it tunes, on both devices), all at `n = 512`; the Fig. 10
+//! BFS cells (branch-weight and trip-fallback hints, bounds that read
+//! memory) at 500,000 nodes; and the Fig. 15 Hydro cells (many
+//! kernels, bounds that are general expressions of several
+//! parameters) on a 128×128 grid. Any change to the launch path —
+//! plan lookup, bound lowering, sampling order, summation order — that
 //! moves a single bit of a modeled time fails here, even where the
 //! rendered figures (three decimals) would not show it.
 
-use paccport_compilers::{compile, CompileOptions, CompilerId, Flag};
+use paccport_compilers::{compile, CompileOptions, CompilerId, Flag, HostCompiler};
 use paccport_devsim::{run, RunConfig};
 use paccport_ir::Program;
-use paccport_kernels::{gaussian, lud, VariantCfg};
+use paccport_kernels::{bfs, gaussian, lud, VariantCfg};
 
 const N: f64 = 512.0;
 
@@ -28,8 +32,24 @@ fn series() -> [(&'static str, CompilerId, CompileOptions); 3] {
 /// One line per cell: the four run totals and every kernel's launch
 /// count and device time, all as hex bit patterns.
 fn render(label: &str, compiler: CompilerId, opts: &CompileOptions, p: &Program) -> String {
+    render_with(
+        label,
+        compiler,
+        opts,
+        p,
+        &RunConfig::timing(vec![("n".into(), N)], 1),
+    )
+}
+
+fn render_with(
+    label: &str,
+    compiler: CompilerId,
+    opts: &CompileOptions,
+    p: &Program,
+    cfg: &RunConfig,
+) -> String {
     let c = compile(compiler, p, opts).expect("paper cells compile");
-    let r = run(&c, &RunConfig::timing(vec![("n".into(), N)], 1)).expect("timing run");
+    let r = run(&c, cfg).expect("timing run");
     let mut line = format!(
         "{label} elapsed={:016x} kernel={:016x} transfer={:016x} host={:016x}",
         r.elapsed.to_bits(),
@@ -168,6 +188,101 @@ fn ext1() -> Vec<String> {
     out
 }
 
+/// Fig. 10 at quick scale: 500,000 nodes of average degree 4, ten
+/// frontier levels, and the hints the figure runs with (a 0.1 branch
+/// weight on both kernels, a trip fallback of 5 for the data-dependent
+/// edge loop of `bfs_kernel1`).
+fn fig10() -> Vec<String> {
+    let (n, degree, levels) = (500_000.0, 4.0, 10);
+    let cfg = RunConfig::timing(
+        vec![
+            ("n".into(), n),
+            ("nedges".into(), n * (degree + 1.0)),
+            ("source".into(), 0.0),
+        ],
+        levels,
+    )
+    .with_hints(bfs::hints(degree + 1.0, 1.0 / levels as f64));
+    let mut out = Vec::new();
+    for (variant, vc) in [
+        ("Base", VariantCfg::baseline()),
+        ("Indep", VariantCfg::independent()),
+    ] {
+        let p = bfs::program(&vc);
+        for (s, id, opts) in series() {
+            out.push(render_with(
+                &format!("fig10 {s}/{variant}"),
+                id,
+                &opts,
+                &p,
+                &cfg,
+            ));
+        }
+    }
+    let p = bfs::opencl_program();
+    for (s, opts) in [
+        ("OCL-K40", CompileOptions::gpu()),
+        ("OCL-5110P", CompileOptions::mic()),
+    ] {
+        out.push(render_with(
+            &format!("fig10 {s}/OCL"),
+            CompilerId::OpenClHand,
+            &opts,
+            &p,
+            &cfg,
+        ));
+    }
+    out
+}
+
+/// Fig. 15 at quick scale: a 128×128 grid, two steps, CAPS on both
+/// devices with either host compiler, and the hand-written OpenCL.
+fn fig15() -> Vec<String> {
+    use paccport_hydro::{program, timing_run_config, HydroVariant};
+    let cfg = timing_run_config(128, 128, 2);
+    let mut out = Vec::new();
+    for (variant, hv) in [
+        ("Base", HydroVariant::Baseline),
+        ("Indep+Dist", HydroVariant::Optimized),
+    ] {
+        let p = program(hv);
+        for (s, opts) in [
+            ("ACC-K40-GCC", CompileOptions::gpu()),
+            (
+                "ACC-K40-ICC",
+                CompileOptions::gpu().with_host_compiler(HostCompiler::Intel),
+            ),
+            ("ACC-5110P-GCC", CompileOptions::mic()),
+            (
+                "ACC-5110P-ICC",
+                CompileOptions::mic().with_host_compiler(HostCompiler::Intel),
+            ),
+        ] {
+            out.push(render_with(
+                &format!("fig15 {s}/{variant}"),
+                CompilerId::Caps,
+                &opts,
+                &p,
+                &cfg,
+            ));
+        }
+    }
+    let p = program(HydroVariant::OpenCl);
+    for (s, opts) in [
+        ("OCL-K40", CompileOptions::gpu()),
+        ("OCL-5110P", CompileOptions::mic()),
+    ] {
+        out.push(render_with(
+            &format!("fig15 {s}/OCL"),
+            CompilerId::OpenClHand,
+            &opts,
+            &p,
+            &cfg,
+        ));
+    }
+    out
+}
+
 /// The model's outputs for every cell, as bit patterns. A change to the
 /// launch path must leave each one intact; only a deliberate change to
 /// the model itself may rewrite this table.
@@ -216,6 +331,24 @@ const GOLDEN: &[&str] = &[
     "ext1 OpenARC-5110P/Hand elapsed=3f953aaef05823d8 kernel=3f94c23f162c532d transfer=3f3e1bf68af42ad9 host=0000000000000000 lud_row:512:3f84beda293a196e lud_col:512:3f84c5a4031e8cf8",
     "ext1 OpenARC-K40/Base elapsed=3f8680f8f5e9e38c kernel=3f85bd233d2fbcd4 transfer=3f387ab71744d70b host=0000000000000000 lud_row:512:3f75be67a4ceb479 lud_col:512:3f75bbded590c534",
     "ext1 OpenARC-5110P/Base elapsed=3f99dec384863b1d kernel=3f996653aa5a6a72 transfer=3f3e1bf68af42ad9 host=0000000000000000 lud_row:512:3f891357cb98f022 lud_col:512:3f89b94f891be4ac",
+    "fig10 CAPS-CUDA-K40/Base elapsed=3fe8b37d965e816f kernel=3fe87c43f56fa5a0 transfer=3f7b9cd0776de758 host=0000000000000000 bfs_init:1:3ee0f4107ff75380 bfs_kernel1:10:3fe0193c7c8810db bfs_kernel2:10:3fd0c5ed09ae299d",
+    "fig10 CAPS-OCL-5110P/Base elapsed=3fcfb340c437ca41 kernel=3fcea3eef540b453 transfer=3f80f51cef715ee3 host=0000000000000000 bfs_init:1:3eef832813198d45 bfs_kernel1:10:3fc423a42f1ed17c bfs_kernel2:10:3fb4ff9973032cdb",
+    "fig10 PGI-K40/Base elapsed=3fc2fe292a09ad97 kernel=0000000000000000 transfer=3f68f81e8a2ec28c host=3fc29a48afe0f28d bfs_init:1:3e49c511dc3a41df bfs_kernel1:10:3fb8d4fe2cfa6d52 bfs_kernel2:10:3fa8bf25fe7aa821",
+    "fig10 CAPS-CUDA-K40/Indep elapsed=3f7eab33f64fc076 kernel=3f48731bf70ec8f0 transfer=3f7b9cd0776de758 host=0000000000000000 bfs_init:1:3ee0e53328a9f5e6 bfs_kernel1:10:3f3f359a12db2fdb bfs_kernel2:10:3f31297441fd1254",
+    "fig10 CAPS-OCL-5110P/Indep elapsed=3f853f6262ee034e kernel=3f612915cdf291ad transfer=3f80f51cef715ee3 host=0000000000000000 bfs_init:1:3ef2172ec5bb35a1 bfs_kernel1:10:3f54717d70c40d61 bfs_kernel2:10:3f4b30a2e0145247",
+    "fig10 PGI-K40/Indep elapsed=3fc2fe292a09ad97 kernel=0000000000000000 transfer=3f68f81e8a2ec28c host=3fc29a48afe0f28d bfs_init:1:3e49c511dc3a41df bfs_kernel1:10:3fb8d4fe2cfa6d52 bfs_kernel2:10:3fa8bf25fe7aa821",
+    "fig10 OCL-K40/OCL elapsed=3f70a997347a34a4 kernel=3f498edec5ad7b5e transfer=3f6aef76b7890a70 host=0000000000000000 bfs_init:1:3ee0e0d677a40409 bfs_kernel1:10:3f4080d41a358ca1 bfs_kernel2:10:3f31950ea332bd5c",
+    "fig10 OCL-5110P/OCL elapsed=3f78cd98db0e3988 kernel=3f602ec7ccec0fc1 transfer=3f70b634f49831a7 host=0000000000000000 bfs_init:1:3ef3c559bbde121a bfs_kernel1:10:3f5391de729fe8f7 bfs_kernel2:10:3f48f93780917c85",
+    "fig15 ACC-K40-GCC/Base elapsed=3fd166f91326ce4b kernel=3fd160fb178de632 transfer=3f2d7b65fcdf0e44 host=3f227476ca61b882 courant:2:3f83e8e8eac3357d boundary_x:2:3f358a337db971da constoprim_x:2:3f865027cf6ba75d eos_x:2:3f7a5b06472818df slope_x:2:3f9563f0d1750e5b trace_x:2:3f95f3ec3a3f2fda qleftright_x:2:3f8f4af83aa88c40 riemann_x:2:3f82bcf77de1936a cmpflx_x:2:3f9ff793ed29b0f5 update_x:2:3f8d0965af5c4e8b boundary_y:2:3f37c12306a67383 constoprim_y:2:3f865027cf6ba75d eos_y:2:3f7a5b06472818df slope_y:2:3f9683d674fd6933 trace_y:2:3f95f3ec3a3f2fda qleftright_y:2:3f9034537753fd0a riemann_y:2:3f82bcf77de1936a cmpflx_y:2:3f9ff793ed29b0f5 update_y:2:3f8e1c466ddebbf4",
+    "fig15 ACC-K40-ICC/Base elapsed=3fd1661b9d9551b6 kernel=3fd160fb178de632 transfer=3f2d7b65fcdf0e44 host=3f1711947cfa26a2 courant:2:3f83e8e8eac3357d boundary_x:2:3f358a337db971da constoprim_x:2:3f865027cf6ba75d eos_x:2:3f7a5b06472818df slope_x:2:3f9563f0d1750e5b trace_x:2:3f95f3ec3a3f2fda qleftright_x:2:3f8f4af83aa88c40 riemann_x:2:3f82bcf77de1936a cmpflx_x:2:3f9ff793ed29b0f5 update_x:2:3f8d0965af5c4e8b boundary_y:2:3f37c12306a67383 constoprim_y:2:3f865027cf6ba75d eos_y:2:3f7a5b06472818df slope_y:2:3f9683d674fd6933 trace_y:2:3f95f3ec3a3f2fda qleftright_y:2:3f9034537753fd0a riemann_y:2:3f82bcf77de1936a cmpflx_y:2:3f9ff793ed29b0f5 update_y:2:3f8e1c466ddebbf4",
+    "fig15 ACC-5110P-GCC/Base elapsed=3fb5f74f30ae8d61 kernel=3fb5d85b0ae8914f transfer=3f35b9ea60cb35b7 host=3f227476ca61b882 courant:2:3f691790eb4a3b63 boundary_x:2:3f20bd3c8bf76f8e constoprim_x:2:3f6c189f891cc9ba eos_x:2:3f60ad51b24f4812 slope_x:2:3f7ad723e8bd6e35 trace_x:2:3f7b8b1e2bba1814 qleftright_x:2:3f73a912079473ea riemann_x:2:3f67a0a3233030ca cmpflx_x:2:3f8407d7e5af9cbc update_x:2:3f7240167084cd59 boundary_y:2:3f221f92418b9098 constoprim_y:2:3f6c189f891cc9ba eos_y:2:3f60ad51b24f4812 slope_y:2:3f7c3f02f527dfc3 trace_y:2:3f7b8b1e2bba1814 qleftright_y:2:3f745b9f38141890 riemann_y:2:3f67a0a3233030ca cmpflx_y:2:3f8407d7e5af9cbc update_y:2:3f72ebe2e79651bb",
+    "fig15 ACC-5110P-ICC/Base elapsed=3fb5f3d95a689b0f kernel=3fb5d85b0ae8914f transfer=3f35b9ea60cb35b7 host=3f1711947cfa26a2 courant:2:3f691790eb4a3b63 boundary_x:2:3f20bd3c8bf76f8e constoprim_x:2:3f6c189f891cc9ba eos_x:2:3f60ad51b24f4812 slope_x:2:3f7ad723e8bd6e35 trace_x:2:3f7b8b1e2bba1814 qleftright_x:2:3f73a912079473ea riemann_x:2:3f67a0a3233030ca cmpflx_x:2:3f8407d7e5af9cbc update_x:2:3f7240167084cd59 boundary_y:2:3f221f92418b9098 constoprim_y:2:3f6c189f891cc9ba eos_y:2:3f60ad51b24f4812 slope_y:2:3f7c3f02f527dfc3 trace_y:2:3f7b8b1e2bba1814 qleftright_y:2:3f745b9f38141890 riemann_y:2:3f67a0a3233030ca cmpflx_y:2:3f8407d7e5af9cbc update_y:2:3f72ebe2e79651bb",
+    "fig15 ACC-K40-GCC/Indep+Dist elapsed=3f4c31fd22f84630 kernel=3f403605f128147f transfer=3f2d7b65fcdf0e44 host=3f227476ca61b882 courant:2:3ef50c7428edc6ac boundary_x:2:3ef3f9aa0a0a1473 constoprim_x:2:3ef82cf834581869 eos_x:2:3ef566b7fcfb4856 slope_x:2:3eff5993ea4aae94 trace_x:2:3f035171078a878b qleftright_x:2:3eff3ce17b72e43c riemann_x:2:3ef71a8df0689979 cmpflx_x:2:3efc86c5a26f75fa update_x:2:3efe721fbb023df2 boundary_y:2:3ef3f9aa0a0a1473 constoprim_y:2:3ef82cf834581869 eos_y:2:3ef566b7fcfb4856 slope_y:2:3eff5993ea4aae94 trace_y:2:3f035171078a878b qleftright_y:2:3eff3ce17b72e43c riemann_y:2:3ef71a8df0689979 cmpflx_y:2:3efc86c5a26f75fa update_y:2:3efe721fbb023df2",
+    "fig15 ACC-K40-ICC/Indep+Dist elapsed=3f4a7711ffff1ce4 kernel=3f403605f128147f transfer=3f2d7b65fcdf0e44 host=3f1711947cfa26a2 courant:2:3ef50c7428edc6ac boundary_x:2:3ef3f9aa0a0a1473 constoprim_x:2:3ef82cf834581869 eos_x:2:3ef566b7fcfb4856 slope_x:2:3eff5993ea4aae94 trace_x:2:3f035171078a878b qleftright_x:2:3eff3ce17b72e43c riemann_x:2:3ef71a8df0689979 cmpflx_x:2:3efc86c5a26f75fa update_x:2:3efe721fbb023df2 boundary_y:2:3ef3f9aa0a0a1473 constoprim_y:2:3ef82cf834581869 eos_y:2:3ef566b7fcfb4856 slope_y:2:3eff5993ea4aae94 trace_y:2:3f035171078a878b qleftright_y:2:3eff3ce17b72e43c riemann_y:2:3ef71a8df0689979 cmpflx_y:2:3efc86c5a26f75fa update_y:2:3efe721fbb023df2",
+    "fig15 ACC-5110P-GCC/Indep+Dist elapsed=3f5f2f521f7eedbf kernel=3f577248adffe941 transfer=3f35b9ea60cb35b7 host=3f227476ca61b882 courant:2:3f106bb301749f39 boundary_x:2:3f162c1155e8bfc8 constoprim_x:2:3f102c59358c9002 eos_x:2:3f0a933a6b1c13ee slope_x:2:3f154e9bc46c2b21 trace_x:2:3f16ebffc2ee51ad qleftright_x:2:3f13ddc734cc2953 riemann_x:2:3f0ea031c1cc9c2e cmpflx_x:2:3f1b46ad637af99b update_x:2:3f13c6b154cc3522 boundary_y:2:3f178e670b7ce0d1 constoprim_y:2:3f102c59358c9002 eos_y:2:3f0a933a6b1c13ee slope_y:2:3f15da31e52a66b1 trace_y:2:3f16ebffc2ee51ad qleftright_y:2:3f142308d4cc05e4 riemann_y:2:3f0ea031c1cc9c2e cmpflx_y:2:3f1b46ad637af99b update_y:2:3f141c979054f753",
+    "fig15 ACC-5110P-ICC/Indep+Dist elapsed=3f5e51dc8e025919 kernel=3f577248adffe941 transfer=3f35b9ea60cb35b7 host=3f1711947cfa26a2 courant:2:3f106bb301749f39 boundary_x:2:3f162c1155e8bfc8 constoprim_x:2:3f102c59358c9002 eos_x:2:3f0a933a6b1c13ee slope_x:2:3f154e9bc46c2b21 trace_x:2:3f16ebffc2ee51ad qleftright_x:2:3f13ddc734cc2953 riemann_x:2:3f0ea031c1cc9c2e cmpflx_x:2:3f1b46ad637af99b update_x:2:3f13c6b154cc3522 boundary_y:2:3f178e670b7ce0d1 constoprim_y:2:3f102c59358c9002 eos_y:2:3f0a933a6b1c13ee slope_y:2:3f15da31e52a66b1 trace_y:2:3f16ebffc2ee51ad qleftright_y:2:3f142308d4cc05e4 riemann_y:2:3f0ea031c1cc9c2e cmpflx_y:2:3f1b46ad637af99b update_y:2:3f141c979054f753",
+    "fig15 OCL-K40/OCL elapsed=3f4e871b707db718 kernel=3f428b243ead8566 transfer=3f2d7b65fcdf0e44 host=3f227476ca61b882 courant:2:3ef53303f594e9ba boundary_x:2:3ef41689168ab3eb constoprim_x:2:3ef86d3e96d26fa3 eos_x:2:3ef58ee3fa87beda slope_x:2:3f106fba2380ec8a trace_x:2:3f03b064a4a7fcc3 qleftright_x:2:3effba8253337772 riemann_x:2:3ef751844eccd9e0 cmpflx_x:2:3efcecd851bbed96 update_x:2:3efeed857d191486 boundary_y:2:3ef41689168ab3eb constoprim_y:2:3ef86d3e96d26fa3 eos_y:2:3ef58ee3fa87beda slope_y:2:3f106fba2380ec8a trace_y:2:3f03b064a4a7fcc3 qleftright_y:2:3effba8253337772 riemann_y:2:3ef751844eccd9e0 cmpflx_y:2:3efcecd851bbed96 update_y:2:3efeed857d191486",
+    "fig15 OCL-5110P/OCL elapsed=3f6c5b31d8b5a066 kernel=3f687cad1ff61e27 transfer=3f35b9ea60cb35b7 host=3f227476ca61b882 courant:2:3f18fa21ef93f718 boundary_x:2:3f26bfb50c3bcd8b constoprim_x:2:3f1905776cc43b62 eos_x:2:3f13fae373a3c077 slope_x:2:3f374d154e378d27 trace_x:2:3f27f2c47e618e60 qleftright_x:2:3f21c21a84194ff5 riemann_x:2:3f18e9e096fa87ae cmpflx_x:2:3f276e43cbe17d7f update_x:2:3f2434c051136df1 boundary_y:2:3f26bfb50c3bcd8b constoprim_y:2:3f1905776cc43b62 eos_y:2:3f13fae373a3c077 slope_y:2:3f374d154e378d27 trace_y:2:3f27f2c47e618e60 qleftright_y:2:3f21c21a84194ff5 riemann_y:2:3f18e9e096fa87ae cmpflx_y:2:3f276e43cbe17d7f update_y:2:3f2434c051136df1",
 ];
 
 #[test]
@@ -225,6 +358,8 @@ fn modeled_times_are_bit_identical_to_the_golden_cells() {
         .chain(fig4_corners())
         .chain(fig7())
         .chain(ext1())
+        .chain(fig10())
+        .chain(fig15())
         .collect();
     assert_eq!(got.len(), GOLDEN.len());
     for (got, want) in got.iter().zip(GOLDEN) {
