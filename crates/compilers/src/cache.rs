@@ -89,23 +89,20 @@ pub fn fingerprint(program: &Program) -> u128 {
 }
 
 /// Content checksum of an artifact — same FNV construction as the key
-/// fingerprint, over the artifact's structural dump. Computed once
-/// when an entry is built or decoded, and checked against the entry's
-/// stored sum on every read.
+/// fingerprint, over the artifact's structural dump. The
+/// [`crate::diskfmt`] record embeds it and re-derives it on decode.
 pub fn artifact_checksum(c: &CompiledProgram) -> u64 {
     fnv1a64(format!("{c:?}").as_bytes(), FNV_BASIS)
 }
 
-/// One cache entry: a singleflight slot holding the artifact with the
-/// [`artifact_checksum`] computed when it was built or decoded, plus
-/// the checksum recorded for the stored copy. `stored_sum` is written
-/// inside the slot's initializer (so the `OnceLock`'s release/acquire
-/// ordering publishes it); the `corrupt-cache` fault flips it *at
-/// write time* to simulate an artifact going stale on disk, and every
-/// read compares it with the build-time sum.
+/// One cache entry: a singleflight slot holding the artifact, plus the
+/// mark of a corrupt copy. The `corrupt-cache` fault sets `corrupt`
+/// *at write time* (inside the slot's initializer, so the `OnceLock`'s
+/// release/acquire ordering publishes it) to simulate an artifact
+/// going stale on disk, and a read that finds it set evicts the entry.
 struct Entry {
-    slot: OnceLock<Result<(Arc<CompiledProgram>, u64), CompileError>>,
-    stored_sum: AtomicU64,
+    slot: OnceLock<Result<Arc<CompiledProgram>, CompileError>>,
+    corrupt: AtomicBool,
     /// Bumped per *key* on every (re)insertion, so fault decisions
     /// about "this physical copy" are keyed per generation — and,
     /// because the counter is per key rather than global, the decision
@@ -133,7 +130,7 @@ impl Entry {
     fn new(generation: u64) -> Self {
         Entry {
             slot: OnceLock::new(),
-            stored_sum: AtomicU64::new(0),
+            corrupt: AtomicBool::new(false),
             generation,
             bytes: AtomicU64::new(0),
             last_use: AtomicU64::new(0),
@@ -197,10 +194,10 @@ struct Acct {
 /// near 1.
 const MAX_CORRUPT_ROUNDS: usize = 4;
 
-/// Thread-safe, singleflight compile cache with read-side integrity
-/// verification: every hit re-checksums the artifact against the sum
-/// recorded at build time, and a mismatch evicts and recompiles
-/// instead of serving the poisoned entry.
+/// Thread-safe, singleflight compile cache. A read that finds its entry
+/// marked corrupt (by the `corrupt-cache` fault or [`Self::poison`])
+/// evicts and recompiles instead of serving the poisoned copy; records
+/// from the durable tier verify their own checksum as they decode.
 #[derive(Default)]
 pub struct ArtifactCache {
     entries: Mutex<HashMap<CacheKey, Arc<Entry>>>,
@@ -244,8 +241,8 @@ impl ArtifactCache {
     /// the entry's per-key generation. That makes the cache's outcome
     /// for a key a pure function of (key, fault seed) — which thread
     /// warms the cache, or how many jobs race on it, cannot change
-    /// what anyone is served. Read-side integrity is still verified on
-    /// every hit against the entry's build-time [`artifact_checksum`].
+    /// what anyone is served. Every read checks the entry's corruption
+    /// mark; a disk record is verified once, as it decodes.
     pub fn compile(
         &self,
         id: CompilerId,
@@ -287,17 +284,16 @@ impl ArtifactCache {
                 if let Some(store) = &disk {
                     let name = key.storage_name();
                     if let Some(payload) = store.load(&name) {
-                        match crate::diskfmt::decode_artifact_summed(&payload) {
-                            Ok((c, sum)) => {
+                        match crate::diskfmt::decode_artifact(&payload) {
+                            Ok(c) => {
                                 paccport_trace::metrics::counter_add(
                                     "disk_cache_hit_total",
                                     &[],
                                     1,
                                 );
-                                entry.stored_sum.store(sum, Ordering::Relaxed);
                                 entry.bytes.store(payload.len() as u64, Ordering::Relaxed);
                                 *entry.tenant.lock().unwrap() = current_tenant();
-                                return Ok((Arc::new(c), sum));
+                                return Ok(Arc::new(c));
                             }
                             Err(_) => {
                                 // Transport said intact but the record
@@ -314,33 +310,31 @@ impl ArtifactCache {
                     }
                     paccport_trace::metrics::counter_add("disk_cache_miss_total", &[], 1);
                 }
-                let r = crate::compile(id, program, options).map(|c| {
-                    let sum = artifact_checksum(&c);
-                    (Arc::new(c), sum)
-                });
-                if let Ok((c, sum)) = &r {
+                let r = crate::compile(id, program, options).map(Arc::new);
+                if let Ok(c) = &r {
                     // The corrupt-cache fault strikes the physical
-                    // copy as it is written; readers detect the
-                    // mismatch below and evict.
+                    // copy as it is written; readers see the mark
+                    // below and evict.
                     let fault_key = format!("cache:{:#034x}:gen{}", key.program, entry.generation);
                     let corrupted = paccport_faults::inject(
                         paccport_faults::FaultKind::CorruptCache,
                         &fault_key,
                     );
-                    let stored = if corrupted { !sum } else { *sum };
-                    entry.stored_sum.store(stored, Ordering::Relaxed);
-                    let encoded = crate::diskfmt::encode_artifact_summed(c, *sum);
-                    entry.bytes.store(encoded.len() as u64, Ordering::Relaxed);
-                    *entry.tenant.lock().unwrap() = current_tenant();
+                    entry.corrupt.store(corrupted, Ordering::Relaxed);
                     // Publish clean builds to the durable tier. A
                     // corrupt-cache generation is not published: the
                     // in-memory evict-and-recompile round must play
                     // out exactly as without a store.
-                    if !corrupted {
-                        if let Some(store) = &disk {
+                    let bytes = match &disk {
+                        Some(store) if !corrupted => {
+                            let encoded = crate::diskfmt::encode_artifact(c);
                             store.store(&key.storage_name(), &encoded);
+                            encoded.len()
                         }
-                    }
+                        _ => crate::diskfmt::record_len(c),
+                    };
+                    entry.bytes.store(bytes as u64, Ordering::Relaxed);
+                    *entry.tenant.lock().unwrap() = current_tenant();
                 }
                 r
             });
@@ -360,8 +354,8 @@ impl ArtifactCache {
                 paccport_trace::add("cache.hit", 1);
             }
             match result {
-                Ok((c, sum)) => {
-                    if *sum == entry.stored_sum.load(Ordering::Relaxed) {
+                Ok(c) => {
+                    if !entry.corrupt.load(Ordering::Relaxed) {
                         return Ok(Arc::clone(c));
                     }
                     // Integrity failure: never serve the entry — evict
@@ -546,23 +540,19 @@ impl ArtifactCache {
         self.lru_evictions.load(Ordering::Relaxed)
     }
 
-    /// Flip the stored checksum of an existing entry — the test
-    /// handle simulating a truncated/poisoned artifact on disk.
-    /// Returns whether the entry existed.
+    /// Mark an existing entry corrupt — the test handle simulating a
+    /// truncated/poisoned artifact on disk. Returns whether the entry
+    /// existed.
     pub fn poison(&self, id: CompilerId, program: &Program, options: &CompileOptions) -> bool {
         let key = CacheKey::new(id, program, options);
         let entry = {
             let entries = self.entries.lock().unwrap();
             entries.get(&key).cloned()
         };
-        match entry {
-            Some(e) => {
-                let sum = e.stored_sum.load(Ordering::Relaxed);
-                e.stored_sum.store(!sum, Ordering::Relaxed);
-                true
-            }
-            None => false,
+        if let Some(e) = &entry {
+            e.corrupt.store(true, Ordering::Relaxed);
         }
+        entry.is_some()
     }
 
     /// Lookups that found an existing artifact.
@@ -583,16 +573,6 @@ impl ArtifactCache {
 
     pub fn is_empty(&self) -> bool {
         self.entries.lock().unwrap().is_empty()
-    }
-
-    /// Drop all entries and zero the counters and byte accounting.
-    pub fn clear(&self) {
-        self.entries.lock().unwrap().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        let mut acct = self.acct.lock().unwrap();
-        acct.total = 0;
-        acct.tenants.clear();
     }
 }
 
@@ -783,15 +763,6 @@ mod tests {
     fn poisoning_an_absent_key_reports_false() {
         let cache = ArtifactCache::new();
         assert!(!cache.poison(CompilerId::Caps, &saxpy("saxpy"), &CompileOptions::gpu()));
-    }
-
-    #[test]
-    fn checksum_distinguishes_artifacts() {
-        let opts = CompileOptions::gpu();
-        let a = crate::compile(CompilerId::Caps, &saxpy("a"), &opts).unwrap();
-        let b = crate::compile(CompilerId::Caps, &saxpy("b"), &opts).unwrap();
-        assert_eq!(artifact_checksum(&a), artifact_checksum(&a));
-        assert_ne!(artifact_checksum(&a), artifact_checksum(&b));
     }
 
     #[test]

@@ -1354,12 +1354,16 @@ fn dec_plan(r: R) -> Result<KernelPlan, String> {
 
 /// Serialize a compiled artifact as one self-verifying token record.
 pub fn encode_artifact(c: &CompiledProgram) -> String {
-    encode_artifact_summed(c, artifact_checksum(c))
+    encode(c, artifact_checksum(c))
 }
 
-/// [`encode_artifact`] for a caller that already holds the artifact's
-/// [`artifact_checksum`], which is `sum`.
-pub(crate) fn encode_artifact_summed(c: &CompiledProgram, sum: u64) -> String {
+/// Length of [`encode_artifact`]'s record for `c`, without deriving the
+/// checksum: its token is fixed-width, so a zero one is as long.
+pub(crate) fn record_len(c: &CompiledProgram) -> usize {
+    encode(c, 0).len()
+}
+
+fn encode(c: &CompiledProgram, sum: u64) -> String {
     let mut w = Writer::new();
     w.word(MAGIC).u64(VERSION);
     w.word(&format!("{sum:016x}"));
@@ -1384,12 +1388,6 @@ pub(crate) fn encode_artifact_summed(c: &CompiledProgram, sum: u64) -> String {
 /// truncation, garbling, version skew, or a codec defect — returns
 /// `Err`, which callers treat as a cache miss.
 pub fn decode_artifact(record: &str) -> Result<CompiledProgram, String> {
-    decode_artifact_summed(record).map(|(c, _)| c)
-}
-
-/// [`decode_artifact`], also returning the verified
-/// [`artifact_checksum`] of the decoded artifact.
-pub(crate) fn decode_artifact_summed(record: &str) -> Result<(CompiledProgram, u64), String> {
     let mut r = Reader::new(record);
     r.tag(MAGIC)?;
     let version = r.u64()?;
@@ -1436,7 +1434,7 @@ pub(crate) fn decode_artifact_summed(record: &str) -> Result<(CompiledProgram, u
             "artifact checksum mismatch: stored {expected:016x}, decoded {actual:016x}"
         ));
     }
-    Ok((decoded, actual))
+    Ok(decoded)
 }
 
 #[cfg(test)]
@@ -1463,6 +1461,8 @@ mod tests {
     fn assert_round_trips(c: &CompiledProgram, what: &str) {
         let rec = encode_artifact(c);
         assert!(!rec.contains('\n'), "{what}: record must be one line");
+        // The cache sizes entries by `record_len` when no store is attached.
+        assert_eq!(record_len(c), rec.len(), "{what}: record_len");
         let back = decode_artifact(&rec).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(&back, c, "{what}: decoded artifact differs");
         // Determinism: re-encoding the decoded value is byte-identical.
@@ -1520,6 +1520,15 @@ mod tests {
                 Ok(back) => assert_eq!(back, c, "garble at {pos} decoded to a different artifact"),
             }
         }
+    }
+
+    #[test]
+    fn checksum_distinguishes_artifacts() {
+        let opts = CompileOptions::gpu();
+        let a = crate::compile(CompilerId::Caps, &saxpy("a"), &opts).unwrap();
+        let b = crate::compile(CompilerId::Caps, &saxpy("b"), &opts).unwrap();
+        assert_eq!(artifact_checksum(&a), artifact_checksum(&a));
+        assert_ne!(artifact_checksum(&a), artifact_checksum(&b));
     }
 
     #[test]

@@ -36,7 +36,6 @@ use paccport_ir::{
     for_, if_, ld, let_, st, Block, Dir, Expr, HostStmt, Intent, Kernel, LaunchHint, ParallelLoop,
     ProgramBuilder, Scalar, E,
 };
-use rand::Rng;
 
 /// A CSR-ish random graph in the Rodinia layout.
 #[derive(Debug, Clone)]
@@ -55,11 +54,11 @@ impl Graph {
         let mut nodes = Vec::with_capacity(2 * n);
         let mut edges = Vec::new();
         for i in 0..n {
-            let deg = r.gen_range(1..=max_degree);
+            let deg = r.range(1, max_degree as i64) as usize;
             nodes.push(edges.len() as i32);
             nodes.push(deg as i32);
             for _ in 0..deg {
-                edges.push(r.gen_range(0..n) as i32);
+                edges.push(r.below(n as u64) as i32);
             }
             // Chain edge to keep the graph connected from node 0.
             if i + 1 < n {

@@ -1,11 +1,10 @@
 //! splitmix64, the workspace's one seeded generator.
 //!
-//! The conformance program generator and the load generator's request
-//! schedule must be bit-reproducible across runs, platforms and
-//! `--jobs` settings, so they share this tiny generator instead of
-//! depending on the `rand` shim: the stream is a pure function of the
-//! seed. Generated programs record the (seed, index) pair that
-//! recreates them.
+//! The benchmark inputs, the conformance program generator and the
+//! load generator's request schedule must be bit-reproducible across
+//! runs, platforms and `--jobs` settings, so they share this tiny
+//! generator: the stream is a pure function of the seed. Generated
+//! programs record the (seed, index) pair that recreates them.
 
 /// Splitmix64 stream.
 #[derive(Debug, Clone)]

@@ -7,8 +7,11 @@
 //! shared lock while a spec is active (this file is its own test
 //! binary, so the lock never contends with the rest of the suite).
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use paccport::compilers::cache::{ArtifactCache, ArtifactStore};
+use paccport::compilers::{CompileOptions, CompilerId};
 use paccport::core::engine::{Engine, MAX_ATTEMPTS};
 use paccport::core::study::{CellSpec, ElapsedFigure, Scale};
 use paccport::core::{experiments as exp, report};
@@ -117,4 +120,60 @@ fn fault_ledger_names_every_injected_event() {
         assert_eq!(e.kind.tag(), "compile");
         assert!(e.key.to_lowercase().contains("lud"), "{}", e.key);
     }
+}
+
+/// An [`ArtifactStore`] that keeps nothing and counts what it is asked.
+#[derive(Default)]
+struct CountingStore {
+    loads: AtomicU64,
+    stores: AtomicU64,
+}
+
+impl ArtifactStore for CountingStore {
+    fn load(&self, _: &str) -> Option<String> {
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+    fn store(&self, _: &str, _: &str) {
+        self.stores.fetch_add(1, Ordering::Relaxed);
+    }
+    fn evict(&self, _: &str) {}
+}
+
+#[test]
+fn persistent_corruption_gives_up_and_publishes_nothing() {
+    let _g = lock();
+    let cache = ArtifactCache::new();
+    let store = Arc::new(CountingStore::default());
+    cache.set_store(Arc::clone(&store) as Arc<dyn ArtifactStore>);
+    let program = paccport::kernels::lud::program(&exp::lud_variants()[0].1);
+    let opts = CompileOptions::gpu();
+
+    faults::configure(FaultSpec::parse("corrupt-cache:1.0").unwrap(), 7);
+    let r = cache.compile(CompilerId::Caps, &program, &opts);
+    faults::deconfigure();
+    let e = r.expect_err("every generation is corrupt at rate 1.0");
+    assert!(faults::is_injected(&e.message), "{}", e.message);
+    assert!(
+        e.message.contains("persistent artifact corruption"),
+        "{}",
+        e.message
+    );
+    assert_eq!(cache.misses(), 4, "one rebuild per round, then give up");
+    assert_eq!(store.loads.load(Ordering::Relaxed), 4);
+    assert_eq!(
+        store.stores.load(Ordering::Relaxed),
+        0,
+        "a corrupt generation is never published"
+    );
+
+    let c = cache
+        .compile(CompilerId::Caps, &program, &opts)
+        .expect("fault-free compile succeeds");
+    assert_eq!(cache.misses(), 5);
+    assert_eq!(store.stores.load(Ordering::Relaxed), 1);
+    assert!(Arc::ptr_eq(
+        &c,
+        &cache.compile(CompilerId::Caps, &program, &opts).unwrap()
+    ));
 }
