@@ -21,11 +21,12 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use paccport_ir::Program;
-use paccport_trace::hash::{fnv1a128, fnv1a64, FNV_BASIS};
+use paccport_trace::hash::{fnv1a64, Fnv1a128, FNV_BASIS};
 
 use crate::artifact::{CompileError, CompiledProgram};
 use crate::options::{CompileOptions, CompilerId};
@@ -44,10 +45,15 @@ pub struct CacheKey {
 
 impl CacheKey {
     pub fn new(compiler: CompilerId, program: &Program, options: &CompileOptions) -> Self {
+        Self::with_fingerprint(compiler, fingerprint(program), options)
+    }
+
+    /// The key of a program whose [`fingerprint`] is `program`.
+    pub fn with_fingerprint(compiler: CompilerId, program: u128, options: &CompileOptions) -> Self {
         CacheKey {
             compiler,
             options: format!("{options:?}"),
-            program: fingerprint(program),
+            program,
         }
     }
 
@@ -83,9 +89,12 @@ pub trait ArtifactStore: Send + Sync {
 /// 128-bit content fingerprint of a program: two independent FNV-1a-64
 /// passes over the structural `Debug` dump. FNV is not cryptographic,
 /// but 128 bits over a few-KB input makes accidental collisions across
-/// an experiment matrix of dozens of programs a non-concern.
+/// an experiment matrix of dozens of programs a non-concern. The dump
+/// streams into the hash; it is never built as one string.
 pub fn fingerprint(program: &Program) -> u128 {
-    fnv1a128(format!("{program:?}").as_bytes())
+    let mut h = Fnv1a128::new();
+    write!(h, "{program:?}").expect("hashing a Debug dump cannot fail");
+    h.finish()
 }
 
 /// Content checksum of an artifact — same FNV construction as the key
@@ -249,22 +258,35 @@ impl ArtifactCache {
         program: &Program,
         options: &CompileOptions,
     ) -> Result<Arc<CompiledProgram>, CompileError> {
+        self.compile_fingerprinted(id, program, fingerprint(program), options)
+    }
+
+    /// [`ArtifactCache::compile`] for a caller that already holds the
+    /// program's [`fingerprint`], `program_fp`.
+    pub fn compile_fingerprinted(
+        &self,
+        id: CompilerId,
+        program: &Program,
+        program_fp: u128,
+        options: &CompileOptions,
+    ) -> Result<Arc<CompiledProgram>, CompileError> {
         let saved = paccport_faults::current_attempt();
-        let r = self.compile_rounds(id, program, options);
+        let key = CacheKey::with_fingerprint(id, program_fp, options);
+        let r = self.compile_rounds(&key, id, program, options);
         paccport_faults::set_attempt(saved);
         r
     }
 
     fn compile_rounds(
         &self,
+        key: &CacheKey,
         id: CompilerId,
         program: &Program,
         options: &CompileOptions,
     ) -> Result<Arc<CompiledProgram>, CompileError> {
-        let key = CacheKey::new(id, program, options);
         let mut last_injected: Option<CompileError> = None;
         for _ in 0..MAX_CORRUPT_ROUNDS {
-            let entry = self.entry(&key);
+            let entry = self.entry(key);
             entry.work.claim();
             let mut fresh = false;
             let result = entry.slot.get_or_init(|| {
@@ -361,12 +383,12 @@ impl ArtifactCache {
                     // Integrity failure: never serve the entry — evict
                     // and recompile under the next generation.
                     paccport_trace::add("cache.corrupt_evicted", 1);
-                    self.evict(&key, &entry);
+                    self.evict(key, &entry);
                 }
                 Err(e) if paccport_faults::is_injected(&e.message) => {
                     // Transient by construction: evict so the next
                     // round recompiles under a fresh generation.
-                    self.evict(&key, &entry);
+                    self.evict(key, &entry);
                     last_injected = Some(e.clone());
                 }
                 Err(e) => return Err(e.clone()),

@@ -30,7 +30,7 @@ use paccport_compilers::ArtifactCache;
 use paccport_persist::wire::{Reader, Writer};
 
 use crate::durable::{CellJournal, DurableResult};
-use crate::study::{measure_cached, CellFailure, CellSpec, Measured};
+use crate::study::{measure, CellFailure, CellSpec, Measured};
 
 // How the engine retries failing jobs. Backoff runs on the *virtual*
 // clock (`paccport_faults::vclock`): a retry "sleeps" by advancing it,
@@ -352,26 +352,23 @@ impl Engine {
                 }
                 // The replay gate: everything that shapes this cell's
                 // result. The program contributes its compile-cache
-                // fingerprint rather than its (large) Debug form.
+                // fingerprint rather than its (large) Debug form, and
+                // the cache lookup reuses it.
+                let program_fp = paccport_compilers::fingerprint(&cell.program);
                 let fp = cell_fingerprint(&format!(
                     "{:?} {:?} {:?} {:?} {:032x} {:?}",
-                    cell.series,
-                    cell.variant,
-                    cell.compiler,
-                    cell.options,
-                    paccport_compilers::fingerprint(&cell.program),
-                    cfg
+                    cell.series, cell.variant, cell.compiler, cell.options, program_fp, cfg
                 ));
                 let task = move || {
-                    measure_cached(
-                        cache,
-                        &cell.series,
-                        &cell.variant,
-                        cell.compiler,
-                        &cell.options,
-                        &cell.program,
-                        &cfg,
-                    )
+                    let c = cache
+                        .compile_fingerprinted(
+                            cell.compiler,
+                            &cell.program,
+                            program_fp,
+                            &cell.options,
+                        )
+                        .map_err(|e| e.to_string())?;
+                    measure(&cell.series, &cell.variant, &c, &cfg)
                 };
                 (label, fp, task)
             })

@@ -1,7 +1,7 @@
 //! Study orchestration: scales, measurement points and the helpers
 //! every figure generator shares.
 
-use paccport_compilers::{ArtifactCache, CompileOptions, CompilerId};
+use paccport_compilers::{ArtifactCache, CompileOptions, CompiledProgram, CompilerId};
 use paccport_devsim::{run, RunConfig};
 use paccport_ptx::CategoryCounts;
 
@@ -161,7 +161,17 @@ pub fn measure_cached(
     let c = cache
         .compile(compiler, program, options)
         .map_err(|e| e.to_string())?;
-    let r = run(&c, cfg)?;
+    measure(series, variant, &c, cfg)
+}
+
+/// Run a compiled program, collecting a [`Measured`] point.
+pub fn measure(
+    series: &str,
+    variant: &str,
+    c: &CompiledProgram,
+    cfg: &RunConfig,
+) -> Result<Measured, String> {
+    let r = run(c, cfg)?;
     // Dominant kernel: the one with the most device time.
     let dominant = r
         .kernel_stats

@@ -78,17 +78,19 @@
 //!   scalar VM trips at the exact statement.
 //!
 //! Under the race detector the execution walk records every memory
-//! access once per batch on a small **tape** (array, affine
-//! `(base, stride)`, read or write, lane mask). The tape is then
-//! replayed into the tracker lane-ascending — `set_iteration(outer ++
-//! [lane])`, or `set_lane(group, lane)` in a grouped phase whose epoch
-//! the VM has set, then that lane's accesses in program order, scalar
-//! loads included — so the tracker sees the thread order and access
-//! count of the scalar path and reports identical races. `Select` arms
-//! run eagerly here but lazily in the tree-walker, and `If` arms run
-//! masked, so an arm that touches memory is bracketed by
-//! [`BOp::MaskPush`]/[`BOp::MaskPop`] and its accesses replay only on
-//! the lanes that take it.
+//! access once per batch on a small **tape** ([`TapeEntry`]: array,
+//! affine `(base, stride)` or int-lane indices, read or write, lane
+//! mask). The whole tape then goes to the tracker's batch entry point
+//! ([`RaceTracker::log_batch`]), lane `b` being iteration
+//! `outer ++ [lo + b]`, or lane `b` of the group in a grouped phase
+//! whose epoch the VM has set. It logs the lanes in ascending order,
+//! each lane's accesses in program order, scalar loads included, so
+//! the tracker sees the thread order and access count of the scalar
+//! path and reports identical races. `Select` arms run eagerly here
+//! but lazily in the tree-walker, and `If` arms run masked, so an arm
+//! that touches memory is bracketed by
+//! [`BOp::MaskPush`]/[`BOp::MaskPop`] and its accesses are logged only
+//! on the lanes that take it.
 //!
 //! Constants and parameter reads are pooled into a prologue that runs
 //! before the body, so a pooled slot is set even when its first use
@@ -129,8 +131,8 @@
 //! [`interp`]: crate::interp
 
 use crate::interp::{self, GroupCtx, V};
-use crate::memory::{narrow_f32, Buffer, MemLoc};
-use crate::race::RaceTracker;
+use crate::memory::{narrow_f32, Buffer};
+use crate::race::{RaceTracker, Tape, TapeEntry, TapeIndex, TapeThreads};
 use paccport_ir::expr::{BinOp, CmpOp, Expr, SpecialVar, UnOp};
 use paccport_ir::kernel::{Kernel, KernelBody, ReduceOp};
 use paccport_ir::stmt::{Block, Stmt};
@@ -569,27 +571,6 @@ pub struct Touch {
     pub when: Option<Arm>,
 }
 
-/// One memory access of a batch, in scalar program order: lane `b`
-/// touches element `base + stride·b` of memory array `array` (a local
-/// array when at or past the plan's `n_glob`).
-#[derive(Debug, Clone, Copy)]
-struct Access {
-    array: u32,
-    base: i64,
-    stride: i64,
-    /// Where the access's per-lane indices start in
-    /// `BatchState::lane_idx` when they are int lanes, not affine; or
-    /// [`AFFINE`].
-    idx: u32,
-    write: bool,
-    /// Index of the lane mask in `BatchState::masks` (the lanes that
-    /// perform this access), or [`ALL_LANES`].
-    mask: u32,
-}
-
-const ALL_LANES: u32 = u32::MAX;
-const AFFINE: u32 = u32::MAX;
-
 /// Reusable batch scratch state (allocated once per kernel exec).
 #[derive(Debug, Default)]
 pub struct BatchState {
@@ -614,8 +595,10 @@ pub struct BatchState {
     /// Record `tape` (and its masks) in the execution walk: set when
     /// a race tracker has to see the batch's accesses.
     taping: bool,
-    tape: Vec<Access>,
-    /// `bn` flags per mask, back to back.
+    /// The batch's memory accesses in scalar program order; memory
+    /// array numbers double as the tracker's (globals, then locals).
+    tape: Vec<TapeEntry>,
+    /// `bn` flags per mask, back to back ([`Tape::masks`]).
     masks: Vec<bool>,
     /// `bn` indices per int-lane-indexed access, back to back.
     lane_idx: Vec<i64>,
@@ -636,7 +619,7 @@ const MAX_BATCH: i64 = 1 << 22;
 /// outer parallel-loop indices of the current innermost loop.
 pub struct Taping<'t, 'a> {
     pub tracker: &'t RaceTracker<'a>,
-    pub outer: &'t mut Vec<i64>,
+    pub outer: &'t [i64],
 }
 
 /// The memory a batch addresses: global arrays, then local ones.
@@ -690,15 +673,25 @@ impl BatchState {
             self.act.resize(plan.n_b as usize, Vec::new());
         }
     }
+
+    /// The execution walk's access tape over `bn` lanes, as `threads`.
+    fn tape<'t>(&'t self, bn: usize, threads: TapeThreads<'t>) -> Tape<'t> {
+        Tape {
+            threads,
+            lanes: bn,
+            entries: &self.tape,
+            masks: &self.masks,
+            lane_idx: &self.lane_idx,
+        }
+    }
 }
 
 /// Execute `plan` over lanes `lo..hi`. Returns `false` (having touched
 /// nothing) if the batch must fall back to the scalar VM.
 ///
-/// With `taping`, the batch's accesses are then replayed into the race
-/// tracker lane-ascending — each lane's in scalar program order, one
-/// `set_iteration(outer ++ [lane])` per lane — so the tracker sees
-/// exactly the access sequence the scalar path would have logged.
+/// With `taping`, the batch's access tape then goes to the race tracker
+/// ([`RaceTracker::log_batch`]), lane `b` as iteration
+/// `outer ++ [lo + b]`, which logs it in the scalar path's order.
 #[allow(clippy::too_many_arguments)]
 pub fn run_batch(
     plan: &BatchPlan,
@@ -742,11 +735,8 @@ pub fn run_batch(
         return false;
     }
     if let Some(t) = taping {
-        replay(st, bn, plan.n_glob, 0, t.tracker, |b| {
-            t.outer.push(lo + b as i64);
-            t.tracker.set_iteration(t.outer);
-            t.outer.pop();
-        });
+        let threads = TapeThreads::Iterations { outer: t.outer, lo };
+        t.tracker.log_batch(&st.tape(bn, threads));
     }
 
     // Fold the region reduction, lane-ascending like the tree-walker.
@@ -788,9 +778,8 @@ pub struct Lanes<'l> {
 ///
 /// The phase gathers the variables it reads from `lanes`, runs
 /// op-major, and writes back the ones a later phase reads. With a
-/// tracker, the accesses are replayed `set_lane(group, lane)`
-/// lane-ascending, in scalar order; the caller has set the phase's
-/// epoch.
+/// tracker, the access tape goes to [`RaceTracker::log_batch`] as the
+/// group's lanes; the caller has set the phase's epoch.
 #[allow(clippy::too_many_arguments)]
 pub fn run_group_phase(
     plan: &BatchPlan,
@@ -875,9 +864,7 @@ pub fn run_group_phase(
         return false;
     }
     if let Some(t) = tracker {
-        replay(st, bn, plan.n_glob, group.group_id, t, |b| {
-            t.set_lane(group.group_id, b as i64)
-        });
+        t.log_batch(&st.tape(bn, TapeThreads::Group(group.group_id)));
     }
     for &(var, loc, when) in &plan.wb {
         let v = var as usize;
@@ -1085,40 +1072,6 @@ fn owner_holds(o: &Owner, st: &mut BatchState, bn: usize, len: usize) -> bool {
     o.scatters
         .iter()
         .all(|t| visit(t, &mut |_, e| own[e] != SHARED))
-}
-
-/// Log the batch's taped accesses into the race tracker, one lane at
-/// a time in ascending order: `enter(lane)` attributes what follows to
-/// that lane's thread, then its accesses replay in program order.
-fn replay(
-    st: &BatchState,
-    bn: usize,
-    n_glob: u16,
-    group: i64,
-    tracker: &RaceTracker<'_>,
-    mut enter: impl FnMut(usize),
-) {
-    for b in 0..bn {
-        enter(b);
-        for a in &st.tape {
-            if a.mask != ALL_LANES && !st.masks[a.mask as usize * bn + b] {
-                continue;
-            }
-            let i = match a.idx {
-                AFFINE => a.base + a.stride * b as i64,
-                at => st.lane_idx[at as usize + b],
-            };
-            let loc = match a.array.checked_sub(n_glob as u32) {
-                None => MemLoc::global(a.array, i),
-                Some(l) => MemLoc::local(l, group, i),
-            };
-            if a.write {
-                tracker.log_write(loc, false);
-            } else {
-                tracker.log_read(loc);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------
@@ -1340,19 +1293,17 @@ fn pow2_lanes(a: (i64, i64), y: V, bn: usize) -> bool {
 
 /// Append one access to the tape, under the innermost arm's mask.
 fn record(
-    tape: &mut Vec<Access>,
+    tape: &mut Vec<TapeEntry>,
     mask_stack: &[u32],
     array: u16,
-    (base, stride): (i64, i64),
+    index: TapeIndex,
     write: bool,
 ) {
-    tape.push(Access {
+    tape.push(TapeEntry {
         array: array as u32,
-        base,
-        stride,
-        idx: AFFINE,
+        index,
         write,
-        mask: mask_stack.last().copied().unwrap_or(ALL_LANES),
+        mask: mask_stack.last().copied(),
     });
 }
 
@@ -1452,7 +1403,8 @@ fn walk<const VALIDATE: bool>(
                 if taping {
                     // Executed once per batch, but every lane's scalar
                     // run performs (and logs) it.
-                    record(tape, mask_stack, array, (i, 0), false);
+                    let index = TapeIndex::Affine { base: i, stride: 0 };
+                    record(tape, mask_stack, array, index, false);
                 }
                 sv[dst as usize] = interp::decode(buf, i as usize);
             }
@@ -1595,7 +1547,13 @@ fn walk<const VALIDATE: bool>(
                     continue;
                 }
                 if taping {
-                    record(tape, mask_stack, array, (base, stride), true);
+                    record(
+                        tape,
+                        mask_stack,
+                        array,
+                        TapeIndex::Affine { base, stride },
+                        true,
+                    );
                 }
                 let taken = when.map(|arm| arm.lanes(act));
                 let buf = mem.get_mut(array);
@@ -1635,8 +1593,7 @@ fn walk<const VALIDATE: bool>(
                 if taping {
                     let at = u32::try_from(lane_idx.len()).expect("tape index pool fits u32");
                     lane_idx.extend_from_slice(ix);
-                    record(tape, mask_stack, array, (0, 0), false);
-                    tape.last_mut().expect("just recorded").idx = at;
+                    record(tape, mask_stack, array, TapeIndex::Lanes(at), false);
                 }
                 let dv = &mut fl[dst as usize][..bn];
                 match mem.get(array) {
@@ -1668,7 +1625,13 @@ fn walk<const VALIDATE: bool>(
                     continue;
                 }
                 if taping {
-                    record(tape, mask_stack, array, (base, stride), false);
+                    record(
+                        tape,
+                        mask_stack,
+                        array,
+                        TapeIndex::Affine { base, stride },
+                        false,
+                    );
                 }
                 let dv = &mut fl[dst as usize][..bn];
                 if let Some(arm) = when {
@@ -1740,17 +1703,18 @@ fn walk<const VALIDATE: bool>(
             }
             BOp::MaskPush { c, pol } => {
                 if taping {
-                    let parent = mask_stack.last().copied().unwrap_or(ALL_LANES);
+                    let parent = mask_stack.last().copied();
                     let base = masks.len();
                     mask_stack.push((base / bn) as u32);
                     // The arm's mask starts as its parent's, then the
                     // condition's class is resolved once: one bool for
                     // every lane, or one lane vector.
-                    if parent == ALL_LANES {
-                        masks.resize(base + bn, true);
-                    } else {
-                        let p = parent as usize * bn;
-                        masks.extend_from_within(p..p + bn);
+                    match parent {
+                        None => masks.resize(base + bn, true),
+                        Some(p) => {
+                            let p = p as usize * bn;
+                            masks.extend_from_within(p..p + bn);
+                        }
                     }
                     let arm = &mut masks[base..];
                     match c {

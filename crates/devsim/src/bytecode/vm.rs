@@ -465,16 +465,15 @@ fn nest(
     if depth + 1 == k.loops.len() {
         // Batched innermost loop: one pass over the whole lane range
         // with loop-invariant operands resolved once. Under the race
-        // detector the batch tapes its accesses and replays them into
-        // the tracker lane by lane, in scalar order; an armed watchdog
-        // is charged the batch's steps at once. `run_batch` returns
-        // `false` (having touched nothing) on any hazard, or when the
-        // watchdog would trip mid-batch, falling through to the
-        // scalar paths below.
+        // detector the batch tapes its accesses and the tracker logs
+        // the tape in scalar order; an armed watchdog is charged the
+        // batch's steps at once. `run_batch` returns `false` (having
+        // touched nothing) on any hazard, or when the watchdog would
+        // trip mid-batch, falling through to the scalar paths below.
         if let Some(plan) = &code.batch {
             let taping = tracker.map(|tracker| batch::Taping {
                 tracker,
-                outer: &mut *iter,
+                outer: iter,
             });
             if batch::run_batch(
                 plan, bstate, lo, hi, regs, defined, params, bufs, acc, taping,

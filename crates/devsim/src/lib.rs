@@ -65,7 +65,7 @@ pub use heatmap::{sweep, HeatMap};
 pub use interp::{exec_kernel_traced, fresh_vars, KernelFidelity, V};
 pub use memory::{Buffer, MemLoc, TransferLedger};
 pub use profile::render_profile;
-pub use race::{Race, RaceKind, RaceTracker, ThreadId};
+pub use race::{Race, RaceKind, RaceTracker, Tape, TapeEntry, TapeIndex, TapeThreads, ThreadId};
 pub use runner::{run, Fidelity, KernelStat, RunConfig, RunResult};
 pub use tier::ExecTier;
 pub use timing::{

@@ -32,23 +32,41 @@
 //! so logging an access costs an index computation and a few compares.
 //! A cell is four 8-byte slots, `(thread + 1) << 32 | epoch` each, so a
 //! touched array costs 32 bytes per element for the launch. Local
-//! arrays keep one such vector per array, cleared when the next group
-//! starts. An index outside its array (which the executor is about to
-//! reject with a bounds panic) goes to a small sparse map instead, so
-//! a wild index never sizes an allocation. Diagnostics name the
-//! kernel, the array, the element index, and both conflicting
-//! iteration ids; names and [`ThreadId`]s are only built when a race
-//! is recorded.
+//! arrays keep one such vector per array, after the global ones,
+//! cleared when the next group starts. An index outside its array
+//! (which the executor is about to reject with a bounds panic) goes to
+//! a small sparse map instead, so a wild index never sizes an
+//! allocation. Diagnostics name the kernel, the array, the element
+//! index, and both conflicting iteration ids; names and [`ThreadId`]s
+//! are only built when a race is recorded.
+//!
+//! Accesses arrive one at a time ([`RaceTracker::log_read`],
+//! [`RaceTracker::log_write`]) from the scalar executors, or a whole
+//! batch at once ([`RaceTracker::log_batch`]) from the batch VM, which
+//! runs a loop's lanes op-major and records each memory op once on a
+//! [`Tape`]. The batch entry point logs the tape lane-major — lane 0's
+//! accesses in program order, then lane 1's, and so on — which is the
+//! order the scalar path would have logged them in, so both paths
+//! leave the same cells, reader slots and races. It takes one borrow
+//! for the whole batch, interns the batch's new lanes as one run of
+//! consecutive threads (a run records its iteration prefix, or its
+//! group, once, so a lane costs the thread table nothing) and reads
+//! each tape entry's array and index straight off the entry. A
+//! thread's run is found by binary search; logging needs it only to
+//! check an access against another thread's, and to compare a new
+//! iteration with the latest one, which sits in the latest run.
 //!
 //! The tracker relies on the order in which the executors run
 //! threads, and `debug_assert!`s it:
 //!
 //! - iteration vectors arrive in increasing lexicographic order, so a
 //!   new one is always a new thread (repeating the current one is
-//!   allowed);
+//!   allowed); a batch's lanes are iterations `outer ++ [lo + lane]`,
+//!   so they too arrive in order;
 //! - groups run one after another in increasing order, each finishing
 //!   all its phases, lane accesses and local accesses before the next
-//!   group starts; lane ids are non-negative.
+//!   group starts; lane ids are non-negative. A grouped batch is one
+//!   phase of one group, at the epoch set for it.
 
 use crate::memory::MemLoc;
 use paccport_ir::MemSpace;
@@ -155,25 +173,30 @@ const WRITER: usize = 0;
 const ATOMIC_WRITER: usize = 1;
 const READERS: std::ops::Range<usize> = 2..4;
 
-/// An interned thread; [`Threads::id`] rebuilds its [`ThreadId`].
+/// A run of interned threads with consecutive ids: one scalar thread,
+/// or the lanes of one batch. [`Threads::id`] rebuilds a thread's
+/// [`ThreadId`].
 #[derive(Debug, Clone, Copy)]
-enum Thread {
-    /// `Threads::iters[start..start + len]`.
-    Iter {
-        start: usize,
-        len: usize,
-    },
-    Lane {
-        group: i64,
-        lane: i64,
-    },
+enum Run {
+    /// One thread: iteration `Threads::iters[start..start + len]`.
+    Iter { start: u32, len: u32 },
+    /// Thread `first + b`: iteration `iters[start..start + len] ++
+    /// [lo + b]`.
+    Iters { start: u32, len: u32, lo: i64 },
+    /// Thread `first + b`: lane `lo + b` of work group `group`.
+    Lanes { group: i64, lo: i64 },
 }
 
 /// Interned threads, numbered from 1 (a slot's 0 means "empty").
 #[derive(Default)]
 struct Threads {
-    all: Vec<Thread>,
-    /// Arena holding every iteration vector back to back.
+    /// Each run's first thread, ascending; `runs` holds the runs.
+    firsts: Vec<u32>,
+    runs: Vec<Run>,
+    /// The latest thread interned (0: none yet).
+    last: u32,
+    /// Arena holding iteration vectors (a run's common prefix) back to
+    /// back.
     iters: Vec<i64>,
     /// The latest iteration thread (0: none yet).
     last_iter: u32,
@@ -184,40 +207,91 @@ struct Threads {
 }
 
 impl Threads {
-    fn get(&self, t: u32) -> Thread {
-        self.all[t as usize - 1]
+    /// Thread `t`'s run and its offset in it.
+    fn get(&self, t: u32) -> (Run, i64) {
+        // The latest run first: it holds the latest iteration thread.
+        let r = match self.firsts.last() {
+            Some(&first) if first <= t => self.firsts.len() - 1,
+            _ => self.firsts.partition_point(|&first| first <= t) - 1,
+        };
+        (self.runs[r], (t - self.firsts[r]) as i64)
     }
 
-    fn push(&mut self, t: Thread) -> u32 {
-        self.all.push(t);
-        u32::try_from(self.all.len()).expect("thread count fits in u32")
+    /// Intern `n` threads as one run; returns the first one.
+    fn push(&mut self, run: Run, n: usize) -> u32 {
+        let first = self.last + 1;
+        self.last = u32::try_from(n)
+            .ok()
+            .and_then(|n| self.last.checked_add(n))
+            .expect("thread count fits in u32");
+        self.firsts.push(first);
+        self.runs.push(run);
+        first
     }
 
-    fn iteration(&self, t: u32) -> &[i64] {
-        match self.get(t) {
-            Thread::Iter { start, len } => &self.iters[start..start + len],
-            Thread::Lane { .. } => unreachable!("not an iteration thread"),
+    /// Append `v` to the arena; returns where it starts.
+    fn store(&mut self, v: &[i64]) -> (u32, u32) {
+        let start = u32::try_from(self.iters.len()).expect("iteration arena fits in u32");
+        self.iters.extend_from_slice(v);
+        (start, v.len() as u32)
+    }
+
+    /// Iteration thread `t`'s vector.
+    fn iteration(&self, t: u32) -> impl Iterator<Item = i64> + '_ {
+        let ((start, len), last) = match self.get(t) {
+            (Run::Iter { start, len }, _) => ((start, len), None),
+            (Run::Iters { start, len, lo }, b) => ((start, len), Some(lo + b)),
+            (Run::Lanes { .. }, _) => unreachable!("not an iteration thread"),
+        };
+        let prefix = &self.iters[start as usize..][..len as usize];
+        prefix.iter().copied().chain(last)
+    }
+
+    /// Is `head ++ tail` the latest iteration thread's vector? It must
+    /// not come before it.
+    fn repeats_last(&self, head: &[i64], tail: &[i64]) -> bool {
+        if self.last_iter == 0 {
+            return false;
         }
+        let iter = || head.iter().chain(tail).copied();
+        debug_assert!(
+            self.iteration(self.last_iter).le(iter()),
+            "iteration {:?} arrived after {:?}",
+            iter().collect::<Vec<_>>(),
+            self.iteration(self.last_iter).collect::<Vec<_>>()
+        );
+        self.iteration(self.last_iter).eq(iter())
     }
 
     fn intern_iteration(&mut self, iter: &[i64]) -> u32 {
-        if self.last_iter != 0 {
-            let last = self.iteration(self.last_iter);
-            if last == iter {
-                return self.last_iter;
-            }
-            debug_assert!(last < iter, "iteration {iter:?} arrived after {last:?}");
+        if !self.repeats_last(iter, &[]) {
+            let (start, len) = self.store(iter);
+            self.last_iter = self.push(Run::Iter { start, len }, 1);
         }
-        let start = self.iters.len();
-        self.iters.extend_from_slice(iter);
-        self.last_iter = self.push(Thread::Iter {
-            start,
-            len: iter.len(),
-        });
         self.last_iter
     }
 
-    fn intern_lane(&mut self, group: i64, lane: i64) -> u32 {
+    /// Intern the iterations `outer ++ [lo + b]` of a batch's lanes `b`
+    /// in `0..n`, appending their threads to `ids`: lane 0 as
+    /// [`Threads::intern_iteration`] would, and every new lane (each
+    /// follows lane 0) in one run.
+    fn intern_iterations(&mut self, outer: &[i64], lo: i64, n: usize, ids: &mut Vec<u32>) {
+        let repeat = self.repeats_last(outer, &[lo]);
+        if repeat {
+            ids.push(self.last_iter);
+        }
+        let new = n - repeat as usize;
+        if new > 0 {
+            let (start, len) = self.store(outer);
+            let lo = lo + repeat as i64;
+            let first = self.push(Run::Iters { start, len, lo }, new);
+            ids.extend(first..=self.last);
+            self.last_iter = self.last;
+        }
+    }
+
+    /// Make `lanes` map `group`'s lanes, starting empty for a new group.
+    fn enter_lane_group(&mut self, group: i64) {
         if self.lane_group != Some(group) {
             debug_assert!(
                 self.lane_group.is_none_or(|g| g < group),
@@ -227,14 +301,32 @@ impl Threads {
             self.lane_group = Some(group);
             self.lanes.clear();
         }
+    }
+
+    fn intern_lane(&mut self, group: i64, lane: i64) -> u32 {
+        self.enter_lane_group(group);
         let l = usize::try_from(lane).expect("lane ids are non-negative");
         if l >= self.lanes.len() {
             self.lanes.resize(l + 1, 0);
         }
         if self.lanes[l] == 0 {
-            self.lanes[l] = self.push(Thread::Lane { group, lane });
+            self.lanes[l] = self.push(Run::Lanes { group, lo: lane }, 1);
         }
         self.lanes[l]
+    }
+
+    /// Intern lanes `0..n` of work group `group`, appending their
+    /// threads to `ids`: in one run when the group has none yet.
+    fn intern_group(&mut self, group: i64, n: usize, ids: &mut Vec<u32>) {
+        self.enter_lane_group(group);
+        if self.lanes.iter().all(|&t| t == 0) {
+            let first = self.push(Run::Lanes { group, lo: 0 }, n);
+            self.lanes.clear();
+            self.lanes.extend(first..=self.last);
+            ids.extend_from_slice(&self.lanes);
+        } else {
+            ids.extend((0..n as i64).map(|l| self.intern_lane(group, l)));
+        }
     }
 
     /// Are two recorded accesses by different threads unordered (hence
@@ -244,8 +336,8 @@ impl Threads {
         if ta == tb {
             return false;
         }
-        match (self.get(ta), self.get(tb)) {
-            (Thread::Lane { group: g1, .. }, Thread::Lane { group: g2, .. }) if g1 == g2 => {
+        match (self.get(ta).0, self.get(tb).0) {
+            (Run::Lanes { group: g1, .. }, Run::Lanes { group: g2, .. }) if g1 == g2 => {
                 // Same group: phases are barrier-separated unless the
                 // (miscompiled) schedule dropped them.
                 barriers_dropped || slot_epoch(a) == slot_epoch(b)
@@ -257,23 +349,24 @@ impl Threads {
     /// Nest level of a conflict between threads `a` and `b` (see
     /// [`Race::level`]).
     fn level(&self, a: u32, b: u32) -> Option<usize> {
-        match (self.get(a), self.get(b)) {
-            (Thread::Iter { .. }, Thread::Iter { .. }) => {
-                let (x, y) = (self.iteration(a), self.iteration(b));
-                x.iter().zip(y).position(|(p, q)| p != q)
-            }
-            (Thread::Lane { group: g1, .. }, Thread::Lane { group: g2, .. }) => {
-                (g1 != g2).then_some(0)
-            }
+        match (self.get(a).0, self.get(b).0) {
+            (Run::Lanes { group: g1, .. }, Run::Lanes { group: g2, .. }) => (g1 != g2).then_some(0),
             // Mixed kinds never occur within one kernel launch.
-            _ => Some(0),
+            (Run::Lanes { .. }, _) | (_, Run::Lanes { .. }) => Some(0),
+            _ => self
+                .iteration(a)
+                .zip(self.iteration(b))
+                .position(|(p, q)| p != q),
         }
     }
 
     fn id(&self, t: u32) -> ThreadId {
         match self.get(t) {
-            Thread::Iter { .. } => ThreadId::Iter(self.iteration(t).to_vec()),
-            Thread::Lane { group, lane } => ThreadId::Lane { group, lane },
+            (Run::Lanes { group, lo }, b) => ThreadId::Lane {
+                group,
+                lane: lo + b,
+            },
+            _ => ThreadId::Iter(self.iteration(t).collect()),
         }
     }
 }
@@ -281,53 +374,92 @@ impl Threads {
 /// Shadow memory for one launch.
 #[derive(Default)]
 struct Shadow {
-    /// Dense cells per global array, empty until its first in-bounds
-    /// access.
-    global: Vec<Vec<ShadowCell>>,
-    /// Dense cells per local array, for the group `local_group` only.
-    local: Vec<Vec<ShadowCell>>,
+    /// Dense cells per array, numbered like [`RaceTracker`]'s `shapes`
+    /// (the locals for the group `local_group` only), each empty until
+    /// its array's first in-bounds access.
+    dense: Vec<Vec<ShadowCell>>,
     local_group: Option<i64>,
     /// Out-of-bounds indices and unknown arrays.
     stray: BTreeMap<MemLoc, ShadowCell>,
 }
 
 impl Shadow {
-    /// The cell for `loc`, given the `(name, len)` of every global and
-    /// local array.
-    fn cell(
-        &mut self,
-        globals: &[(&str, usize)],
-        locals: &[(&str, usize)],
-        loc: MemLoc,
-    ) -> &mut ShadowCell {
-        let (shapes, dense) = match loc.space {
-            MemSpace::Global => (globals, &mut self.global),
-            MemSpace::Local => {
-                if self.local_group != Some(loc.group) {
-                    debug_assert!(
-                        self.local_group.is_none_or(|g| g < loc.group),
-                        "group {} touched local memory after group {:?}",
-                        loc.group,
-                        self.local_group
-                    );
-                    self.local_group = Some(loc.group);
-                    for cells in &mut self.local {
-                        cells.fill([0; 4]);
-                    }
-                }
-                (locals, &mut self.local)
+    /// Make the local arrays, which start at `dense[locals]`, `group`'s
+    /// instance: zeroed when `group` is new.
+    fn enter_group(&mut self, group: i64, locals: usize) {
+        if self.local_group != Some(group) {
+            debug_assert!(
+                self.local_group.is_none_or(|g| g < group),
+                "group {group} touched local memory after group {:?}",
+                self.local_group
+            );
+            self.local_group = Some(group);
+            for cells in &mut self.dense[locals..] {
+                cells.fill([0; 4]);
             }
-        };
-        let a = loc.array as usize;
-        match (shapes.get(a), usize::try_from(loc.index)) {
-            (Some(&(_, len)), Ok(i)) if i < len => {
-                let cells = &mut dense[a];
+        }
+    }
+
+    /// The cell for `loc`, whose array is `shapes[a]` (`a` is `None`
+    /// for an array the tracker does not know).
+    fn cell(&mut self, shapes: &[(&str, usize)], a: Option<usize>, loc: MemLoc) -> &mut ShadowCell {
+        match (a, usize::try_from(loc.index)) {
+            (Some(a), Ok(i)) if i < shapes[a].1 => {
+                let cells = &mut self.dense[a];
                 if cells.is_empty() {
-                    *cells = vec![[0; 4]; len];
+                    *cells = vec![[0; 4]; shapes[a].1];
                 }
                 &mut cells[i]
             }
             _ => self.stray.entry(loc).or_default(),
+        }
+    }
+}
+
+/// Check an access by `now` against the accesses `cell` records,
+/// call `race` for each one it conflicts with unordered, then record
+/// it. The scalar and batch entry points share it, so both leave the
+/// same cells, reader slots and races.
+#[inline]
+fn check(
+    threads: &Threads,
+    barriers_dropped: bool,
+    cell: &mut ShadowCell,
+    now: Slot,
+    is_write: bool,
+    atomic: bool,
+    mut race: impl FnMut(Slot, RaceKind),
+) {
+    let mut conflict = |prior: Slot, kind: RaceKind| {
+        if prior != 0 && threads.unordered(prior, now, barriers_dropped) {
+            race(prior, kind);
+        }
+    };
+    if is_write {
+        // A plain write races with any other thread's prior access; an
+        // atomic write only with prior plain writes.
+        conflict(cell[WRITER], RaceKind::WriteWrite);
+        if !atomic {
+            conflict(cell[ATOMIC_WRITER], RaceKind::WriteWrite);
+            for r in READERS {
+                conflict(cell[r], RaceKind::ReadWrite);
+            }
+        }
+        let first = &mut cell[if atomic { ATOMIC_WRITER } else { WRITER }];
+        if *first == 0 {
+            *first = now;
+        }
+    } else {
+        conflict(cell[WRITER], RaceKind::ReadWrite);
+        // Keep the latest epoch per thread: phases are processed in
+        // order, so only the most recent read can still be unordered
+        // with a later same-group write.
+        let readers = &mut cell[READERS];
+        let me = slot_thread(now);
+        if let Some(r) = readers.iter_mut().find(|r| slot_thread(**r) == me) {
+            *r = now;
+        } else if let Some(r) = readers.iter_mut().find(|r| **r == 0) {
+            *r = now;
         }
     }
 }
@@ -341,6 +473,8 @@ struct Log {
     /// every detected pair.
     seen: BTreeSet<(MemSpace, u32, RaceKind, Option<usize>)>,
     accesses: u64,
+    /// Of `accesses`, those logged through [`RaceTracker::log_batch`].
+    batched: u64,
     conflicts: u64,
 }
 
@@ -352,6 +486,58 @@ struct Inner {
     epoch: u32,
     shadow: Shadow,
     log: Log,
+    /// The threads of the batch being logged, by lane.
+    lanes: Vec<u32>,
+}
+
+/// A batch's memory accesses for [`RaceTracker::log_batch`]: the batch
+/// VM's access tape, each memory op recorded once for all the lanes
+/// that perform it.
+pub struct Tape<'t> {
+    /// The threads lanes `0..lanes` are.
+    pub threads: TapeThreads<'t>,
+    pub lanes: usize,
+    /// The accesses, in each lane's program order.
+    pub entries: &'t [TapeEntry],
+    /// `lanes` flags per lane mask, back to back: lane `b` performs an
+    /// entry under mask `m` iff `masks[m * lanes + b]`.
+    pub masks: &'t [bool],
+    /// `lanes` element indices per [`TapeIndex::Lanes`] entry, back to
+    /// back.
+    pub lane_idx: &'t [i64],
+}
+
+/// Which threads a batch's lanes are.
+#[derive(Debug, Clone, Copy)]
+pub enum TapeThreads<'t> {
+    /// Lane `b` is iteration `outer ++ [lo + b]` of a simple kernel's
+    /// parallel loop nest. Such a batch touches no local array.
+    Iterations { outer: &'t [i64], lo: i64 },
+    /// Lane `b` is lane `b` of this work group, in the current epoch.
+    Group(i64),
+}
+
+/// One memory op of a batch: each lane performing it reads or writes
+/// (plainly) one element of one array.
+#[derive(Debug, Clone, Copy)]
+pub struct TapeEntry {
+    /// The array, numbered like the tracker's: the global arrays
+    /// first, then the local ones (local slot `s` is `globals + s`).
+    pub array: u32,
+    pub index: TapeIndex,
+    pub write: bool,
+    /// The lane mask ([`Tape::masks`]) of the lanes performing it;
+    /// `None`: every lane.
+    pub mask: Option<u32>,
+}
+
+/// Which element of its array each lane of a [`TapeEntry`] touches.
+#[derive(Debug, Clone, Copy)]
+pub enum TapeIndex {
+    /// Lane `b` touches element `base + stride·b`.
+    Affine { base: i64, stride: i64 },
+    /// Lane `b` touches element `lane_idx[at + b]` ([`Tape::lane_idx`]).
+    Lanes(u32),
 }
 
 /// Shadow-log collector for one kernel launch.
@@ -361,10 +547,11 @@ struct Inner {
 /// by construction (one launch is interpreted on one thread).
 pub struct RaceTracker<'a> {
     kernel: &'a str,
-    /// `(name, element count)` of every global array, by `ArrayId`.
-    globals: Vec<(&'a str, usize)>,
-    /// `(name, element count)` of every local array, by local slot.
-    locals: Vec<(&'a str, usize)>,
+    /// `(name, element count)` of every global array, by `ArrayId`,
+    /// then of every local array, by local slot.
+    shapes: Vec<(&'a str, usize)>,
+    /// How many of `shapes` are global arrays.
+    n_globals: usize,
     barriers_dropped: bool,
     inner: RefCell<Inner>,
 }
@@ -376,15 +563,17 @@ impl<'a> RaceTracker<'a> {
         locals: Vec<(&'a str, usize)>,
         barriers_dropped: bool,
     ) -> RaceTracker<'a> {
+        let n_globals = globals.len();
+        let mut shapes = globals;
+        shapes.extend(locals);
         let shadow = Shadow {
-            global: vec![Vec::new(); globals.len()],
-            local: vec![Vec::new(); locals.len()],
+            dense: vec![Vec::new(); shapes.len()],
             ..Shadow::default()
         };
         RaceTracker {
             kernel,
-            globals,
-            locals,
+            shapes,
+            n_globals,
             barriers_dropped,
             inner: RefCell::new(Inner {
                 shadow,
@@ -432,45 +621,116 @@ impl<'a> RaceTracker<'a> {
             epoch,
             shadow,
             log,
+            ..
         } = &mut *self.inner.borrow_mut();
         if *current == 0 {
             return;
         }
         log.accesses += 1;
         let now = slot(*current, *epoch);
-        let cell = shadow.cell(&self.globals, &self.locals, loc);
-        let racy = |prior: Slot| prior != 0 && threads.unordered(prior, now, self.barriers_dropped);
-        let mut conflict = |prior: Slot, kind: RaceKind| {
-            if racy(prior) {
-                self.record(threads, log, loc, prior, now, kind);
+        if loc.space == MemSpace::Local {
+            shadow.enter_group(loc.group, self.n_globals);
+        }
+        let cell = shadow.cell(&self.shapes, self.array(&loc), loc);
+        check(
+            threads,
+            self.barriers_dropped,
+            cell,
+            now,
+            is_write,
+            atomic,
+            |prior, kind| self.record(threads, log, loc, prior, now, kind),
+        );
+    }
+
+    /// Log a batch's accesses as the scalar path would have: lanes
+    /// ascending, each lane's accesses in program order. The last
+    /// lane's thread is the current one afterwards.
+    pub fn log_batch(&self, tape: &Tape<'_>) {
+        let n = tape.lanes;
+        if n == 0 {
+            return;
+        }
+        let Inner {
+            threads,
+            current,
+            epoch,
+            shadow,
+            log,
+            lanes,
+        } = &mut *self.inner.borrow_mut();
+        lanes.clear();
+        let group = match tape.threads {
+            TapeThreads::Iterations { outer, lo } => {
+                threads.intern_iterations(outer, lo, n, lanes);
+                debug_assert!(
+                    tape.entries
+                        .iter()
+                        .all(|e| (e.array as usize) < self.n_globals),
+                    "an iteration batch touched local memory"
+                );
+                -1
+            }
+            TapeThreads::Group(g) => {
+                threads.intern_group(g, n, lanes);
+                shadow.enter_group(g, self.n_globals);
+                g
             }
         };
-        if is_write {
-            // A plain write races with any other thread's prior
-            // access; an atomic write only with prior plain writes.
-            conflict(cell[WRITER], RaceKind::WriteWrite);
-            if !atomic {
-                conflict(cell[ATOMIC_WRITER], RaceKind::WriteWrite);
-                for r in READERS {
-                    conflict(cell[r], RaceKind::ReadWrite);
+        let mut count = 0;
+        for (b, &t) in lanes.iter().enumerate() {
+            let now = slot(t, *epoch);
+            for e in tape.entries {
+                if e.mask.is_some_and(|m| !tape.masks[m as usize * n + b]) {
+                    continue;
                 }
+                let i = match e.index {
+                    TapeIndex::Affine { base, stride } => base + stride * b as i64,
+                    TapeIndex::Lanes(at) => tape.lane_idx[at as usize + b],
+                };
+                count += 1;
+                let a = e.array as usize;
+                let cell = if (i as u64) < shadow.dense[a].len() as u64 {
+                    &mut shadow.dense[a][i as usize]
+                } else {
+                    // The array's first access in the launch. (The
+                    // batch VM proves every index in bounds, but an
+                    // index outside would still land in the stray map.)
+                    shadow.cell(&self.shapes, Some(a), self.loc(a, group, i))
+                };
+                check(
+                    threads,
+                    self.barriers_dropped,
+                    cell,
+                    now,
+                    e.write,
+                    false,
+                    |prior, kind| {
+                        self.record(threads, log, self.loc(a, group, i), prior, now, kind)
+                    },
+                );
             }
-            let first = &mut cell[if atomic { ATOMIC_WRITER } else { WRITER }];
-            if *first == 0 {
-                *first = now;
-            }
-        } else {
-            conflict(cell[WRITER], RaceKind::ReadWrite);
-            // Keep the latest epoch per thread: phases are processed
-            // in order, so only the most recent read can still be
-            // unordered with a later same-group write.
-            let readers = &mut cell[READERS];
-            let me = slot_thread(now);
-            if let Some(r) = readers.iter_mut().find(|r| slot_thread(**r) == me) {
-                *r = now;
-            } else if let Some(r) = readers.iter_mut().find(|r| **r == 0) {
-                *r = now;
-            }
+        }
+        log.accesses += count;
+        log.batched += count;
+        *current = *lanes.last().expect("a batch has lanes");
+    }
+
+    /// The index in `shapes` of `loc`'s array, if the tracker knows it.
+    fn array(&self, loc: &MemLoc) -> Option<usize> {
+        let (a, n) = (loc.array as usize, self.n_globals);
+        match loc.space {
+            MemSpace::Global => (a < n).then_some(a),
+            MemSpace::Local => (a < self.shapes.len() - n).then_some(n + a),
+        }
+    }
+
+    /// The location of element `index` of `shapes[a]`, a local array
+    /// of `group` or a global one.
+    fn loc(&self, a: usize, group: i64, index: i64) -> MemLoc {
+        match a.checked_sub(self.n_globals) {
+            None => MemLoc::global(a as u32, index),
+            Some(l) => MemLoc::local(l as u32, group, index),
         }
     }
 
@@ -489,13 +749,10 @@ impl<'a> RaceTracker<'a> {
         if !log.seen.insert((loc.space, loc.array, kind, level)) {
             return;
         }
-        let shapes = match loc.space {
-            MemSpace::Global => &self.globals,
-            MemSpace::Local => &self.locals,
-        };
-        let array = shapes
-            .get(loc.array as usize)
-            .map_or_else(|| format!("#{}", loc.array), |(name, _)| name.to_string());
+        let array = self.array(&loc).map_or_else(
+            || format!("#{}", loc.array),
+            |a| self.shapes[a].0.to_string(),
+        );
         log.races.push(Race {
             kernel: self.kernel.to_string(),
             array,
@@ -516,6 +773,12 @@ impl<'a> RaceTracker<'a> {
     /// Total accesses logged.
     pub fn accesses(&self) -> u64 {
         self.inner.borrow().log.accesses
+    }
+
+    /// Of [`RaceTracker::accesses`], those logged a batch at a time
+    /// ([`RaceTracker::log_batch`]).
+    pub fn batched_accesses(&self) -> u64 {
+        self.inner.borrow().log.batched
     }
 
     /// Total conflicting pairs detected (before deduplication).
@@ -696,7 +959,7 @@ mod tests {
         }
         assert_eq!(t.conflicts(), 3);
         let inner = t.inner.borrow();
-        assert!(inner.shadow.global.iter().all(Vec::is_empty));
+        assert!(inner.shadow.dense.iter().all(Vec::is_empty));
         assert_eq!(inner.shadow.stray.len(), 3);
     }
 

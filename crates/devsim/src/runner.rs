@@ -930,6 +930,7 @@ impl<'a> Runner<'a> {
             if let Some(t) = tracker {
                 self.race_accesses += t.accesses();
                 paccport_trace::add("race.accesses", t.accesses());
+                paccport_trace::add("race.batched_accesses", t.batched_accesses());
                 paccport_trace::add("race.conflicts", t.conflicts());
                 for race in t.races() {
                     let key = (

@@ -13,8 +13,17 @@
 //! iteration vectors arrive in increasing lexicographic order, groups
 //! run in increasing order and a group's lane and local accesses all
 //! happen before the next group starts.
+//!
+//! Batch-shaped schedules drive the batch entry point
+//! ([`RaceTracker::log_batch`]) against the same model, which logs
+//! each tape one access at a time, lane-major, the order the batch VM
+//! used to replay it in: masked, affine, lane-indexed and
+//! one-element-for-every-lane entries, an element touched twice in
+//! one lane, batches among scalar iterations of the same outer index,
+//! and grouped phases run batched or lane by lane over three or more
+//! groups with local arrays.
 
-use paccport_devsim::{MemLoc, RaceTracker, ThreadId};
+use paccport_devsim::{MemLoc, RaceTracker, Tape, TapeEntry, TapeIndex, TapeThreads, ThreadId};
 use paccport_trace::rng::Rng;
 use proptest::prelude::*;
 
@@ -202,6 +211,346 @@ fn fixed_seeds_agree_and_exercise_conflicts() {
         }
     }
     assert!(racy > 200, "only {racy} of 2000 schedules had a conflict");
+}
+
+/// A batch's tape under construction, over `lanes` lanes of arrays
+/// `shapes` (the globals, then `locals` from `n_globals` on).
+struct TapeBuilder<'s> {
+    shapes: &'s [(&'s str, usize)],
+    n_globals: usize,
+    lanes: usize,
+    entries: Vec<TapeEntry>,
+    masks: Vec<bool>,
+    lane_idx: Vec<i64>,
+}
+
+impl TapeBuilder<'_> {
+    /// A random entry: affine, lane-indexed or one element for every
+    /// lane, sometimes the previous entry's element again, sometimes
+    /// under a lane mask, and now and then off the end of its array.
+    fn push(&mut self, rng: &mut Rng, locals: bool) {
+        let n = self.lanes as i64;
+        let n_locals = self.shapes.len() - self.n_globals;
+        let prev = self.entries.last().copied();
+        let mut e = match prev {
+            Some(p) if rng.chance(20, 100) => p,
+            _ => {
+                let array = if locals && n_locals > 0 && rng.chance(45, 100) {
+                    self.n_globals + rng.below(n_locals as u64) as usize
+                } else {
+                    rng.below(self.n_globals as u64) as usize
+                };
+                let len = self.shapes[array].1 as i64;
+                let wild = rng.chance(4, 100);
+                let index = match rng.below(5) {
+                    0 => {
+                        let at = self.lane_idx.len() as u32;
+                        for _ in 0..n {
+                            let i = if wild && rng.chance(1, 2) {
+                                len + rng.range(0, 2)
+                            } else {
+                                rng.range(0, (len - 1).max(0))
+                            };
+                            self.lane_idx.push(i);
+                        }
+                        TapeIndex::Lanes(at)
+                    }
+                    // Every lane on one element: its reader slots fill.
+                    1 => TapeIndex::Affine {
+                        base: rng.range(0, (len - 1).max(0)),
+                        stride: 0,
+                    },
+                    _ => {
+                        let stride: i64 = *rng.pick(&[1, 1, 2, -1]);
+                        let span = stride.abs() * (n - 1);
+                        let base = if wild || span >= len {
+                            rng.range(-2, len + 1)
+                        } else {
+                            rng.range(0, len - 1 - span)
+                        };
+                        let base = if stride < 0 { base + span } else { base };
+                        TapeIndex::Affine { base, stride }
+                    }
+                };
+                TapeEntry {
+                    array: array as u32,
+                    index,
+                    write: false,
+                    mask: None,
+                }
+            }
+        };
+        e.write = rng.chance(40, 100);
+        e.mask = None;
+        if rng.chance(30, 100) {
+            let count = (self.masks.len() / self.lanes) as u32;
+            if count > 0 && rng.chance(1, 3) {
+                e.mask = Some(rng.below(count as u64) as u32);
+            } else {
+                for _ in 0..n {
+                    self.masks.push(rng.chance(60, 100));
+                }
+                e.mask = Some(count);
+            }
+        }
+        self.entries.push(e);
+    }
+
+    /// Log the tape into both trackers: the batch entry point, and the
+    /// model one access at a time, lane-major, each lane first made
+    /// the model's current thread (`lane_thread(b)`).
+    fn log(
+        &self,
+        model: &reference::RaceTracker,
+        flat: &RaceTracker<'_>,
+        threads: TapeThreads<'_>,
+        group: i64,
+    ) {
+        for b in 0..self.lanes {
+            let thread = match threads {
+                TapeThreads::Iterations { outer, lo } => {
+                    let mut v = outer.to_vec();
+                    v.push(lo + b as i64);
+                    ThreadId::Iter(v)
+                }
+                TapeThreads::Group(group) => ThreadId::Lane {
+                    group,
+                    lane: b as i64,
+                },
+            };
+            model.set_thread(Some(thread));
+            for e in &self.entries {
+                if e.mask
+                    .is_some_and(|m| !self.masks[m as usize * self.lanes + b])
+                {
+                    continue;
+                }
+                let i = match e.index {
+                    TapeIndex::Affine { base, stride } => base + stride * b as i64,
+                    TapeIndex::Lanes(at) => self.lane_idx[at as usize + b],
+                };
+                let a = e.array as usize;
+                let loc = match a.checked_sub(self.n_globals) {
+                    None => MemLoc::global(a as u32, i),
+                    Some(l) => MemLoc::local(l as u32, group, i),
+                };
+                if e.write {
+                    model.log_write(loc, false);
+                } else {
+                    model.log_read(loc);
+                }
+            }
+        }
+        flat.log_batch(&Tape {
+            threads,
+            lanes: self.lanes,
+            entries: &self.entries,
+            masks: &self.masks,
+            lane_idx: &self.lane_idx,
+        });
+    }
+}
+
+/// One scalar access to a random global array (or a local one of
+/// `group`), logged into both trackers.
+fn scalar_access(
+    rng: &mut Rng,
+    model: &reference::RaceTracker,
+    flat: &RaceTracker<'_>,
+    shapes: &[(&str, usize)],
+    n_globals: usize,
+    group: Option<i64>,
+) {
+    let n_locals = shapes.len() - n_globals;
+    let loc = match group {
+        Some(g) if n_locals > 0 && rng.chance(40, 100) => {
+            let l = rng.below(n_locals as u64) as usize;
+            MemLoc::local(l as u32, g, index(rng, shapes[n_globals + l].1))
+        }
+        _ => {
+            let a = rng.below(n_globals as u64) as usize;
+            MemLoc::global(a as u32, index(rng, shapes[a].1))
+        }
+    };
+    if rng.chance(40, 100) {
+        model.log_write(loc, false);
+        flat.log_write(loc, false);
+    } else {
+        model.log_read(loc);
+        flat.log_read(loc);
+    }
+}
+
+/// Drive the model and the batch entry point with one seeded
+/// batch-shaped schedule and compare them, as [`check_schedule`] does;
+/// returns the agreed conflict count.
+///
+/// Simple-kernel schedules interleave batches of an innermost loop with
+/// scalar iterations of the same outer index (before a batch, after it
+/// and repeating its last lane). Grouped schedules run three or more
+/// groups whose phases each run batched or lane by lane, over global
+/// and local arrays, with the barriers kept or dropped.
+fn check_batch_schedule(seed: u64) -> Result<u64, String> {
+    let mut rng = Rng::new(seed);
+    let grouped = rng.chance(1, 2);
+    let barriers_dropped = rng.chance(1, 2);
+    let n_globals = rng.range(1, 3) as usize;
+    let n_locals = if grouped { rng.below(3) as usize } else { 0 };
+    let names = ["a", "b", "c", "sdata", "tile"];
+    let mut shapes: Vec<(&str, usize)> = (0..n_globals)
+        .map(|a| (names[a], rng.range(0, 12) as usize))
+        .collect();
+    shapes.extend((0..n_locals).map(|l| (names[3 + l], rng.range(0, 8) as usize)));
+    let (globals, locals) = shapes.split_at(n_globals);
+    let model = reference::RaceTracker::new(
+        "k",
+        globals.iter().map(|s| s.0.to_string()).collect(),
+        locals.iter().map(|s| s.0.to_string()).collect(),
+        barriers_dropped,
+    );
+    let flat = RaceTracker::new("k", globals.to_vec(), locals.to_vec(), barriers_dropped);
+    let tape = |lanes: usize| TapeBuilder {
+        shapes: &shapes,
+        n_globals,
+        lanes,
+        entries: Vec::new(),
+        masks: Vec::new(),
+        lane_idx: Vec::new(),
+    };
+    let mut batched = 0;
+    let agree = |step: &str| {
+        let (want, got) = (
+            (model.accesses(), model.conflicts()),
+            (flat.accesses(), flat.conflicts()),
+        );
+        if want != got {
+            return Err(format!(
+                "seed {seed} {step}: (accesses, conflicts) {got:?}, model {want:?}"
+            ));
+        }
+        Ok(())
+    };
+    if grouped {
+        let lanes = rng.range(1, 6) as usize;
+        let mut group = rng.range(0, 2);
+        for _ in 0..rng.range(3, 5) {
+            for phase in 0..rng.range(1, 4) {
+                model.set_epoch(phase as u32);
+                flat.set_epoch(phase as u32);
+                if rng.chance(65, 100) {
+                    let mut t = tape(lanes);
+                    for _ in 0..rng.range(1, 6) {
+                        t.push(&mut rng, true);
+                    }
+                    let before = model.accesses();
+                    t.log(&model, &flat, TapeThreads::Group(group), group);
+                    batched += model.accesses() - before;
+                } else {
+                    for lane in 0..lanes as i64 {
+                        model.set_thread(Some(ThreadId::Lane { group, lane }));
+                        flat.set_lane(group, lane);
+                        for _ in 0..rng.below(4) {
+                            scalar_access(&mut rng, &model, &flat, &shapes, n_globals, Some(group));
+                        }
+                    }
+                }
+                agree(&format!("group {group} phase {phase}"))?;
+            }
+            group += rng.range(1, 2);
+        }
+    } else {
+        let mut outer: Vec<i64> = (0..rng.below(3)).map(|_| rng.range(-2, 2)).collect();
+        // The latest inner index under `outer`: the next one repeats
+        // it now and then, and otherwise follows it.
+        let mut last: Option<i64> = None;
+        let next = |rng: &mut Rng, last: Option<i64>| match last {
+            None => rng.range(-2, 2),
+            Some(l) if rng.chance(20, 100) => l,
+            Some(l) => l + rng.range(1, 2),
+        };
+        for step in 0..rng.below(30) {
+            match rng.below(6) {
+                0 if !outer.is_empty() => {
+                    outer = next_iteration(&mut rng, &outer);
+                    last = None;
+                }
+                0 | 1 => {
+                    // A scalar iteration, sometimes the latest again.
+                    let j = next(&mut rng, last);
+                    let mut iter = outer.clone();
+                    iter.push(j);
+                    model.set_thread(Some(ThreadId::Iter(iter.clone())));
+                    flat.set_iteration(&iter);
+                    last = Some(j);
+                    for _ in 0..rng.below(4) {
+                        scalar_access(&mut rng, &model, &flat, &shapes, n_globals, None);
+                    }
+                }
+                2 => {
+                    // Accesses by the current thread: the last lane of
+                    // a batch, a scalar iteration's, or none.
+                    if rng.chance(20, 100) {
+                        model.set_thread(None);
+                        flat.clear_thread();
+                    }
+                    scalar_access(&mut rng, &model, &flat, &shapes, n_globals, None);
+                }
+                _ => {
+                    // A batch may start on the latest iteration.
+                    let lo = next(&mut rng, last);
+                    let lanes = rng.range(1, 6) as usize;
+                    let mut t = tape(lanes);
+                    for _ in 0..rng.range(1, 6) {
+                        t.push(&mut rng, false);
+                    }
+                    let before = model.accesses();
+                    let threads = TapeThreads::Iterations { outer: &outer, lo };
+                    t.log(&model, &flat, threads, -1);
+                    batched += model.accesses() - before;
+                    last = Some(lo + lanes as i64 - 1);
+                }
+            }
+            agree(&format!("step {step}"))?;
+        }
+    }
+    if flat.batched_accesses() != batched {
+        return Err(format!(
+            "seed {seed}: {} batched accesses, {batched} logged by batches",
+            flat.batched_accesses()
+        ));
+    }
+    if model.races() != flat.races() {
+        return Err(format!(
+            "seed {seed}: races\n{:#?}\nmodel\n{:#?}",
+            flat.races(),
+            model.races()
+        ));
+    }
+    Ok(model.conflicts())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn batch_entry_point_matches_the_btreemap_model(seed in 0u64..1_000_000) {
+        check_batch_schedule(seed)?;
+    }
+}
+
+/// Fixed batch-shaped seeds, racy and race-free ones both.
+#[test]
+fn fixed_batch_seeds_agree_and_exercise_conflicts() {
+    let mut racy = 0;
+    for seed in 0..2000 {
+        if check_batch_schedule(seed).unwrap() > 0 {
+            racy += 1;
+        }
+    }
+    assert!(
+        (200..1900).contains(&racy),
+        "{racy} of 2000 batch schedules had a conflict"
+    );
 }
 
 /// The tracker as it stood before the flat shadow memory, kept verbatim

@@ -7,6 +7,8 @@
 //! accidental collisions are negligible and whose value is the same on
 //! every platform and in every process.
 
+use std::fmt;
+
 /// The standard FNV-1a-64 offset basis.
 pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -37,6 +39,43 @@ pub fn fnv1a128(bytes: &[u8]) -> u128 {
     ((hi as u128) << 64) | lo as u128
 }
 
+/// [`fnv1a128`] as a [`fmt::Write`] sink: `write!` a value into it to
+/// hash the value's formatted form without building the string.
+/// Chaining FNV through its basis is hashing the concatenation, so the
+/// result is [`fnv1a128`] of the whole text however it arrives.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a128 {
+    lo: u64,
+    hi: u64,
+}
+
+impl Fnv1a128 {
+    pub fn new() -> Self {
+        Fnv1a128 {
+            lo: FNV_BASIS,
+            hi: FNV_BASIS_ALT,
+        }
+    }
+
+    pub fn finish(self) -> u128 {
+        ((self.hi as u128) << 64) | self.lo as u128
+    }
+}
+
+impl Default for Fnv1a128 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Write for Fnv1a128 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.lo = fnv1a64(s.as_bytes(), self.lo);
+        self.hi = fnv1a64(s.as_bytes(), self.hi);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,5 +92,15 @@ mod tests {
         );
         assert_eq!(fnv1a128(b"foobar") as u64, 0x85944171f73967e8);
         assert_eq!((fnv1a128(b"") >> 64) as u64, FNV_BASIS_ALT);
+    }
+
+    #[test]
+    fn streaming_matches_the_whole_text() {
+        use std::fmt::Write;
+        let v = (vec![1.5f32, -0.0], Some("x\ny"), [7u8; 3]);
+        let mut h = Fnv1a128::new();
+        write!(h, "{v:?}").unwrap();
+        assert_eq!(h.finish(), fnv1a128(format!("{v:?}").as_bytes()));
+        assert_eq!(Fnv1a128::default().finish(), fnv1a128(b""));
     }
 }
