@@ -141,7 +141,10 @@
 //! full), coalescing identical concurrent requests into one execution;
 //! `POST /stream` emits one chunk per cell; `GET /metrics` is the
 //! Prometheus exposition. `--cache-bytes` caps the artifact cache (LRU
-//! eviction) and `--tenant-quota` bounds each `X-Tenant`'s share.
+//! eviction) and `--tenant-quota` bounds each `X-Tenant`'s share. Both
+//! count the cache's size units, not encoded bytes: an artifact weighs
+//! 256 plus 32 per PTX instruction, 64 per IR statement and 128 per plan
+//! node, near its encoded length in bytes.
 //! The bound address goes to stdout and `--port-file`; the process
 //! runs until SIGTERM or `POST /shutdown`, then drains in-flight work
 //! and exits 0. Response bodies are deterministic per

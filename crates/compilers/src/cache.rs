@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use paccport_ir::Program;
 use paccport_trace::hash::{fnv1a64, Fnv1a128, FNV_BASIS};
 
-use crate::artifact::{CompileError, CompiledProgram};
+use crate::artifact::{CompileError, CompiledProgram, CostNode, CostTree};
 use crate::options::{CompileOptions, CompilerId};
 
 /// Cache key: compiler personality + full option set + program content.
@@ -104,6 +104,47 @@ pub fn artifact_checksum(c: &CompiledProgram) -> u64 {
     fnv1a64(format!("{c:?}").as_bytes(), FNV_BASIS)
 }
 
+/// The decoded store entry `name`, if the store holds one. A record the
+/// transport returned intact but that does not decode (version skew,
+/// codec drift) is evicted and treated as absent.
+fn load_from(store: &dyn ArtifactStore, name: &str) -> Option<CompiledProgram> {
+    if let Some(payload) = store.load(name) {
+        match crate::diskfmt::decode_artifact(&payload) {
+            Ok(c) => {
+                paccport_trace::metrics::counter_add("disk_cache_hit_total", &[], 1);
+                return Some(c);
+            }
+            Err(_) => {
+                store.evict(name);
+                paccport_trace::metrics::counter_add("disk_cache_evict_total", &[], 1);
+            }
+        }
+    }
+    paccport_trace::metrics::counter_add("disk_cache_miss_total", &[], 1);
+    None
+}
+
+/// An artifact's size in cache units, the unit of the byte cap and the
+/// tenant quotas: a fixed header plus weighted counts of its PTX
+/// instructions, IR statements and plan nodes (each plan and each node
+/// of its cost tree). The weights keep an artifact near its encoded
+/// length in bytes; counting needs no encoding or allocation, and the
+/// size is never 0.
+fn entry_size(c: &CompiledProgram) -> u64 {
+    fn cost_nodes(t: &CostTree) -> usize {
+        t.kids
+            .iter()
+            .map(|k| match k {
+                CostNode::Loop { body, .. } => 1 + cost_nodes(body),
+                CostNode::Branch { then, els } => 1 + cost_nodes(then) + cost_nodes(els),
+            })
+            .sum()
+    }
+    let instrs: usize = c.module.kernels.iter().map(|k| k.len()).sum();
+    let plan_nodes: usize = c.plans.iter().map(|p| 1 + cost_nodes(&p.cost)).sum();
+    (256 + 32 * instrs + 64 * c.program.stmt_count() + 128 * plan_nodes) as u64
+}
+
 /// One cache entry: a singleflight slot holding the artifact, plus the
 /// mark of a corrupt copy. The `corrupt-cache` fault sets `corrupt`
 /// *at write time* (inside the slot's initializer, so the `OnceLock`'s
@@ -117,8 +158,8 @@ struct Entry {
     /// because the counter is per key rather than global, the decision
     /// sequence is identical no matter how worker threads interleave.
     generation: u64,
-    /// Resident size (the artifact's durable encoding length); written
-    /// inside the slot initializer, `0` for error entries.
+    /// Resident size in cache units ([`entry_size`]); written inside
+    /// the slot initializer, `0` for error entries.
     bytes: AtomicU64,
     /// LRU stamp from the cache's use-clock, refreshed on every lookup.
     last_use: AtomicU64,
@@ -303,59 +344,35 @@ impl ArtifactCache {
                 // the entry was verified when first built; its
                 // integrity is the disk format's own checksums).
                 let disk = self.disk();
-                if let Some(store) = &disk {
-                    let name = key.storage_name();
-                    if let Some(payload) = store.load(&name) {
-                        match crate::diskfmt::decode_artifact(&payload) {
-                            Ok(c) => {
-                                paccport_trace::metrics::counter_add(
-                                    "disk_cache_hit_total",
-                                    &[],
-                                    1,
-                                );
-                                entry.bytes.store(payload.len() as u64, Ordering::Relaxed);
-                                *entry.tenant.lock().unwrap() = current_tenant();
-                                return Ok(Arc::new(c));
-                            }
-                            Err(_) => {
-                                // Transport said intact but the record
-                                // does not decode (version skew, codec
-                                // drift): treat as absent.
-                                store.evict(&name);
-                                paccport_trace::metrics::counter_add(
-                                    "disk_cache_evict_total",
-                                    &[],
-                                    1,
-                                );
+                let name = key.storage_name();
+                let r = match disk.as_ref().and_then(|store| load_from(&**store, &name)) {
+                    Some(c) => Ok(Arc::new(c)),
+                    None => {
+                        let r = crate::compile(id, program, options).map(Arc::new);
+                        if let Ok(c) = &r {
+                            // The corrupt-cache fault strikes the
+                            // physical copy as it is written; readers
+                            // see the mark below and evict.
+                            let fault_key = format!("cache:{name}:gen{}", entry.generation);
+                            let corrupted = paccport_faults::inject(
+                                paccport_faults::FaultKind::CorruptCache,
+                                &fault_key,
+                            );
+                            entry.corrupt.store(corrupted, Ordering::Relaxed);
+                            // Publish clean builds to the durable tier.
+                            // A corrupt-cache generation is not
+                            // published: the in-memory
+                            // evict-and-recompile round must play out
+                            // exactly as without a store.
+                            if let Some(store) = disk.filter(|_| !corrupted) {
+                                store.store(&name, &crate::diskfmt::encode_artifact(c));
                             }
                         }
+                        r
                     }
-                    paccport_trace::metrics::counter_add("disk_cache_miss_total", &[], 1);
-                }
-                let r = crate::compile(id, program, options).map(Arc::new);
+                };
                 if let Ok(c) = &r {
-                    // The corrupt-cache fault strikes the physical
-                    // copy as it is written; readers see the mark
-                    // below and evict.
-                    let fault_key = format!("cache:{:#034x}:gen{}", key.program, entry.generation);
-                    let corrupted = paccport_faults::inject(
-                        paccport_faults::FaultKind::CorruptCache,
-                        &fault_key,
-                    );
-                    entry.corrupt.store(corrupted, Ordering::Relaxed);
-                    // Publish clean builds to the durable tier. A
-                    // corrupt-cache generation is not published: the
-                    // in-memory evict-and-recompile round must play
-                    // out exactly as without a store.
-                    let bytes = match &disk {
-                        Some(store) if !corrupted => {
-                            let encoded = crate::diskfmt::encode_artifact(c);
-                            store.store(&key.storage_name(), &encoded);
-                            encoded.len()
-                        }
-                        _ => crate::diskfmt::record_len(c),
-                    };
-                    entry.bytes.store(bytes as u64, Ordering::Relaxed);
+                    entry.bytes.store(entry_size(c), Ordering::Relaxed);
                     *entry.tenant.lock().unwrap() = current_tenant();
                 }
                 r
@@ -526,26 +543,31 @@ impl ArtifactCache {
         }
     }
 
-    /// Bound the cache's resident bytes (`None` lifts the bound).
-    /// Enforced eagerly: setting a smaller cap evicts immediately.
+    /// Bound the cache's resident size (`None` lifts the bound). Sizes
+    /// are cache units, not encoded bytes: an artifact weighs a 256-unit
+    /// header plus 32 per PTX instruction, 64 per IR statement and 128
+    /// per plan node, near its encoded length in bytes. Enforced
+    /// eagerly: setting a smaller cap evicts immediately.
     pub fn set_byte_cap(&self, cap: Option<u64>) {
         self.limits.lock().unwrap().byte_cap = cap;
         self.enforce_caps();
     }
 
-    /// Bound each named tenant's resident bytes (`None` lifts it).
+    /// Bound each named tenant's resident size, in cache units (`None`
+    /// lifts it).
     /// Anonymous inserts (no [`tenant_scope`]) are exempt.
     pub fn set_tenant_quota(&self, quota: Option<u64>) {
         self.limits.lock().unwrap().tenant_quota = quota;
         self.enforce_caps();
     }
 
-    /// Resident bytes across all cached artifacts.
+    /// Resident size across all cached artifacts, in cache units (see
+    /// [`Self::set_byte_cap`]).
     pub fn total_bytes(&self) -> u64 {
         self.acct.lock().unwrap().total
     }
 
-    /// Resident bytes attributed to `tenant`.
+    /// Resident size attributed to `tenant`, in cache units.
     pub fn tenant_bytes(&self, tenant: &str) -> u64 {
         self.acct
             .lock()
@@ -785,6 +807,25 @@ mod tests {
     fn poisoning_an_absent_key_reports_false() {
         let cache = ArtifactCache::new();
         assert!(!cache.poison(CompilerId::Caps, &saxpy("saxpy"), &CompileOptions::gpu()));
+    }
+
+    #[test]
+    fn entry_size_stays_near_the_encoded_length() {
+        let p = saxpy("s");
+        for id in [CompilerId::Caps, CompilerId::Pgi, CompilerId::OpenClHand] {
+            let c = crate::compile(id, &p, &CompileOptions::gpu()).unwrap();
+            let (size, encoded) = (
+                entry_size(&c),
+                crate::diskfmt::encode_artifact(&c).len() as u64,
+            );
+            assert!(
+                size * 4 > encoded * 3 && size * 4 < encoded * 5,
+                "{id:?}: {size} units for {encoded} encoded bytes"
+            );
+        }
+        let empty = ProgramBuilder::new("empty").finish(Vec::new());
+        let c = crate::compile(CompilerId::Caps, &empty, &CompileOptions::gpu()).unwrap();
+        assert!(entry_size(&c) > 0);
     }
 
     #[test]

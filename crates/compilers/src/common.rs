@@ -85,13 +85,8 @@ pub fn has_indirect_access(k: &Kernel) -> bool {
             });
         });
     };
-    match &k.body {
-        KernelBody::Simple(b) => scan(b),
-        KernelBody::Grouped(g) => {
-            for p in &g.phases {
-                scan(p);
-            }
-        }
+    for b in k.blocks() {
+        scan(b);
     }
     found
 }
@@ -114,19 +109,9 @@ pub fn has_invariant_store(k: &Kernel) -> bool {
 /// Are all parallel-loop bounds expressions over parameters and
 /// constants only (a rectangular, launch-invariant nest)?
 pub fn rectangular_bounds(k: &Kernel) -> bool {
-    k.loops.iter().all(|l| {
-        let mut ok = true;
-        let mut check = |e: &Expr| {
-            e.walk(&mut |e| {
-                if matches!(e, Expr::Var(_) | Expr::Load { .. } | Expr::Special(_)) {
-                    ok = false;
-                }
-            })
-        };
-        check(&l.lo);
-        check(&l.hi);
-        ok
-    })
+    k.loops
+        .iter()
+        .all(|l| l.lo.reads_only_params() && l.hi.reads_only_params())
 }
 
 /// How many loops of the nest a distribution spreads across threads.

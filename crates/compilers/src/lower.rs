@@ -121,8 +121,7 @@ pub fn lower_kernel(
 /// instructions" observation on PGI's BFS.
 pub fn lower_stub(p: &Program, k: &Kernel) -> PtxKernel {
     let mut e = Emitter::new(format!("{}_kernel", k.name));
-    let used = used_arrays(k);
-    for a in used.iter().take(3) {
+    for a in k.global_arrays().iter().take(3) {
         e.add_param(p.array(*a).name.clone());
         e.emit(
             Opcode::LdParam,
@@ -134,96 +133,14 @@ pub fn lower_stub(p: &Program, k: &Kernel) -> PtxKernel {
     e.finish()
 }
 
-/// Arrays referenced anywhere in a kernel (bounds or body).
-pub fn used_arrays(k: &Kernel) -> Vec<ArrayId> {
-    let mut set = std::collections::BTreeSet::new();
-    fn from_expr(e: &Expr, set: &mut std::collections::BTreeSet<ArrayId>) {
-        e.walk(&mut |e| {
-            if let Expr::Load {
-                space: MemSpace::Global,
-                array,
-                ..
-            } = e
-            {
-                set.insert(*array);
-            }
-        });
-    }
-    for lp in &k.loops {
-        from_expr(&lp.lo, &mut set);
-        from_expr(&lp.hi, &mut set);
-    }
-    let from_block = |b: &Block, set: &mut std::collections::BTreeSet<ArrayId>| {
-        b.walk(&mut |s| {
-            s.for_each_expr(&mut |e| {
-                e.walk(&mut |e| {
-                    if let Expr::Load {
-                        space: MemSpace::Global,
-                        array,
-                        ..
-                    } = e
-                    {
-                        set.insert(*array);
-                    }
-                })
-            });
-            match s {
-                Stmt::Store {
-                    space: MemSpace::Global,
-                    array,
-                    ..
-                }
-                | Stmt::Atomic { array, .. } => {
-                    set.insert(*array);
-                }
-                _ => {}
-            }
-        });
-    };
-    match &k.body {
-        KernelBody::Simple(b) => from_block(b, &mut set),
-        KernelBody::Grouped(g) => {
-            for phase in &g.phases {
-                from_block(phase, &mut set);
-            }
-        }
-    }
-    if let Some(rr) = &k.region_reduction {
-        set.insert(rr.dest);
-        from_expr(&rr.value, &mut set);
-    }
-    set.into_iter().collect()
-}
-
 /// Scalar parameters referenced anywhere in a kernel.
 pub fn used_params(k: &Kernel) -> Vec<ParamId> {
     let mut set = std::collections::BTreeSet::new();
-    let from_expr = |e: &Expr, set: &mut std::collections::BTreeSet<ParamId>| {
-        e.walk(&mut |e| {
-            if let Expr::Param(id) = e {
-                set.insert(*id);
-            }
-        });
-    };
-    for lp in &k.loops {
-        from_expr(&lp.lo, &mut set);
-        from_expr(&lp.hi, &mut set);
-    }
-    let mut blocks: Vec<&Block> = Vec::new();
-    match &k.body {
-        KernelBody::Simple(b) => blocks.push(b),
-        KernelBody::Grouped(g) => blocks.extend(g.phases.iter()),
-    }
-    for b in blocks {
-        b.walk_exprs(&mut |e| {
-            if let Expr::Param(id) = e {
-                set.insert(*id);
-            }
-        });
-    }
-    if let Some(rr) = &k.region_reduction {
-        from_expr(&rr.value, &mut set);
-    }
+    k.walk_exprs(&mut |e| {
+        if let Expr::Param(id) = e {
+            set.insert(*id);
+        }
+    });
     set.into_iter().collect()
 }
 
@@ -275,7 +192,7 @@ impl<'a> Lowerer<'a> {
             self.params.insert(pid, r);
         }
         // Array bases.
-        for aid in used_arrays(k) {
+        for aid in k.global_arrays() {
             let name = self.p.array(aid).name.clone();
             self.emitter.add_param(name.clone());
             let raw = self

@@ -14,7 +14,6 @@
 //! declared type, so `let x: f32 = 0.1` propagates the f64 value
 //! `(0.1f32) as f64`, not `0.1`.
 
-use super::util::{assigned_vars, kernel_blocks, kernel_blocks_mut};
 use paccport_ir::{simplify_kernel_in, Expr, KindEnv, Program, Scalar, Stmt, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -84,8 +83,8 @@ pub fn run(p: &mut Program) -> bool {
         let before = format!("{k:?}");
         let mut distrusted: BTreeSet<VarId> = BTreeSet::new();
         let mut let_count: BTreeMap<VarId, usize> = BTreeMap::new();
-        for b in kernel_blocks(k) {
-            distrusted.extend(assigned_vars(b));
+        for b in k.blocks() {
+            distrusted.extend(b.assigned_vars());
             b.walk(&mut |s| {
                 if let Stmt::Let { var, .. } = s {
                     *let_count.entry(*var).or_insert(0) += 1;
@@ -101,7 +100,7 @@ pub fn run(p: &mut Program) -> bool {
             // The accumulator is rebound by the engine per iteration.
             distrusted.insert(r.acc);
         }
-        for b in kernel_blocks_mut(k) {
+        for b in k.blocks_mut() {
             fold_stmts(&mut b.0, &BTreeMap::new(), &distrusted);
         }
         simplify_kernel_in(k, &program_env);

@@ -25,8 +25,7 @@
 //! simply not worth modeling here).
 
 use super::util::{
-    defs_of, expr_vars, has_load, identity_scalar, kernel_blocks_mut, kind_env_for_kernel,
-    never_traps, replace_expr,
+    defs_of, expr_vars, identity_scalar, kind_env_for_kernel, never_traps, replace_expr,
 };
 use crate::transforms::VarAlloc;
 use paccport_ir::{value_kind, Block, Expr, KindEnv, Program, Scalar, Stmt, VarId};
@@ -68,7 +67,7 @@ fn apply_one(
     for (j, s) in b.0.iter().enumerate() {
         s.for_each_expr(&mut |top| {
             top.walk(&mut |e| {
-                if e.node_count() < 3 || has_load(e) {
+                if e.node_count() < 3 || e.reads_memory() {
                     return;
                 }
                 let hit = cands.iter().position(|c| c.live && c.expr == *e);
@@ -160,7 +159,7 @@ pub fn run(p: &mut Program) -> bool {
         p.map_kernels(|k| {
             let env = kind_env_for_kernel(&program_env, k);
             let mut new_locals: Vec<(VarId, Scalar)> = Vec::new();
-            for b in kernel_blocks_mut(k) {
+            for b in k.blocks_mut() {
                 changed |= cse_block(b, &env, &mut va, &mut new_locals);
             }
             k.locals.extend(new_locals);

@@ -22,10 +22,8 @@
 //!    reduction accumulator. These are typically left behind by
 //!    scalar promotion and constant propagation.
 
-use super::util::{defs_of, expr_vars, kernel_blocks_mut, kind_env_for_kernel, never_traps};
-use paccport_ir::{
-    ArrayId, Block, Expr, HostStmt, Kernel, KindEnv, MemSpace, Program, Stmt, VarId,
-};
+use super::util::{defs_of, expr_vars, kind_env_for_kernel, never_traps};
+use paccport_ir::{ArrayId, Block, Expr, HostStmt, KindEnv, MemSpace, Program, Stmt, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Every expression of the program: kernel bodies (including nested
@@ -38,7 +36,7 @@ fn walk_program_exprs(p: &Program, f: &mut impl FnMut(&Expr)) {
                 HostStmt::DataRegion { body, .. }
                 | HostStmt::HostLoop { body, .. }
                 | HostStmt::WhileFlag { body, .. } => host(body, f),
-                HostStmt::Launch(k) => kernel(k, f),
+                HostStmt::Launch(k) => k.walk_exprs(f),
                 HostStmt::HostAssign { value, .. } => value.walk(f),
                 HostStmt::HostStore { index, value, .. } => {
                     index.walk(f);
@@ -53,18 +51,6 @@ fn walk_program_exprs(p: &Program, f: &mut impl FnMut(&Expr)) {
                 lo.walk(f);
                 hi.walk(f);
             }
-        }
-    }
-    fn kernel(k: &Kernel, f: &mut impl FnMut(&Expr)) {
-        for lp in &k.loops {
-            lp.lo.walk(f);
-            lp.hi.walk(f);
-        }
-        if let Some(rr) = &k.region_reduction {
-            rr.value.walk(f);
-        }
-        for b in super::util::kernel_blocks(k) {
-            b.walk_exprs(f);
         }
     }
     host(&p.body, f);
@@ -225,7 +211,7 @@ pub fn run(p: &mut Program) -> bool {
                 for lp in &k.loops {
                     assigned_or_pinned.insert(lp.var);
                 }
-                for b in super::util::kernel_blocks(k) {
+                for b in k.blocks() {
                     b.walk(&mut |s| match s {
                         Stmt::Let { var, .. } => {
                             *let_count.entry(*var).or_insert(0) += 1;
@@ -273,7 +259,7 @@ pub fn run(p: &mut Program) -> bool {
     let mut changed = false;
     p.map_kernels(|k| {
         let env = kind_env_for_kernel(&program_env, k);
-        for b in kernel_blocks_mut(k) {
+        for b in k.blocks_mut() {
             changed |= dse_block(b, &env, &dead_arrays, &dead_lets);
         }
     });

@@ -22,10 +22,7 @@
 //! directly; the pass-manager fixpoint hoists invariants outward one
 //! level per sweep.
 
-use super::util::{
-    assigned_vars, expr_vars, for_vars, has_load, kernel_blocks, kernel_blocks_mut,
-    kind_env_for_kernel, let_vars, never_traps,
-};
+use super::util::{expr_vars, kind_env_for_kernel, never_traps};
 use paccport_ir::{Block, KindEnv, Program, Stmt, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -67,15 +64,15 @@ fn hoist_in_block(
         if let Stmt::For { var, body, .. } = &mut b.0[i] {
             if !block_has_for(body) {
                 let loop_var = *var;
-                let mut pinned = assigned_vars(body);
-                pinned.extend(let_vars(body));
+                let mut pinned = body.assigned_vars();
+                pinned.extend(body.let_vars());
                 pinned.insert(loop_var);
                 body.0.retain(|s| {
                     if let Stmt::Let { var: v, init, .. } = s {
                         let ok = let_count.get(v) == Some(&1)
                             && !assigned.contains(v)
                             && !loop_bound.contains(v)
-                            && !has_load(init)
+                            && !init.reads_memory()
                             && never_traps(init, env)
                             && expr_vars(init).is_disjoint(&pinned);
                         if ok {
@@ -107,16 +104,16 @@ pub fn run(p: &mut Program) -> bool {
         let mut let_count: BTreeMap<VarId, usize> = BTreeMap::new();
         let mut assigned: BTreeSet<VarId> = BTreeSet::new();
         let mut loop_bound: BTreeSet<VarId> = k.loops.iter().map(|lp| lp.var).collect();
-        for b in kernel_blocks(k) {
-            assigned.extend(assigned_vars(b));
-            loop_bound.extend(for_vars(b));
+        for b in k.blocks() {
+            assigned.extend(b.assigned_vars());
+            loop_bound.extend(b.for_vars());
             b.walk(&mut |s| {
                 if let Stmt::Let { var, .. } = s {
                     *let_count.entry(*var).or_insert(0) += 1;
                 }
             });
         }
-        for b in kernel_blocks_mut(k) {
+        for b in k.blocks_mut() {
             changed |= hoist_in_block(b, &env, &let_count, &assigned, &loop_bound);
         }
     });

@@ -37,7 +37,7 @@
 //!   pass does not model with phis);
 //! * never loop variables.
 
-use super::util::{assigned_vars, identity_scalar, let_vars};
+use super::util::identity_scalar;
 use crate::transforms::VarAlloc;
 use paccport_ir::{value_kind, Expr, KernelBody, KindEnv, Program, Stmt, ValueKind, VarId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -83,13 +83,13 @@ pub fn run(p: &mut Program) -> bool {
                     }
                     Stmt::For { var, body, .. } => {
                         loop_bound.insert(*var);
-                        nested_assigned.extend(assigned_vars(body));
+                        nested_assigned.extend(body.assigned_vars());
                     }
                     Stmt::If {
                         then_blk, else_blk, ..
                     } => {
-                        nested_assigned.extend(assigned_vars(then_blk));
-                        nested_assigned.extend(assigned_vars(else_blk));
+                        nested_assigned.extend(then_blk.assigned_vars());
+                        nested_assigned.extend(else_blk.assigned_vars());
                     }
                     _ => {}
                 });
@@ -167,17 +167,17 @@ pub fn run(p: &mut Program) -> bool {
                     Stmt::If {
                         then_blk, else_blk, ..
                     } => {
-                        for v in assigned_vars(then_blk).union(&assigned_vars(else_blk)) {
+                        for v in then_blk.assigned_vars().union(&else_blk.assigned_vars()) {
                             env.remove_var(*v);
                         }
-                        for v in let_vars(then_blk).union(&let_vars(else_blk)) {
+                        for v in then_blk.let_vars().union(&else_blk.let_vars()) {
                             env.remove_var(*v);
                         }
                         out.push(s);
                     }
                     Stmt::For { var, body: fb, .. } => {
                         env.set_var(*var, ValueKind::Int);
-                        for v in assigned_vars(fb).union(&let_vars(fb)) {
+                        for v in fb.assigned_vars().union(&fb.let_vars()) {
                             env.remove_var(*v);
                         }
                         out.push(s);

@@ -6,46 +6,8 @@
 //! debug-panics, division by zero, out-of-range shifts), so any
 //! question a pass cannot answer precisely is answered "no".
 
-use paccport_ir::{
-    value_kind, Block, Expr, Kernel, KernelBody, KindEnv, Scalar, Stmt, UnOp, ValueKind, VarId,
-};
+use paccport_ir::{value_kind, Expr, Kernel, KindEnv, Scalar, Stmt, UnOp, ValueKind, VarId};
 use std::collections::BTreeSet;
-
-/// All variables written by a `Stmt::Assign` anywhere in the block,
-/// nested statements included.
-pub fn assigned_vars(b: &Block) -> BTreeSet<VarId> {
-    let mut out = BTreeSet::new();
-    b.walk(&mut |s| {
-        if let Stmt::Assign { var, .. } = s {
-            out.insert(*var);
-        }
-    });
-    out
-}
-
-/// All variables declared by a `Stmt::Let` anywhere in the block,
-/// nested statements included.
-pub fn let_vars(b: &Block) -> BTreeSet<VarId> {
-    let mut out = BTreeSet::new();
-    b.walk(&mut |s| {
-        if let Stmt::Let { var, .. } = s {
-            out.insert(*var);
-        }
-    });
-    out
-}
-
-/// All variables bound by a sequential `For` loop anywhere in the
-/// block, nested statements included.
-pub fn for_vars(b: &Block) -> BTreeSet<VarId> {
-    let mut out = BTreeSet::new();
-    b.walk(&mut |s| {
-        if let Stmt::For { var, .. } = s {
-            out.insert(*var);
-        }
-    });
-    out
-}
 
 /// Every variable the expression mentions.
 pub fn expr_vars(e: &Expr) -> BTreeSet<VarId> {
@@ -58,34 +20,6 @@ pub fn expr_vars(e: &Expr) -> BTreeSet<VarId> {
     out
 }
 
-/// Does the expression contain a `Load` (of any memory space)?
-pub fn has_load(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |e| {
-        if matches!(e, Expr::Load { .. }) {
-            found = true;
-        }
-    });
-    found
-}
-
-/// The body blocks of a kernel: the simple body, or every grouped
-/// phase.
-pub fn kernel_blocks(k: &Kernel) -> Vec<&Block> {
-    match &k.body {
-        KernelBody::Simple(b) => vec![b],
-        KernelBody::Grouped(g) => g.phases.iter().collect(),
-    }
-}
-
-/// Mutable view of [`kernel_blocks`].
-pub fn kernel_blocks_mut(k: &mut Kernel) -> Vec<&mut Block> {
-    match &mut k.body {
-        KernelBody::Simple(b) => vec![b],
-        KernelBody::Grouped(g) => g.phases.iter_mut().collect(),
-    }
-}
-
 /// A kind environment valid at *every* point of the kernel: program
 /// parameters, `Let`-declared locals that are never reassigned (their
 /// declared type then fixes their runtime kind for good, because `Let`
@@ -96,10 +30,10 @@ pub fn kind_env_for_kernel(program_env: &KindEnv, k: &Kernel) -> KindEnv {
     let mut env = program_env.clone();
     let mut assigned = BTreeSet::new();
     let mut seen: std::collections::BTreeMap<VarId, Scalar> = Default::default();
-    for b in kernel_blocks(k) {
-        assigned.extend(assigned_vars(b));
+    for b in k.blocks() {
+        assigned.extend(b.assigned_vars());
     }
-    for b in kernel_blocks(k) {
+    for b in k.blocks() {
         b.walk(&mut |s| {
             if let Stmt::Let { var, ty, .. } = s {
                 match seen.get(var) {
@@ -125,8 +59,8 @@ pub fn kind_env_for_kernel(program_env: &KindEnv, k: &Kernel) -> KindEnv {
     for lp in &k.loops {
         env.set_var(lp.var, ValueKind::Int);
     }
-    for b in kernel_blocks(k) {
-        for v in for_vars(b) {
+    for b in k.blocks() {
+        for v in b.for_vars() {
             env.set_var(v, ValueKind::Int);
         }
     }

@@ -9,7 +9,6 @@
 //! the compute. This step hoists one data region around the outermost
 //! kernel-launching construct, covering every array any kernel uses.
 
-use paccport_compilers::lower::used_arrays;
 use paccport_ir::{ArrayId, HostStmt, Program};
 use std::collections::BTreeSet;
 
@@ -57,7 +56,7 @@ pub fn insert_data_regions(program: &mut Program) -> Vec<ArrayId> {
     }
     let mut covered: BTreeSet<ArrayId> = BTreeSet::new();
     for k in program.kernels() {
-        covered.extend(used_arrays(k));
+        covered.extend(k.global_arrays());
     }
     if covered.is_empty() {
         return Vec::new();

@@ -2001,10 +2001,13 @@ pub(crate) fn build_phases(p: &Program, k: &Kernel) -> Vec<Option<BatchPlan>> {
         .map(|ph| {
             let mut reads = vec![false; nv];
             exposed_reads(ph, &mut vec![false; nv], &mut reads);
-            let mut w = Vec::new();
-            super::compile::collect_assigned(ph, &mut w);
             let mut assigns = vec![false; nv];
-            w.iter().for_each(|v| assigns[v.0 as usize] = true);
+            for v in [ph.assigned_vars(), ph.let_vars(), ph.for_vars()]
+                .into_iter()
+                .flatten()
+            {
+                assigns[v.0 as usize] = true;
+            }
             (reads, assigns)
         })
         .collect();
@@ -2750,7 +2753,7 @@ impl<'a> Bc<'a> {
             }
             Expr::Select(c, a, b) => {
                 let mut vc = self.expr(c)?;
-                if !matches!(vc.loc, Loc::S(_)) && (reads_memory(a) || reads_memory(b)) {
+                if !matches!(vc.loc, Loc::S(_)) && (a.reads_memory() || b.reads_memory()) {
                     // Masked arms need the condition as bool lanes.
                     vc = Val {
                         loc: Loc::LB(self.lane_b(&vc)?),
@@ -2774,7 +2777,7 @@ impl<'a> Bc<'a> {
     /// bracketed by a tape mask, so a race tracker sees its accesses
     /// only on the lanes that take it.
     fn arm(&mut self, c: Loc, pol: bool, e: &Expr) -> Option<Val> {
-        if !reads_memory(e) {
+        if !e.reads_memory() {
             return self.expr(e);
         }
         self.ops.push(BOp::MaskPush { c, pol });
@@ -3526,10 +3529,10 @@ impl<'a> Bc<'a> {
         }
         let vlo = self.expr(lo)?;
         let vhi = self.expr(hi)?;
-        let mut w: Vec<VarId> = Vec::new();
-        super::compile::collect_assigned(body, &mut w);
-        w.sort_unstable();
-        w.dedup();
+        let mut w = body.assigned_vars();
+        w.extend(body.let_vars());
+        w.extend(body.for_vars());
+        let w: Vec<VarId> = w.into_iter().collect();
         // An `If` arm or a masked loop left these variables' lanes
         // unnamed. (A masked loop sets its variable on every lane it
         // runs and poisons it again.)
@@ -3754,14 +3757,6 @@ impl<'a> Bc<'a> {
         self.poison[vi] = true;
         Some(())
     }
-}
-
-/// Does `e` read memory (global or local)? A lane-conditional arm that
-/// does is masked on the access tape.
-fn reads_memory(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |x| found |= matches!(x, Expr::Load { .. }));
-    found
 }
 
 /// The bool lane slot an op the validation walk may need writes: a

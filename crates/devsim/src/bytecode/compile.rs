@@ -37,6 +37,7 @@ use paccport_ir::kernel::{Kernel, KernelBody, ReduceOp};
 use paccport_ir::stmt::{Block, Stmt};
 use paccport_ir::types::{MemSpace, Scalar, VarId};
 use paccport_ir::Program;
+use std::collections::BTreeSet;
 
 /// Register index. Registers `0..n_vars` are the program's variables;
 /// then the hoisted const/param pool; then expression temps.
@@ -316,79 +317,22 @@ impl<'a> Compiler<'a> {
         // Pre-scan: pool every constant and parameter the kernel can
         // evaluate, so the pool/temp boundary is fixed before any code
         // is emitted and temps can never clobber a pooled value.
-        for lp in &k.loops {
-            c.prescan(&lp.lo);
-            c.prescan(&lp.hi);
-        }
-        match &k.body {
-            KernelBody::Simple(blk) => c.prescan_block(blk),
-            KernelBody::Grouped(g) => {
-                for phase in &g.phases {
-                    c.prescan_block(phase);
-                }
-            }
-        }
-        if let Some(rr) = &k.region_reduction {
-            c.prescan(&rr.value);
-        }
-        c
-    }
-
-    fn prescan_block(&mut self, b: &Block) {
-        for s in &b.0 {
-            match s {
-                Stmt::Let { init, .. } => self.prescan(init),
-                Stmt::Assign { value, .. } => self.prescan(value),
-                Stmt::Store { index, value, .. } | Stmt::Atomic { index, value, .. } => {
-                    self.prescan(index);
-                    self.prescan(value);
-                }
-                Stmt::If {
-                    cond,
-                    then_blk,
-                    else_blk,
-                } => {
-                    self.prescan(cond);
-                    self.prescan_block(then_blk);
-                    self.prescan_block(else_blk);
-                }
-                Stmt::For { lo, hi, body, .. } => {
-                    self.prescan(lo);
-                    self.prescan(hi);
-                    self.prescan_block(body);
-                }
-                Stmt::Barrier => {}
-            }
-        }
-    }
-
-    fn prescan(&mut self, e: &Expr) {
-        match e {
+        k.walk_exprs(&mut |e| match e {
             Expr::FConst(v) => {
-                self.const_reg(0, v.to_bits());
+                c.const_reg(0, v.to_bits());
             }
             Expr::IConst(v) => {
-                self.const_reg(1, *v as u64);
+                c.const_reg(1, *v as u64);
             }
             Expr::BConst(v) => {
-                self.const_reg(2, *v as u64);
+                c.const_reg(2, *v as u64);
             }
             Expr::Param(id) => {
-                self.param_reg(id.0 as u16);
+                c.param_reg(id.0 as u16);
             }
-            Expr::Var(_) | Expr::Special(_) => {}
-            Expr::Load { index, .. } => self.prescan(index),
-            Expr::Un(_, a) | Expr::Cast(_, a) => self.prescan(a),
-            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => {
-                self.prescan(a);
-                self.prescan(b);
-            }
-            Expr::Fma(a, b, c) | Expr::Select(a, b, c) => {
-                self.prescan(a);
-                self.prescan(b);
-                self.prescan(c);
-            }
-        }
+            _ => {}
+        });
+        c
     }
 
     fn alloc(&mut self) -> Reg {
@@ -760,9 +704,10 @@ impl<'a> Compiler<'a> {
                 // sound for every iteration without a fixpoint.
                 let entry_ty = self.vtypes.clone();
                 let entry_def = self.def.clone();
-                let mut assigned = Vec::new();
-                collect_assigned(body, &mut assigned);
-                for v in &assigned {
+                for v in [body.assigned_vars(), body.let_vars(), body.for_vars()]
+                    .into_iter()
+                    .flatten()
+                {
                     self.vtypes[v.0 as usize] = Ty::Unk;
                 }
                 self.vtypes[var.0 as usize] = Ty::I;
@@ -822,16 +767,6 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Variables a block may assign (Let, Assign, and inner loop vars).
-pub(crate) fn collect_assigned(b: &Block, out: &mut Vec<VarId>) {
-    b.walk(&mut |s| match s {
-        Stmt::Let { var, .. } | Stmt::Assign { var, .. } | Stmt::For { var, .. } => {
-            out.push(*var);
-        }
-        _ => {}
-    });
-}
-
 /// Compile one kernel of `p` to bytecode.
 pub fn compile_kernel(p: &Program, k: &Kernel) -> KernelCode {
     let mut c = Compiler::new(p, k);
@@ -882,17 +817,17 @@ pub fn compile_kernel(p: &Program, k: &Kernel) -> KernelCode {
                 c.def = saved_def;
                 phases.push(code);
             }
-            let mut written = Vec::new();
-            g.phases
+            let written: BTreeSet<Reg> = g
+                .phases
                 .iter()
-                .for_each(|ph| collect_assigned(ph, &mut written));
-            let mut written: Vec<Reg> = written.iter().map(|v| v.0 as Reg).collect();
-            written.sort_unstable();
-            written.dedup();
+                .flat_map(|ph| [ph.assigned_vars(), ph.let_vars(), ph.for_vars()])
+                .flatten()
+                .map(|v| v.0 as Reg)
+                .collect();
             BodyCode::Grouped {
                 phases,
                 batch: super::batch::build_phases(p, k),
-                written,
+                written: written.into_iter().collect(),
             }
         }
     };

@@ -11,12 +11,9 @@ use crate::race::{Race, RaceTracker};
 use crate::tier::ExecTier;
 use crate::timing::{kernel_launch_time, transfer_time, LaunchShape};
 use paccport_compilers::common::dist_rank_of;
-use paccport_compilers::lower::used_arrays;
 use paccport_compilers::{
     CompiledProgram, Correctness, DistSpec, ExecStrategy, KernelPlan, LaunchDims, TransferPolicy,
 };
-use paccport_ir::stmt::Stmt;
-use paccport_ir::types::MemSpace;
 use paccport_ir::{ArrayId, Dir, HostStmt, Intent, Kernel, KernelBody, Scalar};
 use std::collections::BTreeSet;
 
@@ -418,7 +415,7 @@ impl<'a> Runner<'a> {
         for k in p.kernels() {
             if let Some(plan) = c.plan(&k.name) {
                 if plan.exec != ExecStrategy::HostSequential {
-                    for a in used_arrays(k) {
+                    for a in k.global_arrays() {
                         device_active[a.0 as usize] = true;
                     }
                 }
@@ -517,38 +514,11 @@ impl<'a> Runner<'a> {
     fn host_stmt(&mut self, s: &'a HostStmt) -> Result<(), String> {
         match s {
             HostStmt::DataRegion { arrays, body } => {
-                for a in arrays {
-                    self.region_cover[a.0 as usize] += 1;
-                    let intent = self.c.program.array(*a).intent;
-                    if intent.copies_in() {
-                        self.h2d(*a);
-                    } else {
-                        // `create` / copyout-only: allocate, no copy.
-                        self.resident[a.0 as usize] = true;
-                        if self.functional {
-                            let d = self.c.program.array(*a);
-                            self.dev[a.0 as usize] =
-                                Buffer::zeroed(d.elem, self.lens[a.0 as usize]);
-                        }
-                    }
-                }
+                self.enter_data(arrays);
                 for s in body {
                     self.host_stmt(s)?;
                 }
-                for a in arrays {
-                    self.region_cover[a.0 as usize] -= 1;
-                    let intent = self.c.program.array(*a).intent;
-                    if intent.copies_out() {
-                        // The runtime performs the copy-out regardless
-                        // (it is counted and timed), but coherent host
-                        // data is never clobbered by a stale device
-                        // copy (host-fallback kernels wrote the host
-                        // arrays directly).
-                        self.d2h_region_exit(*a);
-                    }
-                    self.resident[a.0 as usize] = false;
-                }
-                Ok(())
+                self.exit_data(arrays)
             }
             HostStmt::Launch(k) => self.launch(k),
             HostStmt::HostLoop { var, lo, hi, body } => {
@@ -647,40 +617,54 @@ impl<'a> Runner<'a> {
                 Ok(())
             }
             HostStmt::EnterData { arrays } => {
-                for a in arrays {
-                    self.region_cover[a.0 as usize] += 1;
-                    let intent = self.c.program.array(*a).intent;
-                    if intent.copies_in() {
-                        self.h2d(*a);
-                    } else {
-                        self.resident[a.0 as usize] = true;
-                        if self.functional {
-                            let d = self.c.program.array(*a);
-                            self.dev[a.0 as usize] =
-                                Buffer::zeroed(d.elem, self.lens[a.0 as usize]);
-                        }
-                    }
-                }
+                self.enter_data(arrays);
                 Ok(())
             }
-            HostStmt::ExitData { arrays } => {
-                for a in arrays {
-                    if self.region_cover[a.0 as usize] == 0 {
-                        return Err(format!(
-                            "exit data for `{}` without a matching enter data",
-                            self.c.program.array(*a).name
-                        ));
-                    }
-                    self.region_cover[a.0 as usize] -= 1;
-                    let intent = self.c.program.array(*a).intent;
-                    if intent.copies_out() {
-                        self.d2h_region_exit(*a);
-                    }
-                    self.resident[a.0 as usize] = false;
+            HostStmt::ExitData { arrays } => self.exit_data(arrays),
+        }
+    }
+
+    /// Open a data region (structured or `enter data`) over `arrays`:
+    /// copy in what the intent copies in, allocate the rest.
+    fn enter_data(&mut self, arrays: &[ArrayId]) {
+        for a in arrays {
+            self.region_cover[a.0 as usize] += 1;
+            let intent = self.c.program.array(*a).intent;
+            if intent.copies_in() {
+                self.h2d(*a);
+            } else {
+                // `create` / copyout-only: allocate, no copy.
+                self.resident[a.0 as usize] = true;
+                if self.functional {
+                    let d = self.c.program.array(*a);
+                    self.dev[a.0 as usize] = Buffer::zeroed(d.elem, self.lens[a.0 as usize]);
                 }
-                Ok(())
             }
         }
+    }
+
+    /// Close a data region over `arrays`: copy out what the intent
+    /// copies out and release the device copies. An array no open
+    /// region covers is an error.
+    fn exit_data(&mut self, arrays: &[ArrayId]) -> Result<(), String> {
+        for a in arrays {
+            if self.region_cover[a.0 as usize] == 0 {
+                return Err(format!(
+                    "exit data for `{}` without a matching enter data",
+                    self.c.program.array(*a).name
+                ));
+            }
+            self.region_cover[a.0 as usize] -= 1;
+            if self.c.program.array(*a).intent.copies_out() {
+                // The runtime performs the copy-out regardless (it is
+                // counted and timed), but coherent host data is never
+                // clobbered by a stale device copy (host-fallback
+                // kernels wrote the host arrays directly).
+                self.d2h_region_exit(*a);
+            }
+            self.resident[a.0 as usize] = false;
+        }
+        Ok(())
     }
 
     fn cost_plan(&self, k: &'a Kernel, plan: &'a KernelPlan) -> CostPlan<'a> {
@@ -757,7 +741,7 @@ impl<'a> Runner<'a> {
                     .c
                     .plan(&k.name)
                     .ok_or_else(|| format!("no plan for kernel `{}`", k.name))?;
-                let (reads, writes) = kernel_reads_writes(k);
+                let (reads, writes) = k.global_reads_writes();
                 self.kernels.push(Launched {
                     kernel: k,
                     plan,
@@ -1070,75 +1054,6 @@ fn vars_defined(e: &paccport_ir::Expr, vars: &[Option<crate::interp::V>]) -> boo
             vars_defined(a, vars) && vars_defined(b, vars) && vars_defined(c, vars)
         }
     }
-}
-
-/// Arrays a kernel reads and writes (global space only).
-pub fn kernel_reads_writes(k: &Kernel) -> (BTreeSet<ArrayId>, BTreeSet<ArrayId>) {
-    let mut reads = BTreeSet::new();
-    let mut writes = BTreeSet::new();
-    let mut scan = |b: &paccport_ir::Block| {
-        b.walk(&mut |s| {
-            match s {
-                Stmt::Store {
-                    space: MemSpace::Global,
-                    array,
-                    ..
-                }
-                | Stmt::Atomic { array, .. } => {
-                    writes.insert(*array);
-                }
-                _ => {}
-            }
-            s.for_each_expr(&mut |e| {
-                e.walk(&mut |e| {
-                    if let paccport_ir::Expr::Load {
-                        space: MemSpace::Global,
-                        array,
-                        ..
-                    } = e
-                    {
-                        reads.insert(*array);
-                    }
-                })
-            });
-        });
-    };
-    match &k.body {
-        KernelBody::Simple(b) => scan(b),
-        KernelBody::Grouped(g) => {
-            for p in &g.phases {
-                scan(p);
-            }
-        }
-    }
-    for lp in &k.loops {
-        for e in [&lp.lo, &lp.hi] {
-            e.walk(&mut |e| {
-                if let paccport_ir::Expr::Load {
-                    space: MemSpace::Global,
-                    array,
-                    ..
-                } = e
-                {
-                    reads.insert(*array);
-                }
-            });
-        }
-    }
-    if let Some(rr) = &k.region_reduction {
-        writes.insert(rr.dest);
-        rr.value.walk(&mut |e| {
-            if let paccport_ir::Expr::Load {
-                space: MemSpace::Global,
-                array,
-                ..
-            } = e
-            {
-                reads.insert(*array);
-            }
-        });
-    }
-    (reads, writes)
 }
 
 #[cfg(test)]

@@ -235,6 +235,23 @@ impl Expr {
         found
     }
 
+    /// True if the expression loads from memory, in any space.
+    pub fn reads_memory(&self) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| found |= matches!(e, Expr::Load { .. }));
+        found
+    }
+
+    /// True if the expression mentions nothing but constants and
+    /// program parameters: no variable, load or work-group built-in.
+    pub fn reads_only_params(&self) -> bool {
+        let mut only = true;
+        self.walk(&mut |e| {
+            only &= !matches!(e, Expr::Var(_) | Expr::Load { .. } | Expr::Special(_));
+        });
+        only
+    }
+
     /// True if the expression reads any array in `Global` memory.
     pub fn reads_global(&self) -> bool {
         let mut found = false;

@@ -1,8 +1,9 @@
 //! Kernels: OpenACC compute regions with their parallel loop nests.
 
 use crate::expr::Expr;
-use crate::stmt::Block;
-use crate::types::{LocalArrayDecl, Scalar, VarId};
+use crate::stmt::{Block, Stmt};
+use crate::types::{ArrayId, LocalArrayDecl, MemSpace, Scalar, VarId};
+use std::collections::BTreeSet;
 
 /// Reduction operators supported by the `reduction(op: var)` clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,7 +216,7 @@ pub struct RegionReduction {
     /// it may reference body locals).
     pub value: Expr,
     /// Destination array (length ≥ 1); element 0 receives the result.
-    pub dest: crate::types::ArrayId,
+    pub dest: ArrayId,
 }
 
 impl Kernel {
@@ -250,8 +251,8 @@ impl Kernel {
                 b.walk(&mut |s| {
                     if matches!(
                         s,
-                        crate::stmt::Stmt::Store {
-                            space: crate::types::MemSpace::Local,
+                        Stmt::Store {
+                            space: MemSpace::Local,
                             ..
                         }
                     ) {
@@ -261,6 +262,80 @@ impl Kernel {
                 uses
             }
         }
+    }
+
+    /// The body's blocks: the simple body, or every phase in order.
+    pub fn blocks(&self) -> &[Block] {
+        match &self.body {
+            KernelBody::Simple(b) => std::slice::from_ref(b),
+            KernelBody::Grouped(g) => &g.phases,
+        }
+    }
+
+    /// Mutable view of [`Kernel::blocks`].
+    pub fn blocks_mut(&mut self) -> &mut [Block] {
+        match &mut self.body {
+            KernelBody::Simple(b) => std::slice::from_mut(b),
+            KernelBody::Grouped(g) => &mut g.phases,
+        }
+    }
+
+    /// Pre-order walk over every sub-expression of the kernel: each
+    /// loop level's `lo` then `hi`, then the blocks (statements in
+    /// pre-order), then the region-reduction value.
+    pub fn walk_exprs(&self, f: &mut impl FnMut(&Expr)) {
+        for lp in &self.loops {
+            lp.lo.walk(f);
+            lp.hi.walk(f);
+        }
+        for b in self.blocks() {
+            b.walk_exprs(f);
+        }
+        if let Some(rr) = &self.region_reduction {
+            rr.value.walk(f);
+        }
+    }
+
+    /// The global arrays the kernel reads and writes, each set in
+    /// ascending id order. Reads are global loads anywhere (bounds and
+    /// the reduction value included); writes are global stores,
+    /// atomics and the region reduction's destination.
+    pub fn global_reads_writes(&self) -> (BTreeSet<ArrayId>, BTreeSet<ArrayId>) {
+        let mut reads = BTreeSet::new();
+        self.walk_exprs(&mut |e| {
+            if let Expr::Load {
+                space: MemSpace::Global,
+                array,
+                ..
+            } = e
+            {
+                reads.insert(*array);
+            }
+        });
+        let mut writes = BTreeSet::new();
+        for b in self.blocks() {
+            b.walk(&mut |s| {
+                if let Stmt::Store {
+                    space: MemSpace::Global,
+                    array,
+                    ..
+                }
+                | Stmt::Atomic { array, .. } = s
+                {
+                    writes.insert(*array);
+                }
+            });
+        }
+        writes.extend(self.region_reduction.as_ref().map(|rr| rr.dest));
+        (reads, writes)
+    }
+
+    /// Every global array the kernel touches, in ascending id order:
+    /// the union of [`Kernel::global_reads_writes`].
+    pub fn global_arrays(&self) -> BTreeSet<ArrayId> {
+        let (mut arrays, writes) = self.global_reads_writes();
+        arrays.extend(writes);
+        arrays
     }
 
     /// The simple-body block, if this is a simple kernel.
@@ -275,8 +350,6 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stmt::Stmt;
-    use crate::types::{ArrayId, MemSpace};
 
     #[test]
     fn reduce_op_identities() {

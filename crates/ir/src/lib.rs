@@ -19,6 +19,19 @@
 //!   loops and work-group ("staged") bodies with local memory and
 //!   barriers for the hand-written OpenCL comparison versions.
 //!
+//! What a kernel touches is answered here, once: ask the IR, don't
+//! re-walk it. [`Kernel::blocks`] / [`Kernel::blocks_mut`] give the
+//! body's blocks (the simple body, or every phase);
+//! [`Kernel::walk_exprs`] visits every expression, bounds first and the
+//! region-reduction value last; [`Kernel::global_reads_writes`] (and its
+//! union [`Kernel::global_arrays`]) name the global arrays read and
+//! written, in ascending id order; [`Block::assigned_vars`],
+//! [`Block::let_vars`] and [`Block::for_vars`] name the variables a
+//! block binds; [`Expr::reads_memory`] and [`Expr::reads_only_params`]
+//! classify an expression. Only code that needs the phase structure
+//! itself (execution, lowering's barriers, printing, validation and
+//! transforms) matches on [`KernelBody`].
+//!
 //! Downstream crates lower this IR to a PTX-like ISA
 //! (`paccport-compilers`), execute it functionally and model its
 //! timing (`paccport-devsim`), and transform it according to the

@@ -179,11 +179,7 @@ impl Program {
             s.walk(&mut |s| {
                 n += 1;
                 if let HostStmt::Launch(k) = s {
-                    let blocks: Vec<&crate::stmt::Block> = match &k.body {
-                        crate::kernel::KernelBody::Simple(b) => vec![b],
-                        crate::kernel::KernelBody::Grouped(g) => g.phases.iter().collect(),
-                    };
-                    for b in blocks {
+                    for b in k.blocks() {
                         b.walk(&mut |_| n += 1);
                     }
                 }

@@ -24,7 +24,7 @@
 //! `0.1` under f32 arithmetic, it is `0.1f32 as f64`.
 
 use crate::expr::{BinOp, Expr, UnOp};
-use crate::kernel::{Kernel, KernelBody};
+use crate::kernel::Kernel;
 use crate::stmt::{Block, Stmt};
 use crate::types::{Scalar, VarId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -402,33 +402,6 @@ pub fn simplify_block_in(b: &Block, env: &mut KindEnv) -> Block {
     Block(b.0.iter().map(|s| simplify_stmt(s, env)).collect())
 }
 
-/// Every variable a `Stmt::Assign` anywhere in the block (including
-/// nested `If`/`For` bodies) mutates.
-fn assigned_vars(b: &Block) -> BTreeSet<VarId> {
-    let mut out = BTreeSet::new();
-    b.walk(&mut |s| {
-        if let Stmt::Assign { var, .. } = s {
-            out.insert(*var);
-        }
-    });
-    out
-}
-
-/// Every variable a `Stmt::Let` anywhere in the block (including
-/// nested `If`/`For` bodies) rebinds. `Let` writes the variable's
-/// underlying slot even though the *name* is block-scoped, so a
-/// shadowing `Let` inside a branch or loop body changes what an
-/// outer-scoped read observes afterwards.
-fn let_vars(b: &Block) -> BTreeSet<VarId> {
-    let mut out = BTreeSet::new();
-    b.walk(&mut |s| {
-        if let Stmt::Let { var, .. } = s {
-            out.insert(*var);
-        }
-    });
-    out
-}
-
 fn simplify_stmt(s: &Stmt, env: &mut KindEnv) -> Stmt {
     match s {
         Stmt::Let { var, ty, init } => {
@@ -492,10 +465,10 @@ fn simplify_stmt(s: &Stmt, env: &mut KindEnv) -> Stmt {
             let then_blk = simplify_block_in(then_blk, &mut then_env);
             let else_blk = simplify_block_in(else_blk, &mut else_env);
             let mut written: BTreeSet<VarId> = BTreeSet::new();
-            written.extend(assigned_vars(&then_blk));
-            written.extend(assigned_vars(&else_blk));
-            written.extend(let_vars(&then_blk));
-            written.extend(let_vars(&else_blk));
+            written.extend(then_blk.assigned_vars());
+            written.extend(else_blk.assigned_vars());
+            written.extend(then_blk.let_vars());
+            written.extend(else_blk.let_vars());
             for v in written {
                 let k = env.var_kind(v);
                 if k.is_none() || then_env.var_kind(v) != k || else_env.var_kind(v) != k {
@@ -522,7 +495,7 @@ fn simplify_stmt(s: &Stmt, env: &mut KindEnv) -> Stmt {
             // changes kind for iterations after the first, so
             // statements *before* that write cannot rely on its
             // pre-loop binding.
-            for v in assigned_vars(body).union(&let_vars(body)) {
+            for v in body.assigned_vars().union(&body.let_vars()) {
                 env.remove_var(*v);
             }
             let body = simplify_block_in(body, env);
@@ -537,7 +510,7 @@ fn simplify_stmt(s: &Stmt, env: &mut KindEnv) -> Stmt {
             // iteration) are exactly what a post-loop read sees.
             let guaranteed_trip = matches!((&lo, &hi), (Expr::IConst(a), Expr::IConst(b)) if b > a);
             if !guaranteed_trip {
-                for v in assigned_vars(&body).union(&let_vars(&body)) {
+                for v in body.assigned_vars().union(&body.let_vars()) {
                     env.remove_var(*v);
                 }
             }
@@ -584,15 +557,10 @@ pub fn simplify_kernel_in(k: &mut Kernel, base: &KindEnv) {
         lp.hi = simplify_in(&lp.hi, &env);
         env.set_var(lp.var, ValueKind::Int);
     }
-    match &mut k.body {
-        KernelBody::Simple(b) => *b = simplify_block_in(b, &mut env),
-        KernelBody::Grouped(g) => {
-            // Phases share one scope: a phase-1 `Let` (e.g. the thread
-            // id) is read by every later phase.
-            for phase in &mut g.phases {
-                *phase = simplify_block_in(phase, &mut env);
-            }
-        }
+    // Phases share one scope: a phase-1 `Let` (e.g. the thread id) is
+    // read by every later phase.
+    for b in k.blocks_mut() {
+        *b = simplify_block_in(b, &mut env);
     }
     if let Some(rr) = &mut k.region_reduction {
         rr.value = simplify_in(&rr.value, &env);

@@ -2,6 +2,7 @@
 
 use crate::expr::Expr;
 use crate::types::{ArrayId, MemSpace, Scalar, VarId};
+use std::collections::BTreeSet;
 
 /// A sequence of statements.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -26,6 +27,40 @@ impl Block {
     /// Walk every expression appearing anywhere in the block.
     pub fn walk_exprs(&self, f: &mut impl FnMut(&Expr)) {
         self.walk(&mut |s| s.for_each_expr(&mut |e| e.walk(f)));
+    }
+
+    /// Every variable a `Stmt::Assign` anywhere in the block (nested
+    /// `If`/`For` bodies included) writes.
+    pub fn assigned_vars(&self) -> BTreeSet<VarId> {
+        self.vars_where(|s| match s {
+            Stmt::Assign { var, .. } => Some(*var),
+            _ => None,
+        })
+    }
+
+    /// Every variable a `Stmt::Let` anywhere in the block rebinds. `Let`
+    /// writes the variable's slot even though the name is block-scoped,
+    /// so a `Let` inside a branch or loop body changes what a later
+    /// read outside it observes.
+    pub fn let_vars(&self) -> BTreeSet<VarId> {
+        self.vars_where(|s| match s {
+            Stmt::Let { var, .. } => Some(*var),
+            _ => None,
+        })
+    }
+
+    /// Every variable a sequential `For` anywhere in the block binds.
+    pub fn for_vars(&self) -> BTreeSet<VarId> {
+        self.vars_where(|s| match s {
+            Stmt::For { var, .. } => Some(*var),
+            _ => None,
+        })
+    }
+
+    fn vars_where(&self, pick: impl Fn(&Stmt) -> Option<VarId>) -> BTreeSet<VarId> {
+        let mut out = BTreeSet::new();
+        self.walk(&mut |s| out.extend(pick(s)));
+        out
     }
 
     /// Substitute variable `v` with `with` throughout the block.

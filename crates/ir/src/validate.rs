@@ -33,7 +33,12 @@ pub fn validate(p: &Program) -> Result<(), Vec<ValidationError>> {
     };
     // Array length expressions may only use parameters.
     for (i, a) in p.arrays.iter().enumerate() {
-        ctx.check_param_only(&a.len, &format!("array `{}` length", a.name));
+        if !a.len.reads_only_params() {
+            ctx.err(
+                &format!("array `{}` length", a.name),
+                "expression must only reference parameters".into(),
+            );
+        }
         if p.arrays[..i].iter().any(|b| b.name == a.name) {
             ctx.err("arrays", format!("duplicate array name `{}`", a.name));
         }
@@ -75,18 +80,6 @@ impl<'a> Ctx<'a> {
     fn check_param(&mut self, id: ParamId, loc: &str) {
         if id.0 as usize >= self.p.params.len() {
             self.err(loc, format!("param id {} out of range", id.0));
-        }
-    }
-
-    fn check_param_only(&mut self, e: &Expr, loc: &str) {
-        let mut bad = false;
-        e.walk(&mut |e| {
-            if matches!(e, Expr::Var(_) | Expr::Load { .. } | Expr::Special(_)) {
-                bad = true;
-            }
-        });
-        if bad {
-            self.err(loc, "expression must only reference parameters".into());
         }
     }
 

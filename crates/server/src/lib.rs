@@ -74,9 +74,10 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission queue bound; one more request than this answers 429.
     pub queue_cap: usize,
-    /// LRU byte cap for the artifact cache (`None` = unbounded).
+    /// LRU cap for the artifact cache, in the cache's size units
+    /// (`None` = unbounded; see `ArtifactCache::set_byte_cap`).
     pub cache_bytes: Option<u64>,
-    /// Per-tenant cache quota (`None` = unbounded).
+    /// Per-tenant cache quota, in the same units (`None` = unbounded).
     pub tenant_quota: Option<u64>,
     /// Test hook: every request handler passes this gate before
     /// reading the request, so tests can park workers and fill the

@@ -177,3 +177,30 @@ fn persistent_corruption_gives_up_and_publishes_nothing() {
         &cache.compile(CompilerId::Caps, &program, &opts).unwrap()
     ));
 }
+
+#[test]
+fn corrupt_cache_targets_one_compiler_by_its_cache_key() {
+    let _g = lock();
+    let cache = ArtifactCache::new();
+    let program = paccport::kernels::lud::program(&exp::lud_variants()[0].1);
+    let opts = CompileOptions::gpu();
+
+    // The fault site names the whole cache key, compiler included, so
+    // a `pgi` target strikes PGI's artifacts of the program only.
+    faults::configure(FaultSpec::parse("corrupt-cache:pgi:1.0").unwrap(), 7);
+    let pgi = cache.compile(CompilerId::Pgi, &program, &opts);
+    let caps = cache.compile(CompilerId::Caps, &program, &opts);
+    let events = faults::ledger();
+    faults::deconfigure();
+    let e = pgi.expect_err("every PGI generation is corrupt at rate 1.0");
+    assert!(
+        e.message.contains("persistent artifact corruption"),
+        "{}",
+        e.message
+    );
+    caps.expect("the CAPS artifact of the same program is never struck");
+    assert!(!events.is_empty());
+    for e in &events {
+        assert!(e.key.starts_with("cache:pgi-"), "{}", e.key);
+    }
+}
