@@ -28,8 +28,7 @@ use crate::common::{assemble, KernelDecision};
 use crate::lower::LoweringStyle;
 use crate::options::{Backend, CompileOptions, CompilerId, DeviceKind};
 use crate::transforms::{
-    has_inner_loop, reduction_to_grouped, strip_mine, unroll_grouped_phases, unroll_inner_loops,
-    VarAlloc,
+    reduction_to_grouped, strip_mine, unroll_grouped_phases, unroll_inner_loops, VarAlloc,
 };
 use paccport_ir::kernel::KernelBody;
 use paccport_ir::{HostStmt, Program};
@@ -68,7 +67,7 @@ pub fn compile(
                 reduction_to_grouped(k, 128, &mut va);
             }
             if let Some(t) = k.loops.iter().find_map(|l| l.clauses.tile) {
-                let nested = k.simple_body().is_none_or(has_inner_loop);
+                let nested = k.simple_body().is_none_or(|b| !b.for_vars().is_empty());
                 let applied = if q.caps_tile_silent_on_nested && nested {
                     false
                 } else {

@@ -26,16 +26,6 @@ use super::util::{expr_vars, kind_env_for_kernel, never_traps};
 use paccport_ir::{Block, KindEnv, Program, Stmt, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 
-fn block_has_for(b: &Block) -> bool {
-    let mut found = false;
-    b.walk(&mut |s| {
-        if matches!(s, Stmt::For { .. }) {
-            found = true;
-        }
-    });
-    found
-}
-
 fn hoist_in_block(
     b: &mut Block,
     env: &KindEnv,
@@ -62,7 +52,7 @@ fn hoist_in_block(
     while i < b.0.len() {
         let mut hoisted: Vec<Stmt> = Vec::new();
         if let Stmt::For { var, body, .. } = &mut b.0[i] {
-            if !block_has_for(body) {
+            if body.for_vars().is_empty() {
                 let loop_var = *var;
                 let mut pinned = body.assigned_vars();
                 pinned.extend(body.let_vars());

@@ -105,17 +105,6 @@ impl TransformVariant {
     }
 }
 
-/// Does the block contain any sequential inner loop?
-pub fn has_inner_loop(b: &Block) -> bool {
-    let mut found = false;
-    b.walk(&mut |s| {
-        if matches!(s, Stmt::For { .. }) {
-            found = true;
-        }
-    });
-    found
-}
-
 /// Does the block accumulate into a scalar (`acc = acc ⊕ e`) inside a
 /// loop? This is the pattern CAPS's CUDA back end fails to unroll in
 /// Back Propagation.
@@ -188,7 +177,10 @@ fn unroll_block_filtered(b: &Block, factor: u32, changed: &mut bool, skip_accum:
                 hi,
                 step,
                 body,
-            } if *step >= 1 && !has_inner_loop(body) && !(skip_accum && body_accumulates(body)) => {
+            } if *step >= 1
+                && body.for_vars().is_empty()
+                && !(skip_accum && body_accumulates(body)) =>
+            {
                 *changed = true;
                 let f = factor as i64;
                 let s = *step;
@@ -752,6 +744,6 @@ mod tests {
     fn accumulation_detection() {
         let (_p, k) = accum_kernel();
         assert!(has_scalar_accumulation(k.simple_body().unwrap()));
-        assert!(has_inner_loop(k.simple_body().unwrap()));
+        assert!(!k.simple_body().unwrap().for_vars().is_empty());
     }
 }
