@@ -118,6 +118,13 @@ impl DistSpec {
         }
     }
 
+    /// The launch dimensions when they ignore the extents (a serial
+    /// launch, or CAPS gang mode's fixed grid), `None` otherwise.
+    pub fn fixed_dims(&self) -> Option<LaunchDims> {
+        matches!(self, DistSpec::Sequential | DistSpec::GangWorker { .. })
+            .then(|| self.launch_dims(&[]))
+    }
+
     /// Whether the distribution actually exploits parallelism.
     pub fn is_parallel(&self) -> bool {
         match *self {
@@ -302,6 +309,34 @@ mod tests {
         assert_eq!(l.grid, [192, 1, 1]);
         assert_eq!(l.block, [1, 256, 1]);
         assert_eq!(l.total_threads(), 192 * 256);
+    }
+
+    /// `fixed_dims` is exactly the dimensions of every launch for the
+    /// distributions that ignore the extents, and `None` for the rest.
+    #[test]
+    fn fixed_dims_ignore_every_extent() {
+        let extents: [&[u64]; 5] = [&[], &[0], &[1], &[4096, 7], &[100, 200, 3]];
+        for d in [
+            DistSpec::Sequential,
+            DistSpec::GangWorker {
+                gang: 192,
+                worker: 256,
+            },
+            DistSpec::Gridify1D { bx: 32, by: 4 },
+            DistSpec::Gridify2D { bx: 32, by: 4 },
+            DistSpec::PgiAuto { vector: 128 },
+            DistSpec::NdRange {
+                lx: 16,
+                ly: 16,
+                two_d: true,
+            },
+            DistSpec::Grouped { group_size: 64 },
+            DistSpec::GroupedPerIter { group_size: 64 },
+        ] {
+            let all = extents.map(|e| d.launch_dims(e));
+            let same = all.iter().all(|l| *l == all[0]);
+            assert_eq!(d.fixed_dims(), same.then_some(all[0]), "{d:?}");
+        }
     }
 
     #[test]

@@ -24,14 +24,19 @@
 //! - the tree is flattened into one depth-first program whose rows are
 //!   the node counts already converted to `f64`, with each branch's
 //!   weight and the kernel's trip fallback resolved from the hints;
+//! - a loop whose body has no loop and no branch becomes one step: its
+//!   row (body plus per-iteration overhead) is summed at plan time, and
+//!   a launch only evaluates its trip count, without binding its
+//!   variable, which no bound reads;
 //! - it notes whether any cost-tree bound reads a sampled variable.
 //!
-//! A launch then reads only the host variables in scope: it walks the
-//! sample points and runs the program once per point, or once in all
-//! when no bound reads a sampled variable. It performs the same
-//! floating-point operations in the same order as the recursive,
-//! map-based evaluation the unit tests keep as its oracle, so every
-//! modeled bit is the same.
+//! A launch then reads only the host variables in scope. When no bound
+//! reads a sampled variable it counts the sample points (in one step
+//! for up to one sampled loop) and runs the program once; otherwise it
+//! walks the points and runs the program at each. Either way it
+//! performs the same floating-point operations in the same order as
+//! the recursive, map-based evaluation the unit tests keep as their
+//! oracle, so every modeled bit is the same.
 
 use paccport_compilers::{CostNode, CostTree, KernelPlan};
 use paccport_ir::expr::{BinOp, CmpOp, Expr, UnOp};
@@ -289,6 +294,15 @@ impl<'a> Bound<'a> {
 /// entering a loop body or a branch arm suspends it in a [`Frame`].
 #[derive(Debug, Clone)]
 enum Op<'a> {
+    /// A loop whose body has no loop and no branch: add trips × `row`,
+    /// the body's counts plus the per-iteration overhead. No bound reads
+    /// its variable, so it is never bound.
+    Repeat {
+        lo: Bound<'a>,
+        hi: Bound<'a>,
+        step: f64,
+        row: DynCost,
+    },
     /// Enter a loop: bind its variable to the midpoint of its bounds,
     /// note its trip count, and start summing its body from `body`,
     /// the body node's own counts.
@@ -368,6 +382,23 @@ impl<'a> FlatTree<'a> {
                     step,
                     overhead,
                     body,
+                } if body.kids.is_empty() => {
+                    let mut row = own(body);
+                    row.add_scaled(&DynCost::from_counts(overhead, 0), 1.0);
+                    self.ops.push(Op::Repeat {
+                        lo: Bound::lower(lo, params),
+                        hi: Bound::lower(hi, params),
+                        step: *step as f64,
+                        row,
+                    });
+                }
+                CostNode::Loop {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    overhead,
+                    body,
                 } => {
                     let slot = var.0 as usize;
                     self.ops.push(Op::Enter {
@@ -406,8 +437,19 @@ impl<'a> FlatTree<'a> {
             frames,
         } = self;
         let mut cost = *root;
+        let bounds = |lo: Bound, hi: Bound, env: &[Option<f64>]| {
+            lo.eval_or_lenient(params, env)
+                .zip(hi.eval_or_lenient(params, env))
+        };
         for op in ops.iter() {
             match *op {
+                Op::Repeat { lo, hi, step, row } => {
+                    let trips = match bounds(lo, hi, env) {
+                        Some((l, h)) => ((h - l) / step).ceil().max(0.0),
+                        None => fallback.0,
+                    };
+                    cost.add_scaled(&row, trips);
+                }
                 Op::Enter {
                     slot,
                     lo,
@@ -415,13 +457,9 @@ impl<'a> FlatTree<'a> {
                     step,
                     body,
                 } => {
-                    let bounds = (
-                        lo.eval_or_lenient(params, env),
-                        hi.eval_or_lenient(params, env),
-                    );
-                    let (trips, mid) = match bounds {
-                        (Some(l), Some(h)) => (((h - l) / step).ceil().max(0.0), (l + h) / 2.0),
-                        _ => *fallback,
+                    let (trips, mid) = match bounds(lo, hi, env) {
+                        Some((l, h)) => (((h - l) / step).ceil().max(0.0), (l + h) / 2.0),
+                        None => *fallback,
                     };
                     let saved = env[slot].replace(mid);
                     frames.push(Frame { cost, trips, saved });
@@ -459,12 +497,34 @@ impl<'a> FlatTree<'a> {
 /// Most sample points one launch averages over.
 const MAX_SAMPLES: usize = 9;
 
+/// `1/n` for each count `n` of sample points (`n >= 1`).
+const INV_SAMPLES: [f64; MAX_SAMPLES + 1] = {
+    let mut t = [1.0; MAX_SAMPLES + 1];
+    let mut n = 2;
+    while n <= MAX_SAMPLES {
+        t[n] = 1.0 / n as f64;
+        n += 1;
+    }
+    t
+};
+
 /// A parallel loop's variable and lowered bounds.
 #[derive(Debug, Clone, Copy)]
 struct LoopBounds<'a> {
     slot: usize,
     lo: Bound<'a>,
     hi: Bound<'a>,
+}
+
+impl LoopBounds<'_> {
+    /// The candidate sample points `{lo, mid, hi-1}` under the bindings
+    /// in `env`: a bound that cannot be evaluated reads as 0 for `lo`
+    /// and as `lo + 1` for `hi`, and `hi-1` never falls below `lo`.
+    fn points(&self, params: &[V], env: &[Option<f64>]) -> [f64; 3] {
+        let lo = self.lo.eval(params, env).unwrap_or(0.0);
+        let hi = self.hi.eval(params, env).unwrap_or(lo + 1.0);
+        [lo, (lo + hi) / 2.0, (hi - 1.0).max(lo)]
+    }
 }
 
 /// One kernel's timing path, compiled at its first launch in a run:
@@ -484,6 +544,8 @@ pub(crate) struct CostPlan<'a> {
     /// sample point costs the same.
     bounds_vary: bool,
     tree: FlatTree<'a>,
+    /// Scratch for each sample point's cost when the bounds vary.
+    costs: Vec<DynCost>,
 }
 
 impl<'a> CostPlan<'a> {
@@ -511,6 +573,7 @@ impl<'a> CostPlan<'a> {
             dist_rank,
             bounds_vary: bounds_read_any(&plan.cost, &kernel.loops[..dist_rank]),
             tree: FlatTree::new(plan, params, hints),
+            costs: Vec::new(),
         }
     }
 
@@ -540,17 +603,32 @@ impl<'a> CostPlan<'a> {
     /// added to the average, in order, weighted `1/n`.
     pub(crate) fn dyn_cost(&mut self, params: &[V], env: &mut [Option<f64>]) -> DynCost {
         let sampled = &self.loops[..self.dist_rank];
-        let mut n = 0;
-        sample(sampled, params, env, &mut n, &mut |_| {});
-        let w = 1.0 / n.max(1) as f64;
         let mut acc = DynCost::default();
         if self.bounds_vary {
-            let tree = &mut self.tree;
+            let CostPlan { tree, costs, .. } = self;
+            costs.clear();
             sample(sampled, params, env, &mut 0, &mut |env| {
-                acc.add_scaled(&tree.eval(params, env), w)
+                costs.push(tree.eval(params, env))
             });
+            let w = INV_SAMPLES[costs.len()];
+            for c in costs.iter() {
+                acc.add_scaled(c, w);
+            }
         } else {
+            let n = match sampled {
+                [] => 1,
+                [lp] => {
+                    let [lo, mid, last] = lp.points(params, env);
+                    1 + (mid != lo) as usize + (last != mid) as usize
+                }
+                _ => {
+                    let mut n = 0;
+                    sample(sampled, params, env, &mut n, &mut |_| {});
+                    n
+                }
+            };
             let c = self.tree.eval(params, env);
+            let w = INV_SAMPLES[n];
             for _ in 0..n {
                 acc.add_scaled(&c, w);
             }
@@ -576,10 +654,8 @@ fn sample(
         *n += 1;
         return;
     };
-    let lo = lp.lo.eval(params, env).unwrap_or(0.0);
-    let hi = lp.hi.eval(params, env).unwrap_or(lo + 1.0);
     let mut last = None;
-    for pt in [lo, (lo + hi) / 2.0, (hi - 1.0).max(lo)] {
+    for pt in lp.points(params, env) {
         if last == Some(pt) {
             continue;
         }
@@ -1322,5 +1398,170 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Random cost trees, bounds and hints for
+    /// [`random_plans_match_the_reference`]: every choice is drawn from
+    /// one seeded stream.
+    struct Gen {
+        rng: paccport_trace::rng::Rng,
+        /// The host variable, the three parallel variables, then one
+        /// variable per cost-tree depth.
+        vars: Vec<VarId>,
+        params: [paccport_ir::ParamId; 2],
+        mem: paccport_ir::ArrayId,
+        branches: usize,
+    }
+
+    impl Gen {
+        fn counts(&mut self) -> paccport_ptx::CategoryCounts {
+            let mut c = paccport_ptx::CategoryCounts::default();
+            for cat in CATEGORIES {
+                if self.rng.chance(1, 2) {
+                    c.add_n(cat, self.rng.below(20));
+                }
+            }
+            c
+        }
+
+        /// A bound over the variables in `vars[..in_scope]`: constants
+        /// near zero (empty, one- and two-point ranges), parameters,
+        /// variables alone or plus a constant, general expressions,
+        /// memory reads and work-group builtins.
+        fn bound(&mut self, in_scope: usize) -> Expr {
+            let var = |g: &mut Gen| Expr::var(g.vars[g.rng.below(in_scope as u64) as usize]);
+            let konst = |g: &mut Gen| Expr::iconst(g.rng.range(-2, 10));
+            match self.rng.below(9) {
+                0 | 1 => konst(self),
+                2 => Expr::param(*self.rng.pick(&self.params)),
+                3 => var(self),
+                4 => Expr::Bin(BinOp::Add, Box::new(var(self)), Box::new(konst(self))),
+                5 => Expr::Bin(BinOp::Add, Box::new(konst(self)), Box::new(var(self))),
+                6 => (E::from(var(self)) * 2i64 + Expr::param(self.params[0])).0,
+                7 => ld(self.mem, var(self)).0,
+                _ => Expr::Special(paccport_ir::expr::SpecialVar::LocalId(0)),
+            }
+        }
+
+        /// A subtree at `depth`: about half of all loop bodies and
+        /// branch arms have no children.
+        fn tree(&mut self, depth: usize) -> CostTree {
+            let mut t = CostTree {
+                flat: self.counts(),
+                flat_ldst: self.rng.below(4),
+                kids: Vec::new(),
+            };
+            let kids = if depth >= 4 || self.rng.chance(1, 2) {
+                0
+            } else {
+                1 + self.rng.below(2)
+            };
+            for _ in 0..kids {
+                let node = if self.rng.chance(2, 3) {
+                    // Loop variables of the depths above, the parallel
+                    // ones and the host one are all in scope.
+                    let in_scope = 4 + depth;
+                    CostNode::Loop {
+                        var: self.vars[4 + depth],
+                        lo: self.bound(in_scope),
+                        hi: self.bound(in_scope),
+                        step: self.rng.range(1, 4),
+                        overhead: self.counts(),
+                        body: self.tree(depth + 1),
+                    }
+                } else {
+                    self.branches += 1;
+                    CostNode::Branch {
+                        then: self.tree(depth + 1),
+                        els: self.tree(depth + 1),
+                    }
+                };
+                t.kids.push(node);
+            }
+            t
+        }
+    }
+
+    /// Random cost trees against the recursive, map-based oracle, bit
+    /// for bit: loop-free bodies at every depth and inside branch arms,
+    /// empty and one- or two-point ranges, bounds that read memory or
+    /// builtins, non-finite parameters, and 0 to 3 sampled loops (up to
+    /// 27 candidate points, cut to nine).
+    #[test]
+    fn random_plans_match_the_reference() {
+        let mut b = ProgramBuilder::new("random");
+        let params = [b.iparam("n"), b.iparam("f")];
+        let mem = b.array("x", Scalar::F32, 16i64, Intent::In);
+        let vars: Vec<VarId> = ["h", "i", "j", "k", "m0", "m1", "m2", "m3", "m4"]
+            .iter()
+            .map(|v| b.var(v))
+            .collect();
+        let p = b.finish(Vec::new());
+        let values = [
+            V::I(0),
+            V::I(1),
+            V::I(2),
+            V::I(7),
+            V::I(64),
+            V::F(2.5),
+            V::F(f64::INFINITY),
+            V::F(f64::NEG_INFINITY),
+            V::F(f64::NAN),
+        ];
+        // Cases that folded a loop, kept one open, and hit the cap.
+        let (mut folded, mut open, mut capped) = (0, 0, 0);
+        for case in 0..3000 {
+            let mut g = Gen {
+                rng: paccport_trace::rng::Rng::for_index(0x5eed, case),
+                vars: vars.clone(),
+                params,
+                mem,
+                branches: 0,
+            };
+            // Parallel loop `d` may read the host variable and the
+            // parallel variables outside it.
+            let loops: Vec<ParallelLoop> = (0..3)
+                .map(|d| ParallelLoop::new(vars[1 + d], g.bound(1 + d), g.bound(1 + d)))
+                .collect();
+            let kernel = Kernel::simple("k", loops, paccport_ir::Block::new(Vec::new()));
+            let cost = g.tree(0);
+            let mut hints = CostHints::default();
+            if g.rng.chance(1, 2) {
+                hints = hints.with_trips("k", *g.rng.pick(&[0.0, 1.0, 5.0, 8.5]));
+            }
+            for idx in 0..g.branches {
+                if g.rng.chance(1, 2) {
+                    hints = hints.with_branch("k", idx, g.rng.unit());
+                }
+            }
+            let plan = KernelPlan {
+                kernel: "k".into(),
+                exec: paccport_compilers::ExecStrategy::DeviceParallel,
+                dist: paccport_compilers::DistSpec::Sequential,
+                prologue: Default::default(),
+                cost,
+                correctness: paccport_compilers::Correctness::Correct,
+                config_label: String::new(),
+                perf_penalty: 1.0,
+            };
+            let run_params = [*g.rng.pick(&values), *g.rng.pick(&values)];
+            let mut host = BTreeMap::new();
+            if g.rng.chance(2, 3) {
+                host.insert(vars[0], g.rng.range(-1, 9) as f64);
+            }
+            let rank = g.rng.below(4) as usize;
+            let n = assert_matches_reference(&p, &kernel, &plan, rank, &run_params, &host, &hints);
+            assert!(n <= MAX_SAMPLES, "case {case}: {n} points");
+            capped += (n == MAX_SAMPLES) as usize;
+            let ops = CostPlan::new(&kernel, &plan, rank, &run_params, &hints)
+                .tree
+                .ops;
+            folded += ops.iter().any(|op| matches!(op, Op::Repeat { .. })) as usize;
+            open += ops.iter().any(|op| matches!(op, Op::Enter { .. })) as usize;
+        }
+        assert!(
+            folded > 500 && open > 500 && capped > 50,
+            "{folded} {open} {capped}"
+        );
     }
 }

@@ -70,4 +70,5 @@ pub use runner::{run, Fidelity, KernelStat, RunConfig, RunResult};
 pub use tier::ExecTier;
 pub use timing::{
     bw_fraction, compute_rate, kernel_launch_time, transfer_time, warp_efficiency, LaunchShape,
+    PlanTerms,
 };

@@ -2,6 +2,17 @@
 //! host control flow, transfer accounting (the evidence behind
 //! Table VII), modeled kernel times, and — in functional mode — real
 //! execution of every kernel so results can be validated.
+//!
+//! Functional and timing-only runs share one launch path. Each `Launch`
+//! site of the host program gets a number, in the order a depth-first
+//! walk meets it, and its entry is built at the site's first execution:
+//! the kernel's plan, its compiled timing path (`CostPlan`), what the
+//! roofline reads of the plan ([`PlanTerms`]), the launch shape when the
+//! distribution ignores the extents, and the arrays the kernel touches.
+//! A later launch from the site computes only what reads host
+//! variables: the extents (when the launch needs them), the dynamic
+//! cost, and the roofline. The `timing.*` trace counters are charged
+//! once per run, when the runner is dropped.
 
 use crate::device::{host_cpu, spec_for, DeviceSpec};
 use crate::dyncost::{CostHints, CostPlan, DynCost};
@@ -9,7 +20,7 @@ use crate::interp::{exec_kernel_traced, fresh_vars, KernelFidelity, V};
 use crate::memory::{Buffer, TransferLedger};
 use crate::race::{Race, RaceTracker};
 use crate::tier::ExecTier;
-use crate::timing::{kernel_launch_time, transfer_time, LaunchShape};
+use crate::timing::{kernel_launch_time, transfer_time, LaunchShape, PlanTerms};
 use paccport_compilers::common::dist_rank_of;
 use paccport_compilers::{
     CompiledProgram, Correctness, DistSpec, ExecStrategy, KernelPlan, LaunchDims, TransferPolicy,
@@ -271,27 +282,128 @@ fn run_inner(c: &CompiledProgram, cfg: &RunConfig) -> Result<RunResult, String> 
     r.finish()
 }
 
-/// What one kernel launch needs, built at the kernel's first launch in
-/// a run and reused by every later one.
+/// What one `Launch` site needs, built at its first execution in a
+/// run and reused by every later one: everything about a launch that
+/// does not read a host variable.
 struct Launched<'a> {
-    /// The kernel of the `Launch` this entry was built for.
-    kernel: &'a Kernel,
     plan: &'a KernelPlan,
-    /// The kernel's timing path for this run.
+    /// The site's timing path for this run.
     cost: CostPlan<'a>,
-    /// The launch dimensions of the latest launch and their shape
-    /// terms, recomputed only when the dimensions change.
+    /// What the roofline reads of the plan.
+    terms: PlanTerms,
+    /// The kernel runs as one thread (on the device or the host), its
+    /// cost tree covering the whole nest.
+    serialized: bool,
+    on_device: bool,
+    /// The launch dimensions and their shape terms: fixed for the run
+    /// when the distribution ignores the extents, else those of the
+    /// latest launch, recomputed only when the dimensions change.
     shape: Option<(LaunchDims, LaunchShape)>,
+    fixed_dims: bool,
     /// Global arrays the kernel reads or writes, ascending, each
     /// flagged when read.
     touched: Vec<(ArrayId, bool)>,
     /// Global arrays the kernel writes, ascending.
     writes: Vec<ArrayId>,
-    stat: KernelStat,
+    /// The kernel's entry in [`Runner::stats`].
+    stat: usize,
     /// Bytecode, compiled at the first functional launch on the
     /// bytecode tier: a kernel relaunched every while-loop iteration is
     /// lowered exactly once per run.
     code: Option<crate::bytecode::KernelCode>,
+}
+
+impl Launched<'_> {
+    /// Whether a launch reads its loop extents: a serialized kernel
+    /// with fixed dimensions needs none.
+    fn needs_extents(&self) -> bool {
+        !(self.serialized && self.fixed_dims)
+    }
+
+    /// Modeled time of one launch over `extents`, with the host
+    /// variables in scope bound in `env`.
+    fn time(
+        &mut self,
+        spec: &DeviceSpec,
+        host_spec: &DeviceSpec,
+        params: &[V],
+        env: &mut [Option<f64>],
+        extents: &[u64],
+    ) -> f64 {
+        let (dims, shape) = match self.shape {
+            Some(fixed) if self.fixed_dims => fixed,
+            latest => {
+                let dims = self.plan.dist.launch_dims(extents);
+                match latest {
+                    Some((last, shape)) if last == dims => (dims, shape),
+                    _ => {
+                        let shape = LaunchShape::new(spec, &dims);
+                        self.shape = Some((dims, shape));
+                        (dims, shape)
+                    }
+                }
+            }
+        };
+        // Serialized executions carry a cost tree that already covers
+        // the whole nest (rank-0 lowering), so the multiplier is 1.
+        let n_par: u64 = if self.serialized {
+            1
+        } else {
+            match self.plan.dist {
+                DistSpec::GroupedPerIter { group_size } => {
+                    extents.first().copied().unwrap_or(0) * group_size as u64
+                }
+                DistSpec::Grouped { .. } => dims.total_threads(),
+                _ => match self.cost.dist_rank() {
+                    0 => 1,
+                    rank => extents.iter().take(rank).product(),
+                },
+            }
+        };
+        let per_iter: DynCost = self.cost.dyn_cost(params, env);
+        kernel_launch_time(
+            spec,
+            host_spec,
+            &self.terms,
+            &dims,
+            &shape,
+            n_par,
+            &per_iter,
+        )
+    }
+}
+
+/// What a run has moved and how many launches it has modeled. Dropping
+/// it charges the timing model's trace counters once for the whole run,
+/// so a run cut short by an error, an injected fault or a panic still
+/// counts what it did.
+#[derive(Default)]
+struct Tally {
+    ledger: TransferLedger,
+    launches: u64,
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        for (name, n) in [
+            ("timing.kernel_launches", self.launches),
+            ("timing.transfers", self.ledger.total_count()),
+            ("timing.transfer_bytes", self.ledger.total_bytes()),
+        ] {
+            if n > 0 {
+                paccport_trace::add(name, n);
+            }
+        }
+    }
+}
+
+/// How many `Launch` sites `body` holds, nested ones included.
+fn launch_sites(body: &[HostStmt]) -> usize {
+    let mut n = 0;
+    for s in body {
+        s.walk(&mut |s| n += matches!(s, HostStmt::Launch(_)) as usize);
+    }
+    n
 }
 
 struct Runner<'a> {
@@ -310,13 +422,19 @@ struct Runner<'a> {
     env: Vec<Option<f64>>,
     resident: Vec<bool>,
     host_valid: Vec<bool>,
-    ledger: TransferLedger,
+    tally: Tally,
     kernel_time: f64,
     transfer_time_s: f64,
     host_time: f64,
-    /// Every kernel launched so far, in first-launch order (the order
-    /// [`RunResult::kernel_stats`] reports them in).
-    kernels: Vec<Launched<'a>>,
+    /// One entry per `Launch` site, numbered in the order a depth-first
+    /// walk of the program meets them; bound at the site's first
+    /// execution.
+    sites: Vec<Option<Launched<'a>>>,
+    /// The number of the next `Launch` site the host program reaches.
+    next_site: usize,
+    /// Every kernel launched so far, by name, in first-launch order (the
+    /// order [`RunResult::kernel_stats`] reports them in).
+    stats: Vec<KernelStat>,
     /// Scratch for one launch's loop extents.
     extents: Vec<u64>,
     any_known_wrong: bool,
@@ -435,11 +553,13 @@ impl<'a> Runner<'a> {
             env: vec![None; p.var_names.len()],
             resident: vec![false; p.arrays.len()],
             host_valid: vec![true; p.arrays.len()],
-            ledger: TransferLedger::default(),
+            tally: Tally::default(),
             kernel_time: 0.0,
             transfer_time_s: 0.0,
             host_time: 0.0,
-            kernels: Vec::new(),
+            sites: (0..launch_sites(&p.body)).map(|_| None).collect(),
+            next_site: 0,
+            stats: Vec::new(),
             extents: Vec::new(),
             any_known_wrong: false,
             while_iterations: 0,
@@ -466,7 +586,7 @@ impl<'a> Runner<'a> {
 
     fn h2d(&mut self, a: ArrayId) {
         let bytes = self.bytes_of(a);
-        self.ledger.record_h2d(bytes);
+        self.tally.ledger.record_h2d(bytes);
         self.transfer_time_s += transfer_time(&self.spec, bytes);
         self.note_transfer();
         if self.functional {
@@ -477,7 +597,7 @@ impl<'a> Runner<'a> {
 
     fn d2h(&mut self, a: ArrayId) {
         let bytes = self.bytes_of(a);
-        self.ledger.record_d2h(bytes);
+        self.tally.ledger.record_d2h(bytes);
         self.transfer_time_s += transfer_time(&self.spec, bytes);
         self.note_transfer();
         if self.functional {
@@ -491,7 +611,7 @@ impl<'a> Runner<'a> {
     fn d2h_region_exit(&mut self, a: ArrayId) {
         if self.host_valid[a.0 as usize] {
             let bytes = self.bytes_of(a);
-            self.ledger.record_d2h(bytes);
+            self.tally.ledger.record_d2h(bytes);
             self.transfer_time_s += transfer_time(&self.spec, bytes);
             self.note_transfer();
         } else {
@@ -524,7 +644,12 @@ impl<'a> Runner<'a> {
             HostStmt::HostLoop { var, lo, hi, body } => {
                 let lo = self.eval_host(lo).as_i();
                 let hi = self.eval_host(hi).as_i();
+                let first = self.next_site;
+                if lo >= hi {
+                    self.next_site += launch_sites(body);
+                }
                 for i in lo..hi {
+                    self.next_site = first;
                     self.vars[var.0 as usize] = Some(V::I(i));
                     self.env[var.0 as usize] = Some(i as f64);
                     for s in body {
@@ -542,7 +667,9 @@ impl<'a> Runner<'a> {
                 let was_in_while = self.in_while;
                 self.in_while = true;
                 let mut iters: u64 = 0;
+                let first = self.next_site;
                 loop {
+                    self.next_site = first;
                     self.written_in_iter.fill(false);
                     for s in body {
                         self.host_stmt(s)?;
@@ -667,9 +794,50 @@ impl<'a> Runner<'a> {
         Ok(())
     }
 
-    fn cost_plan(&self, k: &'a Kernel, plan: &'a KernelPlan) -> CostPlan<'a> {
+    /// The entry of the `Launch` site of `k`, built at its first
+    /// execution.
+    fn bind(&mut self, k: &'a Kernel) -> Result<Launched<'a>, String> {
+        let plan = self
+            .c
+            .plan(&k.name)
+            .ok_or_else(|| format!("no plan for kernel `{}`", k.name))?;
+        // Kernels are identified by name, as plans are: every site of
+        // one name adds to one stat.
+        let stat = match self.stats.iter().position(|s| s.name == k.name) {
+            Some(i) => i,
+            None => {
+                self.stats.push(KernelStat {
+                    name: k.name.clone(),
+                    launches: 0,
+                    device_time: 0.0,
+                    ran_on_device: plan.exec != ExecStrategy::HostSequential,
+                    config_label: plan.config_label.clone(),
+                });
+                self.stats.len() - 1
+            }
+        };
+        let (reads, writes) = k.global_reads_writes();
+        let fixed = plan.dist.fixed_dims();
         let dist_rank = dist_rank_of(&plan.dist, k.rank());
-        CostPlan::new(k, plan, dist_rank, &self.params, &self.cfg.hints)
+        Ok(Launched {
+            plan,
+            cost: CostPlan::new(k, plan, dist_rank, &self.params, &self.cfg.hints),
+            terms: PlanTerms::new(plan),
+            serialized: matches!(
+                plan.exec,
+                ExecStrategy::DeviceSequential | ExecStrategy::HostSequential
+            ),
+            on_device: plan.exec != ExecStrategy::HostSequential,
+            shape: fixed.map(|dims| (dims, LaunchShape::new(&self.spec, &dims))),
+            fixed_dims: fixed.is_some(),
+            touched: reads
+                .union(&writes)
+                .map(|a| (*a, reads.contains(a)))
+                .collect(),
+            writes: writes.into_iter().collect(),
+            stat,
+            code: None,
+        })
     }
 
     fn eval_host(&mut self, e: &paccport_ir::Expr) -> V {
@@ -717,112 +885,37 @@ impl<'a> Runner<'a> {
                 paccport_faults::hang();
             }
         }
-        // Kernels are identified by name, as plans are; a relaunch from
-        // the same `Launch` is found by identity first.
-        let by_name = || self.kernels.iter().position(|e| e.stat.name == k.name);
-        let found = self
-            .kernels
-            .iter()
-            .position(|e| std::ptr::eq(e.kernel, k))
-            .or_else(by_name);
-        let idx = match found {
-            Some(idx) => {
-                let Launched { kernel, plan, .. } = self.kernels[idx];
-                if !std::ptr::eq(kernel, k) && kernel.loops != k.loops {
-                    // Another `Launch` of the name, over other loops.
-                    let cost = self.cost_plan(k, plan);
-                    let e = &mut self.kernels[idx];
-                    (e.kernel, e.cost) = (k, cost);
-                }
-                idx
-            }
-            None => {
-                let plan = self
-                    .c
-                    .plan(&k.name)
-                    .ok_or_else(|| format!("no plan for kernel `{}`", k.name))?;
-                let (reads, writes) = k.global_reads_writes();
-                self.kernels.push(Launched {
-                    kernel: k,
-                    plan,
-                    cost: self.cost_plan(k, plan),
-                    shape: None,
-                    touched: reads
-                        .union(&writes)
-                        .map(|a| (*a, reads.contains(a)))
-                        .collect(),
-                    writes: writes.into_iter().collect(),
-                    stat: KernelStat {
-                        name: k.name.clone(),
-                        launches: 0,
-                        device_time: 0.0,
-                        ran_on_device: plan.exec != ExecStrategy::HostSequential,
-                        config_label: plan.config_label.clone(),
-                    },
-                    code: None,
-                });
-                self.kernels.len() - 1
-            }
-        };
-        let plan = self.kernels[idx].plan;
-        let dist_rank = self.kernels[idx].cost.dist_rank();
+        let site = self.next_site;
+        self.next_site += 1;
+        if self.sites[site].is_none() {
+            self.sites[site] = Some(self.bind(k)?);
+        }
+        let e = self.sites[site].as_ref().expect("bound above");
+        let (plan, on_device) = (e.plan, e.on_device);
         // Evaluate loop extents with host variables.
         let mut extents = std::mem::take(&mut self.extents);
-        if self.functional {
-            extents.clear();
-            for lp in &k.loops {
-                let lo = self.try_eval_host_f(&lp.lo).unwrap_or(0.0);
-                let hi = self.try_eval_host_f(&lp.hi).unwrap_or(lo);
-                extents.push((hi - lo).max(0.0) as u64);
+        extents.clear();
+        if e.needs_extents() {
+            if self.functional {
+                for lp in &k.loops {
+                    let lo = self.try_eval_host_f(&lp.lo).unwrap_or(0.0);
+                    let hi = self.try_eval_host_f(&lp.hi).unwrap_or(lo);
+                    extents.push((hi - lo).max(0.0) as u64);
+                }
+            } else {
+                e.cost.extents(&self.params, &self.env, &mut extents);
             }
-        } else {
-            let cost = &self.kernels[idx].cost;
-            cost.extents(&self.params, &self.env, &mut extents);
         }
-        let dims = plan.dist.launch_dims(&extents);
-        // Serialized executions carry a cost tree that already covers
-        // the whole nest (rank-0 lowering), so the multiplier is 1.
-        let serialized = matches!(
-            plan.exec,
-            ExecStrategy::DeviceSequential | ExecStrategy::HostSequential
-        );
-        let n_par: u64 = if serialized {
-            1
-        } else {
-            match plan.dist {
-                DistSpec::GroupedPerIter { group_size } => {
-                    extents.first().copied().unwrap_or(0) * group_size as u64
-                }
-                DistSpec::Grouped { .. } => dims.total_threads(),
-                _ => {
-                    if dist_rank == 0 {
-                        1
-                    } else {
-                        extents.iter().take(dist_rank).product()
-                    }
-                }
-            }
-        };
-        self.extents = extents;
-        let per_iter: DynCost = self.kernels[idx].cost.dyn_cost(&self.params, &mut self.env);
-        let shape = match self.kernels[idx].shape {
-            Some((last, shape)) if last == dims => shape,
-            _ => {
-                let shape = LaunchShape::new(&self.spec, &dims);
-                self.kernels[idx].shape = Some((dims, shape));
-                shape
-            }
-        };
-        let t = kernel_launch_time(
+        let e = self.sites[site].as_mut().expect("bound above");
+        let t = e.time(
             &self.spec,
             &self.host_spec,
-            plan,
-            &dims,
-            &shape,
-            n_par,
-            &per_iter,
+            &self.params,
+            &mut self.env,
+            &extents,
         );
-        let on_device = plan.exec != ExecStrategy::HostSequential;
+        self.extents = extents;
+        self.tally.launches += 1;
         if on_device {
             self.kernel_time += t;
         } else {
@@ -830,8 +923,8 @@ impl<'a> Runner<'a> {
         }
 
         // Data movement.
-        let touched = std::mem::take(&mut self.kernels[idx].touched);
-        let writes = std::mem::take(&mut self.kernels[idx].writes);
+        let touched = std::mem::take(&mut e.touched);
+        let writes = std::mem::take(&mut e.writes);
         if on_device {
             for &(a, read) in &touched {
                 // Uncovered arrays are re-synchronized around every
@@ -897,7 +990,9 @@ impl<'a> Runner<'a> {
                     tracker.as_ref(),
                 ),
                 ExecTier::Bytecode => {
-                    let code = self.kernels[idx]
+                    let code = self.sites[site]
+                        .as_mut()
+                        .expect("bound above")
                         .code
                         .get_or_insert_with(|| crate::bytecode::compile_kernel(p, k));
                     crate::bytecode::exec_kernel_bc(
@@ -941,11 +1036,11 @@ impl<'a> Runner<'a> {
                 }
             }
         }
-        let entry = &mut self.kernels[idx];
-        entry.touched = touched;
-        entry.writes = writes;
-        entry.stat.launches += 1;
-        entry.stat.device_time += t;
+        let e = self.sites[site].as_mut().expect("bound above");
+        (e.touched, e.writes) = (touched, writes);
+        let stat = &mut self.stats[e.stat];
+        stat.launches += 1;
+        stat.device_time += t;
         Ok(())
     }
 
@@ -964,7 +1059,7 @@ impl<'a> Runner<'a> {
             0.0
         };
         let elapsed = self.kernel_time + self.transfer_time_s + self.host_time;
-        let stats: Vec<KernelStat> = self.kernels.into_iter().map(|e| e.stat).collect();
+        let stats = std::mem::take(&mut self.stats);
         // Simulated hardware counters → the metrics registry: what
         // `PGI_ACC_TIME=1` + nvprof gave the paper's authors, as
         // Prometheus series. One observation per kernel per run, and
@@ -990,22 +1085,22 @@ impl<'a> Runner<'a> {
             counter_add(
                 "devsim_transfer_bytes_total",
                 &[("dir", "h2d")],
-                self.ledger.h2d_bytes,
+                self.tally.ledger.h2d_bytes,
             );
             counter_add(
                 "devsim_transfer_bytes_total",
                 &[("dir", "d2h")],
-                self.ledger.d2h_bytes,
+                self.tally.ledger.d2h_bytes,
             );
             counter_add(
                 "devsim_transfer_count_total",
                 &[("dir", "h2d")],
-                self.ledger.h2d_count,
+                self.tally.ledger.h2d_count,
             );
             counter_add(
                 "devsim_transfer_count_total",
                 &[("dir", "d2h")],
-                self.ledger.d2h_count,
+                self.tally.ledger.d2h_count,
             );
             counter_add("devsim_while_iterations_total", &[], self.while_iterations);
             observe("devsim_transfer_seconds", &[], self.transfer_time_s);
@@ -1027,10 +1122,10 @@ impl<'a> Runner<'a> {
             transfer_time_s: self.transfer_time_s,
             host_time: self.host_time,
             kernel_stats: stats,
-            transfers: self.ledger,
+            transfers: self.tally.ledger,
             while_iterations: self.while_iterations,
             transfers_per_while_iter,
-            transfers_outside_while: self.ledger.total_count() - self.transfers_in_while,
+            transfers_outside_while: self.tally.ledger.total_count() - self.transfers_in_while,
             host: self.host,
             any_known_wrong: self.any_known_wrong,
             races: self.races,
@@ -1060,7 +1155,7 @@ fn vars_defined(e: &paccport_ir::Expr, vars: &[Option<crate::interp::V>]) -> boo
 mod tests {
     use super::*;
     use paccport_compilers::{compile, CompileOptions, CompilerId};
-    use paccport_ir::{ld, st, Expr, Intent, Kernel, ParallelLoop, ProgramBuilder, E};
+    use paccport_ir::{ld, st, Expr, Intent, Kernel, ParallelLoop, ProgramBuilder, VarId, E};
 
     fn saxpy_program(independent: bool) -> paccport_ir::Program {
         let mut b = ProgramBuilder::new("saxpy");
@@ -1291,6 +1386,53 @@ mod tests {
             (t + t_half).to_bits()
         );
         assert!(t_half < t);
+    }
+
+    /// Launch sites are numbered in program order; a host loop that runs
+    /// no iteration must still skip the sites inside it, or the next
+    /// site would take the entry of one it skipped.
+    #[test]
+    fn a_zero_trip_loop_skips_its_launch_sites() {
+        let mut p = saxpy_program(true);
+        let HostStmt::Launch(saxpy) = p.body[0].clone() else {
+            panic!("saxpy is one launch")
+        };
+        let mut scale = saxpy.clone();
+        scale.name = "scale".into();
+        scale.loops[0].hi = Expr::iconst(16);
+        let (t, h) = (
+            VarId(p.var_names.len() as u32),
+            VarId(p.var_names.len() as u32 + 1),
+        );
+        p.var_names.extend(["t".into(), "h".into()]);
+        // for t in 0..3 { for h in 0..t { saxpy } scale }
+        p.body = vec![HostStmt::HostLoop {
+            var: t,
+            lo: Expr::iconst(0),
+            hi: Expr::iconst(3),
+            body: vec![
+                HostStmt::HostLoop {
+                    var: h,
+                    lo: Expr::iconst(0),
+                    hi: Expr::var(t),
+                    body: vec![HostStmt::Launch(saxpy.clone())],
+                },
+                HostStmt::Launch(scale),
+            ],
+        }];
+        let c = compile(CompilerId::Caps, &p, &CompileOptions::gpu()).unwrap();
+        let r = run(&c, &RunConfig::timing(vec![("n".into(), 4e6)], 1)).unwrap();
+        let launches: Vec<_> = r
+            .kernel_stats
+            .iter()
+            .map(|s| (s.name.as_str(), s.launches))
+            .collect();
+        assert_eq!(launches, [("scale", 3), ("saxpy", 3)]);
+        let t = saxpy_sites(vec![HostStmt::Launch(saxpy)]).kernel_stats[0].device_time;
+        assert_eq!(
+            r.kernel_stats[1].device_time.to_bits(),
+            (t + t + t).to_bits()
+        );
     }
 
     #[test]

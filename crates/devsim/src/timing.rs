@@ -1,6 +1,11 @@
 //! The roofline timing model: launch time = max(compute, memory) +
 //! overhead, with parallelism ramps, warp-utilization and gentle
 //! bandwidth contention.
+//!
+//! Every function here is pure. The runner takes what a launch site
+//! never changes within a run once ([`PlanTerms`], and [`LaunchShape`]
+//! whenever the dimensions repeat) and charges the `timing.*` trace
+//! counters once per run.
 
 use crate::device::{DeviceSpec, ParallelUnit};
 use crate::dyncost::DynCost;
@@ -94,8 +99,30 @@ impl LaunchShape {
     }
 }
 
+/// What [`kernel_launch_time`] reads of a [`KernelPlan`]: where the
+/// kernel executes, its prologue's issue slots per thread and its
+/// performance penalty. A plan is fixed for a whole run, so these are
+/// taken once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanTerms {
+    exec: ExecStrategy,
+    prologue_slots: f64,
+    perf_penalty: f64,
+}
+
+impl PlanTerms {
+    pub fn new(plan: &KernelPlan) -> PlanTerms {
+        PlanTerms {
+            exec: plan.exec,
+            prologue_slots: plan.prologue.total() as f64,
+            perf_penalty: plan.perf_penalty,
+        }
+    }
+}
+
 /// Modeled time of one kernel launch.
 ///
+/// * `plan` — [`PlanTerms::new`] of the kernel's plan.
 /// * `shape` — [`LaunchShape::new`] of `spec` and `dims`.
 /// * `n_par` — number of parallel iterations the cost tree is "per"
 ///   (the distributed-iteration count; 1 for fully serialized runs).
@@ -104,13 +131,12 @@ impl LaunchShape {
 pub fn kernel_launch_time(
     spec: &DeviceSpec,
     host: &DeviceSpec,
-    plan: &KernelPlan,
+    plan: &PlanTerms,
     dims: &LaunchDims,
     shape: &LaunchShape,
     n_par: u64,
     per_iter: &DynCost,
 ) -> f64 {
-    paccport_trace::add("timing.kernel_launches", 1);
     // Per-launch simulated hardware counters: SIMD lane fill and
     // resident-thread occupancy — the divergence/occupancy numbers a
     // real profiler would report for this launch shape.
@@ -131,7 +157,7 @@ pub fn kernel_launch_time(
         }
     }
     let total_issue =
-        n_par as f64 * per_iter.issue_slots() + dims.total_threads() as f64 * prologue_slots(plan);
+        n_par as f64 * per_iter.issue_slots() + dims.total_threads() as f64 * plan.prologue_slots;
     let total_bytes = n_par as f64 * per_iter.mem_bytes();
     let t = match plan.exec {
         ExecStrategy::HostSequential => total_issue / host.single_thread_ips,
@@ -147,14 +173,8 @@ pub fn kernel_launch_time(
     t * plan.perf_penalty
 }
 
-fn prologue_slots(plan: &KernelPlan) -> f64 {
-    plan.prologue.total() as f64
-}
-
 /// Modeled time of one host↔device transfer of `bytes`.
 pub fn transfer_time(spec: &DeviceSpec, bytes: u64) -> f64 {
-    paccport_trace::add("timing.transfers", 1);
-    paccport_trace::add("timing.transfer_bytes", bytes);
     spec.link_latency_s + bytes as f64 / spec.link_bw
 }
 
@@ -188,7 +208,8 @@ mod tests {
         per_iter: &DynCost,
     ) -> f64 {
         let shape = LaunchShape::new(spec, dims);
-        kernel_launch_time(spec, host, plan, dims, &shape, n_par, per_iter)
+        let terms = PlanTerms::new(plan);
+        kernel_launch_time(spec, host, &terms, dims, &shape, n_par, per_iter)
     }
 
     fn cost(instr: f64, ldst: f64) -> DynCost {
