@@ -7,10 +7,14 @@
 //! The tuner searches per-kernel launch configurations by compiling
 //! and timing candidate clause assignments through the device model,
 //! then emits a program with the winning clauses baked in — what an
-//! auto-tuning compiler would persist in its codelet cache.
+//! auto-tuning compiler would persist in its codelet cache. Every
+//! candidate is compiled; the candidates of one kernel whose artifacts
+//! differ only in their distributions are timed by one walk of the host
+//! program ([`compile_and_run_each`]), each with the result its own run
+//! would give.
 
-use paccport_compilers::{compile, CompileOptions, CompilerId};
-use paccport_devsim::{run, RunConfig};
+use paccport_compilers::{CompileOptions, CompilerId};
+use paccport_devsim::{compile_and_run_each, RunConfig};
 use paccport_ir::Program;
 
 /// One candidate distribution for the search space.
@@ -67,8 +71,7 @@ pub fn autotune_distribution(
     let mut total_runs = 0usize;
 
     for name in &kernel_names {
-        let mut chosen: Option<(Candidate, f64)> = None;
-        for cand in candidates {
+        let trials = candidates.iter().map(|cand| {
             let mut trial = best.clone();
             trial.map_kernel(name, |k| {
                 for lp in &mut k.loops {
@@ -76,10 +79,12 @@ pub fn autotune_distribution(
                     lp.clauses.worker = Some(cand.worker);
                 }
             });
-            let Ok(c) = compile(compiler, &trial, options) else {
-                continue;
-            };
-            let Ok(r) = run(&c, cfg) else {
+            trial
+        });
+        let runs = compile_and_run_each(trials, compiler, options, cfg);
+        let mut chosen: Option<(Candidate, f64)> = None;
+        for (cand, r) in candidates.iter().zip(runs) {
+            let Ok(r) = r else {
                 continue;
             };
             total_runs += 1;
@@ -112,6 +117,8 @@ pub fn autotune_distribution(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paccport_compilers::compile;
+    use paccport_devsim::run;
     use paccport_kernels::{lud, VariantCfg};
 
     #[test]

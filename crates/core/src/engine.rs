@@ -104,6 +104,12 @@ impl Engine {
         self
     }
 
+    /// Whether a run journal is attached: only then do jobs need the
+    /// replay fingerprint [`Engine::run_resilient_journaled`] gates on.
+    pub fn journals(&self) -> bool {
+        self.journal.is_some()
+    }
+
     /// The reference single-threaded engine.
     pub fn serial() -> Self {
         Engine::new(1)
@@ -223,7 +229,8 @@ impl Engine {
 
     /// [`Engine::run_resilient`] with a write-ahead of results into
     /// the engine's journal (a no-op without one). Each job carries a
-    /// content fingerprint; the `i`-th job's journal key is
+    /// content fingerprint, read only when [`Engine::journals`] (callers
+    /// may pass 0 otherwise); the `i`-th job's journal key is
     /// `<prefix>/c<i>`. Outcomes journaled by a previous process life
     /// replay — successes decode without recomputation, quarantines
     /// re-enter the quarantine ledger — as long as the fingerprint
@@ -355,10 +362,14 @@ impl Engine {
                 // fingerprint rather than its (large) Debug form, and
                 // the cache lookup reuses it.
                 let program_fp = paccport_compilers::fingerprint(&cell.program);
-                let fp = cell_fingerprint(&format!(
-                    "{:?} {:?} {:?} {:?} {:032x} {:?}",
-                    cell.series, cell.variant, cell.compiler, cell.options, program_fp, cfg
-                ));
+                let fp = if self.journals() {
+                    cell_fingerprint(&format!(
+                        "{:?} {:?} {:?} {:?} {:032x} {:?}",
+                        cell.series, cell.variant, cell.compiler, cell.options, program_fp, cfg
+                    ))
+                } else {
+                    0
+                };
                 let task = move || {
                     let c = cache
                         .compile_fingerprinted(

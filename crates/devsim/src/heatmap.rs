@@ -1,12 +1,15 @@
 //! The Figure-4 machinery: sweep gang × worker (or the equivalent)
 //! thread-distribution configurations, recording modeled elapsed time
-//! for each cell. Cells are independent, so the sweep is parallelized
-//! with rayon.
+//! for each cell. Every cell is compiled; the cells whose artifacts
+//! differ only in their distributions are then timed by one walk of the
+//! host program ([`compile_and_run_each`]). Under fault injection each
+//! cell compiles and runs on its own, and a cell an injected fault
+//! failed is retried, up to two more attempts.
 
+use crate::group::compile_and_run_each;
 use crate::runner::{run, RunConfig};
 use paccport_compilers::{compile, CompileError, CompileOptions, CompilerId};
 use paccport_ir::Program;
-use rayon::prelude::*;
 
 /// One heat map: rows = gang counts, columns = worker counts.
 #[derive(Debug, Clone)]
@@ -80,39 +83,34 @@ pub fn sweep(
     workers: &[u32],
     configure: impl Fn(&mut Program, u32, u32) + Sync,
 ) -> Result<HeatMap, CompileError> {
-    let cells: Vec<Vec<f64>> = gangs
-        .par_iter()
-        .map(|g| {
-            workers
-                .iter()
-                .map(|w| {
-                    let mut p = program.clone();
-                    configure(&mut p, *g, *w);
-                    // Transient injected faults clear on a later
-                    // attempt (the decision hash includes the attempt
-                    // counter), so a short retry loop keeps chaos runs
-                    // lossless; genuine errors fail identically every
-                    // time and fall through to NaN as before.
-                    let mut elapsed = f64::NAN;
-                    for attempt in 0..3 {
-                        paccport_faults::set_attempt(attempt);
-                        let r = compile(compiler, &p, options)
-                            .map_err(|e| e.to_string())
-                            .and_then(|c| run(&c, cfg));
-                        match r {
-                            Ok(r) => {
-                                elapsed = r.elapsed;
-                                break;
-                            }
-                            Err(e) if paccport_faults::is_injected(&e) => continue,
-                            Err(_) => break,
-                        }
-                    }
-                    paccport_faults::set_attempt(0);
-                    elapsed
-                })
-                .collect()
-        })
+    let configured = |i: usize| {
+        let mut p = program.clone();
+        configure(&mut p, gangs[i / workers.len()], workers[i % workers.len()]);
+        p
+    };
+    let cell_count = gangs.len() * workers.len();
+    // Transient injected faults clear on a later attempt (the decision
+    // hash includes the attempt counter, and only it, as run state), so
+    // a short retry loop keeps chaos runs lossless; genuine errors fail
+    // identically every time and fall through to NaN as before.
+    let outer_attempt = paccport_faults::current_attempt();
+    paccport_faults::set_attempt(0);
+    let mut runs = compile_and_run_each((0..cell_count).map(configured), compiler, options, cfg);
+    for attempt in 1..3 {
+        paccport_faults::set_attempt(attempt);
+        for (i, r) in runs.iter_mut().enumerate() {
+            if matches!(r, Err(e) if paccport_faults::is_injected(e)) {
+                *r = compile(compiler, &configured(i), options)
+                    .map_err(|e| e.to_string())
+                    .and_then(|c| run(&c, cfg));
+            }
+        }
+    }
+    paccport_faults::set_attempt(outer_attempt);
+    let mut elapsed = runs.into_iter().map(|r| r.map_or(f64::NAN, |r| r.elapsed));
+    let cells = gangs
+        .iter()
+        .map(|_| elapsed.by_ref().take(workers.len()).collect())
         .collect();
     Ok(HeatMap {
         title: title.into(),

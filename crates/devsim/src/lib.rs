@@ -21,7 +21,8 @@
 //! kernel launch (and whether it *actually* ran on the device — the
 //! paper's nvprof/`PGI_ACC_TIME` discovery on BFS), and the modeled
 //! elapsed time that the figures plot. [`heatmap`] sweeps thread
-//! distributions for Figure 4.
+//! distributions for Figure 4, timing each group of configurations that
+//! differ only in their distributions with one walk ([`group`]).
 //!
 //! ```
 //! use paccport_compilers::{compile, CompileOptions, CompilerId};
@@ -49,6 +50,7 @@
 pub mod bytecode;
 pub mod device;
 pub mod dyncost;
+pub mod group;
 pub mod heatmap;
 pub mod interp;
 pub mod memory;
@@ -61,6 +63,7 @@ pub mod timing;
 pub use bytecode::{compile_kernel, exec_kernel_bc, exec_kernel_tiered, KernelCode};
 pub use device::{amd_firepro, host_cpu, k40, phi5110p, spec_for, DeviceSpec, ParallelUnit};
 pub use dyncost::{CostHints, DynCost};
+pub use group::compile_and_run_each;
 pub use heatmap::{sweep, HeatMap};
 pub use interp::{exec_kernel_traced, fresh_vars, KernelFidelity, V};
 pub use memory::{Buffer, MemLoc, TransferLedger};
