@@ -792,6 +792,7 @@ fn serve_cmd(mut args: Args) {
             .unwrap_or_else(|e| die(&format!("serve: cannot write {path}: {e}")));
     }
     println!("serving on {bound}");
+    server.drain_on_sigterm();
     server.join();
     println!("drained");
 }

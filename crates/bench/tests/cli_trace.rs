@@ -1,8 +1,9 @@
 //! End-to-end checks of the telemetry CLI surface: the Chrome export
 //! must parse as trace-event JSON with one lane per engine worker,
 //! same-flag runs must produce structurally identical exports (only
-//! the wall-clock fields may differ), and `reproduce profile` must be
-//! byte-identical at any job count.
+//! the wall-clock fields may differ), soundness-check spans must name
+//! their cell, and `reproduce profile` must be byte-identical at any
+//! job count.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -184,6 +185,45 @@ fn jsonl_and_folded_formats_are_well_formed() {
         text.lines().any(|l| l.contains(';')),
         "folded output must contain at least one nested stack:\n{text}"
     );
+}
+
+#[test]
+fn jsonl_check_spans_name_their_cell() {
+    let trace_file = tmp("check.jsonl");
+    let out = reproduce(&[
+        "--check",
+        "--scale",
+        "smoke",
+        "--jobs",
+        "2",
+        "--trace-out",
+        trace_file.to_str().unwrap(),
+        "--trace-format",
+        "jsonl",
+    ]);
+    assert!(out.status.success());
+    let text = read(&trace_file);
+    let mut cells = Vec::new();
+    for line in text.lines() {
+        let obj = json::parse(line).expect("every JSONL line parses");
+        if obj.get("name").and_then(|n| n.as_str()) != Some("soundness.check_cell") {
+            continue;
+        }
+        let attr = |k: &str| {
+            obj.get("attrs")
+                .and_then(|a| a.get(k))
+                .and_then(|v| v.as_str())
+                .unwrap_or_else(|| panic!("check span without `{k}`: {line}"))
+                .to_string()
+        };
+        cells.push((attr("benchmark"), attr("variant"), attr("target")));
+    }
+    assert_eq!(cells.len(), 59, "one check span per soundness cell");
+    assert!(cells.contains(&("LUD".into(), "Base".into(), "CAPS-CUDA-K40".into())));
+    assert!(cells.contains(&("BP".into(), "Reduction".into(), "CAPS-OCL-5110P".into())));
+    cells.sort();
+    cells.dedup();
+    assert_eq!(cells.len(), 59, "every span names a distinct cell");
 }
 
 #[test]

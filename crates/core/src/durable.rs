@@ -26,11 +26,13 @@
 //! event <fault-kind-tag> <site-key> <attempt>
 //! ```
 //!
-//! Cell keys are positional (`m<matrix>/c<index>`, `check/c<index>`)
-//! and the fingerprint is a content hash of the full cell spec, so a
-//! journal from a *different* configuration (changed scale, changed
-//! variant set) never replays into the wrong cell — the fingerprint
-//! mismatch falls back to recomputation.
+//! Cell keys are positional (`m<matrix>/c<index>`: the engine numbers
+//! its matrices in submission order, see
+//! [`crate::engine::Engine::run_matrix`]) and the fingerprint is a
+//! content hash of the full cell, so a journal from a *different*
+//! configuration (changed scale, changed variant set) never replays
+//! into the wrong cell — the fingerprint mismatch falls back to
+//! recomputation.
 
 use std::collections::HashMap;
 use std::io;
@@ -42,6 +44,7 @@ use paccport_persist::wire::{Reader, Writer};
 use paccport_persist::{BlobStore, Journal, CACHE_DIR, JOURNAL_FILE};
 use paccport_ptx::{CategoryCounts, CATEGORIES};
 
+use crate::profile::CellProfile;
 use crate::soundness::{CellCheck, SoundnessRow};
 use crate::study::Measured;
 
@@ -153,6 +156,20 @@ impl DurableResult for CellCheck {
         Ok(CellCheck {
             rows,
             accesses: r.u64()?,
+        })
+    }
+}
+
+impl DurableResult for CellProfile {
+    fn encode(&self, w: &mut Writer) {
+        w.str(&self.label);
+        w.str(&self.profile);
+    }
+
+    fn decode(r: &mut Reader) -> Result<Self, String> {
+        Ok(CellProfile {
+            label: r.str()?,
+            profile: r.str()?,
         })
     }
 }
@@ -436,6 +453,14 @@ mod tests {
             accesses: 12345,
         };
         round_trip(&check);
+    }
+
+    #[test]
+    fn cell_profile_round_trips() {
+        round_trip(&CellProfile {
+            label: "BFS Base / PGI-K40".into(),
+            profile: "kernel  launches\nbfs_1   HOST (never launched)\n".into(),
+        });
     }
 
     #[test]

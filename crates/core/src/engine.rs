@@ -17,6 +17,10 @@
 //!    appears in many figures (LUD ThreadDist shows up in figs. 3, 4
 //!    and 6) is compiled exactly once per engine.
 //!
+//! Every matrix — each figure's, the soundness check's, the profile
+//! sweep's — runs through one cell runner, [`Engine::run_matrix`],
+//! which also journals `--state-dir` runs.
+//!
 //! `Engine::serial()` (or `jobs = 1`) runs everything inline on the
 //! caller's thread — that is the reference path the equivalence tests
 //! compare against.
@@ -26,11 +30,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use paccport_compilers::ArtifactCache;
+use paccport_compilers::{ArtifactCache, CompiledProgram};
 use paccport_persist::wire::{Reader, Writer};
 
 use crate::durable::{CellJournal, DurableResult};
-use crate::study::{measure, CellFailure, CellSpec, Measured};
+use crate::study::CheckCell;
 
 // How the engine retries failing jobs. Backoff runs on the *virtual*
 // clock (`paccport_faults::vclock`): a retry "sleeps" by advancing it,
@@ -73,9 +77,8 @@ pub struct Engine {
     /// Run journal for `--state-dir` runs: completed cells replay
     /// instead of recomputing (see [`crate::durable`]).
     journal: Option<Arc<CellJournal>>,
-    /// Ordinal of the next journaled matrix, so every
-    /// `measure_matrix_detailed` call gets a distinct key prefix in
-    /// submission order.
+    /// Ordinal of the next matrix, so every [`Engine::run_matrix`]
+    /// call gets a distinct journal key prefix in submission order.
     matrix_seq: AtomicU64,
 }
 
@@ -97,17 +100,11 @@ impl Engine {
         }
     }
 
-    /// Attach a run journal (builder style): matrix and soundness
-    /// cells journal their outcomes and replay on resume.
+    /// Attach a run journal (builder style): every matrix cell
+    /// journals its outcome and replays on resume.
     pub fn with_journal(mut self, journal: Arc<CellJournal>) -> Self {
         self.journal = Some(journal);
         self
-    }
-
-    /// Whether a run journal is attached: only then do jobs need the
-    /// replay fingerprint [`Engine::run_resilient_journaled`] gates on.
-    pub fn journals(&self) -> bool {
-        self.journal.is_some()
     }
 
     /// The reference single-threaded engine.
@@ -227,85 +224,6 @@ impl Engine {
         self.run_batch(tasks)
     }
 
-    /// [`Engine::run_resilient`] with a write-ahead of results into
-    /// the engine's journal (a no-op without one). Each job carries a
-    /// content fingerprint, read only when [`Engine::journals`] (callers
-    /// may pass 0 otherwise); the `i`-th job's journal key is
-    /// `<prefix>/c<i>`. Outcomes journaled by a previous process life
-    /// replay — successes decode without recomputation, quarantines
-    /// re-enter the quarantine ledger — as long as the fingerprint
-    /// still matches; any mismatch recomputes. Replay is per-cell, so
-    /// a run that died mid-matrix resumes exactly at the first
-    /// unjournaled cell.
-    pub fn run_resilient_journaled<T, F>(
-        &self,
-        prefix: &str,
-        jobs: Vec<(String, u128, F)>,
-    ) -> Vec<Result<T, JobFailure>>
-    where
-        T: DurableResult + Send,
-        F: Fn() -> Result<T, String> + Send,
-    {
-        let Some(journal) = self.journal.as_ref().map(Arc::clone) else {
-            return self.run_resilient(jobs.into_iter().map(|(l, _, f)| (l, f)).collect());
-        };
-        paccport_faults::install_quiet_panic_hook();
-        let quarantine = &self.quarantine;
-        let tasks: Vec<_> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (label, fp, f))| {
-                let journal = Arc::clone(&journal);
-                move || {
-                    let key = format!("{prefix}/c{i}");
-                    match journal.replay(&key, fp) {
-                        Some(Ok(tokens)) => {
-                            let mut r = Reader::new(tokens);
-                            if let Ok(v) = T::decode(&mut r) {
-                                paccport_trace::metrics::counter_add(
-                                    "cells_replayed_total",
-                                    &[],
-                                    1,
-                                );
-                                return Ok(v);
-                            }
-                            // An undecodable journaled success means
-                            // the journal predates a codec change the
-                            // version guard missed; fall through and
-                            // recompute (the re-journal is suppressed
-                            // by the duplicate-key guard).
-                        }
-                        Some(Err(jf)) => {
-                            paccport_trace::metrics::counter_add("cells_replayed_total", &[], 1);
-                            let failure = JobFailure {
-                                label,
-                                reason: jf.reason.clone(),
-                                attempts: jf.attempts,
-                                injected: jf.injected,
-                            };
-                            quarantine.lock().unwrap().push(failure.clone());
-                            return Err(failure);
-                        }
-                        None => {}
-                    }
-                    let res = run_with_retry(label, f, quarantine);
-                    match &res {
-                        Ok(v) => {
-                            let mut w = Writer::new();
-                            v.encode(&mut w);
-                            journal.record_ok(&key, fp, &w.finish());
-                        }
-                        Err(jf) => {
-                            journal.record_err(&key, fp, &jf.reason, jf.attempts, jf.injected)
-                        }
-                    }
-                    res
-                }
-            })
-            .collect();
-        self.run_batch(tasks)
-    }
-
     /// Jobs quarantined by [`Engine::run_resilient`] so far, sorted by
     /// label (deterministic regardless of worker scheduling).
     pub fn quarantined(&self) -> Vec<JobFailure> {
@@ -323,80 +241,97 @@ impl Engine {
             .collect()
     }
 
-    /// Measure every cell of an experiment matrix through the shared
-    /// cache, results in `cells` order. Failures are the rendered
-    /// string form of [`CellFailure`]; use
-    /// [`Engine::measure_matrix_detailed`] for the structured form.
-    pub fn measure_matrix(&self, cells: Vec<CellSpec>) -> Vec<Result<Measured, String>> {
-        self.measure_matrix_detailed(cells)
-            .into_iter()
-            .map(|r| r.map_err(|f| f.to_string()))
-            .collect()
-    }
-
-    /// [`Engine::measure_matrix`] with structured failures: each
-    /// quarantined cell comes back as a [`CellFailure`] carrying its
-    /// series/variant, final error, attempt count and whether the
-    /// fault was injected.
-    pub fn measure_matrix_detailed(
+    /// Run every cell of one experiment matrix — a figure's, the
+    /// soundness check's or the profile sweep's — results in `cells`
+    /// order. Each cell becomes one resilient job (see
+    /// [`Engine::run_resilient`]) named by `label`, whose name is also
+    /// the cell's fault scope unless the cell sets its own. The job
+    /// compiles the cell through the shared cache and hands the
+    /// artifact to `body`.
+    ///
+    /// With a journal attached (see [`crate::durable`]) the `i`-th
+    /// cell of the engine's `N`-th matrix journals its outcome under
+    /// `m<N>/c<i>`, gated by a fingerprint of everything that shapes
+    /// it. An outcome journaled by a previous process life replays —
+    /// a success decodes without recomputation, a quarantine re-enters
+    /// the quarantine ledger — as long as the fingerprint still
+    /// matches; any mismatch recomputes. Replay is per cell, so a run
+    /// that died mid-matrix resumes exactly at the first unjournaled
+    /// cell.
+    pub fn run_matrix<T, F>(
         &self,
-        cells: Vec<CellSpec>,
-    ) -> Vec<Result<Measured, CellFailure>> {
-        let _span = paccport_trace::span("engine.measure_matrix");
-        let cache = &self.cache;
-        let prefix = format!("m{}", self.matrix_seq.fetch_add(1, Ordering::Relaxed));
-        let names: Vec<(String, String)> = cells
-            .iter()
-            .map(|c| (c.series.clone(), c.variant.clone()))
-            .collect();
-        let jobs: Vec<_> = cells
+        cells: Vec<CheckCell>,
+        label: impl Fn(&CheckCell) -> String,
+        body: F,
+    ) -> Vec<Result<T, JobFailure>>
+    where
+        T: DurableResult + Send,
+        F: Fn(&CheckCell, &CompiledProgram) -> Result<T, String> + Sync,
+    {
+        let _span = paccport_trace::span("engine.matrix");
+        paccport_faults::install_quiet_panic_hook();
+        let matrix = self.matrix_seq.fetch_add(1, Ordering::Relaxed);
+        let (cache, quarantine, body) = (&*self.cache, &self.quarantine, &body);
+        let journal = self.journal.as_deref();
+        let tasks: Vec<_> = cells
             .into_iter()
-            .map(|cell| {
-                let label = format!("{}/{}", cell.series, cell.variant);
-                let mut cfg = cell.cfg.clone();
-                if cfg.fault_scope.is_none() {
-                    cfg.fault_scope = Some(label.clone());
+            .enumerate()
+            .map(|(i, mut cell)| {
+                let label = label(&cell);
+                if cell.cfg.fault_scope.is_none() {
+                    cell.cfg.fault_scope = Some(label.clone());
                 }
-                // The replay gate: everything that shapes this cell's
-                // result. The program contributes its compile-cache
-                // fingerprint rather than its (large) Debug form, and
-                // the cache lookup reuses it.
-                let program_fp = paccport_compilers::fingerprint(&cell.program);
-                let fp = if self.journals() {
-                    cell_fingerprint(&format!(
-                        "{:?} {:?} {:?} {:?} {:032x} {:?}",
-                        cell.series, cell.variant, cell.compiler, cell.options, program_fp, cfg
-                    ))
-                } else {
-                    0
-                };
-                let task = move || {
-                    let c = cache
-                        .compile_fingerprinted(
+                move || {
+                    let program_fp = paccport_compilers::fingerprint(&cell.program);
+                    // The replay gate `Debug`-formats the cell's inputs
+                    // (MBs at quick scale), so only a journaled run
+                    // builds it.
+                    let gate = journal.map(|j| {
+                        let spec = format!(
+                            "{:?} {:?} {:?} {:?} {:?} {:032x} {:?}",
+                            cell.benchmark,
+                            cell.series,
+                            cell.variant,
                             cell.compiler,
-                            &cell.program,
+                            cell.options,
                             program_fp,
-                            &cell.options,
-                        )
-                        .map_err(|e| e.to_string())?;
-                    measure(&cell.series, &cell.variant, &c, &cfg)
-                };
-                (label, fp, task)
+                            cell.cfg
+                        );
+                        let fp = paccport_trace::hash::fnv1a128(spec.as_bytes());
+                        (j, format!("m{matrix}/c{i}"), fp)
+                    });
+                    if let Some((j, key, fp)) = &gate {
+                        if let Some(replayed) = replay(j, key, *fp, &label, quarantine) {
+                            return replayed;
+                        }
+                    }
+                    let job = || {
+                        let c = cache
+                            .compile_fingerprinted(
+                                cell.compiler,
+                                &cell.program,
+                                program_fp,
+                                &cell.options,
+                            )
+                            .map_err(|e| e.to_string())?;
+                        body(&cell, &c)
+                    };
+                    let res = run_with_retry(label, job, quarantine);
+                    if let Some((j, key, fp)) = &gate {
+                        match &res {
+                            Ok(v) => {
+                                let mut w = Writer::new();
+                                v.encode(&mut w);
+                                j.record_ok(key, *fp, &w.finish());
+                            }
+                            Err(f) => j.record_err(key, *fp, &f.reason, f.attempts, f.injected),
+                        }
+                    }
+                    res
+                }
             })
             .collect();
-        self.run_resilient_journaled(&prefix, jobs)
-            .into_iter()
-            .zip(names)
-            .map(|(r, (series, variant))| {
-                r.map_err(|f| CellFailure {
-                    series,
-                    variant,
-                    reason: f.reason,
-                    attempts: f.attempts,
-                    injected: f.injected,
-                })
-            })
-            .collect()
+        self.run_batch(tasks)
     }
 
     /// Compile through the shared cache, retrying injected faults up
@@ -429,12 +364,34 @@ impl Engine {
     }
 }
 
-/// 128-bit content fingerprint for journal replay gates: two
-/// independent 64-bit FNV-1a passes over the same bytes. Not
-/// cryptographic — it only has to make "the cell spec changed between
-/// runs" overwhelmingly unlikely to collide.
-pub fn cell_fingerprint(spec: &str) -> u128 {
-    paccport_trace::hash::fnv1a128(spec.as_bytes())
+/// The outcome journaled under `key` by a previous process life, if its
+/// fingerprint still matches `fp`. A replayed quarantine re-enters the
+/// quarantine ledger under `label`.
+fn replay<T: DurableResult>(
+    journal: &CellJournal,
+    key: &str,
+    fp: u128,
+    label: &str,
+    quarantine: &Mutex<Vec<JobFailure>>,
+) -> Option<Result<T, JobFailure>> {
+    let replayed = match journal.replay(key, fp)? {
+        // An undecodable journaled success means the journal predates
+        // a codec change the version guard missed: recompute (the
+        // re-journal is suppressed by the duplicate-key guard).
+        Ok(tokens) => Ok(T::decode(&mut Reader::new(tokens)).ok()?),
+        Err(jf) => {
+            let failure = JobFailure {
+                label: label.to_string(),
+                reason: jf.reason.clone(),
+                attempts: jf.attempts,
+                injected: jf.injected,
+            };
+            quarantine.lock().unwrap().push(failure.clone());
+            Err(failure)
+        }
+    };
+    paccport_trace::metrics::counter_add("cells_replayed_total", &[], 1);
+    Some(replayed)
 }
 
 /// One job's attempt loop: watchdog + `catch_unwind` around every
@@ -505,7 +462,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     type Job = (String, Box<dyn Fn() -> Result<u32, String> + Send>);
 
@@ -589,76 +546,102 @@ mod tests {
         assert_eq!(results[1], Ok(1));
     }
 
-    #[derive(Debug, PartialEq)]
-    struct Val(u64);
+    /// A small LUD cell, timed at n = 32.
+    fn lud_cell() -> CheckCell {
+        use paccport_kernels::{lud, VariantCfg};
+        CheckCell::new(
+            "LUD",
+            "CAPS-CUDA-K40",
+            "Base",
+            paccport_compilers::CompilerId::Caps,
+            paccport_compilers::CompileOptions::gpu(),
+            lud::program(&VariantCfg::baseline()),
+            paccport_devsim::RunConfig::timing(vec![("n".into(), 32.0)], 1),
+        )
+    }
 
-    impl DurableResult for Val {
-        fn encode(&self, w: &mut Writer) {
-            w.u64(self.0);
-        }
-        fn decode(r: &mut Reader) -> Result<Self, String> {
-            Ok(Val(r.u64()?))
-        }
+    /// Run `cells` as one matrix of a fresh engine on the journal in
+    /// `dir` (resumed when `resume`), counting the body's calls in
+    /// `ran`. A cell whose variant is "broken" fails every attempt.
+    fn journaled_matrix(
+        dir: &std::path::Path,
+        resume: bool,
+        cells: Vec<CheckCell>,
+        ran: &AtomicUsize,
+    ) -> (Engine, Vec<Result<crate::study::Measured, JobFailure>>) {
+        let j = Arc::new(CellJournal::open(dir, resume).unwrap());
+        let eng = Engine::new(2).with_journal(j);
+        let res = eng.run_matrix(cells, CheckCell::label, |cell, c| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if cell.variant == "broken" {
+                return Err("deliberate breakage".into());
+            }
+            crate::study::measure(&cell.series, &cell.variant, c, &cell.cfg)
+        });
+        (eng, res)
     }
 
     #[test]
-    fn journaled_jobs_replay_across_engine_lives() {
+    fn the_replay_fingerprint_covers_every_cell_field() {
         let dir =
             std::env::temp_dir().join(format!("paccport-engine-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        type Job<'a> = Box<dyn Fn() -> Result<Val, String> + Send + 'a>;
-        fn jobs(ran: &AtomicUsize) -> Vec<(String, u128, Job<'_>)> {
-            let a: Job<'_> = Box::new(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                Ok(Val(40))
-            });
-            let b: Job<'_> = Box::new(|| Err("deliberate breakage".to_string()));
-            vec![
-                ("good".into(), cell_fingerprint("good"), a),
-                ("bad".into(), cell_fingerprint("bad"), b),
-            ]
-        }
         let ran = AtomicUsize::new(0);
+        let count = || ran.load(Ordering::Relaxed);
+        let mut broken = lud_cell();
+        broken.variant = "broken".into();
 
         // First life: both outcomes computed and journaled.
-        {
-            let j = Arc::new(crate::durable::CellJournal::open(&dir, false).unwrap());
-            let eng = Engine::new(2).with_journal(j);
-            let res = eng.run_resilient_journaled("t", jobs(&ran));
-            assert_eq!(res[0], Ok(Val(40)));
-            assert!(res[1].is_err());
-        }
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        let (_, first) = journaled_matrix(&dir, false, vec![lud_cell(), broken.clone()], &ran);
+        assert!(first[0].is_ok());
+        assert!(first[1].is_err());
+        assert_eq!(count(), 1 + MAX_ATTEMPTS as usize);
 
-        // Second life: both replay — no recomputation, and the
+        // Second life: both replay without running the body, and the
         // quarantine ledger is rebuilt from the journal.
-        {
-            let j = Arc::new(crate::durable::CellJournal::open(&dir, true).unwrap());
-            let eng = Engine::new(2).with_journal(j);
-            let res = eng.run_resilient_journaled("t", jobs(&ran));
-            assert_eq!(res[0], Ok(Val(40)));
-            let f = res[1].as_ref().unwrap_err();
-            assert_eq!(f.reason, "deliberate breakage");
-            assert_eq!(f.attempts, MAX_ATTEMPTS);
-            let q = eng.quarantined();
-            assert_eq!(q.len(), 1);
-            assert_eq!(q[0].label, "bad");
-        }
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "replay must not recompute");
+        let (eng, second) = journaled_matrix(&dir, true, vec![lud_cell(), broken.clone()], &ran);
+        assert_eq!(
+            count(),
+            1 + MAX_ATTEMPTS as usize,
+            "replay must not recompute"
+        );
+        assert_eq!(second[0], first[0]);
+        let f = second[1].as_ref().unwrap_err();
+        assert_eq!(f.reason, "deliberate breakage");
+        assert_eq!(f.attempts, MAX_ATTEMPTS);
+        let q = eng.quarantined();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q[0].label, broken.label());
 
-        // A changed fingerprint recomputes rather than misreplaying.
-        {
-            let j = Arc::new(crate::durable::CellJournal::open(&dir, true).unwrap());
-            let eng = Engine::serial().with_journal(j);
-            let mut js = jobs(&ran);
-            js.truncate(1);
-            js[0].1 = cell_fingerprint("good-but-different");
-            let res = eng.run_resilient_journaled("t", js);
-            assert_eq!(res[0], Ok(Val(40)));
+        // A change to any one field of the cell recomputes it rather
+        // than replaying the journaled outcome.
+        type Edit = fn(&mut CheckCell);
+        let edits: [(&str, Edit); 7] = [
+            ("benchmark", |c| c.benchmark = "LUD2".into()),
+            ("series", |c| c.series = "CAPS-OCL-5110P".into()),
+            ("variant", |c| c.variant = "Base2".into()),
+            ("compiler", |c| {
+                c.compiler = paccport_compilers::CompilerId::Pgi;
+            }),
+            ("options", |c| {
+                c.options = paccport_compilers::CompileOptions::mic()
+            }),
+            ("program", |c| {
+                c.program = paccport_kernels::lud::program(
+                    &paccport_kernels::VariantCfg::thread_dist(256, 16),
+                );
+            }),
+            ("cfg", |c| {
+                c.cfg = paccport_devsim::RunConfig::timing(vec![("n".into(), 64.0)], 1);
+            }),
+        ];
+        for (field, edit) in edits {
+            let mut cell = lud_cell();
+            edit(&mut cell);
+            let before = count();
+            let (_, res) = journaled_matrix(&dir, true, vec![cell], &ran);
+            assert!(res[0].is_ok(), "{field}: {res:?}");
+            assert_eq!(count(), before + 1, "a changed {field} must recompute");
         }
-        assert_eq!(ran.load(Ordering::Relaxed), 2);
-
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,16 +7,19 @@
 //! findings.
 //!
 //! Every generator that compiles takes an [`Engine`]: `figN_on(&eng,
-//! scale)` fans the cells out through the engine's worker pool and
-//! shared compile cache. Cell order, and therefore report output, is
-//! the same for every worker count; `Engine::serial()` is the
-//! one-worker reference.
+//! scale)` builds its matrix of [`CheckCell`]s and runs them through
+//! the engine's one cell runner ([`Engine::run_matrix`]), which fans
+//! them out over the worker pool and the shared compile cache — as the
+//! soundness check ([`check_soundness_on`]) and the profile sweep do
+//! with theirs. Cell order, and therefore report output, is the same
+//! for every worker count; `Engine::serial()` is the one-worker
+//! reference.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, JobFailure};
 use crate::ppr::{PprComparison, PprEntry};
 use crate::ptxcmp::{PtxBar, PtxFigure};
-use crate::soundness::{check_cell, CheckCell, SoundnessReport};
-use crate::study::{CellSpec, ElapsedFigure, Measured, Scale};
+use crate::soundness::{check_compiled, SoundnessReport};
+use crate::study::{measure, CheckCell, ElapsedFigure, Measured, Scale};
 use paccport_compilers::{CompileOptions, CompilerId, Flag, HostCompiler};
 use paccport_devsim::{sweep, CostHints, HeatMap, RunConfig};
 use paccport_hydro as hydro;
@@ -41,29 +44,29 @@ fn bar_from(m: &Measured) -> PtxBar {
     }
 }
 
+/// Measure every cell of a figure's matrix through the engine's cell
+/// runner; each job is named `series/variant`.
+fn measure_cells(eng: &Engine, cells: Vec<CheckCell>) -> Vec<Result<Measured, JobFailure>> {
+    eng.run_matrix(
+        cells,
+        |cell| format!("{}/{}", cell.series, cell.variant),
+        |cell, c| measure(&cell.series, &cell.variant, c, &cell.cfg),
+    )
+}
+
 /// Run an experiment matrix and build an [`ElapsedFigure`] that
-/// completes with partial results: quarantined cells land in
-/// `failures` (rendered as explicit `FAILED(reason, attempts)`
-/// entries) instead of aborting the figure.
-fn elapsed_figure(eng: &Engine, id: &str, title: &str, cells: Vec<CellSpec>) -> ElapsedFigure {
-    let order: Vec<(String, String)> = cells
+/// completes with partial results: quarantined cells render as
+/// explicit `FAILED(reason, attempts)` entries instead of aborting the
+/// figure.
+fn elapsed_figure(eng: &Engine, id: &str, title: &str, cells: Vec<CheckCell>) -> ElapsedFigure {
+    let names: Vec<(String, String)> = cells
         .iter()
         .map(|c| (c.series.clone(), c.variant.clone()))
         .collect();
-    let mut points = Vec::new();
-    let mut failures = Vec::new();
-    for r in eng.measure_matrix_detailed(cells) {
-        match r {
-            Ok(m) => points.push(m),
-            Err(f) => failures.push(f),
-        }
-    }
     ElapsedFigure {
         id: id.into(),
         title: title.into(),
-        points,
-        failures,
-        order,
+        cells: names.into_iter().zip(measure_cells(eng, cells)).collect(),
     }
 }
 
@@ -97,7 +100,8 @@ pub fn fig3_lud_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
             ("CAPS-OCL-5110P", CompilerId::Caps, mic()),
             ("PGI-K40", CompilerId::Pgi, gpu()),
         ] {
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "LUD",
                 series,
                 &variant,
                 compiler,
@@ -170,7 +174,8 @@ pub fn fig6_lud_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
             } else {
                 (lud::program(&vc), opts.clone())
             };
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "LUD",
                 series,
                 &variant,
                 compiler,
@@ -183,8 +188,7 @@ pub fn fig6_lud_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     PtxFigure {
         id: "fig6".into(),
         title: "PTX instructions of LUD for CAPS and PGI".into(),
-        bars: eng
-            .measure_matrix(cells)
+        bars: measure_cells(eng, cells)
             .into_iter()
             .flatten()
             .map(|m| bar_from(&m))
@@ -236,7 +240,8 @@ pub fn fig7_ge_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
             } else {
                 (p.clone(), opts.clone())
             };
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "GE",
                 series,
                 &variant,
                 compiler,
@@ -250,7 +255,8 @@ pub fn fig7_ge_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     for (variant, adv) in [("OCL-Base", false), ("OCL-Advanced", true)] {
         let p = gaussian::opencl_program(adv);
         for (series, opts) in [("OCL-K40", gpu()), ("OCL-5110P", mic())] {
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "GE",
                 series,
                 variant,
                 CompilerId::OpenClHand,
@@ -288,7 +294,8 @@ pub fn fig9_ge_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     let cfg = RunConfig::timing(vec![("n".into(), n)], 1);
     let mut cells = Vec::new();
     // OpenCL first (the paper's left bars).
-    cells.push(CellSpec::new(
+    cells.push(CheckCell::new(
+        "GE",
         "OCL-K40",
         "Base",
         CompilerId::OpenClHand,
@@ -310,7 +317,8 @@ pub fn fig9_ge_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
             } else {
                 (gaussian::program(&vc), gpu())
             };
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "GE",
                 series,
                 &variant,
                 compiler,
@@ -323,8 +331,7 @@ pub fn fig9_ge_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     PtxFigure {
         id: "fig9".into(),
         title: "PTX instructions of GE for CAPS and PGI".into(),
-        bars: eng
-            .measure_matrix(cells)
+        bars: measure_cells(eng, cells)
             .into_iter()
             .flatten()
             .map(|m| bar_from(&m))
@@ -372,7 +379,8 @@ pub fn fig10_bfs_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
             ("CAPS-OCL-5110P", CompilerId::Caps, mic()),
             ("PGI-K40", CompilerId::Pgi, gpu()),
         ] {
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "BFS",
                 series,
                 variant,
                 compiler,
@@ -384,7 +392,8 @@ pub fn fig10_bfs_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     }
     let p = bfs::opencl_program();
     for (series, opts) in [("OCL-K40", gpu()), ("OCL-5110P", mic())] {
-        cells.push(CellSpec::new(
+        cells.push(CheckCell::new(
+            "BFS",
             series,
             "OCL",
             CompilerId::OpenClHand,
@@ -399,7 +408,8 @@ pub fn fig10_bfs_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
 /// Figure 11: BFS PTX composition (incl. the PGI stub discovery).
 pub fn fig11_bfs_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     let cfg = bfs_cfg(scale);
-    let mut cells = vec![CellSpec::new(
+    let mut cells = vec![CheckCell::new(
+        "BFS",
         "OCL-K40",
         "OCL",
         CompilerId::OpenClHand,
@@ -415,7 +425,8 @@ pub fn fig11_bfs_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
             ("Base", VariantCfg::baseline()),
             ("Indep", VariantCfg::independent()),
         ] {
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "BFS",
                 series,
                 variant,
                 compiler,
@@ -428,8 +439,7 @@ pub fn fig11_bfs_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     PtxFigure {
         id: "fig11".into(),
         title: "PTX instructions of BFS for CAPS and PGI".into(),
-        bars: eng
-            .measure_matrix(cells)
+        bars: measure_cells(eng, cells)
             .into_iter()
             .flatten()
             .map(|m| bar_from(&m))
@@ -454,7 +464,8 @@ pub fn tab7_bfs_on(eng: &Engine, scale: &Scale) -> Vec<Table7Row> {
     let cfg = bfs_cfg(scale);
     let mut cells = Vec::new();
     for (name, compiler) in [("CAPS", CompilerId::Caps), ("PGI", CompilerId::Pgi)] {
-        cells.push(CellSpec::new(
+        cells.push(CheckCell::new(
+            "BFS",
             name,
             "Base",
             compiler,
@@ -462,7 +473,8 @@ pub fn tab7_bfs_on(eng: &Engine, scale: &Scale) -> Vec<Table7Row> {
             bfs::program(&VariantCfg::baseline()),
             cfg.clone(),
         ));
-        cells.push(CellSpec::new(
+        cells.push(CheckCell::new(
+            "BFS",
             name,
             "Indep",
             compiler,
@@ -471,7 +483,7 @@ pub fn tab7_bfs_on(eng: &Engine, scale: &Scale) -> Vec<Table7Row> {
             cfg.clone(),
         ));
     }
-    let mut measured = eng.measure_matrix(cells).into_iter();
+    let mut measured = measure_cells(eng, cells).into_iter();
     let mut rows = Vec::new();
     for (name, _) in [("CAPS", CompilerId::Caps), ("PGI", CompilerId::Pgi)] {
         // A quarantined cell drops its row (it is already in the
@@ -540,7 +552,8 @@ pub fn fig12_bp_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
             ("CAPS-OCL-5110P", CompilerId::Caps, mic()),
             ("PGI-K40", CompilerId::Pgi, gpu()),
         ] {
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "BP",
                 series,
                 &variant,
                 compiler,
@@ -552,7 +565,8 @@ pub fn fig12_bp_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     }
     let p = backprop::opencl_program(128);
     for (series, opts) in [("OCL-K40", gpu()), ("OCL-5110P", mic())] {
-        cells.push(CellSpec::new(
+        cells.push(CheckCell::new(
+            "BP",
             series,
             "OCL",
             CompilerId::OpenClHand,
@@ -583,7 +597,8 @@ pub fn fig13_reduction_listing_on(eng: &Engine) -> String {
 /// Figure 14: BP PTX composition.
 pub fn fig14_bp_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     let cfg = bp_cfg(scale);
-    let mut cells = vec![CellSpec::new(
+    let mut cells = vec![CheckCell::new(
+        "BP",
         "OCL-K40",
         "OCL",
         CompilerId::OpenClHand,
@@ -596,7 +611,8 @@ pub fn fig14_bp_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
         ("PGI-K40", CompilerId::Pgi),
     ] {
         for (variant, vc) in bp_variants() {
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "BP",
                 series,
                 &variant,
                 compiler,
@@ -609,8 +625,7 @@ pub fn fig14_bp_ptx_on(eng: &Engine, scale: &Scale) -> PtxFigure {
     PtxFigure {
         id: "fig14".into(),
         title: "PTX instructions of BP for CAPS and PGI".into(),
-        bars: eng
-            .measure_matrix(cells)
+        bars: measure_cells(eng, cells)
             .into_iter()
             .flatten()
             .map(|m| bar_from(&m))
@@ -645,7 +660,8 @@ pub fn fig15_hydro_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
                 mic().with_host_compiler(HostCompiler::Intel),
             ),
         ] {
-            cells.push(CellSpec::new(
+            cells.push(CheckCell::new(
+                "Hydro",
                 series,
                 variant,
                 CompilerId::Caps,
@@ -657,7 +673,8 @@ pub fn fig15_hydro_on(eng: &Engine, scale: &Scale) -> ElapsedFigure {
     }
     let p = hydro::program(hydro::HydroVariant::OpenCl);
     for (series, opts) in [("OCL-K40", gpu()), ("OCL-5110P", mic())] {
-        cells.push(CellSpec::new(
+        cells.push(CheckCell::new(
+            "Hydro",
             series,
             "OCL",
             CompilerId::OpenClHand,
@@ -725,7 +742,8 @@ pub fn fig16_ppr_on(eng: &Engine, scale: &Scale) -> Vec<PprComparison> {
             (ocl_prog, CompilerId::OpenClHand, "OCL"),
         ] {
             for (opts, dev) in [(gpu(), "GPU"), (mic(), "MIC")] {
-                cells.push(CellSpec::new(
+                cells.push(CheckCell::new(
+                    *bench,
                     *bench,
                     format!("{model}-{dev}"),
                     id,
@@ -736,8 +754,7 @@ pub fn fig16_ppr_on(eng: &Engine, scale: &Scale) -> Vec<PprComparison> {
             }
         }
     }
-    let times: Vec<Option<f64>> = eng
-        .measure_matrix(cells)
+    let times: Vec<Option<f64>> = measure_cells(eng, cells)
         .into_iter()
         .map(|r| r.ok().map(|m| m.seconds))
         .collect();
@@ -791,7 +808,6 @@ pub struct ExtAutotuneRow {
 /// search stays internal to its task).
 pub fn ext1_autotune_vs_hand_on(eng: &Engine, scale: &Scale) -> Vec<ExtAutotuneRow> {
     use crate::autotune::{autotune_distribution, default_candidates};
-    use crate::study::measure_cached;
     let cfg = RunConfig::timing(vec![("n".into(), scale.lud_n as f64)], 1);
     let hand = lud::program(&VariantCfg::thread_dist(256, 16));
     let base = lud::program(&VariantCfg::baseline());
@@ -800,10 +816,14 @@ pub fn ext1_autotune_vs_hand_on(eng: &Engine, scale: &Scale) -> Vec<ExtAutotuneR
         .into_iter()
         .map(|(device, opts)| {
             let cache = eng.cache();
+            let seconds = move |p: &paccport_ir::Program, opts: &CompileOptions| {
+                let c = cache
+                    .compile(CompilerId::OpenArc, p, opts)
+                    .map_err(|e| e.to_string())?;
+                measure("x", "ext1", &c, cfg).map(|m| m.seconds)
+            };
             let task = move || -> Result<ExtAutotuneRow, String> {
-                let t_hand =
-                    measure_cached(cache, "x", "hand", CompilerId::OpenArc, &opts, hand, cfg)
-                        .map(|m| m.seconds)?;
+                let t_hand = seconds(hand, &opts)?;
                 let tuned = autotune_distribution(
                     base,
                     CompilerId::OpenArc,
@@ -812,16 +832,7 @@ pub fn ext1_autotune_vs_hand_on(eng: &Engine, scale: &Scale) -> Vec<ExtAutotuneR
                     &default_candidates(),
                 )
                 .map_err(|e| e.to_string())?;
-                let t_tuned = measure_cached(
-                    cache,
-                    "x",
-                    "tuned",
-                    CompilerId::OpenArc,
-                    &opts,
-                    &tuned.program,
-                    cfg,
-                )
-                .map(|m| m.seconds)?;
+                let t_tuned = seconds(&tuned.program, &opts)?;
                 Ok(ExtAutotuneRow {
                     device: device.into(),
                     hand_seconds: t_hand,
@@ -862,11 +873,14 @@ pub fn ext2_data_regions_on(eng: &Engine, scale: &Scale) -> Vec<ExtDataRegionRow
         "no data region (naive port)",
         "after Step 5 (region inserted)",
     ];
-    let cells = vec![
-        CellSpec::new("x", labels[0], CompilerId::Caps, gpu(), naive, cfg.clone()),
-        CellSpec::new("x", labels[1], CompilerId::Caps, gpu(), restored, cfg),
-    ];
-    eng.measure_matrix(cells)
+    let cells = [naive, restored]
+        .into_iter()
+        .zip(labels)
+        .map(|(p, label)| {
+            CheckCell::new("LUD", "x", label, CompilerId::Caps, gpu(), p, cfg.clone())
+        })
+        .collect();
+    measure_cells(eng, cells)
         .into_iter()
         .zip(labels)
         .filter_map(|(r, label)| {
@@ -898,23 +912,6 @@ pub fn soundness_cells(scale: &Scale) -> Vec<CheckCell> {
         ("PGI-K40", CompilerId::Pgi, gpu()),
     ];
     let ocl_targets = [("OCL-K40", gpu()), ("OCL-5110P", mic())];
-    let mut push = |benchmark: &str,
-                    series: &str,
-                    variant: &str,
-                    compiler: CompilerId,
-                    options: CompileOptions,
-                    program: paccport_ir::Program,
-                    cfg: RunConfig| {
-        cells.push(CheckCell {
-            benchmark: benchmark.into(),
-            series: series.into(),
-            variant: variant.into(),
-            compiler,
-            options,
-            program,
-            cfg,
-        });
-    };
 
     // LUD: all four optimization steps.
     {
@@ -924,15 +921,15 @@ pub fn soundness_cells(scale: &Scale) -> Vec<CheckCell> {
         for (variant, vc) in lud_variants() {
             let p = lud::program(&vc);
             for (series, compiler, opts) in &acc_targets {
-                push(
+                cells.push(CheckCell::new(
                     "LUD",
-                    series,
+                    *series,
                     &variant,
                     *compiler,
                     opts.clone(),
                     p.clone(),
                     cfg.clone(),
-                );
+                ));
             }
         }
     }
@@ -946,29 +943,29 @@ pub fn soundness_cells(scale: &Scale) -> Vec<CheckCell> {
         for (variant, vc) in ge_variants() {
             let p = gaussian::program(&vc);
             for (series, compiler, opts) in &acc_targets {
-                push(
+                cells.push(CheckCell::new(
                     "GE",
-                    series,
+                    *series,
                     &variant,
                     *compiler,
                     opts.clone(),
                     p.clone(),
                     cfg.clone(),
-                );
+                ));
             }
         }
         for (variant, adv) in [("OCL-Base", false), ("OCL-Advanced", true)] {
             let p = gaussian::opencl_program(adv);
             for (series, opts) in &ocl_targets {
-                push(
+                cells.push(CheckCell::new(
                     "GE",
-                    series,
+                    *series,
                     variant,
                     CompilerId::OpenClHand,
                     opts.clone(),
                     p.clone(),
                     cfg.clone(),
-                );
+                ));
             }
         }
     }
@@ -994,28 +991,28 @@ pub fn soundness_cells(scale: &Scale) -> Vec<CheckCell> {
         ] {
             let p = bfs::program(&vc);
             for (series, compiler, opts) in &acc_targets {
-                push(
+                cells.push(CheckCell::new(
                     "BFS",
-                    series,
+                    *series,
                     variant,
                     *compiler,
                     opts.clone(),
                     p.clone(),
                     cfg.clone(),
-                );
+                ));
             }
         }
         let p = bfs::opencl_program();
         for (series, opts) in &ocl_targets {
-            push(
+            cells.push(CheckCell::new(
                 "BFS",
-                series,
+                *series,
                 "OCL",
                 CompilerId::OpenClHand,
                 opts.clone(),
                 p.clone(),
                 cfg.clone(),
-            );
+            ));
         }
     }
 
@@ -1037,28 +1034,28 @@ pub fn soundness_cells(scale: &Scale) -> Vec<CheckCell> {
         for (variant, vc) in bp_variants() {
             let p = backprop::program(&vc);
             for (series, compiler, opts) in &acc_targets {
-                push(
+                cells.push(CheckCell::new(
                     "BP",
-                    series,
+                    *series,
                     &variant,
                     *compiler,
                     opts.clone(),
                     p.clone(),
                     cfg.clone(),
-                );
+                ));
             }
         }
         let p = backprop::opencl_program(128);
         for (series, opts) in &ocl_targets {
-            push(
+            cells.push(CheckCell::new(
                 "BP",
-                series,
+                *series,
                 "OCL",
                 CompilerId::OpenClHand,
                 opts.clone(),
                 p.clone(),
                 cfg.clone(),
-            );
+            ));
         }
     }
 
@@ -1074,7 +1071,7 @@ pub fn soundness_cells(scale: &Scale) -> Vec<CheckCell> {
         ] {
             let p = hydro::program(hv);
             for (series, opts) in [("ACC-K40", gpu()), ("ACC-5110P", mic())] {
-                push(
+                cells.push(CheckCell::new(
                     "Hydro",
                     series,
                     variant,
@@ -1082,20 +1079,20 @@ pub fn soundness_cells(scale: &Scale) -> Vec<CheckCell> {
                     opts,
                     p.clone(),
                     cfg.clone(),
-                );
+                ));
             }
         }
         let p = hydro::program(hydro::HydroVariant::OpenCl);
         for (series, opts) in &ocl_targets {
-            push(
+            cells.push(CheckCell::new(
                 "Hydro",
-                series,
+                *series,
                 "OCL",
                 CompilerId::OpenClHand,
                 opts.clone(),
                 p.clone(),
                 cfg.clone(),
-            );
+            ));
         }
     }
 
@@ -1113,34 +1110,11 @@ pub fn check_soundness_on(eng: &Engine, scale: &Scale) -> SoundnessReport {
         cells: cells.len(),
         ..Default::default()
     };
-    let jobs: Vec<_> = cells
-        .into_iter()
-        .map(|mut cell| {
-            let cache = eng.cache();
-            let label = cell.label();
-            if cell.cfg.fault_scope.is_none() {
-                cell.cfg.fault_scope = Some(label.clone());
-            }
-            // The replay gate `Debug`-formats the cell's inputs (MBs at
-            // quick scale), so only a journaled run builds it.
-            let fp = if eng.journals() {
-                crate::engine::cell_fingerprint(&format!(
-                    "{:?} {:?} {:?} {:?} {:?} {:032x} {:?}",
-                    cell.benchmark,
-                    cell.series,
-                    cell.variant,
-                    cell.compiler,
-                    cell.options,
-                    paccport_compilers::fingerprint(&cell.program),
-                    cell.cfg
-                ))
-            } else {
-                0
-            };
-            (label, fp, move || check_cell(cache, &cell))
-        })
-        .collect();
-    for res in eng.run_resilient_journaled("check", jobs) {
+    let cache = eng.cache();
+    let checks = eng.run_matrix(cells, CheckCell::label, |cell, c| {
+        check_compiled(cache, cell, c)
+    });
+    for res in checks {
         match res {
             Ok(cc) => {
                 report.rows.extend(cc.rows);
@@ -1238,8 +1212,9 @@ mod tests {
     #[test]
     fn fig3_shape() {
         let f = fig3_lud_on(&Engine::serial(), &s());
-        // 4 variants × 3 series.
-        assert_eq!(f.points.len(), 12);
+        // 4 variants × 3 series, all measured.
+        assert_eq!(f.cells.len(), 12);
+        assert!(f.cells.iter().all(|(_, r)| r.is_ok()));
         let base = f.get("CAPS-CUDA-K40", "Base").unwrap();
         let dist = f.get("CAPS-CUDA-K40", "ThreadDist").unwrap();
         let pgi = f.get("PGI-K40", "Base").unwrap();

@@ -6,7 +6,8 @@
 //!   method (add `independent`, tune thread distribution, unroll,
 //!   tile), with the dependence-analysis refusals the paper leans on;
 //! * [`ppr`] — the Performance Portability Ratio (Eq. 1);
-//! * [`study`] — scales, measurement plumbing, figure containers;
+//! * [`study`] — scales, the experiment cell, measurement plumbing,
+//!   figure containers;
 //! * [`ptxcmp`] — the static PTX-comparison analysis that exposed the
 //!   fake unroll success and the silent tiling no-op;
 //! * [`experiments`] — one generator per table and figure of the
@@ -57,6 +58,6 @@ pub use method::{
 pub use ppr::{PprComparison, PprEntry};
 pub use profile::{profile_matrix_on, CellProfile, ProfileReport};
 pub use ptxcmp::{compare_steps, PtxBar, PtxFigure, StepVerdict};
-pub use soundness::{check_cell, CellCheck, CheckCell, SoundnessReport, SoundnessRow};
+pub use soundness::{check_cell, CellCheck, SoundnessReport, SoundnessRow};
 pub use step5::{insert_data_regions, strip_data_regions};
-pub use study::{measure_cached, CellSpec, ElapsedFigure, Measured, Scale};
+pub use study::{CheckCell, ElapsedFigure, Measured, Scale};

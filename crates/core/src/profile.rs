@@ -7,16 +7,16 @@
 //! sweep makes the equivalent view available for every cell of the
 //! reproduction in one command. Cells are the same functional
 //! configurations the soundness check uses
-//! ([`crate::experiments::soundness_cells`]), fanned out through the
-//! shared engine, with output in submission order so the report is
-//! byte-identical at any `--jobs` level.
+//! ([`crate::experiments::soundness_cells`]), run through the engine's
+//! one cell runner ([`Engine::run_matrix`]), with output in submission
+//! order so the report is byte-identical at any `--jobs` level.
 
 use crate::engine::Engine;
-use crate::study::Scale;
+use crate::study::{CheckCell, Scale};
 use paccport_devsim::{render_profile, run};
 
 /// One profiled cell: its matrix label and the rendered profile table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellProfile {
     pub label: String,
     pub profile: String,
@@ -62,29 +62,14 @@ impl ProfileReport {
 pub fn profile_matrix_on(eng: &Engine, scale: &Scale) -> ProfileReport {
     let _g = paccport_trace::span("profile.matrix");
     let cells = crate::experiments::soundness_cells(scale);
-    let jobs: Vec<_> = cells
-        .into_iter()
-        .map(|mut cell| {
-            let cache = eng.cache();
-            let label = cell.label();
-            if cell.cfg.fault_scope.is_none() {
-                cell.cfg.fault_scope = Some(label.clone());
-            }
-            let job_label = label.clone();
-            (job_label, move || -> Result<CellProfile, String> {
-                let c = cache
-                    .compile(cell.compiler, &cell.program, &cell.options)
-                    .map_err(|e| e.to_string())?;
-                let r = run(&c, &cell.cfg)?;
-                Ok(CellProfile {
-                    label: label.clone(),
-                    profile: render_profile(&r),
-                })
-            })
+    let profiles = eng.run_matrix(cells, CheckCell::label, |cell, c| {
+        Ok(CellProfile {
+            label: cell.label(),
+            profile: render_profile(&run(c, &cell.cfg)?),
         })
-        .collect();
+    });
     let mut report = ProfileReport::default();
-    for res in eng.run_resilient(jobs) {
+    for res in profiles {
         match res {
             Ok(cp) => report.cells.push(cp),
             Err(f) => report.failures.push(format!(

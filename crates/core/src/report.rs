@@ -70,8 +70,14 @@ pub fn render_elapsed(f: &ElapsedFigure) -> String {
     }
     // Quarantined cells, spelled out. Absent entirely on clean runs,
     // so fault-free reports are byte-identical to the pre-chaos path.
-    for fail in &f.failures {
-        let _ = writeln!(out, "  {}/{} {}", fail.series, fail.variant, fail);
+    for ((s, v), r) in &f.cells {
+        if let Err(fail) = r {
+            let _ = writeln!(
+                out,
+                "  {s}/{v} FAILED({}, {} attempts)",
+                fail.reason, fail.attempts
+            );
+        }
     }
     out
 }

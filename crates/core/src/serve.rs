@@ -23,8 +23,7 @@ use paccport_devsim::{run, Buffer};
 use paccport_trace::hash::{fnv1a64, FNV_BASIS};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::soundness::CheckCell;
-use crate::study::Scale;
+use crate::study::{CheckCell, Scale};
 
 /// Parse a scale name the way the `reproduce` CLI does.
 pub fn scale_by_name(name: &str) -> Option<Scale> {

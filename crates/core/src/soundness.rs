@@ -22,10 +22,10 @@
 //!
 //! [`check_cell`] verifies one (program, compiler, device, input)
 //! cell; `crate::experiments::check_soundness_on` sweeps the full
-//! benchmark matrix and `crate::report::render_soundness` prints the
-//! per-kernel table.
+//! benchmark matrix through the engine's one cell runner and
+//! `crate::report::render_soundness` prints the per-kernel table.
 
-use paccport_compilers::{ArtifactCache, CompileOptions, CompilerId, Correctness};
+use paccport_compilers::{ArtifactCache, CompiledProgram, Correctness};
 use paccport_devsim::{run, Buffer, RaceKind, RunConfig};
 use paccport_ir::{
     analyze_loop, ld, st, ArrayId, Block, Expr, HostStmt, Intent, Kernel, MemSpace, ParallelLoop,
@@ -33,27 +33,7 @@ use paccport_ir::{
 };
 
 use crate::method::dep_reason;
-
-/// One (program, compiler, device, input) configuration to verify.
-#[derive(Debug, Clone)]
-pub struct CheckCell {
-    pub benchmark: String,
-    /// Target label, e.g. "CAPS-CUDA-K40".
-    pub series: String,
-    pub variant: String,
-    pub compiler: CompilerId,
-    pub options: CompileOptions,
-    pub program: Program,
-    /// Functional configuration with real inputs; the race check is
-    /// forced on by [`check_cell`].
-    pub cfg: RunConfig,
-}
-
-impl CheckCell {
-    pub fn label(&self) -> String {
-        format!("{} {} / {}", self.benchmark, self.variant, self.series)
-    }
-}
+use crate::study::CheckCell;
 
 /// The soundness verdict for one kernel at one parallel-loop level of
 /// one cell.
@@ -152,11 +132,28 @@ impl SoundnessReport {
 /// under the race detector, and compare the detector's findings
 /// against `analyze_loop`'s verdict for every kernel and loop level.
 pub fn check_cell(cache: &ArtifactCache, cell: &CheckCell) -> Result<CellCheck, String> {
-    let _g = paccport_trace::span("soundness.check_cell");
     let c = cache
         .compile(cell.compiler, &cell.program, &cell.options)
         .map_err(|e| e.to_string())?;
-    let r = run(&c, &cell.cfg.clone().with_race_check(true))?;
+    check_compiled(cache, cell, &c)
+}
+
+/// [`check_cell`] for a cell already compiled to `c`. The cache
+/// compiles the lost-update demonstration of a known-wrong plan.
+pub(crate) fn check_compiled(
+    cache: &ArtifactCache,
+    cell: &CheckCell,
+    c: &CompiledProgram,
+) -> Result<CellCheck, String> {
+    let _g = paccport_trace::span_attrs(
+        "soundness.check_cell",
+        vec![
+            ("benchmark".into(), cell.benchmark.clone()),
+            ("variant".into(), cell.variant.clone()),
+            ("target".into(), cell.series.clone()),
+        ],
+    );
+    let r = run(c, &cell.cfg.clone().with_race_check(true))?;
 
     let mut rows = Vec::new();
     for k in cell.program.kernels() {
@@ -324,22 +321,23 @@ fn lost_update_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paccport_compilers::{CompileOptions, CompilerId};
     use paccport_kernels::{backprop, diag_dominant_matrix, lud, random_vec, VariantCfg};
 
     #[test]
     fn lud_base_cell_is_sound() {
         let n = 24usize;
         let cache = ArtifactCache::new();
-        let cell = CheckCell {
-            benchmark: "LUD".into(),
-            series: "CAPS-CUDA-K40".into(),
-            variant: "Base".into(),
-            compiler: CompilerId::Caps,
-            options: CompileOptions::gpu(),
-            program: lud::program(&VariantCfg::baseline()),
-            cfg: RunConfig::functional(vec![("n".into(), n as f64)])
+        let cell = CheckCell::new(
+            "LUD",
+            "CAPS-CUDA-K40",
+            "Base",
+            CompilerId::Caps,
+            CompileOptions::gpu(),
+            lud::program(&VariantCfg::baseline()),
+            RunConfig::functional(vec![("n".into(), n as f64)])
                 .with_input("a", Buffer::F32(diag_dominant_matrix(n, 21))),
-        };
+        );
         let cc = check_cell(&cache, &cell).unwrap();
         assert!(!cc.rows.is_empty());
         assert!(cc.accesses > 0, "the detector must have observed the run");
@@ -361,14 +359,14 @@ mod tests {
         let n_hid = 16usize;
         let w_len = (n_in + 1) * (n_hid + 1);
         let cache = ArtifactCache::new();
-        let cell = CheckCell {
-            benchmark: "BP".into(),
-            series: "CAPS-OCL-5110P".into(),
-            variant: "Reduction".into(),
-            compiler: CompilerId::Caps,
-            options: CompileOptions::mic(),
-            program: backprop::program(&vc),
-            cfg: RunConfig::functional(vec![
+        let cell = CheckCell::new(
+            "BP",
+            "CAPS-OCL-5110P",
+            "Reduction",
+            CompilerId::Caps,
+            CompileOptions::mic(),
+            backprop::program(&vc),
+            RunConfig::functional(vec![
                 ("n_in".into(), n_in as f64),
                 ("n_hid".into(), n_hid as f64),
             ])
@@ -376,7 +374,7 @@ mod tests {
             .with_input("w", Buffer::F32(random_vec(w_len, 2)))
             .with_input("delta", Buffer::F32(random_vec(n_hid + 1, 3)))
             .with_input("oldw", Buffer::F32(random_vec(w_len, 4))),
-        };
+        );
         let cc = check_cell(&cache, &cell).unwrap();
         let demo = cc
             .rows

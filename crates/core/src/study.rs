@@ -1,9 +1,11 @@
-//! Study orchestration: scales, measurement points and the helpers
-//! every figure generator shares.
+//! Study orchestration: scales, the experiment cell, measurement
+//! points and the helpers every figure generator shares.
 
-use paccport_compilers::{ArtifactCache, CompileOptions, CompiledProgram, CompilerId};
+use paccport_compilers::{CompileOptions, CompiledProgram, CompilerId};
 use paccport_devsim::{run, RunConfig};
 use paccport_ptx::CategoryCounts;
+
+use crate::engine::JobFailure;
 
 /// Input sizes for the whole study.
 ///
@@ -111,22 +113,28 @@ impl Measured {
     }
 }
 
-/// One cell of an experiment matrix: everything needed to produce a
-/// [`Measured`] point, owned so cells can move across worker threads.
-/// Built by the figure generators in `experiments`, executed by
-/// [`crate::engine::Engine::measure_matrix`].
+/// One cell of an experiment matrix — a figure's, `--check`'s,
+/// `profile`'s or the server's: one (program, compiler, device, input)
+/// configuration, owned so cells can move across worker threads. Built
+/// by the generators in `experiments`, executed by
+/// [`crate::engine::Engine::run_matrix`].
 #[derive(Debug, Clone)]
-pub struct CellSpec {
+pub struct CheckCell {
+    pub benchmark: String,
+    /// Target label, e.g. "CAPS-CUDA-K40".
     pub series: String,
     pub variant: String,
     pub compiler: CompilerId,
     pub options: CompileOptions,
     pub program: paccport_ir::Program,
+    /// Timing or functional configuration; the soundness check forces
+    /// the race detector on.
     pub cfg: RunConfig,
 }
 
-impl CellSpec {
+impl CheckCell {
     pub fn new(
+        benchmark: impl Into<String>,
         series: impl Into<String>,
         variant: impl Into<String>,
         compiler: CompilerId,
@@ -134,7 +142,8 @@ impl CellSpec {
         program: paccport_ir::Program,
         cfg: RunConfig,
     ) -> Self {
-        CellSpec {
+        CheckCell {
+            benchmark: benchmark.into(),
             series: series.into(),
             variant: variant.into(),
             compiler,
@@ -143,25 +152,12 @@ impl CellSpec {
             cfg,
         }
     }
-}
 
-/// Compile one program through a shared [`ArtifactCache`] and run it,
-/// collecting a [`Measured`] point. The cache builds identical
-/// (program, options, device) artifacts once across the whole
-/// experiment matrix.
-pub fn measure_cached(
-    cache: &ArtifactCache,
-    series: &str,
-    variant: &str,
-    compiler: CompilerId,
-    options: &CompileOptions,
-    program: &paccport_ir::Program,
-    cfg: &RunConfig,
-) -> Result<Measured, String> {
-    let c = cache
-        .compile(compiler, program, options)
-        .map_err(|e| e.to_string())?;
-    measure(series, variant, &c, cfg)
+    /// The cell's name in `--check` and `profile` reports, e.g.
+    /// "LUD Base / CAPS-CUDA-K40".
+    pub fn label(&self) -> String {
+        format!("{} {} / {}", self.benchmark, self.variant, self.series)
+    }
 }
 
 /// Run a compiled program, collecting a [`Measured`] point.
@@ -195,99 +191,57 @@ pub fn measure(
     })
 }
 
-/// A cell that exhausted its retries and was quarantined: the figure
-/// completes with partial results and renders this as an explicit
-/// `FAILED(reason, attempts)` entry instead of dying.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellFailure {
-    pub series: String,
-    pub variant: String,
-    /// Final error (or panic message). Injected faults carry the
-    /// `paccport_faults::INJECTED` marker.
-    pub reason: String,
-    pub attempts: u32,
-    pub injected: bool,
-}
-
-impl std::fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FAILED({}, {} attempts)", self.reason, self.attempts)
-    }
-}
-
-/// A figure of elapsed-time bars: series × variants, plus the cells
-/// that failed out of the matrix (graceful degradation: a figure with
-/// quarantined cells still renders everything that succeeded).
+/// A figure of elapsed-time bars: series × variants. A figure with
+/// quarantined cells still renders everything that succeeded, and
+/// spells out each failure as `FAILED(reason, attempts)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElapsedFigure {
     pub id: String,
     pub title: String,
-    pub points: Vec<Measured>,
-    pub failures: Vec<CellFailure>,
-    /// Every (series, variant) pair in matrix submission order —
-    /// successes and failures alike — so grid layout is stable no
-    /// matter which cells were quarantined.
-    pub order: Vec<(String, String)>,
+    /// Every cell's (series, variant) in matrix submission order, with
+    /// its point or the failure that quarantined it, so grid layout is
+    /// stable no matter which cells failed.
+    pub cells: Vec<((String, String), Result<Measured, JobFailure>)>,
 }
 
 impl ElapsedFigure {
-    pub fn get(&self, series: &str, variant: &str) -> Option<&Measured> {
-        self.points
+    fn cell(&self, series: &str, variant: &str) -> Option<&Result<Measured, JobFailure>> {
+        self.cells
             .iter()
-            .find(|m| m.series == series && m.variant == variant)
+            .find(|((s, v), _)| s == series && v == variant)
+            .map(|(_, r)| r)
+    }
+
+    pub fn get(&self, series: &str, variant: &str) -> Option<&Measured> {
+        self.cell(series, variant)?.as_ref().ok()
     }
 
     /// The failure record for a quarantined cell, if any.
-    pub fn failure(&self, series: &str, variant: &str) -> Option<&CellFailure> {
-        self.failures
-            .iter()
-            .find(|f| f.series == series && f.variant == variant)
+    pub fn failure(&self, series: &str, variant: &str) -> Option<&JobFailure> {
+        self.cell(series, variant)?.as_ref().err()
     }
 
     /// All distinct series labels in matrix order (failed cells
     /// included, so a quarantined series still appears in the grid).
     pub fn series(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for s in self.label_stream(|o| &o.0, |m| &m.series, |f| &f.series) {
-            if !out.contains(&s) {
-                out.push(s);
-            }
-        }
-        out
+        distinct(self.cells.iter().map(|((s, _), _)| s))
     }
 
     /// All distinct variant labels in matrix order (failed cells
     /// included).
     pub fn variants(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for v in self.label_stream(|o| &o.1, |m| &m.variant, |f| &f.variant) {
-            if !out.contains(&v) {
-                out.push(v);
-            }
-        }
-        out
+        distinct(self.cells.iter().map(|((_, v), _)| v))
     }
+}
 
-    /// Labels in `order` when recorded, otherwise points then
-    /// failures (hand-built figures without an explicit order).
-    fn label_stream<'a>(
-        &'a self,
-        from_order: impl Fn(&'a (String, String)) -> &'a String + 'a,
-        from_point: impl Fn(&'a Measured) -> &'a String + 'a,
-        from_failure: impl Fn(&'a CellFailure) -> &'a String + 'a,
-    ) -> Box<dyn Iterator<Item = String> + 'a> {
-        if self.order.is_empty() {
-            Box::new(
-                self.points
-                    .iter()
-                    .map(from_point)
-                    .chain(self.failures.iter().map(from_failure))
-                    .cloned(),
-            )
-        } else {
-            Box::new(self.order.iter().map(from_order).cloned())
+fn distinct<'a>(labels: impl Iterator<Item = &'a String>) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for l in labels {
+        if !out.contains(l) {
+            out.push(l.clone());
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -299,16 +253,10 @@ mod tests {
     fn measure_produces_complete_points() {
         let p = lud::program(&VariantCfg::thread_dist(256, 16));
         let cfg = RunConfig::timing(vec![("n".into(), 256.0)], 1);
-        let m = measure_cached(
-            &ArtifactCache::new(),
-            "CAPS-CUDA-K40",
-            "Dist(256,16)",
-            CompilerId::Caps,
-            &CompileOptions::gpu(),
-            &p,
-            &cfg,
-        )
-        .unwrap();
+        let c = paccport_compilers::ArtifactCache::new()
+            .compile(CompilerId::Caps, &p, &CompileOptions::gpu())
+            .unwrap();
+        let m = measure("CAPS-CUDA-K40", "Dist(256,16)", &c, &cfg).unwrap();
         assert!(m.seconds > 0.0);
         assert_eq!(m.config, "256x16");
         assert!(m.counts.total() > 0);
@@ -334,15 +282,26 @@ mod tests {
             transfers_per_while_iter: 0.0,
             transfers_outside_while: 0,
         };
+        let lost = JobFailure {
+            label: "B/Opt".into(),
+            reason: "injected".into(),
+            attempts: 3,
+            injected: true,
+        };
         let f = ElapsedFigure {
             id: "fig3".into(),
             title: "t".into(),
-            points: vec![mk("A", "Base"), mk("A", "Opt"), mk("B", "Base")],
-            failures: Vec::new(),
-            order: Vec::new(),
+            cells: vec![
+                (("A".into(), "Base".into()), Ok(mk("A", "Base"))),
+                (("B".into(), "Opt".into()), Err(lost.clone())),
+                (("A".into(), "Opt".into()), Ok(mk("A", "Opt"))),
+                (("B".into(), "Base".into()), Ok(mk("B", "Base"))),
+            ],
         };
         assert!(f.get("A", "Opt").is_some());
         assert!(f.get("B", "Opt").is_none());
+        assert_eq!(f.failure("B", "Opt"), Some(&lost));
+        // A quarantined cell still places its series and variant.
         assert_eq!(f.series(), vec!["A", "B"]);
         assert_eq!(f.variants(), vec!["Base", "Opt"]);
     }

@@ -245,7 +245,7 @@ fn reason(status: u16) -> &'static str {
 
 /// Write a complete (non-chunked) response and flush it.
 pub fn respond(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, String)],
@@ -274,7 +274,7 @@ pub fn error_body(message: &str) -> String {
 }
 
 /// Answer a [`Refusal`] (or any error) as a one-line JSON 4xx/5xx.
-pub fn respond_error(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
+pub fn respond_error(stream: &mut impl Write, status: u16, message: &str) -> io::Result<()> {
     respond(
         stream,
         status,
@@ -287,7 +287,7 @@ pub fn respond_error(stream: &mut TcpStream, status: u16, message: &str) -> io::
 /// Open a chunked response; follow with [`write_chunk`] calls and a
 /// final [`finish_chunked`].
 pub fn start_chunked(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, String)],
@@ -305,7 +305,7 @@ pub fn start_chunked(
 
 /// Emit one chunk (one progress event, in the server's usage) and
 /// flush so the peer sees it immediately.
-pub fn write_chunk(stream: &mut TcpStream, data: &str) -> io::Result<()> {
+pub fn write_chunk(stream: &mut impl Write, data: &str) -> io::Result<()> {
     if data.is_empty() {
         return Ok(()); // an empty chunk would terminate the stream
     }
@@ -316,7 +316,7 @@ pub fn write_chunk(stream: &mut TcpStream, data: &str) -> io::Result<()> {
 }
 
 /// Terminate a chunked response.
-pub fn finish_chunked(stream: &mut TcpStream) -> io::Result<()> {
+pub fn finish_chunked(stream: &mut impl Write) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }

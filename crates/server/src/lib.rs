@@ -45,8 +45,8 @@ pub mod protocol;
 pub mod recorder;
 
 use std::collections::VecDeque;
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -55,8 +55,7 @@ use std::time::Duration;
 use paccport_compilers::ArtifactCache;
 use paccport_core::coalesce::{Gate, Singleflight};
 use paccport_core::serve::{self, CellOutcome};
-use paccport_core::soundness::CheckCell;
-use paccport_core::Engine;
+use paccport_core::{CheckCell, Engine};
 use paccport_trace::context;
 use paccport_trace::export::TraceFormat;
 use paccport_trace::metrics::{counter_add, observe, observe_exemplar};
@@ -133,6 +132,11 @@ struct Inner {
     queue: Mutex<VecDeque<(TcpStream, usize)>>,
     queue_cv: Condvar,
     draining: AtomicBool,
+    /// The listener's address, for [`begin_drain`]'s wake-up connect.
+    addr: SocketAddr,
+    /// The local address of that wake-up connection, once made: the
+    /// accept loop drops it unanswered and uncounted.
+    waker: Mutex<Option<SocketAddr>>,
     in_flight: AtomicUsize,
     recorder: FlightRecorder,
     access: Option<Mutex<std::fs::File>>,
@@ -143,7 +147,8 @@ struct Inner {
 }
 
 /// A running experiment server; dropping the handle does not stop it
-/// — call [`Server::shutdown`] (or hit `/shutdown`, or SIGTERM) and
+/// — call [`Server::shutdown`] (or hit `/shutdown`, or send SIGTERM to
+/// a process waiting in [`Server::drain_on_sigterm`]) and
 /// then [`Server::join`] for a graceful drain.
 pub struct Server {
     inner: Arc<Inner>,
@@ -158,8 +163,9 @@ extern "C" fn on_sigterm(_sig: i32) {
     SIGTERM.store(true, Ordering::SeqCst);
 }
 
-/// Route SIGTERM to a graceful drain of every [`Server`] in this
-/// process. Installed by `reproduce serve`; a no-op off Unix.
+/// Route SIGTERM to a graceful drain of the [`Server`] whose owner
+/// waits in [`Server::drain_on_sigterm`]. Installed by `reproduce
+/// serve`; a no-op off Unix.
 pub fn install_sigterm_drain() {
     #[cfg(unix)]
     {
@@ -178,7 +184,6 @@ impl Server {
     /// [`Server::addr`]) and start accepting.
     pub fn start(addr: &str, cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let access = match &cfg.access_log {
             Some(path) => Some(Mutex::new(std::fs::File::create(path)?)),
@@ -195,6 +200,8 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             draining: AtomicBool::new(false),
+            addr: local,
+            waker: Mutex::new(None),
             in_flight: AtomicUsize::new(0),
             recorder: FlightRecorder::new(cfg.recorder_cap),
             access,
@@ -229,8 +236,21 @@ impl Server {
 
     /// Stop admitting requests; everything already admitted finishes.
     pub fn shutdown(&self) {
-        self.inner.draining.store(true, Ordering::SeqCst);
-        self.inner.queue_cv.notify_all();
+        begin_drain(&self.inner);
+    }
+
+    /// Block until a drain starts, turning a SIGTERM (see
+    /// [`install_sigterm_drain`]) into [`Server::shutdown`]. The flag
+    /// is polled every 50 ms on the caller's thread, so the signal
+    /// handler itself only sets it.
+    pub fn drain_on_sigterm(&self) {
+        while !self.draining() {
+            if SIGTERM.swap(false, Ordering::SeqCst) {
+                self.shutdown();
+            } else {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
     }
 
     /// Whether a drain has been requested (by [`Server::shutdown`],
@@ -272,15 +292,43 @@ impl Server {
     }
 }
 
+/// Start a drain: stop admitting requests and wake the accept loop,
+/// which blocks in `accept` until then, with one connection of our
+/// own. The lock is held until that connection's address is recorded,
+/// so the accept loop can tell it from a late client.
+fn begin_drain(inner: &Inner) {
+    let mut waker = inner.waker.lock().unwrap();
+    if inner.draining.swap(true, Ordering::SeqCst) {
+        return;
+    }
+    inner.queue_cv.notify_all();
+    let mut addr = inner.addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Ok(wake) = TcpStream::connect(addr) {
+        *waker = wake.local_addr().ok();
+    }
+}
+
 fn accept_loop(inner: &Inner, listener: TcpListener) {
+    // Blocking until a drain starts; then polling, so the loop can
+    // notice that the queue has emptied and nothing is in flight.
+    let mut polling = false;
     loop {
-        if SIGTERM.swap(false, Ordering::SeqCst) {
-            inner.draining.store(true, Ordering::SeqCst);
-            inner.queue_cv.notify_all();
+        if !polling && inner.draining.load(Ordering::SeqCst) {
+            let _ = listener.set_nonblocking(true);
+            polling = true;
         }
         match listener.accept() {
-            Ok((mut stream, _)) => {
+            Ok((mut stream, peer)) => {
                 if inner.draining.load(Ordering::SeqCst) {
+                    if *inner.waker.lock().unwrap() == Some(peer) {
+                        continue;
+                    }
                     counter_add("serve_rejected_total", &[("reason", "draining")], 1);
                     let _ = http::respond_error(&mut stream, 503, "server is draining");
                     continue;
@@ -307,14 +355,12 @@ fn accept_loop(inner: &Inner, listener: TcpListener) {
                 inner.queue_cv.notify_one();
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if inner.draining.load(Ordering::SeqCst) {
-                    let idle = inner.queue.lock().unwrap().is_empty()
-                        && inner.in_flight.load(Ordering::SeqCst) == 0;
-                    if idle {
-                        // Drained: wake any parked workers so they exit.
-                        inner.queue_cv.notify_all();
-                        return;
-                    }
+                let idle = inner.queue.lock().unwrap().is_empty()
+                    && inner.in_flight.load(Ordering::SeqCst) == 0;
+                if idle {
+                    // Drained: wake any parked workers so they exit.
+                    inner.queue_cv.notify_all();
+                    return;
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -381,6 +427,10 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
     if stream.set_read_timeout(Some(http::READ_TIMEOUT)).is_err() {
         return;
     }
+    // Every reply but `/stream`'s is held back until the request is
+    // accounted for, so a client that has read it finds it in
+    // `/metrics`, `/healthz` and the access log.
+    let mut reply: Vec<u8> = Vec::new();
     let (route, handled) = match http::read_request(&mut stream) {
         Ok(Ok(req)) => {
             let route: &str = match (req.method.as_str(), req.path.as_str()) {
@@ -405,12 +455,12 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
                         inner.recorder.cap(),
                         inner.served.load(Ordering::SeqCst),
                     );
-                    let _ = http::respond(&mut stream, 200, "application/json", &[], &body);
+                    let _ = http::respond(&mut reply, 200, "application/json", &[], &body);
                     Handled::plain(200)
                 }
                 "metrics" => {
                     let _ = http::respond(
-                        &mut stream,
+                        &mut reply,
                         200,
                         "text/plain; version=0.0.4",
                         &[],
@@ -420,7 +470,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
                 }
                 "traces" => {
                     let _ = http::respond(
-                        &mut stream,
+                        &mut reply,
                         200,
                         "application/json",
                         &[],
@@ -428,12 +478,11 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
                     );
                     Handled::plain(200)
                 }
-                "trace" => handle_trace(inner, &mut stream, &req.path),
+                "trace" => handle_trace(inner, &mut reply, &req.path),
                 "shutdown" => {
-                    inner.draining.store(true, Ordering::SeqCst);
-                    inner.queue_cv.notify_all();
+                    begin_drain(inner);
                     let _ = http::respond(
-                        &mut stream,
+                        &mut reply,
                         200,
                         "application/json",
                         &[],
@@ -441,7 +490,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
                     );
                     Handled::plain(200)
                 }
-                "run" => handle_run(inner, &mut stream, &req),
+                "run" => handle_run(inner, &mut reply, &req),
                 "stream" => handle_stream(inner, &mut stream, &req),
                 _ => {
                     let msg = format!(
@@ -454,7 +503,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
                     } else {
                         404
                     };
-                    let _ = http::respond_error(&mut stream, status, &msg);
+                    let _ = http::respond_error(&mut reply, status, &msg);
                     Handled::plain(status)
                 }
             };
@@ -462,8 +511,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
         }
         Ok(Err(refusal)) => {
             counter_add("serve_requests_total", &[("route", "malformed")], 1);
-            let _ = http::respond_error(&mut stream, refusal.status, &refusal.message);
-            http::linger(&stream);
+            let _ = http::respond_error(&mut reply, refusal.status, &refusal.message);
             ("malformed", Handled::plain(refusal.status))
         }
         Err(_) => return, // peer vanished mid-request
@@ -496,6 +544,12 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, depth: usize) {
         let mut f = access.lock().unwrap();
         let _ = f.write_all(line.as_bytes());
         let _ = f.flush();
+    }
+    if !reply.is_empty() {
+        let _ = stream.write_all(&reply).and_then(|()| stream.flush());
+    }
+    if route == "malformed" {
+        http::linger(&stream);
     }
 }
 
@@ -553,7 +607,7 @@ fn modeled_service_seconds(reports: &[CellReport]) -> f64 {
 /// recorded trace: the nested span-tree JSON by default, or any of
 /// the standard exporter formats rendered from the same normalized
 /// events.
-fn handle_trace(inner: &Inner, stream: &mut TcpStream, path: &str) -> Handled {
+fn handle_trace(inner: &Inner, stream: &mut impl Write, path: &str) -> Handled {
     let rest = &path["/trace/".len()..];
     let (id, query) = match rest.split_once('?') {
         Some((id, q)) => (id, Some(q)),
@@ -703,7 +757,7 @@ fn run_cells(
 /// one-line 400; its access-log record carries the tenant only once
 /// the tenant is known to be valid (the resolve refusal).
 fn run_prelude(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     req: &http::Request,
 ) -> Result<(Option<String>, RunRequest, Vec<CheckCell>), Handled> {
     let mut refuse = |e: String| {
@@ -721,7 +775,7 @@ fn run_prelude(
     }
 }
 
-fn handle_run(inner: &Inner, stream: &mut TcpStream, req: &http::Request) -> Handled {
+fn handle_run(inner: &Inner, stream: &mut impl Write, req: &http::Request) -> Handled {
     let (tenant, rr, cells) = match run_prelude(stream, req) {
         Ok(p) => p,
         Err(refused) => return refused,

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use paccport::compilers::cache::{ArtifactCache, ArtifactStore};
 use paccport::compilers::{CompileOptions, CompilerId};
 use paccport::core::engine::{Engine, MAX_ATTEMPTS};
-use paccport::core::study::{CellSpec, ElapsedFigure, Scale};
+use paccport::core::study::{measure, CheckCell, ElapsedFigure, Scale};
 use paccport::core::{experiments as exp, report};
 use paccport::faults::{self, FaultSpec};
 
@@ -39,7 +39,10 @@ fn fig3_under(spec: Option<(&str, u64)>) -> ElapsedFigure {
 fn chaos_study_is_lossless_modulo_quarantine() {
     let _g = lock();
     let baseline = fig3_under(None);
-    assert!(baseline.failures.is_empty(), "baseline must be fault-free");
+    assert!(
+        baseline.cells.iter().all(|(_, r)| r.is_ok()),
+        "baseline must be fault-free"
+    );
 
     // A compile-fault rate high enough to quarantine something across
     // seeds is not guaranteed, so pick a seed known to quarantine at
@@ -47,21 +50,25 @@ fn chaos_study_is_lossless_modulo_quarantine() {
     // any seed regardless.
     let faulted = fig3_under(Some(("compile:0.35", 9)));
 
-    for m in &faulted.points {
-        let b = baseline
-            .get(&m.series, &m.variant)
-            .expect("cell exists in baseline");
-        assert_eq!(b, m, "non-quarantined cell must match fault-free run");
-    }
     assert_eq!(
-        faulted.points.len() + faulted.failures.len(),
-        baseline.points.len(),
+        faulted.cells.len(),
+        baseline.cells.len(),
         "every cell is either measured or explicitly quarantined"
     );
-    for f in &faulted.failures {
-        assert!(f.injected, "only injected chaos may quarantine: {f:?}");
-        assert!(faults::is_injected(&f.reason), "{}", f.reason);
-        assert!(f.attempts >= 1);
+    for ((series, variant), r) in &faulted.cells {
+        match r {
+            Ok(m) => {
+                let b = baseline
+                    .get(series, variant)
+                    .expect("cell exists in baseline");
+                assert_eq!(b, m, "non-quarantined cell must match fault-free run");
+            }
+            Err(f) => {
+                assert!(f.injected, "only injected chaos may quarantine: {f:?}");
+                assert!(faults::is_injected(&f.reason), "{}", f.reason);
+                assert!(f.attempts >= 1);
+            }
+        }
     }
 }
 
@@ -70,13 +77,12 @@ fn same_seed_reproduces_the_same_figure() {
     let _g = lock();
     let a = fig3_under(Some(("chaos", 1234)));
     let b = fig3_under(Some(("chaos", 1234)));
-    assert_eq!(a.points, b.points);
-    assert_eq!(a.failures, b.failures);
+    assert_eq!(a.cells, b.cells);
     assert_eq!(report::render_elapsed(&a), report::render_elapsed(&b));
 
     let c = fig3_under(Some(("chaos", 1235)));
     assert!(
-        a.points != c.points || a.failures != c.failures,
+        a.cells != c.cells,
         "a different seed should perturb at least one fault decision"
     );
 }
@@ -87,15 +93,18 @@ fn hung_kernel_times_out_and_is_quarantined() {
     faults::configure(FaultSpec::parse("hang:lud:1.0").unwrap(), 0);
     let eng = Engine::serial();
     let (variant, vc) = &exp::lud_variants()[0];
-    let cells = vec![CellSpec::new(
+    let cells = vec![CheckCell::new(
+        "LUD",
         "CAPS-CUDA-K40",
         variant.clone(),
-        paccport::compilers::CompilerId::Caps,
-        paccport::compilers::CompileOptions::gpu(),
+        CompilerId::Caps,
+        CompileOptions::gpu(),
         paccport::kernels::lud::program(vc),
         paccport::devsim::RunConfig::timing(vec![("n".into(), 32.0)], 1),
     )];
-    let results = eng.measure_matrix_detailed(cells);
+    let results = eng.run_matrix(cells, CheckCell::label, |cell, c| {
+        measure(&cell.series, &cell.variant, c, &cell.cfg)
+    });
     faults::deconfigure();
 
     let f = results[0].as_ref().expect_err("rate-1.0 hang must fail");
@@ -114,7 +123,7 @@ fn fault_ledger_names_every_injected_event() {
     let fig = exp::fig3_lud_on(&Engine::serial(), &Scale::smoke());
     let events = faults::ledger();
     faults::deconfigure();
-    assert!(!fig.points.is_empty());
+    assert!(fig.cells.iter().any(|(_, r)| r.is_ok()));
     assert!(!events.is_empty(), "rate 0.35 must fire somewhere");
     for e in &events {
         assert_eq!(e.kind.tag(), "compile");
